@@ -18,7 +18,7 @@ OBS_BYPASS := (^|[^.[:alnum:]_])(print|Counter)\(
 # benchmarks/examples would freeze internal layout.
 RUNNER_DEEP := ^[[:space:]]*(from repro\.runner\.[[:alnum:]_.]+ import|import repro\.runner\.)
 
-.PHONY: install test check lint bench bench-quick bench-gate bench-pytest trace-smoke faults-smoke fastpath-smoke kernels-smoke campaign-smoke serve-smoke stream-smoke vector-smoke kernels-bench campaign-bench serve-bench stream-bench vector-bench examples attack survey clean
+.PHONY: install test check lint bench bench-quick bench-gate bench-pytest trace-smoke faults-smoke fastpath-smoke kernels-smoke campaign-smoke serve-smoke stream-smoke kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -27,7 +27,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Tier-1 gate: the test suite plus the registry lint and the smoke runs.
-check: test lint trace-smoke faults-smoke kernels-smoke fastpath-smoke campaign-smoke serve-smoke stream-smoke vector-smoke
+check: test lint trace-smoke faults-smoke kernels-smoke fastpath-smoke campaign-smoke serve-smoke stream-smoke
 
 lint:
 	@matches=$$(grep -rnE '$(ENGINE_CTORS)' --include='*.py' \
@@ -104,18 +104,6 @@ stream-smoke:
 # and peak RSS per scale land in BENCH_stream_scaling.json.
 stream-bench:
 	$(PYTHON) -m repro.sim.bench_stream --out BENCH_stream_scaling.json
-
-# Backend-ladder smoke: the streamed dma-burst workload under every
-# REPRO_BACKEND rung (numpy / kernel / python, one child process per
-# rung) must produce byte-identical canonical metrics documents.
-vector-smoke:
-	$(PYTHON) -m repro.sim.bench_fastpath --vector --accesses 60000
-
-# Full per-backend scaling run (10^6 accesses); the per-rung timing and
-# identity digest land in BENCH_vector_scaling.json.
-vector-bench:
-	$(PYTHON) -m repro.sim.bench_fastpath --vector \
-		--out BENCH_vector_scaling.json
 
 # Fast-path smoke: the scalar reference and the batched execution path
 # must agree exactly — reports, bus streams, event totals — on one

@@ -359,13 +359,11 @@ def run_stream(
     )
     system.install_image(0, bytes(image_size))
     label = engine or "baseline"
-    from . import backend as _backend
     from .traces.workloads import ARRAY_STREAM_NAMES, array_stream_workload
 
     if chunk_size == 0:
         trace = list(accesses_iter())
-    elif (_backend.ACTIVE == "numpy" and not is_mcu
-            and workload in ARRAY_STREAM_NAMES):
+    elif workload in ARRAY_STREAM_NAMES:
         # Array-native chunks: the same DRBG draws as accesses_iter(),
         # with the address fold vectorized instead of per access.
         trace = array_stream_workload(workload, n=accesses, seed=seed,

@@ -1,93 +1,14 @@
-"""Backend dispatch ladder: algebraic reference -> kernel -> numpy.
+"""The simulator's one execution path.
 
-The reproduction keeps three implementations of its hot paths, each a rung
-on a ladder (DESIGN.md, "Backend dispatch ladder"):
-
-``python``
-    The algebraic reference ciphers (:mod:`repro.crypto.aes`,
-    :mod:`repro.crypto.des`) and the scalar per-access execution loop
-    (:meth:`repro.sim.system.SecureSystem.step`).  Slowest, and the
-    ground truth everything else is gated against.
-``kernel``
-    T-table / bit-packed cipher kernels (:mod:`repro.crypto.kernels`)
-    plus the batched trace executor (:mod:`repro.sim.fastpath`).
-``numpy``
-    Array-programmed cipher kernels and trace executor operating on whole
-    batches as ndarrays.  Selected only when numpy imports *and* the
-    import-time equivalence probe in :mod:`repro.crypto.kernels` passes —
-    the same pattern as ``repro.crypto.sha256.HASHLIB_BACKED``.
-
-Selection happens once at import.  ``REPRO_BACKEND`` overrides it:
-``numpy`` | ``kernel`` | ``python`` force a rung (``numpy`` still degrades
-to ``kernel`` with a one-line warning when numpy is unusable — never a
-crash); ``auto``/unset probes from the top.
-
-Every rung produces byte-identical metrics: reports, bus streams and
-sink totals are locked by ``tests/test_fastpath.py``, ``make vector-smoke``
-and the CI leg that replays the quick suite under ``REPRO_BACKEND=python``.
+numpy is a hard dependency (``pyproject.toml``), so there is a single
+production path: the batched trace executor in :mod:`repro.sim.fastpath`
+over the cipher kernels in :mod:`repro.crypto.kernels`, which pick
+T-table loops or numpy gathers per call by batch width.  The algebraic
+reference ciphers and the per-access step loop stay as oracles, driven
+from ``tests/`` (DESIGN.md §10, "One execution path").
 """
 
-from __future__ import annotations
+__all__ = ["ACTIVE"]
 
-import os
-import warnings
-
-__all__ = ["REQUESTED", "ACTIVE", "NUMPY", "BACKEND_NAMES", "demote",
-           "execution_backend"]
-
-BACKEND_NAMES = ("numpy", "kernel", "python")
-
-_raw = os.environ.get("REPRO_BACKEND", "auto").strip().lower() or "auto"
-if _raw not in BACKEND_NAMES + ("auto",):
-    warnings.warn(
-        f"REPRO_BACKEND={_raw!r} is not one of {BACKEND_NAMES + ('auto',)}; "
-        "falling back to auto",
-        RuntimeWarning, stacklevel=2,
-    )
-    _raw = "auto"
-
-#: What the environment asked for (``auto`` when unset).
-REQUESTED: str = _raw
-
-NUMPY = None
-if REQUESTED in ("auto", "numpy"):
-    try:
-        import numpy as NUMPY  # noqa: N812 - module alias by design
-    except ImportError:
-        NUMPY = None
-        if REQUESTED == "numpy":
-            warnings.warn(
-                "REPRO_BACKEND=numpy but numpy is not importable; "
-                "falling back to the kernel backend",
-                RuntimeWarning, stacklevel=2,
-            )
-
-#: The selected rung.  ``numpy`` here is provisional until the kernel
-#: equivalence probe confirms it (import repro.crypto.kernels to settle it).
-ACTIVE: str = (
-    "python" if REQUESTED == "python"
-    else "kernel" if REQUESTED == "kernel" or NUMPY is None
-    else "numpy"
-)
-
-
-def demote(reason: str) -> None:
-    """Drop from the numpy rung to the kernel rung (never a crash).
-
-    Called by the import-time equivalence probe when the array kernels
-    disagree with the scalar kernels — one line of warning, then the
-    process continues on the proven path.
-    """
-    global ACTIVE, NUMPY
-    if ACTIVE == "numpy":
-        warnings.warn(
-            f"numpy backend disabled ({reason}); using kernel backend",
-            RuntimeWarning, stacklevel=2,
-        )
-        ACTIVE = "kernel"
-    NUMPY = None
-
-
-def execution_backend() -> str:
-    """The rung the trace executor should use right now."""
-    return ACTIVE
+#: Name of the execution path, recorded in benchmark documents.
+ACTIVE = "numpy"

@@ -351,9 +351,6 @@ class BusEncryptionEngine(ABC):
 
     # -- reporting ----------------------------------------------------------
 
-    def notify_access(self, addr: int, is_fetch: bool) -> None:
-        """Hook invoked for every CPU access (prefetchers override)."""
-
     @abstractmethod
     def area(self) -> AreaEstimate:
         """Itemized gate-count estimate for the engine."""

@@ -26,7 +26,6 @@ verified region entry.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Tuple
 
@@ -74,8 +73,8 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         super().__init__(functional=functional)
         self._tdes = tdes_kernel(key)
         # Memo identity for region transforms: the raw key bytes, not the
-        # kernel object — every backend rung (table kernel, reference
-        # wrapper) computes the same function of (key, base, bytes).
+        # kernel object — any 3DES for the key (table kernel or reference
+        # cipher) computes the same function of (key, base, bytes).
         self._tdes_key = bytes(key)
         self._mac_key = mac_key if mac_key is not None else bytes(
             b ^ 0xA5 for b in key
@@ -104,16 +103,6 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         self._chain_state: Dict[int, Tuple[int, bytes]] = {}
         self.chain_hits = 0
         self.chain_restarts = 0
-
-    @property
-    def tamper_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "GeneralInstrumentEngine.tamper_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
 
     @property
     def detects(self) -> FrozenSet[str]:

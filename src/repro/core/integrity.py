@@ -29,7 +29,6 @@ computation and store.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..crypto.hmac import consttime_eq, hmac_sha256
@@ -80,33 +79,6 @@ class IntegrityShieldEngine(BusEncryptionEngine):
         self.tag_cache_hits = 0
         self.tag_cache_misses = 0
         self._line_size_hint = 32
-
-    # -- verdict accounting ------------------------------------------------
-    #
-    # The shield used to keep private ``tampers_detected``/``tags_verified``
-    # counters; both are now derived from the uniform verdict path
-    # (``BusEncryptionEngine.verify_line`` -> ``self.verdicts``) and kept
-    # as deprecated read-only aliases for one release.
-
-    @property
-    def tampers_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "IntegrityShieldEngine.tampers_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
-
-    @property
-    def tags_verified(self) -> int:
-        """Deprecated alias of ``self.verdicts.checks``."""
-        warnings.warn(
-            "IntegrityShieldEngine.tags_verified is deprecated; read "
-            "engine.verdicts.checks instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.checks
 
     @property
     def detects(self) -> FrozenSet[str]:

@@ -23,7 +23,6 @@ The engine composes with any confidentiality engine and adds:
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
@@ -84,26 +83,6 @@ class MerkleTreeEngine(BusEncryptionEngine):
         #: Trusted (verified or self-written) nodes: (level, index) -> value.
         self._node_cache: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
         self.cache_stops = 0
-
-    @property
-    def tampers_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "MerkleTreeEngine.tampers_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
-
-    @property
-    def paths_verified(self) -> int:
-        """Deprecated alias of ``self.verdicts.checks``."""
-        warnings.warn(
-            "MerkleTreeEngine.paths_verified is deprecated; read "
-            "engine.verdicts.checks instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.checks
 
     # -- tree geometry -----------------------------------------------------
     #

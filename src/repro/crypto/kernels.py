@@ -23,7 +23,10 @@ analogues, and this module applies them to the reference implementations in
   kernel, the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch
   helpers that fall back to per-block loops for exotic ciphers, and
   :func:`ctr_pad` producing a whole line's keystream in one call — the
-  miss-path shape the engines in :mod:`repro.core` use.
+  miss-path shape the engines in :mod:`repro.core` use;
+* **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
+  :data:`NUMPY_MIN_BLOCKS_DES` blocks or more run as numpy gathers over the
+  whole batch, narrower ones on the scalar table loops.
 
 Every kernel is bit-for-bit equivalent to its reference cipher; the
 equivalence layer in ``tests/test_kernels.py`` proves it on the FIPS-197 /
@@ -42,7 +45,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List, Tuple
 
-from .. import backend as _backend
+import numpy as np
+
 from .aes import AES, INV_SBOX, SBOX, gf_mul
 from .des import (
     DES,
@@ -60,7 +64,6 @@ __all__ = [
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
     "kernel_for", "encrypt_blocks", "decrypt_blocks", "ctr_pad",
-    "NUMPY_BACKED",
 ]
 
 
@@ -123,9 +126,9 @@ def _rotr32(x: int, n: int) -> int:
 class AESKernel:
     """T-table AES, byte-identical to :class:`repro.crypto.aes.AES`.
 
-    On the numpy backend, batches of :data:`NUMPY_MIN_BLOCKS_AES` blocks
-    or more run every round as vectorized table gathers over the whole
-    batch at once; smaller batches stay on the scalar loop (a numpy round
+    Batches of :data:`NUMPY_MIN_BLOCKS_AES` blocks or more run every round
+    as vectorized table gathers over the whole batch at once; smaller
+    batches stay on the scalar loop (a numpy round
     costs the same regardless of width, so gathers only pay for
     themselves on wide calls).
     """
@@ -162,7 +165,7 @@ class AESKernel:
                 _inv_mix_word(w) for w in _pack_words(ref._round_keys[rnd])
             )
         self._dk.extend(_pack_words(ref._round_keys[0]))
-        # Lazily-built numpy copies of the schedules (numpy backend only).
+        # Lazily-built numpy copies of the schedules for the wide path.
         self._ek_np = None
         self._dk_np = None
 
@@ -170,15 +173,13 @@ class AESKernel:
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """ECB-encrypt a multiple of 16 bytes in one batched pass."""
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_AES * 16 \
-                and len(data) % 16 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_AES * 16 and len(data) % 16 == 0:
             return _np_aes_crypt(self, data, encrypt=True)
         return self._encrypt_blocks_scalar(data)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         """ECB-decrypt a multiple of 16 bytes in one batched pass."""
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_AES * 16 \
-                and len(data) % 16 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_AES * 16 and len(data) % 16 == 0:
             return _np_aes_crypt(self, data, encrypt=False)
         return self._decrypt_blocks_scalar(data)
 
@@ -347,21 +348,12 @@ def _des_rounds(value: int, round_keys) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy array kernels: the top rung of the backend ladder.  The same
-# T-table / bit-packed formulations as above, with every per-block loop
-# replaced by a gather over the whole batch — the software analogue of the
-# survey engines' wide data-parallel datapaths.  Selected at import by
-# :func:`_init_numpy_backend` behind an equivalence probe (the
-# ``HASHLIB_BACKED`` pattern); any mismatch demotes the whole process to
-# the scalar kernels with a one-line warning.
+# numpy array kernels: the wide half of every kernel.  The same T-table /
+# bit-packed formulations as above, with every per-block loop replaced by a
+# gather over the whole batch — the software analogue of the survey
+# engines' wide data-parallel datapaths.  An import-time equivalence check
+# (:func:`_check_array_kernels`) pins them to the scalar loops.
 # ---------------------------------------------------------------------------
-
-#: True only when ``repro.backend`` chose the numpy rung *and* the array
-#: kernels reproduced the scalar kernels bit-for-bit at import time.
-NUMPY_BACKED = False
-
-_np = None          # the numpy module once the probe has passed
-_NPT = {}           # numpy mirrors of the lookup tables, built by the probe
 
 #: Minimum batch width (blocks) for the array paths.  A numpy round costs
 #: roughly the same at any width, so narrow calls — the per-line fill /
@@ -371,23 +363,21 @@ NUMPY_MIN_BLOCKS_AES = 32
 NUMPY_MIN_BLOCKS_DES = 32
 
 
-def _build_numpy_tables(np) -> dict:
-    u32, u64 = np.uint32, np.uint64
-    return {
-        "te": tuple(np.array(t, dtype=u32) for t in _TE),
-        "td": tuple(np.array(t, dtype=u32) for t in _TD),
-        "sbox": np.array(SBOX, dtype=u32),
-        "inv_sbox": np.array(INV_SBOX, dtype=u32),
-        "ip": tuple(np.array(t, dtype=u64) for t in _IP_TAB),
-        "fp": tuple(np.array(t, dtype=u64) for t in _FP_TAB),
-        "e": tuple(np.array(t, dtype=u64) for t in _E_TAB),
-        "sp": tuple(np.array(t, dtype=u64) for t in _SP),
-    }
+#: numpy mirrors of the lookup tables above.
+_NPT = {
+    "te": tuple(np.array(t, dtype=np.uint32) for t in _TE),
+    "td": tuple(np.array(t, dtype=np.uint32) for t in _TD),
+    "sbox": np.array(SBOX, dtype=np.uint32),
+    "inv_sbox": np.array(INV_SBOX, dtype=np.uint32),
+    "ip": tuple(np.array(t, dtype=np.uint64) for t in _IP_TAB),
+    "fp": tuple(np.array(t, dtype=np.uint64) for t in _FP_TAB),
+    "e": tuple(np.array(t, dtype=np.uint64) for t in _E_TAB),
+    "sp": tuple(np.array(t, dtype=np.uint64) for t in _SP),
+}
 
 
 def _np_aes_crypt(kernel: "AESKernel", data: bytes, encrypt: bool) -> bytes:
     """All AES rounds as gathers over the whole batch at once."""
-    np = _np
     if encrypt:
         t0, t1, t2, t3 = _NPT["te"]
         last = _NPT["sbox"]
@@ -452,7 +442,6 @@ def _np_des_crypt(data: bytes, chains) -> bytes:
     three (the EDE composition with the interior FP∘IP pairs dropped) for
     3DES, mirroring the scalar kernels exactly.
     """
-    np = _np
     e0, e1, e2, e3 = _NPT["e"]
     sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _NPT["sp"]
     v = _np_perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
@@ -474,16 +463,10 @@ def _np_des_crypt(data: bytes, chains) -> bytes:
                       _NPT["fp"]).astype(">u8").tobytes()
 
 
-def _numpy_ok() -> bool:
-    """Equivalence probe: array kernels must reproduce the scalar kernels
-    bit-for-bit on a batch covering every byte value, for AES-128/256,
-    DES and 3DES, both directions."""
-    global _NPT, _np
-    np = _backend.NUMPY
-    if np is None:
-        return False
-    _np = np
-    _NPT = _build_numpy_tables(np)
+def _array_kernels_match() -> bool:
+    """The array kernels reproduce the scalar kernels bit-for-bit on a
+    batch covering every byte value, for AES-128/256, DES and 3DES, both
+    directions."""
     data = bytes((i * 37 + 11) & 0xFF for i in range(1024))
     for key_len in (16, 32):
         kernel = AESKernel(bytes(range(key_len)))
@@ -493,41 +476,24 @@ def _numpy_ok() -> bool:
         if _np_aes_crypt(kernel, ct, encrypt=False) != data:
             return False
     des = DESKernel(bytes(range(8)))
-    ct = des._crypt_blocks(data, des._keys)
-    enc_np, dec_np = des._np_schedules()
-    if _np_des_crypt(data, enc_np) != ct:
-        return False
-    if _np_des_crypt(ct, dec_np) != data:
-        return False
     tdes = TripleDESKernel(bytes(range(24)))
-    ct = tdes._crypt_blocks(data, tdes._enc)
-    enc_np, dec_np = tdes._np_schedules()
-    if _np_des_crypt(data, enc_np) != ct:
-        return False
-    if _np_des_crypt(ct, dec_np) != data:
-        return False
+    for kernel, ct in ((des, des._crypt_blocks(data, des._keys)),
+                       (tdes, tdes._crypt_blocks(data, tdes._enc))):
+        enc_np, dec_np = kernel._np_schedules()
+        if _np_des_crypt(data, enc_np) != ct:
+            return False
+        if _np_des_crypt(ct, dec_np) != data:
+            return False
     return True
 
 
-def _init_numpy_backend(probe: Callable[[], bool] = None) -> bool:
-    """Settle the numpy rung at import; tests inject a failing ``probe``
-    to exercise the graceful-degradation path."""
-    global NUMPY_BACKED, _np
-    NUMPY_BACKED = False
-    _np = None
-    if _backend.ACTIVE != "numpy":
-        return False
-    try:
-        ok = bool((probe or _numpy_ok)())
-    except Exception:
-        ok = False
-    if ok:
-        _np = _backend.NUMPY
-        NUMPY_BACKED = True
-    else:
-        _np = None
-        _backend.demote("array-kernel equivalence probe failed")
-    return NUMPY_BACKED
+def _check_array_kernels() -> None:
+    """Import-time equivalence check; a mismatch is one error line."""
+    if not _array_kernels_match():
+        raise RuntimeError(
+            f"numpy {np.__version__}: array cipher kernels disagree with "
+            "the scalar kernels; install a numpy that reproduces them"
+        )
 
 
 class DESKernel:
@@ -557,7 +523,6 @@ class DESKernel:
 
     def _np_schedules(self):
         if self._keys_np is None:
-            np = _np
             self._keys_np = (np.array(self._keys, dtype=np.uint64),)
             self._rev_keys_np = (np.array(self._rev_keys, dtype=np.uint64),)
         return self._keys_np, self._rev_keys_np
@@ -576,14 +541,12 @@ class DESKernel:
         return bytes(out)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
             return _np_des_crypt(data, self._np_schedules()[0])
         return self._crypt_blocks(data, self._keys)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
             return _np_des_crypt(data, self._np_schedules()[1])
         return self._crypt_blocks(data, self._rev_keys)
 
@@ -647,7 +610,6 @@ class TripleDESKernel:
 
     def _np_schedules(self):
         if self._enc_np is None:
-            np = _np
             self._enc_np = tuple(
                 np.array(k, dtype=np.uint64) for k in self._enc)
             self._dec_np = tuple(
@@ -669,14 +631,12 @@ class TripleDESKernel:
         return bytes(out)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
             return _np_des_crypt(data, self._np_schedules()[0])
         return self._crypt_blocks(data, self._enc)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
+        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
             return _np_des_crypt(data, self._np_schedules()[1])
         return self._crypt_blocks(data, self._dec)
 
@@ -693,10 +653,10 @@ class TripleDESKernel:
 
 class ReferenceKernel:
     """Per-block adapter giving an algebraic reference cipher the batched
-    kernel API — the ``python`` rung of the backend ladder.  Under
-    ``REPRO_BACKEND=python`` the registry hands these out instead of the
-    table kernels, so every block goes through the reference GF(2^8) /
-    Feistel arithmetic while the engines keep calling one interface."""
+    kernel API.  The ``reference_ciphers`` oracle in ``tests/conftest.py``
+    makes the registry hand these out instead of the table kernels, so
+    every block goes through the reference GF(2^8) / Feistel arithmetic
+    while the engines keep calling one interface."""
 
     __slots__ = ("_cipher", "block_size")
 
@@ -742,8 +702,6 @@ class ReferenceKernel:
 # Key-schedule registry: kernels memoized by raw key bytes.  Engines are
 # rebuilt wholesale by fault campaigns and sweeps; the registry makes the
 # (tables + schedule) cost a once-per-key event for the whole process.
-# Under the ``python`` backend the same registry serves reference-cipher
-# adapters, so the rung switch is invisible to every caller.
 # ---------------------------------------------------------------------------
 
 _REGISTRY: "OrderedDict[Tuple[str, bytes], object]" = OrderedDict()
@@ -764,25 +722,17 @@ def _registered(kind: str, key: bytes, factory: Callable):
 
 
 def aes_kernel(key: bytes) -> "AESKernel":
-    """Registry-cached AES kernel (or reference adapter) for ``key``."""
-    if _backend.ACTIVE == "python":
-        return _registered("aes-ref", key, lambda k: ReferenceKernel(AES(k)))
+    """Registry-cached AES kernel for ``key``."""
     return _registered("aes", key, AESKernel)
 
 
 def des_kernel(key: bytes) -> "DESKernel":
-    """Registry-cached DES kernel (or reference adapter) for ``key``."""
-    if _backend.ACTIVE == "python":
-        return _registered("des-ref", key, lambda k: ReferenceKernel(DES(k)))
+    """Registry-cached DES kernel for ``key``."""
     return _registered("des", key, DESKernel)
 
 
 def tdes_kernel(key: bytes) -> "TripleDESKernel":
-    """Registry-cached 3DES kernel (or reference adapter) for ``key``."""
-    if _backend.ACTIVE == "python":
-        return _registered(
-            "3des-ref", key, lambda k: ReferenceKernel(TripleDES(k))
-        )
+    """Registry-cached 3DES kernel for ``key``."""
     return _registered("3des", key, TripleDESKernel)
 
 
@@ -801,16 +751,12 @@ def kernel_for(cipher):
     kernel built from their already-expanded schedule, memoized on the
     instance; kernels pass through unchanged; anything else returns
     ``None`` (callers fall back to the cipher's own per-block methods).
-    Under ``REPRO_BACKEND=python`` reference ciphers are *not* promoted —
-    the whole point of the rung is that their own arithmetic runs.
     """
     if isinstance(cipher, _KERNEL_TYPES):
         return cipher
     kernel = getattr(cipher, _KERNEL_ATTR, None)
     if kernel is not None:
         return kernel
-    if _backend.ACTIVE == "python":
-        return None
     if isinstance(cipher, AES):
         kernel = AESKernel.from_cipher(cipher)
     elif isinstance(cipher, TripleDES):
@@ -872,7 +818,5 @@ def ctr_pad(cipher, addr: int, nbytes: int,
     return pad[offset: offset + nbytes]
 
 
-# Settle the backend ladder's top rung now that every kernel class the
-# probe needs is defined.  On failure this demotes ``repro.backend`` to
-# the kernel rung with a one-line warning — never a crash.
-_init_numpy_backend()
+# Every kernel class the check needs is defined by now.
+_check_array_kernels()

@@ -1,6 +1,6 @@
 """Microbenchmark and differential checker for the batched fast path.
 
-Three modes:
+Two modes:
 
 ``python -m repro.sim.bench_fastpath``
     Times the scalar reference path (:meth:`SecureSystem.run_reference`)
@@ -19,16 +19,6 @@ Three modes:
     engine names checks the plaintext baseline plus every registry
     engine.
 
-``python -m repro.sim.bench_fastpath --vector``
-    Per-backend timing of the streamed dma-burst workload: one child
-    process per rung of the backend dispatch ladder (numpy / kernel /
-    python, via ``REPRO_BACKEND`` — the rung is settled at import, so a
-    fresh process per rung is the only honest way to compare), asserting
-    that every rung's canonical metrics document hashes identically
-    before reporting accesses/second.  ``--out`` additionally writes
-    ``BENCH_vector_scaling.json`` (the ``make vector-smoke`` gate runs
-    without it).
-
 The module is CLI tooling, not simulator data path: results leave
 through stdout, while the systems under test report through
 :mod:`repro.obs` as usual.
@@ -37,10 +27,6 @@ through stdout, while the systems under test report through
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
-import subprocess
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -202,75 +188,6 @@ def _bench(names: Sequence[str], n: int, repeats: int) -> int:
     return 0
 
 
-VECTOR_SCHEMA = "repro-vector-scaling/1"
-
-
-def _vector_child(accesses: int) -> int:
-    """Child body for ``--vector``: run one rung, emit a JSON row."""
-    from .. import backend as _backend
-    from ..api import run_stream
-
-    start = time.perf_counter()
-    doc = run_stream(engine=None, workload="dma-burst",
-                     accesses=accesses, chunk_size=65536)
-    wall = time.perf_counter() - start
-    digest = hashlib.sha256(
-        json.dumps(doc["metrics"], sort_keys=True).encode()
-    ).hexdigest()
-    sys.stdout.write(json.dumps({
-        "backend": _backend.ACTIVE,
-        "requested": _backend.REQUESTED,
-        "accesses": accesses,
-        "wall_seconds": round(wall, 3),
-        "accesses_per_second": int(accesses / wall) if wall else 0,
-        "metrics_sha256": digest,
-    }) + "\n")
-    return 0
-
-
-def _vector(accesses: int, out: Optional[str]) -> int:
-    """Per-backend dma-burst stream timing + metrics-identity gate."""
-    rows = []
-    for backend in ("numpy", "kernel", "python"):
-        env = dict(os.environ, REPRO_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.sim.bench_fastpath",
-             "--vector-child", "--accesses", str(accesses)],
-            env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            _say(f"FAIL {backend}: child exited {proc.returncode}")
-            _say(proc.stderr.strip())
-            return 1
-        row = json.loads(proc.stdout.strip().splitlines()[-1])
-        rows.append(row)
-        _say(f"{backend:<8} rung={row['backend']:<8}"
-             f" {row['accesses_per_second']:>9,} acc/s"
-             f"  ({row['wall_seconds']:.2f}s, {accesses:,} accesses)")
-    digests = {row["metrics_sha256"] for row in rows}
-    if len(digests) != 1:
-        _say("FAIL: backends disagree on the canonical metrics document")
-        for row in rows:
-            _say(f"  {row['backend']}: {row['metrics_sha256']}")
-        return 1
-    _say(f"vector check: {len(rows)} backends byte-identical "
-         f"(metrics sha256 {digests.pop()[:16]}...)")
-    if out:
-        doc = {
-            "schema": VECTOR_SCHEMA,
-            "workload": "dma-burst",
-            "accesses": accesses,
-            "chunk_size": 65536,
-            "identical_metrics": True,
-            "backends": rows,
-        }
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _say(f"wrote {out}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.bench_fastpath",
@@ -297,25 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--repeats", type=int, default=3,
         help="bench mode: timing repeats per engine (best is reported)",
     )
-    parser.add_argument(
-        "--vector", action="store_true",
-        help="per-backend mode: time the streamed dma-burst workload "
-             "under each REPRO_BACKEND rung (one child process per rung) "
-             "and assert the metrics documents are byte-identical",
-    )
-    parser.add_argument(
-        "--vector-child", action="store_true", help=argparse.SUPPRESS,
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="vector mode: also write the JSON document here "
-             "(e.g. BENCH_vector_scaling.json)",
-    )
     args = parser.parse_args(argv)
-    if args.vector_child:
-        return _vector_child(args.accesses or 1_000_000)
-    if args.vector:
-        return _vector(args.accesses or 1_000_000, args.out)
     if args.check is not None:
         return _check(args.check, n=args.accesses or 2000)
     return _bench(args.engines or [], n=args.accesses or 20000,

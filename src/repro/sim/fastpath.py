@@ -36,18 +36,23 @@ Equivalence contract (pinned by ``tests/test_fastpath.py`` and
   event *interleaving and stamps* are the one relaxation.
 
 With observability disabled the hot loop constructs zero
-:class:`~repro.obs.TraceEvent` objects.  Engines that override
-``notify_access`` (none in the registry do) fall back to the scalar
-per-access loop, as does the explicit reference path
+:class:`~repro.obs.TraceEvent` objects.  The scalar per-access loop
+survives only as the explicit reference path
 :meth:`~repro.sim.system.SecureSystem.run_reference`.
+
+Materialized traces compile through :func:`compile_trace`'s list loop and
+:class:`~repro.traces.arrays.ArrayChunk` traces through the vectorized
+:func:`_compile_arrays`; the input type alone picks the compiler, and both
+emit identical runs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Tuple, Union
 
-from .. import backend as _backend
-from ..core.engine import BusEncryptionEngine, Placement
+import numpy as np
+
+from ..core.engine import Placement
 from ..obs import TraceEvent
 from ..traces.arrays import KIND_BY_CODE, KIND_CODES, ArrayChunk
 from ..traces.stream import TraceStream
@@ -126,7 +131,7 @@ class CompiledTraceStream:
     def compiled_chunks(self) -> Iterator[CompiledTrace]:
         """Compile and yield one :class:`CompiledTrace` per chunk."""
         for chunk in self.stream.chunks():
-            if isinstance(chunk, ArrayChunk) and _backend.NUMPY is not None:
+            if isinstance(chunk, ArrayChunk):
                 yield _compile_arrays(chunk, self.line_size)
             else:
                 yield compile_trace(list(chunk), self.line_size)
@@ -152,14 +157,12 @@ def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream,
     if isinstance(trace, TraceStream):
         return CompiledTraceStream(trace, line_size)
     if isinstance(trace, ArrayChunk):
-        if _backend.NUMPY is not None:
-            return _compile_arrays(trace, line_size)
-        trace = list(trace)
+        return _compile_arrays(trace, line_size)
     if isinstance(trace, CompiledTrace):
         if trace.line_size == line_size:
             return trace
         accesses = trace.accesses
-        if isinstance(accesses, ArrayChunk) and _backend.NUMPY is not None:
+        if isinstance(accesses, ArrayChunk):
             return _compile_arrays(accesses, line_size)
     else:
         accesses = list(trace)
@@ -213,7 +216,6 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     itself as its access sequence; the lazy ``Access`` materialization
     only runs for sink event factories and rare fallback shapes.
     """
-    np = _backend.NUMPY
     n = len(chunk)
     if n == 0:
         return CompiledTrace(chunk, line_size, [])
@@ -311,17 +313,6 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
     byte-identical to the materialized path at any chunk size.
     """
     engine = system.engine
-    if type(engine).notify_access is not BusEncryptionEngine.notify_access \
-            or _backend.ACTIVE == "python":
-        # A prefetcher-style hook needs the per-access callback; take the
-        # scalar path rather than risk starving it.  The backend ladder's
-        # python rung (REPRO_BACKEND=python) also lands here: it is the
-        # algebraic-reference configuration, so every access walks the
-        # original per-access machinery.
-        for access in trace:
-            system.step(access)
-        return
-
     cache = system.cache
     cfg = cache.config
     line_size = cfg.line_size

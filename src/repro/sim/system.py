@@ -186,7 +186,6 @@ class SecureSystem:
                 kind="access", addr=access.addr, size=access.size,
                 cycle=self.cycles, detail=access.kind.name.lower(),
             ))
-        engine.notify_access(access.addr, access.kind is AccessKind.FETCH)
 
         if engine.placement is Placement.CPU_CACHE:
             self.cycles += engine.per_access_cycles()

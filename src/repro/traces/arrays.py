@@ -1,4 +1,4 @@
-"""Array-backed access chunks for the numpy execution rung.
+"""Array-backed access chunks.
 
 A memory-access chunk does not need 65536 ``Access`` dataclass records
 to describe 65536 accesses: three parallel arrays (kind codes, byte
@@ -10,11 +10,6 @@ materialize the dataclass records lazily — so every scalar consumer
 sees ordinary accesses, while the array executor in
 :mod:`repro.sim.fastpath` reads the arrays directly and never builds a
 record at all.
-
-Array chunks are only ever produced while the backend ladder's numpy
-rung is active (:data:`repro.backend.ACTIVE` == ``"numpy"``); under the
-kernel or python rungs the scalar generators run instead, so no numpy
-objects exist to leak into a numpy-less process.
 """
 
 from __future__ import annotations

@@ -484,7 +484,7 @@ def dma_burst_chunks(
     read_fraction: float = 0.4,
     addr_mod: Optional[int] = None,
 ):
-    """Array twin of :func:`iter_dma_bursts` (the numpy rung's generator).
+    """Array twin of :func:`iter_dma_bursts`.
 
     Yields :class:`~repro.traces.arrays.ArrayChunk` slabs of exactly
     ``chunk_size`` accesses (the last may be shorter) whose flattened
@@ -495,19 +495,11 @@ def dma_burst_chunks(
     constructions.  ``addr_mod``, when given, folds every address by
     ``addr % addr_mod`` — the image wrap :func:`repro.api.run_stream`
     otherwise applies per access.
-
-    Requires the numpy backend rung; callers gate on
-    ``repro.backend.ACTIVE == "numpy"``.
     """
-    from .. import backend as _backend
+    import numpy as np
+
     from .arrays import KIND_CODES, ArrayChunk
 
-    np = _backend.NUMPY
-    if np is None:
-        raise RuntimeError(
-            "dma_burst_chunks needs the numpy backend rung; use "
-            "iter_dma_bursts under the kernel/python rungs"
-        )
     _check_count(n)
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")

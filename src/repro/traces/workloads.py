@@ -129,10 +129,8 @@ def array_stream_workload(name: str, n: int = 20000, seed: int = 2005,
     ``addr_mod`` folds addresses by ``addr % addr_mod`` inside the
     arrays (the :func:`repro.api.run_stream` image wrap).
 
-    Only :data:`ARRAY_STREAM_NAMES` have array twins, and the numpy
-    backend rung must be active; callers gate on
-    ``repro.backend.ACTIVE == "numpy"`` and fall back to
-    :func:`stream_workload` otherwise.
+    Only :data:`ARRAY_STREAM_NAMES` have array twins; callers use
+    :func:`stream_workload` for every other name.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")

@@ -1,0 +1,53 @@
+"""Shared fixtures.
+
+``reference_ciphers`` is the cipher oracle: inside it the kernel registry
+hands out :class:`~repro.crypto.kernels.ReferenceKernel` adapters over the
+algebraic AES / DES / 3DES, and ``kernel_for`` promotes no reference
+cipher, so every block an engine or mode enciphers runs through the
+reference GF(2^8) / Feistel arithmetic.  Differential tests build one
+system inside it and one outside, and compare.
+"""
+
+import contextlib
+
+import pytest
+
+from repro.core import general_instrument
+from repro.crypto import kernels
+from repro.crypto.aes import AES
+from repro.crypto.des import DES, TripleDES
+
+_REFERENCE = {"aes": AES, "des": DES, "3des": TripleDES}
+
+
+@contextlib.contextmanager
+def _reference_ciphers():
+    cache = {}
+
+    def registered(kind, key, factory):
+        entry = (kind, bytes(key))
+        if entry not in cache:
+            cache[entry] = kernels.ReferenceKernel(_REFERENCE[kind](key))
+        return cache[entry]
+
+    def kernel_for(cipher):
+        return cipher if isinstance(cipher, kernels.ReferenceKernel) else None
+
+    # The 3DES-CBC region memo is keyed by raw key bytes, so kernel-made
+    # entries would answer for the reference cipher: run it empty.
+    memo = dict(general_instrument._REGION_MEMO)
+    general_instrument._REGION_MEMO.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_registered", registered)
+        patch.setattr(kernels, "kernel_for", kernel_for)
+        try:
+            yield
+        finally:
+            general_instrument._REGION_MEMO.clear()
+            general_instrument._REGION_MEMO.update(memo)
+
+
+@pytest.fixture(scope="session")
+def reference_ciphers():
+    """Context-manager factory: ``with reference_ciphers(): ...``."""
+    return _reference_ciphers

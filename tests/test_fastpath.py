@@ -279,22 +279,19 @@ class TestEmitBulk:
         assert totals[0] == totals[1]
 
 
-# -- backend-rung differential (the dispatch-ladder equivalence gate) -------
+# -- cipher-oracle differential ---------------------------------------------
 
-import contextlib
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.backend as repro_backend
-from repro.crypto import kernels as crypto_kernels
 from repro.crypto.drbg import DRBG
 from repro.sim import bench_fastpath
 from repro.traces.arrays import KIND_CODES, ArrayChunk
 from repro.traces.stream import TraceStream, chunked
 
-_RUNG_ENGINES = [None, "stream", "xom", "aegis"]
-_RUNG_CHUNKS = [1, 37, 5000]
+_ORACLE_ENGINES = [None, "stream", "xom", "aegis"]
+_ORACLE_CHUNKS = [1, 37, 5000]
 
 
 def _random_trace(seed: int, n: int = 140, region: int = 4096):
@@ -311,28 +308,6 @@ def _random_trace(seed: int, n: int = 140, region: int = 4096):
     return out
 
 
-@contextlib.contextmanager
-def _forced_rung(rung: str):
-    """Emulate one dispatch-ladder rung in-process.
-
-    ``repro.backend.ACTIVE`` steers the executor (python rung falls back
-    to the scalar step loop) and ``kernels.NUMPY_BACKED`` steers kernel
-    dispatch; flipping both reproduces each rung's code path without the
-    import-time environment variable (the cross-process leg is covered
-    by ``python -m repro.sim.bench_fastpath --vector``).
-    """
-    prev_active = repro_backend.ACTIVE
-    prev_backed = crypto_kernels.NUMPY_BACKED
-    try:
-        repro_backend.ACTIVE = rung
-        if rung != "numpy":
-            crypto_kernels.NUMPY_BACKED = False
-        yield
-    finally:
-        repro_backend.ACTIVE = prev_active
-        crypto_kernels.NUMPY_BACKED = prev_backed
-
-
 def _assert_equivalent(ref, fast, context: str) -> None:
     ref_report, ref_sink, ref_bus = ref
     fast_report, fast_sink, fast_bus = fast
@@ -342,36 +317,32 @@ def _assert_equivalent(ref, fast, context: str) -> None:
     assert fast_bus == ref_bus, context
 
 
-class TestBackendRungDifferential:
-    """Random traces x engines x chunk sizes x all three rungs."""
+class TestReferenceOracleDifferential:
+    """Random traces x engines x chunk sizes: the scalar step loop over
+    the algebraic ciphers against the batched executor over the kernels."""
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           engine=st.sampled_from(_RUNG_ENGINES),
-           chunk=st.sampled_from(_RUNG_CHUNKS))
-    def test_all_rungs_match_reference(self, seed, engine, chunk):
+           engine=st.sampled_from(_ORACLE_ENGINES),
+           chunk=st.sampled_from(_ORACLE_CHUNKS))
+    def test_kernels_match_reference_ciphers(self, reference_ciphers, seed,
+                                             engine, chunk):
         trace = _random_trace(seed)
-        ref = bench_fastpath._run(engine, trace, reference=True)
-        for rung in ("numpy", "kernel", "python"):
-            if rung == "numpy" and repro_backend.ACTIVE != "numpy":
-                continue  # demoted environment: rung unavailable
-            with _forced_rung(rung):
-                stream = TraceStream(lambda: chunked(trace, chunk),
-                                     length=len(trace))
-                fast = bench_fastpath._run(engine, stream, reference=False)
-            _assert_equivalent(ref, fast,
-                               f"rung={rung} engine={engine} chunk={chunk}")
+        with reference_ciphers():
+            ref = bench_fastpath._run(engine, trace, reference=True)
+        stream = TraceStream(lambda: chunked(trace, chunk), length=len(trace))
+        fast = bench_fastpath._run(engine, stream, reference=False)
+        _assert_equivalent(ref, fast, f"engine={engine} chunk={chunk}")
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           engine=st.sampled_from(_RUNG_ENGINES),
-           chunk=st.sampled_from(_RUNG_CHUNKS))
-    def test_array_chunks_match_reference(self, seed, engine, chunk):
-        if repro_backend.ACTIVE != "numpy":
-            pytest.skip("numpy rung inactive")
-        np = repro_backend.NUMPY
+           engine=st.sampled_from(_ORACLE_ENGINES),
+           chunk=st.sampled_from(_ORACLE_CHUNKS))
+    def test_array_chunks_match_reference_ciphers(self, reference_ciphers,
+                                                  seed, engine, chunk):
         trace = _random_trace(seed)
-        ref = bench_fastpath._run(engine, trace, reference=True)
+        with reference_ciphers():
+            ref = bench_fastpath._run(engine, trace, reference=True)
         chunks = []
         for lo in range(0, len(trace), chunk):
             part = trace[lo: lo + chunk]
@@ -383,5 +354,4 @@ class TestBackendRungDifferential:
             ))
         stream = TraceStream(chunks, length=len(trace))
         fast = bench_fastpath._run(engine, stream, reference=False)
-        _assert_equivalent(ref, fast,
-                           f"array engine={engine} chunk={chunk}")
+        _assert_equivalent(ref, fast, f"array engine={engine} chunk={chunk}")

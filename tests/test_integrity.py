@@ -181,28 +181,3 @@ class TestCosts:
             system.step(access)
         assert engine.verdicts.checks > 0
         assert engine.verdicts.tampers == 0
-
-
-class TestDeprecatedCounters:
-    """The pre-verdict counter attributes survive as warning aliases."""
-
-    def test_aliases_track_the_verdict_path(self):
-        engine = make_engine()
-        port = make_port()
-        engine.install_image(port.memory, 0, TestFunctional.IMAGE)
-        engine.fill_line(port, 64, 32)
-        with pytest.warns(DeprecationWarning, match="verdicts.checks"):
-            assert engine.tags_verified == engine.verdicts.checks == 1
-        with pytest.warns(DeprecationWarning, match="verdicts.tampers"):
-            assert engine.tampers_detected == engine.verdicts.tampers == 0
-
-    def test_merkle_and_gi_aliases(self):
-        from repro.core.registry import make_engine as build
-        merkle = build("merkle-stream")
-        with pytest.warns(DeprecationWarning, match="verdicts.tampers"):
-            assert merkle.tampers_detected == 0
-        with pytest.warns(DeprecationWarning, match="verdicts.checks"):
-            assert merkle.paths_verified == 0
-        gi = build("gi")
-        with pytest.warns(DeprecationWarning, match="verdicts.tampers"):
-            assert gi.tamper_detected == 0

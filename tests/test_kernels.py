@@ -7,6 +7,7 @@ the published known answers (FIPS 197, SP 800-67) and on 1000 random
 blocks per key size, and cover the registry/dispatch plumbing.
 """
 
+import numpy as np
 import pytest
 
 from repro.crypto import AES, DES, DRBG, TripleDES
@@ -162,12 +163,6 @@ class TestRegistryAndDispatch:
         assert aes_kernel(key) is not aes_kernel(bytes(range(1, 17)))
 
     def test_kernel_for_reference_ciphers(self):
-        import repro.backend as repro_backend
-        if repro_backend.ACTIVE == "python":
-            # The python rung's contract is the opposite: reference
-            # ciphers are never promoted to table kernels.
-            assert kernel_for(AES(bytes(16))) is None
-            return
         rng = DRBG(b"kernels-dispatch")
         aes = AES(rng.random_bytes(16))
         kernel = kernel_for(aes)
@@ -221,60 +216,18 @@ class TestRegistryAndDispatch:
         assert ctr_pad(kernel, 0, 0, counter_block) == b""
 
 
-# -- backend ladder: graceful degradation -----------------------------------
+# -- import-time equivalence check -------------------------------------------
 
-import warnings as _warnings
-
-import repro.backend as repro_backend
 from repro.crypto import kernels as kernels_mod
 
 
-class TestBackendFallback:
-    """A failing numpy probe demotes to the kernel rung — never a crash."""
-
-    def _metrics(self):
-        from repro.api import run_stream
-        return run_stream(engine="xom", workload="dma-burst",
-                          accesses=4000, chunk_size=512, functional=True)
-
-    def test_failed_probe_demotes_with_identical_metrics(self):
-        if repro_backend.ACTIVE != "numpy":
-            pytest.skip("numpy rung inactive; degradation already happened")
-        before = self._metrics()
-        saved = (repro_backend.ACTIVE, repro_backend.NUMPY,
-                 kernels_mod.NUMPY_BACKED, kernels_mod._np)
-        try:
-            with pytest.warns(RuntimeWarning, match="numpy backend disabled"):
-                kernels_mod._init_numpy_backend(probe=lambda: False)
-            assert repro_backend.ACTIVE == "kernel"
-            assert repro_backend.NUMPY is None
-            assert kernels_mod.NUMPY_BACKED is False
-            after = self._metrics()
-        finally:
-            (repro_backend.ACTIVE, repro_backend.NUMPY,
-             kernels_mod.NUMPY_BACKED, kernels_mod._np) = saved
-        assert after == before
-
-    def test_probe_exception_is_contained(self):
-        if repro_backend.ACTIVE != "numpy":
-            pytest.skip("numpy rung inactive")
-        saved = (repro_backend.ACTIVE, repro_backend.NUMPY,
-                 kernels_mod.NUMPY_BACKED, kernels_mod._np)
-
-        def exploding_probe():
-            raise RuntimeError("synthetic probe failure")
-
-        try:
-            with pytest.warns(RuntimeWarning):
-                ok = kernels_mod._init_numpy_backend(probe=exploding_probe)
-            assert ok is False
-            assert repro_backend.ACTIVE == "kernel"
-        finally:
-            (repro_backend.ACTIVE, repro_backend.NUMPY,
-             kernels_mod.NUMPY_BACKED, kernels_mod._np) = saved
-
-    def test_reinit_restores_numpy_rung(self):
-        if repro_backend.ACTIVE != "numpy":
-            pytest.skip("numpy rung inactive")
-        assert kernels_mod._init_numpy_backend() is True
-        assert kernels_mod.NUMPY_BACKED is True
+def test_equivalence_check_mismatch_raises_one_line(monkeypatch):
+    """Array kernels that disagree with the scalar loops stop the import
+    with one error line naming the numpy version — no fallback."""
+    monkeypatch.setattr(kernels_mod, "_np_aes_crypt",
+                        lambda kernel, data, encrypt: bytes(len(data)))
+    with pytest.raises(RuntimeError) as excinfo:
+        kernels_mod._check_array_kernels()
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert f"numpy {np.__version__}" in message

@@ -32,6 +32,7 @@ from repro.traces import (
     make_workload,
     stream_workload,
 )
+from repro.traces.workloads import array_stream_workload
 
 IMAGE = 32 * 1024
 
@@ -90,6 +91,18 @@ class TestChunkedEqualsWhole:
         assert streamed["metrics"] == whole["metrics"]
         assert streamed["chunk_size"] == chunk
 
+    @pytest.mark.parametrize("engine", ["xom", "ds5240", "gi"],
+                             ids=["aes", "des", "3des"])
+    def test_run_stream_matches_reference_ciphers(self, reference_ciphers,
+                                                  engine):
+        """One AES, one DES and one 3DES registry engine: the document is
+        the same whether the kernels or the algebraic ciphers run."""
+        kwargs = dict(engine=engine, workload="dma-burst", accesses=3000,
+                      chunk_size=512, image_size=4096, functional=True)
+        with reference_ciphers():
+            reference = run_stream(**kwargs)
+        assert run_stream(**kwargs) == reference
+
 
 # -- lazy generators match their materialized ancestors ---------------------
 
@@ -131,6 +144,16 @@ class TestIterWorkloads:
         trace = list(iter_dma_bursts(1000, rng, burst=256))
         assert len(trace) == 1000
         assert all(a.size == 4 for a in trace)
+
+    @pytest.mark.parametrize("chunk", [1, 100, 5000])
+    def test_dma_burst_array_twin_matches(self, chunk):
+        """The array generator flattens to the scalar generator's
+        accesses, address fold included."""
+        twin = array_stream_workload("dma-burst", n=3000, seed=11,
+                                     chunk_size=chunk, addr_mod=IMAGE)
+        scalar = [type(a)(a.kind, a.addr % IMAGE, a.size)
+                  for a in iter_workload("dma-burst", n=3000, seed=11)]
+        assert list(twin) == scalar
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
