@@ -18,7 +18,7 @@ OBS_BYPASS := (^|[^.[:alnum:]_])(print|Counter)\(
 # benchmarks/examples would freeze internal layout.
 RUNNER_DEEP := ^[[:space:]]*(from repro\.runner\.[[:alnum:]_.]+ import|import repro\.runner\.)
 
-.PHONY: install test check lint bench bench-quick bench-gate bench-pytest trace-smoke faults-smoke fastpath-smoke kernels-smoke campaign-smoke serve-smoke stream-smoke kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
+.PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -27,7 +27,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Tier-1 gate: the test suite plus the registry lint and the smoke runs.
-check: test lint trace-smoke faults-smoke kernels-smoke fastpath-smoke campaign-smoke serve-smoke stream-smoke
+check: test lint smoke
 
 lint:
 	@matches=$$(grep -rnE '$(ENGINE_CTORS)' --include='*.py' \
@@ -57,36 +57,53 @@ lint:
 	fi; \
 	echo "lint: ok (benchmarks/examples stay on the repro.runner surface)"
 
-# Event-stream smoke: one traced quick experiment plus the disabled-path
-# overhead micro-benchmark (reduced trials; prints the per-access cost).
-trace-smoke:
-	$(PYTHON) -m repro.cli trace e02 --limit 0 > /dev/null
-	$(PYTHON) -m repro.obs.bench --accesses 20000 --repeats 3
+# Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
+# `make smoke` runs them in the order of SMOKES and stops at the first
+# that exits non-zero.
+#
+# trace      one traced quick experiment (output discarded);
+# obs-bench  the disabled-path emit cost (reduced trials, prints it);
+# faults-*   quick fault campaigns against an engine that must detect and
+#            one that must stay silent: the CLI exits non-zero when a
+#            verdict contradicts the engine's `detects` claim;
+# kernels    a sanity run of the cipher-kernel microbenchmark (exits
+#            non-zero if a kernel diverges from its reference cipher);
+# fastpath   the scalar reference and the batched path agree exactly --
+#            reports, bus streams, event totals -- on one stream and one
+#            block-mode engine (the registry sweep is in
+#            tests/test_fastpath.py);
+# campaign   a tiny sharded grid gives byte-identical metrics at 1 and 2
+#            workers;
+# serve      a few hundred concurrent clients against the asyncio server:
+#            no silent drops, server-vs-local byte identity, clean
+#            shutdown;
+# stream     chunked-vs-materialized byte identity over an engine sample
+#            plus a two-scale bounded-memory check in forked children.
+SMOKES := trace obs-bench faults-detect faults-silent kernels fastpath \
+	campaign serve stream
+SMOKE_trace         := repro.cli trace e02 --limit 0 > /dev/null
+SMOKE_obs-bench     := repro.obs.bench --accesses 20000 --repeats 3
+SMOKE_faults-detect := repro.cli faults integrity-stream --kinds spoof \
+	replay > /dev/null
+SMOKE_faults-silent := repro.cli faults stream --kinds spoof > /dev/null
+SMOKE_kernels       := repro.crypto.bench_kernels --quick
+SMOKE_fastpath      := repro.sim.bench_fastpath --check stream integrity-xom
+SMOKE_campaign      := repro.campaign.bench --smoke
+SMOKE_serve         := repro.serve.loadgen --smoke
+SMOKE_stream        := repro.sim.bench_stream --smoke
 
-# Fault-campaign smoke: quick campaigns against one engine that must
-# detect and one that must stay silent; the CLI exits non-zero when any
-# verdict contradicts the engine's `detects` claim.
-faults-smoke:
-	$(PYTHON) -m repro.cli faults integrity-stream --kinds spoof replay \
-		> /dev/null
-	$(PYTHON) -m repro.cli faults stream --kinds spoof > /dev/null
+define newline
 
-# Campaign smoke: a tiny sharded design-space grid must produce
-# byte-identical metrics at 1 and 2 workers (exits non-zero on any
-# divergence, which would break distributed sweeps).
-campaign-smoke:
-	$(PYTHON) -m repro.campaign.bench --smoke
+
+endef
+
+smoke:
+	$(foreach s,$(SMOKES),$(PYTHON) -m $(SMOKE_$(s))$(newline))
 
 # Full campaign scaling bench: the >=1k-point grid at 1/2/4 workers;
 # summary lands in BENCH_campaign_scaling.json.
 campaign-bench:
 	$(PYTHON) -m repro.campaign.bench
-
-# Serve smoke: spawn the asyncio experiment server, hammer it with a few
-# hundred concurrent clients, and require zero silent drops, server-vs-
-# local byte-identity (experiment and campaign), and a clean shutdown.
-serve-smoke:
-	$(PYTHON) -m repro.serve.loadgen --smoke
 
 # Full serve load test: >=1000 concurrent clients; the latency/dedup/
 # throughput summary lands in BENCH_serve_quick.json.
@@ -94,30 +111,10 @@ serve-bench:
 	$(PYTHON) -m repro.serve.loadgen --clients 1000 \
 		--out BENCH_serve_quick.json
 
-# Streaming smoke: chunked-vs-materialized byte-identity over an engine
-# sample (chunk sizes incl. 1 and > len) plus a two-scale bounded-memory
-# check, each scale in its own forked child.
-stream-smoke:
-	$(PYTHON) -m repro.sim.bench_stream --smoke
-
 # Full streaming scaling ladder (10^6/10^7/10^8 accesses); accesses/sec
 # and peak RSS per scale land in BENCH_stream_scaling.json.
 stream-bench:
 	$(PYTHON) -m repro.sim.bench_stream --out BENCH_stream_scaling.json
-
-# Fast-path smoke: the scalar reference and the batched execution path
-# must agree exactly — reports, bus streams, event totals — on one
-# stream and one block-mode engine (the full registry sweep runs in
-# tests/test_fastpath.py).
-fastpath-smoke:
-	$(PYTHON) -m repro.sim.bench_fastpath --check stream integrity-xom
-
-# Cipher-kernel smoke: the equivalence tests plus a sanity run of the
-# microbenchmark (exits non-zero if any kernel diverges from its
-# reference cipher).
-kernels-smoke:
-	$(PYTHON) -m pytest tests/test_kernels.py -q
-	$(PYTHON) -m repro.crypto.bench_kernels --quick
 
 # Full kernel timing table (reference loop vs batched kernel, all ciphers).
 kernels-bench:

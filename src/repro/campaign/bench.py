@@ -8,7 +8,7 @@ writes a summary JSON (``BENCH_campaign_scaling.json``)::
     python -m repro.campaign.bench                  # >=1k-point grid, 1/2/4
     python -m repro.campaign.bench --smoke          # tiny grid, 1 vs 2
 
-``--smoke`` is the CI determinism gate (``make campaign-smoke``): a
+``--smoke`` is the CI determinism gate (``make smoke``): a
 small sharded grid whose 2-worker output must match the 1-worker
 reference byte-for-byte, exiting non-zero on any divergence.
 """

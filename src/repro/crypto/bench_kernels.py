@@ -5,7 +5,7 @@ Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
 1. **Equivalence**: every kernel is checked bit-for-bit against its
    reference cipher on random blocks (encrypt and decrypt, every key
    size).  Any mismatch makes the process exit non-zero, which is what
-   ``make kernels-smoke`` relies on.
+   ``make smoke`` relies on.
 2. **Timing**: per-block throughput of the reference loop vs the batched
    kernel path, reported as a small table with the speedup factor.
 

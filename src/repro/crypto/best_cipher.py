@@ -16,11 +16,15 @@ diffusion is limited to the permutation, so the statistical tests in
 :mod:`repro.analysis.security` can exhibit the gap to AES (experiment E06)
 — which is the survey's point when it calls NIST-approved algorithms the
 known route to "strong security".
+
+The keyed tables are derived on first functional use, not at construction:
+a timing-only engine never enciphers a byte, so it never pays for them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 from .hmac import prf
 
@@ -65,23 +69,31 @@ class BestCipher:
         self.block_size = block_size
         self.num_alphabets = num_alphabets
         self.rounds = rounds
+        self._key = bytes(key)
 
-        self._sboxes: List[List[int]] = []
-        self._inv_sboxes: List[List[int]] = []
-        for a in range(num_alphabets):
-            material = prf(key, b"best-sbox", bytes([a % 256]), out_len=1024)
+    @cached_property
+    def _tables(self) -> Tuple[List[List[int]], List[List[int]],
+                               List[int], List[int]]:
+        """(sboxes, inverse sboxes, permutation, inverse permutation)."""
+        sboxes: List[List[int]] = []
+        inv_sboxes: List[List[int]] = []
+        for a in range(self.num_alphabets):
+            material = prf(self._key, b"best-sbox", bytes([a % 256]),
+                           out_len=1024)
             sbox = _keyed_permutation(material, 256)
             inv = [0] * 256
             for i, v in enumerate(sbox):
                 inv[v] = i
-            self._sboxes.append(sbox)
-            self._inv_sboxes.append(inv)
+            sboxes.append(sbox)
+            inv_sboxes.append(inv)
 
-        perm_material = prf(key, b"best-perm", out_len=4 * block_size)
-        self._perm = _keyed_permutation(perm_material, block_size)
-        self._inv_perm = [0] * block_size
-        for i, v in enumerate(self._perm):
-            self._inv_perm[v] = i
+        perm_material = prf(self._key, b"best-perm",
+                            out_len=4 * self.block_size)
+        perm = _keyed_permutation(perm_material, self.block_size)
+        inv_perm = [0] * self.block_size
+        for i, v in enumerate(perm):
+            inv_perm[v] = i
+        return sboxes, inv_sboxes, perm, inv_perm
 
     def _alphabet(self, addr: int, offset: int, rnd: int) -> int:
         return (addr + offset + rnd * 7) % self.num_alphabets
@@ -92,13 +104,14 @@ class BestCipher:
             raise ValueError(
                 f"block must be {self.block_size} bytes, got {len(block)}"
             )
+        sboxes, _, perm, _ = self._tables
         state = list(block)
         for rnd in range(self.rounds):
             state = [
-                self._sboxes[self._alphabet(addr, i, rnd)][b]
+                sboxes[self._alphabet(addr, i, rnd)][b]
                 for i, b in enumerate(state)
             ]
-            state = [state[self._perm[i]] for i in range(self.block_size)]
+            state = [state[perm[i]] for i in range(self.block_size)]
         return bytes(state)
 
     def decrypt(self, addr: int, block: bytes) -> bytes:
@@ -107,11 +120,12 @@ class BestCipher:
             raise ValueError(
                 f"block must be {self.block_size} bytes, got {len(block)}"
             )
+        _, inv_sboxes, _, inv_perm = self._tables
         state = list(block)
         for rnd in range(self.rounds - 1, -1, -1):
-            state = [state[self._inv_perm[i]] for i in range(self.block_size)]
+            state = [state[inv_perm[i]] for i in range(self.block_size)]
             state = [
-                self._inv_sboxes[self._alphabet(addr, i, rnd)][b]
+                inv_sboxes[self._alphabet(addr, i, rnd)][b]
                 for i, b in enumerate(state)
             ]
         return bytes(state)

@@ -23,6 +23,7 @@ campaign seed, so the matrix is reproducible across runs and workers.
 
 from __future__ import annotations
 
+import mmap
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -86,13 +87,14 @@ _RECON_CACHE: Dict[Tuple[str, int], Tuple[Tuple[int, int], Tuple[int, int]]] = {
 _IMAGE_CACHE: "OrderedDict[int, bytes]" = OrderedDict()
 _IMAGE_CACHE_MAX = 16
 
-#: (label, seed) -> pristine post-install state: a deep copy of the engine
-#: (kernels shared — their schedules are immutable) plus a full dump of the
-#: external memory.  Recon and the campaign proper use the same rig, so the
-#: expensive part — building the engine and offline-encrypting the 256-line
-#: image (Merkle tree, tag regions, per-line IVs...) — runs once per
-#: (label, seed) instead of once per use.
-_PRISTINE_CACHE: "OrderedDict[Tuple[str, int], Tuple[BusEncryptionEngine, bytes]]" = OrderedDict()
+#: (label, seed) -> pristine post-install state: a pickled engine plus the
+#: external memory's non-zero pages as (address, bytes).  Recon and the
+#: campaign proper use the same rig, so the expensive part — building the
+#: engine and offline-encrypting the 256-line image (Merkle tree, tag
+#: regions, per-line IVs...) — runs once per (label, seed) instead of once
+#: per use.  A clone writes back only the 2-4 pages the install filled:
+#: the rest of a fresh memory reads as zeros and costs nothing untouched.
+_PRISTINE_CACHE: "OrderedDict[Tuple[str, int], Tuple[bytes, List[Tuple[int, bytes]]]]" = OrderedDict()
 _PRISTINE_CACHE_MAX = 8
 
 
@@ -169,6 +171,17 @@ def _build_engine(label: str) -> BusEncryptionEngine:
     return make_engine(name, **overrides)
 
 
+def _nonzero_pages(memory: MainMemory) -> List[Tuple[int, bytes]]:
+    """The memory's pages that hold a non-zero byte, as (address, bytes)."""
+    zero = bytes(mmap.PAGESIZE)
+    pages = []
+    for addr in range(0, MEM_SIZE, mmap.PAGESIZE):
+        page = memory.dump(addr, mmap.PAGESIZE)
+        if page != zero:
+            pages.append((addr, page))
+    return pages
+
+
 def _rig(label: str, image: bytes, seed: Optional[int] = None):
     """Fresh engine + memory + port with the image installed.
 
@@ -192,7 +205,7 @@ def _rig(label: str, image: bytes, seed: Optional[int] = None):
         # A pickled snapshot clones several times faster than deepcopy
         # (the schedule-heavy engines dominate campaign setup).
         cached = (pickle.dumps(engine, pickle.HIGHEST_PROTOCOL),
-                  memory.dump(0, MEM_SIZE))
+                  _nonzero_pages(memory))
         _PRISTINE_CACHE[key] = cached
         while len(_PRISTINE_CACHE) > _PRISTINE_CACHE_MAX:
             _PRISTINE_CACHE.popitem(last=False)
@@ -200,7 +213,8 @@ def _rig(label: str, image: bytes, seed: Optional[int] = None):
         _PRISTINE_CACHE.move_to_end(key)
     engine = pickle.loads(cached[0])
     memory = MainMemory(MemoryConfig(size=MEM_SIZE))
-    memory.load_image(0, cached[1])
+    for addr, page in cached[1]:
+        memory.load_image(addr, page)
     port = MemoryPort(memory, Bus())
     return engine, memory, port
 

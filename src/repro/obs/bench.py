@@ -9,7 +9,7 @@ into the simulator is free.  This module measures that promise —
 runs the same trace through :class:`repro.sim.system.SecureSystem` with
 (a) no sink, (b) a :class:`NullSink` (emission cost only), and (c) a
 :class:`CounterSink` (the runner's default aggregation), and prints the
-per-access cost of each tier.  ``make trace-smoke`` wraps it.
+per-access cost of each tier.  ``make smoke`` wraps it.
 """
 
 from __future__ import annotations

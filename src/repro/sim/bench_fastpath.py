@@ -10,7 +10,7 @@ Two modes:
     on; run it before and after touching :mod:`repro.sim.fastpath`.
 
 ``python -m repro.sim.bench_fastpath --check [ENGINE ...]``
-    Differential equivalence run (the ``make fastpath-smoke`` gate): for
+    Differential equivalence run (the ``make smoke`` gate): for
     each engine the two paths must produce an identical
     :class:`~repro.sim.system.SimReport`, identical
     :class:`~repro.obs.CounterSink` aggregate totals, and an identical

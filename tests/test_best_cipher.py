@@ -1,12 +1,17 @@
 """Best's substitution/transposition cipher: correctness and the
 deliberate statistical weakness E06 measures."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import BestCipher
+from repro.crypto import DRBG, BestCipher
 from repro.attacks import analyze_ciphertext
+from repro.core.registry import make_engine
+from repro.sim import CacheConfig, SecureSystem
+from repro.traces import mixed_workload
 
 
 class TestCorrectness:
@@ -37,6 +42,11 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             cipher.encrypt(0, b"short")
 
+    def test_known_answer(self):
+        cipher = BestCipher(bytes(range(16)))
+        assert cipher.encrypt(0x40, bytes(8)).hex() == "51a356e9c862957c"
+        assert cipher.encrypt(0x47, b"ABCDEFGH").hex() == "c28914bff43cf537"
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             BestCipher(b"k", block_size=1)
@@ -44,6 +54,30 @@ class TestCorrectness:
             BestCipher(b"k", num_alphabets=0)
         with pytest.raises(ValueError):
             BestCipher(b"k", rounds=0)
+
+
+class TestLazySchedule:
+    """The keyed tables are derived on first functional use only."""
+
+    def test_timing_only_run_never_derives_tables(self):
+        engine = make_engine("best", functional=False)
+        system = SecureSystem(
+            engine=engine,
+            cache_config=CacheConfig(size=512, line_size=32,
+                                     associativity=2),
+        )
+        report = system.run(mixed_workload(200, DRBG(3)))
+        assert report.cycles > 0
+        assert "_tables" not in vars(engine.cipher)
+
+    def test_pickled_before_first_use_enciphers_the_same(self):
+        engine = make_engine("best")
+        clone = pickle.loads(pickle.dumps(engine))
+        assert "_tables" not in vars(clone.cipher)
+        line = bytes(range(32))
+        ciphertext = engine.encrypt_line(0x80, line)
+        assert clone.encrypt_line(0x80, line) == ciphertext
+        assert clone.decrypt_line(0x80, ciphertext) == line
 
 
 class TestPolyAlphabetic:

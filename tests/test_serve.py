@@ -4,7 +4,7 @@ Everything here drives a live :class:`repro.serve.ExperimentServer` on
 an ephemeral port inside one ``asyncio.run`` per test.  ``workers=0``
 (in-process thread execution) is the default so executors can be
 instrumented; the fork-pool path is exercised by the resume test and by
-``make serve-smoke``.
+``make smoke``.
 """
 
 import asyncio

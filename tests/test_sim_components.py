@@ -70,6 +70,52 @@ class TestMainMemory:
         assert mem.dump(0, 8) == b"firmware"
         assert mem.reads == 0 and mem.writes == 0
 
+    def test_default_memory_zero_at_both_ends(self):
+        mem = MainMemory()
+        size = mem.config.size
+        assert size == 1 << 22
+        assert mem.read(0, 1) == b"\x00"
+        assert mem.read(size - 1, 1) == b"\x00"
+
+    def test_round_trip_across_page_boundary(self):
+        mem = MainMemory(MemoryConfig(size=3 * 4096))
+        data = bytes(range(64))
+        mem.write(4096 - 32, data)
+        assert mem.read(4096 - 32, 64) == data
+        assert mem.dump(4096, 32) == data[32:]
+
+    def test_read_and_dump_return_bytes(self):
+        mem = MainMemory(MemoryConfig(size=64))
+        mem.write(0, bytearray(b"abcd"))
+        assert type(mem.read(0, 4)) is bytes
+        assert type(mem.dump(0, 4)) is bytes
+
+    def test_every_op_rejects_one_byte_past_the_end(self):
+        mem = MainMemory(MemoryConfig(size=64))
+        with pytest.raises(IndexError):
+            mem.read(33, 32)
+        with pytest.raises(IndexError):
+            mem.write(33, bytes(32))
+        with pytest.raises(IndexError):
+            mem.load_image(33, bytes(32))
+        with pytest.raises(IndexError):
+            mem.dump(33, 32)
+        assert mem.dump(32, 32) == bytes(32)
+
+    def test_interposer_lengthening_a_read_rejected(self):
+        mem = MainMemory(MemoryConfig(size=64))
+        mem.attach_interposer(lambda op, addr, data: data + b"!")
+        with pytest.raises(ValueError, match="read at 0x8: 32 bytes in, 33"):
+            mem.read(8, 32)
+
+    def test_interposer_lengthening_a_write_rejected(self):
+        size = 1024
+        mem = MainMemory(MemoryConfig(size=size))
+        mem.attach_interposer(lambda op, addr, data: data + b"!")
+        with pytest.raises(ValueError, match="write at 0x3e0: 32 bytes in"):
+            mem.write(size - 32, bytes(range(32)))
+        assert mem.dump(size - 32, 32) == bytes(32)
+
 
 class TestBus:
     def test_probe_notification(self):
