@@ -68,10 +68,6 @@ lint:
 #            verdict contradicts the engine's `detects` claim;
 # kernels    a sanity run of the cipher-kernel microbenchmark (exits
 #            non-zero if a kernel diverges from its reference cipher);
-# fastpath   the scalar reference and the batched path agree exactly --
-#            reports, bus streams, event totals -- on one stream and one
-#            block-mode engine (the registry sweep is in
-#            tests/test_fastpath.py);
 # campaign   a tiny sharded grid gives byte-identical metrics at 1 and 2
 #            workers;
 # serve      a few hundred concurrent clients against the asyncio server:
@@ -79,15 +75,14 @@ lint:
 #            shutdown;
 # stream     chunked-vs-materialized byte identity over an engine sample
 #            plus a two-scale bounded-memory check in forked children.
-SMOKES := trace obs-bench faults-detect faults-silent kernels fastpath \
-	campaign serve stream
+SMOKES := trace obs-bench faults-detect faults-silent kernels campaign \
+	serve stream
 SMOKE_trace         := repro.cli trace e02 --limit 0 > /dev/null
 SMOKE_obs-bench     := repro.obs.bench --accesses 20000 --repeats 3
 SMOKE_faults-detect := repro.cli faults integrity-stream --kinds spoof \
 	replay > /dev/null
 SMOKE_faults-silent := repro.cli faults stream --kinds spoof > /dev/null
 SMOKE_kernels       := repro.crypto.bench_kernels --quick
-SMOKE_fastpath      := repro.sim.bench_fastpath --check stream integrity-xom
 SMOKE_campaign      := repro.campaign.bench --smoke
 SMOKE_serve         := repro.serve.loadgen --smoke
 SMOKE_stream        := repro.sim.bench_stream --smoke

@@ -31,8 +31,7 @@ def observe(trace, engine):
     probe = BusProbe()
     system.bus.attach_probe(probe)
     system.install_image(0, bytes(32 * 1024))
-    for access in trace:
-        system.step(access)
+    system.run(trace)
     return probe
 
 

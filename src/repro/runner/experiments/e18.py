@@ -41,8 +41,7 @@ def task_scrambling_probe(ctx: TaskContext) -> dict:
         probe = BusProbe()
         system.bus.attach_probe(probe)
         system.install_image(0, bytes(IMAGE_SIZE))
-        for access in trace:
-            system.step(access)
+        report = system.run(trace)
         prof = profile_probe(probe)
         baseline = SecureSystem(cache_config=CACHE, mem_config=MEM)
         baseline.install_image(0, bytes(IMAGE_SIZE))
@@ -53,7 +52,7 @@ def task_scrambling_probe(ctx: TaskContext) -> dict:
             "seq_fraction": round(prof.sequential_fraction, 6),
             "working_set": prof.distinct_addresses,
             "overhead":
-                round(system.report("x").overhead_vs(base_report), 6),
+                round(report.overhead_vs(base_report), 6),
         })
     return {"rows": rows}
 

@@ -9,10 +9,9 @@ keeps plaintext in the cache and ciphertext in external memory.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 from ..obs import EventSink, TraceEvent
 
@@ -63,25 +62,23 @@ class CacheResult:
     through_write: bool = False            # store must also go to memory now
 
 
-@dataclass
-class _Line:
-    dirty: bool = False
-
-
 class Cache:
     """LRU set-associative cache.
 
     Addresses are byte addresses; the cache tracks lines by line address
     (``addr // line_size``).  :meth:`access` updates state and reports what
     external traffic the access causes; the caller performs that traffic.
+    The state is list-native — one line list per set plus one dirty set —
+    and :func:`repro.sim.fastpath.execute` works on it in place.
     """
 
     def __init__(self, config: CacheConfig,
                  sink: Optional[EventSink] = None):
         self.config = config
-        self._sets: List["OrderedDict[int, _Line]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        #: Resident line numbers per set, LRU first and MRU last.
+        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
+        #: Resident lines holding stores not yet written back.
+        self._dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -117,23 +114,22 @@ class Cache:
         """
         cfg = self.config
         line = self.line_addr(addr)
-        cache_set = self._sets[self._set_index(line)]
+        lines = self._sets[self._set_index(line)]
+        write_back = cfg.write_policy is WritePolicy.WRITE_BACK
 
-        if line in cache_set:
-            cache_set.move_to_end(line)
+        if line in lines:
+            if lines[-1] != line:
+                lines.remove(line)
+                lines.append(line)
             self.hits += 1
             # Guard inline: the hit path runs once per access, and the
             # disabled-observability cost budget is one is-None test.
             if self.sink is not None:
                 self._emit("hit", addr)
-            entry = cache_set[line]
-            through = False
-            if is_write:
-                if cfg.write_policy is WritePolicy.WRITE_BACK:
-                    entry.dirty = True
-                else:
-                    through = True
-            return CacheResult(hit=True, line_addr=line, through_write=through)
+            if is_write and write_back:
+                self._dirty.add(line)
+            return CacheResult(hit=True, line_addr=line,
+                               through_write=is_write and not write_back)
 
         self.misses += 1
         if self.sink is not None:
@@ -147,41 +143,36 @@ class Cache:
 
         writeback_addr = None
         evicted_line = None
-        if len(cache_set) >= cfg.associativity:
-            victim_line, victim = cache_set.popitem(last=False)
+        if len(lines) >= cfg.associativity:
+            evicted_line = lines.pop(0)
             self.evictions += 1
-            evicted_line = victim_line
-            self._emit("eviction", victim_line * cfg.line_size)
-            if victim.dirty:
+            self._emit("eviction", evicted_line * cfg.line_size)
+            if evicted_line in self._dirty:
+                self._dirty.discard(evicted_line)
                 self.writebacks += 1
-                writeback_addr = victim_line * cfg.line_size
+                writeback_addr = evicted_line * cfg.line_size
                 self._emit("writeback", writeback_addr)
 
-        entry = _Line()
-        through = False
-        if is_write:
-            if cfg.write_policy is WritePolicy.WRITE_BACK:
-                entry.dirty = True
-            else:
-                through = True
-        cache_set[line] = entry
+        lines.append(line)
+        if is_write and write_back:
+            self._dirty.add(line)
         return CacheResult(
             hit=False,
             line_addr=line,
             writeback_addr=writeback_addr,
             evicted_line=evicted_line,
             fill_needed=True,
-            through_write=through,
+            through_write=is_write and not write_back,
         )
 
     def flush(self) -> List[int]:
         """Evict everything; returns byte addresses of dirty lines."""
-        dirty = []
-        for cache_set in self._sets:
-            for line, entry in cache_set.items():
-                if entry.dirty:
-                    dirty.append(line * self.config.line_size)
-            cache_set.clear()
+        line_size = self.config.line_size
+        dirty = [line * line_size for lines in self._sets for line in lines
+                 if line in self._dirty]
+        for lines in self._sets:
+            lines.clear()
+        self._dirty.clear()
         self.writebacks += len(dirty)
         return dirty
 

@@ -1,29 +1,29 @@
-"""Batched trace execution: the simulator's fast path.
+"""Batched trace execution: the simulator's one executor.
 
-:meth:`repro.sim.system.SecureSystem.run` walks every :class:`Access`
-through ``Cache.access`` -> engine -> ``Bus`` -> ``MainMemory`` one at a
-time.  That per-access dispatch — an ``OrderedDict`` LRU update, a
-``CacheResult`` allocation, an event construction, an engine method call —
-dominates the quick suite even though the survey's interesting work all
-happens on the *miss* stream.  This module executes the same trace in
-batches:
+Walking each :class:`Access` through cache -> engine -> ``Bus`` ->
+``MainMemory`` one at a time costs a per-access dispatch — an LRU
+update, an event construction, an engine method call — that would
+dominate the quick suite, although the survey's interesting work all
+happens on the *miss* stream.  This module executes a trace in batches:
 
 * :func:`compile_trace` precomputes line numbers once and coalesces
   consecutive same-line accesses into runs (with per-run kind counts,
   byte totals and store positions), so a compiled trace can be replayed
   against many systems;
-* :func:`execute` resolves the hit stream in bulk over a tight
-  array-based LRU (plain per-set lists instead of per-access
-  ``OrderedDict`` churn) and defers load/fetch miss fills into groups
-  that reach the engine through the bulk
-  :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines` interface —
-  one batched kernel call per group for the ported engines.
+* :func:`execute` resolves the hit stream in bulk, working in place on
+  the cache's own per-set line lists and dirty set, and defers
+  load/fetch miss fills into groups that reach the engine through the
+  bulk :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines`
+  interface — one batched kernel call per group for the ported engines.
 
-Equivalence contract (pinned by ``tests/test_fastpath.py`` and
-``python -m repro.sim.bench_fastpath --check``):
+:meth:`~repro.sim.system.SecureSystem.run` and
+:meth:`~repro.sim.system.SecureSystem.step` (a one-access run) both go
+through :func:`execute`.  Equivalence contract against the scalar
+one-access-at-a-time model in ``tests/reference_model.py`` (pinned by
+``tests/test_fastpath.py``):
 
-* the :class:`~repro.sim.system.SimReport` is byte-identical to the
-  scalar path — same cycles, counters, stats — for every engine;
+* the :class:`~repro.sim.system.SimReport` is byte-identical — same
+  cycles, counters, stats — for every engine;
 * the bus transaction stream (op, addr, data) is identical in content
   *and order*: deferred fills are flushed before any engine write so the
   engine-call order, and therefore every engine's internal state
@@ -36,9 +36,7 @@ Equivalence contract (pinned by ``tests/test_fastpath.py`` and
   event *interleaving and stamps* are the one relaxation.
 
 With observability disabled the hot loop constructs zero
-:class:`~repro.obs.TraceEvent` objects.  The scalar per-access loop
-survives only as the explicit reference path
-:meth:`~repro.sim.system.SecureSystem.run_reference`.
+:class:`~repro.obs.TraceEvent` objects.
 
 Materialized traces compile through :func:`compile_trace`'s list loop and
 :class:`~repro.traces.arrays.ArrayChunk` traces through the vectorized
@@ -57,7 +55,7 @@ from ..obs import TraceEvent
 from ..traces.arrays import KIND_BY_CODE, KIND_CODES, ArrayChunk
 from ..traces.stream import TraceStream
 from ..traces.trace import Access, AccessKind, Trace
-from .cache import WritePolicy, _Line
+from .cache import WritePolicy
 from .system import store_payload
 
 __all__ = ["CompiledTrace", "CompiledTraceStream", "compile_trace",
@@ -305,8 +303,8 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                                  CompiledTraceStream]) -> None:
     """Replay ``trace`` on ``system`` via the batched path.
 
-    Mutates the system exactly like ``for a in trace: system.step(a)``
-    (see the module docstring for the precise equivalence contract).
+    Mutates the system exactly like replaying the trace one access at a
+    time (see the module docstring for the precise equivalence contract).
     ``trace`` may be materialized or a chunk stream; chunked execution
     carries all simulator state (LRU order, dirty bits, deferred fills,
     counters, cycle clock) across chunk boundaries, so metrics are
@@ -334,15 +332,10 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
     fetch_kind = AccessKind.FETCH
     store_kind = AccessKind.STORE
 
-    # Mirror the cache's OrderedDict sets into plain lists (index 0 is
-    # LRU, the tail is MRU — OrderedDict insertion order is exactly that)
-    # plus one dirty set; synced back in the finally block below.
-    sets: List[List[int]] = [list(s) for s in cache._sets]
-    dirty = {
-        line
-        for s in cache._sets
-        for line, entry in s.items() if entry.dirty
-    }
+    # The cache's own state, mutated in place: per-set line lists (LRU
+    # first, MRU last) and the dirty-line set.
+    sets = cache._sets
+    dirty = cache._dirty
     hits = cache.hits
     misses = cache.misses
     evictions = cache.evictions
@@ -371,7 +364,7 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
         pending_set.clear()
 
     def one_access(kind: AccessKind, addr: int, size: int) -> None:
-        """Scalar-equivalent handling of one access on the array LRU."""
+        """Scalar-equivalent handling of one access on the LRU lists."""
         nonlocal cycles, hits, misses, evictions, writebacks, \
             cnt_fetch, cnt_load, cnt_store
         cycles += issue
@@ -485,7 +478,7 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                     cycles += write_cycles
 
     try:
-        # One compiled chunk at a time; every piece of mirrored state —
+        # One compiled chunk at a time; every piece of execution state —
         # LRU lists, dirty set, counters, cycles, deferred fills — lives
         # outside this loop, so chunk boundaries are invisible to the
         # simulation.  Deferred fills deliberately survive boundaries:
@@ -579,9 +572,9 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
         if pending:
             flush_fills()
     finally:
-        # Sync the mirrored state back into the cache so scalar steps,
-        # flushes and reports observe exactly the post-run state — even
-        # when an engine raised (e.g. TamperDetected) mid-run.
+        # Write the local counters back so flushes and reports observe
+        # exactly the post-run state — even when an engine raised (e.g.
+        # TamperDetected) mid-run.
         cache.hits = hits
         cache.misses = misses
         cache.evictions = evictions
@@ -590,7 +583,3 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
         counts[fetch_kind] += cnt_fetch
         counts[AccessKind.LOAD] += cnt_load
         counts[store_kind] += cnt_store
-        for index, ordered in enumerate(cache._sets):
-            ordered.clear()
-            for line in sets[index]:
-                ordered[line] = _Line(dirty=line in dirty)

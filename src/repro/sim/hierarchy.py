@@ -23,7 +23,7 @@ from ..traces.trace import Access, AccessKind, Trace
 from .bus import Bus
 from .cache import Cache, CacheConfig
 from .memory import MainMemory, MemoryConfig
-from .system import SimReport
+from .system import SimReport, store_payload
 
 __all__ = ["TwoLevelSystem", "EDU_L2_MEMORY", "EDU_L1_L2"]
 
@@ -208,9 +208,8 @@ class TwoLevelSystem:
             self._l1_data[result.line_addr] = bytearray(plaintext)
 
         if access.is_write:
-            payload = data if data is not None else bytes(
-                (access.addr + i) & 0xFF for i in range(access.size)
-            )
+            payload = data if data is not None else store_payload(
+                access.addr, access.size)
             if result.line_addr in self._l1_data:
                 line = self._l1_data[result.line_addr]
                 offset = access.addr - result.line_addr * line_size
@@ -232,6 +231,7 @@ class TwoLevelSystem:
         self._l2_data.clear()
 
     def report(self, label: str) -> SimReport:
+        stats = self.engine.stats
         return SimReport(
             label=label,
             cycles=self.cycles,
@@ -242,11 +242,16 @@ class TwoLevelSystem:
             cache_hits=self.l1.hits,
             cache_misses=self.l1.misses,
             writebacks=self.l1.writebacks + self.l2.writebacks,
-            rmw_operations=self.engine.stats.rmw_operations,
+            rmw_operations=stats.rmw_operations,
             bus_transactions=self.bus.transactions,
             bus_bytes=self.bus.bytes_transferred,
             mem_reads=self.memory.reads,
             mem_writes=self.memory.writes,
-            engine_extra_read_cycles=self.engine.stats.extra_read_cycles,
-            engine_extra_write_cycles=self.engine.stats.extra_write_cycles,
+            engine_extra_read_cycles=stats.extra_read_cycles,
+            engine_extra_write_cycles=stats.extra_write_cycles,
+            lines_encrypted=stats.lines_encrypted,
+            lines_decrypted=stats.lines_decrypted,
+            bytes_enciphered=self.line_size * (
+                stats.lines_encrypted + stats.lines_decrypted
+            ),
         )

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine, Placement
-from ..obs import EventSink, TraceEvent, current_sink
+from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine
+from ..obs import EventSink, current_sink
 from ..traces.trace import Access, AccessKind, Trace
 from .bus import Bus
 from .cache import Cache, CacheConfig
@@ -27,7 +27,7 @@ _STORE_PATTERN = bytes(range(256)) * 2
 
 
 def store_payload(addr: int, size: int) -> bytes:
-    """The deterministic filler a data-less store writes."""
+    """The deterministic bytes a trace store writes (traces carry no data)."""
     if size <= 256:
         lo = addr & 0xFF
         return _STORE_PATTERN[lo: lo + size]
@@ -135,8 +135,7 @@ class SecureSystem:
         self.engine = engine if engine is not None else NullEngine()
         self.engine.attach_sink(sink)
         self.sink = sink
-        self.cache = Cache(cache_config, sink=sink)
-        self.cache.clock = lambda: self.cycles
+        self.cache = Cache(cache_config)
         self.memory = MainMemory(mem_config, sink=sink)
         self.bus = Bus(sink=sink)
         self.cycles = 0
@@ -169,76 +168,16 @@ class SecureSystem:
 
     # -- simulation ---------------------------------------------------------
 
-    def _store_data(self, access: Access, data: Optional[bytes]) -> bytes:
-        """Bytes a store writes; deterministic filler when the trace has none."""
-        if data is not None:
-            return data
-        return store_payload(access.addr, access.size)
-
-    def step(self, access: Access, data: Optional[bytes] = None) -> None:
-        """Simulate one access."""
-        line_size = self.cache.config.line_size
-        engine = self.engine
-        self.cycles += self.issue_cycles
-        self._counts[access.kind] += 1
-        if self.sink is not None:
-            self.sink.emit(TraceEvent(
-                kind="access", addr=access.addr, size=access.size,
-                cycle=self.cycles, detail=access.kind.name.lower(),
-            ))
-
-        if engine.placement is Placement.CPU_CACHE:
-            self.cycles += engine.per_access_cycles()
-
-        result = self.cache.access(access.addr, access.is_write)
-        self.cycles += self.cache.config.hit_latency
-
-        # Evicted victim: drop its plaintext; write it back if dirty.
-        if result.evicted_line is not None:
-            victim_data = self._line_data.pop(result.evicted_line, None)
-            if result.writeback_addr is not None:
-                if victim_data is None:
-                    victim_data = bytearray(line_size)
-                wb_cycles = engine.write_line(
-                    self.port, result.writeback_addr, bytes(victim_data)
-                )
-                if not self.write_buffer:
-                    self.cycles += wb_cycles
-
-        if result.fill_needed:
-            line_addr_bytes = result.line_addr * line_size
-            plaintext, fill_cycles = engine.fill_line(
-                self.port, line_addr_bytes, line_size
-            )
-            self.cycles += fill_cycles
-            self._line_data[result.line_addr] = bytearray(plaintext)
-            if self.sink is not None:
-                self.sink.emit(TraceEvent(
-                    kind="fill", addr=line_addr_bytes, size=line_size,
-                    cycle=self.cycles,
-                ))
-
-        if access.is_write:
-            payload = self._store_data(access, data)
-            if result.line_addr in self._line_data:
-                line = self._line_data[result.line_addr]
-                offset = access.addr - result.line_addr * line_size
-                end = min(offset + len(payload), line_size)
-                line[offset:end] = payload[: end - offset]
-            if result.through_write:
-                write_cycles = engine.write_partial(
-                    self.port, access.addr, payload, line_size
-                )
-                if not self.write_buffer:
-                    self.cycles += write_cycles
+    def step(self, access: Access) -> None:
+        """Simulate one access: a one-access :meth:`run`."""
+        from .fastpath import execute
+        execute(self, (access,))
 
     def run(self, trace, label: str = "") -> SimReport:
         """Replay ``trace`` and return the report.
 
-        Executes through the batched fast path (:mod:`repro.sim.fastpath`)
-        — same report, bus stream and observability totals as the scalar
-        :meth:`run_reference`, at a fraction of the dispatch cost.  Accepts
-        a plain trace, a :class:`~repro.sim.fastpath.CompiledTrace`
+        Executes through the batched executor (:mod:`repro.sim.fastpath`).
+        Accepts a plain trace, a :class:`~repro.sim.fastpath.CompiledTrace`
         (compile once, replay against many systems), or a
         :class:`~repro.traces.stream.TraceStream` chunk stream — the
         streaming form runs a 10^8-access trace in bounded memory with a
@@ -246,15 +185,6 @@ class SecureSystem:
         """
         from .fastpath import execute
         execute(self, trace)
-        return self.report(label or self.engine.name)
-
-    def run_reference(self, trace, label: str = "") -> SimReport:
-        """Replay ``trace`` one access at a time (the reference path).
-
-        Accepts the same trace shapes as :meth:`run` (streams included).
-        """
-        for access in trace:
-            self.step(access)
         return self.report(label or self.engine.name)
 
     def flush(self) -> None:

@@ -21,6 +21,8 @@ from repro.traces import (
     sequential_code,
 )
 
+from .reference_model import store
+
 KEY = b"0123456789abcdef"
 REGION = 8192
 
@@ -53,7 +55,7 @@ class TestFunctional:
         engine = scrambled()
         system = make_system(engine)
         system.install_image(0, bytes(REGION))
-        system.step(Access(AccessKind.STORE, 0x80, 4), data=b"\x11\x22\x33\x44")
+        store(system, 0x80, b"\x11\x22\x33\x44")
         system.flush()
         # Read back through the engine (logical address).
         port_view = engine.decrypt_line(

@@ -17,6 +17,8 @@ from repro.core import (
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import Access, AccessKind, sequential_code
 
+from .reference_model import store
+
 KEY16 = b"0123456789abcdef"
 KEY24 = b"0123456789abcdef01234567"
 
@@ -104,7 +106,7 @@ class TestFunctionalContract:
         system = small_system(engine)
         system.install_image(0, bytes(512))
         payload = b"\xCA\xFE\xBA\xBE"
-        system.step(Access(AccessKind.STORE, 0x20, 4), data=payload)
+        store(system, 0x20, payload)
         system.flush()
         assert system.read_plaintext(0x20, 4) == payload
 

@@ -1,11 +1,12 @@
-"""Batched trace execution: equivalence with the scalar reference path.
+"""Batched trace execution: equivalence with the scalar reference model.
 
-The fast path's contract (see :mod:`repro.sim.fastpath`) is pinned here:
+The executor's contract (see :mod:`repro.sim.fastpath`) is pinned here
+against the one-access-at-a-time oracle in ``tests/reference_model.py``:
 identical :class:`SimReport`, identical bus transaction stream (content
 *and* order), identical :class:`CounterSink` aggregate totals — for every
 registered engine and for the cache corner cases (LRU conflict eviction,
 write-through stores, no-write-allocate bypass, dirty-victim writebacks)
-on both the scalar and the batched path.
+through both the oracle and the executor.
 """
 
 import pytest
@@ -19,12 +20,19 @@ from repro.obs import (
     TeeSink,
     TraceEvent,
 )
-from repro.sim.bench_fastpath import differential, make_bench_trace
 from repro.sim.cache import CacheConfig, WritePolicy
 from repro.sim.fastpath import CompiledTrace, compile_trace
 from repro.sim.memory import MemoryConfig
 from repro.sim.system import SecureSystem
 from repro.traces.trace import Access, AccessKind
+
+from .reference_model import (
+    build,
+    differential,
+    make_bench_trace,
+    replay,
+    run_observed,
+)
 
 LINE = 32
 
@@ -40,10 +48,13 @@ def _system(sink=None, **cache_kwargs):
     return system
 
 
+PATHS = ["reference", "fast"]
+
+
 def _both_paths(trace, **cache_kwargs):
-    """Run the trace through reference and fast path on twin systems."""
+    """Run the trace through the oracle and the executor on twin systems."""
     out = []
-    for reference in (True, False):
+    for path in PATHS:
         sink = CounterSink()
         system = _system(sink=sink, **cache_kwargs)
         transactions = []
@@ -51,22 +62,23 @@ def _both_paths(trace, **cache_kwargs):
             lambda txn, log=transactions: log.append(
                 (txn.op, txn.addr, txn.data))
         )
-        report = (system.run_reference(trace) if reference
-                  else system.run(trace))
+        report, _ = _run_one(system, trace, path)
         out.append((system, report, sink, transactions))
     return out
 
 
-PATHS = ["reference", "fast"]
-
-
 def _run_one(system, trace, path):
-    return (system.run_reference(trace) if path == "reference"
-            else system.run(trace))
+    """Run ``trace`` through ``path``; returns the report and the final
+    LRU order per set (LRU first) of whichever model ran."""
+    if path == "reference":
+        sets = [list(s) for s in replay(system, trace)]
+        return system.report(system.engine.name), sets
+    report = system.run(trace)
+    return report, [list(s) for s in system.cache._sets]
 
 
 class TestEngineDifferential:
-    """Every registered engine: scalar and batched runs are identical."""
+    """Every registered engine: the oracle and the executor agree."""
 
     @pytest.mark.parametrize("name", [None] + engine_names(),
                              ids=lambda n: n or "baseline")
@@ -77,14 +89,36 @@ class TestEngineDifferential:
                              ids=lambda n: n or "baseline")
     @pytest.mark.parametrize("chunk", [1, 37, 5000])
     def test_chunked_vs_whole(self, name, chunk):
-        """The chunk-streamed fast path is byte-identical to the scalar
-        reference at any chunk size (1 = boundary between every access;
+        """The chunk-streamed executor is byte-identical to the scalar
+        oracle at any chunk size (1 = boundary between every access;
         5000 > n = one oversized chunk)."""
         assert differential(name, n=1200, chunk=chunk) == []
 
 
+class TestStepIsOneAccessRun:
+    @pytest.mark.parametrize("name", [None, "stream", "aegis"],
+                             ids=lambda n: n or "baseline")
+    def test_step_loop_equals_run(self, name):
+        trace = make_bench_trace(300)
+        outcomes = []
+        for stepped in (True, False):
+            system = build(name)
+            transactions = []
+            system.bus.attach_probe(
+                lambda txn, log=transactions: log.append(
+                    (txn.op, txn.addr, txn.data)))
+            if stepped:
+                for access in trace:
+                    system.step(access)
+                report = system.report(system.engine.name)
+            else:
+                report = system.run(trace)
+            outcomes.append((report, transactions))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestCacheCorners:
-    """Cache semantics corner cases, exercised through both paths."""
+    """Cache semantics corner cases, through the oracle and the executor."""
 
     @pytest.mark.parametrize("path", PATHS)
     def test_lru_eviction_order_under_conflicts(self, path):
@@ -93,13 +127,11 @@ class TestCacheCorners:
         # evict 2 (not 0) — the classic move-to-MRU check.
         trace = [Access(addr=line * LINE, kind=AccessKind.LOAD, size=4)
                  for line in (0, 2, 0, 4, 0)]
-        system = _system()
-        report = _run_one(system, trace, path)
+        report, sets = _run_one(_system(), trace, path)
         # Line 0 stays resident throughout: hits on the 3rd and 5th access.
         assert report.cache_hits == 2
         assert report.cache_misses == 3
-        sets = system.cache._sets[0]
-        assert list(sets) == [4, 0]  # LRU -> MRU: the final hit made 0 MRU
+        assert sets[0] == [4, 0]  # LRU -> MRU: the final hit made 0 MRU
 
     @pytest.mark.parametrize("path", PATHS)
     def test_dirty_victim_writeback_address(self, path):
@@ -115,7 +147,7 @@ class TestCacheCorners:
         transactions = []
         system.bus.attach_probe(
             lambda txn: transactions.append((txn.op, txn.addr, txn.data)))
-        report = _run_one(system, trace, path)
+        report, _ = _run_one(system, trace, path)
         assert report.writebacks == 1
         writes = [t for t in transactions if t[0] == "write"]
         assert len(writes) == 1
@@ -132,7 +164,7 @@ class TestCacheCorners:
             Access(addr=8, kind=AccessKind.STORE, size=4),
         ]
         system = _system(write_policy=WritePolicy.WRITE_THROUGH)
-        report = _run_one(system, trace, path)
+        report, _ = _run_one(system, trace, path)
         # Both stores hit the resident line yet still write memory.
         assert report.cache_hits == 2
         assert report.writebacks == 0
@@ -148,13 +180,13 @@ class TestCacheCorners:
         ]
         system = _system(write_policy=WritePolicy.WRITE_THROUGH,
                          write_allocate=False)
-        report = _run_one(system, trace, path)
+        report, sets = _run_one(system, trace, path)
         # The store miss must not have installed the line: the load
         # misses again and fills it.
         assert report.cache_misses == 2
         assert report.cache_hits == 0
         assert report.mem_writes == 1
-        assert 8 in system.cache._sets[8 % system.cache.config.num_sets]
+        assert 8 in sets[8 % system.cache.config.num_sets]
 
     def test_corner_configs_reference_equals_fast(self):
         trace = make_bench_trace(600, seed=13)
@@ -270,11 +302,9 @@ class TestEmitBulk:
         """A materializing sink sees the same totals either path."""
         trace = make_bench_trace(400, seed=21)
         totals = []
-        for reference in (True, False):
+        for path in PATHS:
             sink = RecordingSink()
-            system = _system(sink=sink)
-            (system.run_reference(trace) if reference
-             else system.run(trace))
+            _run_one(_system(sink=sink), trace, path)
             totals.append((sink.summary(), sink.bytes_summary()))
         assert totals[0] == totals[1]
 
@@ -286,7 +316,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.drbg import DRBG
-from repro.sim import bench_fastpath
 from repro.traces.arrays import KIND_CODES, ArrayChunk
 from repro.traces.stream import TraceStream, chunked
 
@@ -318,8 +347,8 @@ def _assert_equivalent(ref, fast, context: str) -> None:
 
 
 class TestReferenceOracleDifferential:
-    """Random traces x engines x chunk sizes: the scalar step loop over
-    the algebraic ciphers against the batched executor over the kernels."""
+    """Random traces x engines x chunk sizes: the scalar oracle over the
+    algebraic ciphers against the batched executor over the kernels."""
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -329,9 +358,9 @@ class TestReferenceOracleDifferential:
                                              engine, chunk):
         trace = _random_trace(seed)
         with reference_ciphers():
-            ref = bench_fastpath._run(engine, trace, reference=True)
+            ref = run_observed(engine, trace, reference=True)
         stream = TraceStream(lambda: chunked(trace, chunk), length=len(trace))
-        fast = bench_fastpath._run(engine, stream, reference=False)
+        fast = run_observed(engine, stream, reference=False)
         _assert_equivalent(ref, fast, f"engine={engine} chunk={chunk}")
 
     @settings(max_examples=12, deadline=None)
@@ -342,7 +371,7 @@ class TestReferenceOracleDifferential:
                                                   seed, engine, chunk):
         trace = _random_trace(seed)
         with reference_ciphers():
-            ref = bench_fastpath._run(engine, trace, reference=True)
+            ref = run_observed(engine, trace, reference=True)
         chunks = []
         for lo in range(0, len(trace), chunk):
             part = trace[lo: lo + chunk]
@@ -353,5 +382,5 @@ class TestReferenceOracleDifferential:
                 np.array([a.size for a in part], dtype=np.int64),
             ))
         stream = TraceStream(chunks, length=len(trace))
-        fast = bench_fastpath._run(engine, stream, reference=False)
+        fast = run_observed(engine, stream, reference=False)
         _assert_equivalent(ref, fast, f"array engine={engine} chunk={chunk}")

@@ -14,6 +14,7 @@ from repro.sim import (
     TwoLevelSystem,
     estimate_run,
 )
+from repro.sim.system import store_payload
 from repro.traces import Access, AccessKind, make_workload, sequential_code
 
 KEY = b"0123456789abcdef"
@@ -92,6 +93,11 @@ class TestFunctionalConsistency:
         system.flush()
         assert system.read_plaintext(0x40, 4) == payload
 
+    def test_trace_store_writes_the_shared_filler(self):
+        system = make_system()
+        system.step(Access(AccessKind.STORE, 0x44, 8))
+        assert bytes(system._l1_data[2][4:12]) == store_payload(0x44, 8)
+
     def test_l2_holds_ciphertext_when_edu_at_l1(self):
         engine = XomAesEngine(KEY)
         system = make_system(engine=engine, edu_level=EDU_L1_L2)
@@ -128,6 +134,23 @@ class TestPlacementTradeoff:
             results[level] = (system.cycles, engine.stats.lines_decrypted)
         assert results[EDU_L1_L2][1] > results[EDU_L2_MEMORY][1]
         assert results[EDU_L1_L2][0] > results[EDU_L2_MEMORY][0]
+
+    @pytest.mark.parametrize("edu_level", [EDU_L2_MEMORY, EDU_L1_L2])
+    def test_report_carries_engine_cipher_counters(self, edu_level):
+        engine = XomAesEngine(KEY, functional=False)
+        system = make_system(engine=engine, edu_level=edu_level)
+        system.install_image(0, bytes(8192))
+        trace = [
+            type(a)(a.kind, a.addr % 8192, a.size)
+            for a in make_workload("mixed", n=3000)
+        ]
+        report = system.run(trace)
+        stats = engine.stats
+        assert stats.lines_decrypted > 0
+        assert report.lines_decrypted == stats.lines_decrypted
+        assert report.lines_encrypted == stats.lines_encrypted
+        assert report.bytes_enciphered == 32 * (
+            stats.lines_decrypted + stats.lines_encrypted)
 
 
 class TestEnergyModel:

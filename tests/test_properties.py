@@ -26,6 +26,8 @@ from repro.crypto import AES, DES, DRBG
 from repro.sim import Cache, CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import Access, AccessKind
 
+from .reference_model import store
+
 KEY16 = b"0123456789abcdef"
 KEY24 = b"0123456789abcdef01234567"
 
@@ -92,7 +94,7 @@ def test_store_flush_consistency(engine_idx, writes):
     for line_idx, value in writes:
         addr = line_idx * 32
         payload = bytes([value] * 4)
-        system.step(Access(AccessKind.STORE, addr, 4), data=payload)
+        store(system, addr, payload)
         expected[addr: addr + 4] = payload
     system.flush()
     assert system.read_plaintext(0, 512) == bytes(expected)

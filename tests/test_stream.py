@@ -73,15 +73,6 @@ class TestChunkedEqualsWhole:
         streamed = small_system(engine).run(stream, label="whole")
         assert streamed.to_metrics() == whole.to_metrics()
 
-    @settings(max_examples=10, deadline=None)
-    @given(chunk=st.sampled_from([1, 7, 173, 999]))
-    def test_reference_path_property(self, chunk):
-        trace = bounded_trace("mixed", 300)
-        whole = small_system("xom").run_reference(trace, label="ref")
-        stream = TraceStream(lambda: chunked(trace, chunk))
-        streamed = small_system("xom").run_reference(stream, label="ref")
-        assert streamed.to_metrics() == whole.to_metrics()
-
     @pytest.mark.parametrize("chunk", [1, 37, 5000])
     def test_run_stream_document_identity(self, chunk):
         whole = run_stream(engine="xom", workload="mixed", accesses=3000,

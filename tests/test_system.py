@@ -14,6 +14,8 @@ from repro.sim import (
 )
 from repro.traces import Access, AccessKind, sequential_code, write_burst
 
+from .reference_model import store
+
 KEY = b"0123456789abcdef"
 
 
@@ -94,7 +96,7 @@ class TestFunctionalPath:
         system = small_system(engine)
         system.install_image(0, bytes(64))
         payload = b"\xAA\xBB\xCC\xDD"
-        system.step(Access(AccessKind.STORE, 0, 4), data=payload)
+        store(system, 0, payload)
         system.flush()
         assert system.read_plaintext(0, 4) == payload
 
@@ -102,7 +104,7 @@ class TestFunctionalPath:
         engine = XomAesEngine(KEY)
         system = small_system(engine)
         payload = b"\x11\x22\x33\x44"
-        system.step(Access(AccessKind.STORE, 0x40, 4), data=payload)
+        store(system, 0x40, payload)
         # Thrash the set until 0x40's line is evicted (2-way, 16 sets).
         stride = 16 * 32
         system.step(Access(AccessKind.LOAD, 0x40 + stride))
