@@ -151,39 +151,26 @@ class AegisEngine(BlockModeEngine):
                    line_size: int) -> List[Tuple[bytes, int]]:
         # The CBC chain is per line and decryption has no chain
         # dependency, so the group needs one batched IV derivation and
-        # one batched block decryption; the per-line XOR with
+        # one batched block decryption; XOR with each line's
         # ``iv || ct[:-16]`` reproduces CBC.decrypt exactly.  Fills never
         # re-encrypt, so the vector table is stable across the group.
         if self.functional and line_size % 16:
             return super().fill_lines(port, addrs, line_size)
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles + extra)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        material = b"".join(
-            addr.to_bytes(8, "big")
-            + self._vectors.get(addr, 0).to_bytes(8, "big")
-            for addr in addrs
-        )
-        ivs = self._iv_aes.encrypt_blocks(material)
-        decrypted = self._aes.decrypt_blocks(b"".join(ciphertexts))
-        out: List[Tuple[bytes, int]] = []
-        for i, ciphertext in enumerate(ciphertexts):
-            chain = ivs[16 * i: 16 * (i + 1)] + ciphertext[:-16]
-            block = decrypted[i * line_size: (i + 1) * line_size]
-            out.append((xor_bytes(block, chain), cycles[i]))
-        return out
+
+        def decrypt(ciphertext: bytes) -> bytes:
+            ivs = self._iv_aes.encrypt_blocks(b"".join(
+                addr.to_bytes(8, "big")
+                + self._vectors.get(addr, 0).to_bytes(8, "big")
+                for addr in addrs
+            ))
+            chains = b"".join([
+                ivs[16 * i: 16 * (i + 1)]
+                + ciphertext[i * line_size: (i + 1) * line_size - 16]
+                for i in range(len(addrs))
+            ])
+            return xor_bytes(self._aes.decrypt_blocks(ciphertext), chains)
+
+        return self._fill_batch(port, addrs, line_size, decrypt)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

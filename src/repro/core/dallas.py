@@ -17,14 +17,25 @@ Two generations, two security levels:
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
 from ..crypto.feistel import SmallBlockCipher
 from ..crypto.kernels import des_kernel, tdes_kernel
-from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import BYTE_SUBST_UNIT, DES_ITERATIVE, PipelinedUnit
-from .engine import BlockModeEngine, BusEncryptionEngine
+from .engine import BusEncryptionEngine, MemoryPort, TweakedECBEngine
 
 __all__ = ["DS5002FPEngine", "DS5240Engine"]
+
+
+def _byte_addresses(spans: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """The address of every byte of the ``(addr, nbytes)`` spans, in order."""
+    return np.concatenate([
+        np.arange(addr, addr + nbytes, dtype=np.uint64)
+        for addr, nbytes in spans
+    ])
 
 
 class DS5002FPEngine(BusEncryptionEngine):
@@ -47,6 +58,27 @@ class DS5002FPEngine(BusEncryptionEngine):
     def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
         return self.cipher.decrypt(addr, ciphertext)
 
+    # No state links one byte to the next, so a whole install batch or
+    # fill group is one cipher call over its per-byte addresses.
+
+    def encrypt_lines(self, items):
+        if not items:
+            return []
+        ct = self.cipher.encrypt(
+            _byte_addresses([(addr, len(line)) for addr, line in items]),
+            b"".join(line for _, line in items),
+        )
+        return self._split_batch(ct, items)
+
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        return self._fill_batch(
+            port, addrs, line_size,
+            lambda ct: self.cipher.decrypt(
+                _byte_addresses([(addr, line_size) for addr in addrs]), ct
+            ),
+        )
+
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         # Byte substitution keeps pace with the bus; only the tiny unit
         # latency lands on the critical path.
@@ -64,7 +96,7 @@ class DS5002FPEngine(BusEncryptionEngine):
         return est
 
 
-class DS5240Engine(BlockModeEngine):
+class DS5240Engine(TweakedECBEngine):
     """64-bit DES (or 3DES) block encryption (the strengthened generation)."""
 
     name = "ds5240"
@@ -80,43 +112,9 @@ class DS5240Engine(BlockModeEngine):
         functional: bool = True,
         **kwargs,
     ):
-        super().__init__(unit=unit, cipher_block=8, functional=functional,
-                         **kwargs)
+        super().__init__(tdes_kernel(key) if triple else des_kernel(key[:8]),
+                         unit=unit, functional=functional, **kwargs)
         self.triple = triple
-        self._cipher = tdes_kernel(key) if triple else des_kernel(key[:8])
-
-    def _tweak(self, addr: int) -> bytes:
-        return addr.to_bytes(8, "big")
-
-    def _tweaks(self, addr: int, nbytes: int) -> bytes:
-        return b"".join(
-            self._tweak(addr + i) for i in range(0, nbytes, 8)
-        )
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        tweaked = xor_bytes(plaintext, self._tweaks(addr, len(plaintext)))
-        return self._cipher.encrypt_blocks(tweaked)
-
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        decrypted = self._cipher.decrypt_blocks(ciphertext)
-        return xor_bytes(decrypted, self._tweaks(addr, len(ciphertext)))
-
-    def encrypt_lines(self, items):
-        # Tweaked ECB: every line of the install batch goes through one
-        # kernel call.
-        if not items or any(len(line) % 8 for _, line in items):
-            return super().encrypt_lines(items)
-        tweaks = b"".join(
-            self._tweaks(addr, len(line)) for addr, line in items
-        )
-        plain = b"".join(line for _, line in items)
-        ct = self._cipher.encrypt_blocks(xor_bytes(plain, tweaks))
-        out = []
-        pos = 0
-        for _, line in items:
-            out.append(ct[pos: pos + len(line)])
-            pos += len(line)
-        return out
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -19,15 +19,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..crypto.modes import xor_bytes
 from ..obs import EventSink, TraceEvent
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit
 
 __all__ = ["Placement", "EngineStats", "MemoryPort", "BusEncryptionEngine",
-           "NullEngine", "BlockModeEngine", "TamperDetected",
-           "TamperVerdicts"]
+           "NullEngine", "BlockModeEngine", "TweakedECBEngine",
+           "TamperDetected", "TamperVerdicts"]
 
 
 class TamperDetected(Exception):
@@ -278,6 +279,36 @@ class BusEncryptionEngine(ABC):
         """
         return [self.fill_line(port, addr, line_size) for addr in addrs]
 
+    def _fill_batch(self, port: MemoryPort, addrs: Sequence[int],
+                    line_size: int, decrypt: Callable[[bytes], bytes]
+                    ) -> List[Tuple[bytes, int]]:
+        """A :meth:`fill_lines` whose byte transform runs once per group.
+
+        For each line in order: the bus read, :meth:`read_extra_cycles`,
+        the stats and the ``decipher``/``stall`` events — exactly what
+        :meth:`fill_line` does.  Then, on a functional engine only,
+        ``decrypt`` maps the group's concatenated ciphertext to its
+        concatenated plaintext, which is split back into lines.
+        """
+        fetched: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            ciphertext, mem_cycles = port.read(addr, line_size)
+            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += extra
+            if self.sink is not None:
+                self._emit("decipher", addr, line_size)
+                if extra:
+                    self._emit("stall", addr, extra, "read")
+            fetched.append((ciphertext, mem_cycles + extra))
+        if not self.functional or not fetched:
+            return fetched
+        plain = decrypt(b"".join([ciphertext for ciphertext, _ in fetched]))
+        return [
+            (plain[i * line_size: (i + 1) * line_size], cycles)
+            for i, (_, cycles) in enumerate(fetched)
+        ]
+
     def spill_lines(self, port: MemoryPort,
                     writes: Sequence[Tuple[int, bytes]]) -> List[int]:
         """Service a group of full-line writebacks; returns cycles per line.
@@ -300,6 +331,18 @@ class BusEncryptionEngine(ABC):
         kernel call.
         """
         return [self.encrypt_line(addr, line) for addr, line in items]
+
+    @staticmethod
+    def _split_batch(data: bytes, items: Sequence[Tuple[int, bytes]]
+                     ) -> List[bytes]:
+        """Cut a batch's concatenated output back into one piece per
+        ``(addr, line)`` item, each as long as its line."""
+        out = []
+        pos = 0
+        for _, line in items:
+            out.append(data[pos: pos + len(line)])
+            pos += len(line)
+        return out
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:
@@ -432,3 +475,54 @@ class BlockModeEngine(BusEncryptionEngine):
         nblocks = self._nblocks(nbytes)
         self.stats.blocks_processed += nblocks
         return self.unit.time_for(nblocks)
+
+
+class TweakedECBEngine(BlockModeEngine):
+    """Address-tweaked ECB over a 64-bit block cipher (DS5240, Gilmont).
+
+    Every 8-byte block is XORed with its own big-endian address before the
+    cipher, so no state links one block to the next: a whole install
+    batch or fill group goes through one kernel call.
+    """
+
+    def __init__(self, cipher, unit: PipelinedUnit, functional: bool = True,
+                 **kwargs):
+        super().__init__(unit=unit, cipher_block=8, functional=functional,
+                         **kwargs)
+        self._cipher = cipher
+
+    @staticmethod
+    def _tweaks(spans: Sequence[Tuple[int, int]]) -> bytes:
+        """The tweak of every 8-byte block of the ``(addr, nbytes)`` spans."""
+        return b"".join(
+            (addr + i).to_bytes(8, "big")
+            for addr, nbytes in spans for i in range(0, nbytes, 8)
+        )
+
+    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
+        tweaks = self._tweaks([(addr, len(plaintext))])
+        return self._cipher.encrypt_blocks(xor_bytes(plaintext, tweaks))
+
+    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
+        decrypted = self._cipher.decrypt_blocks(ciphertext)
+        return xor_bytes(decrypted, self._tweaks([(addr, len(ciphertext))]))
+
+    def encrypt_lines(self, items):
+        if not items or any(len(line) % 8 for _, line in items):
+            return super().encrypt_lines(items)
+        tweaks = self._tweaks([(addr, len(line)) for addr, line in items])
+        plain = b"".join(line for _, line in items)
+        ct = self._cipher.encrypt_blocks(xor_bytes(plain, tweaks))
+        return self._split_batch(ct, items)
+
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        if self.functional and line_size % 8:
+            return super().fill_lines(port, addrs, line_size)
+        return self._fill_batch(
+            port, addrs, line_size,
+            lambda ct: xor_bytes(
+                self._cipher.decrypt_blocks(ct),
+                self._tweaks([(addr, line_size) for addr in addrs]),
+            ),
+        )

@@ -23,16 +23,19 @@ from __future__ import annotations
 from typing import Set
 
 from ..crypto.kernels import tdes_kernel
-from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import TDES_PIPE, PipelinedUnit
-from .engine import BlockModeEngine
+from .engine import TweakedECBEngine
 
 __all__ = ["GilmontEngine"]
 
 
-class GilmontEngine(BlockModeEngine):
-    """Pipelined 3DES with an N-deep sequential fetch predictor."""
+class GilmontEngine(TweakedECBEngine):
+    """Pipelined 3DES with an N-deep sequential fetch predictor.
+
+    The functional transform is address-tweaked 3DES-ECB; the predictor
+    only changes timing (:meth:`read_extra_cycles`).
+    """
 
     name = "gilmont-3des"
     #: Confidentiality only: the fetch predictor speeds fills, it does not
@@ -50,31 +53,12 @@ class GilmontEngine(BlockModeEngine):
     ):
         if prediction_depth < 0:
             raise ValueError(f"prediction_depth must be >= 0, got {prediction_depth}")
-        super().__init__(unit=unit, cipher_block=8, functional=functional,
+        super().__init__(tdes_kernel(key), unit=unit, functional=functional,
                          **kwargs)
-        self._tdes = tdes_kernel(key)
         self.prediction_depth = prediction_depth
         self.line_size = line_size
         self._predicted: Set[int] = set()
         self._max_window = 4 * max(1, prediction_depth)
-
-    # -- functional transform (address-tweaked 3DES-ECB) --------------------
-
-    def _tweak(self, addr: int) -> bytes:
-        return addr.to_bytes(8, "big")
-
-    def _tweaks(self, addr: int, nbytes: int) -> bytes:
-        return b"".join(
-            self._tweak(addr + i) for i in range(0, nbytes, 8)
-        )
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        tweaked = xor_bytes(plaintext, self._tweaks(addr, len(plaintext)))
-        return self._tdes.encrypt_blocks(tweaked)
-
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        decrypted = self._tdes.decrypt_blocks(ciphertext)
-        return xor_bytes(decrypted, self._tweaks(addr, len(ciphertext)))
 
     # -- prediction-aware timing ----------------------------------------------
 

@@ -104,36 +104,29 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
                    line_size: int) -> List[Tuple[bytes, int]]:
         # Position-keyed keystream: one batched pad call covers the whole
         # group (the counter layout depends only on the block address).
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            self.stats.lines_decrypted += 1
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        size = 16
-        spans: List[Tuple[int, int]] = []
-        material: List[bytes] = []
-        for addr in addrs:
-            start = addr - addr % size
-            end = -(-(addr + line_size) // size) * size
-            material.append(b"".join(
-                b"cpu$" + (block_addr // 16).to_bytes(12, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out: List[Tuple[bytes, int]] = []
-        pos = 0
-        for i, (offset, span) in enumerate(spans):
-            line_pad = pad[pos + offset: pos + offset + line_size]
-            out.append((xor_bytes(ciphertexts[i], line_pad), cycles[i]))
-            pos += span
-        return out
+        def decrypt(ciphertext: bytes) -> bytes:
+            size = 16
+            spans: List[Tuple[int, int]] = []
+            material: List[bytes] = []
+            for addr in addrs:
+                start = addr - addr % size
+                end = -(-(addr + line_size) // size) * size
+                material.append(b"".join(
+                    b"cpu$" + (block_addr // 16).to_bytes(12, "big")
+                    for block_addr in range(start, end, size)
+                ))
+                spans.append((addr - start, end - start))
+            pad = self._aes.encrypt_blocks(b"".join(material))
+            line_pads: List[bytes] = []
+            pos = 0
+            for offset, span in spans:
+                line_pads.append(pad[pos + offset: pos + offset + line_size])
+                pos += span
+            return xor_bytes(ciphertext, b"".join(line_pads))
+
+        # No extra read cycles on this placement, so the shared group fill
+        # is exactly the bus reads, the decrypt counter and the events.
+        return self._fill_batch(port, addrs, line_size, decrypt)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

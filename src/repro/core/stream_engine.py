@@ -213,15 +213,10 @@ class StreamCipherEngine(BusEncryptionEngine):
         pads = self._pads_bulk(addrs, line_size)
         out: List[Tuple[bytes, int]] = []
         for addr, pad in zip(addrs, pads):
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            out.append((xor_bytes(ciphertext, pad), mem_cycles + extra))
+            # Each line is its own group fill: its pad-ahead must land
+            # before the next line's pad-cache lookup.
+            out += self._fill_batch(port, (addr,), line_size,
+                                    lambda ct, pad=pad: xor_bytes(ct, pad))
             for i in range(1, self.pad_ahead_depth + 1):
                 self._cache_pad(addr + i * line_size)
         return out

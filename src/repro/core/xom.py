@@ -85,49 +85,26 @@ class XomAesEngine(BlockModeEngine):
         ct = xor_bytes(
             self._aes.encrypt_blocks(xor_bytes(plain, masks)), masks
         )
-        out: List[bytes] = []
-        pos = 0
-        for _, line in items:
-            out.append(ct[pos: pos + len(line)])
-            pos += len(line)
-        return out
+        return self._split_batch(ct, items)
 
     def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
                    line_size: int) -> List[Tuple[bytes, int]]:
         # XEX masking is ECB over independent blocks, so the whole group
         # deciphers in two kernel calls (masks, then blocks) instead of
-        # two per line.  Bus reads, stats and events stay per-line and in
-        # order — see the fill_lines contract.
+        # two per line.
         if self.functional and line_size % 16:
             return super().fill_lines(port, addrs, line_size)
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles + extra)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        material = b"".join(
-            (addr + i).to_bytes(16, "big")
-            for addr in addrs for i in range(0, line_size, 16)
-        )
-        masks = self._tweak_aes.encrypt_blocks(material)
-        plain = xor_bytes(
-            self._aes.decrypt_blocks(xor_bytes(b"".join(ciphertexts), masks)),
-            masks,
-        )
-        return [
-            (plain[i * line_size: (i + 1) * line_size], cycles[i])
-            for i in range(len(addrs))
-        ]
+
+        def decrypt(ciphertext: bytes) -> bytes:
+            masks = self._tweak_aes.encrypt_blocks(b"".join(
+                (addr + i).to_bytes(16, "big")
+                for addr in addrs for i in range(0, line_size, 16)
+            ))
+            return xor_bytes(
+                self._aes.decrypt_blocks(xor_bytes(ciphertext, masks)), masks
+            )
+
+        return self._fill_batch(port, addrs, line_size, decrypt)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -4,10 +4,12 @@ Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
 
 1. **Equivalence**: every kernel is checked bit-for-bit against its
    reference cipher on random blocks (encrypt and decrypt, every key
-   size).  Any mismatch makes the process exit non-zero, which is what
-   ``make smoke`` relies on.
+   size), and the DS5002FP byte cipher's one-pass array path against its
+   per-byte methods.  Any mismatch makes the process exit non-zero, which
+   is what ``make smoke`` relies on.
 2. **Timing**: per-block throughput of the reference loop vs the batched
-   kernel path, reported as a small table with the speedup factor.
+   kernel path, reported as a small table with the speedup factor; the
+   byte cipher is timed at one cache line (32 B) and one page (8 KB).
 
 ``--quick`` shrinks both jobs to a CI-friendly sanity run.
 """
@@ -22,6 +24,7 @@ from typing import Callable, List, Tuple
 
 from .aes import AES
 from .des import DES, TripleDES
+from .feistel import SmallBlockCipher
 from .kernels import AESKernel, DESKernel, TripleDESKernel
 
 _CASES: List[Tuple[str, int, Callable, Callable]] = [
@@ -54,6 +57,28 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
             failures.append(f"{name}: encrypt mismatch")
         if kernel.decrypt_blocks(expected_ct) != data:
             failures.append(f"{name}: decrypt mismatch")
+    failures.extend(_check_byte_cipher(rng, blocks_per_key))
+    return failures
+
+
+def _check_byte_cipher(rng: random.Random, nbytes: int) -> List[str]:
+    """The byte cipher's array path against per-byte calls, at address 0
+    and where the tweak product wraps 2^64 (near 2^32 and 2^40)."""
+    failures = []
+    cipher = SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))
+    for base in (0, (1 << 32) - nbytes // 2, (1 << 40) - nbytes // 2):
+        data = bytes(rng.randrange(256) for _ in range(nbytes))
+        addrs = range(base, base + nbytes)
+        expected_ct = bytes(
+            cipher.encrypt_byte(addr, b) for addr, b in zip(addrs, data)
+        )
+        if cipher.encrypt(base, data) != expected_ct:
+            failures.append(f"feistel-8 @ {base:#x}: encrypt mismatch")
+        expected_pt = bytes(
+            cipher.decrypt_byte(addr, b) for addr, b in zip(addrs, data)
+        )
+        if cipher.decrypt(base, data) != expected_pt:
+            failures.append(f"feistel-8 @ {base:#x}: decrypt mismatch")
     return failures
 
 
@@ -92,6 +117,24 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
             "kernel_s": round(kern_s, 4),
             "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
         })
+    for nbytes in (32, 8192):
+        cipher = SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))
+        data = bytes(rng.randrange(256) for _ in range(nbytes))
+
+        def byte_loop():
+            return bytes(
+                cipher.encrypt_byte(0x400 + i, b) for i, b in enumerate(data)
+            )
+
+        ref_s = _throughput(byte_loop, repeats)
+        kern_s = _throughput(lambda: cipher.encrypt(0x400, data), repeats)
+        rows.append({
+            "cipher": "feistel-8",
+            "blocks": nbytes,
+            "reference_s": round(ref_s, 4),
+            "kernel_s": round(kern_s, 4),
+            "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
+        })
     return rows
 
 
@@ -117,7 +160,8 @@ def main(argv=None) -> int:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"equivalence: ok ({len(_CASES)} ciphers x "
-          f"{args.check_blocks} random blocks, encrypt+decrypt)")
+          f"{args.check_blocks} random blocks, encrypt+decrypt; "
+          f"feistel-8 array path vs per-byte)")
 
     print(f"{'cipher':<10} {'blocks':>7} {'reference':>10} "
           f"{'kernel':>9} {'speedup':>8}")

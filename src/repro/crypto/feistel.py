@@ -16,11 +16,23 @@ successor when speed matters more than DES fidelity.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Union
+
+import numpy as np
 
 from .hmac import prf
 
 __all__ = ["TweakableFeistel", "SmallBlockCipher"]
+
+#: Address tweaks: one integer base address, or one address per byte.
+Addresses = Union[int, np.ndarray]
+
+# The array path works in fixed-width unsigned arrays, which wrap exactly
+# like the scalar code's ``& 0xFF...FF`` masks.  Its constants are typed
+# so array-by-constant arithmetic stays unsigned; it never does
+# scalar-on-scalar numpy arithmetic, which warns on overflow.
+_U64 = np.uint64
+_U32 = np.uint32
 
 
 class TweakableFeistel:
@@ -83,6 +95,55 @@ class TweakableFeistel:
         x ^= x >> 13
         return x & self._half_mask
 
+    def _round_keys_array(self, tweaks: np.ndarray) -> np.ndarray:
+        """Every round key for every tweak, shape (rounds, n): the values
+        of :meth:`_round_keys`, computed at once and never cached."""
+        mixed = tweaks.astype(_U64) * _U64(0x9E3779B97F4A7C15)
+        x = np.array(self._base_keys, dtype=_U64)[:, None] ^ mixed
+        x ^= x >> _U64(30)
+        x *= _U64(0xBF58476D1CE4E5B9)
+        x ^= x >> _U64(27)
+        x *= _U64(0x94D049BB133111EB)
+        x ^= x >> _U64(31)
+        return x.astype(_U32)
+
+    def _round_function_array(self, half: np.ndarray,
+                              round_key: np.ndarray) -> np.ndarray:
+        x = half ^ round_key
+        x *= _U32(0x9E3779B1)
+        x += _U32(0x7F4A7C15)
+        x ^= x >> _U32(15)
+        x *= _U32(0x85EBCA77)
+        x ^= x >> _U32(13)
+        x &= _U32(self._half_mask)
+        return x
+
+    def _crypt_array(self, values: np.ndarray, tweaks: np.ndarray,
+                     decrypt: bool) -> np.ndarray:
+        """Encipher (or decipher) ``values[i]`` under ``tweaks[i]`` for every
+        i in one pass: :meth:`encrypt_int`/:meth:`decrypt_int` element-wise.
+        Returns uint64; blocks are at most 64 bits (halves fit uint32)."""
+        if self.block_bits > 64:
+            raise ValueError(
+                f"array path needs block_bits <= 64, got {self.block_bits}"
+            )
+        keys = self._round_keys_array(np.asarray(tweaks))
+        values = np.asarray(values, dtype=_U64)
+        shift = _U64(self.half_bits)
+        mask = _U64(self._half_mask)
+        high = ((values >> shift) & mask).astype(_U32)
+        low = (values & mask).astype(_U32)
+        if decrypt:
+            # decrypt_int: right is the high half, left the low half.
+            right, left = high, low
+            for rk in keys[::-1]:
+                left, right = right ^ self._round_function_array(left, rk), left
+            return (left.astype(_U64) << shift) | right
+        left, right = high, low
+        for rk in keys:
+            left, right = right, left ^ self._round_function_array(right, rk)
+        return (right.astype(_U64) << shift) | left
+
     def encrypt_int(self, value: int, tweak: int = 0) -> int:
         """Encrypt an integer of ``block_bits`` bits under ``tweak``."""
         keys = self._round_keys(tweak)
@@ -127,6 +188,10 @@ class SmallBlockCipher:
     given plaintext byte maps to a fixed ciphertext byte *per address* —
     which is both how the real part behaved and why 256-way exhaustive search
     per address breaks it.
+
+    No state links one byte to the next, so :meth:`encrypt`/:meth:`decrypt`
+    transform a whole buffer in one numpy pass; the scalar per-byte methods
+    (used by the attacks, one value at a time) are its oracle.
     """
 
     def __init__(self, key: bytes, rounds: int = 8):
@@ -142,12 +207,24 @@ class SmallBlockCipher:
             raise ValueError(f"byte out of range: {value}")
         return self._feistel.decrypt_int(value, tweak=addr)
 
-    def encrypt(self, base_addr: int, data: bytes) -> bytes:
-        return bytes(
-            self.encrypt_byte(base_addr + i, b) for i, b in enumerate(data)
-        )
+    def encrypt(self, base: Addresses, data: bytes) -> bytes:
+        """Encipher ``data``: byte i sits at ``base + i``, or at ``base[i]``
+        when ``base`` is an array of per-byte addresses."""
+        return self._crypt(base, data, decrypt=False)
 
-    def decrypt(self, base_addr: int, data: bytes) -> bytes:
-        return bytes(
-            self.decrypt_byte(base_addr + i, b) for i, b in enumerate(data)
-        )
+    def decrypt(self, base: Addresses, data: bytes) -> bytes:
+        """Invert :meth:`encrypt`."""
+        return self._crypt(base, data, decrypt=True)
+
+    def _crypt(self, base: Addresses, data: bytes, decrypt: bool) -> bytes:
+        values = np.frombuffer(data, dtype=np.uint8)
+        if isinstance(base, np.ndarray):
+            if len(base) != len(values):
+                raise ValueError(
+                    f"{len(base)} addresses for {len(values)} bytes"
+                )
+            tweaks = base
+        else:
+            tweaks = np.arange(len(values), dtype=_U64) + _U64(base)
+        out = self._feistel._crypt_array(values, tweaks, decrypt)
+        return out.astype(np.uint8).tobytes()

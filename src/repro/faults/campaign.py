@@ -79,22 +79,33 @@ EXTRA_LABELS: Dict[str, Tuple[str, Dict[str, object]]] = {
 #: the original image bytes.
 READ_ONLY_LABELS = frozenset({"compress"})
 
-#: (label, seed) -> (target window, donor window); recon depends only on
-#: the engine's geometry, so campaigns for the four fault kinds share it.
-_RECON_CACHE: Dict[Tuple[str, int], Tuple[Tuple[int, int], Tuple[int, int]]] = {}
-
 #: seed -> the campaign image those bytes deterministically expand to.
 _IMAGE_CACHE: "OrderedDict[int, bytes]" = OrderedDict()
 _IMAGE_CACHE_MAX = 16
 
-#: (label, seed) -> pristine post-install state: a pickled engine plus the
-#: external memory's non-zero pages as (address, bytes).  Recon and the
-#: campaign proper use the same rig, so the expensive part — building the
-#: engine and offline-encrypting the 256-line image (Merkle tree, tag
-#: regions, per-line IVs...) — runs once per (label, seed) instead of once
-#: per use.  A clone writes back only the 2-4 pages the install filled:
-#: the rest of a fresh memory reads as zeros and costs nothing untouched.
-_PRISTINE_CACHE: "OrderedDict[Tuple[str, int], Tuple[bytes, List[Tuple[int, bytes]]]]" = OrderedDict()
+#: A physical (address, size) window on the bus.
+Window = Tuple[int, int]
+
+
+@dataclass
+class _Pristine:
+    """One (label, seed)'s post-install state, shared by its campaigns."""
+
+    engine: bytes                      # the pickled engine
+    pages: List[Tuple[int, bytes]]     # the memory's non-zero pages
+    #: Recon's (target, donor) windows, filled on first use: they depend
+    #: only on the engine's geometry, so every kind run on this
+    #: (label, seed) shares them.
+    windows: Optional[Tuple[Window, Window]] = None
+
+
+#: (label, seed) -> its :class:`_Pristine` state.  Recon and the campaign
+#: proper use the same rig, so the expensive part — building the engine
+#: and offline-encrypting the 256-line image (Merkle tree, tag regions,
+#: per-line IVs...) — runs once per (label, seed) instead of once per
+#: use.  A clone writes back only the 2-4 pages the install filled: the
+#: rest of a fresh memory reads as zeros and costs nothing untouched.
+_PRISTINE_CACHE: "OrderedDict[Tuple[str, int], _Pristine]" = OrderedDict()
 _PRISTINE_CACHE_MAX = 8
 
 
@@ -182,20 +193,8 @@ def _nonzero_pages(memory: MainMemory) -> List[Tuple[int, bytes]]:
     return pages
 
 
-def _rig(label: str, image: bytes, seed: Optional[int] = None):
-    """Fresh engine + memory + port with the image installed.
-
-    With a ``seed``, the pristine post-install state is cached per
-    (label, seed) and every call gets an independent clone of it — the
-    campaign's recon pass and attack run share one install instead of
-    re-encrypting the image twice.  Without a seed the rig is built cold.
-    """
-    if seed is None:
-        engine = _build_engine(label)
-        memory = MainMemory(MemoryConfig(size=MEM_SIZE))
-        port = MemoryPort(memory, Bus())
-        engine.install_image(memory, 0, image, line_size=LINE)
-        return engine, memory, port
+def _pristine(label: str, image: bytes, seed: int) -> _Pristine:
+    """The cached post-install state of (label, seed), built on a miss."""
     key = (label, seed)
     cached = _PRISTINE_CACHE.get(key)
     if cached is None:
@@ -204,23 +203,40 @@ def _rig(label: str, image: bytes, seed: Optional[int] = None):
         engine.install_image(memory, 0, image, line_size=LINE)
         # A pickled snapshot clones several times faster than deepcopy
         # (the schedule-heavy engines dominate campaign setup).
-        cached = (pickle.dumps(engine, pickle.HIGHEST_PROTOCOL),
-                  _nonzero_pages(memory))
+        cached = _Pristine(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL),
+                           _nonzero_pages(memory))
         _PRISTINE_CACHE[key] = cached
         while len(_PRISTINE_CACHE) > _PRISTINE_CACHE_MAX:
             _PRISTINE_CACHE.popitem(last=False)
     else:
         _PRISTINE_CACHE.move_to_end(key)
-    engine = pickle.loads(cached[0])
+    return cached
+
+
+def _rig(label: str, image: bytes, seed: Optional[int] = None):
+    """Fresh engine + memory + port with the image installed.
+
+    With a ``seed``, every call gets an independent clone of the cached
+    pristine state — the campaign's recon pass and attack run share one
+    install instead of re-encrypting the image twice.  Without a seed the
+    rig is built cold.
+    """
+    if seed is None:
+        engine = _build_engine(label)
+        memory = MainMemory(MemoryConfig(size=MEM_SIZE))
+        port = MemoryPort(memory, Bus())
+        engine.install_image(memory, 0, image, line_size=LINE)
+        return engine, memory, port
+    cached = _pristine(label, image, seed)
+    engine = pickle.loads(cached.engine)
     memory = MainMemory(MemoryConfig(size=MEM_SIZE))
-    for addr, page in cached[1]:
+    for addr, page in cached.pages:
         memory.load_image(addr, page)
     port = MemoryPort(memory, Bus())
     return engine, memory, port
 
 
-def _recorded_window(reads: List[Tuple[int, int]], logical: int
-                     ) -> Tuple[int, int]:
+def _recorded_window(reads: List[Window], logical: int) -> Window:
     """The physical window an attacker targets for a logical address.
 
     If any recorded read overlaps the logical line, the engine stores it
@@ -237,24 +253,21 @@ def _recorded_window(reads: List[Tuple[int, int]], logical: int
 
 
 def _windows(label: str, image: bytes, seed: int
-             ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    key = (label, seed)
-    cached = _RECON_CACHE.get(key)
-    if cached is not None:
-        return cached
-    engine, memory, port = _rig(label, image, seed)
-    windows = []
-    for logical in (TARGET, DONOR):
-        recorder = ReadRecorder(memory)
-        with recorder:
-            engine.fill_line(port, logical, LINE)
-        windows.append(_recorded_window(recorder.reads, logical))
-    result = (windows[0], windows[1])
-    _RECON_CACHE[key] = result
-    return result
+             ) -> Tuple[Window, Window]:
+    cached = _pristine(label, image, seed)
+    if cached.windows is None:
+        engine, memory, port = _rig(label, image, seed)
+        windows = []
+        for logical in (TARGET, DONOR):
+            recorder = ReadRecorder(memory)
+            with recorder:
+                engine.fill_line(port, logical, LINE)
+            windows.append(_recorded_window(recorder.reads, logical))
+        cached.windows = (windows[0], windows[1])
+    return cached.windows
 
 
-def _make_plan(kind: str, target: Tuple[int, int], donor: Tuple[int, int],
+def _make_plan(kind: str, target: Window, donor: Window,
                seed: int) -> FaultPlan:
     addr, size = target
     if kind == "splice":
@@ -271,12 +284,18 @@ def _sweep(engine: BusEncryptionEngine, port: MemoryPort, stride: int,
     on: more distinct tag blocks than the shield's tag cache holds, and
     every VLSI page, so the target's on-chip copies are gone by then."""
     rng = DRBG(salt)
+    fills: List[int] = []
     for index, addr in enumerate(range(0, IMAGE_SIZE, stride)):
         if PROTECT_LO <= addr < PROTECT_HI:
             continue
-        engine.fill_line(port, addr, LINE)
+        fills.append(addr)
         if writes and index % write_every == 0:
+            # The fills since the last write go to the engine as one group.
+            engine.fill_lines(port, fills, LINE)
+            fills = []
             engine.write_line(port, addr, rng.random_bytes(LINE))
+    if fills:
+        engine.fill_lines(port, fills, LINE)
 
 
 def run_campaign(label: str, kind: Optional[str] = None, seed: int = 2005,

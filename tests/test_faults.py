@@ -6,6 +6,8 @@ surface), and property-based checks that the whole pipeline is a pure
 function of its seeds.
 """
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.faults import (
     detection_matrix,
     run_campaign,
 )
+from repro.faults import campaign as campaign_mod
 from repro.obs import CounterSink
 from repro.sim.memory import MainMemory, MemoryConfig
 
@@ -241,6 +244,24 @@ class TestCampaigns:
         assert result.conforms
         assert result.injected == 1
         assert result.tampers >= 1
+
+    def test_recon_windows_live_and_die_with_their_rig(self, monkeypatch):
+        # Recon windows ride in the bounded pristine-rig cache: a
+        # long-lived process cannot grow them without bound, and an
+        # evicted label recomputes the same windows.
+        monkeypatch.setattr(campaign_mod, "_PRISTINE_CACHE", OrderedDict())
+        label = "addr-scramble-stream"   # recon finds a moved window
+        first = run_campaign(label, "splice", seed=1, quick=True)
+        bound = campaign_mod._PRISTINE_CACHE_MAX
+        for seed in range(2, bound + 4):
+            run_campaign("ds5002fp", None, seed=seed, quick=True)
+        cache = campaign_mod._PRISTINE_CACHE
+        assert len(cache) == bound
+        assert all(entry.windows is not None for entry in cache.values())
+        assert (label, 1) not in cache
+        assert not hasattr(campaign_mod, "_RECON_CACHE")
+        again = run_campaign(label, "splice", seed=1, quick=True)
+        assert again.to_metrics() == first.to_metrics()
 
     @settings(max_examples=4, **_CAMPAIGN_SETTINGS)
     @given(

@@ -1,6 +1,9 @@
 """Tweakable Feistel / DS5002FP-style byte cipher: bijectivity, tweak
 separation, and the structural properties the Kuhn attack exploits."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +103,81 @@ class TestSmallBlockCipher:
         assert len(encs) > 32  # overwhelmingly distinct across addresses
 
 
+class TestArrayPath:
+    """The one-pass numpy path of encrypt/decrypt against the scalar
+    per-byte oracle, over random keys and addresses where the tweak
+    arithmetic wraps."""
+
+    #: Ranges at 0, across 2^32, and near 2^40, where
+    #: tweak * 0x9E3779B97F4A7C15 wraps 2^64 many times over.
+    BASES = [0, (1 << 32) - 37, (1 << 40) - 5, (1 << 40) + 12345]
+
+    @staticmethod
+    def _random_cipher(rng):
+        return SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))
+
+    @staticmethod
+    def _per_byte(crypt, addrs, data):
+        return bytes(crypt(addr, value) for addr, value in zip(addrs, data))
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_contiguous_range_matches_per_byte(self, base):
+        rng = random.Random(base)
+        for _ in range(3):
+            cipher = self._random_cipher(rng)
+            data = bytes(rng.randrange(256) for _ in range(97))
+            addrs = range(base, base + len(data))
+            ct = cipher.encrypt(base, data)
+            assert ct == self._per_byte(cipher.encrypt_byte, addrs, data)
+            assert cipher.decrypt(base, data) == self._per_byte(
+                cipher.decrypt_byte, addrs, data)
+            assert cipher.decrypt(base, ct) == data
+
+    def test_address_array_matches_per_byte(self):
+        rng = random.Random(7)
+        cipher = self._random_cipher(rng)
+        # Non-contiguous, unsorted, repeated and wrapping-range addresses.
+        addrs = [rng.choice(self.BASES) + rng.randrange(1 << 16)
+                 for _ in range(200)] + [5, 5, 1 << 40]
+        data = bytes(rng.randrange(256) for _ in range(len(addrs)))
+        tweaks = np.array(addrs, dtype=np.uint64)
+        ct = cipher.encrypt(tweaks, data)
+        assert ct == self._per_byte(cipher.encrypt_byte, addrs, data)
+        assert cipher.decrypt(tweaks, ct) == data
+
+    def test_empty_input(self):
+        cipher = SmallBlockCipher(b"k")
+        assert cipher.encrypt(0x1234, b"") == b""
+        assert cipher.decrypt(np.array([], dtype=np.uint64), b"") == b""
+
+    def test_address_count_must_match(self):
+        cipher = SmallBlockCipher(b"k")
+        with pytest.raises(ValueError):
+            cipher.encrypt(np.arange(3, dtype=np.uint64), b"four")
+
+    def test_round_key_cache_untouched(self):
+        cipher = SmallBlockCipher(b"k")
+        ct = cipher.encrypt(0x400, bytes(range(256)))
+        cipher.decrypt(np.arange(256, dtype=np.uint64) + np.uint64(0x400),
+                       ct)
+        assert cipher._feistel._round_key_cache == {}
+
+    @pytest.mark.parametrize("bits", [2, 16, 32, 64])
+    def test_wide_blocks_match_encrypt_int(self, bits):
+        rng = random.Random(bits)
+        cipher = TweakableFeistel(b"wide", block_bits=bits)
+        values = [rng.randrange(1 << bits) for _ in range(50)]
+        tweaks = [rng.randrange(1 << 63) for _ in range(50)]
+        out = cipher._crypt_array(np.array(values, dtype=np.uint64),
+                                  np.array(tweaks, dtype=np.uint64), False)
+        assert [int(v) for v in out] == [
+            cipher.encrypt_int(v, t) for v, t in zip(values, tweaks)
+        ]
+        back = cipher._crypt_array(out, np.array(tweaks, dtype=np.uint64),
+                                   True)
+        assert [int(v) for v in back] == values
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     value=st.integers(min_value=0, max_value=(1 << 16) - 1),
@@ -116,3 +194,17 @@ def test_feistel_roundtrip_property(value, tweak):
 def test_small_block_roundtrip_property(data, addr):
     cipher = SmallBlockCipher(b"prop-key")
     assert cipher.decrypt(addr, cipher.encrypt(addr, data)) == data
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.binary(max_size=64),
+       addr=st.integers(min_value=0, max_value=(1 << 48)),
+       key=st.binary(min_size=1, max_size=24))
+def test_small_block_array_matches_per_byte_property(data, addr, key):
+    cipher = SmallBlockCipher(key)
+    assert cipher.encrypt(addr, data) == bytes(
+        cipher.encrypt_byte(addr + i, b) for i, b in enumerate(data)
+    )
+    assert cipher.decrypt(addr, data) == bytes(
+        cipher.decrypt_byte(addr + i, b) for i, b in enumerate(data)
+    )

@@ -231,3 +231,29 @@ def test_equivalence_check_mismatch_raises_one_line(monkeypatch):
     message = str(excinfo.value)
     assert "\n" not in message
     assert f"numpy {np.__version__}" in message
+
+
+# -- the smoke equivalence sweep (python -m repro.crypto.bench_kernels) ------
+
+from repro.crypto import bench_kernels
+from repro.crypto.feistel import SmallBlockCipher
+
+
+def test_bench_equivalence_sweep_clean():
+    assert bench_kernels.check_equivalence(4) == []
+
+
+def test_bench_equivalence_catches_byte_cipher_mismatch(monkeypatch):
+    """A byte-cipher array path that drifts from the per-byte oracle makes
+    the sweep (and so ``make smoke``) fail."""
+    real = SmallBlockCipher.encrypt
+
+    def off_by_one(self, base, data):
+        out = bytearray(real(self, base, data))
+        out[-1] ^= 1
+        return bytes(out)
+
+    monkeypatch.setattr(SmallBlockCipher, "encrypt", off_by_one)
+    failures = bench_kernels.check_equivalence(4)
+    assert failures and all("feistel-8" in f for f in failures)
+    assert bench_kernels.main(["--quick", "--check-blocks", "4"]) == 1

@@ -208,3 +208,114 @@ class TestEncryptLinesBulk:
         assert engine.encrypt_lines(items) == [
             twin.encrypt_line(addr, line) for addr, line in items
         ]
+
+
+# -- bulk cache-line fills (engine.fill_lines) -------------------------------
+
+from repro.core import CpuCacheStreamEngine
+from repro.core.engine import BusEncryptionEngine, MemoryPort
+from repro.obs import CounterSink
+from repro.sim import MainMemory
+from repro.sim.bus import Bus
+
+#: Every engine with its own fill_lines: the registry engines that
+#: override it, plus the CPU-cache placement and the plaintext baseline.
+_FILL_FACTORIES = {
+    **{
+        name: (lambda functional, name=name:
+               make_engine(name, functional=functional))
+        for name in engine_names()
+        if type(make_engine(name)).fill_lines
+        is not BusEncryptionEngine.fill_lines
+    },
+    "cpu-cache-stream": lambda functional:
+        CpuCacheStreamEngine(KEY, functional=functional),
+    "plaintext": lambda functional: NullEngine(functional=functional),
+}
+
+
+class TestFillLinesBulk:
+    """fill_lines must equal the per-line fill_line loop, observably.
+
+    Each engine runs one bulk call over 40 installed lines on one
+    instance and the scalar loop on a twin; plaintexts, cycles, stats
+    (Gilmont's prediction counters included), the event summary and the
+    bus transaction log must all match.
+    """
+
+    LINE = 32
+    BASE = 0x400
+
+    def _image(self):
+        return _DRBG(b"fill-lines-bulk").random_bytes(40 * self.LINE)
+
+    def _addrs(self):
+        # A sequential run (Gilmont's predictor hits), then jumps,
+        # re-fetches and a backwards walk over the same 40 lines.
+        order = list(range(16)) + [30, 20, 31, 21, 39, 0, 5, 5, 38, 22]
+        order += list(range(37, 23, -1))
+        return [self.BASE + i * self.LINE for i in order]
+
+    def _rig(self, name, functional):
+        engine = _FILL_FACTORIES[name](functional)
+        memory = MainMemory(MemoryConfig(size=1 << 16))
+        engine.install_image(memory, self.BASE, self._image(),
+                             line_size=self.LINE)
+        sink = CounterSink()
+        engine.attach_sink(sink)
+        bus = Bus()
+        log = []
+        bus.attach_probe(log.append)
+        return engine, MemoryPort(memory, bus), sink, log
+
+    def test_covers_every_override(self):
+        assert {"aegis", "ds5002fp", "ds5240", "gilmont", "stream",
+                "xom"} <= set(_FILL_FACTORIES)
+
+    @pytest.mark.parametrize("functional", [True, False],
+                             ids=["functional", "timing-only"])
+    @pytest.mark.parametrize("name", sorted(_FILL_FACTORIES))
+    def test_bulk_matches_per_line(self, name, functional):
+        addrs = self._addrs()
+        engine, port, sink, log = self._rig(name, functional)
+        bulk = engine.fill_lines(port, addrs, self.LINE)
+        twin, twin_port, twin_sink, twin_log = self._rig(name, functional)
+        scalar = [twin.fill_line(twin_port, addr, self.LINE)
+                  for addr in addrs]
+        assert bulk == scalar
+        assert engine.stats == twin.stats
+        assert sink.summary() == twin_sink.summary()
+        assert sink.bytes_summary() == twin_sink.bytes_summary()
+        assert log == twin_log and len(log) == len(addrs)
+        if functional and name != "plaintext":
+            image = self._image()
+            for addr, (plain, _) in zip(addrs, bulk):
+                offset = addr - self.BASE
+                assert plain == image[offset: offset + self.LINE]
+
+    @pytest.mark.parametrize("name", sorted(_FILL_FACTORIES))
+    def test_empty_group(self, name):
+        engine, port, sink, log = self._rig(name, True)
+        assert engine.fill_lines(port, [], self.LINE) == []
+        assert sink.summary() == {} and log == []
+
+    def test_gilmont_prediction_evolves_per_line(self):
+        engine, port, _, _ = self._rig("gilmont", True)
+        engine.fill_lines(port, self._addrs(), self.LINE)
+        assert engine.stats.prefetch_hits > 0
+        assert engine.stats.prefetch_misses > 0
+
+    @pytest.mark.parametrize("name, cipher, method", [
+        ("ds5002fp", "cipher", "decrypt"),
+        ("ds5240", "_cipher", "decrypt_blocks"),
+        ("gilmont", "_cipher", "decrypt_blocks"),
+    ])
+    def test_timing_only_runs_no_cipher(self, monkeypatch, name, cipher,
+                                        method):
+        engine, port, _, _ = self._rig(name, False)
+
+        def boom(*args):
+            raise AssertionError("timing-only fill ran the cipher")
+
+        monkeypatch.setattr(getattr(engine, cipher), method, boom)
+        engine.fill_lines(port, self._addrs(), self.LINE)
