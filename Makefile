@@ -24,7 +24,7 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ perfbench/tests/
 
 # Tier-1 gate: the test suite plus the registry lint and the smoke runs.
 check: test lint smoke

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.engine import BusEncryptionEngine
 from ..sim.cache import CacheConfig
 from ..sim.memory import MemoryConfig
-from ..sim.system import SecureSystem, SimReport
+from ..sim.system import SimReport, require_replayable, run_trace
 from ..traces.trace import Trace
 
 __all__ = ["OverheadResult", "measure_overhead", "overhead_grid",
@@ -64,24 +64,17 @@ def measure_overhead(
     """Run one engine and the baseline on the same trace."""
     from ..sim.fastpath import compile_trace
 
+    require_replayable(trace, "measure_overhead()")
     cache_config = cache_config or CacheConfig()
     mem_config = mem_config or MemoryConfig()
     # Compile once: both runs (and, through overhead_grid, every engine on
     # this workload) replay the same coalesced access runs.
     compiled = compile_trace(trace, cache_config.line_size)
-
-    def run(engine: Optional[BusEncryptionEngine]) -> SimReport:
-        system = SecureSystem(
-            engine=engine, cache_config=cache_config, mem_config=mem_config,
-            **system_kwargs,
-        )
-        if image is not None:
-            system.install_image(image_base, image)
-        return system.run(compiled)
-
-    engine = engine_factory()
-    secured = run(engine)
-    baseline = run(None)
+    kwargs = dict(image=image, image_base=image_base,
+                  cache_config=cache_config, mem_config=mem_config,
+                  **system_kwargs)
+    secured = run_trace(compiled, engine=engine_factory(), **kwargs)
+    baseline = run_trace(compiled, engine=None, **kwargs)
     return OverheadResult(
         engine_name=secured.label,
         workload=workload,

@@ -32,7 +32,7 @@ from ..runner.cache import ResultCache
 from ..runner.runner import fork_pool, to_canonical_json
 from .merge import build_document, merge_shard_documents, shard_document
 from .spec import CAMPAIGN_SCHEMA, CampaignSpec
-from .worker import execute_point, execute_shard
+from .worker import execute_shard
 
 __all__ = ["CampaignCoordinator", "CampaignResult"]
 
@@ -194,23 +194,17 @@ class CampaignCoordinator:
         if not pending:
             return
         cache_dir = str(self.cache.root) if self.cache is not None else None
-        if self.workers == 1:
-            # In-process reference path: same per-point publish cadence
-            # as the pool workers, so interrupts lose at most one point.
-            for shard_id in sorted(pending):
-                completed = []
-                for name, kind, params, key in pending[shard_id]:
-                    metrics = execute_point(kind, params)
-                    if self.cache is not None:
-                        self.cache.put(key, {"metrics": metrics})
-                    completed.append((name, metrics))
-                    self._progress(f"{name}  [done]")
-                yield shard_id, completed
-            return
         payloads = [
             (shard_id, pending[shard_id], cache_dir)
             for shard_id in sorted(pending)
         ]
+        if self.workers == 1:
+            # In-process reference path: the pool workers' own shard
+            # loop, reporting each point once it is published, so an
+            # interrupt loses at most one point.
+            for payload in payloads:
+                yield execute_shard(payload, self._progress)
+            return
         with fork_pool(self.workers) as pool:
             for item in pool.imap_unordered(execute_shard, payloads,
                                             chunksize=1):

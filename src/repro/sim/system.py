@@ -33,7 +33,8 @@ def store_payload(addr: int, size: int) -> bytes:
         return _STORE_PATTERN[lo: lo + size]
     return bytes((addr + i) & 0xFF for i in range(size))
 
-__all__ = ["SimReport", "SecureSystem", "run_trace", "overhead"]
+__all__ = ["SimReport", "SecureSystem", "run_trace", "overhead",
+           "require_replayable"]
 
 
 @dataclass
@@ -244,6 +245,21 @@ def run_trace(
     return system.run(trace, label=label)
 
 
+def require_replayable(trace, caller: str) -> None:
+    """Reject a one-shot trace stream before ``caller`` replays it.
+
+    Overhead measurements run the trace twice (secured, then baseline).
+    A one-shot :class:`~repro.traces.stream.TraceStream` (or its compiled
+    form) raises ``TypeError`` here, up front, instead of failing or
+    feeding the second run nothing after the first has been paid for.
+    """
+    if not getattr(trace, "replayable", True):
+        raise TypeError(
+            f"{caller} replays the trace twice; build the stream from a "
+            "factory (e.g. repro.traces.stream_workload) so it can replay"
+        )
+
+
 def overhead(
     trace: Trace,
     engine: BusEncryptionEngine,
@@ -253,18 +269,11 @@ def overhead(
     """Fractional slowdown of ``engine`` vs the plaintext baseline.
 
     The trace runs twice (secured, then baseline), so a stream must be
-    replayable — a one-shot stream raises ``TypeError`` up front rather
-    than silently feeding the baseline nothing.
+    replayable (see :func:`require_replayable`).
     """
-    from ..traces.stream import TraceStream
-    from .fastpath import CompiledTraceStream, compile_trace
+    from .fastpath import compile_trace
 
-    if isinstance(trace, (TraceStream, CompiledTraceStream)) \
-            and not trace.replayable:
-        raise TypeError(
-            "overhead() replays the trace twice; build the stream from a "
-            "factory (e.g. repro.traces.stream_workload) so it can replay"
-        )
+    require_replayable(trace, "overhead()")
     cache_config = system_kwargs.get("cache_config") or CacheConfig()
     compiled = compile_trace(trace, cache_config.line_size)
     secured = run_trace(compiled, engine=engine, image=image, **system_kwargs)

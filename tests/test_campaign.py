@@ -5,15 +5,22 @@ import random
 
 import pytest
 
+from repro.analysis import measure_overhead
 from repro.campaign import (
     CampaignCoordinator,
     CampaignSpec,
     build_document,
+    execute_point,
     merge_shard_documents,
     shard_document,
 )
+from repro.campaign import worker
+from repro.campaign.bench import scaling_grid
+from repro.core.registry import make_engine
 from repro.runner import ResultCache, stable_floats, task_seed, \
     to_canonical_json
+from repro.sim import CacheConfig, MemoryConfig
+from repro.traces import make_workload
 
 SMALL = CampaignSpec(
     engines=("stream", "xom"),
@@ -214,6 +221,113 @@ class TestResume:
         cache.put(point.task_key(schema="repro-campaign-metrics/0"),
                   {"metrics": {"stale": True}})
         assert cache.get(point.task_key()) is None
+
+
+#: All nine scaling-grid engines over both line sizes, associativities
+#: and two latencies: 144 points in 16 baseline groups.
+SHARED_BASELINE = CampaignSpec(
+    engines=scaling_grid().engines,
+    workloads=("mixed", "write-heavy"),
+    accesses=(256,),
+    cache_sizes=(1024,),
+    line_sizes=(16, 32),
+    associativities=(1, 2),
+    latencies=(20, 80),
+)
+
+
+def _measured(params):
+    """One overhead point priced the reference way: ``measure_overhead``
+    runs the secured system and its own baseline side by side."""
+    result = measure_overhead(
+        lambda: make_engine(params["engine"], functional=False),
+        make_workload(params["workload"], n=params["accesses"],
+                      seed=params["seed"]),
+        cache_config=CacheConfig(size=params["cache_size"],
+                                 line_size=params["line_size"],
+                                 associativity=params["associativity"]),
+        mem_config=MemoryConfig(latency=params["latency"]),
+    )
+    secured, baseline = result.secured, result.baseline
+    return stable_floats({
+        "accesses": secured.accesses,
+        "cycles": secured.cycles,
+        "baseline_cycles": baseline.cycles,
+        "overhead": round(result.overhead, 6),
+        "miss_rate": round(baseline.miss_rate, 6),
+        "cache_hits": secured.cache_hits,
+        "cache_misses": secured.cache_misses,
+        "bus_transactions": secured.bus_transactions,
+        "bus_bytes": secured.bus_bytes,
+        "bytes_enciphered": secured.bytes_enciphered,
+    })
+
+
+@pytest.fixture
+def baseline_runs(monkeypatch):
+    """Record every plaintext-baseline system run by its configuration
+    (the compiled trace object stands for workload, accesses, seed and
+    line size: the worker compiles each once)."""
+    import repro.sim.system as system
+
+    worker._baseline.cache_clear()
+    keys = []
+    run_trace = system.run_trace
+
+    def spy(trace, engine=None, **kwargs):
+        if engine is None:
+            cache, memory = kwargs["cache_config"], kwargs["mem_config"]
+            keys.append((cache.size, cache.line_size, cache.associativity,
+                         memory.latency, id(trace)))
+        return run_trace(trace, engine=engine, **kwargs)
+
+    monkeypatch.setattr(system, "run_trace", spy)
+    yield keys
+    worker._baseline.cache_clear()
+
+
+class TestSharedBaseline:
+    @pytest.mark.parametrize("workers,shards", [(1, None), (2, None),
+                                                (2, 3)])
+    def test_matches_per_point_measure_overhead(self, tmp_path, workers,
+                                                shards):
+        result = CampaignCoordinator(SHARED_BASELINE, workers=workers,
+                                     shards=shards,
+                                     cache_dir=tmp_path / "c").run()
+        expected = {point.name: _measured(point.params)
+                    for point in SHARED_BASELINE.points()}
+        assert result.points == expected
+
+    def test_one_baseline_per_key_per_shard(self, baseline_runs):
+        points = SHARED_BASELINE.points()
+        items = [(p.name, p.kind, dict(p.params), "") for p in points]
+        random.Random(2005).shuffle(items)
+        _, completed = worker.execute_shard((0, items, None))
+        assert len(completed) == len(points)
+        groups = {tuple(v for k, v in sorted(p.params.items())
+                        if k != "engine") for p in points}
+        assert len(groups) == 16
+        assert len(baseline_runs) == len(set(baseline_runs)) == 16
+
+    def test_scaling_grid_runs_one_baseline_per_configuration(
+            self, baseline_runs):
+        spec = scaling_grid()
+        result = CampaignCoordinator(spec, workers=1, cache_dir=None).run()
+        assert result.executed == spec.size == 1296
+        assert len(baseline_runs) == len(set(baseline_runs)) == 144
+
+    def test_execute_point_alone_matches_the_shard(self, tmp_path):
+        result = CampaignCoordinator(SHARED_BASELINE, workers=1,
+                                     cache_dir=tmp_path / "c").run()
+        # Reversed grid order: nearly every call misses the one-group
+        # memo, and the first one finds the shard's last group in it.
+        for point in reversed(SHARED_BASELINE.points()):
+            assert execute_point(point.kind, dict(point.params)) == \
+                result.points[point.name]
+        worker._baseline.cache_clear()
+        point = SHARED_BASELINE.points()[0]
+        assert execute_point(point.kind, dict(point.params)) == \
+            result.points[point.name]
 
 
 class TestFaultsCampaign:

@@ -179,6 +179,49 @@ class TestTraceStream:
         assert stream.replayable
         assert list(stream) == trace
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_overhead_rejects_one_shot_stream_up_front(self, compiled):
+        from repro.sim import overhead
+        from repro.sim.fastpath import compile_trace
+
+        stream = TraceStream(iter([bounded_trace("mixed", 50)]))
+        trace = compile_trace(stream, 32) if compiled else stream
+        with pytest.raises(TypeError, match=r"overhead\(\) replays"):
+            overhead(trace, make_engine("xom", functional=False))
+        # Rejected before the secured run: the stream is still unread.
+        assert len(list(stream)) == 50
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_measure_overhead_rejects_one_shot_stream_up_front(
+            self, compiled):
+        from repro.analysis import measure_overhead
+        from repro.sim.fastpath import compile_trace
+
+        built = []
+
+        def factory():
+            built.append(True)
+            return make_engine("xom", functional=False)
+
+        stream = TraceStream(iter([bounded_trace("mixed", 50)]))
+        trace = compile_trace(stream, 32) if compiled else stream
+        with pytest.raises(TypeError,
+                           match=r"measure_overhead\(\) replays"):
+            measure_overhead(factory, trace)
+        assert not built
+        assert len(list(stream)) == 50
+
+    def test_measure_overhead_replays_a_replayable_stream(self):
+        from repro.analysis import measure_overhead
+
+        trace = bounded_trace("mixed", 300)
+        factory = lambda: make_engine("xom", functional=False)  # noqa: E731
+        streamed = measure_overhead(
+            factory, TraceStream.from_accesses(trace, chunk_size=64))
+        whole = measure_overhead(factory, trace)
+        assert streamed.secured == whole.secured
+        assert streamed.baseline == whole.baseline
+
     def test_chunked_validates(self):
         with pytest.raises(ValueError):
             list(chunked([], 0))
