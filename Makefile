@@ -18,6 +18,12 @@ OBS_BYPASS := (^|[^.[:alnum:]_])(print|Counter)\(
 # benchmarks/examples would freeze internal layout.
 RUNNER_DEEP := ^[[:space:]]*(from repro\.runner\.[[:alnum:]_.]+ import|import repro\.runner\.)
 
+# Engines have one fill path, BusEncryptionEngine.fill_lines: the base
+# class (core/engine.py) is the only definer of fill_line, a one-line
+# fill_lines, and the retired per-line twins stay gone from src/.
+FILL_LINE_DEF := ^[[:space:]]+def fill_line\(
+FILL_TWINS := spill_lines|_fill_batch
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -56,6 +62,19 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (benchmarks/examples stay on the repro.runner surface)"
+	@matches=$$(grep -rnE '$(FILL_LINE_DEF)' --include='*.py' \
+		src/repro/core | grep -v '^src/repro/core/engine\.py:' || true); \
+	count=$$(grep -cE '$(FILL_LINE_DEF)' src/repro/core/engine.py); \
+	twins=$$(grep -rnIE '$(FILL_TWINS)' --exclude-dir=__pycache__ \
+		src || true); \
+	if [ -n "$$matches$$twins" ] || [ "$$count" != 1 ]; then \
+		echo "lint: engines fill through fill_lines; only" >&2; \
+		echo "      BusEncryptionEngine defines fill_line, and" >&2; \
+		echo "      spill_lines/_fill_batch stay out of src/:" >&2; \
+		echo "$$matches$$twins" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one engine fill path)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -18,7 +18,7 @@ What it buys and what it doesn't (measured in the tests):
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from ..crypto.address_scrambler import AddressScrambler
 from ..sim.area import AreaEstimate
@@ -77,8 +77,9 @@ class AddressScrambledEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return self.inner.encrypt_line(self.physical(addr), plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return self.inner.decrypt_line(self.physical(addr), ciphertext)
+    def decrypt_lines(self, items):
+        return self.inner.decrypt_lines(
+            [(self.physical(addr), ct) for addr, ct in items])
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         return self.translate_latency + self.inner.read_extra_cycles(
@@ -111,12 +112,23 @@ class AddressScrambledEngine(BusEncryptionEngine):
                                          self.inner.encrypt_lines(items)):
             memory.load_image(phys, ciphertext)
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        phys = self.physical(addr)
-        plaintext, cycles = self.inner.fill_line(port, phys, line_size)
-        self.stats.lines_decrypted += 1
-        return plaintext, cycles + self.translate_latency
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        filled = self.inner.fill_lines(
+            port, [self.physical(addr) for addr in addrs], line_size)
+        self.stats.lines_decrypted += len(filled)
+        return [(plaintext, cycles + self.translate_latency)
+                for plaintext, cycles in filled]
+
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
+        # Each line's ciphertext sits at its physical address.
+        start = addr - addr % line_size
+        plain = b"".join(self.decrypt_lines([
+            (line, memory.dump(self.physical(line), line_size))
+            for line in range(start, addr + nbytes, line_size)
+        ]))
+        return plain[addr - start: addr - start + nbytes]
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         phys = self.physical(addr)

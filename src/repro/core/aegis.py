@@ -28,14 +28,14 @@ estimate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 from ..crypto.drbg import DRBG
 from ..crypto.kernels import aes_kernel
 from ..crypto.modes import CBC, xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import AEGIS_AES_PIPE, PipelinedUnit
-from .engine import BlockModeEngine, MemoryPort
+from .engine import BlockModeEngine
 
 __all__ = ["AegisEngine"]
 
@@ -99,8 +99,26 @@ class AegisEngine(BlockModeEngine):
         self._vectors[addr] = self._next_vector()
         return CBC(self._aes, self._iv(addr)).encrypt(plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return CBC(self._aes, self._iv(addr)).decrypt(ciphertext)
+    def decrypt_lines(self, items):
+        # The CBC chain is per line and decryption has no chain
+        # dependency, so a fill group needs one batched IV derivation and
+        # one batched block decryption; XOR with each line's
+        # ``iv || ct[:-16]`` reproduces CBC.decrypt exactly.  Decryption
+        # never issues a vector, so the vector table is stable across the
+        # group.
+        if any(len(ct) % 16 for _, ct in items):
+            raise ValueError("AES-CBC lines must be a multiple of 16 bytes")
+        ivs = self._iv_aes.encrypt_blocks(b"".join(
+            addr.to_bytes(8, "big")
+            + self._vectors.get(addr, 0).to_bytes(8, "big")
+            for addr, _ in items
+        ))
+        chains = b"".join([
+            ivs[16 * i: 16 * (i + 1)] + ct[:-16]
+            for i, (_, ct) in enumerate(items)
+        ])
+        plain = self._aes.decrypt_blocks(b"".join(ct for _, ct in items))
+        return self._split_batch(xor_bytes(plain, chains), items)
 
     def encrypt_lines(self, items):
         # Install batch: lines are independent CBC chains, so encrypt
@@ -146,31 +164,6 @@ class AegisEngine(BlockModeEngine):
         nblocks = self._nblocks(nbytes)
         self.stats.blocks_processed += nblocks
         return self.unit.latency + nblocks * self.unit.latency
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # The CBC chain is per line and decryption has no chain
-        # dependency, so the group needs one batched IV derivation and
-        # one batched block decryption; XOR with each line's
-        # ``iv || ct[:-16]`` reproduces CBC.decrypt exactly.  Fills never
-        # re-encrypt, so the vector table is stable across the group.
-        if self.functional and line_size % 16:
-            return super().fill_lines(port, addrs, line_size)
-
-        def decrypt(ciphertext: bytes) -> bytes:
-            ivs = self._iv_aes.encrypt_blocks(b"".join(
-                addr.to_bytes(8, "big")
-                + self._vectors.get(addr, 0).to_bytes(8, "big")
-                for addr in addrs
-            ))
-            chains = b"".join([
-                ivs[16 * i: 16 * (i + 1)]
-                + ciphertext[i * line_size: (i + 1) * line_size - 16]
-                for i in range(len(addrs))
-            ])
-            return xor_bytes(self._aes.decrypt_blocks(ciphertext), chains)
-
-        return self._fill_batch(port, addrs, line_size, decrypt)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -23,7 +23,7 @@ memory the saved beats win; with fast memory the decoder latency loses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compression.codepack import CodePack, CompressedImage
 from ..crypto.modes import xor_bytes
@@ -122,8 +122,8 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return self._inner.encrypt_line(addr, plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return self._inner.decrypt_line(addr, ciphertext)
+    def decrypt_lines(self, items):
+        return self._inner.decrypt_lines(items)
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         return self._inner.read_extra_cycles(addr, nbytes, mem_cycles)
@@ -134,47 +134,70 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
     def _decoder_cycles(self, out_bytes: int) -> int:
         return self.decoder_fixed_latency + -(-out_bytes // self.decoder_bytes_per_cycle)
 
+    def _decode(self, packed_addr: int, ciphertext: bytes,
+                line_size: int) -> bytes:
+        """A code line's plaintext from its packed, enciphered bytes."""
+        compressed = xor_bytes(
+            ciphertext, self._inner._pad(packed_addr, len(ciphertext))
+        )
+        return self._codec.decompress_block(
+            compressed, line_size,
+            self._image.dict_high, self._image.dict_low,
+        )
+
     # -- fills ------------------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        entry = self._lat.get(addr)
-        if entry is None:
-            # Data region: plain stream-encrypted line.
-            self.uncompressed_fills += 1
-            return self._inner.fill_line(port, addr, line_size)
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            self.stats.lines_decrypted += 1
+            entry = self._lat.get(addr)
+            if entry is None:
+                # Data region: plain stream-encrypted line.
+                self.uncompressed_fills += 1
+                out += self._inner.fill_lines(port, (addr,), line_size)
+                continue
 
-        self.compressed_fills += 1
-        packed_addr, length = entry
-        ciphertext, mem_cycles = port.read(packed_addr, length)
-        # Pad XOR overlaps the (shorter) fetch like the inner engine's.
-        pad_cycles = self.unit.time_for(-(-length // 16))
-        crypto_extra = max(0, pad_cycles - mem_cycles) + 1
-        decode_extra = self._decoder_cycles(line_size)
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += crypto_extra + decode_extra
-        self._emit("decipher", packed_addr, length, "compressed")
-        if crypto_extra + decode_extra:
-            self._emit("stall", packed_addr, crypto_extra + decode_extra,
-                       "read")
+            self.compressed_fills += 1
+            packed_addr, length = entry
+            ciphertext, mem_cycles = port.read(packed_addr, length)
+            # Pad XOR overlaps the (shorter) fetch like the inner engine's.
+            pad_cycles = self.unit.time_for(-(-length // 16))
+            crypto_extra = max(0, pad_cycles - mem_cycles) + 1
+            decode_extra = self._decoder_cycles(line_size)
+            self.stats.extra_read_cycles += crypto_extra + decode_extra
+            self._emit("decipher", packed_addr, length, "compressed")
+            if crypto_extra + decode_extra:
+                self._emit("stall", packed_addr, crypto_extra + decode_extra,
+                           "read")
+            plaintext = (self._decode(packed_addr, ciphertext, line_size)
+                         if self.functional else bytes(line_size))
+            out.append((plaintext, mem_cycles + crypto_extra + decode_extra))
+        return out
 
-        if self.functional:
-            compressed = xor_bytes(
-                ciphertext, self._inner._pad(packed_addr, length)
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
+        # Code lines decode from their packed bytes; data lines are plain
+        # stream-encrypted lines.
+        start = addr - addr % line_size
+        out = bytearray()
+        for line in range(start, addr + nbytes, line_size):
+            entry = self._lat.get(line)
+            out += (
+                self._decode(entry[0], memory.dump(*entry), line_size)
+                if entry is not None
+                else self._inner.read_plain(memory, line, line_size,
+                                            line_size)
             )
-            plaintext = self._codec.decompress_block(
-                compressed, line_size,
-                self._image.dict_high, self._image.dict_low,
-            )
-        else:
-            plaintext = bytes(line_size)
-        return plaintext, mem_cycles + crypto_extra + decode_extra
+        return bytes(out[addr - start: addr - start + nbytes])
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         if addr in self._lat:
             raise ValueError(
                 f"write to compressed (read-only) code line {addr:#x}"
             )
+        self.stats.lines_encrypted += 1
         return self._inner.write_line(port, addr, plaintext)
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,

@@ -17,7 +17,7 @@ Two generations, two security levels:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,14 +25,14 @@ from ..crypto.feistel import SmallBlockCipher
 from ..crypto.kernels import des_kernel, tdes_kernel
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import BYTE_SUBST_UNIT, DES_ITERATIVE, PipelinedUnit
-from .engine import BusEncryptionEngine, MemoryPort, TweakedECBEngine
+from .engine import BusEncryptionEngine, TweakedECBEngine
 
 __all__ = ["DS5002FPEngine", "DS5240Engine"]
 
 
 def _byte_addresses(spans: Sequence[Tuple[int, int]]) -> np.ndarray:
     """The address of every byte of the ``(addr, nbytes)`` spans, in order."""
-    return np.concatenate([
+    return np.concatenate([np.empty(0, dtype=np.uint64)] + [
         np.arange(addr, addr + nbytes, dtype=np.uint64)
         for addr, nbytes in spans
     ])
@@ -55,29 +55,22 @@ class DS5002FPEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return self.cipher.encrypt(addr, plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return self.cipher.decrypt(addr, ciphertext)
-
     # No state links one byte to the next, so a whole install batch or
     # fill group is one cipher call over its per-byte addresses.
 
     def encrypt_lines(self, items):
-        if not items:
-            return []
         ct = self.cipher.encrypt(
             _byte_addresses([(addr, len(line)) for addr, line in items]),
             b"".join(line for _, line in items),
         )
         return self._split_batch(ct, items)
 
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        return self._fill_batch(
-            port, addrs, line_size,
-            lambda ct: self.cipher.decrypt(
-                _byte_addresses([(addr, line_size) for addr in addrs]), ct
-            ),
+    def decrypt_lines(self, items):
+        pt = self.cipher.decrypt(
+            _byte_addresses([(addr, len(ct)) for addr, ct in items]),
+            b"".join(ct for _, ct in items),
         )
+        return self._split_batch(pt, items)
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         # Byte substitution keeps pace with the bus; only the tiny unit

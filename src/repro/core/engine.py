@@ -19,7 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.modes import xor_bytes
 from ..obs import EventSink, TraceEvent
@@ -125,11 +125,12 @@ class MemoryPort:
 class BusEncryptionEngine(ABC):
     """Abstract EDU.
 
-    Concrete engines define the functional transform (``encrypt_line`` /
-    ``decrypt_line``) and the added latency.  ``fill_line`` / ``write_line``
-    are the entry points the system calls; the defaults implement the common
-    pattern (fetch ciphertext, decrypt; encrypt, store) and can be overridden
-    for engines with richer behaviour (page DMA, prefetchers, pads).
+    Concrete engines define the functional transform (``encrypt_line`` and
+    ``decrypt_line`` or ``decrypt_lines``) and the added latency.
+    ``fill_lines`` / ``write_line`` are the entry points the system calls;
+    the defaults implement the common pattern (fetch ciphertext, decrypt;
+    encrypt, store) and can be overridden for engines with richer
+    behaviour (page DMA, integrity verdicts, wrappers).
     """
 
     name: str = "abstract"
@@ -195,9 +196,21 @@ class BusEncryptionEngine(ABC):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         """Transform a line for storage in external memory."""
 
-    @abstractmethod
     def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        """Invert :meth:`encrypt_line`."""
+        """Invert :meth:`encrypt_line`: a one-line :meth:`decrypt_lines`."""
+        return self.decrypt_lines([(addr, ciphertext)])[0]
+
+    def decrypt_lines(self, items: Sequence[Tuple[int, bytes]]
+                      ) -> List[bytes]:
+        """Invert :meth:`encrypt_lines` over ``(addr, ciphertext)`` pairs.
+
+        The fill-time dual of :meth:`encrypt_lines`, called once per
+        :meth:`fill_lines` group.  Each engine defines exactly one of
+        :meth:`decrypt_line` and :meth:`decrypt_lines`; the default of
+        either is the other.
+        """
+        return [self.decrypt_line(addr, ciphertext)
+                for addr, ciphertext in items]
 
     # -- timing ------------------------------------------------------------
 
@@ -230,9 +243,47 @@ class BusEncryptionEngine(ABC):
         ])
         memory.load_image(base_addr, b"".join(ciphertexts))
 
+    # -- fills ---------------------------------------------------------------
+    #
+    # ``fill_lines`` is the one fill path.  The batched trace executor
+    # (repro.sim.fastpath) hands it whole groups of deferred misses;
+    # ``fill_line`` is a one-line group.  The byte transform behind it is
+    # ``decrypt_lines``, called once per group, so an engine whose lines
+    # carry no state between them batches its cipher work across the group
+    # by defining ``decrypt_lines`` alone.  Engines whose fill does more
+    # than read-and-decrypt (integrity verdicts, page buffers, region
+    # chains, wrappers) override ``fill_lines`` with their own per-line
+    # loop.
+
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        """Service a group of cache-line fills; one (plaintext, cycles) each.
+
+        Every line is fetched in order (:meth:`_fetch_line`), then a
+        functional engine deciphers the group in one :meth:`decrypt_lines`
+        call.  A timing-only engine never runs the cipher.
+        """
+        fetched = [self._fetch_line(port, addr, line_size) for addr in addrs]
+        if not self.functional or not fetched:
+            return fetched
+        plaintexts = self.decrypt_lines([
+            (addr, ciphertext) for addr, (ciphertext, _) in zip(addrs, fetched)
+        ])
+        return [(plaintext, cycles)
+                for plaintext, (_, cycles) in zip(plaintexts, fetched)]
+
     def fill_line(self, port: MemoryPort, addr: int, line_size: int
                   ) -> Tuple[bytes, int]:
-        """Service a cache-line fill; returns (plaintext, total cycles)."""
+        """Service one cache-line fill: a one-line :meth:`fill_lines`."""
+        return self.fill_lines(port, (addr,), line_size)[0]
+
+    def _fetch_line(self, port: MemoryPort, addr: int, line_size: int
+                    ) -> Tuple[bytes, int]:
+        """One line of :meth:`fill_lines` up to its decrypt.
+
+        The bus read, :meth:`read_extra_cycles`, the stats and the
+        ``decipher``/``stall`` events; returns (ciphertext, total cycles).
+        """
         ciphertext, mem_cycles = port.read(addr, line_size)
         extra = self.read_extra_cycles(addr, line_size, mem_cycles)
         self.stats.lines_decrypted += 1
@@ -243,9 +294,22 @@ class BusEncryptionEngine(ABC):
             self._emit("decipher", addr, line_size)
             if extra:
                 self._emit("stall", addr, extra, "read")
-        plaintext = self.decrypt_line(addr, ciphertext) if self.functional \
-            else ciphertext
-        return plaintext, mem_cycles + extra
+        return ciphertext, mem_cycles + extra
+
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
+        """Decrypt installed bytes straight from memory (verification).
+
+        Dumps the lines covering ``[addr, addr + nbytes)`` — no bus
+        traffic, stats or events — and deciphers them in one
+        :meth:`decrypt_lines` call.
+        """
+        start = addr - addr % line_size
+        plain = b"".join(self.decrypt_lines([
+            (line, memory.dump(line, line_size))
+            for line in range(start, addr + nbytes, line_size)
+        ]))
+        return plain[addr - start: addr - start + nbytes]
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Service a full-line writeback; returns total cycles."""
@@ -259,64 +323,6 @@ class BusEncryptionEngine(ABC):
         ciphertext = self.encrypt_line(addr, plaintext) if self.functional \
             else plaintext
         return extra + port.write(addr, ciphertext)
-
-    # -- bulk entry points ---------------------------------------------------
-    #
-    # The batched trace executor (repro.sim.fastpath) collects the miss
-    # stream and hands whole groups of line fills/writebacks to the engine
-    # at once.  The defaults preserve scalar semantics exactly — same
-    # per-line port traffic, stats, events and cycle accounting, in the
-    # same order — so every engine works unported; engines with batched
-    # kernels override to amortize the crypto across the group.
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        """Service a group of cache-line fills; one (plaintext, cycles) each.
-
-        Must behave exactly like ``[fill_line(port, a, line_size) for a in
-        addrs]``: bulk implementations may batch the *byte transforms* but
-        keep the per-line bus reads, stats updates and events in order.
-        """
-        return [self.fill_line(port, addr, line_size) for addr in addrs]
-
-    def _fill_batch(self, port: MemoryPort, addrs: Sequence[int],
-                    line_size: int, decrypt: Callable[[bytes], bytes]
-                    ) -> List[Tuple[bytes, int]]:
-        """A :meth:`fill_lines` whose byte transform runs once per group.
-
-        For each line in order: the bus read, :meth:`read_extra_cycles`,
-        the stats and the ``decipher``/``stall`` events — exactly what
-        :meth:`fill_line` does.  Then, on a functional engine only,
-        ``decrypt`` maps the group's concatenated ciphertext to its
-        concatenated plaintext, which is split back into lines.
-        """
-        fetched: List[Tuple[bytes, int]] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            fetched.append((ciphertext, mem_cycles + extra))
-        if not self.functional or not fetched:
-            return fetched
-        plain = decrypt(b"".join([ciphertext for ciphertext, _ in fetched]))
-        return [
-            (plain[i * line_size: (i + 1) * line_size], cycles)
-            for i, (_, cycles) in enumerate(fetched)
-        ]
-
-    def spill_lines(self, port: MemoryPort,
-                    writes: Sequence[Tuple[int, bytes]]) -> List[int]:
-        """Service a group of full-line writebacks; returns cycles per line.
-
-        The bulk dual of :meth:`write_line`, with the same equivalence
-        contract as :meth:`fill_lines`.
-        """
-        return [self.write_line(port, addr, data) for addr, data in writes]
 
     def encrypt_lines(self, items: Sequence[Tuple[int, bytes]]
                       ) -> List[bytes]:
@@ -413,25 +419,14 @@ class NullEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return plaintext
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return ciphertext
+    def decrypt_lines(self, items):
+        return [ciphertext for _, ciphertext in items]
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         return 0
 
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
         return 0
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # Identity transform, zero extra cycles, no cipher events: the
-        # bulk fill is just the bus reads plus the decrypt counter.
-        out = []
-        for addr in addrs:
-            data, mem_cycles = port.read(addr, line_size)
-            self.stats.lines_decrypted += 1
-            out.append((data, mem_cycles))
-        return out
 
     def area(self) -> AreaEstimate:
         return AreaEstimate(self.name)
@@ -503,10 +498,6 @@ class TweakedECBEngine(BlockModeEngine):
         tweaks = self._tweaks([(addr, len(plaintext))])
         return self._cipher.encrypt_blocks(xor_bytes(plaintext, tweaks))
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        decrypted = self._cipher.decrypt_blocks(ciphertext)
-        return xor_bytes(decrypted, self._tweaks([(addr, len(ciphertext))]))
-
     def encrypt_lines(self, items):
         if not items or any(len(line) % 8 for _, line in items):
             return super().encrypt_lines(items)
@@ -515,14 +506,8 @@ class TweakedECBEngine(BlockModeEngine):
         ct = self._cipher.encrypt_blocks(xor_bytes(plain, tweaks))
         return self._split_batch(ct, items)
 
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        if self.functional and line_size % 8:
-            return super().fill_lines(port, addrs, line_size)
-        return self._fill_batch(
-            port, addrs, line_size,
-            lambda ct: xor_bytes(
-                self._cipher.decrypt_blocks(ct),
-                self._tweaks([(addr, line_size) for addr in addrs]),
-            ),
-        )
+    def decrypt_lines(self, items):
+        decrypted = self._cipher.decrypt_blocks(
+            b"".join(ciphertext for _, ciphertext in items))
+        tweaks = self._tweaks([(addr, len(ct)) for addr, ct in items])
+        return self._split_batch(xor_bytes(decrypted, tweaks), items)

@@ -27,7 +27,7 @@ verified region entry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256, verify_hmac
 from ..crypto.kernels import tdes_kernel
@@ -199,8 +199,8 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
     #
     # encrypt_line/decrypt_line operate in region context: the engine reads
     # whatever prefix of the region the chain requires.  They are exercised
-    # through install_image / fill_line / write_line below, which carry the
-    # memory handle needed for the chained prefix.
+    # through install_image / fill_lines / write_line / read_plain below,
+    # which carry the memory handle needed for the chained prefix.
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         raise NotImplementedError(
@@ -282,83 +282,89 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             plaintext = bytes(stored[addr - base: addr - base + line_size])
         return plaintext, cycles
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
         if self.reorder:
-            return self._fill_line_reordered(port, addr, line_size)
-        base = self._region_base(addr)
-        chain = self._chain_state.get(base)
-        cycles = 0
+            return [self._fill_line_reordered(port, addr, line_size)
+                    for addr in addrs]
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            base = self._region_base(addr)
+            chain = self._chain_state.get(base)
+            cycles = 0
 
-        if chain is not None and chain[0] == addr:
-            # Sequential continuation: the chaining value sits in the
-            # hardware register; only the requested line crosses the bus.
-            self.chain_hits += 1
-            chain_iv = chain[1]
-            line_ct, mem_cycles = port.read(addr, line_size)
-            nblocks = line_size // 8
-            extra = self.unit.drain_after_arrivals(nblocks, 1)
-            cycles += mem_cycles + extra
-            prefix_ct = None
-        else:
-            # JUMP: the chain restarts from the region base — the random
-            # access penalty the survey calls unacceptable.
-            self.chain_restarts += 1
-            span = addr + line_size - base
-            prefix_ct, mem_cycles = port.read(base, span)
-            nblocks = self._chain_blocks_to(base, addr, line_size)
-            extra = self.unit.drain_after_arrivals(nblocks, 1)
-            cycles += mem_cycles + extra
-            line_ct = prefix_ct[addr - base:]
-            chain_iv = (
-                prefix_ct[addr - base - 8: addr - base]
-                if addr > base else self._region_iv(base)
-            )
-
-        self.stats.lines_decrypted += 1
-        self.stats.blocks_processed += line_size // 8
-        self.stats.extra_read_cycles += extra
-        self._emit("decipher", addr, line_size,
-                   "chain" if prefix_ct is None else "jump")
-        if extra:
-            self._emit("stall", addr, extra, "read")
-
-        if self.authenticate and base not in self._verified:
-            # First touch of the region: fetch whatever of the region has
-            # not been read yet and verify the keyed hash over all of it.
-            already = len(prefix_ct) if prefix_ct is not None else 0
-            if prefix_ct is None:
-                head, head_cycles = port.read(base, addr - base)
-                cycles += head_cycles
-                prefix_ct = head + line_ct
-                already = len(prefix_ct)
-            rest, rest_cycles = port.read(
-                base + already, self.region_size - already
-            )
-            cycles += rest_cycles + self.hash_latency
-            full = prefix_ct + rest
-            tag = self._tags.get(base)
-            ok = (not self.functional
-                  or (tag is not None
-                      and verify_hmac(self._mac_key, full, tag)))
-            if not self.verify_line(base, self.region_size, ok):
-                raise AuthenticationError(
-                    f"region at {base:#x} failed keyed-hash verification"
+            if chain is not None and chain[0] == addr:
+                # Sequential continuation: the chaining value sits in the
+                # hardware register; only the requested line crosses the bus.
+                self.chain_hits += 1
+                chain_iv = chain[1]
+                line_ct, mem_cycles = port.read(addr, line_size)
+                nblocks = line_size // 8
+                extra = self.unit.drain_after_arrivals(nblocks, 1)
+                cycles += mem_cycles + extra
+                prefix_ct = None
+            else:
+                # JUMP: the chain restarts from the region base — the random
+                # access penalty the survey calls unacceptable.
+                self.chain_restarts += 1
+                span = addr + line_size - base
+                prefix_ct, mem_cycles = port.read(base, span)
+                nblocks = self._chain_blocks_to(base, addr, line_size)
+                extra = self.unit.drain_after_arrivals(nblocks, 1)
+                cycles += mem_cycles + extra
+                line_ct = prefix_ct[addr - base:]
+                chain_iv = (
+                    prefix_ct[addr - base - 8: addr - base]
+                    if addr > base else self._region_iv(base)
                 )
-            self._verified.add(base)
 
-        if self.functional:
-            plaintext = CBC(self._tdes, chain_iv).decrypt(line_ct[:line_size])
-        else:
-            plaintext = bytes(line_ct[:line_size])
+            self.stats.lines_decrypted += 1
+            self.stats.blocks_processed += line_size // 8
+            self.stats.extra_read_cycles += extra
+            self._emit("decipher", addr, line_size,
+                       "chain" if prefix_ct is None else "jump")
+            if extra:
+                self._emit("stall", addr, extra, "read")
 
-        # Advance the chain register past this line (unless at region end).
-        next_addr = addr + line_size
-        if next_addr < base + self.region_size:
-            self._chain_state[base] = (next_addr, bytes(line_ct[line_size - 8: line_size]))
-        else:
-            self._chain_state.pop(base, None)
-        return plaintext, cycles
+            if self.authenticate and base not in self._verified:
+                # First touch of the region: fetch whatever of the region has
+                # not been read yet and verify the keyed hash over all of it.
+                already = len(prefix_ct) if prefix_ct is not None else 0
+                if prefix_ct is None:
+                    head, head_cycles = port.read(base, addr - base)
+                    cycles += head_cycles
+                    prefix_ct = head + line_ct
+                    already = len(prefix_ct)
+                rest, rest_cycles = port.read(
+                    base + already, self.region_size - already
+                )
+                cycles += rest_cycles + self.hash_latency
+                full = prefix_ct + rest
+                tag = self._tags.get(base)
+                ok = (not self.functional
+                      or (tag is not None
+                          and verify_hmac(self._mac_key, full, tag)))
+                if not self.verify_line(base, self.region_size, ok):
+                    raise AuthenticationError(
+                        f"region at {base:#x} failed keyed-hash verification"
+                    )
+                self._verified.add(base)
+
+            if self.functional:
+                plaintext = CBC(self._tdes, chain_iv).decrypt(
+                    line_ct[:line_size])
+            else:
+                plaintext = bytes(line_ct[:line_size])
+
+            # Advance the chain register past this line (unless at region end).
+            next_addr = addr + line_size
+            if next_addr < base + self.region_size:
+                self._chain_state[base] = (
+                    next_addr, bytes(line_ct[line_size - 8: line_size]))
+            else:
+                self._chain_state.pop(base, None)
+            out.append((plaintext, cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Rewrite a line: re-encipher the chain from the line to region end."""
@@ -446,7 +452,8 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             base, self.region_size, verify_hmac(self._mac_key, ciphertext, tag)
         )
 
-    def read_plain(self, memory, addr: int, nbytes: int) -> bytes:
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
         """Decrypt arbitrary installed bytes (verification helper)."""
         out = bytearray()
         first = self._region_base(addr)

@@ -29,7 +29,7 @@ computation and store.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.hmac import consttime_eq, hmac_sha256
 from ..sim.area import AreaEstimate
@@ -145,8 +145,8 @@ class IntegrityShieldEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return self.inner.encrypt_line(addr, plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return self.inner.decrypt_line(addr, ciphertext)
+    def decrypt_lines(self, items):
+        return self.inner.decrypt_lines(items)
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
@@ -177,35 +177,40 @@ class IntegrityShieldEngine(BusEncryptionEngine):
 
     # -- fills / writes -------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
         self._line_size_hint = line_size
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        tag, tag_cycles = self._read_tag(port, addr, line_size)
-        # The MAC engine digests ciphertext beats as they arrive, so only
-        # the residual drain past the fetch lands on the critical path.
-        hash_residual = max(0, self.hash_latency - mem_cycles) + 4
-        cycles = mem_cycles + tag_cycles + hash_residual
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            ciphertext, mem_cycles = port.read(addr, line_size)
+            tag, tag_cycles = self._read_tag(port, addr, line_size)
+            # The MAC engine digests ciphertext beats as they arrive, so
+            # only the residual drain past the fetch lands on the critical
+            # path.
+            hash_residual = max(0, self.hash_latency - mem_cycles) + 4
+            cycles = mem_cycles + tag_cycles + hash_residual
 
-        ok = (not self.functional
-              or consttime_eq(bytes(tag), self._compute_tag(addr, ciphertext)))
-        if not self.verify_line(addr, line_size, ok):
-            raise TamperDetected(
-                f"line at {addr:#x} failed integrity verification"
+            ok = (not self.functional
+                  or consttime_eq(bytes(tag),
+                                  self._compute_tag(addr, ciphertext)))
+            if not self.verify_line(addr, line_size, ok):
+                raise TamperDetected(
+                    f"line at {addr:#x} failed integrity verification"
+                )
+            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
+            cycles += extra
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += extra + tag_cycles + hash_residual
+            self._emit("decipher", addr, line_size)
+            stall = extra + tag_cycles + hash_residual
+            if stall:
+                self._emit("stall", addr, stall, "read")
+            plaintext = (
+                self.inner.decrypt_line(addr, ciphertext)
+                if self.functional else ciphertext
             )
-        extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-        cycles += extra
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += extra + tag_cycles + hash_residual
-        self._emit("decipher", addr, line_size)
-        stall = extra + tag_cycles + hash_residual
-        if stall:
-            self._emit("stall", addr, stall, "read")
-        plaintext = (
-            self.inner.decrypt_line(addr, ciphertext)
-            if self.functional else ciphertext
-        )
-        return plaintext, cycles
+            out.append((plaintext, cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         if self.versioned:

@@ -24,7 +24,7 @@ The engine composes with any confidentiality engine and adds:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256
 from ..sim.area import AreaEstimate
@@ -176,7 +176,7 @@ class MerkleTreeEngine(BusEncryptionEngine):
         """Authenticate one line against the root; returns cycles.
 
         Raises :class:`MerkleTamperDetected` on any mismatch; the caller
-        (:meth:`fill_line`) routes the outcome through the uniform
+        (:meth:`fill_lines`) routes the outcome through the uniform
         verdict path.
         """
         cycles = 0
@@ -263,8 +263,8 @@ class MerkleTreeEngine(BusEncryptionEngine):
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
         return self.inner.encrypt_line(addr, plaintext)
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return self.inner.decrypt_line(addr, ciphertext)
+    def decrypt_lines(self, items):
+        return self.inner.decrypt_lines(items)
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
@@ -272,28 +272,31 @@ class MerkleTreeEngine(BusEncryptionEngine):
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
         return self.inner.write_extra_cycles(addr, nbytes)
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        cycles = mem_cycles
-        try:
-            cycles += self._verify_path(port, addr, bytes(ciphertext))
-        except MerkleTamperDetected:
-            self.verify_line(addr, line_size, ok=False)
-            raise
-        self.verify_line(addr, line_size, ok=True)
-        extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-        cycles += extra
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += cycles - mem_cycles
-        self._emit("decipher", addr, line_size)
-        if cycles - mem_cycles:
-            self._emit("stall", addr, cycles - mem_cycles, "read")
-        plaintext = (
-            self.inner.decrypt_line(addr, ciphertext)
-            if self.functional else ciphertext
-        )
-        return plaintext, cycles
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            ciphertext, mem_cycles = port.read(addr, line_size)
+            cycles = mem_cycles
+            try:
+                cycles += self._verify_path(port, addr, bytes(ciphertext))
+            except MerkleTamperDetected:
+                self.verify_line(addr, line_size, ok=False)
+                raise
+            self.verify_line(addr, line_size, ok=True)
+            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
+            cycles += extra
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += cycles - mem_cycles
+            self._emit("decipher", addr, line_size)
+            if cycles - mem_cycles:
+                self._emit("stall", addr, cycles - mem_cycles, "read")
+            plaintext = (
+                self.inner.decrypt_line(addr, ciphertext)
+                if self.functional else ciphertext
+            )
+            out.append((plaintext, cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         extra = self.inner.write_extra_cycles(addr, len(plaintext))

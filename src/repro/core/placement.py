@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.kernels import aes_kernel, ctr_pad
+from ..crypto.kernels import aes_kernel, ctr_pads
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.cache import CacheConfig
 from ..sim.memory import MemoryConfig
 from ..sim.pipeline import KEYSTREAM_UNIT, PipelinedUnit, XOM_AES_PIPE
 from ..traces.trace import Trace
-from .engine import BusEncryptionEngine, MemoryPort, Placement
+from .engine import BusEncryptionEngine, Placement
 from .stream_engine import StreamCipherEngine
 
 # NOTE: repro.sim.system imports this package (for the engine interface), so
@@ -68,20 +68,23 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
 
     # The cache-side mask: position-keyed keystream so cache contents are
     # masked; externally the same mask continues to apply (the line is
-    # stored masked in memory as well — one keystream end to end).
+    # stored masked in memory as well — one keystream end to end).  The
+    # counter layout depends only on the block address, so one batched
+    # pad call covers a whole fill group.
 
-    def _pad(self, addr: int, nbytes: int) -> bytes:
-        return ctr_pad(
-            self._aes, addr, nbytes,
-            lambda block_addr:
+    def _pads(self, items: Sequence[Tuple[int, bytes]]) -> List[bytes]:
+        return ctr_pads(
+            self._aes, [(addr, len(line), None) for addr, line in items],
+            lambda _, block_addr:
                 b"cpu$" + (block_addr // 16).to_bytes(12, "big"),
         )
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return xor_bytes(plaintext, self._pad(addr, len(plaintext)))
+        return xor_bytes(plaintext, self._pads([(addr, plaintext)])[0])
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return xor_bytes(ciphertext, self._pad(addr, len(ciphertext)))
+    def decrypt_lines(self, items):
+        return [xor_bytes(line, pad)
+                for (_, line), pad in zip(items, self._pads(items))]
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         # Miss path: data flows memory -> cache unmodified (already masked);
@@ -99,34 +102,6 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
         # Generate the pad on demand: the generator's fill latency lands on
         # the cache access path.
         return self.unit.latency
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # Position-keyed keystream: one batched pad call covers the whole
-        # group (the counter layout depends only on the block address).
-        def decrypt(ciphertext: bytes) -> bytes:
-            size = 16
-            spans: List[Tuple[int, int]] = []
-            material: List[bytes] = []
-            for addr in addrs:
-                start = addr - addr % size
-                end = -(-(addr + line_size) // size) * size
-                material.append(b"".join(
-                    b"cpu$" + (block_addr // 16).to_bytes(12, "big")
-                    for block_addr in range(start, end, size)
-                ))
-                spans.append((addr - start, end - start))
-            pad = self._aes.encrypt_blocks(b"".join(material))
-            line_pads: List[bytes] = []
-            pos = 0
-            for offset, span in spans:
-                line_pads.append(pad[pos + offset: pos + offset + line_size])
-                pos += span
-            return xor_bytes(ciphertext, b"".join(line_pads))
-
-        # No extra read cycles on this placement, so the shared group fill
-        # is exactly the bus reads, the decrypt counter and the events.
-        return self._fill_batch(port, addrs, line_size, decrypt)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -30,13 +30,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.kernels import aes_kernel, ctr_pad
+from ..crypto.kernels import aes_kernel, ctr_pads
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, XOM_AES_PIPE
 from .engine import BusEncryptionEngine, MemoryPort
 
 __all__ = ["StreamCipherEngine"]
+
+
+def _counter_block(prefix: bytes, block_addr: int) -> bytes:
+    """CTR block: the pad tag and line version, then the block index."""
+    return prefix + (block_addr // 16).to_bytes(8, "big")
 
 
 class StreamCipherEngine(BusEncryptionEngine):
@@ -74,16 +79,20 @@ class StreamCipherEngine(BusEncryptionEngine):
 
     # -- keystream -----------------------------------------------------------
 
+    def _pads(self, spans: Sequence[Tuple[int, int, int]]) -> List[bytes]:
+        """Keystreams of ``(addr, nbytes, version)`` spans in one call."""
+        return ctr_pads(
+            self._aes,
+            [(addr, nbytes, b"pad!" + version.to_bytes(4, "big"))
+             for addr, nbytes, version in spans],
+            _counter_block,
+        )
+
     def _pad(self, addr: int, nbytes: int, version: Optional[int] = None) -> bytes:
         """Keystream for [addr, addr+nbytes) at the line's current version."""
         if version is None:
             version = self._versions.get(addr - addr % self.line_size, 0)
-        prefix = b"pad!" + version.to_bytes(4, "big")
-        return ctr_pad(
-            self._aes, addr, nbytes,
-            lambda block_addr:
-                prefix + (block_addr // 16).to_bytes(8, "big"),
-        )
+        return self._pads([(addr, nbytes, version)])[0]
 
     def _pad_blocks(self, nbytes: int) -> int:
         return -(-nbytes // 16)
@@ -99,45 +108,36 @@ class StreamCipherEngine(BusEncryptionEngine):
 
     # -- functional transform ------------------------------------------------
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
+    def _bump_version(self, addr: int) -> int:
+        """A (re)encryption is a write: advance the line's version,
+        invalidating any cached pad for it; returns the new version."""
         line_addr = addr - addr % self.line_size
-        # A (re)encryption is a write: advance the version, invalidating any
-        # cached pad for the line.
-        self._versions[line_addr] = self._versions.get(line_addr, 0) + 1
+        version = self._versions.get(line_addr, 0) + 1
+        self._versions[line_addr] = version
         self._pad_cache.pop(line_addr, None)
-        return xor_bytes(plaintext, self._pad(addr, len(plaintext)))
+        return version
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        return xor_bytes(ciphertext, self._pad(addr, len(ciphertext)))
+    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
+        version = self._bump_version(addr)
+        return xor_bytes(plaintext, self._pad(addr, len(plaintext), version))
 
     def encrypt_lines(self, items):
         # Install batch: advance every line's version in order (exactly
         # like per-line encrypt_line), then produce the whole keystream
         # in one kernel call.
-        size = 16
-        spans = []
-        material = []
-        for addr, line in items:
-            line_addr = addr - addr % self.line_size
-            version = self._versions.get(line_addr, 0) + 1
-            self._versions[line_addr] = version
-            self._pad_cache.pop(line_addr, None)
-            prefix = b"pad!" + version.to_bytes(4, "big")
-            start = addr - addr % size
-            end = -(-(addr + len(line)) // size) * size
-            material.append(b"".join(
-                prefix + (block_addr // 16).to_bytes(8, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out = []
-        pos = 0
-        for (offset, span), (_, line) in zip(spans, items):
-            out.append(xor_bytes(line, pad[pos + offset:
-                                           pos + offset + len(line)]))
-            pos += span
-        return out
+        pads = self._pads([(addr, len(line), self._bump_version(addr))
+                           for addr, line in items])
+        return [xor_bytes(line, pad) for (_, line), pad in zip(items, pads)]
+
+    def decrypt_lines(self, items):
+        # Versions only advance on writes, so a fill group's pads are all
+        # known up front and come from one keystream call.
+        pads = self._pads([
+            (addr, len(ct),
+             self._versions.get(addr - addr % self.line_size, 0))
+            for addr, ct in items
+        ])
+        return [xor_bytes(ct, pad) for (_, ct), pad in zip(items, pads)]
 
     # -- timing ---------------------------------------------------------------
 
@@ -165,61 +165,14 @@ class StreamCipherEngine(BusEncryptionEngine):
 
     # -- system hooks ----------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        plaintext, cycles = super().fill_line(port, addr, line_size)
-        # Pad-ahead: precompute keystream for the next sequential lines.
+    def _fetch_line(self, port: MemoryPort, addr: int, line_size: int
+                    ) -> Tuple[bytes, int]:
+        fetched = super()._fetch_line(port, addr, line_size)
+        # Pad-ahead: precompute keystream for the next sequential lines
+        # before the group's next line looks up the pad cache.
         for i in range(1, self.pad_ahead_depth + 1):
             self._cache_pad(addr + i * line_size)
-        return plaintext, cycles
-
-    def _pads_bulk(self, addrs: Sequence[int], nbytes: int) -> List[bytes]:
-        """Decrypt pads for a group of fills in one keystream call.
-
-        Byte-for-byte the same pads :meth:`_pad` produces per line (same
-        counter-block layout, batched through one ``encrypt_blocks``).
-        Only valid while no write intervenes: versions are read up front.
-        """
-        size = 16
-        spans: List[Tuple[int, int]] = []
-        material: List[bytes] = []
-        for addr in addrs:
-            version = self._versions.get(addr - addr % self.line_size, 0)
-            prefix = b"pad!" + version.to_bytes(4, "big")
-            start = addr - addr % size
-            end = -(-(addr + nbytes) // size) * size
-            material.append(b"".join(
-                prefix + (block_addr // 16).to_bytes(8, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out: List[bytes] = []
-        pos = 0
-        for offset, span in spans:
-            out.append(pad[pos + offset: pos + offset + nbytes])
-            pos += span
-        return out
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # Versions only advance on writes, so every line's decrypt pad is
-        # known up front and the whole group's keystream comes from one
-        # batched call.  The per-line sequencing — bus read, pad-cache
-        # timing, events, pad-ahead — is unchanged and in order, so the
-        # pad-cache hit/miss stats evolve exactly as under scalar fills.
-        if not self.functional:
-            return super().fill_lines(port, addrs, line_size)
-        pads = self._pads_bulk(addrs, line_size)
-        out: List[Tuple[bytes, int]] = []
-        for addr, pad in zip(addrs, pads):
-            # Each line is its own group fill: its pad-ahead must land
-            # before the next line's pad-cache lookup.
-            out += self._fill_batch(port, (addr,), line_size,
-                                    lambda ct, pad=pad: xor_bytes(ct, pad))
-            for i in range(1, self.pad_ahead_depth + 1):
-                self._cache_pad(addr + i * line_size)
-        return out
+        return fetched
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:

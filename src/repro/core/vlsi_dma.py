@@ -21,7 +21,7 @@ poor locality — the patent's trade.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from ..crypto.kernels import tdes_kernel
 from ..crypto.modes import CBC
@@ -117,7 +117,8 @@ class VlsiDmaEngine(BusEncryptionEngine):
             page = plaintext[offset: offset + self.page_size]
             memory.load_image(base, self._encrypt_page(base, page))
 
-    def read_plain(self, memory, addr: int, nbytes: int) -> bytes:
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
         """Decrypt installed bytes straight from memory (verification)."""
         first = self._page_base(addr)
         last = self._page_base(addr + nbytes - 1)
@@ -185,11 +186,14 @@ class VlsiDmaEngine(BusEncryptionEngine):
 
     # -- system entry points -------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        page, offset, cycles = self._resident(port, addr)
-        cycles += self.sram_latency
-        return bytes(page.data[offset: offset + line_size]), cycles
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            page, offset, cycles = self._resident(port, addr)
+            out.append((bytes(page.data[offset: offset + line_size]),
+                        cycles + self.sram_latency))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         page, offset, cycles = self._resident(port, addr)

@@ -16,13 +16,13 @@ system cost".
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..crypto.kernels import aes_kernel
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import XOM_AES_PIPE, PipelinedUnit
-from .engine import BlockModeEngine, MemoryPort
+from .engine import BlockModeEngine
 
 __all__ = ["XomAesEngine"]
 
@@ -48,63 +48,40 @@ class XomAesEngine(BlockModeEngine):
         # Tweak mask key: independent schedule derived from the main key.
         self._tweak_aes = aes_kernel(bytes(b ^ 0x5C for b in key))
 
-    def _mask(self, addr: int) -> bytes:
-        """XEX mask for the block at byte address ``addr``."""
-        return self._tweak_aes.encrypt_block(addr.to_bytes(16, "big"))
-
-    def _masks(self, addr: int, nbytes: int) -> bytes:
-        """Concatenated XEX masks for every 16-byte block of the line."""
-        material = b"".join(
-            (addr + i).to_bytes(16, "big") for i in range(0, nbytes, 16)
-        )
-        return self._tweak_aes.encrypt_blocks(material)
+    def _masks(self, spans: Sequence[Tuple[int, int]]) -> bytes:
+        """Concatenated XEX masks for every 16-byte block of the
+        ``(addr, nbytes)`` spans, in one kernel call."""
+        return self._tweak_aes.encrypt_blocks(b"".join(
+            (addr + i).to_bytes(16, "big")
+            for addr, nbytes in spans for i in range(0, nbytes, 16)
+        ))
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        masks = self._masks(addr, len(plaintext))
+        masks = self._masks([(addr, len(plaintext))])
         return xor_bytes(
             self._aes.encrypt_blocks(xor_bytes(plaintext, masks)), masks
         )
 
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        masks = self._masks(addr, len(ciphertext))
-        return xor_bytes(
-            self._aes.decrypt_blocks(xor_bytes(ciphertext, masks)), masks
-        )
+    # XEX is ECB over independent blocks: a whole install batch or fill
+    # group enciphers in two kernel calls (masks, then blocks).
 
     def encrypt_lines(self, items):
-        # XEX is ECB over independent blocks: the whole install batch
-        # enciphers in two kernel calls (masks, then blocks).
         if not items or any(len(line) % 16 for _, line in items):
             return super().encrypt_lines(items)
-        material = b"".join(
-            (addr + i).to_bytes(16, "big")
-            for addr, line in items for i in range(0, len(line), 16)
-        )
-        masks = self._tweak_aes.encrypt_blocks(material)
+        masks = self._masks([(addr, len(line)) for addr, line in items])
         plain = b"".join(line for _, line in items)
         ct = xor_bytes(
             self._aes.encrypt_blocks(xor_bytes(plain, masks)), masks
         )
         return self._split_batch(ct, items)
 
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # XEX masking is ECB over independent blocks, so the whole group
-        # deciphers in two kernel calls (masks, then blocks) instead of
-        # two per line.
-        if self.functional and line_size % 16:
-            return super().fill_lines(port, addrs, line_size)
-
-        def decrypt(ciphertext: bytes) -> bytes:
-            masks = self._tweak_aes.encrypt_blocks(b"".join(
-                (addr + i).to_bytes(16, "big")
-                for addr in addrs for i in range(0, line_size, 16)
-            ))
-            return xor_bytes(
-                self._aes.decrypt_blocks(xor_bytes(ciphertext, masks)), masks
-            )
-
-        return self._fill_batch(port, addrs, line_size, decrypt)
+    def decrypt_lines(self, items):
+        masks = self._masks([(addr, len(ct)) for addr, ct in items])
+        ciphertext = b"".join(ct for _, ct in items)
+        plain = xor_bytes(
+            self._aes.decrypt_blocks(xor_bytes(ciphertext, masks)), masks
+        )
+        return self._split_batch(plain, items)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

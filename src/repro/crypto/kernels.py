@@ -22,8 +22,8 @@ analogues, and this module applies them to the reference implementations in
 * **batched APIs** — :meth:`encrypt_blocks`/:meth:`decrypt_blocks` on every
   kernel, the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch
   helpers that fall back to per-block loops for exotic ciphers, and
-  :func:`ctr_pad` producing a whole line's keystream in one call — the
-  miss-path shape the engines in :mod:`repro.core` use;
+  :func:`ctr_pads` producing a whole fill group's keystream in one call —
+  the miss-path shape the engines in :mod:`repro.core` use;
 * **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
   :data:`NUMPY_MIN_BLOCKS_DES` blocks or more run as numpy gathers over the
   whole batch, narrower ones on the scalar table loops.
@@ -43,7 +43,7 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -797,25 +797,40 @@ def decrypt_blocks(cipher, data: bytes) -> bytes:
     return b"".join(dec(data[i: i + size]) for i in range(0, len(data), size))
 
 
-def ctr_pad(cipher, addr: int, nbytes: int,
-            counter_block: Callable[[int], bytes]) -> bytes:
-    """Keystream covering ``[addr, addr + nbytes)`` in one batched pass.
+def ctr_pads(cipher, spans: Sequence[Tuple[int, int, object]],
+             counter_block: Callable[[object, int], bytes]) -> List[bytes]:
+    """Keystreams covering each ``(addr, nbytes, tag)`` span, in one pass.
 
-    ``counter_block(block_addr)`` formats the counter block for the
+    ``counter_block(tag, block_addr)`` formats the counter block for a
     cipher-block-aligned address — each engine keeps its own layout (pad
-    tag, version, line index...).  The blocks are enciphered through one
-    :func:`encrypt_blocks` call instead of a per-block loop, which is the
-    pad-ahead shape of the stream engines' miss path.
+    tag, version, line index...).  Every span's blocks are enciphered
+    through one :func:`encrypt_blocks` call instead of a per-block loop,
+    which is the fill-group shape of the stream engines' miss path.
     """
     size = cipher.block_size
-    start = addr - addr % size
-    end = -(-(addr + nbytes) // size) * size
-    blocks = b"".join(
-        counter_block(block_addr) for block_addr in range(start, end, size)
-    )
-    pad = encrypt_blocks(cipher, blocks)
-    offset = addr - start
-    return pad[offset: offset + nbytes]
+    blocks: List[bytes] = []
+    cuts: List[Tuple[int, int, int]] = []
+    for addr, nbytes, tag in spans:
+        start = addr - addr % size
+        end = -(-(addr + nbytes) // size) * size
+        blocks.extend(counter_block(tag, block_addr)
+                      for block_addr in range(start, end, size))
+        cuts.append((addr - start, nbytes, end - start))
+    pad = encrypt_blocks(cipher, b"".join(blocks))
+    out: List[bytes] = []
+    pos = 0
+    for offset, nbytes, span in cuts:
+        out.append(pad[pos + offset: pos + offset + nbytes])
+        pos += span
+    return out
+
+
+def ctr_pad(cipher, addr: int, nbytes: int,
+            counter_block: Callable[[int], bytes]) -> bytes:
+    """Keystream covering ``[addr, addr + nbytes)``: one span of
+    :func:`ctr_pads`, with ``counter_block(block_addr)`` untagged."""
+    return ctr_pads(cipher, [(addr, nbytes, None)],
+                    lambda _, block_addr: counter_block(block_addr))[0]
 
 
 # Every kernel class the check needs is defined by now.

@@ -83,14 +83,9 @@ class TwoLevelSystem:
         )
 
     def read_plaintext(self, addr: int, nbytes: int) -> bytes:
-        out = bytearray()
-        start = (addr // self.line_size) * self.line_size
-        end = -(-(addr + nbytes) // self.line_size) * self.line_size
-        for line_addr in range(start, end, self.line_size):
-            ciphertext = self.memory.dump(line_addr, self.line_size)
-            out += self.engine.decrypt_line(line_addr, ciphertext)
-        offset = addr - start
-        return bytes(out[offset: offset + nbytes])
+        """Decrypt external memory through the engine (verification helper)."""
+        return self.engine.read_plain(self.memory, addr, nbytes,
+                                      self.line_size)
 
     # -- L2 <-> memory ------------------------------------------------------
 

@@ -157,15 +157,8 @@ class SecureSystem:
 
     def read_plaintext(self, addr: int, nbytes: int) -> bytes:
         """Decrypt external memory through the engine (verification helper)."""
-        line_size = self.cache.config.line_size
-        out = bytearray()
-        start = (addr // line_size) * line_size
-        end = -(-(addr + nbytes) // line_size) * line_size
-        for line_addr in range(start, end, line_size):
-            ciphertext = self.memory.dump(line_addr, line_size)
-            out += self.engine.decrypt_line(line_addr, ciphertext)
-        offset = addr - start
-        return bytes(out[offset: offset + nbytes])
+        return self.engine.read_plain(self.memory, addr, nbytes,
+                                      self.cache.config.line_size)
 
     # -- simulation ---------------------------------------------------------
 
@@ -191,13 +184,11 @@ class SecureSystem:
     def flush(self) -> None:
         """Write back all dirty lines (end-of-run barrier)."""
         line_size = self.cache.config.line_size
-        writes = []
         for addr in self.cache.flush():
             data = self._line_data.get(addr // line_size)
-            writes.append(
-                (addr, bytes(data) if data is not None else bytes(line_size))
-            )
-        for cycles in self.engine.spill_lines(self.port, writes):
+            cycles = self.engine.write_line(
+                self.port, addr,
+                bytes(data) if data is not None else bytes(line_size))
             if not self.write_buffer:
                 self.cycles += cycles
         self._line_data.clear()

@@ -117,6 +117,28 @@ def replay(system: SecureSystem, trace) -> List["OrderedDict[int, bool]"]:
     return sets
 
 
+def reference_fill(engine, port, addr: int,
+                   line_size: int) -> Tuple[bytes, int]:
+    """One cache-line fill, serviced the scalar way.
+
+    The oracle for the base :meth:`~repro.core.engine.BusEncryptionEngine.
+    fill_lines` loop: the bus read, ``read_extra_cycles``, the stats and
+    the ``decipher``/``stall`` events, then this line's own
+    ``decrypt_line`` (a timing-only engine skips it).  Returns (plaintext,
+    total cycles).
+    """
+    ciphertext, mem_cycles = port.read(addr, line_size)
+    extra = engine.read_extra_cycles(addr, line_size, mem_cycles)
+    engine.stats.lines_decrypted += 1
+    engine.stats.extra_read_cycles += extra
+    engine._emit("decipher", addr, line_size)
+    if extra:
+        engine._emit("stall", addr, extra, "read")
+    plaintext = engine.decrypt_line(addr, ciphertext) if engine.functional \
+        else ciphertext
+    return plaintext, mem_cycles + extra
+
+
 def store(system: SecureSystem, addr: int, payload: bytes) -> None:
     """Store explicit bytes: a trace store of ``len(payload)`` bytes, then
     the resident line patched with ``payload``.

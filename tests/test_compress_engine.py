@@ -114,3 +114,40 @@ class TestTiming:
             system.step(access)
         assert engine.compressed_fills > 0
         assert engine.uncompressed_fills == 0
+
+    def test_stats_count_every_line(self, code_image):
+        # Data-region fills and writes go through the inner stream engine,
+        # but the report reads the outer engine's stats.
+        engine = CompressedEncryptionEngine(KEY, line_size=32)
+        port = make_port()
+        engine.install_image(port.memory, 0, code_image, line_size=32)
+        data = [0x10000 + 32 * i for i in range(4)]
+        for addr in data:
+            engine.write_line(port, addr, bytes(range(32)))
+        filled = engine.fill_lines(port, [0, data[0], 32, data[1]], 32)
+        assert [line for line, _ in filled] == [
+            code_image[:32], bytes(range(32)), code_image[32:64],
+            bytes(range(32)),
+        ]
+        assert (engine.compressed_fills, engine.uncompressed_fills) == (2, 2)
+        assert engine.stats.lines_decrypted == 4
+        assert engine.stats.lines_encrypted == 4
+
+    def test_report_counts_data_lines(self, code_image):
+        engine = CompressedEncryptionEngine(KEY, line_size=32)
+        system = SecureSystem(
+            engine=engine,
+            cache_config=CacheConfig(size=256, line_size=32, associativity=2),
+            mem_config=MemoryConfig(size=1 << 18),
+        )
+        system.install_image(0, code_image)
+        data = 0x10000
+        for i in range(64):
+            system.step(Access(AccessKind.FETCH, 32 * i))
+            system.step(Access(AccessKind.STORE, data + 32 * i, 4))
+        system.flush()
+        report = system.report("compress")
+        assert report.lines_decrypted == (engine.compressed_fills
+                                          + engine.uncompressed_fills)
+        assert engine.uncompressed_fills == 64
+        assert report.lines_encrypted == 64

@@ -22,6 +22,7 @@ from repro.core import (
     StreamCipherEngine,
     XomAesEngine,
 )
+from repro.core.registry import engine_names, make_engine
 from repro.crypto import AES, DES, DRBG
 from repro.sim import Cache, CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import Access, AccessKind
@@ -55,21 +56,33 @@ def test_engine_line_roundtrip(engine_idx, line_index, seed):
     assert engine.decrypt_line(addr, engine.encrypt_line(addr, line)) == line
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    engine_idx=st.integers(0, len(ENGINE_BUILDERS) - 1),
-    seed=st.integers(0, 2 ** 32),
-)
-def test_engine_install_matches_read_plaintext(engine_idx, seed):
-    engine = ENGINE_BUILDERS[engine_idx]()
+def _check_read_plaintext(name, seed):
+    # The Merkle tree protects exactly its installed region.
+    engine = make_engine(
+        name, **({"region_size": 1024} if name == "merkle-stream" else {}))
     system = SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=512, line_size=32, associativity=2),
-        mem_config=MemoryConfig(size=1 << 16),
+        mem_config=MemoryConfig(size=1 << 21),
     )
-    image = DRBG(seed).random_bytes(256)
+    image = DRBG(seed).random_bytes(1024)
     system.install_image(0, image)
-    assert system.read_plaintext(0, 256) == image
+    assert system.read_plaintext(0, 1024) == image
+    assert system.read_plaintext(0x40, 100) == image[0x40: 0x40 + 100]
+    assert system.read_plaintext(0x45, 0) == b""
+    assert system.read_plaintext(0x40, 0) == b""
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(engine_names()), seed=st.integers(0, 2 ** 32))
+def test_engine_install_matches_read_plaintext(name, seed):
+    _check_read_plaintext(name, seed)
+
+
+@pytest.mark.parametrize("name", engine_names())
+def test_read_plaintext_every_registry_engine(name):
+    # The hypothesis draw above samples engines; this pins each one.
+    _check_read_plaintext(name, seed=2005)
 
 
 @settings(max_examples=15, deadline=None)

@@ -210,23 +210,31 @@ class TestEncryptLinesBulk:
         ]
 
 
-# -- bulk cache-line fills (engine.fill_lines) -------------------------------
+# -- cache-line fills (engine.fill_lines) -------------------------------------
 
+import inspect
+
+import repro.core
 from repro.core import CpuCacheStreamEngine
 from repro.core.engine import BusEncryptionEngine, MemoryPort
+from repro.crypto import kernels
 from repro.obs import CounterSink
 from repro.sim import MainMemory
 from repro.sim.bus import Bus
 
-#: Every engine with its own fill_lines: the registry engines that
-#: override it, plus the CPU-cache placement and the plaintext baseline.
+from .reference_model import reference_fill
+
+#: The Merkle tree protects exactly one installed region.
+_FILL_OVERRIDES = {"merkle-stream": dict(region_base=0x400, region_size=2048)}
+
+#: Every registry engine, plus the CPU-cache placement and the plaintext
+#: baseline.
 _FILL_FACTORIES = {
     **{
         name: (lambda functional, name=name:
-               make_engine(name, functional=functional))
+               make_engine(name, functional=functional,
+                           **_FILL_OVERRIDES.get(name, {})))
         for name in engine_names()
-        if type(make_engine(name)).fill_lines
-        is not BusEncryptionEngine.fill_lines
     },
     "cpu-cache-stream": lambda functional:
         CpuCacheStreamEngine(KEY, functional=functional),
@@ -234,13 +242,22 @@ _FILL_FACTORIES = {
 }
 
 
-class TestFillLinesBulk:
-    """fill_lines must equal the per-line fill_line loop, observably.
+def _on_base_path(engine) -> bool:
+    """True when the engine fills through the base class's own loop."""
+    cls = type(engine)
+    return (cls.fill_lines is BusEncryptionEngine.fill_lines
+            and cls._fetch_line is BusEncryptionEngine._fetch_line)
 
-    Each engine runs one bulk call over 40 installed lines on one
-    instance and the scalar loop on a twin; plaintexts, cycles, stats
-    (Gilmont's prediction counters included), the event summary and the
-    bus transaction log must all match.
+
+class TestFillLinesBulk:
+    """fill_lines must equal a line-at-a-time oracle, observably.
+
+    Each engine runs one group call over 40 installed lines on one
+    instance and the oracle on a twin: :func:`reference_fill` (the
+    scalar fill sequence) for engines on the base fill path, one-address
+    ``fill_lines`` calls for engines with their own per-line loop.
+    Plaintexts, cycles, stats (Gilmont's prediction counters included),
+    the event summary and the bus transaction log must all match.
     """
 
     LINE = 32
@@ -258,7 +275,8 @@ class TestFillLinesBulk:
 
     def _rig(self, name, functional):
         engine = _FILL_FACTORIES[name](functional)
-        memory = MainMemory(MemoryConfig(size=1 << 16))
+        # Room for the integrity tags and Merkle nodes stored at 1 MiB.
+        memory = MainMemory(MemoryConfig(size=1 << 21))
         engine.install_image(memory, self.BASE, self._image(),
                              line_size=self.LINE)
         sink = CounterSink()
@@ -269,8 +287,11 @@ class TestFillLinesBulk:
         return engine, MemoryPort(memory, bus), sink, log
 
     def test_covers_every_override(self):
-        assert {"aegis", "ds5002fp", "ds5240", "gilmont", "stream",
-                "xom"} <= set(_FILL_FACTORIES)
+        assert set(engine_names()) <= set(_FILL_FACTORIES)
+        on_base = {name for name, build in _FILL_FACTORIES.items()
+                   if _on_base_path(build(False))}
+        assert {"aegis", "best", "ds5002fp", "ds5240", "gilmont", "xom",
+                "cpu-cache-stream", "plaintext"} <= on_base
 
     @pytest.mark.parametrize("functional", [True, False],
                              ids=["functional", "timing-only"])
@@ -280,13 +301,20 @@ class TestFillLinesBulk:
         engine, port, sink, log = self._rig(name, functional)
         bulk = engine.fill_lines(port, addrs, self.LINE)
         twin, twin_port, twin_sink, twin_log = self._rig(name, functional)
-        scalar = [twin.fill_line(twin_port, addr, self.LINE)
-                  for addr in addrs]
+        base_path = _on_base_path(twin)
+        if base_path:
+            scalar = [reference_fill(twin, twin_port, addr, self.LINE)
+                      for addr in addrs]
+        else:
+            scalar = [twin.fill_lines(twin_port, (addr,), self.LINE)[0]
+                      for addr in addrs]
         assert bulk == scalar
         assert engine.stats == twin.stats
         assert sink.summary() == twin_sink.summary()
         assert sink.bytes_summary() == twin_sink.bytes_summary()
-        assert log == twin_log and len(log) == len(addrs)
+        assert log == twin_log
+        if base_path:
+            assert len(log) == len(addrs)
         if functional and name != "plaintext":
             image = self._image()
             for addr, (plain, _) in zip(addrs, bulk):
@@ -319,3 +347,78 @@ class TestFillLinesBulk:
 
         monkeypatch.setattr(getattr(engine, cipher), method, boom)
         engine.fill_lines(port, self._addrs(), self.LINE)
+
+
+# -- the decrypt transform (engine.decrypt_lines) -----------------------------
+
+#: The engines that batch their decrypt, by their cipher's block size.
+_BATCH_DECRYPT = {
+    "aegis": 16, "xom": 16, "stream": 16, "cpu-cache-stream": 16,
+    "ds5240": 8, "gilmont": 8, "ds5002fp": 8,
+}
+
+
+class TestDecryptLines:
+    LINE = 32
+
+    @pytest.mark.parametrize("name", sorted(_BATCH_DECRYPT))
+    def test_batch_matches_single_lines_across_numpy_width(self, name):
+        # Group sizes straddle the width at which a kernel call switches
+        # from the scalar table loop to numpy gathers; one line alone
+        # always stays scalar.
+        block = _BATCH_DECRYPT[name]
+        threshold = (kernels.NUMPY_MIN_BLOCKS_AES if block == 16
+                     else kernels.NUMPY_MIN_BLOCKS_DES)
+        per_line = self.LINE // block
+        wide = -(-threshold // per_line)
+        assert per_line < threshold
+        engine = _FILL_FACTORIES[name](True)
+        rng = _DRBG(b"decrypt-lines-" + name.encode())
+        items = [(0x800 + 0x60 * i, rng.random_bytes(self.LINE))
+                 for i in range(wide + 1)]
+        for n in (1, wide - 1, wide, wide + 1):
+            group = items[:n]
+            assert engine.decrypt_lines(group) == [
+                engine.decrypt_line(addr, ct) for addr, ct in group
+            ]
+
+    @pytest.mark.parametrize("name", sorted(_BATCH_DECRYPT))
+    def test_defines_decrypt_lines_only(self, name):
+        cls = type(_FILL_FACTORIES[name](True))
+        owners = [klass for klass in cls.__mro__
+                  if "decrypt_lines" in vars(klass)
+                  or "fill_lines" in vars(klass)
+                  or "decrypt_line" in vars(klass)]
+        assert owners[0] is not BusEncryptionEngine
+        assert "decrypt_lines" in vars(owners[0])
+        assert "fill_lines" not in vars(owners[0])
+        assert "decrypt_line" not in vars(owners[0])
+
+
+def _concrete_engines():
+    seen, todo = [], [BusEncryptionEngine]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            if sub not in seen:
+                seen.append(sub)
+                todo.append(sub)
+    return [cls for cls in seen
+            if cls.__module__.startswith("repro.core.")
+            and not inspect.isabstract(cls)]
+
+
+def test_every_core_engine_defines_a_decrypt():
+    # The base decrypt_line and decrypt_lines are defined in terms of each
+    # other: an engine that defines neither would recurse forever.
+    engines = _concrete_engines()
+    assert {cls.__name__ for cls in engines} >= {
+        name for name in repro.core.__all__ if name.endswith("Engine")
+        and name not in ("BusEncryptionEngine", "BlockModeEngine",
+                         "TweakedECBEngine")
+    }
+    for cls in engines:
+        assert any(
+            "decrypt_line" in vars(klass) or "decrypt_lines" in vars(klass)
+            for klass in cls.__mro__[:cls.__mro__.index(BusEncryptionEngine)]
+        ), cls.__name__
