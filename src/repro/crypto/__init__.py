@@ -19,7 +19,6 @@ from .kernels import (
     DESKernel,
     TripleDESKernel,
     aes_kernel,
-    ctr_pad,
     ctr_pads,
     des_kernel,
     kernel_for,
@@ -38,7 +37,7 @@ __all__ = [
     "consttime_eq", "hmac_sha256", "prf", "verify_hmac",
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
-    "kernel_for", "ctr_pad", "ctr_pads",
+    "kernel_for", "ctr_pads",
     "LFSR", "AlternatingStepGenerator", "GeffeGenerator",
     "CBC", "CFB", "CTR", "ECB", "OFB", "xor_bytes",
     "PaddingError", "pad", "unpad",

@@ -63,7 +63,7 @@ from .des import (
 __all__ = [
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
-    "kernel_for", "encrypt_blocks", "decrypt_blocks", "ctr_pad",
+    "kernel_for", "encrypt_blocks", "decrypt_blocks", "ctr_pads",
 ]
 
 
@@ -823,14 +823,6 @@ def ctr_pads(cipher, spans: Sequence[Tuple[int, int, object]],
         out.append(pad[pos + offset: pos + offset + nbytes])
         pos += span
     return out
-
-
-def ctr_pad(cipher, addr: int, nbytes: int,
-            counter_block: Callable[[int], bytes]) -> bytes:
-    """Keystream covering ``[addr, addr + nbytes)``: one span of
-    :func:`ctr_pads`, with ``counter_block(block_addr)`` untagged."""
-    return ctr_pads(cipher, [(addr, nbytes, None)],
-                    lambda _, block_addr: counter_block(block_addr))[0]
 
 
 # Every kernel class the check needs is defined by now.

@@ -16,7 +16,7 @@ from repro.crypto.kernels import (
     DESKernel,
     TripleDESKernel,
     aes_kernel,
-    ctr_pad,
+    ctr_pads,
     decrypt_blocks,
     des_kernel,
     encrypt_blocks,
@@ -200,20 +200,30 @@ class TestRegistryAndDispatch:
         rng = DRBG(b"kernels-ctr-pad")
         kernel = aes_kernel(rng.random_bytes(16))
 
-        def counter_block(block_addr):
-            return b"tst!" + (block_addr // 16).to_bytes(12, "big")
+        def counter_block(tag, block_addr):
+            return tag + (block_addr // 16).to_bytes(12, "big")
+
+        def expected(addr, nbytes, tag):
+            start = addr - addr % 16
+            end = -(-(addr + nbytes) // 16) * 16
+            return b"".join(
+                kernel.encrypt_block(counter_block(tag, a))
+                for a in range(start, end, 16)
+            )[addr - start: addr - start + nbytes]
 
         # Unaligned start and length: the pad must slice correctly.
-        addr, nbytes = 40, 100
-        start = addr - addr % 16
-        end = -(-(addr + nbytes) // 16) * 16
-        expected = b"".join(
-            kernel.encrypt_block(counter_block(a))
-            for a in range(start, end, 16)
-        )[addr - start: addr - start + nbytes]
-        assert ctr_pad(kernel, addr, nbytes, counter_block) == expected
-        assert len(ctr_pad(kernel, 0, 1, counter_block)) == 1
-        assert ctr_pad(kernel, 0, 0, counter_block) == b""
+        one = (40, 100, b"tst!")
+        assert ctr_pads(kernel, [one], counter_block) == [expected(*one)]
+        assert len(ctr_pads(kernel, [(0, 1, b"tst!")], counter_block)[0]) == 1
+        assert ctr_pads(kernel, [(0, 0, b"tst!")], counter_block) == [b""]
+        assert ctr_pads(kernel, [], counter_block) == []
+        # Several spans in one call, each cut at its own offset: mixed
+        # tags, an empty span between two others, overlapping blocks.
+        spans = [(40, 100, b"tst!"), (7, 0, b"two!"), (0x200, 32, b"two!"),
+                 (41, 9, b"tst!"), (0x1003, 45, b"3rd!")]
+        assert ctr_pads(kernel, spans, counter_block) == [
+            expected(*span) for span in spans
+        ]
 
 
 # -- import-time equivalence check -------------------------------------------

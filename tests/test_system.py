@@ -249,15 +249,32 @@ def _on_base_path(engine) -> bool:
             and cls._fetch_line is BusEncryptionEngine._fetch_line)
 
 
+def _has_scalar_oracle(engine) -> bool:
+    """True when :func:`_scalar_fill` models the engine's fill: the base
+    path, and stream (the base path plus a pad-ahead per line)."""
+    return _on_base_path(engine) or type(engine) is StreamCipherEngine
+
+
+def _scalar_fill(engine, port, addr: int, line_size: int):
+    """One line of the scalar fill sequence: :func:`reference_fill`, then
+    for stream its pad-ahead, before the next line's pad-cache lookup."""
+    fill = reference_fill(engine, port, addr, line_size)
+    if type(engine) is StreamCipherEngine:
+        for i in range(1, engine.pad_ahead_depth + 1):
+            engine._cache_pad(addr + i * line_size)
+    return fill
+
+
 class TestFillLinesBulk:
     """fill_lines must equal a line-at-a-time oracle, observably.
 
     Each engine runs one group call over 40 installed lines on one
-    instance and the oracle on a twin: :func:`reference_fill` (the
-    scalar fill sequence) for engines on the base fill path, one-address
-    ``fill_lines`` calls for engines with their own per-line loop.
-    Plaintexts, cycles, stats (Gilmont's prediction counters included),
-    the event summary and the bus transaction log must all match.
+    instance and the oracle on a twin: :func:`_scalar_fill` (the scalar
+    fill sequence) for engines on the base fill path and stream,
+    one-address ``fill_lines`` calls for engines with their own per-line
+    loop.  Plaintexts, cycles, stats (Gilmont's prediction counters
+    included), the event summary and the bus transaction log must all
+    match; an engine with a scalar oracle reads the bus once per line.
     """
 
     LINE = 32
@@ -292,6 +309,9 @@ class TestFillLinesBulk:
                    if _on_base_path(build(False))}
         assert {"aegis", "best", "ds5002fp", "ds5240", "gilmont", "xom",
                 "cpu-cache-stream", "plaintext"} <= on_base
+        scalar = {name for name, build in _FILL_FACTORIES.items()
+                  if _has_scalar_oracle(build(False))}
+        assert scalar == on_base | {"stream"}
 
     @pytest.mark.parametrize("functional", [True, False],
                              ids=["functional", "timing-only"])
@@ -301,9 +321,9 @@ class TestFillLinesBulk:
         engine, port, sink, log = self._rig(name, functional)
         bulk = engine.fill_lines(port, addrs, self.LINE)
         twin, twin_port, twin_sink, twin_log = self._rig(name, functional)
-        base_path = _on_base_path(twin)
-        if base_path:
-            scalar = [reference_fill(twin, twin_port, addr, self.LINE)
+        scalar_oracle = _has_scalar_oracle(twin)
+        if scalar_oracle:
+            scalar = [_scalar_fill(twin, twin_port, addr, self.LINE)
                       for addr in addrs]
         else:
             scalar = [twin.fill_lines(twin_port, (addr,), self.LINE)[0]
@@ -313,7 +333,7 @@ class TestFillLinesBulk:
         assert sink.summary() == twin_sink.summary()
         assert sink.bytes_summary() == twin_sink.bytes_summary()
         assert log == twin_log
-        if base_path:
+        if scalar_oracle:
             assert len(log) == len(addrs)
         if functional and name != "plaintext":
             image = self._image()
