@@ -4,12 +4,17 @@ Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
 
 1. **Equivalence**: every kernel is checked bit-for-bit against its
    reference cipher on random blocks (encrypt and decrypt, every key
-   size), and the DS5002FP byte cipher's one-pass array path against its
-   per-byte methods.  Any mismatch makes the process exit non-zero, which
-   is what ``make smoke`` relies on.
+   size), at the batch width asked for and at narrow widths (1, 5 and 31
+   blocks, the scalar loops), and as one CBC chain against the chain
+   built block by block from the reference cipher; also the DS5002FP
+   byte cipher's one-pass array path against its per-byte methods.  Any
+   mismatch makes the process exit non-zero, which is what ``make smoke``
+   relies on.
 2. **Timing**: per-block throughput of the reference loop vs the batched
-   kernel path, reported as a small table with the speedup factor; the
-   byte cipher is timed at one cache line (32 B) and one page (8 KB).
+   kernel path, reported as a small table with the speedup factor; a
+   128-block 3DES-CBC chain (the General Instrument region shape) is timed
+   as a per-block reference chain vs one kernel call; the byte cipher is
+   timed at one cache line (32 B) and one page (8 KB).
 
 ``--quick`` shrinks both jobs to a CI-friendly sanity run.
 """
@@ -26,6 +31,7 @@ from .aes import AES
 from .des import DES, TripleDES
 from .feistel import SmallBlockCipher
 from .kernels import AESKernel, DESKernel, TripleDESKernel
+from .modes import xor_bytes
 
 _CASES: List[Tuple[str, int, Callable, Callable]] = [
     ("aes-128", 16, lambda k: AES(k), lambda k: AESKernel(k)),
@@ -35,6 +41,23 @@ _CASES: List[Tuple[str, int, Callable, Callable]] = [
     ("3des-ede2", 16, lambda k: TripleDES(k), lambda k: TripleDESKernel(k)),
     ("3des-ede3", 24, lambda k: TripleDES(k), lambda k: TripleDESKernel(k)),
 ]
+
+
+def _reference_ecb(ref, data: bytes) -> bytes:
+    size = ref.block_size
+    return b"".join(
+        ref.encrypt_block(data[i: i + size]) for i in range(0, len(data), size)
+    )
+
+
+def _reference_cbc(ref, iv: bytes, data: bytes) -> bytes:
+    """CBC by its definition, one reference block at a time."""
+    size = ref.block_size
+    prev, out = iv, []
+    for i in range(0, len(data), size):
+        prev = ref.encrypt_block(xor_bytes(data[i: i + size], prev))
+        out.append(prev)
+    return b"".join(out)
 
 
 def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
@@ -49,14 +72,24 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
         data = bytes(
             rng.randrange(256) for _ in range(size * blocks_per_key)
         )
-        expected_ct = b"".join(
-            ref.encrypt_block(data[i: i + size])
-            for i in range(0, len(data), size)
-        )
+        expected_ct = _reference_ecb(ref, data)
         if kernel.encrypt_blocks(data) != expected_ct:
             failures.append(f"{name}: encrypt mismatch")
         if kernel.decrypt_blocks(expected_ct) != data:
             failures.append(f"{name}: decrypt mismatch")
+        # Narrow widths run the scalar loops, below NUMPY_MIN_BLOCKS_*.
+        narrow = bytes(rng.randrange(256) for _ in range(size * 31))
+        narrow_ct = _reference_ecb(ref, narrow)
+        for width in (1, 5, 31):
+            part = width * size
+            if kernel.encrypt_blocks(narrow[:part]) != narrow_ct[:part]:
+                failures.append(f"{name}: encrypt mismatch at {width} blocks")
+            if kernel.decrypt_blocks(narrow_ct[:part]) != narrow[:part]:
+                failures.append(f"{name}: decrypt mismatch at {width} blocks")
+        # A whole CBC chain in one kernel call.
+        iv = bytes(rng.randrange(256) for _ in range(size))
+        if kernel.encrypt_blocks(data, iv) != _reference_cbc(ref, iv, data):
+            failures.append(f"{name}: cbc chain mismatch")
     failures.extend(_check_byte_cipher(rng, blocks_per_key))
     return failures
 
@@ -91,6 +124,16 @@ def _throughput(crypt: Callable[[], object], repeats: int) -> float:
     return best
 
 
+def _row(cipher: str, blocks: int, ref_s: float, kern_s: float) -> dict:
+    return {
+        "cipher": cipher,
+        "blocks": blocks,
+        "reference_s": round(ref_s, 4),
+        "kernel_s": round(kern_s, 4),
+        "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
+    }
+
+
 def bench(nblocks: int, repeats: int = 3) -> List[dict]:
     """Reference-loop vs kernel-batch timing; returns one row per cipher."""
     rows = []
@@ -99,24 +142,20 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
         key = bytes(rng.randrange(256) for _ in range(key_len))
         ref = make_ref(key)
         kernel = make_kernel(key)
-        size = ref.block_size
-        data = bytes(rng.randrange(256) for _ in range(size * nblocks))
-
-        def ref_loop():
-            return b"".join(
-                ref.encrypt_block(data[i: i + size])
-                for i in range(0, len(data), size)
-            )
-
-        ref_s = _throughput(ref_loop, repeats)
-        kern_s = _throughput(lambda: kernel.encrypt_blocks(data), repeats)
-        rows.append({
-            "cipher": name,
-            "blocks": nblocks,
-            "reference_s": round(ref_s, 4),
-            "kernel_s": round(kern_s, 4),
-            "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
-        })
+        data = bytes(rng.randrange(256)
+                     for _ in range(ref.block_size * nblocks))
+        rows.append(_row(
+            name, nblocks,
+            _throughput(lambda: _reference_ecb(ref, data), repeats),
+            _throughput(lambda: kernel.encrypt_blocks(data), repeats)))
+    key = bytes(rng.randrange(256) for _ in range(24))
+    ref, kernel = TripleDES(key), TripleDESKernel(key)
+    data = bytes(rng.randrange(256) for _ in range(8 * 128))
+    iv = bytes(8)
+    rows.append(_row(
+        "3des-cbc", 128,
+        _throughput(lambda: _reference_cbc(ref, iv, data), repeats),
+        _throughput(lambda: kernel.encrypt_blocks(data, iv), repeats)))
     for nbytes in (32, 8192):
         cipher = SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))
         data = bytes(rng.randrange(256) for _ in range(nbytes))
@@ -126,15 +165,9 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
                 cipher.encrypt_byte(0x400 + i, b) for i, b in enumerate(data)
             )
 
-        ref_s = _throughput(byte_loop, repeats)
-        kern_s = _throughput(lambda: cipher.encrypt(0x400, data), repeats)
-        rows.append({
-            "cipher": "feistel-8",
-            "blocks": nbytes,
-            "reference_s": round(ref_s, 4),
-            "kernel_s": round(kern_s, 4),
-            "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
-        })
+        rows.append(_row(
+            "feistel-8", nbytes, _throughput(byte_loop, repeats),
+            _throughput(lambda: cipher.encrypt(0x400, data), repeats)))
     return rows
 
 
@@ -160,7 +193,8 @@ def main(argv=None) -> int:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"equivalence: ok ({len(_CASES)} ciphers x "
-          f"{args.check_blocks} random blocks, encrypt+decrypt; "
+          f"{args.check_blocks} random blocks, encrypt+decrypt, also at "
+          f"1/5/31 blocks, and one CBC chain; "
           f"feistel-8 array path vs per-byte)")
 
     print(f"{'cipher':<10} {'blocks':>7} {'reference':>10} "

@@ -13,20 +13,23 @@ analogues, and this module applies them to the reference implementations in
   are *derived* from the algebraically constructed ``SBOX``/``gf_mul`` of
   the reference module, so the existing S-box tests cover them.
 * :class:`DESKernel` / :class:`TripleDESKernel` — bit-packed rounds: the
-  IP/FP/E permutations become per-byte scatter tables and the eight S-boxes
-  fuse with the P permutation into ``SP`` tables.  3DES additionally skips
-  the interior FP∘IP pairs, which cancel algebraically.
+  IP/FP/E permutations become per-byte scatter tables and the eight S-boxes,
+  in pairs, fuse with the P permutation into four 12-bit ``SP12`` tables.
+  3DES additionally skips the interior FP∘IP pairs, which cancel
+  algebraically.
 * a **key-schedule registry** (:func:`aes_kernel`, :func:`des_kernel`,
   :func:`tdes_kernel`) memoizing kernels by raw key bytes, so campaign
   scripts that rebuild engines dozens of times reuse one expanded schedule;
 * **batched APIs** — :meth:`encrypt_blocks`/:meth:`decrypt_blocks` on every
-  kernel, the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch
-  helpers that fall back to per-block loops for exotic ciphers, and
+  kernel (``encrypt_blocks(data, iv)`` runs a whole CBC chain in one call),
+  the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch helpers that
+  fall back to per-block loops for exotic ciphers, and
   :func:`ctr_pads` producing a whole fill group's keystream in one call —
   the miss-path shape the engines in :mod:`repro.core` use;
 * **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
   :data:`NUMPY_MIN_BLOCKS_DES` blocks or more run as numpy gathers over the
-  whole batch, narrower ones on the scalar table loops.
+  whole batch, narrower ones on the scalar table loops.  A CBC chain is
+  serial, so it runs on the scalar loop at any width.
 
 Every kernel is bit-for-bit equivalent to its reference cipher; the
 equivalence layer in ``tests/test_kernels.py`` proves it on the FIPS-197 /
@@ -43,7 +46,7 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,11 +174,13 @@ class AESKernel:
 
     # -- batched core ----------------------------------------------------
 
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        """ECB-encrypt a multiple of 16 bytes in one batched pass."""
-        if len(data) >= NUMPY_MIN_BLOCKS_AES * 16 and len(data) % 16 == 0:
+    def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
+        """ECB-encrypt a multiple of 16 bytes in one batched pass; with
+        ``iv``, CBC-encrypt them as one chain (scalar at any width)."""
+        if iv is None and len(data) >= NUMPY_MIN_BLOCKS_AES * 16 \
+                and len(data) % 16 == 0:
             return _np_aes_crypt(self, data, encrypt=True)
-        return self._encrypt_blocks_scalar(data)
+        return self._encrypt_blocks_scalar(data, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         """ECB-decrypt a multiple of 16 bytes in one batched pass."""
@@ -183,7 +188,8 @@ class AESKernel:
             return _np_aes_crypt(self, data, encrypt=False)
         return self._decrypt_blocks_scalar(data)
 
-    def _encrypt_blocks_scalar(self, data: bytes) -> bytes:
+    def _encrypt_blocks_scalar(self, data: bytes,
+                               iv: Optional[bytes] = None) -> bytes:
         if len(data) % 16:
             raise ValueError(
                 f"data length {len(data)} is not a multiple of block size 16"
@@ -192,12 +198,20 @@ class AESKernel:
         sbox = SBOX
         ek = self._ek
         rounds = self._rounds
+        # The CBC chain register, as four column words (zero for ECB).
+        c0 = c1 = c2 = c3 = 0
+        if iv is not None:
+            if len(iv) != 16:
+                raise ValueError(f"IV must be 16 bytes, got {len(iv)}")
+            c0, c1, c2, c3 = (int.from_bytes(iv[i: i + 4], "big")
+                              for i in (0, 4, 8, 12))
         out = bytearray(len(data))
         for base in range(0, len(data), 16):
-            w0 = int.from_bytes(data[base: base + 4], "big") ^ ek[0]
-            w1 = int.from_bytes(data[base + 4: base + 8], "big") ^ ek[1]
-            w2 = int.from_bytes(data[base + 8: base + 12], "big") ^ ek[2]
-            w3 = int.from_bytes(data[base + 12: base + 16], "big") ^ ek[3]
+            w0 = int.from_bytes(data[base: base + 4], "big") ^ ek[0] ^ c0
+            w1 = int.from_bytes(data[base + 4: base + 8], "big") ^ ek[1] ^ c1
+            w2 = int.from_bytes(data[base + 8: base + 12], "big") ^ ek[2] ^ c2
+            w3 = int.from_bytes(data[base + 12: base + 16], "big") \
+                ^ ek[3] ^ c3
             k = 4
             for _ in range(rounds - 1):
                 n0 = (t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF]
@@ -219,6 +233,8 @@ class AESKernel:
                   | (sbox[(w0 >> 8) & 0xFF] << 8) | sbox[w1 & 0xFF]) ^ ek[k + 2]
             o3 = ((sbox[w3 >> 24] << 24) | (sbox[(w0 >> 16) & 0xFF] << 16)
                   | (sbox[(w1 >> 8) & 0xFF] << 8) | sbox[w2 & 0xFF]) ^ ek[k + 3]
+            if iv is not None:
+                c0, c1, c2, c3 = o0, o1, o2, o3
             out[base: base + 16] = (
                 (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
             ).to_bytes(16, "big")
@@ -301,20 +317,31 @@ _IP_TAB = _scatter_tables(_IP, 64)
 _FP_TAB = _scatter_tables(_FP, 64)
 _E_TAB = _scatter_tables(_E, 32)
 
-# SP[i][chunk]: S-box i applied to a 6-bit chunk, its 4-bit output placed
-# in nibble i, then run through the P permutation — the whole second half
-# of the round function as one lookup.
-_SP: List[List[int]] = []
-for _i in range(8):
-    _tab = [0] * 64
-    for _chunk in range(64):
-        _row = ((_chunk & 0x20) >> 4) | (_chunk & 1)
-        _col = (_chunk >> 1) & 0xF
-        _tab[_chunk] = _permute(
-            _SBOXES[_i][_row][_col] << (28 - 4 * _i), 32, _P
-        )
-    _SP.append(_tab)
-del _i, _tab, _chunk, _row, _col
+def _sp12_tables() -> List[List[int]]:
+    """S-box pairs fused with P: ``_SP12[j][w]`` is the P-permuted output of
+    S-boxes 2j and 2j+1 on the 12-bit window ``w`` of E(R) xor K.
+
+    One lookup per S-box pair makes a round 4 lookups instead of 8.  A
+    table's 4096 entries take at most 16 x 16 distinct values; equal
+    values share one ``int`` object, which keeps the tables small.
+    """
+    sp6 = []  # sp6[i][chunk]: S-box i on a 6-bit chunk, placed, then P
+    for i in range(8):
+        tab = []
+        for chunk in range(64):
+            row = ((chunk & 0x20) >> 4) | (chunk & 1)
+            col = (chunk >> 1) & 0xF
+            tab.append(_permute(_SBOXES[i][row][col] << (28 - 4 * i), 32, _P))
+        sp6.append(tab)
+    fused = []
+    for j in range(4):
+        shared: dict = {}
+        fused.append([shared.setdefault(hi ^ lo, hi ^ lo)
+                      for hi in sp6[2 * j] for lo in sp6[2 * j + 1]])
+    return fused
+
+
+_SP12 = _sp12_tables()
 
 
 def _perm64(v: int, tabs: List[List[int]]) -> int:
@@ -330,21 +357,50 @@ def _des_rounds(value: int, round_keys) -> int:
     """16 Feistel rounds (incl. the final half swap), no IP/FP.
 
     Input and output are in post-IP bit order, so passes compose directly
-    — which is how :class:`TripleDESKernel` drops the interior FP∘IP pairs.
+    — which is how :class:`TripleDESKernel` drops the interior FP∘IP pairs
+    and how a CBC chain stays in the IP domain (see :func:`_des_crypt`).
     """
     e0, e1, e2, e3 = _E_TAB
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
+    sp0, sp1, sp2, sp3 = _SP12
     left = (value >> 32) & 0xFFFFFFFF
     right = value & 0xFFFFFFFF
     for key in round_keys:
         x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
              | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ key
-        f = (sp0[(x >> 42) & 0x3F] ^ sp1[(x >> 36) & 0x3F]
-             ^ sp2[(x >> 30) & 0x3F] ^ sp3[(x >> 24) & 0x3F]
-             ^ sp4[(x >> 18) & 0x3F] ^ sp5[(x >> 12) & 0x3F]
-             ^ sp6[(x >> 6) & 0x3F] ^ sp7[x & 0x3F])
+        f = (sp0[x >> 36] ^ sp1[(x >> 24) & 0xFFF]
+             ^ sp2[(x >> 12) & 0xFFF] ^ sp3[x & 0xFFF])
         left, right = right, left ^ f
     return (right << 32) | left
+
+
+def _des_crypt(data: bytes, schedules, iv: Optional[bytes] = None) -> bytes:
+    """Scalar DES-family blocks: one IP, 16 rounds per schedule, one FP.
+
+    ``schedules`` holds one round-key tuple for DES and three for 3DES.
+    With ``iv`` the blocks form one CBC chain.  IP is linear over XOR, so
+    IP(P_i xor C_{i-1}) = IP(P_i) xor IP(C_{i-1}), and IP(C_{i-1}) is the
+    previous block's pre-FP round output: the chain register never leaves
+    the IP domain, as in a hardware TDES core.
+    """
+    if len(data) % 8:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of block size 8"
+        )
+    chain = 0
+    if iv is not None:
+        if len(iv) != 8:
+            raise ValueError(f"IV must be 8 bytes, got {len(iv)}")
+        chain = _perm64(int.from_bytes(iv, "big"), _IP_TAB)
+    out = bytearray(len(data))
+    for base in range(0, len(data), 8):
+        v = _perm64(int.from_bytes(data[base: base + 8], "big"),
+                    _IP_TAB) ^ chain
+        for keys in schedules:
+            v = _des_rounds(v, keys)
+        if iv is not None:
+            chain = v
+        out[base: base + 8] = _perm64(v, _FP_TAB).to_bytes(8, "big")
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +428,7 @@ _NPT = {
     "ip": tuple(np.array(t, dtype=np.uint64) for t in _IP_TAB),
     "fp": tuple(np.array(t, dtype=np.uint64) for t in _FP_TAB),
     "e": tuple(np.array(t, dtype=np.uint64) for t in _E_TAB),
-    "sp": tuple(np.array(t, dtype=np.uint64) for t in _SP),
+    "sp12": tuple(np.array(t, dtype=np.uint64) for t in _SP12),
 }
 
 
@@ -443,7 +499,7 @@ def _np_des_crypt(data: bytes, chains) -> bytes:
     3DES, mirroring the scalar kernels exactly.
     """
     e0, e1, e2, e3 = _NPT["e"]
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _NPT["sp"]
+    sp0, sp1, sp2, sp3 = _NPT["sp12"]
     v = _np_perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
                    _NPT["ip"])
     left = v >> 32
@@ -452,10 +508,8 @@ def _np_des_crypt(data: bytes, chains) -> bytes:
         for key in keys:
             x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
                  | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ key
-            f = (sp0[(x >> 42) & 0x3F] ^ sp1[(x >> 36) & 0x3F]
-                 ^ sp2[(x >> 30) & 0x3F] ^ sp3[(x >> 24) & 0x3F]
-                 ^ sp4[(x >> 18) & 0x3F] ^ sp5[(x >> 12) & 0x3F]
-                 ^ sp6[(x >> 6) & 0x3F] ^ sp7[x & 0x3F])
+            f = (sp0[x >> 36] ^ sp1[(x >> 24) & 0xFFF]
+                 ^ sp2[(x >> 12) & 0xFFF] ^ sp3[x & 0xFFF])
             left, right = right, left ^ f
         # The final half swap of each 16-round pass.
         left, right = right, left
@@ -477,9 +531,9 @@ def _array_kernels_match() -> bool:
             return False
     des = DESKernel(bytes(range(8)))
     tdes = TripleDESKernel(bytes(range(24)))
-    for kernel, ct in ((des, des._crypt_blocks(data, des._keys)),
-                       (tdes, tdes._crypt_blocks(data, tdes._enc))):
-        enc_np, dec_np = kernel._np_schedules()
+    for kernel in (des, tdes):
+        ct = _des_crypt(data, kernel._enc)
+        enc_np, dec_np = _np_schedules(kernel)
         if _np_des_crypt(data, enc_np) != ct:
             return False
         if _np_des_crypt(ct, dec_np) != data:
@@ -496,6 +550,17 @@ def _check_array_kernels() -> None:
         )
 
 
+def _np_schedules(kernel):
+    """A DES-family kernel's (encrypt, decrypt) schedules as uint64 arrays,
+    built on first wide call."""
+    if kernel._enc_np is None:
+        kernel._enc_np = tuple(np.array(k, dtype=np.uint64)
+                               for k in kernel._enc)
+        kernel._dec_np = tuple(np.array(k, dtype=np.uint64)
+                               for k in kernel._dec)
+    return kernel._enc_np, kernel._dec_np
+
+
 class DESKernel:
     """Bit-packed DES, byte-identical to :class:`repro.crypto.des.DES`."""
 
@@ -505,9 +570,7 @@ class DESKernel:
     def __init__(self, key: bytes):
         if len(key) != 8:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
-        self._keys = tuple(_key_schedule(int.from_bytes(key, "big")))
-        self._rev_keys = tuple(reversed(self._keys))
-        self._keys_np = self._rev_keys_np = None
+        self._init_schedule(_key_schedule(int.from_bytes(key, "big")))
 
     def __deepcopy__(self, memo):
         # Immutable after construction (see AESKernel.__deepcopy__).
@@ -516,39 +579,27 @@ class DESKernel:
     @classmethod
     def from_cipher(cls, cipher: DES) -> "DESKernel":
         kernel = cls.__new__(cls)
-        kernel._keys = tuple(cipher._round_keys)
-        kernel._rev_keys = tuple(reversed(kernel._keys))
-        kernel._keys_np = kernel._rev_keys_np = None
+        kernel._init_schedule(cipher._round_keys)
         return kernel
 
-    def _np_schedules(self):
-        if self._keys_np is None:
-            self._keys_np = (np.array(self._keys, dtype=np.uint64),)
-            self._rev_keys_np = (np.array(self._rev_keys, dtype=np.uint64),)
-        return self._keys_np, self._rev_keys_np
+    def _init_schedule(self, keys) -> None:
+        # One-pass chains, in the layout TripleDESKernel uses for three.
+        self._enc = (tuple(keys),)
+        self._dec = (tuple(reversed(keys)),)
+        self._enc_np = self._dec_np = None
 
-    def _crypt_blocks(self, data: bytes, keys) -> bytes:
-        if len(data) % 8:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 8"
-            )
-        out = bytearray(len(data))
-        for base in range(0, len(data), 8):
-            v = _perm64(int.from_bytes(data[base: base + 8], "big"), _IP_TAB)
-            out[base: base + 8] = _perm64(
-                _des_rounds(v, keys), _FP_TAB
-            ).to_bytes(8, "big")
-        return bytes(out)
-
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[0])
-        return self._crypt_blocks(data, self._keys)
+    def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
+        """ECB-encrypt a multiple of 8 bytes; with ``iv``, CBC-encrypt them
+        as one chain (scalar at any width)."""
+        if iv is None and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
+                and len(data) % 8 == 0:
+            return _np_des_crypt(data, _np_schedules(self)[0])
+        return _des_crypt(data, self._enc, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[1])
-        return self._crypt_blocks(data, self._rev_keys)
+            return _np_des_crypt(data, _np_schedules(self)[1])
+        return _des_crypt(data, self._dec)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 8:
@@ -608,37 +659,18 @@ class TripleDESKernel:
         self._dec = (tuple(reversed(ks3)), tuple(ks2), tuple(reversed(ks1)))
         self._enc_np = self._dec_np = None
 
-    def _np_schedules(self):
-        if self._enc_np is None:
-            self._enc_np = tuple(
-                np.array(k, dtype=np.uint64) for k in self._enc)
-            self._dec_np = tuple(
-                np.array(k, dtype=np.uint64) for k in self._dec)
-        return self._enc_np, self._dec_np
-
-    @staticmethod
-    def _crypt_blocks(data: bytes, schedules) -> bytes:
-        if len(data) % 8:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 8"
-            )
-        ka, kb, kc = schedules
-        out = bytearray(len(data))
-        for base in range(0, len(data), 8):
-            v = _perm64(int.from_bytes(data[base: base + 8], "big"), _IP_TAB)
-            v = _des_rounds(_des_rounds(_des_rounds(v, ka), kb), kc)
-            out[base: base + 8] = _perm64(v, _FP_TAB).to_bytes(8, "big")
-        return bytes(out)
-
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[0])
-        return self._crypt_blocks(data, self._enc)
+    def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
+        """ECB-encrypt a multiple of 8 bytes; with ``iv``, CBC-encrypt them
+        as one chain (scalar at any width)."""
+        if iv is None and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
+                and len(data) % 8 == 0:
+            return _np_des_crypt(data, _np_schedules(self)[0])
+        return _des_crypt(data, self._enc, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[1])
-        return self._crypt_blocks(data, self._dec)
+            return _np_des_crypt(data, _np_schedules(self)[1])
+        return _des_crypt(data, self._dec)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 8:
@@ -651,12 +683,35 @@ class TripleDESKernel:
         return self.decrypt_blocks(block)
 
 
+def _per_block(crypt: Callable[[bytes], bytes], size: int, data: bytes,
+               iv: Optional[bytes] = None) -> bytes:
+    """``crypt`` over each ``size``-byte block of ``data``; with ``iv``, as
+    one CBC chain (each block XORed with the previous output first)."""
+    if len(data) % size:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of block size {size}"
+        )
+    if iv is None:
+        return b"".join(
+            crypt(data[i: i + size]) for i in range(0, len(data), size))
+    if len(iv) != size:
+        raise ValueError(f"IV must be {size} bytes, got {len(iv)}")
+    prev = iv
+    out = []
+    for i in range(0, len(data), size):
+        prev = crypt((int.from_bytes(data[i: i + size], "big")
+                      ^ int.from_bytes(prev, "big")).to_bytes(size, "big"))
+        out.append(prev)
+    return b"".join(out)
+
+
 class ReferenceKernel:
     """Per-block adapter giving an algebraic reference cipher the batched
     kernel API.  The ``reference_ciphers`` oracle in ``tests/conftest.py``
     makes the registry hand these out instead of the table kernels, so
     every block goes through the reference GF(2^8) / Feistel arithmetic
-    while the engines keep calling one interface."""
+    while the engines keep calling one interface.  A CBC chain runs one
+    reference block at a time, independent of the table kernels' chains."""
 
     __slots__ = ("_cipher", "block_size")
 
@@ -668,28 +723,12 @@ class ReferenceKernel:
         # The reference schedules are immutable after construction too.
         return self
 
-    def _check(self, data: bytes) -> None:
-        if len(data) % self.block_size:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size "
-                f"{self.block_size}"
-            )
-
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        self._check(data)
-        enc = self._cipher.encrypt_block
-        size = self.block_size
-        return b"".join(
-            enc(data[i: i + size]) for i in range(0, len(data), size)
-        )
+    def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
+        return _per_block(self._cipher.encrypt_block, self.block_size,
+                          data, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
-        self._check(data)
-        dec = self._cipher.decrypt_block
-        size = self.block_size
-        return b"".join(
-            dec(data[i: i + size]) for i in range(0, len(data), size)
-        )
+        return _per_block(self._cipher.decrypt_block, self.block_size, data)
 
     def encrypt_block(self, block: bytes) -> bytes:
         return self._cipher.encrypt_block(block)
@@ -769,32 +808,22 @@ def kernel_for(cipher):
     return kernel
 
 
-def encrypt_blocks(cipher, data: bytes) -> bytes:
-    """ECB-encrypt ``data`` through ``cipher``'s kernel, batched."""
+def encrypt_blocks(cipher, data: bytes, iv: Optional[bytes] = None) -> bytes:
+    """ECB-encrypt ``data`` through ``cipher``'s kernel, batched; with
+    ``iv``, CBC-encrypt it as one chain in one kernel call."""
     kernel = kernel_for(cipher)
-    if kernel is not None:
-        return kernel.encrypt_blocks(data)
-    size = cipher.block_size
-    if len(data) % size:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of block size {size}"
-        )
-    enc = cipher.encrypt_block
-    return b"".join(enc(data[i: i + size]) for i in range(0, len(data), size))
+    if kernel is None:
+        return _per_block(cipher.encrypt_block, cipher.block_size, data, iv)
+    # Positional: perfbench's tracer counts blocks from the first argument.
+    return kernel.encrypt_blocks(data, iv)
 
 
 def decrypt_blocks(cipher, data: bytes) -> bytes:
     """ECB-decrypt ``data`` through ``cipher``'s kernel, batched."""
     kernel = kernel_for(cipher)
-    if kernel is not None:
-        return kernel.decrypt_blocks(data)
-    size = cipher.block_size
-    if len(data) % size:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of block size {size}"
-        )
-    dec = cipher.decrypt_block
-    return b"".join(dec(data[i: i + size]) for i in range(0, len(data), size))
+    if kernel is None:
+        return _per_block(cipher.decrypt_block, cipher.block_size, data)
+    return kernel.decrypt_blocks(data)
 
 
 def ctr_pads(cipher, spans: Sequence[Tuple[int, int, object]],

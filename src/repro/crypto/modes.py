@@ -80,15 +80,11 @@ class CBC:
         self.iv = iv
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        # The chain is inherently serial (C_i feeds C_{i+1}); the kernel
-        # still accelerates each block encryption.
-        enc = (kernels.kernel_for(self.cipher) or self.cipher).encrypt_block
-        prev = self.iv
-        out = []
-        for block in _split_blocks(plaintext, self.block_size):
-            prev = enc(xor_bytes(block, prev))
-            out.append(prev)
-        return b"".join(out)
+        # The chain is inherently serial (C_i feeds C_{i+1}), so the whole
+        # chain is one kernel call that keeps the chaining register inside
+        # the kernel, as a hardware CBC core does.
+        _split_blocks(plaintext, self.block_size)
+        return kernels.encrypt_blocks(self.cipher, plaintext, iv=self.iv)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         # Decryption has no chain dependency: batch-decrypt every block,

@@ -118,6 +118,11 @@ class TestRandomEquivalence:
         )
         assert kernel.encrypt_blocks(data) == expected
         assert kernel.decrypt_blocks(expected) == data
+        # Narrow widths stay on the scalar loops (below NUMPY_MIN_BLOCKS_*).
+        for width in (1, 5, 31):
+            part = width * size
+            assert kernel.encrypt_blocks(data[:part]) == expected[:part]
+            assert kernel.decrypt_blocks(expected[:part]) == data[:part]
 
     def test_batch_equals_per_block(self):
         rng = DRBG(b"kernels-batch")
@@ -267,3 +272,23 @@ def test_bench_equivalence_catches_byte_cipher_mismatch(monkeypatch):
     failures = bench_kernels.check_equivalence(4)
     assert failures and all("feistel-8" in f for f in failures)
     assert bench_kernels.main(["--quick", "--check-blocks", "4"]) == 1
+
+
+def test_bench_equivalence_catches_broken_cbc_chain(monkeypatch):
+    """A DES-family chain that leaves the IP domain (here: the IV skips
+    IP) makes the sweep, and so ``make smoke``, fail."""
+    real = kernels_mod._des_crypt
+
+    def iv_outside_ip(data, schedules, iv=None):
+        if iv is None:
+            return real(data, schedules)
+        inverse_ip = kernels_mod._perm64(int.from_bytes(iv, "big"),
+                                         kernels_mod._FP_TAB)
+        return real(data, schedules, inverse_ip.to_bytes(8, "big"))
+
+    monkeypatch.setattr(kernels_mod, "_des_crypt", iv_outside_ip)
+    failures = bench_kernels.check_equivalence(4)
+    assert sorted(failures) == [
+        "3des-ede2: cbc chain mismatch", "3des-ede3: cbc chain mismatch",
+        "des: cbc chain mismatch",
+    ]

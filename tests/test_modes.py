@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import AES, CBC, CFB, CTR, DES, ECB, OFB, xor_bytes
+from repro.crypto import (
+    AES, CBC, CFB, CTR, DES, DRBG, ECB, OFB, TripleDES, xor_bytes,
+)
+from repro.crypto.kernels import (
+    AESKernel, DESKernel, ReferenceKernel, TripleDESKernel,
+)
 
 KEY16 = b"0123456789abcdef"
 IV16 = bytes(range(16))
@@ -249,14 +254,73 @@ def test_ofb_kernel_path_matches_reference(data):
     assert OFB(ReferenceOnly(aes()), IV16).decrypt(ct) == data
 
 
+#: One cipher per kernel and key layout that a CBC chain can run on.
+CBC_CIPHERS = {
+    "aes-128": AES(KEY16),
+    "aes-256": AES(bytes(range(32))),
+    "des": DES(b"8bytekey"),
+    "3des-8": TripleDES(b"8bytekey"),
+    "3des-16": TripleDES(KEY16),
+    "3des-24": TripleDES(bytes(range(24))),
+}
+
+
 @settings(max_examples=25, deadline=None)
 @given(blocks=st.integers(min_value=0, max_value=6), seed=st.integers(0, 255))
 def test_cbc_kernel_path_matches_reference(blocks, seed):
-    data = bytes((seed + i) & 0xFF for i in range(16 * blocks))
-    ct = CBC(aes(), IV16).encrypt(data)
-    assert CBC(ReferenceOnly(aes()), IV16).encrypt(data) == ct
-    assert CBC(aes(), IV16).decrypt(ct) == data
-    assert CBC(ReferenceOnly(aes()), IV16).decrypt(ct) == data
+    for cipher in CBC_CIPHERS.values():
+        size = cipher.block_size
+        iv = bytes((seed * 7 + i) & 0xFF for i in range(size))
+        data = bytes((seed + i) & 0xFF for i in range(size * blocks))
+        ct = CBC(cipher, iv).encrypt(data)
+        assert CBC(ReferenceOnly(cipher), iv).encrypt(data) == ct
+        assert CBC(cipher, iv).decrypt(ct) == data
+        assert CBC(ReferenceOnly(cipher), iv).decrypt(ct) == data
+
+
+def _defined_chain(cipher, iv, data):
+    """CBC as defined, C_i = E(P_i xor C_{i-1}), one reference block at a
+    time."""
+    size = cipher.block_size
+    prev, out = iv, []
+    for i in range(0, len(data), size):
+        prev = cipher.encrypt_block(xor_bytes(data[i: i + size], prev))
+        out.append(prev)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("name", list(CBC_CIPHERS))
+def test_cbc_chain_matches_every_reference_path(name):
+    """A chain is one kernel call at every width, on both sides of the
+    numpy threshold; it must equal the per-block fallback chain and the
+    ``ReferenceKernel`` chain."""
+    cipher = CBC_CIPHERS[name]
+    size = cipher.block_size
+    rng = DRBG(f"cbc-chain-{name}".encode())
+    for blocks in (0, 1, 5, 31, 32, 33, 128):
+        iv = rng.random_bytes(size)
+        data = rng.random_bytes(size * blocks)
+        expected = _defined_chain(cipher, iv, data)
+        assert CBC(cipher, iv).encrypt(data) == expected
+        assert CBC(ReferenceOnly(cipher), iv).encrypt(data) == expected
+        assert CBC(ReferenceKernel(cipher), iv).encrypt(data) == expected
+        assert CBC(cipher, iv).decrypt(expected) == data
+
+
+def test_cbc_encrypt_is_one_kernel_call_per_chain(monkeypatch):
+    calls = []
+    for cls in (AESKernel, DESKernel, TripleDESKernel):
+        def counting(self, data, iv=None, real=cls.encrypt_blocks):
+            calls.append((len(data), iv))
+            return real(self, data, iv)
+        monkeypatch.setattr(cls, "encrypt_blocks", counting)
+    for cipher in CBC_CIPHERS.values():
+        size = cipher.block_size
+        iv = bytes(range(size))
+        for blocks in (1, 5, 33):
+            calls.clear()
+            CBC(cipher, iv).encrypt(bytes(size * blocks))
+            assert calls == [(size * blocks, iv)]
 
 
 @settings(max_examples=25, deadline=None)
