@@ -24,6 +24,12 @@ RUNNER_DEEP := ^[[:space:]]*(from repro\.runner\.[[:alnum:]_.]+ import|import re
 FILL_LINE_DEF := ^[[:space:]]+def fill_line\(
 FILL_TWINS := spill_lines|_fill_batch
 
+# The simulator is watched through repro.obs sinks and tampered with
+# through MainMemory interposers: the bus keeps no probe or interposer
+# hooks of its own, and the SimStats facade and its aliases stay gone.
+OBS_HOOKS := attach_probe|detach_probe|SimStats|StatsSink|CountingSink
+BUS_INTERPOSER_DEF := def (attach|detach)_interposer\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -75,6 +81,18 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one engine fill path)"
+	@matches=$$(grep -rnIE '$(OBS_HOOKS)' --exclude-dir=__pycache__ \
+		src tests examples benchmarks || true); \
+	defs=$$(grep -nE '$(BUS_INTERPOSER_DEF)' src/repro/sim/bus.py || true); \
+	stats=$$(ls src/repro/sim/stats.py 2>/dev/null || true); \
+	if [ -n "$$matches$$defs$$stats" ]; then \
+		echo "lint: watch the simulator through repro.obs sinks and" >&2; \
+		echo "      tamper through MainMemory interposers; the bus" >&2; \
+		echo "      hooks and sim/stats.py stay gone:" >&2; \
+		echo "$$matches$$defs$$stats" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one way to watch the simulator)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -23,13 +23,13 @@ def main() -> None:
     trace = make_workload("mixed", n=5000)
 
     # A system with the engine, and the plaintext baseline to compare.
+    probe = BusProbe()                    # the attacker's logic analyzer
     system = SecureSystem(
         engine=make_engine("aegis", key=key),
         cache_config=CacheConfig(size=4096, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21, latency=40),
+        sink=probe,
     )
-    probe = BusProbe()                    # the attacker's logic analyzer
-    system.bus.attach_probe(probe)
 
     system.install_image(0, image)        # offline encryption (§2.1 step 6)
     report = system.run(list(trace))

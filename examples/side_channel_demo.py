@@ -23,13 +23,13 @@ KEY24 = b"0123456789abcdef01234567"
 
 
 def observe(trace, engine):
+    probe = BusProbe()
     system = SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21),
+        sink=probe,
     )
-    probe = BusProbe()
-    system.bus.attach_probe(probe)
     system.install_image(0, bytes(32 * 1024))
     system.run(trace)
     return probe
@@ -62,13 +62,13 @@ def main() -> None:
 
     # -- the page-DMA engine broadcasts page order --------------------------
     engine = make_engine("vlsi", key=KEY24, page_size=1024, buffer_pages=2)
+    probe = BusProbe()
     system = SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=512, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21),
+        sink=probe,
     )
-    probe = BusProbe()
-    system.bus.attach_probe(probe)
     system.install_image(0, bytes(8192))
     secret_page_order = [0, 3, 1, 6, 2]
     for page in secret_page_order:

@@ -5,9 +5,9 @@ simple board-level probing at almost no cost" — this is that probe.  The
 probe is an :class:`repro.obs.EventSink`: pass it as the ``sink=`` of a
 :class:`repro.sim.system.SecureSystem` (or install it ambiently with
 :func:`repro.obs.scope`) and it records every bus transfer crossing the
-chip boundary, exactly as a logic analyzer on the PCB traces would.  The
-legacy attachment point — ``bus.attach_probe(probe)`` calling the probe
-with each :class:`~repro.sim.bus.BusTransaction` — still works.
+chip boundary, exactly as a logic analyzer on the PCB traces would.  To
+keep another sink on the same system, fan out with
+:class:`repro.obs.TeeSink`.
 """
 
 from __future__ import annotations
@@ -33,21 +33,14 @@ class BusProbe(EventSink):
         self.transactions: List[BusTransaction] = []
         self.max_transactions = max_transactions
 
-    def _record(self, txn: BusTransaction) -> None:
-        if self.max_transactions is None or \
-                len(self.transactions) < self.max_transactions:
-            self.transactions.append(txn)
-
     def emit(self, event: TraceEvent) -> None:
         if event.kind == "bus-read" or event.kind == "bus-write":
-            self._record(BusTransaction(
-                op=event.kind[4:], addr=event.addr, data=event.data,
-                cycle=event.cycle,
-            ))
-
-    def __call__(self, txn: BusTransaction) -> None:
-        """Legacy ``bus.attach_probe`` entry point."""
-        self._record(txn)
+            if self.max_transactions is None or \
+                    len(self.transactions) < self.max_transactions:
+                self.transactions.append(BusTransaction(
+                    op=event.kind[4:], addr=event.addr, data=event.data,
+                    cycle=event.cycle,
+                ))
 
     # -- reconstruction helpers ------------------------------------------
 

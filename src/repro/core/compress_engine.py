@@ -58,7 +58,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
         self.decoder_fixed_latency = decoder_fixed_latency
         self.decoder_bytes_per_cycle = decoder_bytes_per_cycle
         self.unit = unit
-        self._inner = StreamCipherEngine(
+        self.inner = StreamCipherEngine(
             key, line_size=line_size, unit=unit, functional=functional
         )
         self._codec = CodePack(block_size=line_size)
@@ -97,7 +97,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             packed_addr = self._packed_base + offset
             ciphertext = (
                 xor_bytes(compressed,
-                          self._inner._pad(packed_addr, len(compressed)))
+                          self.inner._pad(packed_addr, len(compressed)))
                 if self.functional else compressed
             )
             memory.load_image(packed_addr, ciphertext)
@@ -120,16 +120,16 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
     # -- generic interface (delegated to the inner stream engine) -------------
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self._inner.encrypt_line(addr, plaintext)
+        return self.inner.encrypt_line(addr, plaintext)
 
     def decrypt_lines(self, items):
-        return self._inner.decrypt_lines(items)
+        return self.inner.decrypt_lines(items)
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        return self._inner.read_extra_cycles(addr, nbytes, mem_cycles)
+        return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
 
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        return self._inner.write_extra_cycles(addr, nbytes)
+        return self.inner.write_extra_cycles(addr, nbytes)
 
     def _decoder_cycles(self, out_bytes: int) -> int:
         return self.decoder_fixed_latency + -(-out_bytes // self.decoder_bytes_per_cycle)
@@ -138,7 +138,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
                 line_size: int) -> bytes:
         """A code line's plaintext from its packed, enciphered bytes."""
         compressed = xor_bytes(
-            ciphertext, self._inner._pad(packed_addr, len(ciphertext))
+            ciphertext, self.inner._pad(packed_addr, len(ciphertext))
         )
         return self._codec.decompress_block(
             compressed, line_size,
@@ -156,7 +156,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             if entry is None:
                 # Data region: plain stream-encrypted line.
                 self.uncompressed_fills += 1
-                out += self._inner.fill_lines(port, (addr,), line_size)
+                out += self.inner.fill_lines(port, (addr,), line_size)
                 continue
 
             self.compressed_fills += 1
@@ -187,8 +187,8 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             out += (
                 self._decode(entry[0], memory.dump(*entry), line_size)
                 if entry is not None
-                else self._inner.read_plain(memory, line, line_size,
-                                            line_size)
+                else self.inner.read_plain(memory, line, line_size,
+                                           line_size)
             )
         return bytes(out[addr - start: addr - start + nbytes])
 
@@ -198,7 +198,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
                 f"write to compressed (read-only) code line {addr:#x}"
             )
         self.stats.lines_encrypted += 1
-        return self._inner.write_line(port, addr, plaintext)
+        return self.inner.write_line(port, addr, plaintext)
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:
@@ -206,7 +206,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             raise ValueError(
                 f"write to compressed (read-only) code line {addr:#x}"
             )
-        return self._inner.write_partial(port, addr, data, line_size)
+        return self.inner.write_partial(port, addr, data, line_size)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

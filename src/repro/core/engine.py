@@ -91,14 +91,15 @@ class MemoryPort:
     """The engine's window onto the external world.
 
     Bundles the functional memory, the observable bus and the timing
-    configuration; every engine transfer goes through here so that probes
-    see exactly the bytes that cross the chip boundary.
+    configuration; every engine transfer goes through here, one memory
+    access and one bus transfer each, so that the bus events carry exactly
+    the bytes that cross the chip boundary.
     """
 
     def __init__(self, memory, bus, clock=None):
         self.memory = memory
         self.bus = bus
-        self._clock = clock  # callable returning current cycle, for probes
+        self._clock = clock  # callable returning current cycle, for events
 
     def _cycle(self) -> int:
         return self._clock() if self._clock else 0
@@ -106,13 +107,11 @@ class MemoryPort:
     def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
         """Read ``nbytes``; returns (data, cycles).
 
-        The engine receives the bytes the *bus* delivered: an interposer
-        on either the memory array or the wires (see
-        :meth:`repro.sim.bus.Bus.transfer`) tampers with exactly what the
-        chip decrypts, never with what a separate bookkeeping copy holds.
+        The engine receives the bytes :meth:`MainMemory.read` returned, so
+        a memory interposer tampers with exactly what the chip decrypts.
         """
         data = self.memory.read(addr, nbytes)
-        data = self.bus.transfer("read", addr, data, self._cycle())
+        self.bus.transfer("read", addr, data, self._cycle())
         return data, self.memory.config.read_cycles(nbytes)
 
     def write(self, addr: int, data: bytes) -> int:
@@ -161,7 +160,7 @@ class BusEncryptionEngine(ABC):
     def attach_sink(self, sink: Optional[EventSink]) -> None:
         """Attach an event sink to this engine and any wrapped inner engine."""
         self.sink = sink
-        inner = getattr(self, "inner", None) or getattr(self, "_inner", None)
+        inner = getattr(self, "inner", None)
         if inner is not None:
             inner.attach_sink(sink)
 

@@ -11,9 +11,11 @@ to metrics (:mod:`repro.obs.summary`):
 * the data path (``repro.sim``, the engine call sites in ``repro.core``)
   emits events to an optional sink — one ``is None`` test when disabled
   (``python -m repro.obs.bench`` verifies the cost);
-* attack modules (:class:`repro.attacks.probe.BusProbe`) are sinks over
-  the *same* stream, so "what the adversary sees" and "what we measure"
-  are one code path;
+* sinks are the one way to watch the simulator: the bus probe
+  (:class:`repro.attacks.probe.BusProbe`) is a sink over the *same*
+  stream, so "what the adversary sees" and "what we measure" are one
+  code path, and :class:`TeeSink` fans the stream out when a run needs
+  both;
 * the experiment runner wraps every task in :func:`scope` with a
   :class:`CounterSink` and merges the result into the
   ``repro-bench-metrics/3`` document's ``observability`` section;

@@ -17,6 +17,7 @@ from __future__ import annotations
 from ...analysis import format_percent, format_table
 from ...attacks import BusProbe, classify_pattern, profile_probe
 from ...core.registry import make_engine
+from ...obs import TeeSink, current_sink
 from ...sim import CacheConfig, MemoryConfig, SecureSystem
 from ...traces import sequential_code
 from ..base import Experiment, TaskContext
@@ -36,10 +37,10 @@ def task_scrambling_probe(ctx: TaskContext) -> dict:
          make_engine("addr-scramble-stream",
                      region_lines=IMAGE_SIZE // 32)),
     ):
-        system = SecureSystem(engine=engine, cache_config=CACHE,
-                              mem_config=MEM)
         probe = BusProbe()
-        system.bus.attach_probe(probe)
+        system = SecureSystem(engine=engine, cache_config=CACHE,
+                              mem_config=MEM,
+                              sink=TeeSink(current_sink(), probe))
         system.install_image(0, bytes(IMAGE_SIZE))
         report = system.run(trace)
         prof = profile_probe(probe)

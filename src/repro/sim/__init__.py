@@ -18,15 +18,6 @@ from .pipeline import (
     XOM_AES_PIPE,
     PipelinedUnit,
 )
-from .stats import (
-    CountingSink,
-    NullSink,
-    RecordingSink,
-    RingBufferSink,
-    SimStats,
-    StatsSink,
-    TraceEvent,
-)
 from .streaming import StreamExecutor
 from .system import SecureSystem, SimReport, overhead, run_trace
 
@@ -40,8 +31,6 @@ __all__ = [
     "PipelinedUnit", "XOM_AES_PIPE", "AEGIS_AES_PIPE", "TDES_PIPE",
     "TDES_ITERATIVE", "DES_ITERATIVE", "AES_ITERATIVE", "KEYSTREAM_UNIT",
     "BYTE_SUBST_UNIT",
-    "CountingSink", "NullSink", "RecordingSink", "RingBufferSink",
-    "SimStats", "StatsSink", "TraceEvent",
     "SecureSystem", "SimReport", "overhead", "run_trace",
     "StreamExecutor",
 ]

@@ -1,17 +1,20 @@
-"""Processor-memory bus with probe hooks.
+"""Processor-memory bus: traffic counters and ``bus-read``/``bus-write``
+events.
 
 "The main problem is that data and instructions are constantly exchanged
 between memory and CPU in clear form on the bus" — the bus is where the
-survey's adversary sits.  Every transfer is announced to attached probes
-(:class:`repro.attacks.probe.BusProbe` records them), carrying exactly the
-bytes that cross the chip boundary: ciphertext when an engine is present,
-plaintext when not.
+survey's adversary sits.  Every transfer is announced to the bus's
+:class:`repro.obs.EventSink` as a ``bus-read`` or ``bus-write`` event
+carrying exactly the bytes that cross the chip boundary: ciphertext when
+an engine is present, plaintext when not.  A probe is a sink over those
+events (:class:`repro.attacks.probe.BusProbe`); an attacker driving the
+wires is a :class:`~repro.sim.memory.MainMemory` interposer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Optional
 
 from ..obs import EventSink, TraceEvent
 
@@ -29,48 +32,17 @@ class BusTransaction:
 
 
 class Bus:
-    """External bus: counts traffic and notifies probes of every transfer.
-
-    Beyond passive probes, **interposers** model an attacker driving the
-    wires themselves: each may substitute the payload of a transfer
-    (``fn(op, addr, data) -> bytes``).  :meth:`transfer` returns the final
-    payload, and :class:`repro.core.engine.MemoryPort` hands exactly those
-    bytes to the engine — a wire-level glitch is transient (the stored copy
-    in RAM is untouched), which is how real bus glitching differs from
-    rewriting the memory array.
-    """
+    """External bus: counts traffic and emits one event per transfer."""
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
-        self._probes: List[Callable[[BusTransaction], None]] = []
-        self._interposers: List[Callable[[str, int, bytes], bytes]] = []
         self.transactions = 0
         self.bytes_transferred = 0
         self.sink = sink
 
-    def attach_probe(self, probe: Callable[[BusTransaction], None]) -> None:
-        """Attach a probe called with every :class:`BusTransaction`."""
-        self._probes.append(probe)
-
-    def detach_probe(self, probe: Callable[[BusTransaction], None]) -> None:
-        self._probes.remove(probe)
-
-    def attach_interposer(
-            self, interposer: Callable[[str, int, bytes], bytes]) -> None:
-        """Attach an active interposer rewriting transfer payloads."""
-        self._interposers.append(interposer)
-
-    def detach_interposer(
-            self, interposer: Callable[[str, int, bytes], bytes]) -> None:
-        self._interposers.remove(interposer)
-
-    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> bytes:
-        """Announce a transfer of ``data`` at ``addr``; returns the payload
-        as (possibly) rewritten by attached interposers — probes and sinks
-        see the final bytes, exactly what crossed the wires."""
+    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> None:
+        """Announce a transfer of ``data`` at ``addr``."""
         if op not in ("read", "write"):
             raise ValueError(f"unknown bus op {op!r}")
-        for interposer in self._interposers:
-            data = interposer(op, addr, data)
         self.transactions += 1
         self.bytes_transferred += len(data)
         if self.sink is not None:
@@ -81,11 +53,6 @@ class Bus:
                 kind=f"bus-{op}", addr=addr, size=len(data), cycle=cycle,
                 data=data,
             ))
-        if self._probes:
-            txn = BusTransaction(op=op, addr=addr, data=data, cycle=cycle)
-            for probe in self._probes:
-                probe(txn)
-        return data
 
     def reset_stats(self) -> None:
         self.transactions = 0

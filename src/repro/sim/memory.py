@@ -70,12 +70,15 @@ class MemoryConfig:
 class MainMemory:
     """Byte-addressable external RAM with functional contents.
 
-    Attached **interposers** model an active (class II) attacker sitting on
-    the memory array: each sees every serviced access and may substitute
-    the bytes a read returns or a write stores
-    (:class:`repro.faults.FaultInjector` is the canonical one).  The bulk
-    helpers ``load_image``/``dump`` bypass interposers — they are the
-    offline install path and the attacker's own probe, not bus traffic.
+    Attached **interposers** model an active (class II) attacker driving
+    the bus: each sees every serviced access and may substitute the bytes
+    a read returns or a write stores
+    (:class:`repro.faults.FaultInjector` is the canonical one).  A read's
+    substitute goes to the engine and leaves the array untouched, so a
+    wire glitch is transient, which is how real bus glitching differs
+    from rewriting the memory array.  The bulk helpers
+    ``load_image``/``dump`` bypass interposers — they are the offline
+    install path and the attacker's own probe, not bus traffic.
     """
 
     def __init__(self, config: MemoryConfig = MemoryConfig(),

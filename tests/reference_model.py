@@ -11,10 +11,11 @@ bus transaction stream (content and order), and event totals.
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from repro.attacks import BusProbe
 from repro.core.engine import Placement
 from repro.core.registry import make_engine
 from repro.crypto.drbg import DRBG
-from repro.obs import CounterSink, TraceEvent
+from repro.obs import CounterSink, TeeSink, TraceEvent
 from repro.sim.cache import CacheConfig, WritePolicy
 from repro.sim.memory import MemoryConfig
 from repro.sim.system import SecureSystem, SimReport, store_payload
@@ -189,24 +190,44 @@ def build(name: Optional[str], sink=None) -> SecureSystem:
     return system
 
 
-Observed = Tuple[SimReport, CounterSink, List[Tuple[str, int, bytes]]]
+BusLog = List[Tuple[str, int, bytes]]
+Observed = Tuple[SimReport, CounterSink, BusLog]
+
+
+def record_bus(system: SecureSystem) -> BusLog:
+    """Record ``(op, addr, data)`` of every bus transfer ``system`` makes
+    from now on, without giving it a sink.
+
+    Every transfer goes through :class:`~repro.core.engine.MemoryPort`,
+    which makes one memory access per bus transfer, so an identity
+    memory interposer sees the bus stream in order.
+    """
+    log: BusLog = []
+
+    def record(op: str, addr: int, data: bytes) -> bytes:
+        log.append((op, addr, data))
+        return data
+
+    system.memory.attach_interposer(record)
+    return log
+
+
+def bus_log(probe: BusProbe) -> BusLog:
+    """A probe's transactions as ``(op, addr, data)``."""
+    return [(t.op, t.addr, t.data) for t in probe.transactions]
 
 
 def run_observed(name: Optional[str], trace, reference: bool) -> Observed:
     """Run ``trace`` on a fresh :func:`build` system through the oracle
     or the executor; returns the report, event totals and bus stream."""
-    sink = CounterSink()
-    system = build(name, sink=sink)
-    transactions: List[Tuple[str, int, bytes]] = []
-    system.bus.attach_probe(
-        lambda txn: transactions.append((txn.op, txn.addr, txn.data))
-    )
+    sink, probe = CounterSink(), BusProbe()
+    system = build(name, sink=TeeSink(sink, probe))
     if reference:
         replay(system, trace)
         report = system.report(system.engine.name)
     else:
         report = system.run(trace)
-    return report, sink, transactions
+    return report, sink, bus_log(probe)
 
 
 def differential(name: Optional[str], n: int = 2000,

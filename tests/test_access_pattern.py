@@ -18,13 +18,13 @@ KEY24 = b"0123456789abcdef01234567"
 
 
 def run_with_probe(trace, engine=None):
+    probe = BusProbe()
     system = SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21),
+        sink=probe,
     )
-    probe = BusProbe()
-    system.bus.attach_probe(probe)
     system.install_image(0, bytes(32 * 1024))
     for access in trace:
         system.step(access)
@@ -85,13 +85,13 @@ class TestPageSequenceLeak:
         """The page-DMA engine broadcasts the victim's page access order
         as plaintext-visible burst addresses."""
         engine = VlsiDmaEngine(KEY24, page_size=1024, buffer_pages=2)
+        probe = BusProbe()
         system = SecureSystem(
             engine=engine,
             cache_config=CacheConfig(size=512, line_size=32, associativity=2),
             mem_config=MemoryConfig(size=1 << 21),
+            sink=probe,
         )
-        probe = BusProbe()
-        system.bus.attach_probe(probe)
         system.install_image(0, bytes(8192))
         # Touch pages 0, 2, 5 in order (one access each page).
         from repro.traces import Access, AccessKind

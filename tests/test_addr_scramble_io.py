@@ -27,11 +27,12 @@ KEY = b"0123456789abcdef"
 REGION = 8192
 
 
-def make_system(engine):
+def make_system(engine, sink=None):
     return SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21),
+        sink=sink,
     )
 
 
@@ -89,9 +90,8 @@ class TestFunctional:
 
 class TestPatternHiding:
     def run_probe(self, engine):
-        system = make_system(engine)
         probe = BusProbe()
-        system.bus.attach_probe(probe)
+        system = make_system(engine, sink=probe)
         system.install_image(0, bytes(REGION))
         for access in sequential_code(2000, code_size=REGION):
             system.step(access)
@@ -113,10 +113,8 @@ class TestPatternHiding:
 
     def test_revisit_structure_still_leaks(self):
         """Line reuse is preserved one-to-one by a fixed permutation."""
-        engine = scrambled()
-        system = make_system(engine)
         probe = BusProbe()
-        system.bus.attach_probe(probe)
+        system = make_system(scrambled(), sink=probe)
         system.install_image(0, bytes(REGION))
         # Visit the same far-apart lines repeatedly, thrashing the cache.
         stride = 16 * 32

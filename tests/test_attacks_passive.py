@@ -15,18 +15,16 @@ from repro.sim import Bus
 
 class TestBusProbe:
     def test_records_transactions(self):
-        bus = Bus()
         probe = BusProbe()
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         bus.transfer("read", 0x40, b"\x01\x02", 5)
         bus.transfer("write", 0x80, b"\x03", 6)
         assert len(probe.transactions) == 2
         assert probe.bytes_observed == 3
 
     def test_observed_bytes_filter(self):
-        bus = Bus()
         probe = BusProbe()
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         bus.transfer("read", 0, b"RR", 0)
         bus.transfer("write", 0, b"WW", 0)
         assert probe.observed_bytes("read") == b"RR"
@@ -34,17 +32,15 @@ class TestBusProbe:
         assert probe.observed_bytes() == b"RRWW"
 
     def test_reconstruct_memory_keeps_latest(self):
-        bus = Bus()
         probe = BusProbe()
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         bus.transfer("read", 0x40, b"old!", 0)
         bus.transfer("write", 0x40, b"new!", 1)
         assert probe.reconstruct_memory()[0x40] == b"new!"
 
     def test_address_histogram(self):
-        bus = Bus()
         probe = BusProbe()
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         for _ in range(3):
             bus.transfer("read", 0x100, b"x", 0)
         bus.transfer("read", 0x200, b"x", 0)
@@ -52,9 +48,8 @@ class TestBusProbe:
         assert hist[0x100] == 3 and hist[0x200] == 1
 
     def test_repeated_payloads(self):
-        bus = Bus()
         probe = BusProbe()
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         bus.transfer("read", 0, b"same", 0)
         bus.transfer("read", 64, b"same", 0)
         bus.transfer("read", 128, b"diff", 0)
@@ -62,16 +57,15 @@ class TestBusProbe:
         assert repeats == {b"same": 2}
 
     def test_capacity_limit(self):
-        bus = Bus()
         probe = BusProbe(max_transactions=2)
-        bus.attach_probe(probe)
+        bus = Bus(sink=probe)
         for i in range(5):
             bus.transfer("read", i, b"x", 0)
         assert len(probe.transactions) == 2
 
     def test_clear(self):
         probe = BusProbe()
-        probe(type("T", (), {"op": "read", "addr": 0, "data": b"", "cycle": 0})())
+        Bus(sink=probe).transfer("read", 0, b"", 0)
         probe.clear()
         assert not probe.transactions
 

@@ -46,13 +46,13 @@ class TestFullStory:
             StreamCipherEngine(KEY, line_size=32), mac_key=MAC,
             region_base=0, region_size=REGION, tree_base=0x10000,
         )
+        probe = BusProbe()
         system = SecureSystem(
             engine=engine,
             cache_config=CacheConfig(size=512, line_size=32, associativity=2),
             mem_config=MemoryConfig(size=1 << 17),
+            sink=probe,
         )
-        probe = BusProbe()
-        system.bus.attach_probe(probe)
 
         processor, eve, session_key = run_distribution(
             firmware, seed=99, key_bits=512, engine=engine,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks import BusProbe
 from repro.core import NullEngine, XomAesEngine
 from repro.core.engine import MemoryPort
 from repro.crypto import DES
@@ -77,8 +78,9 @@ class TestDisassembler:
 
 
 class TestEngineBase:
-    def make_port(self):
-        return MemoryPort(MainMemory(MemoryConfig(size=1 << 16)), Bus())
+    def make_port(self, sink=None):
+        return MemoryPort(MainMemory(MemoryConfig(size=1 << 16)),
+                          Bus(sink=sink))
 
     def test_install_pads_to_line_size(self):
         engine = XomAesEngine(KEY)
@@ -120,13 +122,12 @@ class TestEngineBase:
         assert port.write(0, bytes(8)) == port.memory.config.write_cycles(8)
 
     def test_bus_sees_port_traffic(self):
-        port = self.make_port()
-        seen = []
-        port.bus.attach_probe(seen.append)
+        probe = BusProbe()
+        port = self.make_port(sink=probe)
         port.read(0x40, 16)
         port.write(0x80, b"xy")
-        assert [t.op for t in seen] == ["read", "write"]
-        assert seen[1].data == b"xy"
+        assert [t.op for t in probe.transactions] == ["read", "write"]
+        assert probe.transactions[1].data == b"xy"
 
 
 class TestDESKeyProperties:

@@ -33,11 +33,12 @@ ENGINE_FACTORIES = {
 }
 
 
-def small_system(engine):
+def small_system(engine, sink=None):
     return SecureSystem(
         engine=engine,
         cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 20, latency=20),
+        sink=sink,
     )
 
 
@@ -82,10 +83,8 @@ class TestFunctionalContract:
     def test_bus_probe_sees_only_ciphertext(self, engine_name):
         """The survey's whole point: the probed bus must not reveal the
         program."""
-        engine = ENGINE_FACTORIES[engine_name]()
-        system = small_system(engine)
         probe = BusProbe()
-        system.bus.attach_probe(probe)
+        system = small_system(ENGINE_FACTORIES[engine_name](), sink=probe)
         system.install_image(0, self.IMAGE)
         for access in sequential_code(64, code_size=512):
             system.step(access)
@@ -93,9 +92,8 @@ class TestFunctionalContract:
         assert self.IMAGE[:32] not in observed
 
     def test_null_engine_leaks_plaintext(self):
-        system = small_system(NullEngine())
         probe = BusProbe()
-        system.bus.attach_probe(probe)
+        system = small_system(NullEngine(), sink=probe)
         system.install_image(0, self.IMAGE)
         for access in sequential_code(64, code_size=512):
             system.step(access)

@@ -11,6 +11,7 @@ through both the oracle and the executor.
 
 import pytest
 
+from repro.attacks import BusProbe
 from repro.core.registry import engine_names
 from repro.obs import (
     CounterSink,
@@ -28,8 +29,10 @@ from repro.traces.trace import Access, AccessKind
 
 from .reference_model import (
     build,
+    bus_log,
     differential,
     make_bench_trace,
+    record_bus,
     replay,
     run_observed,
 )
@@ -55,15 +58,10 @@ def _both_paths(trace, **cache_kwargs):
     """Run the trace through the oracle and the executor on twin systems."""
     out = []
     for path in PATHS:
-        sink = CounterSink()
-        system = _system(sink=sink, **cache_kwargs)
-        transactions = []
-        system.bus.attach_probe(
-            lambda txn, log=transactions: log.append(
-                (txn.op, txn.addr, txn.data))
-        )
+        sink, probe = CounterSink(), BusProbe()
+        system = _system(sink=TeeSink(sink, probe), **cache_kwargs)
         report, _ = _run_one(system, trace, path)
-        out.append((system, report, sink, transactions))
+        out.append((system, report, sink, bus_log(probe)))
     return out
 
 
@@ -103,10 +101,7 @@ class TestStepIsOneAccessRun:
         outcomes = []
         for stepped in (True, False):
             system = build(name)
-            transactions = []
-            system.bus.attach_probe(
-                lambda txn, log=transactions: log.append(
-                    (txn.op, txn.addr, txn.data)))
+            transactions = record_bus(system)
             if stepped:
                 for access in trace:
                     system.step(access)
@@ -144,9 +139,7 @@ class TestCacheCorners:
             Access(addr=4 * LINE, kind=AccessKind.LOAD, size=4),
         ]
         system = _system()
-        transactions = []
-        system.bus.attach_probe(
-            lambda txn: transactions.append((txn.op, txn.addr, txn.data)))
+        transactions = record_bus(system)
         report, _ = _run_one(system, trace, path)
         assert report.writebacks == 1
         writes = [t for t in transactions if t[0] == "write"]

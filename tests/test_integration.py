@@ -51,13 +51,13 @@ class TestDistributionToExecution:
         software = assemble(secret_table_program(seed=9, table_len=16),
                             size=1024)
         engine = XomAesEngine(KEY)
+        probe = BusProbe()
         system = SecureSystem(
             engine=engine,
             cache_config=CacheConfig(size=512, line_size=32, associativity=2),
             mem_config=MemoryConfig(size=1 << 16),
+            sink=probe,
         )
-        probe = BusProbe()
-        system.bus.attach_probe(probe)
 
         processor, eve, _ = run_distribution(
             software, seed=13, key_bits=512, engine=engine,

@@ -1,4 +1,4 @@
-"""repro.obs: the event taxonomy, sinks, scopes and the stats facade."""
+"""repro.obs: the event taxonomy, sinks, scopes and summaries."""
 
 import io
 import json
@@ -24,9 +24,12 @@ from repro.obs import (
     replay,
     scope,
 )
+from repro.attacks import BusProbe
 from repro.core.registry import make_engine
-from repro.sim import CacheConfig, MemoryConfig, SecureSystem, SimStats
+from repro.sim import CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import make_workload
+
+from .reference_model import bus_log, record_bus
 
 
 def _run_system(sink, engine="stream", n=600, seed=11):
@@ -141,15 +144,16 @@ class TestSystemIntegration:
     def test_counters_agree_with_the_report(self):
         sink = CounterSink()
         _, report = _run_system(sink)
-        stats = SimStats(sink)
-        assert stats.accesses == report.accesses
-        assert stats.cache_hits == report.cache_hits
-        assert stats.cache_misses == report.cache_misses
-        assert stats.bus_transactions == report.bus_transactions
-        assert stats.bus_bytes == report.bus_bytes
-        assert stats.miss_rate == pytest.approx(report.miss_rate)
-        assert stats.lines_deciphered == report.lines_decrypted
-        assert stats.bytes_enciphered == report.bytes_enciphered
+        totals = observability_section(sink)["totals"]
+        hits, misses = sink.get("hit"), sink.get("miss")
+        assert sink.get("access") == report.accesses
+        assert hits == totals["cache_hits"] == report.cache_hits
+        assert misses == totals["cache_misses"] == report.cache_misses
+        assert totals["bus_transactions"] == report.bus_transactions
+        assert totals["bus_bytes"] == report.bus_bytes
+        assert misses / (hits + misses) == pytest.approx(report.miss_rate)
+        assert sink.get("decipher") == report.lines_decrypted
+        assert totals["bytes_enciphered"] == report.bytes_enciphered
 
     def test_observation_does_not_perturb_the_simulation(self):
         _, observed = _run_system(CounterSink())
@@ -171,50 +175,35 @@ class TestSystemIntegration:
 
 
 class TestBusProbeAsSink:
-    def test_sink_probe_matches_legacy_attach(self):
-        from repro.attacks import BusProbe
+    def test_teed_probe_beside_a_counter(self):
+        """E18's shape: a probe teed beside the task's counter sink leaves
+        the counters as they were and sees the sink-free bus stream."""
+        def build(sink):
+            return SecureSystem(
+                engine=make_engine("stream"),
+                cache_config=CacheConfig(size=1024, line_size=32,
+                                         associativity=2),
+                mem_config=MemoryConfig(size=1 << 21, latency=40),
+                sink=sink,
+            )
 
-        as_sink = BusProbe()
-        _run_system(as_sink)
+        trace = make_workload("mixed", n=600, seed=11)
+        counter, probe = CounterSink(), BusProbe()
+        build(TeeSink(counter, probe)).run(trace)
+        twin = CounterSink()
+        build(twin).run(trace)
+        sink_free = build(None)
+        recorded = record_bus(sink_free)
+        sink_free.run(trace)
 
-        legacy = BusProbe()
-        system = SecureSystem(
-            engine=make_engine("stream", functional=False),
-            cache_config=CacheConfig(size=1024, line_size=32,
-                                     associativity=2),
-            mem_config=MemoryConfig(size=1 << 21, latency=40),
-        )
-        system.bus.attach_probe(legacy)
-        system.run(make_workload("mixed", n=600, seed=11))
-
-        assert len(as_sink.transactions) == len(legacy.transactions)
-        assert [(t.op, t.addr, t.data) for t in as_sink.transactions] == \
-            [(t.op, t.addr, t.data) for t in legacy.transactions]
+        assert observability_section(counter) == observability_section(twin)
+        assert probe.transactions
+        assert bus_log(probe) == recorded
 
     def test_probe_ignores_non_bus_kinds(self):
-        from repro.attacks import BusProbe
-
         probe = BusProbe()
         replay([TraceEvent(kind="hit"), TraceEvent(kind="decipher")], probe)
         assert probe.transactions == []
-
-
-class TestSimStats:
-    def test_read_only(self):
-        stats = SimStats(CounterSink())
-        with pytest.raises(AttributeError, match="read-only"):
-            stats.cache_misses = 7
-
-    def test_requires_counter_sink(self):
-        with pytest.raises(TypeError):
-            SimStats(NullSink())
-
-    def test_as_dict_round_trips_json(self):
-        sink = CounterSink()
-        _run_system(sink)
-        doc = SimStats(sink).as_dict()
-        assert json.loads(json.dumps(doc)) == doc
-        assert doc["accesses"] == 600
 
 
 class TestSummary:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.attacks import BusProbe
 from repro.sim import (
     GATES,
     AreaEstimate,
     Bus,
+    BusTransaction,
     MainMemory,
     MemoryConfig,
     PipelinedUnit,
@@ -119,21 +121,10 @@ class TestMainMemory:
 
 class TestBus:
     def test_probe_notification(self):
-        bus = Bus()
-        seen = []
-        bus.attach_probe(seen.append)
-        bus.transfer("read", 0x40, b"\xde\xad", cycle=7)
-        assert len(seen) == 1
-        assert seen[0].addr == 0x40 and seen[0].data == b"\xde\xad"
-        assert seen[0].cycle == 7 and seen[0].op == "read"
-
-    def test_detach(self):
-        bus = Bus()
-        seen = []
-        bus.attach_probe(seen.append)
-        bus.detach_probe(seen.append)
-        bus.transfer("write", 0, b"x", 0)
-        assert not seen
+        probe = BusProbe()
+        Bus(sink=probe).transfer("read", 0x40, b"\xde\xad", cycle=7)
+        assert probe.transactions == [
+            BusTransaction(op="read", addr=0x40, data=b"\xde\xad", cycle=7)]
 
     def test_stats(self):
         bus = Bus()

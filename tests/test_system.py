@@ -215,6 +215,7 @@ class TestEncryptLinesBulk:
 import inspect
 
 import repro.core
+from repro.attacks import BusProbe
 from repro.core import CpuCacheStreamEngine
 from repro.core.engine import BusEncryptionEngine, MemoryPort
 from repro.crypto import kernels
@@ -298,10 +299,9 @@ class TestFillLinesBulk:
                              line_size=self.LINE)
         sink = CounterSink()
         engine.attach_sink(sink)
-        bus = Bus()
-        log = []
-        bus.attach_probe(log.append)
-        return engine, MemoryPort(memory, bus), sink, log
+        probe = BusProbe()
+        return engine, MemoryPort(memory, Bus(sink=probe)), sink, \
+            probe.transactions
 
     def test_covers_every_override(self):
         assert set(engine_names()) <= set(_FILL_FACTORIES)
