@@ -30,6 +30,11 @@ FILL_TWINS := spill_lines|_fill_batch
 OBS_HOOKS := attach_probe|detach_probe|SimStats|StatsSink|CountingSink
 BUS_INTERPOSER_DEF := def (attach|detach)_interposer\(
 
+# Sites report to a sink through EventSink.note, which builds a
+# TraceEvent only for a sink that keeps events; no site builds one for a
+# sink that only counts.
+EMIT_EVENT := emit\(TraceEvent\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -93,6 +98,15 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one way to watch the simulator)"
+	@matches=$$(grep -rnIE '$(EMIT_EVENT)' --exclude-dir=__pycache__ \
+		src/repro || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: sites report through sink.note(kind, ...), not" >&2; \
+		echo "      sink.emit(TraceEvent(...)) (see repro/obs/sinks.py):" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (sites report through note)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..crypto.feistel import SmallBlockCipher, TweakableFeistel
 from ..isa.mcu import INSTRUCTION_LENGTHS, MCU, Op, StepEvent
-from ..obs import EventSink, TraceEvent, current_sink
+from ..obs import EventSink, current_sink
 
 __all__ = ["DallasBoard", "KuhnAttack", "AttackFailure", "AttackReport",
            "brute_force_tries", "block_diffusion_probe"]
@@ -113,7 +113,7 @@ class DallasBoard:
         self._mcu.port_log.clear()
         self.runs += 1
         if self.sink is not None:
-            self.sink.emit(TraceEvent(kind="probe-run", size=steps))
+            self.sink.note("probe-run", size=steps)
         events = []
         pc = 0
         # The sink test is hoisted out of the loop: the attack single-steps
@@ -124,10 +124,8 @@ class DallasBoard:
             events.append(event)
             self.steps_executed += 1
             if sink is not None:
-                sink.emit(TraceEvent(
-                    kind="mcu-step", addr=pc,
-                    detail="halted" if event.halted else "",
-                ))
+                sink.note("mcu-step", addr=pc,
+                          detail="halted" if event.halted else "")
             pc = event.next_pc
             if event.halted:
                 break
@@ -218,7 +216,7 @@ class KuhnAttack:
 
     def _phase(self, name: str) -> None:
         if self.board.sink is not None:
-            self.board.sink.emit(TraceEvent(kind="attack-phase", detail=name))
+            self.board.sink.note("attack-phase", detail=name)
 
     # -- phase 1: classify address 0 -----------------------------------------
 

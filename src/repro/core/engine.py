@@ -22,7 +22,7 @@ from enum import Enum
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.modes import xor_bytes
-from ..obs import EventSink, TraceEvent
+from ..obs import EventSink
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit
 
@@ -167,8 +167,7 @@ class BusEncryptionEngine(ABC):
     def _emit(self, kind: str, addr: int = 0, size: int = 0,
               detail: str = "") -> None:
         if self.sink is not None and self._cipher_events:
-            self.sink.emit(TraceEvent(kind=kind, addr=addr, size=size,
-                                      detail=detail))
+            self.sink.note(kind, addr=addr, size=size, detail=detail)
 
     def verify_line(self, addr: int, size: int, ok: bool,
                     detail: str = "") -> bool:

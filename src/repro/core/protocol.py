@@ -28,7 +28,7 @@ from ..crypto.aes import AES
 from ..crypto.drbg import DRBG
 from ..crypto.modes import CTR
 from ..crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
-from ..obs import TraceEvent, current_sink
+from ..obs import current_sink
 from .engine import BusEncryptionEngine
 
 __all__ = [
@@ -80,10 +80,10 @@ class InsecureChannel:
         self.messages.append(message)
         sink = current_sink()
         if sink is not None:
-            sink.emit(TraceEvent(
-                kind="protocol-msg", size=len(message.payload),
+            sink.note(
+                "protocol-msg", size=len(message.payload),
                 detail=f"{message.sender}->{message.receiver}:{message.kind}",
-            ))
+            )
         for listener in self._listeners:
             listener.observe(message)
         return message

@@ -33,7 +33,7 @@ from ..core import TamperDetected
 from ..core.engine import BusEncryptionEngine, MemoryPort
 from ..core.registry import engine_names, make_engine
 from ..crypto import DRBG
-from ..obs import TraceEvent, current_sink
+from ..obs import current_sink
 from ..sim.bus import Bus
 from ..sim.memory import MainMemory, MemoryConfig
 from .injector import FaultInjector, ReadRecorder
@@ -353,10 +353,8 @@ def run_campaign(label: str, kind: Optional[str] = None, seed: int = 2005,
             "fault.silent" if corrupted else None
         )
         if outcome is not None:
-            sink.emit(TraceEvent(
-                kind=outcome, addr=plans[0].addr, size=plans[0].size,
-                detail=kind,
-            ))
+            sink.note(outcome, addr=plans[0].addr, size=plans[0].size,
+                      detail=kind)
 
     return CampaignResult(
         label=label,

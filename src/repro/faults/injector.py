@@ -13,9 +13,9 @@ its :class:`~repro.faults.plan.FaultPlan`\\ s when their triggers fire:
 * ``glitch`` flips bits only in the data *returned* to the chip — a
   transient wire fault the stored copy never sees.
 
-Every applied fault emits a ``fault.injected`` :class:`repro.obs.
-TraceEvent` and is appended to :attr:`FaultInjector.faults`, so campaigns
-and counters agree on what happened.
+Every applied fault reports a ``fault.injected`` event to the sink and
+is appended to :attr:`FaultInjector.faults`, so campaigns and counters
+agree on what happened.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..crypto import DRBG
-from ..obs import TraceEvent, current_sink
+from ..obs import current_sink
 from .plan import FaultPlan
 
 __all__ = ["FaultInjector", "FaultRecord", "ReadRecorder"]
@@ -143,10 +143,8 @@ class FaultInjector:
                 op_index=self.ops, read_addr=addr, read_size=len(data),
             ))
             if self.sink is not None:
-                self.sink.emit(TraceEvent(
-                    kind="fault.injected", addr=plan.addr, size=plan.size,
-                    detail=plan.kind,
-                ))
+                self.sink.note("fault.injected", addr=plan.addr,
+                               size=plan.size, detail=plan.kind)
         return data
 
     def _triggered(self, index: int, plan: FaultPlan) -> bool:

@@ -9,8 +9,14 @@ events are defined (:mod:`repro.obs.events`), consumed
 to metrics (:mod:`repro.obs.summary`):
 
 * the data path (``repro.sim``, the engine call sites in ``repro.core``)
-  emits events to an optional sink — one ``is None`` test when disabled
+  reports events to an optional sink — one ``is None`` test when disabled
   (``python -m repro.obs.bench`` verifies the cost);
+* sinks subclass :class:`EventSink`.  Sites call
+  :meth:`EventSink.note` with an event's fields; sinks that keep events
+  (``keeps_events``) implement :meth:`EventSink.emit` and get a
+  :class:`TraceEvent` built by the base ``note``, while count-only sinks
+  (:class:`CounterSink`, :class:`NullSink`) override ``note`` and never
+  see one;
 * sinks are the one way to watch the simulator: the bus probe
   (:class:`repro.attacks.probe.BusProbe`) is a sink over the *same*
   stream, so "what the adversary sees" and "what we measure" are one
@@ -40,6 +46,7 @@ from .sinks import (
     NullSink,
     RecordingSink,
     RingBufferSink,
+    TallySink,
     TeeSink,
     replay,
 )
@@ -52,7 +59,7 @@ from .summary import (
 __all__ = [
     "TraceEvent", "EVENT_KINDS", "BUS_KINDS", "CACHE_KINDS", "CIPHER_KINDS",
     "FAULT_KINDS",
-    "EventSink", "NullSink", "CounterSink", "RingBufferSink",
+    "EventSink", "NullSink", "TallySink", "CounterSink", "RingBufferSink",
     "RecordingSink", "JsonlSink", "TeeSink", "replay",
     "scope", "current_sink",
     "observability_section", "merge_observability", "format_counter_table",

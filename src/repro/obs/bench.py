@@ -7,9 +7,11 @@ into the simulator is free.  This module measures that promise —
     python -m repro.obs.bench [--accesses N] [--repeats R]
 
 runs the same trace through :class:`repro.sim.system.SecureSystem` with
-(a) no sink, (b) a :class:`NullSink` (emission cost only), and (c) a
-:class:`CounterSink` (the runner's default aggregation), and prints the
-per-access cost of each tier.  ``make smoke`` wraps it.
+(a) no sink, (b) a :class:`NullSink` (the count-only floor), (c) a
+:class:`CounterSink` (the runner's default aggregation) and (d) a
+:class:`RecordingSink` (the event-keeping path, one :class:`TraceEvent`
+per event), and prints the per-access cost of each tier.  ``make smoke``
+wraps it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import time
 from typing import Callable, List, Optional, Tuple
 
-from .sinks import CounterSink, EventSink, NullSink
+from .sinks import CounterSink, EventSink, NullSink, RecordingSink
 
 __all__ = ["measure_emit_overhead", "main"]
 
@@ -44,11 +46,13 @@ def _run_once(sink: Optional[EventSink], accesses: int, seed: int) -> float:
 def measure_emit_overhead(
     accesses: int = 20000, repeats: int = 3, seed: int = 7,
 ) -> List[Tuple[str, float]]:
-    """Best-of-``repeats`` wall seconds per tier: disabled/null/counter."""
+    """Best-of-``repeats`` wall seconds per tier:
+    disabled/null/counter/recording."""
     tiers: List[Tuple[str, Callable[[], Optional[EventSink]]]] = [
         ("disabled (sink=None)", lambda: None),
         ("NullSink", NullSink),
         ("CounterSink", CounterSink),
+        ("RecordingSink", RecordingSink),
     ]
     results = []
     for label, factory in tiers:

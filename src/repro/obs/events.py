@@ -9,9 +9,14 @@ line going through the cipher, an integrity tag being checked.
 emits.  Sinks (:mod:`repro.obs.sinks`) consume the stream; nothing in the
 data path ever interprets it.
 
-``TraceEvent`` is a ``NamedTuple`` rather than a dataclass deliberately:
-the emit fast path constructs millions of these per full-length run, and
-tuple construction is the cheapest structured record CPython offers.
+Sites report an event's fields through :meth:`repro.obs.EventSink.note`,
+and a ``TraceEvent`` is built only for a sink that keeps events
+(``keeps_events``); a count-only sink such as
+:class:`~repro.obs.CounterSink` takes the fields, or the executor's
+per-run tallies, without one.  ``TraceEvent`` is a ``NamedTuple`` rather
+than a dataclass deliberately: an event-keeping sink gets millions of
+these per full-length run, and tuple construction is the cheapest
+structured record CPython offers.
 """
 
 from __future__ import annotations

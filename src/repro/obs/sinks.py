@@ -1,11 +1,16 @@
 """Pluggable consumers for the simulator's event stream.
 
-A sink is anything with an ``emit(event)`` method.  The data path holds an
-``Optional[EventSink]`` and guards every emission with one ``is None``
-test, so the disabled path costs a single attribute check (verified by
-``python -m repro.obs.bench``).  The built-ins cover the common shapes:
+Sinks subclass :class:`EventSink`.  The data path holds an
+``Optional[EventSink]``, guards every site with one ``is None`` test (so
+the disabled path costs a single attribute check, verified by
+``python -m repro.obs.bench``) and reports each event through
+:meth:`EventSink.note`, passing the event's fields.  Sinks that keep
+events (``keeps_events`` True) implement :meth:`EventSink.emit` and get a
+:class:`TraceEvent` built by the base ``note``; count-only sinks
+(:class:`CounterSink`, :class:`NullSink`) override ``note`` and never see
+one.  The built-ins cover the common shapes:
 
-* :class:`NullSink` — accepts and discards (enabled-path floor);
+* :class:`NullSink` — accepts and discards (count-only floor);
 * :class:`CounterSink` — aggregate counters, the runner's default;
 * :class:`RingBufferSink` — last-N events, for flight-recorder debugging;
 * :class:`RecordingSink` — first-N events plus counters, for traces;
@@ -24,39 +29,59 @@ from typing import (
 from .events import TraceEvent
 
 __all__ = [
-    "EventSink", "NullSink", "CounterSink", "RingBufferSink",
+    "EventSink", "NullSink", "TallySink", "CounterSink", "RingBufferSink",
     "RecordingSink", "JsonlSink", "TeeSink", "replay",
 ]
 
 
 class EventSink:
-    """Base sink: receives every :class:`TraceEvent`.
+    """Base sink: receives every event the simulator reports.
 
-    Subclass and override :meth:`emit`.  Sinks are pure observers — they
-    must never mutate simulator state, and the simulator never reads them.
+    Subclass and override :meth:`emit` to keep events.  A sink that only
+    aggregates sets ``keeps_events = False`` and overrides :meth:`note`
+    and :meth:`emit_bulk` instead, so no :class:`TraceEvent` is built for
+    it.  Sinks are pure observers — they must never mutate simulator
+    state, and the simulator never reads them.
     """
+
+    #: Whether this sink needs the events themselves.  When False, the
+    #: batched executor (:mod:`repro.sim.fastpath`) keeps per-kind tallies
+    #: of its per-access events and hands them over through
+    #: :meth:`emit_bulk` at the end of a run.
+    keeps_events = True
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def note(self, kind: str, addr: int = 0, size: int = 0, cycle: int = 0,
+             detail: str = "", data: bytes = b"") -> None:
+        """Report one event by its fields; the one entry point for sites.
+
+        The base method builds the :class:`TraceEvent` and passes it to
+        :meth:`emit`; count-only sinks override it to skip the record.
+        """
+        event = TraceEvent(kind, addr, size, cycle, detail, data)
+        self.emit(event)
 
     def emit_bulk(self, kind: str, count: int, total_size: int,
                   events: Callable[[], Iterable[TraceEvent]]) -> None:
         """Aggregated emission of ``count`` same-kind events.
 
         The batched fast path (:mod:`repro.sim.fastpath`) reports whole
-        runs of cache hits through this hook instead of constructing one
-        :class:`TraceEvent` per access.  ``events`` is a zero-argument
-        callable producing the individual events; sinks that only
-        aggregate (:class:`CounterSink`) never invoke it, so the common
-        observed run skips per-access event construction entirely.  The
-        callable may be invoked more than once (e.g. under a
-        :class:`TeeSink` fanning out to two event-keeping sinks).
+        runs of cache hits to an event-keeping sink through this hook,
+        and hands a count-only sink one tally per per-access kind at the
+        end of a run.  ``events`` is a zero-argument callable producing
+        the individual events; it may be invoked more than once (e.g.
+        under a :class:`TeeSink` fanning out to two event-keeping sinks).
 
         Contract: for any sink, ``emit_bulk(kind, n, total, events)``
         must leave the same *aggregate* state (counts, byte totals) as
-        ``n`` individual :meth:`emit` calls; event-keeping sinks also
+        ``n`` individual :meth:`note` calls; event-keeping sinks also
         store the same events, though batches of different kinds may be
-        stored grouped rather than interleaved.
+        stored grouped rather than interleaved.  A sink whose
+        ``keeps_events`` is False must never invoke ``events``: for a
+        tally there are no events behind it, and the executor passes a
+        callable that raises.
         """
         for event in events():
             self.emit(event)
@@ -74,11 +99,18 @@ class EventSink:
 class NullSink(EventSink):
     """Accepts every event and keeps nothing.
 
-    Exists so the micro-benchmark can separate the cost of *emitting*
-    (event construction + dispatch) from the cost of *aggregating*.
+    Exists so the micro-benchmark can separate the cost of *reaching* a
+    count-only sink (one ``note`` call per site, the executor's tallies)
+    from the cost of *aggregating*.
     """
 
+    keeps_events = False
+
     def emit(self, event: TraceEvent) -> None:
+        pass
+
+    def note(self, kind: str, addr: int = 0, size: int = 0, cycle: int = 0,
+             detail: str = "", data: bytes = b"") -> None:
         pass
 
     def emit_bulk(self, kind: str, count: int, total_size: int,
@@ -86,12 +118,14 @@ class NullSink(EventSink):
         pass
 
 
-class CounterSink(EventSink):
-    """Counts events by kind and sums the bytes they moved.
+class TallySink(EventSink):
+    """Per-kind event counts and byte totals, and the accessors over them.
 
-    This is the aggregation the experiment runner attaches to every task:
-    cheap enough to leave on, and its :meth:`summary` is deterministic for
-    a deterministic simulation, so it can live inside committed metrics.
+    The state :class:`CounterSink` and the event-keeping
+    :class:`RingBufferSink` and :class:`RecordingSink` share.  It keeps
+    the base ``keeps_events``, :meth:`~EventSink.note` and
+    :meth:`~EventSink.emit_bulk`, so a subclass that overrides
+    :meth:`emit` sees every event; only :class:`CounterSink` opts out.
     """
 
     def __init__(self) -> None:
@@ -102,14 +136,6 @@ class CounterSink(EventSink):
         self.counts[event.kind] += 1
         if event.size:
             self.bytes_by_kind[event.kind] += event.size
-
-    def emit_bulk(self, kind: str, count: int, total_size: int,
-                  events: Callable[[], Iterable[TraceEvent]]) -> None:
-        # The whole point of the hook: a run of n hits is two counter
-        # adds, not n event constructions.
-        self.counts[kind] += count
-        if total_size:
-            self.bytes_by_kind[kind] += total_size
 
     def get(self, kind: str) -> int:
         """Count for one kind (0 if never seen)."""
@@ -129,7 +155,34 @@ class CounterSink(EventSink):
                 for kind in sorted(self.bytes_by_kind)}
 
 
-class RingBufferSink(CounterSink):
+class CounterSink(TallySink):
+    """Counts events by kind and sums the bytes they moved.
+
+    This is the aggregation the experiment runner attaches to every task:
+    cheap enough to leave on, and its :meth:`summary` is deterministic for
+    a deterministic simulation, so it can live inside committed metrics.
+    It never builds a :class:`TraceEvent`: ``note`` and ``emit_bulk`` are
+    counter adds.
+    """
+
+    keeps_events = False
+
+    def note(self, kind: str, addr: int = 0, size: int = 0, cycle: int = 0,
+             detail: str = "", data: bytes = b"") -> None:
+        self.counts[kind] += 1
+        if size:
+            self.bytes_by_kind[kind] += size
+
+    def emit_bulk(self, kind: str, count: int, total_size: int,
+                  events: Callable[[], Iterable[TraceEvent]]) -> None:
+        # The whole point of the hook: a run of n hits is two counter
+        # adds, not n event constructions.
+        self.counts[kind] += count
+        if total_size:
+            self.bytes_by_kind[kind] += total_size
+
+
+class RingBufferSink(TallySink):
     """Counts everything, keeps only the most recent ``capacity`` events.
 
     The flight-recorder shape: bounded memory no matter how long the run,
@@ -147,18 +200,13 @@ class RingBufferSink(CounterSink):
         super().emit(event)
         self.events.append(event)
 
-    # Event-keeping sinks must materialize batches: inheriting
-    # CounterSink's aggregate-only emit_bulk would silently drop the
-    # events themselves.
-    emit_bulk = EventSink.emit_bulk
-
     @property
     def dropped(self) -> int:
         """Events that fell off the front of the ring."""
         return sum(self.counts.values()) - len(self.events)
 
 
-class RecordingSink(CounterSink):
+class RecordingSink(TallySink):
     """Counts *and* keeps the full event list (bounded by ``max_events``).
 
     Unlike the ring buffer this keeps the *head* of the stream — the shape
@@ -177,8 +225,6 @@ class RecordingSink(CounterSink):
             self.dropped += 1
             return
         self.events.append(event)
-
-    emit_bulk = EventSink.emit_bulk  # keep the events, not just counts
 
 
 class JsonlSink(EventSink):
@@ -213,9 +259,19 @@ class TeeSink(EventSink):
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks: List[EventSink] = [s for s in sinks if s is not None]
 
+    @property
+    def keeps_events(self) -> bool:
+        """True if any child keeps events."""
+        return any(sink.keeps_events for sink in self.sinks)
+
     def emit(self, event: TraceEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
+
+    def note(self, kind: str, addr: int = 0, size: int = 0, cycle: int = 0,
+             detail: str = "", data: bytes = b"") -> None:
+        for sink in self.sinks:
+            sink.note(kind, addr, size, cycle, detail, data)
 
     def emit_bulk(self, kind: str, count: int, total_size: int,
                   events: Callable[[], Iterable[TraceEvent]]) -> None:

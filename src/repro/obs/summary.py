@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .events import BUS_KINDS, CIPHER_KINDS, FAULT_KINDS
-from .sinks import CounterSink
+from .sinks import TallySink
 
 __all__ = ["observability_section", "merge_observability",
            "format_counter_table"]
@@ -41,8 +41,8 @@ def _section(counts: Dict[str, int], nbytes: Dict[str, int]
     }
 
 
-def observability_section(sink: CounterSink) -> Dict[str, object]:
-    """The deterministic ``observability`` block for one counter sink."""
+def observability_section(sink: TallySink) -> Dict[str, object]:
+    """The deterministic ``observability`` block for one counting sink."""
     return _section(sink.summary(), sink.bytes_summary())
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import EventSink, TraceEvent
+from ..obs import EventSink
 
 __all__ = ["BusTransaction", "Bus"]
 
@@ -49,10 +49,8 @@ class Bus:
             # The event carries the payload itself (a reference, not a
             # copy): sinks standing in for board-level probes see exactly
             # the bytes that crossed the chip boundary.
-            self.sink.emit(TraceEvent(
-                kind=f"bus-{op}", addr=addr, size=len(data), cycle=cycle,
-                data=data,
-            ))
+            self.sink.note(f"bus-{op}", addr=addr, size=len(data),
+                           cycle=cycle, data=data)
 
     def reset_stats(self) -> None:
         self.transactions = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Set
 
-from ..obs import EventSink, TraceEvent
+from ..obs import EventSink
 
 __all__ = ["WritePolicy", "CacheConfig", "CacheResult", "Cache"]
 
@@ -89,10 +89,8 @@ class Cache:
 
     def _emit(self, kind: str, addr: int) -> None:
         if self.sink is not None:
-            self.sink.emit(TraceEvent(
-                kind=kind, addr=addr, size=self.config.line_size,
-                cycle=self.clock() if self.clock else 0,
-            ))
+            self.sink.note(kind, addr=addr, size=self.config.line_size,
+                           cycle=self.clock() if self.clock else 0)
 
     def _set_index(self, line_addr: int) -> int:
         return line_addr % self.config.num_sets

@@ -35,8 +35,12 @@ one-access-at-a-time model in ``tests/reference_model.py`` (pinned by
   and deferred fills carry later cycle stamps than their scalar twins —
   event *interleaving and stamps* are the one relaxation.
 
-With observability disabled the hot loop constructs zero
-:class:`~repro.obs.TraceEvent` objects.
+The loop builds :class:`~repro.obs.TraceEvent` objects only for a sink
+whose ``keeps_events`` is True.  A count-only sink (``CounterSink``,
+``NullSink``) gets this loop's per-access kinds — access, hit, miss,
+eviction, writeback, fill — as one :meth:`~repro.obs.EventSink.emit_bulk`
+tally per kind when the run ends (or raises); with no sink, each site
+costs one ``is None`` test.
 
 Materialized traces compile through :func:`compile_trace`'s list loop and
 :class:`~repro.traces.arrays.ArrayChunk` traces through the vectorized
@@ -46,6 +50,7 @@ emit identical runs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, List, Tuple, Union
 
 import numpy as np
@@ -286,6 +291,11 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     return CompiledTrace(chunk, line_size, runs)
 
 
+def _no_events() -> Iterator[TraceEvent]:
+    raise RuntimeError("a sink whose keeps_events is False asked the "
+                       "executor for the events behind a tally")
+
+
 def _compiled_chunks(trace, line_size: int) -> Iterator[CompiledTrace]:
     """Yield compiled chunks for any accepted trace shape.
 
@@ -316,6 +326,10 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
     line_size = cfg.line_size
 
     sink = system.sink
+    # Event-keeping sinks get every event through ``note``.  A count-only
+    # sink gets none from this loop: the per-access kinds are tallied in
+    # locals and handed over once, in the ``finally`` block below.
+    keeper = sink if sink is not None and sink.keeps_events else None
     num_sets = cfg.num_sets
     assoc = cfg.associativity
     write_back = cfg.write_policy is WritePolicy.WRITE_BACK
@@ -344,12 +358,18 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
     # Per-kind access counters as plain int deltas — ``counts[kind]`` on
     # the shared dict pays a Python-level Enum.__hash__ per access.
     cnt_fetch = cnt_load = cnt_store = 0
+    # Count-only tallies beyond the counters above: access bytes and
+    # filled lines (hits, misses, evictions and writebacks are the cache
+    # counters' deltas from these starting values).
+    acc_bytes = n_fills = 0
+    hits0, misses0, evictions0, writebacks0 = \
+        hits, misses, evictions, writebacks
 
     pending: List[int] = []     # line numbers with deferred fills, in order
     pending_set = set()
 
     def flush_fills() -> None:
-        nonlocal cycles
+        nonlocal cycles, n_fills
         system.cycles = cycles
         addrs = [line * line_size for line in pending]
         filled = engine.fill_lines(port, addrs, line_size)
@@ -357,16 +377,16 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                                                         filled):
             cycles += fill_cycles
             line_data[line] = bytearray(plaintext)
-            if sink is not None:
-                sink.emit(TraceEvent(kind="fill", addr=addr, size=line_size,
-                                     cycle=cycles))
+            if keeper is not None:
+                keeper.note("fill", addr=addr, size=line_size, cycle=cycles)
+        n_fills += len(addrs)
         pending.clear()
         pending_set.clear()
 
     def one_access(kind: AccessKind, addr: int, size: int) -> None:
         """Scalar-equivalent handling of one access on the LRU lists."""
         nonlocal cycles, hits, misses, evictions, writebacks, \
-            cnt_fetch, cnt_load, cnt_store
+            cnt_fetch, cnt_load, cnt_store, acc_bytes
         cycles += issue
         is_write = kind is store_kind
         if is_write:
@@ -376,10 +396,11 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
         else:
             cnt_load += 1
         if sink is not None:
-            sink.emit(TraceEvent(
-                kind="access", addr=addr, size=size,
-                cycle=cycles, detail=kind.name.lower(),
-            ))
+            if keeper is None:
+                acc_bytes += size
+            else:
+                keeper.note("access", addr=addr, size=size, cycle=cycles,
+                            detail=kind.name.lower())
         cycles += per_access
         line = addr // line_size
         lines = sets[line % num_sets]
@@ -389,9 +410,8 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                 lines.remove(line)
                 lines.append(line)
             hits += 1
-            if sink is not None:
-                sink.emit(TraceEvent(kind="hit", addr=addr,
-                                     size=line_size, cycle=cycles))
+            if keeper is not None:
+                keeper.note("hit", addr=addr, size=line_size, cycle=cycles)
             through = False
             if is_write:
                 if write_back:
@@ -401,9 +421,8 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
             cycles += hit_latency
         else:
             misses += 1
-            if sink is not None:
-                sink.emit(TraceEvent(kind="miss", addr=addr,
-                                     size=line_size, cycle=cycles))
+            if keeper is not None:
+                keeper.note("miss", addr=addr, size=line_size, cycle=cycles)
             if is_write and not write_allocate:
                 # Store miss bypasses the cache entirely.
                 cycles += hit_latency
@@ -414,20 +433,16 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                 if len(lines) >= assoc:
                     victim = lines.pop(0)
                     evictions += 1
-                    if sink is not None:
-                        sink.emit(TraceEvent(
-                            kind="eviction", addr=victim * line_size,
-                            size=line_size, cycle=cycles,
-                        ))
+                    if keeper is not None:
+                        keeper.note("eviction", addr=victim * line_size,
+                                    size=line_size, cycle=cycles)
                     if victim in dirty:
                         dirty.discard(victim)
                         writebacks += 1
                         wb_addr = victim * line_size
-                        if sink is not None:
-                            sink.emit(TraceEvent(
-                                kind="writeback", addr=wb_addr,
-                                size=line_size, cycle=cycles,
-                            ))
+                        if keeper is not None:
+                            keeper.note("writeback", addr=wb_addr,
+                                        size=line_size, cycle=cycles)
                 lines.append(line)
                 if is_write and write_back:
                     dirty.add(line)
@@ -477,6 +492,27 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                 if not write_buffer:
                     cycles += write_cycles
 
+    def access_events(accesses, lo: int, hi: int,
+                      c: int) -> Iterator[TraceEvent]:
+        """The ``access`` events of a bulk hit tail starting at cycle c."""
+        for k in range(lo, hi):
+            access = accesses[k]
+            c += issue
+            yield TraceEvent(kind="access", addr=access.addr,
+                             size=access.size, cycle=c,
+                             detail=access.kind.name.lower())
+            c += per_access + hit_latency
+
+    def hit_events(accesses, lo: int, hi: int,
+                   c: int) -> Iterator[TraceEvent]:
+        """The ``hit`` events of the same tail."""
+        for k in range(lo, hi):
+            access = accesses[k]
+            c += issue + per_access
+            yield TraceEvent(kind="hit", addr=access.addr, size=line_size,
+                             cycle=c)
+            c += hit_latency
+
     try:
         # One compiled chunk at a time; every piece of execution state —
         # LRU lists, dirty set, counters, cycles, deferred fills — lives
@@ -521,36 +557,16 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
                 else:
                     cnt_load -= 1
                 if sink is not None:
-                    base = cycles
-                    lo, hi = start + 1, start + count
-
-                    def access_events(base=base, lo=lo, hi=hi,
-                                      accesses=accesses):
-                        c = base
-                        for k in range(lo, hi):
-                            access = accesses[k]
-                            c += issue
-                            yield TraceEvent(
-                                kind="access", addr=access.addr,
-                                size=access.size, cycle=c,
-                                detail=access.kind.name.lower(),
-                            )
-                            c += per_access + hit_latency
-
-                    def hit_events(base=base, lo=lo, hi=hi,
-                                   accesses=accesses):
-                        c = base
-                        for k in range(lo, hi):
-                            access = accesses[k]
-                            c += issue + per_access
-                            yield TraceEvent(kind="hit", addr=access.addr,
-                                             size=line_size, cycle=c)
-                            c += hit_latency
-
-                    sink.emit_bulk("access", tail, total - head_size,
-                                   access_events)
-                    sink.emit_bulk("hit", tail, tail * line_size,
-                                   hit_events)
+                    if keeper is None:
+                        acc_bytes += total - head_size
+                    else:
+                        lo, hi = start + 1, start + count
+                        keeper.emit_bulk(
+                            "access", tail, total - head_size,
+                            partial(access_events, accesses, lo, hi, cycles))
+                        keeper.emit_bulk(
+                            "hit", tail, tail * line_size,
+                            partial(hit_events, accesses, lo, hi, cycles))
                 cycles += tail * step_cycles
 
                 if tail_stores:
@@ -583,3 +599,15 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
         counts[fetch_kind] += cnt_fetch
         counts[AccessKind.LOAD] += cnt_load
         counts[store_kind] += cnt_store
+        if sink is not None and keeper is None:
+            n_accesses = cnt_fetch + cnt_load + cnt_store
+            if n_accesses:
+                sink.emit_bulk("access", n_accesses, acc_bytes, _no_events)
+            for kind, count in (("hit", hits - hits0),
+                                ("miss", misses - misses0),
+                                ("eviction", evictions - evictions0),
+                                ("writeback", writebacks - writebacks0),
+                                ("fill", n_fills)):
+                if count:
+                    sink.emit_bulk(kind, count, count * line_size,
+                                   _no_events)

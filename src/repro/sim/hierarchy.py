@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine
-from ..obs import EventSink, TraceEvent, current_sink
+from ..obs import EventSink, current_sink
 from ..traces.trace import Access, AccessKind, Trace
 from .bus import Bus
 from .cache import Cache, CacheConfig
@@ -183,10 +183,9 @@ class TwoLevelSystem:
         self.cycles += self.issue_cycles
         self._counts[access.kind] += 1
         if self.sink is not None:
-            self.sink.emit(TraceEvent(
-                kind="access", addr=access.addr, size=access.size,
-                cycle=self.cycles, detail=access.kind.name.lower(),
-            ))
+            self.sink.note("access", addr=access.addr, size=access.size,
+                           cycle=self.cycles,
+                           detail=access.kind.name.lower())
         line_size = self.line_size
 
         result = self.l1.access(access.addr, access.is_write)

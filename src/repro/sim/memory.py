@@ -19,7 +19,7 @@ import mmap
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..obs import EventSink, TraceEvent
+from ..obs import EventSink
 
 #: An interposer rewrites the bytes of one access: ``fn(op, addr, data)``
 #: returns the bytes the access proceeds with (``op`` is "read"/"write").
@@ -123,8 +123,7 @@ class MainMemory:
         self.reads += 1
         self.bytes_read += nbytes
         if self.sink is not None:
-            self.sink.emit(TraceEvent(kind="mem-read", addr=addr,
-                                      size=nbytes))
+            self.sink.note("mem-read", addr=addr, size=nbytes)
         data = self._data[addr: addr + nbytes]
         if self._interposers:
             data = self._interpose("read", addr, data)
@@ -136,8 +135,7 @@ class MainMemory:
         self.writes += 1
         self.bytes_written += len(data)
         if self.sink is not None:
-            self.sink.emit(TraceEvent(kind="mem-write", addr=addr,
-                                      size=len(data)))
+            self.sink.note("mem-write", addr=addr, size=len(data))
         if self._interposers:
             data = self._interpose("write", addr, data)
         self._data[addr: addr + len(data)] = data

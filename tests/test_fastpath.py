@@ -12,9 +12,11 @@ through both the oracle and the executor.
 import pytest
 
 from repro.attacks import BusProbe
+from repro.core.engine import TamperDetected
 from repro.core.registry import engine_names
 from repro.obs import (
     CounterSink,
+    EventSink,
     NullSink,
     RecordingSink,
     RingBufferSink,
@@ -25,6 +27,7 @@ from repro.sim.cache import CacheConfig, WritePolicy
 from repro.sim.fastpath import CompiledTrace, compile_trace
 from repro.sim.memory import MemoryConfig
 from repro.sim.system import SecureSystem
+from repro.traces.stream import TraceStream, chunked
 from repro.traces.trace import Access, AccessKind
 
 from .reference_model import (
@@ -302,6 +305,73 @@ class TestEmitBulk:
         assert totals[0] == totals[1]
 
 
+class _CountOnlyBaseBulk(CounterSink):
+    """A count-only sink that wrongly asks ``emit_bulk`` for the events."""
+
+    emit_bulk = EventSink.emit_bulk
+
+
+class _NoEventCounter(CounterSink):
+    """A CounterSink that fails if any site hands it a TraceEvent."""
+
+    def emit(self, event):
+        raise AssertionError(f"count-only sink was given {event!r}")
+
+
+class TestCountOnlyTallies:
+    """A count-only sink gets the executor's per-access kinds as one tally
+    per kind; its totals equal an event-keeping sink's on the same run."""
+
+    @staticmethod
+    def _observe(name, sink, trace, mode):
+        system = build(name, sink=sink)
+        if mode == "step":
+            for access in trace:
+                system.step(access)
+        elif mode == "chunk1":
+            system.run(TraceStream(lambda: chunked(trace, 1),
+                                   length=len(trace)))
+        else:
+            system.run(trace)
+        return (system.report(system.engine.name), sink.summary(),
+                sink.bytes_summary())
+
+    @pytest.mark.parametrize("name", [None] + engine_names(),
+                             ids=lambda n: n or "baseline")
+    @pytest.mark.parametrize("mode", ["whole", "chunk1", "step"])
+    def test_counter_equals_recording(self, name, mode):
+        trace = make_bench_trace(500, fetch_only=name == "compress")
+        counted = self._observe(name, _NoEventCounter(), trace, mode)
+        recorded = self._observe(name, RecordingSink(), trace, mode)
+        assert counted == recorded
+        assert counted[1]["access"] == len(trace)
+
+    @pytest.mark.parametrize("name", ["integrity-stream", "integrity-xom",
+                                      "merkle-stream"])
+    def test_tallies_are_handed_over_when_a_fill_raises(self, name):
+        trace = make_bench_trace(500)
+        # Tamper with the line of the middle access, first touched there
+        # or earlier: its fill raises partway through the run.
+        line_addr = trace[len(trace) // 2].addr // LINE * LINE
+        outcomes = []
+        for sink in (CounterSink(), RecordingSink()):
+            system = build(name, sink=sink)
+            byte = system.memory.dump(line_addr, 1)[0] ^ 0x80
+            system.memory.load_image(line_addr, bytes([byte]))
+            with pytest.raises(TamperDetected):
+                system.run(trace)
+            outcomes.append((system.cycles, system.cache.hits,
+                             system.cache.misses, sink.summary(),
+                             sink.bytes_summary()))
+        assert outcomes[0] == outcomes[1]
+        assert 0 < outcomes[0][3]["access"] < len(trace)
+
+    def test_count_only_sink_must_not_ask_for_events(self):
+        system = build("stream", sink=_CountOnlyBaseBulk())
+        with pytest.raises(RuntimeError, match="keeps_events"):
+            system.run(make_bench_trace(50))
+
+
 # -- cipher-oracle differential ---------------------------------------------
 
 import numpy as np
@@ -310,7 +380,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.drbg import DRBG
 from repro.traces.arrays import KIND_CODES, ArrayChunk
-from repro.traces.stream import TraceStream, chunked
 
 _ORACLE_ENGINES = [None, "stream", "xom", "aegis"]
 _ORACLE_CHUNKS = [1, 37, 5000]

@@ -1,5 +1,6 @@
 """repro.obs: the event taxonomy, sinks, scopes and summaries."""
 
+import hashlib
 import io
 import json
 
@@ -12,10 +13,12 @@ from repro.obs import (
     CIPHER_KINDS,
     EVENT_KINDS,
     CounterSink,
+    EventSink,
     JsonlSink,
     NullSink,
     RecordingSink,
     RingBufferSink,
+    TallySink,
     TeeSink,
     TraceEvent,
     current_sink,
@@ -24,12 +27,14 @@ from repro.obs import (
     replay,
     scope,
 )
+from repro.api import run_experiment
 from repro.attacks import BusProbe
-from repro.core.registry import make_engine
+from repro.core.registry import engine_names, make_engine
+from repro.faults.campaign import run_campaign
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import make_workload
 
-from .reference_model import bus_log, record_bus
+from .reference_model import build, bus_log, make_bench_trace, record_bus
 
 
 def _run_system(sink, engine="stream", n=600, seed=11):
@@ -113,6 +118,220 @@ class TestSinks:
 
     def test_null_sink_accepts_everything(self):
         replay(self.EVENTS, NullSink())  # must not raise
+
+
+class TestNote:
+    """``note(fields)`` is ``emit(TraceEvent(fields))`` for every sink."""
+
+    FIELDS = [
+        ("access", 0x40, 4, 3, "load"),
+        ("bus-read", 0x40, 4, 9, "", b"\xde\xad\xbe\xef"),
+        ("bus-write", 0x80, 2, 12, "", b"\x01\x02"),
+        ("stall", 0, 7, 0, "read"),
+        ("hit",),
+    ]
+
+    def _twins(self, make):
+        noted, emitted = make(), make()
+        for fields in self.FIELDS:
+            noted.note(*fields)
+            emitted.emit(TraceEvent(*fields))
+        return noted, emitted
+
+    @pytest.mark.parametrize("make", [RecordingSink, RingBufferSink])
+    def test_event_keepers_store_the_same_events(self, make):
+        noted, emitted = self._twins(make)
+        assert list(noted.events) == list(emitted.events)
+        assert list(noted.events) == [TraceEvent(*f) for f in self.FIELDS]
+        assert noted.summary() == emitted.summary()
+
+    def test_jsonl_sink_writes_the_same_lines(self):
+        noted_out, emitted_out = io.StringIO(), io.StringIO()
+        targets = iter((noted_out, emitted_out))
+        noted, _ = self._twins(lambda: JsonlSink(next(targets)))
+        assert noted_out.getvalue() == emitted_out.getvalue()
+        assert noted.events_written == len(self.FIELDS)
+
+    def test_bus_probe_records_the_same_transactions(self):
+        noted, emitted = self._twins(BusProbe)
+        assert noted.transactions == emitted.transactions
+        assert [t.op for t in noted.transactions] == ["read", "write"]
+
+    def test_counter_sink_counts_without_an_event(self):
+        noted, emitted = self._twins(CounterSink)
+        assert noted.summary() == emitted.summary()
+        assert noted.bytes_summary() == emitted.bytes_summary()
+
+    def test_null_sink_notes_nothing(self):
+        self._twins(NullSink)  # must not raise
+
+    def test_tee_passes_note_to_each_child(self):
+        counter, recorder = CounterSink(), RecordingSink()
+        tee = TeeSink(counter, None, recorder)
+        for fields in self.FIELDS:
+            tee.note(*fields)
+        assert recorder.events == [TraceEvent(*f) for f in self.FIELDS]
+        assert counter.summary() == recorder.summary()
+
+
+class TestKeepsEvents:
+    @pytest.mark.parametrize("make, keeps", [
+        (EventSink, True),
+        (RecordingSink, True),
+        (RingBufferSink, True),
+        (TallySink, True),
+        (lambda: JsonlSink(io.StringIO()), True),
+        (BusProbe, True),
+        (CounterSink, False),
+        (NullSink, False),
+    ], ids=["EventSink", "RecordingSink", "RingBufferSink", "TallySink",
+            "JsonlSink", "BusProbe", "CounterSink", "NullSink"])
+    def test_builtin_sinks(self, make, keeps):
+        assert make().keeps_events is keeps
+
+    @pytest.mark.parametrize("children, keeps", [
+        ((), False),
+        ((None,), False),
+        ((CounterSink,), False),
+        ((NullSink, CounterSink), False),
+        ((RecordingSink,), True),
+        ((CounterSink, RecordingSink), True),
+        ((NullSink, BusProbe), True),
+        ((RecordingSink, BusProbe), True),
+        ((lambda: TeeSink(CounterSink()), NullSink), False),
+        ((lambda: TeeSink(CounterSink(), BusProbe()), NullSink), True),
+    ], ids=["empty", "none", "counter", "null+counter", "recording",
+            "counter+recording", "null+probe", "recording+probe",
+            "tee(counter)+null", "tee(counter+probe)+null"])
+    def test_tee_keeps_events_if_any_child_does(self, children, keeps):
+        tee = TeeSink(*(None if make is None else make()
+                        for make in children))
+        assert tee.keeps_events is keeps
+
+
+class TestTallySink:
+    """Keepers share the counting state without inheriting count-only
+    ``note``/``emit_bulk``."""
+
+    def test_subclass_overriding_emit_sees_every_event(self):
+        class Keeper(TallySink):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def emit(self, event):
+                super().emit(event)
+                self.seen.append(event)
+
+        keeper = Keeper()
+        for fields in TestNote.FIELDS:
+            keeper.note(*fields)
+        hits = [TraceEvent("hit", 0, 32), TraceEvent("hit", 32, 32)]
+        keeper.emit_bulk("hit", 2, 64, lambda: iter(hits))
+        assert keeper.keeps_events
+        assert keeper.seen == [TraceEvent(*f) for f in TestNote.FIELDS] + hits
+        assert keeper.get("hit") == 3
+        assert keeper.bytes_for("hit") == 64
+
+    @pytest.mark.parametrize("cls", [RecordingSink, RingBufferSink])
+    def test_keepers_use_the_base_note(self, cls):
+        assert cls.note is EventSink.note
+        assert cls.emit_bulk is EventSink.emit_bulk
+        assert cls.keeps_events is True
+        assert not issubclass(cls, CounterSink)
+
+
+class _Sha256File:
+    """A write-only text file that keeps only the sha256 of its input."""
+
+    closed = False
+
+    def __init__(self) -> None:
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.hash.update(text.encode())
+
+
+def _run_engines(sink) -> None:
+    """Every registry engine (and the baseline) on the differential
+    testbench, all reporting to ``sink``."""
+    for name in [None] + engine_names():
+        trace = make_bench_trace(300, fetch_only=name == "compress")
+        build(name, sink=sink).run(trace)
+
+
+def _run_faults(sink) -> None:
+    for label, kind in (("integrity-stream", "spoof"), ("stream", "glitch"),
+                        ("integrity-stream-unversioned", "replay")):
+        run_campaign(label, kind, quick=True, sink=sink)
+
+
+#: Producers of one event stream each, covering every site that reports
+#: to a sink: the executor, engines, bus and memory (``engines``), the
+#: protocol channel (E01), the Kuhn attack (E05), the two-level hierarchy
+#: and ``Cache.access`` (E16), and the fault injector and campaign.
+STREAMS = {
+    "engines": _run_engines,
+    "e01": lambda sink: run_experiment("e01", quick=True, trace=sink),
+    "e05": lambda sink: run_experiment("e05", quick=True, trace=sink),
+    "e16": lambda sink: run_experiment("e16", quick=True, trace=sink),
+    "faults": _run_faults,
+}
+
+#: (events, sha256 of the JSONL stream) of each producer, recorded when
+#: every site still built its own TraceEvent for the sink.
+STREAM_DIGESTS = {
+    "e01": (4, "13561e517464ec5d8cef50a16688b0f2"
+               "c15cc64f2c0218bb182aa096a3caf335"),
+    "e05": (4451, "255c82cd3aa43d2bc7d1d59f2f74faba"
+                  "65499cb5769a587b129d2ffa06ed2c99"),
+    "e16": (20217, "384a00464891bd8b4f02ecc973d9dacf"
+                   "ff3625671fffd45ae777064221015522"),
+    "engines": (17698, "7c18c44bcd1c2120fbc15f068e7f9bc0"
+                       "1c3fe2db3a19588b9cb44db348587482"),
+    "faults": (944, "f5f1521c2bfa68c53c57efd1fb94e5f8"
+                    "a54a3b04171a7af60b875e8c3b836c5b"),
+}
+
+#: (transactions, sha256) of the bus probe's record of ``engines``.
+PROBE_DIGEST = (2174, "b23ebf990d2143bb0a0e60ce151d0e66"
+                      "edf6e6e5ad773ab03b8fb6a5f243e979")
+
+
+def _jsonl_digest(run):
+    out = _Sha256File()
+    sink = JsonlSink(out)
+    run(sink)
+    return sink.events_written, out.hash.hexdigest()
+
+
+def _probe_digest(run):
+    probe = BusProbe()
+    run(probe)
+    text = "".join(f"{t.op} {t.addr} {t.cycle} {t.data.hex()}\n"
+                   for t in probe.transactions)
+    return len(probe.transactions), hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestKeepersSeeTheFullStream:
+    """Event-keeping sinks get exactly the stream every site reported
+    before sites called ``note``: same events, fields and order."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_jsonl_stream(self, name):
+        assert _jsonl_digest(STREAMS[name]) == STREAM_DIGESTS[name]
+
+    def test_recording_sink_keeps_the_same_stream(self):
+        recorder = RecordingSink()
+        _run_engines(recorder)
+        out = _Sha256File()
+        replay(recorder.events, JsonlSink(out))
+        assert (len(recorder.events), out.hash.hexdigest()) == \
+            STREAM_DIGESTS["engines"]
+
+    def test_bus_probe_sees_the_same_transactions(self):
+        assert _probe_digest(_run_engines) == PROBE_DIGEST
 
 
 class TestScope:
@@ -251,5 +470,6 @@ class TestEmitBench:
 
         results = measure_emit_overhead(accesses=300, repeats=1)
         assert [label for label, _ in results] == \
-            ["disabled (sink=None)", "NullSink", "CounterSink"]
+            ["disabled (sink=None)", "NullSink", "CounterSink",
+             "RecordingSink"]
         assert all(wall > 0 for _, wall in results)
