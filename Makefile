@@ -35,6 +35,11 @@ BUS_INTERPOSER_DEF := def (attach|detach)_interposer\(
 # sink that only counts.
 EMIT_EVENT := emit\(TraceEvent\(
 
+# Each engine defines one write transform: the base encrypt_line is a
+# one-line encrypt_lines and the base encrypt_lines loops encrypt_line,
+# so an encrypt_lines override falling back to super() would recurse.
+ENCRYPT_FALLBACK := super\(\)\.encrypt_lines\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -107,6 +112,15 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (sites report through note)"
+	@matches=$$(grep -rnIE '$(ENCRYPT_FALLBACK)' --exclude-dir=__pycache__ \
+		src/repro || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: an engine defines one of encrypt_line/encrypt_lines;" >&2; \
+		echo "      super().encrypt_lines( would recurse:" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one write transform per engine)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -55,7 +55,6 @@ class AddressScrambledEngine(BusEncryptionEngine):
         self.region_lines = region_lines
         self.line_size = line_size
         self.translate_latency = translate_latency
-        self.min_write_bytes = inner.min_write_bytes
         self._scrambler = AddressScrambler(addr_key, size=region_lines)
         self.name = f"addr-scrambled({inner.name})"
 

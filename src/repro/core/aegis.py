@@ -32,7 +32,7 @@ from typing import Dict
 
 from ..crypto.drbg import DRBG
 from ..crypto.kernels import aes_kernel
-from ..crypto.modes import CBC, xor_bytes
+from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import AEGIS_AES_PIPE, PipelinedUnit
 from .engine import BlockModeEngine
@@ -87,17 +87,7 @@ class AegisEngine(BlockModeEngine):
         self.issued_vectors.append(vector)
         return vector
 
-    def _iv(self, addr: int) -> bytes:
-        vector = self._vectors.get(addr, 0)
-        material = addr.to_bytes(8, "big") + vector.to_bytes(8, "big")
-        return self._iv_aes.encrypt_block(material)
-
     # -- functional transform ------------------------------------------------
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        # A (re)encryption means the line is being written: fresh vector.
-        self._vectors[addr] = self._next_vector()
-        return CBC(self._aes, self._iv(addr)).encrypt(plaintext)
 
     def decrypt_lines(self, items):
         # The CBC chain is per line and decryption has no chain
@@ -121,14 +111,15 @@ class AegisEngine(BlockModeEngine):
         return self._split_batch(xor_bytes(plain, chains), items)
 
     def encrypt_lines(self, items):
-        # Install batch: lines are independent CBC chains, so encrypt
-        # them transposed — all IVs in one kernel call, then one ECB
-        # batch per block column, chaining column to column.  Vector
-        # issue order matches the per-line loop exactly.
-        widths = {len(line) for _, line in items}
-        if not items or len(widths) != 1 or next(iter(widths)) % 16:
-            return super().encrypt_lines(items)
-        blocks_per_line = next(iter(widths)) // 16
+        # A (re)encryption means the line is being written: each item
+        # issues a fresh vector, in item order, and all IVs come from one
+        # kernel call.  Lines are independent CBC chains, run whichever way
+        # makes fewer kernel calls: one chain call per line, or transposed
+        # — one ECB call per block column, chaining column to column —
+        # once the group has at least as many lines as a line has blocks
+        # and every line is one width.
+        if not items:
+            return []
         material = []
         for addr, _ in items:
             vector = self._next_vector()
@@ -136,7 +127,14 @@ class AegisEngine(BlockModeEngine):
             material.append(
                 addr.to_bytes(8, "big") + vector.to_bytes(8, "big")
             )
-        prev = self._iv_aes.encrypt_blocks(b"".join(material))
+        ivs = self._iv_aes.encrypt_blocks(b"".join(material))
+        width = len(items[0][1])
+        blocks_per_line = width // 16
+        if len(items) < blocks_per_line or width % 16 \
+                or any(len(line) != width for _, line in items):
+            return [self._aes.encrypt_blocks(line, ivs[16 * i: 16 * (i + 1)])
+                    for i, (_, line) in enumerate(items)]
+        prev = ivs
         cols = []
         for b in range(blocks_per_line):
             col = b"".join(

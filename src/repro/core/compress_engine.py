@@ -39,7 +39,6 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
     """CodePack-then-encrypt for code, plain stream encryption for data."""
 
     name = "compress+encrypt"
-    min_write_bytes = 1
     #: Confidentiality only: tampered compressed code decodes to garbage
     #: (often unparseable) but nothing *rejects* it.
     detects = frozenset()

@@ -42,7 +42,6 @@ class DS5002FPEngine(BusEncryptionEngine):
     """Byte-granular address-dependent encryption (the broken generation)."""
 
     name = "ds5002fp"
-    min_write_bytes = 1
     #: Confidentiality only — no verdict path (Kuhn's attack relies on
     #: exactly this: injected ciphertext always executes).
     detects = frozenset()
@@ -52,11 +51,8 @@ class DS5002FPEngine(BusEncryptionEngine):
         self.cipher = SmallBlockCipher(key)
         self.unit = BYTE_SUBST_UNIT
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self.cipher.encrypt(addr, plaintext)
-
-    # No state links one byte to the next, so a whole install batch or
-    # fill group is one cipher call over its per-byte addresses.
+    # No state links one byte to the next, so a whole install batch, write
+    # or fill group is one cipher call over its per-byte addresses.
 
     def encrypt_lines(self, items):
         ct = self.cipher.encrypt(

@@ -124,17 +124,21 @@ class MemoryPort:
 class BusEncryptionEngine(ABC):
     """Abstract EDU.
 
-    Concrete engines define the functional transform (``encrypt_line`` and
-    ``decrypt_line`` or ``decrypt_lines``) and the added latency.
-    ``fill_lines`` / ``write_line`` are the entry points the system calls;
-    the defaults implement the common pattern (fetch ciphertext, decrypt;
-    encrypt, store) and can be overridden for engines with richer
-    behaviour (page DMA, integrity verdicts, wrappers).
+    Concrete engines define the functional transform — one of
+    ``encrypt_line``/``encrypt_lines`` and one of
+    ``decrypt_line``/``decrypt_lines``, each pair's default being the
+    other — and the added latency.  ``fill_lines`` / ``write_line`` /
+    ``write_partial`` are the entry points the system calls; the defaults
+    implement the common pattern (fetch ciphertext, decrypt; encrypt,
+    store; read-modify-write) and can be overridden for engines with
+    richer behaviour (page DMA, integrity verdicts, wrappers).
     """
 
     name: str = "abstract"
     placement: Placement = Placement.CACHE_MEMORY
-    #: Smallest write the engine can absorb without a read-modify-write.
+    #: Smallest write the base :meth:`write_partial` stores without a
+    #: read-modify-write (the cipher granularity); engines that override
+    #: ``write_partial`` never read it.
     min_write_bytes: int = 1
     #: Engines that actually transform bytes emit encipher/decipher/stall
     #: events; the plaintext baseline sets this False.
@@ -190,9 +194,24 @@ class BusEncryptionEngine(ABC):
 
     # -- functional transform --------------------------------------------
 
-    @abstractmethod
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        """Transform a line for storage in external memory."""
+        """Transform one line for storage: a one-line :meth:`encrypt_lines`."""
+        return self.encrypt_lines([(addr, plaintext)])[0]
+
+    def encrypt_lines(self, items: Sequence[Tuple[int, bytes]]
+                      ) -> List[bytes]:
+        """Transform ``(addr, line)`` pairs for storage in external memory.
+
+        Returns each line's ciphertext, in order.  Per-line state the
+        transform advances (stream versions, AEGIS vectors) advances once
+        per item, in item order, so one group call and the same items as
+        one-line calls give the same bytes and leave the same state.  No
+        port traffic, stats or events: :meth:`install_image`,
+        :meth:`write_line` and :meth:`write_partial` account those.  Each
+        engine defines exactly one of :meth:`encrypt_line` and
+        :meth:`encrypt_lines`; the default of either is the other.
+        """
+        return [self.encrypt_line(addr, line) for addr, line in items]
 
     def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
         """Invert :meth:`encrypt_line`: a one-line :meth:`decrypt_lines`."""
@@ -311,8 +330,14 @@ class BusEncryptionEngine(ABC):
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Service a full-line writeback; returns total cycles."""
-        extra = self.write_extra_cycles(addr, len(plaintext))
         self.stats.lines_encrypted += 1
+        return self._store(port, addr, plaintext)
+
+    def _store(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
+        """Encrypt and store ``plaintext`` at ``addr``, stats and events
+        included; returns cycles.  The body of :meth:`write_line` and of an
+        aligned :meth:`write_partial`."""
+        extra = self.write_extra_cycles(addr, len(plaintext))
         self.stats.extra_write_cycles += extra
         if self.sink is not None:
             self._emit("encipher", addr, len(plaintext))
@@ -321,20 +346,6 @@ class BusEncryptionEngine(ABC):
         ciphertext = self.encrypt_line(addr, plaintext) if self.functional \
             else plaintext
         return extra + port.write(addr, ciphertext)
-
-    def encrypt_lines(self, items: Sequence[Tuple[int, bytes]]
-                      ) -> List[bytes]:
-        """Offline batch encryption of ``(addr, line)`` pairs, in order.
-
-        The install-time dual of :meth:`fill_lines`: must return exactly
-        ``[self.encrypt_line(addr, line) for addr, line in items]``
-        including any per-line engine state the transform advances
-        (stream versions, AEGIS vectors).  No port traffic, stats or
-        events are involved — installation is offline (§2.1 step 6) — so
-        bulk overrides are free to batch the whole image through one
-        kernel call.
-        """
-        return [self.encrypt_line(addr, line) for addr, line in items]
 
     @staticmethod
     def _split_batch(data: bytes, items: Sequence[Tuple[int, bytes]]
@@ -352,26 +363,24 @@ class BusEncryptionEngine(ABC):
                       line_size: int) -> int:
         """Service a write narrower than a line (write-through / no-allocate).
 
-        When the write is narrower than the cipher granularity this is the
-        survey's five-step penalty: read the enclosing block, decipher,
-        modify, re-cipher, write back (§2.2).
+        A write aligned to :attr:`min_write_bytes` is enciphered and stored
+        directly; a narrower one pays :meth:`_rmw`.
         """
-        if len(data) >= self.min_write_bytes and \
-                addr % self.min_write_bytes == 0 and \
-                len(data) % self.min_write_bytes == 0:
-            # Aligned to cipher granularity: direct encrypt-and-store.
-            extra = self.write_extra_cycles(addr, len(data))
-            self.stats.extra_write_cycles += extra
-            if self.sink is not None:
-                self._emit("encipher", addr, len(data))
-                if extra:
-                    self._emit("stall", addr, extra, "write")
-            ciphertext = self.encrypt_line(addr, data) if self.functional else data
-            return extra + port.write(addr, ciphertext)
-
-        # Read-modify-write over the enclosing cipher-aligned region.
         gran = self.min_write_bytes
-        start = (addr // gran) * gran
+        if len(data) >= gran and addr % gran == 0 and len(data) % gran == 0:
+            return self._store(port, addr, data)
+        return self._rmw(port, addr, data, gran)
+
+    def _rmw(self, port: MemoryPort, addr: int, data: bytes,
+             gran: int) -> int:
+        """Read-modify-write ``data`` over its enclosing ``gran``-aligned
+        region; returns cycles.
+
+        The survey's five-step penalty for a write narrower than the
+        cipher granularity: read the enclosing region, decipher, modify,
+        re-cipher, write back (§2.2).
+        """
+        start = addr - addr % gran
         end = -(-(addr + len(data)) // gran) * gran
         self.stats.rmw_operations += 1
         if self.sink is not None:
@@ -396,6 +405,23 @@ class BusEncryptionEngine(ABC):
         write_cycles = port.write(start, new_ciphertext)
         return read_cycles + dec_extra + enc_extra + write_cycles
 
+    def _line_rmw(self, port: MemoryPort, addr: int, data: bytes,
+                  line_size: int) -> int:
+        """Line-granular read-verify-modify-write; returns cycles.
+
+        For engines whose verdict covers a whole line (a tag, a tree
+        leaf): the enclosing line comes in through the engine's own
+        :meth:`fill_line`, verification included, is patched, and goes
+        back out through :meth:`write_line`.
+        """
+        start = addr - addr % line_size
+        self.stats.rmw_operations += 1
+        self._emit("rmw", addr, line_size)
+        plaintext, read_cycles = self.fill_line(port, start, line_size)
+        patched = bytearray(plaintext)
+        patched[addr - start: addr - start + len(data)] = data
+        return read_cycles + self.write_line(port, start, bytes(patched))
+
     # -- reporting ----------------------------------------------------------
 
     @abstractmethod
@@ -411,7 +437,6 @@ class NullEngine(BusEncryptionEngine):
     """No encryption: the plaintext baseline every overhead is measured against."""
 
     name = "plaintext"
-    min_write_bytes = 1
     _cipher_events = False   # nothing is enciphered on the baseline
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
@@ -492,13 +517,7 @@ class TweakedECBEngine(BlockModeEngine):
             for addr, nbytes in spans for i in range(0, nbytes, 8)
         )
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        tweaks = self._tweaks([(addr, len(plaintext))])
-        return self._cipher.encrypt_blocks(xor_bytes(plaintext, tweaks))
-
     def encrypt_lines(self, items):
-        if not items or any(len(line) % 8 for _, line in items):
-            return super().encrypt_lines(items)
         tweaks = self._tweaks([(addr, len(line)) for addr, line in items])
         plain = b"".join(line for _, line in items)
         ct = self._cipher.encrypt_blocks(xor_bytes(plain, tweaks))

@@ -89,7 +89,6 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         #: turns restarts into whole-region bursts.
         self.reorder = reorder
         self.hash_latency = hash_latency
-        self.min_write_bytes = 8
         self._perm_cache: Dict[int, list] = {}
         #: Region base address -> HMAC tag over the region ciphertext.
         self._tags: Dict[int, bytes] = {}

@@ -66,7 +66,6 @@ class IntegrityShieldEngine(BusEncryptionEngine):
         self.versioned = versioned
         self.hash_latency = hash_latency
         self.tracked_lines = tracked_lines
-        self.min_write_bytes = inner.min_write_bytes
         #: On-chip write counters (anti-replay state).
         self._versions: Dict[int, int] = {}
         #: On-chip tag cache: tags have spatial locality (a 32-byte tag
@@ -232,17 +231,9 @@ class IntegrityShieldEngine(BusEncryptionEngine):
         self._emit("stall", addr, extra + self.hash_latency, "write")
         return cycles
 
-    def write_partial(self, port: MemoryPort, addr: int, data: bytes,
-                      line_size: int) -> int:
-        # Integrity forces line-granular read-verify-modify-write: the tag
-        # covers the whole line.
-        start = addr - addr % line_size
-        self.stats.rmw_operations += 1
-        self._emit("rmw", addr, line_size)
-        plaintext, read_cycles = self.fill_line(port, start, line_size)
-        patched = bytearray(plaintext)
-        patched[addr - start: addr - start + len(data)] = data
-        return read_cycles + self.write_line(port, start, bytes(patched))
+    # Integrity forces line-granular read-verify-modify-write: the tag
+    # covers the whole line.
+    write_partial = BusEncryptionEngine._line_rmw
 
     # -- area ---------------------------------------------------------------
 

@@ -77,7 +77,6 @@ class MerkleTreeEngine(BusEncryptionEngine):
         self.levels = n_lines.bit_length() - 1   # root excluded
         self.node_cache_size = node_cache_size
         self.hash_latency = hash_latency
-        self.min_write_bytes = inner.min_write_bytes
         #: The single piece of on-chip integrity state.
         self.root: bytes = b""
         #: Trusted (verified or self-written) nodes: (level, index) -> value.
@@ -313,15 +312,9 @@ class MerkleTreeEngine(BusEncryptionEngine):
             self._emit("stall", addr, extra, "write")
         return cycles
 
-    def write_partial(self, port: MemoryPort, addr: int, data: bytes,
-                      line_size: int) -> int:
-        start = addr - addr % line_size
-        self.stats.rmw_operations += 1
-        self._emit("rmw", addr, line_size)
-        plaintext, read_cycles = self.fill_line(port, start, line_size)
-        patched = bytearray(plaintext)
-        patched[addr - start: addr - start + len(data)] = data
-        return read_cycles + self.write_line(port, start, bytes(patched))
+    # A write re-hashes its leaf, which covers the whole line: a
+    # line-granular read-verify-modify-write.
+    write_partial = BusEncryptionEngine._line_rmw
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

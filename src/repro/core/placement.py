@@ -50,7 +50,6 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
 
     name = "cpu-cache-stream"
     placement = Placement.CPU_CACHE
-    min_write_bytes = 1
 
     def __init__(
         self,
@@ -79,12 +78,12 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
                 b"cpu$" + (block_addr // 16).to_bytes(12, "big"),
         )
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return xor_bytes(plaintext, self._pads([(addr, plaintext)])[0])
-
-    def decrypt_lines(self, items):
+    def encrypt_lines(self, items):
         return [xor_bytes(line, pad)
                 for (_, line), pad in zip(items, self._pads(items))]
+
+    #: XOR with the position pad is its own inverse.
+    decrypt_lines = encrypt_lines
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         # Miss path: data flows memory -> cache unmodified (already masked);

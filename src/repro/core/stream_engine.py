@@ -28,7 +28,7 @@ the pad machinery for the CPU-cache placement study.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..crypto.kernels import aes_kernel, ctr_pads
 from ..crypto.modes import xor_bytes
@@ -48,7 +48,6 @@ class StreamCipherEngine(BusEncryptionEngine):
     """Seekable-keystream engine with an on-chip pad cache."""
 
     name = "stream-ctr"
-    min_write_bytes = 1
     #: Confidentiality only — worse, XOR pads make undetected bit-flips
     #: *surgical*: flipping ciphertext bit i flips plaintext bit i.
     detects = frozenset()
@@ -88,10 +87,9 @@ class StreamCipherEngine(BusEncryptionEngine):
             _counter_block,
         )
 
-    def _pad(self, addr: int, nbytes: int, version: Optional[int] = None) -> bytes:
+    def _pad(self, addr: int, nbytes: int) -> bytes:
         """Keystream for [addr, addr+nbytes) at the line's current version."""
-        if version is None:
-            version = self._versions.get(addr - addr % self.line_size, 0)
+        version = self._versions.get(addr - addr % self.line_size, 0)
         return self._pads([(addr, nbytes, version)])[0]
 
     def _pad_blocks(self, nbytes: int) -> int:
@@ -117,14 +115,9 @@ class StreamCipherEngine(BusEncryptionEngine):
         self._pad_cache.pop(line_addr, None)
         return version
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        version = self._bump_version(addr)
-        return xor_bytes(plaintext, self._pad(addr, len(plaintext), version))
-
     def encrypt_lines(self, items):
-        # Install batch: advance every line's version in order (exactly
-        # like per-line encrypt_line), then produce the whole keystream
-        # in one kernel call.
+        # Advance every line's version in item order, then produce the
+        # whole keystream in one kernel call.
         pads = self._pads([(addr, len(line), self._bump_version(addr))
                            for addr, line in items])
         return [xor_bytes(line, pad) for (_, line), pad in zip(items, pads)]
@@ -194,29 +187,7 @@ class StreamCipherEngine(BusEncryptionEngine):
         # Secure partial write: the fresh version re-keys the whole line, so
         # the untouched bytes must be re-enciphered too — a full-line
         # read-modify-write despite the byte-granular cipher.
-        start = addr - addr % line_size
-        end = -(-(addr + len(data)) // line_size) * line_size
-        self.stats.rmw_operations += 1
-        self._emit("rmw", addr, end - start)
-        self._emit("decipher", start, end - start)
-        self._emit("encipher", start, end - start)
-        ciphertext, read_cycles = port.read(start, end - start)
-        dec_extra = self.read_extra_cycles(start, end - start, read_cycles)
-        block = bytearray(
-            self.decrypt_line(start, ciphertext) if self.functional
-            else ciphertext
-        )
-        block[addr - start: addr - start + len(data)] = data
-        enc_extra = self.write_extra_cycles(start, end - start)
-        self.stats.extra_read_cycles += dec_extra
-        self.stats.extra_write_cycles += enc_extra
-        if dec_extra + enc_extra:
-            self._emit("stall", addr, dec_extra + enc_extra, "rmw")
-        new_ct = (
-            self.encrypt_line(start, bytes(block)) if self.functional
-            else bytes(block)
-        )
-        return read_cycles + dec_extra + enc_extra + port.write(start, new_ct)
+        return self._rmw(port, addr, data, line_size)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -69,7 +69,6 @@ class VlsiDmaEngine(BusEncryptionEngine):
         self.buffer_pages = buffer_pages
         self.sram_latency = sram_latency
         self.unit = unit
-        self.min_write_bytes = 1  # absorbed by the page buffer
         self._buffer: "OrderedDict[int, _Page]" = OrderedDict()
         self.page_faults = 0
         self.page_writebacks = 0

@@ -56,18 +56,10 @@ class XomAesEngine(BlockModeEngine):
             for addr, nbytes in spans for i in range(0, nbytes, 16)
         ))
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        masks = self._masks([(addr, len(plaintext))])
-        return xor_bytes(
-            self._aes.encrypt_blocks(xor_bytes(plaintext, masks)), masks
-        )
-
-    # XEX is ECB over independent blocks: a whole install batch or fill
-    # group enciphers in two kernel calls (masks, then blocks).
+    # XEX is ECB over independent blocks: a whole install batch, write or
+    # fill group enciphers in two kernel calls (masks, then blocks).
 
     def encrypt_lines(self, items):
-        if not items or any(len(line) % 16 for _, line in items):
-            return super().encrypt_lines(items)
         masks = self._masks([(addr, len(line)) for addr, line in items])
         plain = b"".join(line for _, line in items)
         ct = xor_bytes(

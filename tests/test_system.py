@@ -174,12 +174,16 @@ from repro.crypto.drbg import DRBG as _DRBG
 
 
 class TestEncryptLinesBulk:
-    """encrypt_lines must equal the scalar per-line loop, state included.
+    """A group call must equal the same items as one-line calls, state
+    included.
 
-    Engines with batched overrides (xom, ds5240, stream, aegis) advance
-    per-line state (versions, vectors) during installation; running the
-    bulk call on one instance and the scalar loop on a twin pins both
-    the ciphertext and the state evolution.
+    Engines that batch their transform (xom, ds5240, stream, aegis...)
+    define ``encrypt_lines`` alone, so ``encrypt_line`` is its one-line
+    group and per-line state (versions, vectors) must advance the same
+    either way; running the group on one instance and one-line calls on
+    a twin pins both the ciphertext and the state evolution.  The
+    independent oracle is :data:`_ENCRYPT_PINS`, recorded from the
+    per-line transforms these engines used to keep.
     """
 
     def _items(self, n=40, line=32):
@@ -369,7 +373,7 @@ class TestFillLinesBulk:
         engine.fill_lines(port, self._addrs(), self.LINE)
 
 
-# -- the decrypt transform (engine.decrypt_lines) -----------------------------
+# -- the line transforms (engine.decrypt_lines, engine.encrypt_lines) ---------
 
 #: The engines that batch their decrypt, by their cipher's block size.
 _BATCH_DECRYPT = {
@@ -414,6 +418,16 @@ class TestDecryptLines:
         assert "fill_lines" not in vars(owners[0])
         assert "decrypt_line" not in vars(owners[0])
 
+    @pytest.mark.parametrize("name", sorted(_BATCH_DECRYPT))
+    def test_defines_encrypt_lines_only(self, name):
+        cls = type(_FILL_FACTORIES[name](True))
+        owners = [klass for klass in cls.__mro__
+                  if "encrypt_lines" in vars(klass)
+                  or "encrypt_line" in vars(klass)]
+        assert owners[0] is not BusEncryptionEngine
+        assert "encrypt_lines" in vars(owners[0])
+        assert "encrypt_line" not in vars(owners[0])
+
 
 def _concrete_engines():
     seen, todo = [], [BusEncryptionEngine]
@@ -442,3 +456,231 @@ def test_every_core_engine_defines_a_decrypt():
             "decrypt_line" in vars(klass) or "decrypt_lines" in vars(klass)
             for klass in cls.__mro__[:cls.__mro__.index(BusEncryptionEngine)]
         ), cls.__name__
+
+
+def test_every_core_engine_defines_an_encrypt():
+    # Likewise encrypt_line and encrypt_lines; and no class defines both,
+    # so every engine has exactly one write transform.
+    for cls in _concrete_engines():
+        below = cls.__mro__[:cls.__mro__.index(BusEncryptionEngine)]
+        assert any("encrypt_line" in vars(klass)
+                   or "encrypt_lines" in vars(klass)
+                   for klass in below), cls.__name__
+        for klass in below:
+            assert not {"encrypt_line", "encrypt_lines"} <= set(vars(klass)), \
+                klass.__name__
+
+
+# -- write-path pins ------------------------------------------------------------
+#
+# Digests recorded while aegis, xom, stream, ds5002fp and TweakedECBEngine
+# each still had a per-line encrypt_line beside its encrypt_lines, and
+# stream had its own read-modify-write: the per-line transform stays the
+# oracle the batched one must reproduce.
+
+import hashlib
+
+from repro.core import AegisEngine
+from repro.obs import RecordingSink
+
+_PIN_LINE = 32
+_PIN_BASE = 0x400
+#: Group widths in lines; aegis's 31/32/33 block columns straddle
+#: NUMPY_MIN_BLOCKS_AES.
+_PIN_WIDTHS = (1, 5, 31, 32, 33)
+
+
+def _pin_items(n):
+    image = _DRBG(b"write-path-pins").random_bytes(n * _PIN_LINE)
+    return [(_PIN_BASE + i * _PIN_LINE,
+             image[i * _PIN_LINE: (i + 1) * _PIN_LINE]) for i in range(n)]
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _per_line(engine, items):
+    return [engine.encrypt_line(addr, line) for addr, line in items]
+
+
+def _bulk(engine, items):
+    return engine.encrypt_lines(items)
+
+
+def _encrypt_digest(name, encrypt):
+    """sha256 of ``encrypt(engine, group)`` run twice per pinned width on
+    a fresh engine; the second pass sees the state the first advanced
+    (stream versions, aegis vectors)."""
+    out = []
+    for width in _PIN_WIDTHS:
+        engine = make_engine(name)
+        group = _pin_items(width)
+        out.append([encrypt(engine, group), encrypt(engine, group)])
+    return _digest(out)
+
+
+_ENCRYPT_PINS = {
+    "addr-scramble-stream":
+        "ea1600dca97237e4cdf86f961d9562a815810c792155a7c0b8b1811d035a7138",
+    "aegis":
+        "827f10a1f101dabba0c0ce933a39db19e42f796ddb1c46042f5eab9f8b5dc4dd",
+    "best":
+        "01d9c4637116eefd61c4923e019607712740edebc5e4ec2e5acfeb4062ab70ea",
+    "compress":
+        "f7e220a7d14311e51d42603ce5c3f1fb5fdd6a1d5ad274b6628c97c806db8354",
+    "ds5002fp":
+        "d4380970a623420a5a20d6557d8fde0a029d77b85b56eba1d7e8a8a541170d50",
+    "ds5240":
+        "8aa970ca0147ed38ef5d02235bd35e25aa3c00436bc8f343da213d8b91e895ae",
+    "gilmont":
+        "50760bf5ec37337fe908c3d6801c25e7c3ebba93c3582c1b076026c550193b19",
+    "integrity-stream":
+        "f7e220a7d14311e51d42603ce5c3f1fb5fdd6a1d5ad274b6628c97c806db8354",
+    "integrity-xom":
+        "b12d7e97e92fa8e969ada344e214f29faab26e0f86beb571732b9e853db24de9",
+    "merkle-stream":
+        "f7e220a7d14311e51d42603ce5c3f1fb5fdd6a1d5ad274b6628c97c806db8354",
+    "stream":
+        "f7e220a7d14311e51d42603ce5c3f1fb5fdd6a1d5ad274b6628c97c806db8354",
+    "xom":
+        "b12d7e97e92fa8e969ada344e214f29faab26e0f86beb571732b9e853db24de9",
+}
+
+
+def test_encrypt_pins_cover_every_line_engine():
+    # gi/vlsi are region/page granular and raise on encrypt_line.
+    assert set(_ENCRYPT_PINS) == set(engine_names()) - {"gi", "vlsi"}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCRYPT_PINS))
+def test_encrypt_lines_matches_pinned_per_line(name):
+    assert _encrypt_digest(name, _bulk) == _ENCRYPT_PINS[name]
+    assert _encrypt_digest(name, _per_line) == _ENCRYPT_PINS[name]
+
+
+#: Ragged widths and a repeated address, for aegis's per-line chains.
+_AEGIS_RAGGED = ((0x400, 32), (0x420, 16), (0x440, 48), (0x400, 32),
+                 (0x480, 64))
+
+
+def _aegis_digest(iv_mode, encrypt):
+    engine = AegisEngine(KEY, iv_mode=iv_mode)
+    rng = _DRBG(b"aegis-ragged")
+    items = [(addr, rng.random_bytes(n)) for addr, n in _AEGIS_RAGGED]
+    return _digest(encrypt(engine, items), engine.issued_vectors,
+                   sorted(engine._vectors.items()))
+
+
+_AEGIS_PINS = {
+    "counter":
+        "5753de95290e224d8dce3a807ee6eea06b36edb377c97788d3ff21a0cc1dcdf3",
+    "random":
+        "3810508b3a14bcffd45bbf06de024ce0ef75d15605f452cf9d0b321e9ac7b9c2",
+}
+
+
+@pytest.mark.parametrize("iv_mode", sorted(_AEGIS_PINS))
+@pytest.mark.parametrize("encrypt", [
+    _per_line,
+    _bulk,
+    lambda engine, items: [engine.encrypt_lines([item])[0]
+                           for item in items],
+], ids=["per-line", "ragged-group", "one-line-groups"])
+def test_aegis_groups_match_pinned_per_line(iv_mode, encrypt):
+    assert _aegis_digest(iv_mode, encrypt) == _AEGIS_PINS[iv_mode]
+
+
+#: (addr, nbytes) of the write_partial sweep over 32-byte lines:
+#: unaligned, sub-block, one DES block, one AES block, an exact line,
+#: line-spanning, two exact lines, a rewrite and a single byte.
+_PARTIAL_WRITES = ((0x404, 3), (0x410, 4), (0x420, 8), (0x430, 16),
+                   (0x440, 32), (0x45c, 8), (0x474, 40), (0x4a0, 64),
+                   (0x404, 3), (0x4e1, 1))
+
+#: label -> (registry name, overrides).
+_PARTIAL_ENGINES = {
+    "stream": ("stream", {}),
+    "stream-pad-reuse": ("stream", {"reuse_pad_on_partial_write": True}),
+    "aegis": ("aegis", {}),
+    "gilmont": ("gilmont", {}),
+    "best": ("best", {}),
+    "integrity-stream": ("integrity-stream", {}),
+    "integrity-xom": ("integrity-xom", {}),
+    "merkle-stream": ("merkle-stream", _FILL_OVERRIDES["merkle-stream"]),
+}
+
+#: A tag or tree leaf covers one line, so a write past its line's end
+#: breaks the next line's verdict: these engines sweep in-line writes only.
+_LINE_GRANULAR = {"integrity-stream", "integrity-xom", "merkle-stream"}
+
+
+def _partial_digest(label, functional):
+    """sha256 over the sweep's returned cycles, the engine stats, every
+    engine and bus event (payloads included) and the final memory."""
+    name, overrides = _PARTIAL_ENGINES[label]
+    engine = make_engine(name, functional=functional, **overrides)
+    memory = MainMemory(MemoryConfig(size=1 << 21))
+    image = b"".join(line for _, line in _pin_items(40))
+    engine.install_image(memory, _PIN_BASE, image, line_size=_PIN_LINE)
+    sink = RecordingSink()
+    engine.attach_sink(sink)
+    port = MemoryPort(memory, Bus(sink=sink))
+    writes = [(addr, n) for addr, n in _PARTIAL_WRITES
+              if label not in _LINE_GRANULAR
+              or addr % _PIN_LINE + n <= _PIN_LINE]
+    data = _DRBG(b"write-partial-sweep").random_bytes(
+        sum(n for _, n in writes))
+    cycles, pos = [], 0
+    for addr, n in writes:
+        cycles.append(engine.write_partial(port, addr, data[pos: pos + n],
+                                           _PIN_LINE))
+        pos += n
+    events = [(e.kind, e.addr, e.size, e.detail, bytes(e.data))
+              for e in sink.events]
+    return _digest(cycles, sorted(vars(engine.stats).items()), events,
+                   memory.dump(_PIN_BASE, len(image)))
+
+
+_PARTIAL_PINS = {
+    ("stream", True):
+        "b28f60a245400c0d582593977e92505d6d141437260e576e088ad0b010d4b7b7",
+    ("stream", False):
+        "a3215b2521e3477ed15dd356585966a183dfe033a9bb99482f6267165a2928aa",
+    ("stream-pad-reuse", True):
+        "4b9e07428a76ee193df816ea2e5f0bd39c2f075d8e8a1f22f1dbc7bf64e66a7b",
+    ("stream-pad-reuse", False):
+        "ffb2098b54e401376397ae72a40ccb9a623fab3c9c0b8bad1171593fca5540f2",
+    ("aegis", True):
+        "61056d0168e9a41f0fddb8ba70aec453291cc6104ed79de89858b7003d9e159d",
+    ("aegis", False):
+        "8c2ef908171c69b542b0b6ad8e5829dc2cc9b27a3a7a0537b250c6e653fdfced",
+    ("gilmont", True):
+        "7d1dc1af447a1d45bee45b22a492d2ed2a269abcb700b52af4676ef2ca1e286e",
+    ("gilmont", False):
+        "1a04939da4299efff2d3cc6e542d436ad0de9092c41bbfd2ab5f613b3f3e2fba",
+    ("best", True):
+        "739f41182f46ab4126aacb1bb2cb63db464641feabeea0bce348770e21a5f4f3",
+    ("best", False):
+        "58a2bdd5693679e72d2f527fc77d232f8510860fec2d6a78b6ad4262dc0b0435",
+    ("integrity-stream", True):
+        "71df9dc66674a8a51859b7bfdd72540c6864656a339c71a2e31438f19ba90211",
+    ("integrity-stream", False):
+        "2084d1ca0f6d9b92d21a0643d4dfd97377c339d0d2484764331c5a14335ad9fc",
+    ("integrity-xom", True):
+        "f10113967fce6f7a891b498dc19e8ad2f545d58ca02c365c9464a7db3bef4f80",
+    ("integrity-xom", False):
+        "104fad76ba473a6c07ee3193fee48dac15c62becfabb838c5f38ed406e6d9bea",
+    ("merkle-stream", True):
+        "7b3d3ade34224717ffd19a57d0a0e202ce36fddf28dd11a481446451d625194b",
+    ("merkle-stream", False):
+        "1400124e8910f326b8657ac2ec50f56914f3b2ab07fcf1dc19146e0478efc412",
+}
+
+
+@pytest.mark.parametrize("functional", [True, False],
+                         ids=["functional", "timing-only"])
+@pytest.mark.parametrize("label", sorted(_PARTIAL_ENGINES))
+def test_write_partial_matches_pin(label, functional):
+    assert _partial_digest(label, functional) == \
+        _PARTIAL_PINS[label, functional]
