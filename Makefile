@@ -40,6 +40,13 @@ EMIT_EVENT := emit\(TraceEvent\(
 # so an encrypt_lines override falling back to super() would recurse.
 ENCRYPT_FALLBACK := super\(\)\.encrypt_lines\(
 
+# Wrapped engines delegate to their inner engine in one place: only
+# WrappedEngine.__init__ (core/engine.py) sets self.inner, and integrity
+# and merkle verify through the base fill loop's _verify_fill hook and the
+# shared LineAuthEngine.write_line, defining neither body themselves.
+INNER_SET := self\.inner *=[^=]
+AUTH_BODIES := ^[[:space:]]+def (fill_lines|write_line)\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -121,6 +128,24 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one write transform per engine)"
+	@sets=$$(grep -rnIE '$(INNER_SET)' --exclude-dir=__pycache__ \
+		src/repro || true); \
+	owner=$$(awk '/^class /{split($$2, c, "(")} \
+		/^    def /{split($$2, d, "(")} \
+		/$(INNER_SET)/{print c[1] "." d[1]}' src/repro/core/engine.py); \
+	bodies=$$(grep -nE '$(AUTH_BODIES)' src/repro/core/integrity.py \
+		src/repro/core/merkle.py || true); \
+	if [ "$$(echo "$$sets" | wc -l)" != 1 ] \
+			|| [ "$$owner" != WrappedEngine.__init__ ] \
+			|| [ -n "$$bodies" ]; then \
+		echo "lint: only WrappedEngine.__init__ sets self.inner, and" >&2; \
+		echo "      integrity/merkle define no fill_lines/write_line" >&2; \
+		echo "      (they supply _verify_fill/_update_auth hooks):" >&2; \
+		echo "$$sets" >&2; \
+		[ -z "$$bodies" ] || echo "$$bodies" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (wrappers delegate to inner in one place)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

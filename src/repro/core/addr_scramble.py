@@ -22,12 +22,12 @@ from typing import List, Sequence, Tuple
 
 from ..crypto.address_scrambler import AddressScrambler
 from ..sim.area import AreaEstimate
-from .engine import BusEncryptionEngine, MemoryPort
+from .engine import BusEncryptionEngine, MemoryPort, WrappedEngine
 
 __all__ = ["AddressScrambledEngine"]
 
 
-class AddressScrambledEngine(BusEncryptionEngine):
+class AddressScrambledEngine(WrappedEngine):
     """Wrap any engine with a keyed line-address permutation.
 
     ``region_lines`` line slots starting at ``region_base`` are permuted;
@@ -49,8 +49,7 @@ class AddressScrambledEngine(BusEncryptionEngine):
         line_size: int = 32,
         translate_latency: int = 1,
     ):
-        super().__init__(functional=inner.functional)
-        self.inner = inner
+        super().__init__(inner)
         self.region_base = region_base
         self.region_lines = region_lines
         self.line_size = line_size
@@ -73,8 +72,9 @@ class AddressScrambledEngine(BusEncryptionEngine):
 
     # -- functional transform (inner, keyed by physical address) ------------
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self.inner.encrypt_line(self.physical(addr), plaintext)
+    def encrypt_lines(self, items):
+        return self.inner.encrypt_lines(
+            [(self.physical(addr), line) for addr, line in items])
 
     def decrypt_lines(self, items):
         return self.inner.decrypt_lines(
@@ -146,10 +146,7 @@ class AddressScrambledEngine(BusEncryptionEngine):
         )
 
     def area(self) -> AreaEstimate:
-        est = AreaEstimate(self.name)
-        inner = self.inner.area()
-        for label, gates in inner.items.items():
-            est.add(f"inner/{label}", gates)
+        est = self._inner_area()
         # A small Feistel permutation network on the address lines.
         est.add("address-permutation", 4_000)
         return est

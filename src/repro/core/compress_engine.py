@@ -29,14 +29,18 @@ from ..compression.codepack import CodePack, CompressedImage
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, XOM_AES_PIPE
-from .engine import BusEncryptionEngine, MemoryPort
+from .engine import MemoryPort, WrappedEngine
 from .stream_engine import StreamCipherEngine
 
 __all__ = ["CompressedEncryptionEngine"]
 
 
-class CompressedEncryptionEngine(BusEncryptionEngine):
-    """CodePack-then-encrypt for code, plain stream encryption for data."""
+class CompressedEncryptionEngine(WrappedEngine):
+    """CodePack-then-encrypt for code, plain stream encryption for data.
+
+    The wrapped ``inner`` engine is a stream engine under the same key; its
+    transform and timing serve the data lines.
+    """
 
     name = "compress+encrypt"
     #: Confidentiality only: tampered compressed code decodes to garbage
@@ -52,14 +56,13 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
         unit: PipelinedUnit = XOM_AES_PIPE,
         functional: bool = True,
     ):
-        super().__init__(functional=functional)
+        super().__init__(StreamCipherEngine(
+            key, line_size=line_size, unit=unit, functional=functional
+        ))
         self.line_size = line_size
         self.decoder_fixed_latency = decoder_fixed_latency
         self.decoder_bytes_per_cycle = decoder_bytes_per_cycle
         self.unit = unit
-        self.inner = StreamCipherEngine(
-            key, line_size=line_size, unit=unit, functional=functional
-        )
         self._codec = CodePack(block_size=line_size)
         #: line address -> (packed offset, compressed length)
         self._lat: Dict[int, Tuple[int, int]] = {}
@@ -116,19 +119,7 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             return 1.0
         return self._image.ratio
 
-    # -- generic interface (delegated to the inner stream engine) -------------
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self.inner.encrypt_line(addr, plaintext)
-
-    def decrypt_lines(self, items):
-        return self.inner.decrypt_lines(items)
-
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
-
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        return self.inner.write_extra_cycles(addr, nbytes)
+    # -- fills ------------------------------------------------------------------
 
     def _decoder_cycles(self, out_bytes: int) -> int:
         return self.decoder_fixed_latency + -(-out_bytes // self.decoder_bytes_per_cycle)
@@ -143,8 +134,6 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
             compressed, line_size,
             self._image.dict_high, self._image.dict_low,
         )
-
-    # -- fills ------------------------------------------------------------------
 
     def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
                    line_size: int) -> List[Tuple[bytes, int]]:

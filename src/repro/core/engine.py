@@ -28,7 +28,8 @@ from ..sim.pipeline import PipelinedUnit
 
 __all__ = ["Placement", "EngineStats", "MemoryPort", "BusEncryptionEngine",
            "NullEngine", "BlockModeEngine", "TweakedECBEngine",
-           "TamperDetected", "TamperVerdicts"]
+           "WrappedEngine", "LineAuthEngine", "TamperDetected",
+           "TamperVerdicts"]
 
 
 class TamperDetected(Exception):
@@ -131,7 +132,8 @@ class BusEncryptionEngine(ABC):
     ``write_partial`` are the entry points the system calls; the defaults
     implement the common pattern (fetch ciphertext, decrypt; encrypt,
     store; read-modify-write) and can be overridden for engines with
-    richer behaviour (page DMA, integrity verdicts, wrappers).
+    richer behaviour (page DMA, region chains, wrappers); a per-line
+    integrity verdict is the :meth:`_verify_fill` hook of the base fill.
     """
 
     name: str = "abstract"
@@ -162,11 +164,8 @@ class BusEncryptionEngine(ABC):
         self.sink: Optional[EventSink] = None
 
     def attach_sink(self, sink: Optional[EventSink]) -> None:
-        """Attach an event sink to this engine and any wrapped inner engine."""
+        """Attach an event sink to this engine."""
         self.sink = sink
-        inner = getattr(self, "inner", None)
-        if inner is not None:
-            inner.attach_sink(sink)
 
     def _emit(self, kind: str, addr: int = 0, size: int = 0,
               detail: str = "") -> None:
@@ -267,10 +266,12 @@ class BusEncryptionEngine(ABC):
     # ``fill_line`` is a one-line group.  The byte transform behind it is
     # ``decrypt_lines``, called once per group, so an engine whose lines
     # carry no state between them batches its cipher work across the group
-    # by defining ``decrypt_lines`` alone.  Engines whose fill does more
-    # than read-and-decrypt (integrity verdicts, page buffers, region
-    # chains, wrappers) override ``fill_lines`` with their own per-line
-    # loop.
+    # by defining ``decrypt_lines`` alone.  An engine that authenticates
+    # each line before it is deciphered (integrity tags, a hash tree)
+    # overrides ``_verify_fill`` and keeps this loop.  Engines whose fill
+    # reads something other than the line at its address (page buffers,
+    # region chains, compressed or scrambled lines) override
+    # ``fill_lines`` with their own per-line loop.
 
     def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
                    line_size: int) -> List[Tuple[bytes, int]]:
@@ -298,11 +299,14 @@ class BusEncryptionEngine(ABC):
                     ) -> Tuple[bytes, int]:
         """One line of :meth:`fill_lines` up to its decrypt.
 
-        The bus read, :meth:`read_extra_cycles`, the stats and the
-        ``decipher``/``stall`` events; returns (ciphertext, total cycles).
+        The bus read, :meth:`_verify_fill`, :meth:`read_extra_cycles`, the
+        stats and the ``decipher``/``stall`` events; returns (ciphertext,
+        total cycles).
         """
         ciphertext, mem_cycles = port.read(addr, line_size)
-        extra = self.read_extra_cycles(addr, line_size, mem_cycles)
+        verify = self._verify_fill(port, addr, line_size, ciphertext,
+                                   mem_cycles)
+        extra = verify + self.read_extra_cycles(addr, line_size, mem_cycles)
         self.stats.lines_decrypted += 1
         self.stats.extra_read_cycles += extra
         # Miss-path hot loop: guard inline so the disabled path costs one
@@ -312,6 +316,18 @@ class BusEncryptionEngine(ABC):
             if extra:
                 self._emit("stall", addr, extra, "read")
         return ciphertext, mem_cycles + extra
+
+    def _verify_fill(self, port: MemoryPort, addr: int, line_size: int,
+                     ciphertext: bytes, mem_cycles: int) -> int:
+        """Authenticate one fetched line before it is deciphered; returns
+        the cycles the check adds to the fill, counted as read stall.
+
+        Runs between the bus read and :meth:`read_extra_cycles`.  A line
+        that fails records its verdict through :meth:`verify_line` and
+        raises a :class:`TamperDetected`, so no line of its group reaches
+        :meth:`decrypt_lines`.  No check by default.
+        """
+        return 0
 
     def read_plain(self, memory, addr: int, nbytes: int,
                    line_size: int = 32) -> bytes:
@@ -528,3 +544,73 @@ class TweakedECBEngine(BlockModeEngine):
             b"".join(ciphertext for _, ciphertext in items))
         tweaks = self._tweaks([(addr, len(ct)) for addr, ct in items])
         return self._split_batch(xor_bytes(decrypted, tweaks), items)
+
+
+class WrappedEngine(BusEncryptionEngine):
+    """An engine around an inner confidentiality engine ``inner``.
+
+    The line transform and its timing are the inner engine's; subclasses
+    add what they wrap around it (tags, a hash tree, compression, address
+    scrambling).  An attached sink reaches both engines.
+    """
+
+    def __init__(self, inner: BusEncryptionEngine):
+        super().__init__(functional=inner.functional)
+        self.inner = inner
+
+    def attach_sink(self, sink: Optional[EventSink]) -> None:
+        """Attach an event sink to this engine and the inner engine."""
+        super().attach_sink(sink)
+        self.inner.attach_sink(sink)
+
+    def encrypt_lines(self, items):
+        return self.inner.encrypt_lines(items)
+
+    def decrypt_lines(self, items):
+        return self.inner.decrypt_lines(items)
+
+    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
+        return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
+
+    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
+        return self.inner.write_extra_cycles(addr, nbytes)
+
+    def _inner_area(self) -> AreaEstimate:
+        """A fresh estimate holding the inner engine's rows as
+        ``inner/<label>``."""
+        est = AreaEstimate(self.name)
+        for label, gates in self.inner.area().items.items():
+            est.add(f"inner/{label}", gates)
+        return est
+
+
+class LineAuthEngine(WrappedEngine):
+    """A wrapper whose integrity state covers whole lines (a MAC tag, a
+    hash-tree leaf).
+
+    Fills check each line through :meth:`_verify_fill`.  A writeback
+    enciphers and stores the line, then updates its state through
+    :meth:`_update_auth`; a narrower write is a :meth:`_line_rmw`.
+    """
+
+    @abstractmethod
+    def _update_auth(self, port: MemoryPort, addr: int, ciphertext: bytes
+                     ) -> Tuple[int, int]:
+        """Update the stored line's integrity state; returns (cycles,
+        the part of them counted as write stall)."""
+
+    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
+        extra = self.write_extra_cycles(addr, len(plaintext))
+        ciphertext = self.encrypt_line(addr, plaintext) if self.functional \
+            else bytes(plaintext)
+        cycles = extra + port.write(addr, ciphertext)
+        auth_cycles, auth_stall = self._update_auth(port, addr, ciphertext)
+        self.stats.lines_encrypted += 1
+        self.stats.extra_write_cycles += extra + auth_stall
+        # Unlike _store, the events follow the port writes.
+        self._emit("encipher", addr, len(plaintext))
+        if extra + auth_stall:
+            self._emit("stall", addr, extra + auth_stall, "write")
+        return cycles + auth_cycles
+
+    write_partial = BusEncryptionEngine._line_rmw

@@ -29,18 +29,19 @@ computation and store.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..crypto.hmac import consttime_eq, hmac_sha256
 from ..sim.area import AreaEstimate
-from .engine import BusEncryptionEngine, MemoryPort, TamperDetected
+from .engine import (BusEncryptionEngine, LineAuthEngine, MemoryPort,
+                     TamperDetected)
 
 # TamperDetected historically lived here; it is now the canonical verdict
 # exception in repro.core.engine and stays importable from this module.
 __all__ = ["IntegrityShieldEngine", "TamperDetected"]
 
 
-class IntegrityShieldEngine(BusEncryptionEngine):
+class IntegrityShieldEngine(LineAuthEngine):
     """Confidentiality engine + per-line MAC tags + optional anti-replay."""
 
     name = "integrity-shield"
@@ -56,10 +57,9 @@ class IntegrityShieldEngine(BusEncryptionEngine):
         tracked_lines: int = 4096,
         tag_cache_blocks: int = 32,
     ):
-        super().__init__(functional=inner.functional)
+        super().__init__(inner)
         if not 4 <= tag_bytes <= 32:
             raise ValueError(f"tag_bytes must be in [4, 32], got {tag_bytes}")
-        self.inner = inner
         self.mac_key = mac_key
         self.tag_region_base = tag_region_base
         self.tag_bytes = tag_bytes
@@ -77,7 +77,6 @@ class IntegrityShieldEngine(BusEncryptionEngine):
         self._tag_cache: "OrderedDict[int, bytearray]" = OrderedDict()
         self.tag_cache_hits = 0
         self.tag_cache_misses = 0
-        self._line_size_hint = 32
 
     @property
     def detects(self) -> FrozenSet[str]:
@@ -139,25 +138,10 @@ class IntegrityShieldEngine(BusEncryptionEngine):
                 block[offset: offset + self.tag_bytes] = tag
         return port.write(tag_addr, tag)
 
-    # -- functional transform (delegated) ----------------------------------
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self.inner.encrypt_line(addr, plaintext)
-
-    def decrypt_lines(self, items):
-        return self.inner.decrypt_lines(items)
-
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
-
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        return self.inner.write_extra_cycles(addr, nbytes)
-
     # -- installation -------------------------------------------------------
 
     def install_image(self, memory, base_addr: int, plaintext: bytes,
                       line_size: int = 32) -> None:
-        self._line_size_hint = line_size
         if len(plaintext) % line_size != 0:
             plaintext = plaintext + b"\x00" * (
                 line_size - len(plaintext) % line_size
@@ -166,82 +150,43 @@ class IntegrityShieldEngine(BusEncryptionEngine):
             (base_addr + offset, plaintext[offset: offset + line_size])
             for offset in range(0, len(plaintext), line_size)
         ]
-        for (addr, _), ciphertext in zip(items,
-                                         self.inner.encrypt_lines(items)):
+        for (addr, _), ciphertext in zip(items, self.encrypt_lines(items)):
             memory.load_image(addr, ciphertext)
             memory.load_image(
                 self._tag_addr(addr, line_size),
                 self._compute_tag(addr, ciphertext),
             )
 
-    # -- fills / writes -------------------------------------------------------
+    # -- verdict and write hooks ----------------------------------------------
 
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        self._line_size_hint = line_size
-        out: List[Tuple[bytes, int]] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            tag, tag_cycles = self._read_tag(port, addr, line_size)
-            # The MAC engine digests ciphertext beats as they arrive, so
-            # only the residual drain past the fetch lands on the critical
-            # path.
-            hash_residual = max(0, self.hash_latency - mem_cycles) + 4
-            cycles = mem_cycles + tag_cycles + hash_residual
-
-            ok = (not self.functional
-                  or consttime_eq(bytes(tag),
-                                  self._compute_tag(addr, ciphertext)))
-            if not self.verify_line(addr, line_size, ok):
-                raise TamperDetected(
-                    f"line at {addr:#x} failed integrity verification"
-                )
-            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-            cycles += extra
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra + tag_cycles + hash_residual
-            self._emit("decipher", addr, line_size)
-            stall = extra + tag_cycles + hash_residual
-            if stall:
-                self._emit("stall", addr, stall, "read")
-            plaintext = (
-                self.inner.decrypt_line(addr, ciphertext)
-                if self.functional else ciphertext
+    def _verify_fill(self, port: MemoryPort, addr: int, line_size: int,
+                     ciphertext: bytes, mem_cycles: int) -> int:
+        tag, tag_cycles = self._read_tag(port, addr, line_size)
+        # The MAC engine digests ciphertext beats as they arrive, so only
+        # the residual drain past the fetch lands on the critical path.
+        hash_residual = max(0, self.hash_latency - mem_cycles) + 4
+        ok = (not self.functional
+              or consttime_eq(bytes(tag),
+                              self._compute_tag(addr, ciphertext)))
+        if not self.verify_line(addr, line_size, ok):
+            raise TamperDetected(
+                f"line at {addr:#x} failed integrity verification"
             )
-            out.append((plaintext, cycles))
-        return out
+        return tag_cycles + hash_residual
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
+    def _update_auth(self, port: MemoryPort, addr: int, ciphertext: bytes
+                     ) -> Tuple[int, int]:
         if self.versioned:
             self._versions[addr] = self._versions.get(addr, 0) + 1
-        extra = self.inner.write_extra_cycles(addr, len(plaintext))
-        ciphertext = (
-            self.inner.encrypt_line(addr, plaintext)
-            if self.functional else plaintext
-        )
-        cycles = extra + port.write(addr, ciphertext)
         tag = self._compute_tag(addr, ciphertext) if self.functional \
             else bytes(self.tag_bytes)
-        cycles += self._write_tag(
-            port, addr, len(plaintext), tag
-        ) + self.hash_latency
-        self.stats.lines_encrypted += 1
-        self.stats.extra_write_cycles += extra + self.hash_latency
-        self._emit("encipher", addr, len(plaintext))
-        self._emit("stall", addr, extra + self.hash_latency, "write")
-        return cycles
-
-    # Integrity forces line-granular read-verify-modify-write: the tag
-    # covers the whole line.
-    write_partial = BusEncryptionEngine._line_rmw
+        cycles = self._write_tag(port, addr, len(ciphertext), tag)
+        return cycles + self.hash_latency, self.hash_latency
 
     # -- area ---------------------------------------------------------------
 
     def area(self) -> AreaEstimate:
-        est = AreaEstimate(self.name)
-        inner = self.inner.area()
-        for label, gates in inner.items.items():
-            est.add(f"inner/{label}", gates)
+        est = self._inner_area()
         est.add_block("hmac_sha256")
         if self.versioned:
             est.add_sram("version-table", 4 * self.tracked_lines)
@@ -252,7 +197,6 @@ class IntegrityShieldEngine(BusEncryptionEngine):
 
     # -- memory overhead -------------------------------------------------------
 
-    def tag_overhead_fraction(self, line_size: Optional[int] = None) -> float:
+    def tag_overhead_fraction(self, line_size: int) -> float:
         """External-memory space consumed by tags (e.g. 8/32 = 25%)."""
-        line = line_size or self._line_size_hint
-        return self.tag_bytes / line
+        return self.tag_bytes / line_size

@@ -24,11 +24,12 @@ The engine composes with any confidentiality engine and adds:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..crypto.hmac import hmac_sha256
 from ..sim.area import AreaEstimate
-from .engine import BusEncryptionEngine, MemoryPort, TamperDetected
+from .engine import (BusEncryptionEngine, LineAuthEngine, MemoryPort,
+                     TamperDetected)
 
 __all__ = ["MerkleTreeEngine", "MerkleTamperDetected"]
 
@@ -39,7 +40,7 @@ class MerkleTamperDetected(TamperDetected):
     """A fetched line's authentication path failed against the root."""
 
 
-class MerkleTreeEngine(BusEncryptionEngine):
+class MerkleTreeEngine(LineAuthEngine):
     """Hash-tree integrity over a fixed protected region."""
 
     name = "merkle-tree"
@@ -58,7 +59,7 @@ class MerkleTreeEngine(BusEncryptionEngine):
         node_cache_size: int = 64,
         hash_latency: int = 64,
     ):
-        super().__init__(functional=inner.functional)
+        super().__init__(inner)
         if region_size % line_size != 0:
             raise ValueError("region_size must be a multiple of line_size")
         n_lines = region_size // line_size
@@ -67,7 +68,6 @@ class MerkleTreeEngine(BusEncryptionEngine):
                 f"region must hold a power-of-two number of lines >= 2, "
                 f"got {n_lines}"
             )
-        self.inner = inner
         self.mac_key = mac_key
         self.region_base = region_base
         self.region_size = region_size
@@ -146,8 +146,7 @@ class MerkleTreeEngine(BusEncryptionEngine):
             for i in range(self.n_lines)
         ]
         level_values: List[bytes] = []
-        for (addr, _), ciphertext in zip(items,
-                                         self.inner.encrypt_lines(items)):
+        for (addr, _), ciphertext in zip(items, self.encrypt_lines(items)):
             memory.load_image(addr, ciphertext)
             level_values.append(self._leaf_value(addr, ciphertext))
 
@@ -175,7 +174,7 @@ class MerkleTreeEngine(BusEncryptionEngine):
         """Authenticate one line against the root; returns cycles.
 
         Raises :class:`MerkleTamperDetected` on any mismatch; the caller
-        (:meth:`fill_lines`) routes the outcome through the uniform
+        (:meth:`_verify_fill`) routes the outcome through the uniform
         verdict path.
         """
         cycles = 0
@@ -257,70 +256,26 @@ class MerkleTreeEngine(BusEncryptionEngine):
         self.root = current
         return cycles
 
-    # -- BusEncryptionEngine interface ----------------------------------------------
+    # -- verdict and write hooks ------------------------------------------------
 
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        return self.inner.encrypt_line(addr, plaintext)
-
-    def decrypt_lines(self, items):
-        return self.inner.decrypt_lines(items)
-
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        return self.inner.read_extra_cycles(addr, nbytes, mem_cycles)
-
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        return self.inner.write_extra_cycles(addr, nbytes)
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        out: List[Tuple[bytes, int]] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            cycles = mem_cycles
-            try:
-                cycles += self._verify_path(port, addr, bytes(ciphertext))
-            except MerkleTamperDetected:
-                self.verify_line(addr, line_size, ok=False)
-                raise
-            self.verify_line(addr, line_size, ok=True)
-            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-            cycles += extra
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += cycles - mem_cycles
-            self._emit("decipher", addr, line_size)
-            if cycles - mem_cycles:
-                self._emit("stall", addr, cycles - mem_cycles, "read")
-            plaintext = (
-                self.inner.decrypt_line(addr, ciphertext)
-                if self.functional else ciphertext
-            )
-            out.append((plaintext, cycles))
-        return out
-
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        extra = self.inner.write_extra_cycles(addr, len(plaintext))
-        ciphertext = (
-            self.inner.encrypt_line(addr, plaintext)
-            if self.functional else bytes(plaintext)
-        )
-        cycles = extra + port.write(addr, ciphertext)
-        cycles += self._update_path(port, addr, ciphertext)
-        self.stats.lines_encrypted += 1
-        self.stats.extra_write_cycles += extra
-        self._emit("encipher", addr, len(plaintext))
-        if extra:
-            self._emit("stall", addr, extra, "write")
+    def _verify_fill(self, port: MemoryPort, addr: int, line_size: int,
+                     ciphertext: bytes, mem_cycles: int) -> int:
+        try:
+            cycles = self._verify_path(port, addr, bytes(ciphertext))
+        except MerkleTamperDetected:
+            self.verify_line(addr, line_size, ok=False)
+            raise
+        self.verify_line(addr, line_size, ok=True)
         return cycles
 
-    # A write re-hashes its leaf, which covers the whole line: a
-    # line-granular read-verify-modify-write.
-    write_partial = BusEncryptionEngine._line_rmw
+    def _update_auth(self, port: MemoryPort, addr: int, ciphertext: bytes
+                     ) -> Tuple[int, int]:
+        # The path update's cycles count in the write's total only; the
+        # write stall (stats and event) is the inner cipher's alone.
+        return self._update_path(port, addr, ciphertext), 0
 
     def area(self) -> AreaEstimate:
-        est = AreaEstimate(self.name)
-        inner = self.inner.area()
-        for label, gates in inner.items.items():
-            est.add(f"inner/{label}", gates)
+        est = self._inner_area()
         est.add_block("hmac_sha256")
         est.add_sram("root-register", _NODE_BYTES)
         est.add_sram("node-cache", self.node_cache_size * _NODE_BYTES)

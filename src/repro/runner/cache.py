@@ -100,9 +100,12 @@ class ResultCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        # Entries written before the payload carried a "value" field are
-        # unreadable by construction: treat them as misses, not as data.
-        if "value" not in payload:
+        # Only an entry that :meth:`put` wrote under this key is data.  An
+        # entry without a "value" field (an older format), one that is not
+        # a JSON object, or one copied in under another key's filename (a
+        # splice) is a miss.
+        if not isinstance(payload, dict) or payload.get("key") != key \
+                or "value" not in payload:
             self.misses += 1
             return None
         self.hits += 1

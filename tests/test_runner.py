@@ -223,3 +223,22 @@ class TestObservability:
         (cache.root / f"{key}.json").write_text('{"overhead": 1.5}')
         assert cache.get(key) is None
         assert cache.misses == 1
+
+    def test_cache_rejects_an_entry_spliced_from_another_key(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        cache.put("aaaa", {"overhead": 1.5})
+        cache.put("bbbb", {"overhead": 2.5})
+        # A valid entry copied under another key's filename.
+        (cache.root / "bbbb.json").write_bytes(
+            (cache.root / "aaaa.json").read_bytes())
+        assert cache.get("bbbb") is None
+        assert cache.get("aaaa") == {"overhead": 1.5}
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    @pytest.mark.parametrize("text", ['["value"]', '"value"'])
+    def test_cache_rejects_a_non_object_entry(self, tmp_path, text):
+        cache = ResultCache(tmp_path / "c")
+        cache.root.mkdir(parents=True)
+        (cache.root / "cccc.json").write_text(text)
+        assert cache.get("cccc") is None
+        assert cache.misses == 1

@@ -248,10 +248,13 @@ _FILL_FACTORIES = {
 
 
 def _on_base_path(engine) -> bool:
-    """True when the engine fills through the base class's own loop."""
+    """True when the engine fills through the base class's own loop with
+    no per-line verdict (:func:`reference_fill` models no
+    ``_verify_fill``)."""
     cls = type(engine)
     return (cls.fill_lines is BusEncryptionEngine.fill_lines
-            and cls._fetch_line is BusEncryptionEngine._fetch_line)
+            and cls._fetch_line is BusEncryptionEngine._fetch_line
+            and cls._verify_fill is BusEncryptionEngine._verify_fill)
 
 
 def _has_scalar_oracle(engine) -> bool:
@@ -684,3 +687,117 @@ _PARTIAL_PINS = {
 def test_write_partial_matches_pin(label, functional):
     assert _partial_digest(label, functional) == \
         _PARTIAL_PINS[label, functional]
+
+
+# -- line-authenticating wrappers: a verified fill group ----------------------
+
+from repro.core import TamperDetected
+from repro.core.merkle import MerkleTamperDetected
+
+#: The wrappers that verify every fill line through ``_verify_fill``, and
+#: the exception each raises on a tampered line.
+_VERIFIED = {
+    "integrity-stream": TamperDetected,
+    "integrity-xom": TamperDetected,
+    "merkle-stream": MerkleTamperDetected,
+}
+
+#: Sixteen installed lines, the executor's widest fill group.
+_GROUP = [_PIN_BASE + i * _PIN_LINE for i in range(16)]
+
+#: Lines the rig rewrites before the group, and their new plaintext.
+_REWRITTEN = (3, 7)
+_NEW_LINE = bytes(range(_PIN_LINE))
+
+
+def _verified_rig(name):
+    """An installed wrapper aged by one fill group elsewhere and two
+    writebacks inside :data:`_GROUP`, so its tag or node cache and its
+    versions hold state before the group under test."""
+    engine = make_engine(name, **_FILL_OVERRIDES.get(name, {}))
+    memory = MainMemory(MemoryConfig(size=1 << 21))
+    image = b"".join(line for _, line in _pin_items(64))
+    engine.install_image(memory, _PIN_BASE, image, line_size=_PIN_LINE)
+    sink = RecordingSink()
+    engine.attach_sink(sink)
+    port = MemoryPort(memory, Bus(sink=sink))
+    engine.fill_lines(port, [addr + 16 * _PIN_LINE for addr in _GROUP],
+                      _PIN_LINE)
+    for position in _REWRITTEN:
+        engine.write_line(port, _GROUP[position], _NEW_LINE)
+    return engine, port, sink, image
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFIED))
+def test_verified_group_is_one_inner_decrypt(name, monkeypatch):
+    engine, port, _, image = _verified_rig(name)
+    calls = []
+    decrypt_lines = engine.inner.decrypt_lines
+
+    def spy(items):
+        calls.append(len(items))
+        return decrypt_lines(items)
+
+    monkeypatch.setattr(engine.inner, "decrypt_lines", spy)
+    filled = engine.fill_lines(port, _GROUP, _PIN_LINE)
+    assert calls == [len(_GROUP)]
+    expected = [_NEW_LINE if i in _REWRITTEN
+                else image[i * _PIN_LINE: (i + 1) * _PIN_LINE]
+                for i in range(len(_GROUP))]
+    assert [plain for plain, _ in filled] == expected
+
+
+def _tamper_digest(name, position):
+    """Flip one ciphertext bit of the group's line at ``position``, fill
+    the group; sha256 over the raised exception type, the outer and inner
+    stats, the verdicts, the tag or node cache, the versions (or root) and
+    every engine and bus event, payloads included."""
+    engine, port, sink, _ = _verified_rig(name)
+    target = _GROUP[position]
+    port.memory.load_image(target,
+                           bytes([port.memory.dump(target, 1)[0] ^ 0x80]))
+    with pytest.raises(TamperDetected) as caught:
+        engine.fill_lines(port, _GROUP, _PIN_LINE)
+    assert type(caught.value) is _VERIFIED[name]
+    if name == "merkle-stream":
+        state = (list(engine._node_cache.items()), engine.cache_stops,
+                 engine.root)
+    else:
+        state = ([(addr, bytes(block))
+                  for addr, block in engine._tag_cache.items()],
+                 engine.tag_cache_hits, engine.tag_cache_misses,
+                 sorted(engine._versions.items()))
+    events = [(e.kind, e.addr, e.size, e.detail, bytes(e.data))
+              for e in sink.events]
+    return _digest(type(caught.value).__name__,
+                   sorted(vars(engine.stats).items()),
+                   sorted(vars(engine.inner.stats).items()),
+                   vars(engine.verdicts), state, events)
+
+
+_TAMPER_PINS = {
+    ("integrity-stream", 0):
+        "5d521898d88465c4db2ecc79884cc0a084105ba89a6ff0410827dd532cbc9bc3",
+    ("integrity-stream", 7):
+        "08c0af49759087e0c00c3f83aa486b8917b43ad7b7a3e759d302e7fc91701629",
+    ("integrity-stream", 15):
+        "e9502bcf0b54bc7d8a03cd2db2bd74a198703636742e9eb86cce1442611c75b9",
+    ("integrity-xom", 0):
+        "b5d54945c8a918a565add4fd476d0834a572a6a2e729be239d08b057818604b6",
+    ("integrity-xom", 7):
+        "4670719070db68c0e78f6b6b6dab3618c966c779337c91db50e91c1608b6547c",
+    ("integrity-xom", 15):
+        "ab2edb4344727ec863d78e2eaa1ec8feb63762394cfa99322d6a7dc40ad5c38d",
+    ("merkle-stream", 0):
+        "0d162ef5459f3c1634638147467d3616d0cebc7291e9e9004c31fb00c7961f5c",
+    ("merkle-stream", 7):
+        "f385b204879114826ce6b1d883ec13e9a39c8d2f8a7eb2cb4bcf88a76373e01e",
+    ("merkle-stream", 15):
+        "ddb0ff60a1274ccba0fb4884d949b8312a4b31f9a9d86a3c3f75c208d2ca1385",
+}
+
+
+@pytest.mark.parametrize("position", [0, 7, 15])
+@pytest.mark.parametrize("name", sorted(_VERIFIED))
+def test_tampered_group_matches_pin(name, position):
+    assert _tamper_digest(name, position) == _TAMPER_PINS[name, position]
