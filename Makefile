@@ -47,6 +47,14 @@ ENCRYPT_FALLBACK := super\(\)\.encrypt_lines\(
 INNER_SET := self\.inner *=[^=]
 AUTH_BODIES := ^[[:space:]]+def (fill_lines|write_line)\(
 
+# AES, DES and 3DES each have one production form, the registry kernel
+# (aes_kernel/des_kernel/tdes_kernel): nothing promotes an algebraic cipher
+# to a kernel, and only the crypto modules that derive the kernels or
+# check them construct an algebraic cipher.
+CIPHER_PROMOTE := kernel_for|from_cipher|_repro_kernel
+ALGEBRAIC_CTOR := (^|[^[:alnum:]_])(AES|DES|TripleDES)\(
+ALGEBRAIC_HOMES := ^src/repro/crypto/(aes|des|kernels|bench_kernels)\.py:
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -146,6 +154,18 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (wrappers delegate to inner in one place)"
+	@promoted=$$(grep -rnIE '$(CIPHER_PROMOTE)' --exclude-dir=__pycache__ \
+		src tests examples benchmarks || true); \
+	ctors=$$(grep -rnIE '$(ALGEBRAIC_CTOR)' --exclude-dir=__pycache__ \
+		src/repro examples | grep -vE '$(ALGEBRAIC_HOMES)' || true); \
+	if [ -n "$$promoted$$ctors" ]; then \
+		echo "lint: production ciphers come from aes_kernel/des_kernel/" >&2; \
+		echo "      tdes_kernel; only crypto/aes, des, kernels and" >&2; \
+		echo "      bench_kernels construct AES/DES/TripleDES:" >&2; \
+		echo "$$promoted$$ctors" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one production cipher per algorithm)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

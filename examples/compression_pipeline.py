@@ -11,7 +11,7 @@ Run:  python examples/compression_pipeline.py
 from repro.analysis import format_percent, format_table, measure_overhead
 from repro.api import make_engine
 from repro.compression import CodePack, lz77_compress, shannon_entropy
-from repro.crypto import AES, CTR
+from repro.crypto import CTR, aes_kernel
 from repro.sim import CacheConfig, MemoryConfig
 from repro.traces import sequential_code, synthetic_code_image
 
@@ -21,7 +21,7 @@ IMAGE_SIZE = 32 * 1024
 
 def main() -> None:
     image = synthetic_code_image(size=IMAGE_SIZE)
-    ciphertext = CTR(AES(KEY), nonce=bytes(12)).encrypt(image)
+    ciphertext = CTR(aes_kernel(KEY), nonce=bytes(12)).encrypt(image)
 
     print(format_table(
         ["pipeline order", "input entropy", "compressed size", "ratio"],

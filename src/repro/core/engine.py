@@ -349,6 +349,12 @@ class BusEncryptionEngine(ABC):
         self.stats.lines_encrypted += 1
         return self._store(port, addr, plaintext)
 
+    def flush(self, port: MemoryPort) -> int:
+        """Write back whatever the engine itself still buffers (the
+        end-of-run barrier, after the caches drain); returns cycles.  Only
+        an engine with an on-chip write buffer has anything to do."""
+        return 0
+
     def _store(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Encrypt and store ``plaintext`` at ``addr``, stats and events
         included; returns cycles.  The body of :meth:`write_line` and of an

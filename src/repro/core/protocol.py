@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..crypto.aes import AES
 from ..crypto.drbg import DRBG
+from ..crypto.kernels import aes_kernel
 from ..crypto.modes import CTR
 from ..crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
 from ..obs import current_sink
@@ -124,7 +124,7 @@ class SoftwareEditor:
 
     def ciphered_software(self) -> bytes:
         """The product as shipped: AES-CTR under the session key."""
-        ctr = CTR(AES(self.session_key), nonce=self.nonce())
+        ctr = CTR(aes_kernel(self.session_key), nonce=self.nonce())
         return ctr.encrypt(self.software)
 
     def nonce(self) -> bytes:
@@ -180,7 +180,7 @@ class SecureProcessor:
             raise RuntimeError("no session key established")
         if self._received_software is None:
             raise RuntimeError("no software received")
-        ctr = CTR(AES(self._session_key), nonce=editor_nonce)
+        ctr = CTR(aes_kernel(self._session_key), nonce=editor_nonce)
         plaintext = ctr.decrypt(self._received_software)
         if self.engine is not None:
             self.engine.install_image(memory, base_addr, plaintext,

@@ -5,6 +5,11 @@ Block ciphers (:class:`DES`, :class:`TripleDES`, :class:`AES`,
 (:class:`RC4`, LFSR combiners), modes of operation, SHA-256/HMAC, RSA and a
 deterministic DRBG.  These are the functional cores of every bus-encryption
 engine in :mod:`repro.core`.
+
+AES, DES and 3DES each have one production form: the table kernel from
+:func:`aes_kernel`/:func:`des_kernel`/:func:`tdes_kernel`.  The algebraic
+:class:`AES`/:class:`DES`/:class:`TripleDES` derive the kernels' tables and
+key schedules and are the oracle the kernels are tested against.
 """
 
 from .address_scrambler import AddressScrambler
@@ -21,7 +26,6 @@ from .kernels import (
     aes_kernel,
     ctr_pads,
     des_kernel,
-    kernel_for,
     tdes_kernel,
 )
 from .lfsr import LFSR, AlternatingStepGenerator, GeffeGenerator
@@ -37,7 +41,7 @@ __all__ = [
     "consttime_eq", "hmac_sha256", "prf", "verify_hmac",
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
-    "kernel_for", "ctr_pads",
+    "ctr_pads",
     "LFSR", "AlternatingStepGenerator", "GeffeGenerator",
     "CBC", "CFB", "CTR", "ECB", "OFB", "xor_bytes",
     "PaddingError", "pad", "unpad",

@@ -30,34 +30,16 @@ from typing import Callable, List, Tuple
 from .aes import AES
 from .des import DES, TripleDES
 from .feistel import SmallBlockCipher
-from .kernels import AESKernel, DESKernel, TripleDESKernel
-from .modes import xor_bytes
+from .kernels import AESKernel, DESKernel, ReferenceKernel, TripleDESKernel
 
 _CASES: List[Tuple[str, int, Callable, Callable]] = [
-    ("aes-128", 16, lambda k: AES(k), lambda k: AESKernel(k)),
-    ("aes-192", 24, lambda k: AES(k), lambda k: AESKernel(k)),
-    ("aes-256", 32, lambda k: AES(k), lambda k: AESKernel(k)),
-    ("des", 8, lambda k: DES(k), lambda k: DESKernel(k)),
-    ("3des-ede2", 16, lambda k: TripleDES(k), lambda k: TripleDESKernel(k)),
-    ("3des-ede3", 24, lambda k: TripleDES(k), lambda k: TripleDESKernel(k)),
+    ("aes-128", 16, AES, AESKernel),
+    ("aes-192", 24, AES, AESKernel),
+    ("aes-256", 32, AES, AESKernel),
+    ("des", 8, DES, DESKernel),
+    ("3des-ede2", 16, TripleDES, TripleDESKernel),
+    ("3des-ede3", 24, TripleDES, TripleDESKernel),
 ]
-
-
-def _reference_ecb(ref, data: bytes) -> bytes:
-    size = ref.block_size
-    return b"".join(
-        ref.encrypt_block(data[i: i + size]) for i in range(0, len(data), size)
-    )
-
-
-def _reference_cbc(ref, iv: bytes, data: bytes) -> bytes:
-    """CBC by its definition, one reference block at a time."""
-    size = ref.block_size
-    prev, out = iv, []
-    for i in range(0, len(data), size):
-        prev = ref.encrypt_block(xor_bytes(data[i: i + size], prev))
-        out.append(prev)
-    return b"".join(out)
 
 
 def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
@@ -66,20 +48,20 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
     failures = []
     for name, key_len, make_ref, make_kernel in _CASES:
         key = bytes(rng.randrange(256) for _ in range(key_len))
-        ref = make_ref(key)
+        ref = ReferenceKernel(make_ref(key))
         kernel = make_kernel(key)
         size = ref.block_size
         data = bytes(
             rng.randrange(256) for _ in range(size * blocks_per_key)
         )
-        expected_ct = _reference_ecb(ref, data)
+        expected_ct = ref.encrypt_blocks(data)
         if kernel.encrypt_blocks(data) != expected_ct:
             failures.append(f"{name}: encrypt mismatch")
         if kernel.decrypt_blocks(expected_ct) != data:
             failures.append(f"{name}: decrypt mismatch")
         # Narrow widths run the scalar loops, below NUMPY_MIN_BLOCKS_*.
         narrow = bytes(rng.randrange(256) for _ in range(size * 31))
-        narrow_ct = _reference_ecb(ref, narrow)
+        narrow_ct = ref.encrypt_blocks(narrow)
         for width in (1, 5, 31):
             part = width * size
             if kernel.encrypt_blocks(narrow[:part]) != narrow_ct[:part]:
@@ -88,7 +70,7 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
                 failures.append(f"{name}: decrypt mismatch at {width} blocks")
         # A whole CBC chain in one kernel call.
         iv = bytes(rng.randrange(256) for _ in range(size))
-        if kernel.encrypt_blocks(data, iv) != _reference_cbc(ref, iv, data):
+        if kernel.encrypt_blocks(data, iv) != ref.encrypt_blocks(data, iv):
             failures.append(f"{name}: cbc chain mismatch")
     failures.extend(_check_byte_cipher(rng, blocks_per_key))
     return failures
@@ -140,21 +122,21 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
     rng = random.Random(0xBE7C)
     for name, key_len, make_ref, make_kernel in _CASES:
         key = bytes(rng.randrange(256) for _ in range(key_len))
-        ref = make_ref(key)
+        ref = ReferenceKernel(make_ref(key))
         kernel = make_kernel(key)
         data = bytes(rng.randrange(256)
                      for _ in range(ref.block_size * nblocks))
         rows.append(_row(
             name, nblocks,
-            _throughput(lambda: _reference_ecb(ref, data), repeats),
+            _throughput(lambda: ref.encrypt_blocks(data), repeats),
             _throughput(lambda: kernel.encrypt_blocks(data), repeats)))
     key = bytes(rng.randrange(256) for _ in range(24))
-    ref, kernel = TripleDES(key), TripleDESKernel(key)
+    ref, kernel = ReferenceKernel(TripleDES(key)), TripleDESKernel(key)
     data = bytes(rng.randrange(256) for _ in range(8 * 128))
     iv = bytes(8)
     rows.append(_row(
         "3des-cbc", 128,
-        _throughput(lambda: _reference_cbc(ref, iv, data), repeats),
+        _throughput(lambda: ref.encrypt_blocks(data, iv), repeats),
         _throughput(lambda: kernel.encrypt_blocks(data, iv), repeats)))
     for nbytes in (32, 8192):
         cipher = SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))

@@ -23,7 +23,7 @@ analogues, and this module applies them to the reference implementations in
 * **batched APIs** — :meth:`encrypt_blocks`/:meth:`decrypt_blocks` on every
   kernel (``encrypt_blocks(data, iv)`` runs a whole CBC chain in one call),
   the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch helpers that
-  fall back to per-block loops for exotic ciphers, and
+  fall back to per-block loops for ciphers without batched calls, and
   :func:`ctr_pads` producing a whole fill group's keystream in one call —
   the miss-path shape the engines in :mod:`repro.core` use;
 * **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
@@ -31,9 +31,12 @@ analogues, and this module applies them to the reference implementations in
   whole batch, narrower ones on the scalar table loops.  A CBC chain is
   serial, so it runs on the scalar loop at any width.
 
-Every kernel is bit-for-bit equivalent to its reference cipher; the
-equivalence layer in ``tests/test_kernels.py`` proves it on the FIPS-197 /
-SP 800-67 known answers and on random blocks, and
+Every production AES/DES/3DES object is a registry kernel; the algebraic
+ciphers only derive the tables and key schedules and serve as the oracle
+(through :class:`ReferenceKernel`).  Every kernel is bit-for-bit
+equivalent to its reference cipher; the equivalence layer in
+``tests/test_kernels.py`` proves it on the FIPS-197 / SP 800-67 known
+answers and on random blocks, and
 ``python -m repro.crypto.bench_kernels`` measures the speedup.
 
 >>> from repro.crypto.aes import AES
@@ -52,8 +55,6 @@ import numpy as np
 
 from .aes import AES, INV_SBOX, SBOX, gf_mul
 from .des import (
-    DES,
-    TripleDES,
     _E,
     _FP,
     _IP,
@@ -66,7 +67,7 @@ from .des import (
 __all__ = [
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
-    "kernel_for", "encrypt_blocks", "decrypt_blocks", "ctr_pads",
+    "encrypt_blocks", "decrypt_blocks", "ctr_pads",
 ]
 
 
@@ -126,7 +127,32 @@ def _rotr32(x: int, n: int) -> int:
     return ((x >> n) | (x << (32 - n))) & 0xFFFFFFFF
 
 
-class AESKernel:
+class _Kernel:
+    """What every kernel shares: a one-block call is a one-block batch,
+    and the key schedule is immutable after construction, so engines
+    cloned for warm-rig reuse share the instance."""
+
+    __slots__ = ()
+
+    block_size: int
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def _one(self, block: bytes) -> bytes:
+        if len(block) != self.block_size:
+            raise ValueError(
+                f"block must be {self.block_size} bytes, got {len(block)}")
+        return block
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        return self.encrypt_blocks(self._one(block))
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        return self.decrypt_blocks(self._one(block))
+
+
+class AESKernel(_Kernel):
     """T-table AES, byte-identical to :class:`repro.crypto.aes.AES`.
 
     Batches of :data:`NUMPY_MIN_BLOCKS_AES` blocks or more run every round
@@ -139,22 +165,8 @@ class AESKernel:
     block_size = 16
 
     def __init__(self, key: bytes):
-        self._init_from_schedule(AES(key))
-
-    @classmethod
-    def from_cipher(cls, cipher: AES) -> "AESKernel":
-        """Build a kernel from an existing reference cipher's schedule."""
-        kernel = cls.__new__(cls)
-        kernel._init_from_schedule(cipher)
-        return kernel
-
-    def __deepcopy__(self, memo):
-        # The expanded schedule is immutable after construction; engines
-        # cloned for warm-rig reuse can share the instance.
-        return self
-
-    def _init_from_schedule(self, ref: AES) -> None:
-        self.key_size = ref.key_size
+        # The reference cipher checks the key and expands its schedule.
+        ref = AES(key)
         self._rounds = ref._rounds
         # Encrypt keys: flat list of words, 4 per round.
         self._ek: List[int] = []
@@ -279,18 +291,6 @@ class AESKernel:
                 (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
             ).to_bytes(16, "big")
         return bytes(out)
-
-    # -- BlockCipher protocol --------------------------------------------
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        return self.encrypt_blocks(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        return self.decrypt_blocks(block)
 
 
 # ---------------------------------------------------------------------------
@@ -561,31 +561,25 @@ def _np_schedules(kernel):
     return kernel._enc_np, kernel._dec_np
 
 
-class DESKernel:
+class DESKernel(_Kernel):
     """Bit-packed DES, byte-identical to :class:`repro.crypto.des.DES`."""
 
     block_size = 8
-    key_size = 8
 
     def __init__(self, key: bytes):
         if len(key) != 8:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
-        self._init_schedule(_key_schedule(int.from_bytes(key, "big")))
+        self._schedule(key)
 
-    def __deepcopy__(self, memo):
-        # Immutable after construction (see AESKernel.__deepcopy__).
-        return self
-
-    @classmethod
-    def from_cipher(cls, cipher: DES) -> "DESKernel":
-        kernel = cls.__new__(cls)
-        kernel._init_schedule(cipher._round_keys)
-        return kernel
-
-    def _init_schedule(self, keys) -> None:
-        # One-pass chains, in the layout TripleDESKernel uses for three.
-        self._enc = (tuple(keys),)
-        self._dec = (tuple(reversed(keys)),)
+    def _schedule(self, *keys: bytes) -> None:
+        """Round keys for the chain E(K1) -> D(K2) -> E(K3) of one or three
+        DES passes; decryption runs the chain backwards, each pass in the
+        other direction."""
+        passes = [tuple(_key_schedule(int.from_bytes(key, "big")))
+                  for key in keys]
+        self._enc = tuple(ks[::-1] if i % 2 else ks
+                          for i, ks in enumerate(passes))
+        self._dec = tuple(ks[::-1] for ks in reversed(self._enc))
         self._enc_np = self._dec_np = None
 
     def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
@@ -601,18 +595,8 @@ class DESKernel:
             return _np_des_crypt(data, _np_schedules(self)[1])
         return _des_crypt(data, self._dec)
 
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.encrypt_blocks(block)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.decrypt_blocks(block)
-
-
-class TripleDESKernel:
+class TripleDESKernel(DESKernel):
     """Bit-packed 3DES-EDE, byte-identical to
     :class:`repro.crypto.des.TripleDES`.
 
@@ -621,66 +605,13 @@ class TripleDESKernel:
     one FP.
     """
 
-    block_size = 8
-
     def __init__(self, key: bytes):
-        if len(key) == 8:
-            k1 = k2 = k3 = key
-        elif len(key) == 16:
-            k1, k2, k3 = key[:8], key[8:], key[:8]
-        elif len(key) == 24:
-            k1, k2, k3 = key[:8], key[8:16], key[16:]
-        else:
+        if len(key) not in (8, 16, 24):
             raise ValueError(
                 f"3DES key must be 8, 16 or 24 bytes, got {len(key)}"
             )
-        self._init_schedules(
-            _key_schedule(int.from_bytes(k1, "big")),
-            _key_schedule(int.from_bytes(k2, "big")),
-            _key_schedule(int.from_bytes(k3, "big")),
-        )
-
-    def __deepcopy__(self, memo):
-        # Immutable after construction (see AESKernel.__deepcopy__).
-        return self
-
-    @classmethod
-    def from_cipher(cls, cipher: TripleDES) -> "TripleDESKernel":
-        kernel = cls.__new__(cls)
-        kernel._init_schedules(
-            cipher._d1._round_keys, cipher._d2._round_keys,
-            cipher._d3._round_keys,
-        )
-        return kernel
-
-    def _init_schedules(self, ks1, ks2, ks3) -> None:
-        # Encrypt: E(K1) -> D(K2) -> E(K3); decrypt reverses the chain.
-        self._enc = (tuple(ks1), tuple(reversed(ks2)), tuple(ks3))
-        self._dec = (tuple(reversed(ks3)), tuple(ks2), tuple(reversed(ks1)))
-        self._enc_np = self._dec_np = None
-
-    def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
-        """ECB-encrypt a multiple of 8 bytes; with ``iv``, CBC-encrypt them
-        as one chain (scalar at any width)."""
-        if iv is None and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
-            return _np_des_crypt(data, _np_schedules(self)[0])
-        return _des_crypt(data, self._enc, iv)
-
-    def decrypt_blocks(self, data: bytes) -> bytes:
-        if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, _np_schedules(self)[1])
-        return _des_crypt(data, self._dec)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.encrypt_blocks(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.decrypt_blocks(block)
+        # An 8-byte key is K1 = K2 = K3; a 16-byte key reuses K1 as K3.
+        self._schedule(key[:8], key[8:16] or key[:8], key[16:] or key[:8])
 
 
 def _per_block(crypt: Callable[[bytes], bytes], size: int, data: bytes,
@@ -705,7 +636,7 @@ def _per_block(crypt: Callable[[bytes], bytes], size: int, data: bytes,
     return b"".join(out)
 
 
-class ReferenceKernel:
+class ReferenceKernel(_Kernel):
     """Per-block adapter giving an algebraic reference cipher the batched
     kernel API.  The ``reference_ciphers`` oracle in ``tests/conftest.py``
     makes the registry hand these out instead of the table kernels, so
@@ -719,22 +650,12 @@ class ReferenceKernel:
         self._cipher = cipher
         self.block_size = cipher.block_size
 
-    def __deepcopy__(self, memo):
-        # The reference schedules are immutable after construction too.
-        return self
-
     def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
         return _per_block(self._cipher.encrypt_block, self.block_size,
                           data, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         return _per_block(self._cipher.decrypt_block, self.block_size, data)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        return self._cipher.encrypt_block(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        return self._cipher.decrypt_block(block)
 
 
 # ---------------------------------------------------------------------------
@@ -776,54 +697,28 @@ def tdes_kernel(key: bytes) -> "TripleDESKernel":
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: route any BlockCipher through its kernel when one exists.
+# Dispatch: a kernel's own batched calls, or per-block loops for any other
+# cipher (the algebraic references, the small Feistel ciphers...).
 # ---------------------------------------------------------------------------
 
-_KERNEL_TYPES = (AESKernel, DESKernel, TripleDESKernel, ReferenceKernel)
-_KERNEL_ATTR = "_repro_kernel"
-
-
-def kernel_for(cipher):
-    """Fast kernel equivalent of ``cipher``, or ``None`` if it has none.
-
-    Reference :class:`AES`/:class:`DES`/:class:`TripleDES` instances get a
-    kernel built from their already-expanded schedule, memoized on the
-    instance; kernels pass through unchanged; anything else returns
-    ``None`` (callers fall back to the cipher's own per-block methods).
-    """
-    if isinstance(cipher, _KERNEL_TYPES):
-        return cipher
-    kernel = getattr(cipher, _KERNEL_ATTR, None)
-    if kernel is not None:
-        return kernel
-    if isinstance(cipher, AES):
-        kernel = AESKernel.from_cipher(cipher)
-    elif isinstance(cipher, TripleDES):
-        kernel = TripleDESKernel.from_cipher(cipher)
-    elif isinstance(cipher, DES):
-        kernel = DESKernel.from_cipher(cipher)
-    else:
-        return None
-    setattr(cipher, _KERNEL_ATTR, kernel)
-    return kernel
-
-
 def encrypt_blocks(cipher, data: bytes, iv: Optional[bytes] = None) -> bytes:
-    """ECB-encrypt ``data`` through ``cipher``'s kernel, batched; with
-    ``iv``, CBC-encrypt it as one chain in one kernel call."""
-    kernel = kernel_for(cipher)
-    if kernel is None:
+    """ECB-encrypt ``data`` through ``cipher``'s batched ``encrypt_blocks``
+    if it has one, else block by block; with ``iv``, CBC-encrypt it as one
+    chain (one call on a kernel)."""
+    batched = getattr(cipher, "encrypt_blocks", None)
+    if batched is None:
         return _per_block(cipher.encrypt_block, cipher.block_size, data, iv)
     # Positional: perfbench's tracer counts blocks from the first argument.
-    return kernel.encrypt_blocks(data, iv)
+    return batched(data, iv)
 
 
 def decrypt_blocks(cipher, data: bytes) -> bytes:
-    """ECB-decrypt ``data`` through ``cipher``'s kernel, batched."""
-    kernel = kernel_for(cipher)
-    if kernel is None:
+    """ECB-decrypt ``data`` through ``cipher``'s batched ``decrypt_blocks``
+    if it has one, else block by block."""
+    batched = getattr(cipher, "decrypt_blocks", None)
+    if batched is None:
         return _per_block(cipher.decrypt_block, cipher.block_size, data)
-    return kernel.decrypt_blocks(data)
+    return batched(data)
 
 
 def ctr_pads(cipher, spans: Sequence[Tuple[int, int, object]],

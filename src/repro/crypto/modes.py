@@ -12,7 +12,11 @@ encryption unit:
   block index, which is exactly what a pad-ahead bus engine needs (E02).
 
 All modes operate on any object exposing ``block_size``/``encrypt_block``/
-``decrypt_block`` (DES, TripleDES, AES, the small Feistel ciphers...).
+``decrypt_block``.  Production code hands them registry kernels
+(:func:`~repro.crypto.kernels.aes_kernel`, ``des_kernel``, ``tdes_kernel``),
+whose batched ``encrypt_blocks``/``decrypt_blocks`` the block-parallel
+modes call once per message; any other cipher (the algebraic oracles, the
+small Feistel ciphers...) runs block by block.
 """
 
 from __future__ import annotations
@@ -159,9 +163,8 @@ class OFB:
         self.iv = iv
 
     def keystream(self, nbytes: int) -> bytes:
-        # The feedback loop is serial by construction; the kernel still
-        # accelerates each block encryption.
-        enc = (kernels.kernel_for(self.cipher) or self.cipher).encrypt_block
+        # The feedback loop is serial by construction: one block at a time.
+        enc = self.cipher.encrypt_block
         state = self.iv
         out = []
         total = 0
@@ -190,7 +193,7 @@ class CFB:
         self.iv = iv
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        enc = (kernels.kernel_for(self.cipher) or self.cipher).encrypt_block
+        enc = self.cipher.encrypt_block
         prev = self.iv
         out = []
         for block in _split_blocks(plaintext, self.block_size):

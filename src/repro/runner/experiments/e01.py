@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ...analysis import format_table
 from ...core import run_distribution
-from ...crypto import AES, CTR, DRBG, generate_keypair
+from ...crypto import CTR, DRBG, aes_kernel, generate_keypair
 from ...sim.pipeline import AES_ITERATIVE
 from ..base import Experiment, TaskContext
 from .common import KEY16
@@ -50,7 +50,7 @@ def task_cost_gap(ctx: TaskContext) -> dict:
             ct_rsa += block_ct
         rsa_cycles = keypair.private.modmul_count * per_modmul
 
-        ct_aes = CTR(AES(KEY16), nonce=bytes(12)).encrypt(payload)
+        ct_aes = CTR(aes_kernel(KEY16), nonce=bytes(12)).encrypt(payload)
         aes_cycles = AES_ITERATIVE.time_for(-(-size // 16))
 
         rows.append({

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ...analysis import format_percent, format_table
 from ...attacks import analyze_ciphertext, ecb_distinguisher
-from ...crypto import CBC, ECB, TripleDES
+from ...crypto import CBC, ECB, tdes_kernel
 from ...sim import CacheConfig
 from ...traces import make_workload, synthetic_code_image
 from ..base import Experiment, TaskContext
@@ -23,7 +23,7 @@ from .common import KEY24, N_ACCESSES, clamp, measure, overhead_metrics
 
 def task_ecb_leak(ctx: TaskContext) -> dict:
     image = synthetic_code_image(size=ctx.n(32 * 1024, quick=8 * 1024))
-    tdes = TripleDES(KEY24)
+    tdes = tdes_kernel(KEY24)
     ecb_ct = ECB(tdes).encrypt(image)
     cbc_ct = CBC(tdes, bytes(8)).encrypt(image)
     rows = []

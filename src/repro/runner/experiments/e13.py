@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ...analysis import format_percent, format_table
 from ...compression import CodePack, lz77_compress, shannon_entropy
-from ...crypto import AES, CTR
+from ...crypto import CTR, aes_kernel
 from ...sim import CacheConfig, MemoryConfig
 from ...traces import sequential_code, synthetic_code_image
 from ..base import Experiment, TaskContext
@@ -37,7 +37,7 @@ MEMORY_TYPES = (
 def task_density_ordering(ctx: TaskContext) -> dict:
     image = synthetic_code_image(size=IMAGE_SIZE)
     compressed = CodePack(block_size=32).compress_image(image)
-    ciphertext = CTR(AES(KEY16), nonce=bytes(12)).encrypt(image)
+    ciphertext = CTR(aes_kernel(KEY16), nonce=bytes(12)).encrypt(image)
 
     compress_then_encrypt = len(lz77_compress(image))  # encrypt keeps size
     encrypt_then_compress = len(lz77_compress(ciphertext))

@@ -11,7 +11,7 @@ generator against the survey-era FIPS 140-1 battery.
 from __future__ import annotations
 
 from ...analysis import fips_140_1, format_percent, format_table
-from ...crypto import AES, CTR, DRBG, RC4
+from ...crypto import CTR, DRBG, RC4, aes_kernel
 from ...crypto.lfsr import AlternatingStepGenerator, GeffeGenerator
 from ...sim import CacheConfig, MemoryConfig
 from ...traces import MCU_KERNELS, mcu_workload
@@ -42,7 +42,7 @@ def task_fips(ctx: TaskContext) -> dict:
     sample = 2500
     taps = ((9, 5), (10, 7), (11, 9))
     streams = {
-        "AES-CTR": CTR(AES(KEY16), nonce=bytes(12)).keystream(sample),
+        "AES-CTR": CTR(aes_kernel(KEY16), nonce=bytes(12)).keystream(sample),
         "RC4": RC4(b"cert-key").keystream(sample),
         "Geffe combiner": GeffeGenerator(
             0x1F3, 0x2A5, 0x3B7, taps_a=taps[0], taps_b=taps[1],

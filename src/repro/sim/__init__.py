@@ -19,7 +19,7 @@ from .pipeline import (
     PipelinedUnit,
 )
 from .streaming import StreamExecutor
-from .system import SecureSystem, SimReport, overhead, run_trace
+from .system import SecureSystem, SimReport, run_trace
 
 __all__ = [
     "GATES", "AreaEstimate", "combine", "sram_gates",
@@ -31,6 +31,6 @@ __all__ = [
     "PipelinedUnit", "XOM_AES_PIPE", "AEGIS_AES_PIPE", "TDES_PIPE",
     "TDES_ITERATIVE", "DES_ITERATIVE", "AES_ITERATIVE", "KEYSTREAM_UNIT",
     "BYTE_SUBST_UNIT",
-    "SecureSystem", "SimReport", "overhead", "run_trace",
+    "SecureSystem", "SimReport", "run_trace",
     "StreamExecutor",
 ]

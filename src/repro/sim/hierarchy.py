@@ -216,13 +216,17 @@ class TwoLevelSystem:
         return self.report(label or f"{self.engine.name}@{self.edu_level}")
 
     def flush(self) -> None:
-        """Drain both cache levels to memory."""
+        """Drain both cache levels, then the engine's own buffer, to
+        memory."""
         for addr in self.l1.flush():
             self._l1_writeback(addr)
         self._l1_data.clear()
         for addr in self.l2.flush():
             self._l2_writeback(addr)
         self._l2_data.clear()
+        cycles = self.engine.flush(self.port)
+        if not self.write_buffer:
+            self.cycles += cycles
 
     def report(self, label: str) -> SimReport:
         stats = self.engine.stats

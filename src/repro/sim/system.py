@@ -33,8 +33,7 @@ def store_payload(addr: int, size: int) -> bytes:
         return _STORE_PATTERN[lo: lo + size]
     return bytes((addr + i) & 0xFF for i in range(size))
 
-__all__ = ["SimReport", "SecureSystem", "run_trace", "overhead",
-           "require_replayable"]
+__all__ = ["SimReport", "SecureSystem", "run_trace", "require_replayable"]
 
 
 @dataclass
@@ -182,7 +181,8 @@ class SecureSystem:
         return self.report(label or self.engine.name)
 
     def flush(self) -> None:
-        """Write back all dirty lines (end-of-run barrier)."""
+        """Write back all dirty lines, then the engine's own buffer
+        (end-of-run barrier)."""
         line_size = self.cache.config.line_size
         for addr in self.cache.flush():
             data = self._line_data.get(addr // line_size)
@@ -192,6 +192,9 @@ class SecureSystem:
             if not self.write_buffer:
                 self.cycles += cycles
         self._line_data.clear()
+        cycles = self.engine.flush(self.port)
+        if not self.write_buffer:
+            self.cycles += cycles
 
     def report(self, label: str) -> SimReport:
         stats = self.engine.stats
@@ -249,24 +252,3 @@ def require_replayable(trace, caller: str) -> None:
             f"{caller} replays the trace twice; build the stream from a "
             "factory (e.g. repro.traces.stream_workload) so it can replay"
         )
-
-
-def overhead(
-    trace: Trace,
-    engine: BusEncryptionEngine,
-    image: Optional[bytes] = None,
-    **system_kwargs,
-) -> float:
-    """Fractional slowdown of ``engine`` vs the plaintext baseline.
-
-    The trace runs twice (secured, then baseline), so a stream must be
-    replayable (see :func:`require_replayable`).
-    """
-    from .fastpath import compile_trace
-
-    require_replayable(trace, "overhead()")
-    cache_config = system_kwargs.get("cache_config") or CacheConfig()
-    compiled = compile_trace(trace, cache_config.line_size)
-    secured = run_trace(compiled, engine=engine, image=image, **system_kwargs)
-    baseline = run_trace(compiled, engine=None, image=image, **system_kwargs)
-    return secured.overhead_vs(baseline)

@@ -2,10 +2,11 @@
 
 ``reference_ciphers`` is the cipher oracle: inside it the kernel registry
 hands out :class:`~repro.crypto.kernels.ReferenceKernel` adapters over the
-algebraic AES / DES / 3DES, and ``kernel_for`` promotes no reference
-cipher, so every block an engine or mode enciphers runs through the
-reference GF(2^8) / Feistel arithmetic.  Differential tests build one
-system inside it and one outside, and compare.
+algebraic AES / DES / 3DES.  Every production AES / DES / 3DES object
+comes from that registry (engines, experiments, the distribution
+protocol), so every block they encipher runs through the reference
+GF(2^8) / Feistel arithmetic.  Differential tests build one system inside
+it and one outside, and compare.
 """
 
 import contextlib
@@ -30,16 +31,12 @@ def _reference_ciphers():
             cache[entry] = kernels.ReferenceKernel(_REFERENCE[kind](key))
         return cache[entry]
 
-    def kernel_for(cipher):
-        return cipher if isinstance(cipher, kernels.ReferenceKernel) else None
-
     # The 3DES-CBC region memo is keyed by raw key bytes, so kernel-made
     # entries would answer for the reference cipher: run it empty.
     memo = dict(general_instrument._REGION_MEMO)
     general_instrument._REGION_MEMO.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_registered", registered)
-        patch.setattr(kernels, "kernel_for", kernel_for)
         try:
             yield
         finally:

@@ -9,12 +9,12 @@ from repro.core import (
     StreamCipherEngine,
     XomAesEngine,
 )
+from repro.analysis import measure_overhead
 from repro.sim import (
     CacheConfig,
     MemoryConfig,
     SecureSystem,
     TDES_ITERATIVE,
-    overhead,
 )
 from repro.traces import branchy_code, sequential_code, write_burst
 from repro.crypto import DRBG
@@ -38,14 +38,14 @@ class TestStreamVsBlock:
 
     def test_stream_cheaper_than_block_on_reads(self):
         trace = sequential_code(2000, code_size=1 << 16)
-        stream = overhead(
-            list(trace), StreamCipherEngine(KEY16, functional=False),
+        stream = measure_overhead(
+            lambda: StreamCipherEngine(KEY16, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
-        )
-        block = overhead(
-            list(trace), XomAesEngine(KEY16, functional=False),
+        ).overhead
+        block = measure_overhead(
+            lambda: XomAesEngine(KEY16, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
-        )
+        ).overhead
         assert stream < block
 
     def test_stream_overlap_absorbs_pad_cost(self):
@@ -88,15 +88,15 @@ class TestXomFigures:
         """E10's point: identical 14-cycle latency, very different system
         overhead across workloads."""
         engine_factory = lambda: XomAesEngine(KEY16, functional=False)
-        seq = overhead(
-            sequential_code(10000, code_size=4096), engine_factory(),
+        seq = measure_overhead(
+            engine_factory, sequential_code(10000, code_size=4096),
             cache_config=CacheConfig(size=8192, line_size=32, associativity=4),
-        )
-        hostile = overhead(
+        ).overhead
+        hostile = measure_overhead(
+            engine_factory,
             branchy_code(2000, DRBG(1), p_taken=0.9, code_size=1 << 20),
-            engine_factory(),
             cache_config=CacheConfig(size=8192, line_size=32, associativity=4),
-        )
+        ).overhead
         assert hostile > 4 * max(seq, 1e-9)
 
 
@@ -104,18 +104,18 @@ class TestGilmontPrediction:
     def test_sequential_code_under_2_5_percent(self):
         """The paper's claim, in its own scope: static sequential code."""
         trace = sequential_code(4000, code_size=1 << 18)
-        value = overhead(
-            list(trace), GilmontEngine(KEY24, functional=False),
+        value = measure_overhead(
+            lambda: GilmontEngine(KEY24, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
-        )
+        ).overhead
         assert value < 0.025
 
     def test_branchy_code_defeats_predictor(self):
         trace = branchy_code(3000, DRBG(2), p_taken=0.5, code_size=1 << 18)
-        value = overhead(
-            list(trace), GilmontEngine(KEY24, functional=False),
+        value = measure_overhead(
+            lambda: GilmontEngine(KEY24, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
-        )
+        ).overhead
         assert value > 0.05
 
     def test_prediction_stats(self):
@@ -129,8 +129,8 @@ class TestGilmontPrediction:
         shallow = GilmontEngine(KEY24, prediction_depth=0, functional=False)
         deep = GilmontEngine(KEY24, prediction_depth=2, functional=False)
         trace = sequential_code(1000, code_size=1 << 16)
-        o_shallow = overhead(list(trace), shallow)
-        o_deep = overhead(list(trace), deep)
+        o_shallow = measure_overhead(lambda: shallow, list(trace)).overhead
+        o_deep = measure_overhead(lambda: deep, list(trace)).overhead
         assert o_deep < o_shallow
 
 

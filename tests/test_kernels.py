@@ -20,7 +20,6 @@ from repro.crypto.kernels import (
     decrypt_blocks,
     des_kernel,
     encrypt_blocks,
-    kernel_for,
     tdes_kernel,
 )
 
@@ -133,18 +132,6 @@ class TestRandomEquivalence:
             for i in range(0, len(data), 16)
         )
 
-    def test_from_cipher_matches_fresh_kernel(self):
-        rng = DRBG(b"kernels-from-cipher")
-        for ref_cls, kernel_cls, key_len in (
-            (AES, AESKernel, 16), (DES, DESKernel, 8),
-            (TripleDES, TripleDESKernel, 24),
-        ):
-            key = rng.random_bytes(key_len)
-            ref = ref_cls(key)
-            block = rng.random_bytes(ref.block_size)
-            assert kernel_cls.from_cipher(ref).encrypt_block(block) \
-                == kernel_cls(key).encrypt_block(block)
-
     def test_rejects_ragged_lengths(self):
         kernel = AESKernel(bytes(16))
         with pytest.raises(ValueError):
@@ -166,22 +153,6 @@ class TestRegistryAndDispatch:
         assert des_kernel(bytes(8)) is des_kernel(bytes(8))
         assert tdes_kernel(bytes(24)) is tdes_kernel(bytes(24))
         assert aes_kernel(key) is not aes_kernel(bytes(range(1, 17)))
-
-    def test_kernel_for_reference_ciphers(self):
-        rng = DRBG(b"kernels-dispatch")
-        aes = AES(rng.random_bytes(16))
-        kernel = kernel_for(aes)
-        assert isinstance(kernel, AESKernel)
-        # Memoized on the instance: same object on the second lookup.
-        assert kernel_for(aes) is kernel
-        # TripleDES must not dispatch to the single-DES kernel.
-        assert isinstance(kernel_for(TripleDES(bytes(24))), TripleDESKernel)
-        assert isinstance(kernel_for(DES(bytes(8))), DESKernel)
-
-    def test_kernel_for_passthrough_and_unknown(self):
-        kernel = aes_kernel(bytes(16))
-        assert kernel_for(kernel) is kernel
-        assert kernel_for(object()) is None
 
     def test_dispatch_falls_back_for_exotic_ciphers(self):
         class XorCipher:

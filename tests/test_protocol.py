@@ -13,10 +13,30 @@ from repro.core import (
     XomAesEngine,
     run_distribution,
 )
+from repro.core.registry import make_engine
 from repro.crypto import DRBG
 from repro.sim import MainMemory, MemoryConfig
 
 SOFTWARE = b"PAY-TV ACCESS CONTROL FIRMWARE v2" * 8  # 264 bytes
+
+
+def _distribution_document():
+    """Everything the Figure-1 run puts on the channel and in memory."""
+    memory = MainMemory(MemoryConfig(size=1 << 16))
+    _, eve, session_key = run_distribution(
+        SOFTWARE, seed=7, key_bits=512, engine=make_engine("xom"),
+        memory=memory,
+    )
+    return ([(m.kind, m.payload) for m in eve.transcript], session_key,
+            memory.dump(0, 1024))
+
+
+def test_distribution_matches_reference_ciphers(reference_ciphers):
+    """The session cipher and the engine come from the kernel registry, so
+    the ``reference_ciphers`` oracle reaches both."""
+    kernels = _distribution_document()
+    with reference_ciphers():
+        assert _distribution_document() == kernels
 
 
 class TestEndToEnd:

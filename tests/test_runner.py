@@ -242,3 +242,27 @@ class TestObservability:
         (cache.root / "cccc.json").write_text(text)
         assert cache.get("cccc") is None
         assert cache.misses == 1
+
+
+#: The quick tasks of the experiments that encipher outside an engine
+#: (E01's AES-CTR payloads and protocol, E03's 3DES ECB/CBC image, E13's
+#: AES-CTR image, E17's AES-CTR keystream).
+_CIPHER_TASKS = [(exp_id, task) for exp_id in ("e01", "e03", "e13", "e17")
+                 for task in get_experiment(exp_id).tasks]
+
+
+class TestReferenceCipherOracle:
+    """Those experiments take their ciphers from the kernel registry, so
+    the ``reference_ciphers`` oracle reaches them: the same task run over
+    the algebraic ciphers gives the identical document."""
+
+    @pytest.mark.parametrize("exp_id, task", _CIPHER_TASKS)
+    def test_task_matches_reference_ciphers(self, reference_ciphers,
+                                            exp_id, task):
+        from repro.runner.runner import _execute_task
+
+        spec = (exp_id, task, True, True)
+        kernels = _execute_task(spec)[2]
+        with reference_ciphers():
+            reference = _execute_task(spec)[2]
+        assert to_canonical_json(kernels) == to_canonical_json(reference)

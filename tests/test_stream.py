@@ -181,14 +181,24 @@ class TestTraceStream:
 
     @pytest.mark.parametrize("compiled", [False, True])
     def test_overhead_rejects_one_shot_stream_up_front(self, compiled):
-        from repro.sim import overhead
+        """The grid entry point compiles the column first, then replays it
+        through measure_overhead: still rejected before any run."""
+        from repro.analysis import overhead_grid
         from repro.sim.fastpath import compile_trace
+
+        built = []
+
+        def factory():
+            built.append(True)
+            return make_engine("xom", functional=False)
 
         stream = TraceStream(iter([bounded_trace("mixed", 50)]))
         trace = compile_trace(stream, 32) if compiled else stream
-        with pytest.raises(TypeError, match=r"overhead\(\) replays"):
-            overhead(trace, make_engine("xom", functional=False))
+        with pytest.raises(TypeError,
+                           match=r"measure_overhead\(\) replays"):
+            overhead_grid({"xom": factory}, {"mixed": trace})
         # Rejected before the secured run: the stream is still unread.
+        assert not built
         assert len(list(stream)) == 50
 
     @pytest.mark.parametrize("compiled", [False, True])

@@ -3,13 +3,13 @@ write-policy behaviour and the report structure."""
 
 import pytest
 
+from repro.analysis import measure_overhead
 from repro.core import NullEngine, StreamCipherEngine, XomAesEngine
 from repro.sim import (
     CacheConfig,
     MemoryConfig,
     SecureSystem,
     WritePolicy,
-    overhead,
     run_trace,
 )
 from repro.traces import Access, AccessKind, sequential_code, write_burst
@@ -151,12 +151,14 @@ class TestWritePolicies:
 class TestOverheadHelpers:
     def test_null_engine_zero_overhead(self):
         trace = sequential_code(200)
-        assert overhead(list(trace), NullEngine()) == pytest.approx(0.0)
+        assert measure_overhead(NullEngine, list(trace)).overhead \
+            == pytest.approx(0.0)
 
     def test_engine_overhead_positive(self):
         trace = sequential_code(200)
-        engine = XomAesEngine(KEY, functional=False)
-        assert overhead(list(trace), engine) > 0.0
+        result = measure_overhead(
+            lambda: XomAesEngine(KEY, functional=False), list(trace))
+        assert result.overhead > 0.0
 
     def test_run_trace_label(self):
         report = run_trace(sequential_code(10), label="my-run")
@@ -801,3 +803,25 @@ _TAMPER_PINS = {
 @pytest.mark.parametrize("name", sorted(_VERIFIED))
 def test_tampered_group_matches_pin(name, position):
     assert _tamper_digest(name, position) == _TAMPER_PINS[name, position]
+
+
+# -- the end-of-run barrier (flush) ---------------------------------------------
+
+from repro.sim import TwoLevelSystem
+from repro.sim.system import store_payload
+
+
+@pytest.mark.parametrize("system_cls", [SecureSystem, TwoLevelSystem])
+@pytest.mark.parametrize("name", engine_names())
+def test_flush_drains_the_engine_buffer(name, system_cls):
+    """A store, then flush(), reaches external memory for every engine:
+    flush drains the caches and then the engine's own write buffer
+    (vlsi's page buffer held the store back)."""
+    # Compress's code lines are read-only: store into its data region.
+    addr = 0x2020 if name == "compress" else 0x1020
+    system = system_cls(engine=make_engine(name),
+                        mem_config=MemoryConfig(size=4 << 20))
+    system.install_image(0, bytes(8192))
+    system.step(Access(AccessKind.STORE, addr, 4))
+    system.flush()
+    assert system.read_plaintext(addr, 4) == store_payload(addr, 4)
