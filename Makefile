@@ -55,6 +55,13 @@ CIPHER_PROMOTE := kernel_for|from_cipher|_repro_kernel
 ALGEBRAIC_CTOR := (^|[^[:alnum:]_])(AES|DES|TripleDES)\(
 ALGEBRAIC_HOMES := ^src/repro/crypto/(aes|des|kernels|bench_kernels)\.py:
 
+# The executor has one body, fastpath.chunk_consumer, pulled by execute
+# and pushed by StreamExecutor in the caller's thread: the simulator
+# imports no threading or queue, and the per-chunk compiling wrapper and
+# the stream-from-accesses constructor stay gone.
+SIM_THREADS := ^[[:space:]]*(import|from)[[:space:]]+(threading|queue)([^[:alnum:]_]|$$)
+STREAM_RETIRED := CompiledTraceStream|from_accesses
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -166,6 +173,18 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one production cipher per algorithm)"
+	@threads=$$(grep -rnIE '$(SIM_THREADS)' --include='*.py' \
+		src/repro/sim || true); \
+	retired=$$(grep -rnIE '$(STREAM_RETIRED)' --exclude-dir=__pycache__ \
+		src tests examples benchmarks || true); \
+	if [ -n "$$threads$$retired" ]; then \
+		echo "lint: one executor, pulled by execute or pushed by" >&2; \
+		echo "      StreamExecutor: no threading/queue in repro.sim," >&2; \
+		echo "      no CompiledTraceStream or from_accesses:" >&2; \
+		echo "$$threads$$retired" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one executor, pulled or pushed)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -78,7 +78,8 @@ __all__ = [
     # one-shot measurements
     "engine_overhead", "attack_summary", "fault_campaign",
     # streaming execution
-    "run_stream", "stream_workload", "STREAM_WORKLOAD_NAMES",
+    "run_stream", "stream_system", "stream_workload",
+    "STREAM_WORKLOAD_NAMES",
 ]
 
 
@@ -304,6 +305,30 @@ def engine_overhead(
     )
 
 
+def stream_system(engine: Optional[str], *, cache_size: int,
+                  mem_latency: int, image_size: int,
+                  functional: Optional[bool],
+                  **engine_overrides: Any):
+    """Build the system :func:`run_stream` executes on, image installed.
+
+    2-way set-associative caches with 32-byte lines, a 2 MiB memory and
+    a zeroed ``image_size``-byte image; ``engine=None`` is the plaintext
+    baseline.  The serve layer's trace sessions build theirs here too,
+    so a session fed the same accesses lands on the same metrics.
+    """
+    from .sim import SecureSystem
+
+    system = SecureSystem(
+        engine=make_engine(engine, functional=functional,
+                           **engine_overrides) if engine else None,
+        cache_config=CacheConfig(size=cache_size, line_size=32,
+                                 associativity=2),
+        mem_config=MemoryConfig(size=1 << 21, latency=mem_latency),
+    )
+    system.install_image(0, bytes(image_size))
+    return system
+
+
 def run_stream(
     engine: Optional[str] = None,
     workload: str = "mixed",
@@ -331,8 +356,6 @@ def run_stream(
     JSON round trip) — the same bytes the serve layer's ``run_stream`` op
     responds with.
     """
-    from .sim import SecureSystem
-
     if chunk_size < 0:
         raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
     if accesses <= 0:
@@ -350,14 +373,9 @@ def run_stream(
         for a in source:
             yield type(a)(a.kind, a.addr % image_size, a.size)
 
-    system = SecureSystem(
-        engine=make_engine(engine, functional=functional,
-                           **engine_overrides) if engine else None,
-        cache_config=CacheConfig(size=cache_size, line_size=32,
-                                 associativity=2),
-        mem_config=MemoryConfig(size=1 << 21, latency=mem_latency),
-    )
-    system.install_image(0, bytes(image_size))
+    system = stream_system(engine, cache_size=cache_size,
+                           mem_latency=mem_latency, image_size=image_size,
+                           functional=functional, **engine_overrides)
     label = engine or "baseline"
     from .traces.workloads import ARRAY_STREAM_NAMES, array_stream_workload
 

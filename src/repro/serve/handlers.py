@@ -215,12 +215,11 @@ def _check_stream_workload(workload) -> None:
 def begin_stream_session(params: dict):
     """Validate ``trace_begin`` params; returns a ready system + label.
 
-    The system matches :func:`repro.api.run_stream`'s construction
-    (cache geometry, memory model, zeroed image), so a session fed the
-    same accesses produces the same canonical metrics.
+    The system comes from :func:`repro.api.stream_system`, the one
+    :func:`repro.api.run_stream` runs on, so a session fed the same
+    accesses produces the same canonical metrics.
     """
-    from ..core.registry import make_engine
-    from ..sim import CacheConfig, MemoryConfig, SecureSystem
+    from ..api import stream_system
 
     engine = _check_engine(params.get("engine"))
     cache_size = params.get("cache_size", 4096)
@@ -239,13 +238,9 @@ def begin_stream_session(params: dict):
             "bad-stream", f"image_size must be an int in [32, 2^21], "
                           f"got {image_size!r}")
     try:
-        system = SecureSystem(
-            engine=make_engine(engine) if engine else None,
-            cache_config=CacheConfig(size=cache_size, line_size=32,
-                                     associativity=2),
-            mem_config=MemoryConfig(size=1 << 21, latency=mem_latency),
-        )
-        system.install_image(0, bytes(image_size))
+        system = stream_system(engine, cache_size=cache_size,
+                               mem_latency=mem_latency,
+                               image_size=image_size, functional=None)
     except (KeyError, ValueError) as exc:
         raise RequestError("bad-stream", str(exc)) from exc
     return system, (engine or "baseline")

@@ -266,10 +266,7 @@ class ExperimentServer:
             # running (coalesced followers may still be waiting).
             for task in conn.tasks:
                 task.cancel()
-            # Stream sessions die with their connection: abort never
-            # blocks, and the executor thread unwinds on its own.
-            for session in conn.streams.values():
-                session.executor.abort()
+            # Stream sessions die with their connection.
             conn.streams.clear()
             writer.close()
 
@@ -388,10 +385,10 @@ class ExperimentServer:
         """One framed trace-session op (begin / chunk / end).
 
         Sessions are per-connection state: no dedup, no cache, torn down
-        with the connection.  Chunk feeds run off the event loop and
-        inherit :class:`~repro.sim.StreamExecutor` backpressure, so a
-        client outrunning the simulator blocks in its own socket, not in
-        server memory.
+        with the connection.  Chunk feeds run off the event loop, one at
+        a time under the session lock: each
+        :meth:`~repro.sim.StreamExecutor.feed` executes its chunk before
+        the response goes out.
         """
         loop = asyncio.get_running_loop()
         try:
@@ -430,7 +427,6 @@ class ExperimentServer:
                     # Execution died (e.g. tamper detected): the session
                     # is unusable; tear it down with a typed error.
                     conn.streams.pop(sid, None)
-                    session.executor.abort()
                     self.stats.failed += 1
                     raise handlers.RequestError(
                         "stream-failed",
@@ -446,7 +442,6 @@ class ExperimentServer:
                     await loop.run_in_executor(
                         None, session.executor.close)
             except Exception as exc:
-                session.executor.abort()
                 self.stats.failed += 1
                 raise handlers.RequestError(
                     "stream-failed",

@@ -10,12 +10,18 @@ happens on the *miss* stream.  This module executes a trace in batches:
   consecutive same-line accesses into runs (with per-run kind counts,
   byte totals and store positions), so a compiled trace can be replayed
   against many systems;
-* :func:`execute` resolves the hit stream in bulk, working in place on
-  the cache's own per-set line lists and dirty set, and defers
-  load/fetch miss fills into groups that reach the engine through the
-  bulk :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines`
-  interface — one batched kernel call per group for the ported engines.
+* :func:`chunk_consumer`, the executor body, is a generator sent one
+  compiled chunk at a time.  It resolves the hit stream in bulk,
+  working in place on the cache's own per-set line lists and dirty set,
+  and defers load/fetch miss fills into groups that reach the engine
+  through the bulk
+  :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines` interface —
+  one batched kernel call per group for the ported engines.
 
+The consumer has two drivers and no other caller.  :func:`execute`
+pulls: it compiles the trace (or each chunk of a stream) and sends the
+chunks in.  :class:`repro.sim.StreamExecutor` is pushed: each ``feed``
+compiles and sends one chunk in the caller's thread.
 :meth:`~repro.sim.system.SecureSystem.run` and
 :meth:`~repro.sim.system.SecureSystem.step` (a one-access run) both go
 through :func:`execute`.  Equivalence contract against the scalar
@@ -45,13 +51,16 @@ costs one ``is None`` test.
 Materialized traces compile through :func:`compile_trace`'s list loop and
 :class:`~repro.traces.arrays.ArrayChunk` traces through the vectorized
 :func:`_compile_arrays`; the input type alone picks the compiler, and both
-emit identical runs.
+emit identical runs.  A :class:`~repro.traces.stream.TraceStream` is
+compiled chunk by chunk as :func:`execute` pulls it, so only one chunk's
+accesses and runs exist at a time.
 """
 
 from __future__ import annotations
 
+from contextlib import closing, suppress
 from functools import partial
-from typing import Iterator, List, Tuple, Union
+from typing import Generator, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,8 +72,8 @@ from ..traces.trace import Access, AccessKind, Trace
 from .cache import WritePolicy
 from .system import store_payload
 
-__all__ = ["CompiledTrace", "CompiledTraceStream", "compile_trace",
-           "execute", "FLUSH_THRESHOLD"]
+__all__ = ["CompiledTrace", "compile_trace", "execute", "chunk_consumer",
+           "FLUSH_THRESHOLD"]
 
 #: Deferred fills are handed to ``fill_lines`` in groups of at most this
 #: many lines (they also flush early whenever ordering requires it).
@@ -108,57 +117,16 @@ class CompiledTrace:
         return iter(self.accesses)
 
 
-class CompiledTraceStream:
-    """The streaming counterpart of :class:`CompiledTrace`.
-
-    Wraps a :class:`~repro.traces.stream.TraceStream` and compiles each
-    chunk on demand, so only one chunk's accesses and runs exist at a
-    time.  Runs never span chunk boundaries — a coalesced run split in
-    two executes as two shorter runs, which :func:`execute` resolves to
-    the same per-access arithmetic (see DESIGN.md, "Streaming traces").
-
-    Iterable like a trace (flattens to accesses); replayability follows
-    the underlying stream.
-    """
-
-    __slots__ = ("stream", "line_size")
-
-    def __init__(self, stream: TraceStream, line_size: int):
-        self.stream = stream
-        self.line_size = line_size
-
-    @property
-    def replayable(self) -> bool:
-        return self.stream.replayable
-
-    def compiled_chunks(self) -> Iterator[CompiledTrace]:
-        """Compile and yield one :class:`CompiledTrace` per chunk."""
-        for chunk in self.stream.chunks():
-            if isinstance(chunk, ArrayChunk):
-                yield _compile_arrays(chunk, self.line_size)
-            else:
-                yield compile_trace(list(chunk), self.line_size)
-
-    def __iter__(self) -> Iterator[Access]:
-        return iter(self.stream)
-
-
-def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream,
-                               CompiledTraceStream],
-                  line_size: int
-                  ) -> Union[CompiledTrace, CompiledTraceStream]:
+def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
+                  line_size: int) -> Union[CompiledTrace, TraceStream]:
     """Coalesce consecutive same-line accesses into annotated runs.
 
     A materialized trace compiles to a :class:`CompiledTrace`; a
-    :class:`~repro.traces.stream.TraceStream` compiles lazily to a
-    :class:`CompiledTraceStream` (per-chunk, bounded memory).
+    :class:`~repro.traces.stream.TraceStream` passes through unchanged
+    (:func:`execute` compiles it chunk by chunk, in bounded memory).
     """
-    if isinstance(trace, CompiledTraceStream):
-        if trace.line_size == line_size:
-            return trace
-        return CompiledTraceStream(trace.stream, line_size)
     if isinstance(trace, TraceStream):
-        return CompiledTraceStream(trace, line_size)
+        return trace
     if isinstance(trace, ArrayChunk):
         return _compile_arrays(trace, line_size)
     if isinstance(trace, CompiledTrace):
@@ -302,23 +270,49 @@ def _compiled_chunks(trace, line_size: int) -> Iterator[CompiledTrace]:
     Materialized traces become a single chunk; streams compile chunk by
     chunk so peak memory stays one chunk regardless of trace length.
     """
-    compiled = compile_trace(trace, line_size)
-    if isinstance(compiled, CompiledTraceStream):
-        yield from compiled.compiled_chunks()
-    else:
-        yield compiled
+    if not isinstance(trace, TraceStream):
+        yield compile_trace(trace, line_size)
+        return
+    for chunk in trace.chunks():
+        if isinstance(chunk, ArrayChunk):
+            yield _compile_arrays(chunk, line_size)
+        else:
+            yield compile_trace(chunk, line_size)
 
 
-def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
-                                 CompiledTraceStream]) -> None:
+def execute(system, trace: Union[Trace, CompiledTrace, TraceStream]) -> None:
     """Replay ``trace`` on ``system`` via the batched path.
 
     Mutates the system exactly like replaying the trace one access at a
     time (see the module docstring for the precise equivalence contract).
-    ``trace`` may be materialized or a chunk stream; chunked execution
-    carries all simulator state (LRU order, dirty bits, deferred fills,
-    counters, cycle clock) across chunk boundaries, so metrics are
-    byte-identical to the materialized path at any chunk size.
+    ``trace`` may be materialized or a chunk stream: this is the pull
+    driver of :func:`chunk_consumer`, which carries all simulator state
+    (LRU order, dirty bits, deferred fills, counters, cycle clock) across
+    chunk boundaries, so metrics are byte-identical to the materialized
+    path at any chunk size.
+    """
+    consumer = chunk_consumer(system)
+    next(consumer)
+    with closing(consumer):
+        line_size = system.cache.config.line_size
+        for compiled in _compiled_chunks(trace, line_size):
+            consumer.send(compiled)
+        with suppress(StopIteration):
+            consumer.send(None)
+
+
+def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
+    """The executor body: a generator that runs compiled chunks on
+    ``system``.
+
+    Prime it with ``next``, then ``send`` it each :class:`CompiledTrace`
+    (compiled for the system's line size) in trace order; ``None`` ends
+    the run — it flushes the deferred fills and returns (``send`` raises
+    ``StopIteration``).  The counters are written back to the system in
+    a ``finally``, so an engine error raised out of ``send``, or a
+    ``close()`` mid-run, still leaves the post-run state behind.
+    :func:`execute` pulls chunks into it; :class:`repro.sim.StreamExecutor`
+    pushes them.
     """
     engine = system.engine
     cache = system.cache
@@ -514,13 +508,16 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
             c += hit_latency
 
     try:
-        # One compiled chunk at a time; every piece of execution state —
+        # One compiled chunk per send; every piece of execution state —
         # LRU lists, dirty set, counters, cycles, deferred fills — lives
         # outside this loop, so chunk boundaries are invisible to the
         # simulation.  Deferred fills deliberately survive boundaries:
         # flushing there would reorder the bus stream relative to the
         # materialized path.
-        for compiled in _compiled_chunks(trace, line_size):
+        while True:
+            compiled = yield
+            if compiled is None:
+                break
             accesses = compiled.accesses
             for start, count, line, n_fetch, n_load, n_store, total, \
                     head_kind, head_addr, head_size, stores in compiled.runs:

@@ -10,7 +10,9 @@ raises — at the price of crypto on every L1 miss).
 :class:`TwoLevelSystem` implements both, functionally: with the EDU at the
 L2-memory boundary both caches cache plaintext; with the EDU at the L1-L2
 boundary the L2 is just a staging array for ciphertext lines and every L1
-fill pays the engine.
+fill pays the engine.  That boundary deciphers one line in place, so it
+rejects, at construction, an engine whose fill does more (its own
+``fill_lines`` or a ``_verify_fill`` check).
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ class TwoLevelSystem:
             raise ValueError("L1 and L2 must share a line size in this model")
         if edu_level not in (EDU_L2_MEMORY, EDU_L1_L2):
             raise ValueError(f"unknown edu_level {edu_level!r}")
+        if edu_level == EDU_L1_L2 and engine is not None:
+            # The L1-L2 boundary applies decrypt_line/encrypt_line in
+            # place: an engine with its own fill path or fill check
+            # would silently lose it there.
+            base, cls = BusEncryptionEngine, type(engine)
+            if (cls.fill_lines is not base.fill_lines
+                    or cls._verify_fill is not base._verify_fill):
+                raise ValueError(
+                    f"engine {engine.name!r} fills or verifies beyond a "
+                    f"per-line decrypt, which {EDU_L1_L2} does not model")
         if sink is None:
             sink = current_sink()
         self.engine = engine if engine is not None else NullEngine()

@@ -1,127 +1,87 @@
 """Push-driven streaming execution: feed chunks in, collect the report.
 
-:func:`repro.sim.fastpath.execute` *pulls* chunks from a
-:class:`~repro.traces.stream.TraceStream`.  The serve layer has the
-opposite shape: trace segments arrive one frame at a time and must be
-*pushed* into a running execution.  :class:`StreamExecutor` bridges the
-two — a worker thread runs ``execute`` over a bounded queue, so
+:func:`repro.sim.fastpath.execute` *pulls* chunks from a trace.  The
+serve layer has the opposite shape: trace segments arrive one frame at a
+time and must be *pushed* into a running execution.
+:class:`StreamExecutor` is the push driver of the same executor body,
+:func:`~repro.sim.fastpath.chunk_consumer`: each :meth:`~StreamExecutor.
+feed` compiles one chunk and runs it to completion before returning, so
 
-* memory stays bounded: at most ``maxsize`` chunks are in flight, and
-  :meth:`feed` blocks (backpressure) when the simulator falls behind;
-* metrics stay byte-identical: the worker sees exactly the chunk
+* memory stays bounded: only the chunk being fed exists, and a producer
+  waits for its own feed (the caller supplies any concurrency);
+* metrics stay byte-identical: the consumer sees exactly the chunk
   sequence fed, through the same carried-state execution the pull path
-  uses.
+  uses;
+* an execution error (e.g. an engine detecting tampering) raises out of
+  the feed that ran the offending chunk.
 
 Typical use::
 
     executor = StreamExecutor(system)
     for chunk in segments:
         executor.feed(chunk)
-    executor.close()                  # joins; re-raises engine errors
+    executor.close()                  # flushes the deferred fills
     report = system.report("label")
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Iterator, List, Sequence
+from contextlib import suppress
+from typing import Sequence
 
-from ..traces.stream import TraceStream
 from ..traces.trace import Access
+from .fastpath import chunk_consumer, compile_trace
 
 __all__ = ["StreamExecutor"]
-
-#: End-of-stream sentinel on the chunk queue.
-_DONE = object()
 
 
 class StreamExecutor:
     """Run one system's trace execution fed chunk by chunk.
 
-    Not thread-safe for concurrent producers: one feeder at a time.
-    After :meth:`close` (or :meth:`abort`) the executor is finished;
-    build a new one for a new run.
+    Not thread-safe: one feeder at a time.  After :meth:`close`, or a
+    :meth:`feed` that raised, the executor is finished; build a new one
+    for a new run.  An executor dropped mid-run still writes its
+    counters back to the system when it is garbage-collected.
     """
 
-    def __init__(self, system, maxsize: int = 8):
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
-        self._system = system
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize)
-        self._error: BaseException | None = None
-        self._aborted = False
+    def __init__(self, system):
+        self._line_size = system.cache.config.line_size
+        self._consumer = chunk_consumer(system)
+        next(self._consumer)
         self._closed = False
         self._fed = 0
-        self._thread = threading.Thread(
-            target=self._run, name="stream-executor", daemon=True
-        )
-        self._thread.start()
 
     @property
     def fed(self) -> int:
         """Total accesses accepted so far."""
         return self._fed
 
-    @property
-    def failed(self) -> bool:
-        """Whether execution already raised (the error surfaces on the
-        next :meth:`feed` or on :meth:`close`)."""
-        return self._error is not None
-
-    def _pull(self) -> Iterator[List[Access]]:
-        while True:
-            item = self._queue.get()
-            if item is _DONE or self._aborted:
-                return
-            yield item  # type: ignore[misc]
-
-    def _run(self) -> None:
-        from .fastpath import execute
-
-        try:
-            execute(self._system, TraceStream(self._pull()))
-        except BaseException as exc:  # surfaced to the feeder, not lost
-            self._error = exc
-            # Keep draining so a feeder blocked on a full queue wakes up
-            # (its next feed() raises the stored error).
-            while self._queue.get() is not _DONE:
-                pass
-
     def feed(self, chunk: Sequence[Access]) -> int:
-        """Append one chunk; blocks when the queue is full (backpressure).
+        """Compile and run one chunk; returns the running access total.
 
-        Returns the running access total.  Raises the execution error if
-        the worker already failed (e.g. an engine detected tampering).
+        Raises whatever the chunk's execution raised, and finishes the
+        executor when it does.
         """
         if self._closed:
             raise RuntimeError("stream executor is already closed")
-        if self._error is not None:
-            raise self._error
-        chunk = list(chunk)
-        if chunk:
-            self._queue.put(chunk)
-            self._fed += len(chunk)
+        try:
+            compiled = compile_trace(chunk, self._line_size)
+            if len(compiled):
+                self._consumer.send(compiled)
+        except BaseException:
+            self._closed = True
+            self._consumer.close()
+            raise
+        self._fed += len(compiled)
         return self._fed
 
     def close(self) -> None:
-        """Finish the stream, wait for execution, re-raise any error.
+        """Finish the stream: flush the deferred fills.
 
         After a clean close the system holds the post-run state; read
         the metrics with ``system.report(label)``.
         """
         if not self._closed:
             self._closed = True
-            self._queue.put(_DONE)
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-
-    def abort(self) -> None:
-        """Tear down without waiting (client vanished); never raises."""
-        self._aborted = True
-        self._closed = True
-        try:
-            self._queue.put_nowait(_DONE)
-        except queue.Full:
-            pass  # the worker is draining; it will see _aborted
+            with suppress(StopIteration):
+                self._consumer.send(None)

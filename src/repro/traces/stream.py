@@ -3,11 +3,15 @@
 A :class:`TraceStream` is the streaming counterpart of a materialized
 ``Trace``: an ordered sequence of :class:`~repro.traces.trace.Access`
 records delivered as *chunks* (lists) so that a 10^8–10^9-access
-workload never exists in memory at once.  ``compile_trace``,
+workload never exists in memory at once.
 :func:`repro.sim.fastpath.execute` and :meth:`repro.sim.system.
-SecureSystem.run` all accept one anywhere a plain trace is accepted,
-with metrics byte-identical to the materialized path at any chunk size
-(the carried-state invariants live in :mod:`repro.sim.fastpath`).
+SecureSystem.run` accept one anywhere a plain trace is accepted and
+compile it chunk by chunk (``compile_trace`` passes a stream through
+unchanged), with metrics byte-identical to the materialized path at any
+chunk size (the carried-state invariants live in
+:mod:`repro.sim.fastpath`).  A trace that arrives pushed rather than
+pulled — frame by frame over a socket — skips the stream and feeds
+:class:`repro.sim.StreamExecutor` directly.
 
 Chunk sources come in two flavours:
 
@@ -84,24 +88,6 @@ class TraceStream:
             self._factory, self._iterator = None, iter(source)
         self._consumed = False
         self.length = length
-
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[Access],
-                      chunk_size: int = DEFAULT_CHUNK_SIZE,
-                      length: Optional[int] = None) -> "TraceStream":
-        """Chunk an access iterable into a stream.
-
-        A concrete sequence (a materialized trace) yields a replayable
-        stream; a live iterator yields a one-shot stream.
-        """
-        if chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be positive, got {chunk_size}")
-        if isinstance(accesses, (list, tuple)):
-            if length is None:
-                length = len(accesses)
-            return cls(lambda: chunked(accesses, chunk_size), length=length)
-        return cls(chunked(accesses, chunk_size), length=length)
 
     @property
     def replayable(self) -> bool:

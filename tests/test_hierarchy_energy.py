@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import StreamCipherEngine, XomAesEngine
+from repro.core.registry import engine_names, make_engine
 from repro.crypto import DRBG
 from repro.sim import (
     EDU_L1_L2,
@@ -115,6 +116,26 @@ class TestFunctionalConsistency:
         system.install_image(0, image)
         system.step(Access(AccessKind.LOAD, 0))
         assert bytes(system._l2_data[0]) == image[:32]
+
+
+@pytest.mark.parametrize("name", engine_names())
+def test_l1_l2_engine_is_rejected_or_round_trips(name):
+    """At the L1-L2 boundary every registry engine is either refused at
+    construction or modelled exactly: a fetched L1 line equals the
+    installed image, and a store reads back after flush()."""
+    try:
+        system = make_system(engine=make_engine(name), edu_level=EDU_L1_L2,
+                             mem_config=MemoryConfig(size=4 << 20))
+    except ValueError as exc:
+        assert EDU_L1_L2 in str(exc)
+        return
+    image = DRBG(11).random_bytes(8192)
+    system.install_image(0, image)
+    system.step(Access(AccessKind.FETCH, 0x40, 4))
+    assert bytes(system._l1_data[2]) == image[0x40:0x60]
+    system.step(Access(AccessKind.STORE, 0x1020, 4))
+    system.flush()
+    assert system.read_plaintext(0x1020, 4) == store_payload(0x1020, 4)
 
 
 class TestPlacementTradeoff:

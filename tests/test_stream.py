@@ -10,6 +10,8 @@ The carried-state invariants under test (see DESIGN.md):
   10^8-access stream is replayable without being storable.
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,12 +175,6 @@ class TestTraceStream:
         with pytest.raises(RuntimeError, match="already consumed"):
             list(stream.chunks())
 
-    def test_from_accesses(self):
-        trace = bounded_trace("mixed", 100)
-        stream = TraceStream.from_accesses(trace, chunk_size=7)
-        assert stream.replayable
-        assert list(stream) == trace
-
     @pytest.mark.parametrize("compiled", [False, True])
     def test_overhead_rejects_one_shot_stream_up_front(self, compiled):
         """The grid entry point compiles the column first, then replays it
@@ -227,7 +223,7 @@ class TestTraceStream:
         trace = bounded_trace("mixed", 300)
         factory = lambda: make_engine("xom", functional=False)  # noqa: E731
         streamed = measure_overhead(
-            factory, TraceStream.from_accesses(trace, chunk_size=64))
+            factory, TraceStream(lambda: chunked(trace, 64)))
         whole = measure_overhead(factory, trace)
         assert streamed.secured == whole.secured
         assert streamed.baseline == whole.baseline
@@ -250,26 +246,45 @@ class TestTraceStream:
 
 
 class TestStreamExecutor:
-    def test_matches_whole_run(self):
-        trace = bounded_trace("mixed", 2000)
-        whole = small_system("xom").run(trace, label="push")
+    @pytest.mark.parametrize("chunk", [1, 7, 333, None])
+    @pytest.mark.parametrize("engine", ["xom", "aegis", "stream"])
+    def test_matches_whole_run(self, engine, chunk):
+        n = 2000
+        trace = bounded_trace("mixed", n)
+        chunk = chunk or n
 
-        system = small_system("xom")
-        executor = StreamExecutor(system)
-        for i in range(0, len(trace), 333):
-            executor.feed(trace[i:i + 333])
+        def system():
+            built = SecureSystem(
+                engine=make_engine(engine),
+                cache_config=CacheConfig(size=1024, line_size=32,
+                                         associativity=2),
+                mem_config=MemoryConfig(size=1 << 20, latency=20),
+            )
+            built.install_image(0, DRBG(5).random_bytes(IMAGE))
+            return built
+
+        reference = system()
+        whole = reference.run(trace, label="push")
+        pushed = system()
+        executor = StreamExecutor(pushed)
+        for i in range(0, n, chunk):
+            executor.feed(trace[i:i + chunk])
         executor.close()
-        assert executor.fed == 2000
-        assert system.report("push").to_metrics() == whole.to_metrics()
+        assert executor.fed == n
+        assert pushed.report("push").to_metrics() == whole.to_metrics()
+        assert pushed.memory.dump(0, IMAGE) == reference.memory.dump(0, IMAGE)
 
     def test_error_propagates(self):
         system = small_system("xom")
         executor = StreamExecutor(system)
-        bad = [object()] * 4  # not Access records: the engine loop raises
-        with pytest.raises(Exception):
+        executor.feed(bounded_trace("mixed", 10))
+        bad = [object()] * 4  # not Access records: compiling them raises
+        with pytest.raises(AttributeError):
             executor.feed(bad)
-            executor.close()
-        assert executor.failed or True  # close() re-raised already
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.feed(bounded_trace("mixed", 10))
+        assert executor.fed == 10
+        assert system.report("x").accesses == 10
 
     def test_feed_after_close_rejected(self):
         executor = StreamExecutor(small_system())
@@ -277,10 +292,13 @@ class TestStreamExecutor:
         with pytest.raises(RuntimeError, match="closed"):
             executor.feed(bounded_trace("mixed", 10))
 
-    def test_abort_never_blocks(self):
-        executor = StreamExecutor(small_system("xom"), maxsize=1)
+    def test_lifecycle_starts_no_thread(self):
+        before = threading.active_count()
+        executor = StreamExecutor(small_system("xom"))
         executor.feed(bounded_trace("mixed", 100))
-        executor.abort()  # must return without waiting for the worker
+        assert threading.active_count() == before
+        executor.close()
+        assert threading.active_count() == before
 
 
 # -- run_stream validation --------------------------------------------------
