@@ -62,6 +62,15 @@ ALGEBRAIC_HOMES := ^src/repro/crypto/(aes|des|kernels|bench_kernels)\.py:
 SIM_THREADS := ^[[:space:]]*(import|from)[[:space:]]+(threading|queue)([^[:alnum:]_]|$$)
 STREAM_RETIRED := CompiledTraceStream|from_accesses
 
+# Each trace generator has one form: the lazy iter_* generators and the
+# array dma_burst_chunks.  The list twins, the whole-file loaders and the
+# scalar dma-burst generator stay out of the program; the last is the
+# array generator's oracle in tests/reference_traces.py.
+TRACE_TWINS := sequential_code|branchy_code|data_stream|random_data|pointer_chase|write_burst|mixed_workload|load_trace|load_trace_bin
+TWIN_DEF := ^[[:space:]]*def ($(TRACE_TWINS))\(
+TWIN_IMPORT_LINE := ^[[:space:]]*from[[:space:]].*[[:space:]]import[[:space:]](.*[^[:alnum:]_])?($(TRACE_TWINS))([^[:alnum:]_]|$$)
+TWIN_IMPORT_ITEM := ^[[:space:]]+($(TRACE_TWINS))([[:space:]]+as[[:space:]]+[[:alnum:]_]+)?,?[[:space:]]*$$
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -185,6 +194,19 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one executor, pulled or pushed)"
+	@defs=$$(grep -rnIE '$(TWIN_DEF)' --include='*.py' src || true); \
+	imports=$$(grep -rnIE -e '$(TWIN_IMPORT_LINE)' -e '$(TWIN_IMPORT_ITEM)' \
+		--include='*.py' src examples benchmarks || true); \
+	oracle=$$(grep -rnIw iter_dma_bursts --include='*.py' \
+		--exclude-dir=tests --exclude-dir=__pycache__ . || true); \
+	if [ -n "$$defs$$imports$$oracle" ]; then \
+		echo "lint: one form per trace generator: call iter_* (wrap in" >&2; \
+		echo "      list() for a list) and iter_trace/iter_trace_bin;" >&2; \
+		echo "      iter_dma_bursts lives only under tests/:" >&2; \
+		echo "$$defs$$imports$$oracle" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one form per trace generator)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -13,7 +13,7 @@ from repro.api import make_engine
 from repro.compression import CodePack, lz77_compress, shannon_entropy
 from repro.crypto import CTR, aes_kernel
 from repro.sim import CacheConfig, MemoryConfig
-from repro.traces import sequential_code, synthetic_code_image
+from repro.traces import iter_sequential_code, synthetic_code_image
 
 KEY = b"0123456789abcdef"
 IMAGE_SIZE = 32 * 1024
@@ -52,7 +52,7 @@ def main() -> None:
         title="2. Memory density (survey: CodePack ~= 35%)",
     ))
 
-    trace = sequential_code(4000, code_size=IMAGE_SIZE)
+    trace = list(iter_sequential_code(4000, code_size=IMAGE_SIZE))
     cache = CacheConfig(size=1024, line_size=32, associativity=2)
     rows = []
     for label, latency, width, cpb in (

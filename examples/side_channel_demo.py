@@ -16,7 +16,12 @@ from repro.api import make_engine
 from repro.attacks import BusProbe, classify_pattern, page_sequence, profile_probe
 from repro.crypto import DRBG
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, random_data, sequential_code
+from repro.traces import (
+    Access,
+    AccessKind,
+    iter_random_data,
+    iter_sequential_code,
+)
 
 KEY = b"0123456789abcdef"
 KEY24 = b"0123456789abcdef01234567"
@@ -37,10 +42,12 @@ def observe(trace, engine):
 
 def main() -> None:
     victims = {
-        "straight-line code": sequential_code(2000, code_size=32 * 1024),
-        "random table lookups": random_data(
-            1500, DRBG(7), base=0, working_set=32 * 1024
+        "straight-line code": list(
+            iter_sequential_code(2000, code_size=32 * 1024)
         ),
+        "random table lookups": list(iter_random_data(
+            1500, DRBG(7), base=0, working_set=32 * 1024
+        )),
     }
     rows = []
     for label, trace in victims.items():

@@ -22,37 +22,37 @@ __all__ = ["CodePack", "CompressedImage"]
 
 
 class _BitWriter:
+    """MSB-first bit packer: values shift into one int, packed once."""
+
     def __init__(self) -> None:
-        self.bits: List[int] = []
+        self.acc = 0
+        self.nbits = 0
 
     def write(self, value: int, width: int) -> None:
-        for i in range(width - 1, -1, -1):
-            self.bits.append((value >> i) & 1)
+        self.acc = (self.acc << width) | (value & ((1 << width) - 1))
+        self.nbits += width
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        for i in range(0, len(self.bits), 8):
-            chunk = self.bits[i: i + 8]
-            byte = 0
-            for b in chunk:
-                byte = (byte << 1) | b
-            byte <<= 8 - len(chunk)
-            out.append(byte)
-        return bytes(out)
+        pad = -self.nbits % 8
+        return (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
 
 
 class _BitReader:
+    """MSB-first bit reader over one int; reading past the end raises
+    ``IndexError``."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.value = int.from_bytes(data, "big")
+        self.nbits = 8 * len(data)
         self.pos = 0
 
     def read(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            byte = self.data[self.pos // 8]
-            value = (value << 1) | ((byte >> (7 - self.pos % 8)) & 1)
-            self.pos += 1
-        return value
+        end = self.pos + width
+        if end > self.nbits:
+            raise IndexError(
+                f"bit read past the end: {end} > {self.nbits} bits")
+        self.pos = end
+        return (self.value >> (self.nbits - end)) & ((1 << width) - 1)
 
 
 @dataclass

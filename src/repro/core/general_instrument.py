@@ -427,17 +427,9 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             cycles += self.hash_latency
         return cycles
 
-    def write_partial(self, port: MemoryPort, addr: int, data: bytes,
-                      line_size: int) -> int:
-        # Any write re-chains the tail; delegate to write_line semantics on
-        # the enclosing line for accounting simplicity.
-        self.stats.rmw_operations += 1
-        self._emit("rmw", addr, line_size)
-        line_base = addr - addr % line_size
-        ciphertext_line, _ = self.fill_line(port, line_base, line_size)
-        patched = bytearray(ciphertext_line)
-        patched[addr - line_base: addr - line_base + len(data)] = data
-        return self.write_line(port, line_base, bytes(patched))
+    # Any write re-chains the tail: a partial write is a read-verify-
+    # modify-write of the enclosing line, charged for both halves.
+    write_partial = BusEncryptionEngine._line_rmw
 
     # -- verification API ----------------------------------------------------------
 

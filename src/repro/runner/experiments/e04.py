@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ...analysis import format_table
 from ...sim import CacheConfig, MemoryConfig, WritePolicy
-from ...traces import write_burst
+from ...traces import iter_write_burst
 from ..base import Experiment, TaskContext
 from .common import measure, overhead_metrics
 
@@ -34,7 +34,8 @@ def _sweep(ctx: TaskContext, engine_name: str) -> dict:
     n_stores = ctx.n(N_STORES, quick=N_STORES)  # cheap: keep full scale
     rows = []
     for size in sizes:
-        trace = write_burst(n_stores, base=0, write_size=size, stride=64)
+        trace = list(iter_write_burst(n_stores, base=0, write_size=size,
+                                      stride=64))
         result = measure(
             engine_name, trace,
             cache_config=WT_CACHE, mem_config=MEM, write_buffer=False,
@@ -62,7 +63,7 @@ def task_ds5002fp(ctx: TaskContext) -> dict:
 def task_write_back_absorbs(ctx: TaskContext) -> dict:
     """With write-allocate + write-back, the line fetch doubles as the
     'read the block' step and the penalty folds into normal miss traffic."""
-    trace = write_burst(N_STORES, base=0, write_size=4, stride=64)
+    trace = list(iter_write_burst(N_STORES, base=0, write_size=4, stride=64))
     result = measure("ds5240", trace, cache_config=WB_CACHE, mem_config=MEM)
     return overhead_metrics(result)
 

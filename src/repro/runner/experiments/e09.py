@@ -15,7 +15,7 @@ from __future__ import annotations
 from ...analysis import ascii_plot, format_percent, format_table
 from ...crypto import DRBG
 from ...sim import CacheConfig, MemoryConfig, WritePolicy
-from ...traces import branchy_code, make_workload
+from ...traces import iter_branchy_code, make_workload
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, measure, overhead_metrics
 
@@ -24,8 +24,8 @@ def task_branchiness(ctx: TaskContext) -> dict:
     p_takens = (0.0, 0.15, 0.5) if ctx.quick else (0.0, 0.05, 0.15, 0.3, 0.5)
     rows = []
     for p in p_takens:
-        trace = branchy_code(N_ACCESSES, DRBG(100), p_taken=p,
-                             code_size=1 << 18)
+        trace = list(iter_branchy_code(N_ACCESSES, DRBG(100), p_taken=p,
+                                       code_size=1 << 18))
         result = measure("gilmont", trace)
         rows.append({"p_taken": p, **overhead_metrics(result)})
     return {"rows": rows}
@@ -33,8 +33,8 @@ def task_branchiness(ctx: TaskContext) -> dict:
 
 def task_depth(ctx: TaskContext) -> dict:
     depths = (0, 4) if ctx.quick else (0, 1, 2, 4)
-    trace = branchy_code(N_ACCESSES, DRBG(101), p_taken=0.1,
-                         code_size=1 << 18)
+    trace = list(iter_branchy_code(N_ACCESSES, DRBG(101), p_taken=0.1,
+                                   code_size=1 << 18))
     rows = []
     for depth in depths:
         result = measure("gilmont", trace,

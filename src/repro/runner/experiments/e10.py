@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ...analysis import format_percent, format_table
 from ...sim import XOM_AES_PIPE, PipelinedUnit
-from ...traces import WORKLOAD_NAMES, make_workload, sequential_code
+from ...traces import WORKLOAD_NAMES, iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, measure, overhead_metrics
 
@@ -38,9 +38,9 @@ def task_system(ctx: TaskContext) -> dict:
     n = N_ACCESSES
     workloads = {
         # Cache-resident loop: the engine is nearly invisible.
-        "loop-resident": sequential_code(2 * n, code_size=2048),
+        "loop-resident": list(iter_sequential_code(2 * n, code_size=2048)),
         # Working set slightly over the cache: moderate miss traffic.
-        "loop-spill": sequential_code(2 * n, code_size=8192),
+        "loop-spill": list(iter_sequential_code(2 * n, code_size=8192)),
     }
     workloads.update(
         (name, make_workload(name, n=n)) for name in WORKLOAD_NAMES

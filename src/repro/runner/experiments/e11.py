@@ -23,7 +23,7 @@ from ...attacks import (
 )
 from ...core.registry import make_engine
 from ...crypto import DRBG
-from ...traces import WORKLOAD_NAMES, make_workload, sequential_code
+from ...traces import WORKLOAD_NAMES, iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, clamp, measure, overhead_metrics
 
@@ -35,8 +35,8 @@ def task_overheads(ctx: TaskContext) -> dict:
     n = N_ACCESSES
     workloads = {
         # Mostly cache-resident loop: realistic low miss rate.
-        "loop-resident": sequential_code(2 * n, code_size=2048),
-        "loop-spill": sequential_code(2 * n, code_size=8192),
+        "loop-resident": list(iter_sequential_code(2 * n, code_size=2048)),
+        "loop-spill": list(iter_sequential_code(2 * n, code_size=8192)),
     }
     workloads.update(
         (name, make_workload(name, n=n)) for name in WORKLOAD_NAMES

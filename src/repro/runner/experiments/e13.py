@@ -17,7 +17,7 @@ from ...analysis import format_percent, format_table
 from ...compression import CodePack, lz77_compress, shannon_entropy
 from ...crypto import CTR, aes_kernel
 from ...sim import CacheConfig, MemoryConfig
-from ...traces import sequential_code, synthetic_code_image
+from ...traces import iter_sequential_code, synthetic_code_image
 from ..base import Experiment, TaskContext
 from .common import KEY16, N_ACCESSES, measure, overhead_metrics
 
@@ -55,7 +55,7 @@ def task_density_ordering(ctx: TaskContext) -> dict:
 
 def task_memory_sweep(ctx: TaskContext) -> dict:
     image = synthetic_code_image(size=IMAGE_SIZE)
-    trace = sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE)
+    trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE))
     rows = []
     for label, latency, width, cpb in MEMORY_TYPES:
         mem = MemoryConfig(size=1 << 20, latency=latency, bus_width=width,

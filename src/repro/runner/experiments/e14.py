@@ -13,7 +13,7 @@ from __future__ import annotations
 from ...analysis import format_gates, format_percent, format_table
 from ...attacks import rate_engine
 from ...core.registry import engine_names, get_spec, make_engine
-from ...traces import make_workload, sequential_code
+from ...traces import iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, clamp, measure, overhead_metrics
 
@@ -48,7 +48,7 @@ def task_table(ctx: TaskContext) -> dict:
     # shrinks the image rather than (only) the trace.
     image_size = 8 * 1024 if ctx.quick else IMAGE_SIZE
     workloads = {
-        "code": sequential_code(n, code_size=image_size),
+        "code": list(iter_sequential_code(n, code_size=image_size)),
         "mixed": clamp(make_workload("mixed", n=n), image_size),
     }
     names = [name for name in engine_names(survey_only=True)

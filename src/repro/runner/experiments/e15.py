@@ -29,7 +29,7 @@ from ...core.engine import MemoryPort
 from ...core.registry import make_engine
 from ...crypto.lfsr import GeffeGenerator
 from ...sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
-from ...traces import make_workload, sequential_code
+from ...traces import iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
 from .common import MEM, N_ACCESSES, measure, overhead_metrics
 
@@ -89,7 +89,7 @@ def task_merkle_vs_versions(ctx: TaskContext) -> dict:
     """Same security goal, two state budgets: per-line on-chip counters vs
     a 16-byte root + hash tree."""
     region = 32 * 1024
-    trace = sequential_code(ctx.n(N_ACCESSES), code_size=region)
+    trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=region))
     cache = CacheConfig(size=2048, line_size=32, associativity=2)
     n_lines = region // 32
     rows = []

@@ -21,7 +21,11 @@ from ...sim import (
     TwoLevelSystem,
     estimate_run,
 )
-from ...traces import make_workload, sequential_code, synthetic_code_image
+from ...traces import (
+    iter_sequential_code,
+    make_workload,
+    synthetic_code_image,
+)
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, clamp
 
@@ -68,7 +72,7 @@ _ENERGY_ENGINES = (
 
 
 def task_energy(ctx: TaskContext) -> dict:
-    trace = sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE)
+    trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE))
     image = synthetic_code_image(size=IMAGE_SIZE)
     cache = CacheConfig(size=1024, line_size=32, associativity=2)
     narrow = MemoryConfig(size=1 << 21, latency=40, bus_width=2,

@@ -19,7 +19,7 @@ from ...attacks import BusProbe, classify_pattern, profile_probe
 from ...core.registry import make_engine
 from ...obs import TeeSink, current_sink
 from ...sim import CacheConfig, MemoryConfig, SecureSystem
-from ...traces import sequential_code
+from ...traces import iter_sequential_code
 from ..base import Experiment, TaskContext
 from .common import N_ACCESSES, measure, overhead_metrics
 
@@ -29,7 +29,7 @@ IMAGE_SIZE = 16 * 1024
 
 
 def task_scrambling_probe(ctx: TaskContext) -> dict:
-    trace = sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE)
+    trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE))
     rows = []
     for label, engine in (
         ("stream (addresses in clear)", make_engine("stream")),
@@ -59,7 +59,7 @@ def task_scrambling_probe(ctx: TaskContext) -> dict:
 
 
 def task_gi_reordering(ctx: TaskContext) -> dict:
-    trace = sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE)
+    trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE))
     rows = []
     for label, reorder in (("chained layout", False),
                            ("chained + reordered", True)):

@@ -50,8 +50,9 @@ costs one ``is None`` test.
 
 Materialized traces compile through :func:`compile_trace`'s list loop and
 :class:`~repro.traces.arrays.ArrayChunk` traces through the vectorized
-:func:`_compile_arrays`; the input type alone picks the compiler, and both
-emit identical runs.  A :class:`~repro.traces.stream.TraceStream` is
+:func:`_compile_arrays`; the input type alone picks the compiler, both
+emit identical runs, and the array compiler never falls back to the list
+loop.  A :class:`~repro.traces.stream.TraceStream` is
 compiled chunk by chunk as :func:`execute` pulls it, so only one chunk's
 accesses and runs exist at a time.
 """
@@ -155,11 +156,10 @@ def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
             kind = access.kind
             if kind is store:
                 n_store += 1
-                if (stores
-                        and stores[-1][0] + stores[-1][1] == access.addr
-                        and stores[-1][1] + access.size <= 256):
+                if stores and stores[-1][0] + stores[-1][1] == access.addr:
                     # Contiguous with the previous store: one merged span
-                    # patches the same bytes (the filler pattern tiles).
+                    # patches the same bytes (the filler is a pure
+                    # function of the address).
                     stores[-1] = (stores[-1][0],
                                   stores[-1][1] + access.size)
                 else:
@@ -185,7 +185,8 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     kind counts and byte totals, store positions) done as whole-array
     operations.  The resulting :class:`CompiledTrace` wraps the chunk
     itself as its access sequence; the lazy ``Access`` materialization
-    only runs for sink event factories and rare fallback shapes.
+    only runs for sink event factories and the executor's rare per-access
+    shapes.
     """
     n = len(chunk)
     if n == 0:
@@ -222,8 +223,8 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
 
     store_idx = np.flatnonzero(store_mask)
     if store_idx.size:
-        # Merge contiguous stores into spans (same greedy rule as the
-        # scalar compiler), then slice the spans per run.
+        # Merge contiguous stores into spans (same rule as the list
+        # compiler), then slice the spans per run.
         sa = addrs[store_idx]
         ss = sizes[store_idx]
         store_run = np.searchsorted(starts, store_idx, side="right") - 1
@@ -234,14 +235,8 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
         g_bounds = np.concatenate(
             (g_start, np.asarray([len(store_idx)], dtype=g_start.dtype)))
         ss_cum = np.concatenate((zero, np.cumsum(ss)))
-        g_size = ss_cum[g_bounds[1:]] - ss_cum[g_bounds[:-1]]
-        if int(g_size.max()) > 256:
-            # A merged span the filler pattern cannot tile (only possible
-            # with line sizes past 256): use the scalar compiler's greedy
-            # splitting instead.
-            return compile_trace(list(chunk), line_size)
+        g_size_l = (ss_cum[g_bounds[1:]] - ss_cum[g_bounds[:-1]]).tolist()
         g_addr = sa[g_start].tolist()
-        g_size_l = g_size.tolist()
         g_run = store_run[g_start]
         run_ids = np.arange(len(starts), dtype=g_run.dtype)
         glo_l = np.searchsorted(g_run, run_ids).tolist()

@@ -22,16 +22,17 @@ from .memory import MainMemory, MemoryConfig
 
 #: 512-byte repeating ramp backing the deterministic store filler —
 #: ``bytes((addr + i) & 0xFF for i in range(size))`` is a slice of it
-#: whenever ``size <= 256``, which every trace generator satisfies.
+#: whenever ``size <= 256`` (every generated access), and a slice of a
+#: repeat of it for the longer merged store spans of long cache lines.
 _STORE_PATTERN = bytes(range(256)) * 2
 
 
 def store_payload(addr: int, size: int) -> bytes:
     """The deterministic bytes a trace store writes (traces carry no data)."""
-    if size <= 256:
-        lo = addr & 0xFF
-        return _STORE_PATTERN[lo: lo + size]
-    return bytes((addr + i) & 0xFF for i in range(size))
+    lo = addr & 0xFF
+    pattern = (_STORE_PATTERN if size <= 256
+               else _STORE_PATTERN * ((lo + size) // 512 + 1))
+    return pattern[lo: lo + size]
 
 __all__ = ["SimReport", "SecureSystem", "run_trace", "require_replayable"]
 

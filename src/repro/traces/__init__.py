@@ -1,12 +1,10 @@
-"""Workload substrate: access-trace records, synthetic generators (list
-and streaming forms) and the named workload suite the experiments share."""
+"""Workload substrate: access-trace records, synthetic generators (one
+lazy form each) and the named workload suite the experiments share."""
 
 from .generator import (
-    branchy_code,
-    data_stream,
+    dma_burst_chunks,
     iter_branchy_code,
     iter_data_stream,
-    iter_dma_bursts,
     iter_mixed_workload,
     iter_multi_tenant,
     iter_phased_program,
@@ -14,19 +12,12 @@ from .generator import (
     iter_random_data,
     iter_sequential_code,
     iter_write_burst,
-    mixed_workload,
-    pointer_chase,
-    random_data,
-    sequential_code,
-    write_burst,
 )
 from .io import (
     BTRC_MAGIC,
     TraceFormatError,
     iter_trace,
     iter_trace_bin,
-    load_trace,
-    load_trace_bin,
     save_trace,
     save_trace_bin,
 )
@@ -48,16 +39,14 @@ from .workloads import (
 )
 
 __all__ = [
-    "branchy_code", "data_stream", "mixed_workload", "pointer_chase",
-    "random_data", "sequential_code", "write_burst",
     "iter_branchy_code", "iter_data_stream", "iter_mixed_workload",
     "iter_pointer_chase", "iter_random_data", "iter_sequential_code",
     "iter_write_burst", "iter_phased_program", "iter_multi_tenant",
-    "iter_dma_bursts",
+    "dma_burst_chunks",
     "Access", "AccessKind", "Trace", "trace_stats",
     "TraceStream", "chunked", "DEFAULT_CHUNK_SIZE",
-    "TraceFormatError", "load_trace", "save_trace", "iter_trace",
-    "load_trace_bin", "save_trace_bin", "iter_trace_bin", "BTRC_MAGIC",
+    "TraceFormatError", "save_trace", "iter_trace",
+    "save_trace_bin", "iter_trace_bin", "BTRC_MAGIC",
     "MCU_KERNELS", "WORKLOAD_NAMES", "LONG_HORIZON_NAMES",
     "STREAM_WORKLOAD_NAMES", "events_to_trace", "trace_to_events",
     "make_workload", "iter_workload", "stream_workload", "mcu_workload",

@@ -6,17 +6,17 @@ problem"), and write mix (§2.2's smaller-than-block write penalty).  Each
 generator here sweeps one of those axes; :mod:`repro.traces.workloads` names
 the standard combinations the experiments use.
 
-Every generator exists in two forms: ``iter_<name>`` yields accesses
-lazily (the streaming form — pair with :func:`repro.traces.stream.chunked`
-to drive a 10^8-access run in bounded memory), and ``<name>`` materializes
-the same accesses as a list.  The list form is exactly
-``list(iter_<name>(...))``, so both draw from the DRBG in the same order
-and produce byte-identical traces.
+Each generator exists in one form.  The ``iter_<name>`` generators yield
+accesses lazily (pair them with :func:`repro.traces.stream.chunked` to
+drive a 10^8-access run in bounded memory); a caller that needs a list
+writes ``list(iter_<name>(...))``.
 
-The ``iter_phased_program`` / ``iter_multi_tenant`` / ``iter_dma_bursts``
-generators model long-horizon behaviours (phase changes, tenant
-interleaving, DMA burst trains) that only show up at lengths the
-materialized path cannot hold; they have no list form on purpose.
+The ``iter_phased_program`` / ``iter_multi_tenant`` generators and
+:func:`dma_burst_chunks` model long-horizon behaviours (phase changes,
+tenant interleaving, DMA burst trains) that only show up at lengths a
+list cannot hold.  ``dma_burst_chunks`` yields
+:class:`~repro.traces.arrays.ArrayChunk` slabs instead of ``Access``
+records; its scalar oracle lives in the tests.
 
 All generators are deterministic given a :class:`repro.crypto.DRBG` seed.
 """
@@ -26,16 +26,9 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..crypto.drbg import DRBG
-from .trace import Access, AccessKind, Trace
+from .trace import Access, AccessKind
 
 __all__ = [
-    "sequential_code",
-    "branchy_code",
-    "data_stream",
-    "random_data",
-    "pointer_chase",
-    "write_burst",
-    "mixed_workload",
     "iter_sequential_code",
     "iter_branchy_code",
     "iter_data_stream",
@@ -45,7 +38,6 @@ __all__ = [
     "iter_mixed_workload",
     "iter_phased_program",
     "iter_multi_tenant",
-    "iter_dma_bursts",
     "dma_burst_chunks",
 ]
 
@@ -77,16 +69,6 @@ def iter_sequential_code(
         yield Access(AccessKind.FETCH, base + (i * step) % code_size, step)
 
 
-def sequential_code(
-    n: int,
-    base: int = 0,
-    step: int = 4,
-    code_size: int = 64 * 1024,
-) -> Trace:
-    """Materialized form of :func:`iter_sequential_code`."""
-    return list(iter_sequential_code(n, base=base, step=step, code_size=code_size))
-
-
 def iter_branchy_code(
     n: int,
     rng: DRBG,
@@ -116,20 +98,6 @@ def iter_branchy_code(
             pc = base + (rng.randbelow(code_size // step)) * step
         else:
             pc = base + ((pc - base) + step) % code_size
-
-
-def branchy_code(
-    n: int,
-    rng: DRBG,
-    base: int = 0,
-    p_taken: float = 0.15,
-    code_size: int = 64 * 1024,
-    step: int = 4,
-) -> Trace:
-    """Materialized form of :func:`iter_branchy_code`."""
-    return list(iter_branchy_code(
-        n, rng, base=base, p_taken=p_taken, code_size=code_size, step=step,
-    ))
 
 
 def iter_data_stream(
@@ -168,22 +136,6 @@ def iter_data_stream(
             addr = base + rng.randbelow(span) * size
 
 
-def data_stream(
-    n: int,
-    rng: DRBG,
-    base: int = 1 << 20,
-    working_set: int = 256 * 1024,
-    write_fraction: float = 0.3,
-    size: int = 4,
-    locality: float = 0.85,
-) -> Trace:
-    """Materialized form of :func:`iter_data_stream`."""
-    return list(iter_data_stream(
-        n, rng, base=base, working_set=working_set,
-        write_fraction=write_fraction, size=size, locality=locality,
-    ))
-
-
 def iter_random_data(
     n: int,
     rng: DRBG,
@@ -197,21 +149,6 @@ def iter_random_data(
         n, rng, base=base, working_set=working_set,
         write_fraction=write_fraction, size=size, locality=0.0,
     )
-
-
-def random_data(
-    n: int,
-    rng: DRBG,
-    base: int = 1 << 20,
-    working_set: int = 1 << 20,
-    write_fraction: float = 0.0,
-    size: int = 4,
-) -> Trace:
-    """Materialized form of :func:`iter_random_data`."""
-    return list(iter_random_data(
-        n, rng, base=base, working_set=working_set,
-        write_fraction=write_fraction, size=size,
-    ))
 
 
 def iter_pointer_chase(
@@ -233,19 +170,6 @@ def iter_pointer_chase(
         node = (node + 1) % nodes
 
 
-def pointer_chase(
-    n: int,
-    rng: DRBG,
-    base: int = 1 << 20,
-    nodes: int = 4096,
-    node_size: int = 32,
-) -> Trace:
-    """Materialized form of :func:`iter_pointer_chase`."""
-    return list(iter_pointer_chase(
-        n, rng, base=base, nodes=nodes, node_size=node_size,
-    ))
-
-
 def iter_write_burst(
     n: int,
     base: int = 1 << 20,
@@ -264,19 +188,6 @@ def iter_write_burst(
         yield Access(AccessKind.STORE, base + (i * stride) % region, write_size)
 
 
-def write_burst(
-    n: int,
-    base: int = 1 << 20,
-    write_size: int = 4,
-    stride: Optional[int] = None,
-    region: int = 512 * 1024,
-) -> Trace:
-    """Materialized form of :func:`iter_write_burst`."""
-    return list(iter_write_burst(
-        n, base=base, write_size=write_size, stride=stride, region=region,
-    ))
-
-
 def iter_mixed_workload(
     n: int,
     rng: DRBG,
@@ -291,9 +202,8 @@ def iter_mixed_workload(
     ``fetch_fraction`` of accesses are instruction fetches following a
     branchy PC; the rest are data accesses with ``write_fraction`` stores.
 
-    Code and data draw from independent DRBG forks ("code"/"data"), so the
-    lazy interleaving here produces the same accesses the materialized
-    version always did.
+    Code and data draw from independent DRBG forks ("code"/"data"), so
+    interleaving them lazily needs no lookahead.
     """
     _check_count(n)
     if not 0.0 < fetch_fraction <= 1.0:
@@ -320,22 +230,6 @@ def iter_mixed_workload(
             yield next(data)
             di += 1
             emitted += 1
-
-
-def mixed_workload(
-    n: int,
-    rng: DRBG,
-    fetch_fraction: float = 0.7,
-    write_fraction: float = 0.1,
-    p_taken: float = 0.12,
-    code_size: int = 128 * 1024,
-    working_set: int = 256 * 1024,
-) -> Trace:
-    """Materialized form of :func:`iter_mixed_workload`."""
-    return list(iter_mixed_workload(
-        n, rng, fetch_fraction=fetch_fraction, write_fraction=write_fraction,
-        p_taken=p_taken, code_size=code_size, working_set=working_set,
-    ))
 
 
 # --------------------------------------------------------------------------
@@ -434,45 +328,6 @@ def iter_multi_tenant(
         emitted += quantum
 
 
-def iter_dma_bursts(
-    n: int,
-    rng: DRBG,
-    base: int = 1 << 20,
-    region: int = 1 << 20,
-    burst: int = 256,
-    size: int = 4,
-    read_fraction: float = 0.4,
-) -> Iterator[Access]:
-    """DMA burst trains: long sequential transfers at random buffer bases.
-
-    Each burst is up to ``burst`` back-to-back same-direction accesses of
-    ``size`` bytes from a random ``size``-aligned offset in ``region`` —
-    the pattern VLSI's DMA-granular engine and Sealer's in-SRAM AES are
-    built around.  Only three DRBG draws per burst, so this is the
-    generator of choice for the 10^8-access scaling bench.
-    """
-    _check_count(n)
-    if burst <= 0:
-        raise ValueError(f"burst must be positive, got {burst}")
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    if region < size:
-        raise ValueError(
-            f"region must be at least size ({size}), got {region}"
-        )
-    if not 0.0 <= read_fraction <= 1.0:
-        raise ValueError(f"read_fraction must be in [0, 1], got {read_fraction}")
-    span = region // size
-    emitted = 0
-    while emitted < n:
-        length = min(1 + rng.randbelow(burst), n - emitted)
-        start = base + rng.randbelow(span) * size
-        kind = AccessKind.LOAD if rng.random() < read_fraction else AccessKind.STORE
-        for i in range(length):
-            yield Access(kind, base + ((start - base) + i * size) % region, size)
-        emitted += length
-
-
 def dma_burst_chunks(
     n: int,
     rng: DRBG,
@@ -484,17 +339,21 @@ def dma_burst_chunks(
     read_fraction: float = 0.4,
     addr_mod: Optional[int] = None,
 ):
-    """Array twin of :func:`iter_dma_bursts`.
+    """DMA burst trains: long sequential transfers at random buffer bases.
+
+    Each burst is up to ``burst`` back-to-back same-direction accesses of
+    ``size`` bytes from a random ``size``-aligned offset in ``region`` —
+    the pattern VLSI's DMA-granular engine and Sealer's in-SRAM AES are
+    built around.  Each burst takes three DRBG draws (length, offset,
+    direction, in that order) and its address walk is one array
+    expression, so this is the generator of choice for the
+    10^8-access scaling bench.
 
     Yields :class:`~repro.traces.arrays.ArrayChunk` slabs of exactly
-    ``chunk_size`` accesses (the last may be shorter) whose flattened
-    content is access-for-access identical to ``iter_dma_bursts`` with
-    the same arguments: the DRBG is consumed burst by burst in the same
-    order (three draws per burst), only the per-access address walk is
-    computed as one array expression instead of 10^8 ``Access``
-    constructions.  ``addr_mod``, when given, folds every address by
-    ``addr % addr_mod`` — the image wrap :func:`repro.api.run_stream`
-    otherwise applies per access.
+    ``chunk_size`` accesses (the last may be shorter); the chunking does
+    not change the flattened access sequence.  ``addr_mod``, when given,
+    folds every address by ``addr % addr_mod`` — the image wrap
+    :func:`repro.api.run_stream` otherwise applies per access.
     """
     import numpy as np
 
@@ -523,7 +382,7 @@ def dma_burst_chunks(
     held = 0
     emitted = 0
     while emitted < n:
-        # The same three draws, in the same order, as iter_dma_bursts.
+        # Three draws per burst, always in this order.
         length = min(1 + rng.randbelow(burst), n - emitted)
         offset = rng.randbelow(span) * size
         code = load_code if rng.random() < read_fraction else store_code

@@ -12,6 +12,8 @@ for long-horizon traces: a 6-byte magic followed by fixed 13-byte records
 memory record streams — no whole-file ``read()`` anywhere — and any
 truncated or corrupt trailing record raises :class:`TraceFormatError`
 (one line, naming the record) rather than an opaque struct traceback.
+The readers are the streams; ``list(iter_trace(path))`` loads a whole
+file.
 
 >>> from io import StringIO
 >>> buf = StringIO()
@@ -24,13 +26,12 @@ truncated or corrupt trailing record raises :class:`TraceFormatError`
 from __future__ import annotations
 
 import struct
-from typing import IO, Iterable, Iterator, List, Union
+from typing import IO, Iterable, Iterator, Union
 
-from .trace import Access, AccessKind, Trace
+from .trace import Access, AccessKind
 
-__all__ = ["save_trace", "load_trace", "iter_trace", "TraceFormatError",
-           "save_trace_bin", "load_trace_bin", "iter_trace_bin",
-           "BTRC_MAGIC"]
+__all__ = ["save_trace", "iter_trace", "TraceFormatError",
+           "save_trace_bin", "iter_trace_bin", "BTRC_MAGIC"]
 
 _KIND_TO_LABEL = {
     AccessKind.LOAD: 0,
@@ -97,11 +98,6 @@ def iter_trace(source: Union[str, IO]) -> Iterator[Access]:
     finally:
         if own:
             stream.close()
-
-
-def load_trace(source: Union[str, IO]) -> Trace:
-    """Read a whole din-format trace into memory."""
-    return list(iter_trace(source))
 
 
 # --------------------------------------------------------------------------
@@ -194,8 +190,3 @@ def iter_trace_bin(source: Union[str, IO]) -> Iterator[Access]:
     finally:
         if own:
             stream.close()
-
-
-def load_trace_bin(source: Union[str, IO]) -> Trace:
-    """Read a whole binary-format trace into memory."""
-    return list(iter_trace_bin(source))

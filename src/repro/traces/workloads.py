@@ -9,6 +9,7 @@ actual programs rather than statistical mimics.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List
 
 from ..crypto.drbg import DRBG
@@ -44,7 +45,7 @@ LONG_HORIZON_NAMES = (
 #: Everything :func:`iter_workload`/:func:`stream_workload` accept.
 STREAM_WORKLOAD_NAMES = WORKLOAD_NAMES + LONG_HORIZON_NAMES
 
-#: Workloads with an array-chunk twin (:func:`array_stream_workload`):
+#: Workloads generated as array chunks (:func:`array_stream_workload`):
 #: generators cheap enough per DRBG draw that, at 10^8 accesses, the
 #: per-access ``Access`` construction *is* the cost worth deleting.
 ARRAY_STREAM_NAMES = ("dma-burst",)
@@ -55,9 +56,10 @@ def iter_workload(name: str, n: int = 20000, seed: int = 2005
     """Yield one named workload's accesses lazily and deterministically.
 
     ``make_workload(name, n, seed) == list(iter_workload(name, n, seed))``
-    for every name in ``WORKLOAD_NAMES`` — both draw from the DRBG in the
-    same order, so committed metrics do not move.  The long-horizon names
-    (``LONG_HORIZON_NAMES``) are additionally available here.
+    for every name in ``WORKLOAD_NAMES``.  The long-horizon names
+    (``LONG_HORIZON_NAMES``) are additionally available here;
+    ``dma-burst`` flattens the array chunks of
+    :func:`~repro.traces.generator.dma_burst_chunks`.
     """
     rng = DRBG(seed).fork(name)
     if name == "sequential":
@@ -85,7 +87,8 @@ def iter_workload(name: str, n: int = 20000, seed: int = 2005
     if name == "multi-tenant":
         return generator.iter_multi_tenant(n, rng)
     if name == "dma-burst":
-        return generator.iter_dma_bursts(n, rng)
+        return chain.from_iterable(
+            generator.dma_burst_chunks(n, rng, DEFAULT_CHUNK_SIZE))
     raise KeyError(
         f"unknown workload {name!r}; choose from {STREAM_WORKLOAD_NAMES}"
     )
@@ -123,20 +126,20 @@ def array_stream_workload(name: str, n: int = 20000, seed: int = 2005,
 
     Flattens to the exact access sequence of
     ``stream_workload(name, n, seed)`` — each pass re-derives the DRBG
-    from ``seed`` and consumes it in the scalar generator's draw order —
-    but delivers :class:`~repro.traces.arrays.ArrayChunk` slabs that the
-    array executor reads without constructing ``Access`` records.
+    from ``seed`` — but delivers :class:`~repro.traces.arrays.ArrayChunk`
+    slabs that the array executor reads without constructing ``Access``
+    records.
     ``addr_mod`` folds addresses by ``addr % addr_mod`` inside the
     arrays (the :func:`repro.api.run_stream` image wrap).
 
-    Only :data:`ARRAY_STREAM_NAMES` have array twins; callers use
+    Only :data:`ARRAY_STREAM_NAMES` are generated as arrays; callers use
     :func:`stream_workload` for every other name.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if name not in ARRAY_STREAM_NAMES:
         raise KeyError(
-            f"workload {name!r} has no array twin; choose from "
+            f"workload {name!r} has no array generator; choose from "
             f"{ARRAY_STREAM_NAMES} (or use stream_workload)"
         )
     return TraceStream(

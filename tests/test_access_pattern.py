@@ -10,7 +10,7 @@ from repro.attacks import (
 )
 from repro.core import AegisEngine, VlsiDmaEngine
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
-from repro.traces import make_workload, random_data, sequential_code
+from repro.traces import make_workload, iter_random_data, iter_sequential_code
 from repro.crypto import DRBG
 
 KEY = b"0123456789abcdef"
@@ -38,13 +38,15 @@ class TestProfile:
         assert prof.working_set_bytes == 0
 
     def test_sequential_profile(self):
-        probe = run_with_probe(sequential_code(2000, code_size=32 * 1024))
+        probe = run_with_probe(
+            list(iter_sequential_code(2000, code_size=32 * 1024)))
         prof = profile_probe(probe)
         assert prof.sequential_fraction > 0.9
         assert prof.looks_sequential
 
     def test_random_profile(self):
-        trace = random_data(1500, DRBG(3), base=0, working_set=32 * 1024)
+        trace = list(iter_random_data(1500, DRBG(3), base=0,
+                                      working_set=32 * 1024))
         probe = run_with_probe(trace)
         prof = profile_probe(probe)
         assert prof.sequential_fraction < 0.2
@@ -56,18 +58,19 @@ class TestLeakSurvivesEncryption:
 
     def test_sequential_recognized_through_aegis(self):
         probe = run_with_probe(
-            sequential_code(2000, code_size=32 * 1024),
+            list(iter_sequential_code(2000, code_size=32 * 1024)),
             engine=AegisEngine(KEY),
         )
         assert classify_pattern(probe) == "sequential"
 
     def test_random_recognized_through_aegis(self):
-        trace = random_data(1500, DRBG(4), base=0, working_set=32 * 1024)
+        trace = list(iter_random_data(1500, DRBG(4), base=0,
+                                      working_set=32 * 1024))
         probe = run_with_probe(trace, engine=AegisEngine(KEY))
         assert classify_pattern(probe) == "random"
 
     def test_working_set_estimate_through_encryption(self):
-        trace = sequential_code(4000, code_size=8192)
+        trace = list(iter_sequential_code(4000, code_size=8192))
         probe = run_with_probe(trace, engine=AegisEngine(KEY))
         prof = profile_probe(probe)
         # 8 KiB of code = 256 distinct lines, every one observed.
@@ -101,6 +104,7 @@ class TestPageSequenceLeak:
 
     def test_non_paged_engine_shows_no_bursts(self):
         probe = run_with_probe(
-            sequential_code(500, code_size=4096), engine=AegisEngine(KEY)
+            list(iter_sequential_code(500, code_size=4096)),
+            engine=AegisEngine(KEY),
         )
         assert page_sequence(probe, page_size=1024) == []

@@ -15,10 +15,10 @@ from repro.traces import (
     Access,
     AccessKind,
     TraceFormatError,
-    load_trace,
+    iter_sequential_code,
+    iter_trace,
     make_workload,
     save_trace,
-    sequential_code,
 )
 
 from .reference_model import store
@@ -93,7 +93,7 @@ class TestPatternHiding:
         probe = BusProbe()
         system = make_system(engine, sink=probe)
         system.install_image(0, bytes(REGION))
-        for access in sequential_code(2000, code_size=REGION):
+        for access in iter_sequential_code(2000, code_size=REGION):
             system.step(access)
         return probe
 
@@ -131,14 +131,14 @@ class TestTraceIO:
         buf = io.StringIO()
         count = save_trace(trace, buf)
         buf.seek(0)
-        assert load_trace(buf) == trace
+        assert list(iter_trace(buf)) == trace
         assert count == len(trace)
 
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "trace.din")
-        trace = sequential_code(50)
+        trace = list(iter_sequential_code(50))
         save_trace(trace, path)
-        assert load_trace(path) == trace
+        assert list(iter_trace(path)) == trace
 
     def test_format(self):
         buf = io.StringIO()
@@ -146,38 +146,38 @@ class TestTraceIO:
         assert buf.getvalue() == "1 1f4 8\n"
 
     def test_two_column_variant(self):
-        trace = load_trace(io.StringIO("2 400\n0 80\n"))
+        trace = list(iter_trace(io.StringIO("2 400\n0 80\n")))
         assert trace[0] == Access(AccessKind.FETCH, 0x400, 4)
         assert trace[1] == Access(AccessKind.LOAD, 0x80, 4)
 
     def test_comments_and_blanks(self):
         text = "# header\n\n2 0 4  # fetch\n"
-        assert len(load_trace(io.StringIO(text))) == 1
+        assert len(list(iter_trace(io.StringIO(text)))) == 1
 
     def test_bad_label(self):
         with pytest.raises(TraceFormatError):
-            load_trace(io.StringIO("9 400 4\n"))
+            list(iter_trace(io.StringIO("9 400 4\n")))
 
     def test_bad_field_count(self):
         with pytest.raises(TraceFormatError):
-            load_trace(io.StringIO("2 400 4 extra\n"))
+            list(iter_trace(io.StringIO("2 400 4 extra\n")))
 
     def test_bad_number(self):
         with pytest.raises(TraceFormatError):
-            load_trace(io.StringIO("2 zz 4\n"))
+            list(iter_trace(io.StringIO("2 zz 4\n")))
 
 
 class TestBinaryTraceIO:
     """The BTRC1 binary format: bounded-memory streams, typed errors."""
 
     def round_trip(self, trace):
-        from repro.traces import load_trace_bin, save_trace_bin
+        from repro.traces import iter_trace_bin, save_trace_bin
 
         buf = io.BytesIO()
         count = save_trace_bin(trace, buf)
         buf.seek(0)
         assert count == len(trace)
-        assert load_trace_bin(buf) == trace
+        assert list(iter_trace_bin(buf)) == trace
 
     def test_round_trip(self):
         self.round_trip(make_workload("mixed", n=2000))
@@ -186,18 +186,18 @@ class TestBinaryTraceIO:
         self.round_trip([])
 
     def test_generator_input_streams(self):
-        from repro.traces import iter_workload, load_trace_bin, save_trace_bin
+        from repro.traces import iter_trace_bin, iter_workload, save_trace_bin
 
         buf = io.BytesIO()
         save_trace_bin(iter_workload("mixed", n=300), buf)
         buf.seek(0)
-        assert load_trace_bin(buf) == make_workload("mixed", n=300)
+        assert list(iter_trace_bin(buf)) == make_workload("mixed", n=300)
 
     def test_iter_is_lazy(self):
         from repro.traces import iter_trace_bin, save_trace_bin
 
         buf = io.BytesIO()
-        save_trace_bin(sequential_code(100), buf)
+        save_trace_bin(list(iter_sequential_code(100)), buf)
         buf.seek(0)
         it = iter_trace_bin(buf)
         assert next(it) == Access(AccessKind.FETCH, 0, 4)
@@ -209,28 +209,28 @@ class TestBinaryTraceIO:
             list(iter_trace_bin(io.BytesIO(b"not-a-trace")))
 
     def test_truncated_trailing_record(self):
-        from repro.traces import load_trace_bin, save_trace_bin
+        from repro.traces import iter_trace_bin, save_trace_bin
 
         buf = io.BytesIO()
-        save_trace_bin(sequential_code(10), buf)
+        save_trace_bin(list(iter_sequential_code(10)), buf)
         clipped = io.BytesIO(buf.getvalue()[:-5])  # shear the last record
         with pytest.raises(TraceFormatError,
                            match=r"record 10: truncated record \(8 of 13"):
-            load_trace_bin(clipped)
+            list(iter_trace_bin(clipped))
 
     def test_unknown_label(self):
-        from repro.traces import BTRC_MAGIC, load_trace_bin
+        from repro.traces import BTRC_MAGIC, iter_trace_bin
 
         record = bytes([9]) + (0).to_bytes(8, "big") + (4).to_bytes(4, "big")
         with pytest.raises(TraceFormatError, match="unknown access label 9"):
-            load_trace_bin(io.BytesIO(BTRC_MAGIC + record))
+            list(iter_trace_bin(io.BytesIO(BTRC_MAGIC + record)))
 
     def test_zero_size_record(self):
-        from repro.traces import BTRC_MAGIC, load_trace_bin
+        from repro.traces import BTRC_MAGIC, iter_trace_bin
 
         record = bytes([2]) + (0).to_bytes(8, "big") + (0).to_bytes(4, "big")
         with pytest.raises(TraceFormatError, match="invalid size"):
-            load_trace_bin(io.BytesIO(BTRC_MAGIC + record))
+            list(iter_trace_bin(io.BytesIO(BTRC_MAGIC + record)))
 
 
 class TestDinStreaming:

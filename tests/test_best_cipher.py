@@ -11,7 +11,7 @@ from repro.crypto import DRBG, BestCipher
 from repro.attacks import analyze_ciphertext
 from repro.core.registry import make_engine
 from repro.sim import CacheConfig, SecureSystem
-from repro.traces import mixed_workload
+from repro.traces import iter_mixed_workload
 
 
 class TestCorrectness:
@@ -66,7 +66,7 @@ class TestLazySchedule:
             cache_config=CacheConfig(size=512, line_size=32,
                                      associativity=2),
         )
-        report = system.run(mixed_workload(200, DRBG(3)))
+        report = system.run(list(iter_mixed_workload(200, DRBG(3))))
         assert report.cycles > 0
         assert "_tables" not in vars(engine.cipher)
 

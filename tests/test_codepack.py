@@ -2,8 +2,11 @@
 density claims of E13."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import CodePack
+from repro.compression.codepack import _BitReader, _BitWriter
 from repro.crypto import DRBG
 from repro.traces import synthetic_code_image
 
@@ -106,3 +109,75 @@ class TestValidation:
                 compressed.blocks[0], 63,
                 compressed.dict_high, compressed.dict_low,
             )
+
+
+class _PerBitWriter:
+    """Oracle: one list entry per bit, packed eight at a time."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write(self, value, width):
+        for i in range(width - 1, -1, -1):
+            self.bits.append((value >> i) & 1)
+
+    def to_bytes(self):
+        out = bytearray()
+        for i in range(0, len(self.bits), 8):
+            chunk = self.bits[i: i + 8]
+            byte = 0
+            for b in chunk:
+                byte = (byte << 1) | b
+            out.append(byte << (8 - len(chunk)))
+        return bytes(out)
+
+
+class _PerBitReader:
+    """Oracle: one byte index per bit; past the end raises IndexError."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def read(self, width):
+        value = 0
+        for _ in range(width):
+            byte = self.data[self.pos // 8]
+            value = (value << 1) | ((byte >> (7 - self.pos % 8)) & 1)
+            self.pos += 1
+        return value
+
+
+_FIELDS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 16)),
+                   max_size=120)
+
+
+class TestBitIO:
+    """The one-int bit packer and reader against the per-bit oracle,
+    values wider than their field included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=_FIELDS)
+    def test_writer_matches_oracle(self, fields):
+        writer, oracle = _BitWriter(), _PerBitWriter()
+        for value, width in fields:
+            writer.write(value, width)
+            oracle.write(value, width)
+        assert writer.to_bytes() == oracle.to_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=_FIELDS, overrun=st.integers(9, 16))
+    def test_reader_matches_oracle(self, fields, overrun):
+        oracle_writer = _PerBitWriter()
+        for value, width in fields:
+            oracle_writer.write(value, width)
+        data = oracle_writer.to_bytes()
+        reader, oracle = _BitReader(data), _PerBitReader(data)
+        for value, width in fields:
+            got = reader.read(width)
+            assert got == oracle.read(width) == value & ((1 << width) - 1)
+        # At most seven pad bits remain, so a 9..16-bit read overruns.
+        with pytest.raises(IndexError):
+            oracle.read(overrun)
+        with pytest.raises(IndexError):
+            reader.read(overrun)

@@ -5,7 +5,12 @@ import pytest
 from repro.core import CompressedEncryptionEngine
 from repro.core.engine import MemoryPort
 from repro.sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, sequential_code, synthetic_code_image
+from repro.traces import (
+    Access,
+    AccessKind,
+    iter_sequential_code,
+    synthetic_code_image,
+)
 
 KEY = b"0123456789abcdef"
 
@@ -87,7 +92,7 @@ class TestTiming:
         """The survey's '+/- 10%': the sign depends on the memory speed."""
         from repro.analysis import measure_overhead
 
-        trace = sequential_code(3000, code_size=len(code_image))
+        trace = list(iter_sequential_code(3000, code_size=len(code_image)))
         cache = CacheConfig(size=512, line_size=32, associativity=2)
 
         def run(latency):
@@ -110,7 +115,7 @@ class TestTiming:
             mem_config=MemoryConfig(size=1 << 18),
         )
         system.install_image(0, code_image)
-        for access in sequential_code(500, code_size=len(code_image)):
+        for access in iter_sequential_code(500, code_size=len(code_image)):
             system.step(access)
         assert engine.compressed_fills > 0
         assert engine.uncompressed_fills == 0

@@ -21,7 +21,7 @@ from repro.sim import (
     TwoLevelSystem,
     estimate_run,
 )
-from repro.traces import Access, AccessKind, sequential_code
+from repro.traces import Access, AccessKind, iter_sequential_code
 
 KEY16 = b"0123456789abcdef"
 KEY24 = b"0123456789abcdef01234567"
@@ -122,7 +122,7 @@ class TestHierarchyEdges:
 
     def test_report_labels_edu_level(self):
         system = self.make()
-        report = system.run(sequential_code(50, code_size=2048))
+        report = system.run(list(iter_sequential_code(50, code_size=2048)))
         assert "l1-l2" in report.label
 
 
@@ -130,7 +130,7 @@ class TestEnergyEdges:
     def test_estimate_without_engine(self):
         from repro.sim import SecureSystem
         system = SecureSystem(mem_config=MemoryConfig(size=1 << 16))
-        report = system.run(sequential_code(100, code_size=2048))
+        report = system.run(list(iter_sequential_code(100, code_size=2048)))
         energy = estimate_run(report)
         assert "cipher" not in energy.items
         assert energy.total_pj > 0

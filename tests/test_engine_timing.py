@@ -16,7 +16,11 @@ from repro.sim import (
     SecureSystem,
     TDES_ITERATIVE,
 )
-from repro.traces import branchy_code, sequential_code, write_burst
+from repro.traces import (
+    iter_branchy_code,
+    iter_sequential_code,
+    iter_write_burst,
+)
 from repro.crypto import DRBG
 
 KEY16 = b"0123456789abcdef"
@@ -37,7 +41,7 @@ class TestStreamVsBlock:
     block has been received'."""
 
     def test_stream_cheaper_than_block_on_reads(self):
-        trace = sequential_code(2000, code_size=1 << 16)
+        trace = list(iter_sequential_code(2000, code_size=1 << 16))
         stream = measure_overhead(
             lambda: StreamCipherEngine(KEY16, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
@@ -89,12 +93,13 @@ class TestXomFigures:
         overhead across workloads."""
         engine_factory = lambda: XomAesEngine(KEY16, functional=False)
         seq = measure_overhead(
-            engine_factory, sequential_code(10000, code_size=4096),
+            engine_factory, list(iter_sequential_code(10000, code_size=4096)),
             cache_config=CacheConfig(size=8192, line_size=32, associativity=4),
         ).overhead
         hostile = measure_overhead(
             engine_factory,
-            branchy_code(2000, DRBG(1), p_taken=0.9, code_size=1 << 20),
+            list(iter_branchy_code(2000, DRBG(1), p_taken=0.9,
+                                   code_size=1 << 20)),
             cache_config=CacheConfig(size=8192, line_size=32, associativity=4),
         ).overhead
         assert hostile > 4 * max(seq, 1e-9)
@@ -103,7 +108,7 @@ class TestXomFigures:
 class TestGilmontPrediction:
     def test_sequential_code_under_2_5_percent(self):
         """The paper's claim, in its own scope: static sequential code."""
-        trace = sequential_code(4000, code_size=1 << 18)
+        trace = list(iter_sequential_code(4000, code_size=1 << 18))
         value = measure_overhead(
             lambda: GilmontEngine(KEY24, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
@@ -111,7 +116,8 @@ class TestGilmontPrediction:
         assert value < 0.025
 
     def test_branchy_code_defeats_predictor(self):
-        trace = branchy_code(3000, DRBG(2), p_taken=0.5, code_size=1 << 18)
+        trace = list(iter_branchy_code(3000, DRBG(2), p_taken=0.5,
+                                       code_size=1 << 18))
         value = measure_overhead(
             lambda: GilmontEngine(KEY24, functional=False), list(trace),
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
@@ -121,14 +127,14 @@ class TestGilmontPrediction:
     def test_prediction_stats(self):
         engine = GilmontEngine(KEY24, functional=False)
         system = timing_system(engine)
-        for access in sequential_code(512, code_size=1 << 16):
+        for access in iter_sequential_code(512, code_size=1 << 16):
             system.step(access)
         assert engine.stats.prefetch_hits > engine.stats.prefetch_misses
 
     def test_deeper_prediction_helps_on_streams(self):
         shallow = GilmontEngine(KEY24, prediction_depth=0, functional=False)
         deep = GilmontEngine(KEY24, prediction_depth=2, functional=False)
-        trace = sequential_code(1000, code_size=1 << 16)
+        trace = list(iter_sequential_code(1000, code_size=1 << 16))
         o_shallow = measure_overhead(lambda: shallow, list(trace)).overhead
         o_deep = measure_overhead(lambda: deep, list(trace)).overhead
         assert o_deep < o_shallow
@@ -164,7 +170,7 @@ class TestWritePenalty:
             mem_config=MemoryConfig(size=1 << 20),
             write_buffer=False,
         )
-        for access in write_burst(16, base=0, write_size=4, stride=64):
+        for access in iter_write_burst(16, base=0, write_size=4, stride=64):
             system.step(access)
         assert engine.stats.rmw_operations == 16
 
@@ -179,7 +185,7 @@ class TestWritePenalty:
             ),
             mem_config=MemoryConfig(size=1 << 20),
         )
-        for access in write_burst(16, base=0, write_size=8, stride=64):
+        for access in iter_write_burst(16, base=0, write_size=8, stride=64):
             system.step(access)
         assert engine.stats.rmw_operations == 0
 

@@ -15,7 +15,7 @@ from repro.core import (
     XomAesEngine,
 )
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, sequential_code
+from repro.traces import Access, AccessKind, iter_sequential_code
 
 from .reference_model import store
 
@@ -86,7 +86,7 @@ class TestFunctionalContract:
         probe = BusProbe()
         system = small_system(ENGINE_FACTORIES[engine_name](), sink=probe)
         system.install_image(0, self.IMAGE)
-        for access in sequential_code(64, code_size=512):
+        for access in iter_sequential_code(64, code_size=512):
             system.step(access)
         observed = probe.observed_bytes("read")
         assert self.IMAGE[:32] not in observed
@@ -95,7 +95,7 @@ class TestFunctionalContract:
         probe = BusProbe()
         system = small_system(NullEngine(), sink=probe)
         system.install_image(0, self.IMAGE)
-        for access in sequential_code(64, code_size=512):
+        for access in iter_sequential_code(64, code_size=512):
             system.step(access)
         assert self.IMAGE[:32] in probe.observed_bytes("read")
 

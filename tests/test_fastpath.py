@@ -399,6 +399,14 @@ def _random_trace(seed: int, n: int = 140, region: int = 4096):
     return out
 
 
+def _as_chunk(trace) -> ArrayChunk:
+    return ArrayChunk(
+        np.array([KIND_CODES[a.kind] for a in trace], dtype=np.uint8),
+        np.array([a.addr for a in trace], dtype=np.int64),
+        np.array([a.size for a in trace], dtype=np.int64),
+    )
+
+
 def _assert_equivalent(ref, fast, context: str) -> None:
     ref_report, ref_sink, ref_bus = ref
     fast_report, fast_sink, fast_bus = fast
@@ -434,15 +442,83 @@ class TestReferenceOracleDifferential:
         trace = _random_trace(seed)
         with reference_ciphers():
             ref = run_observed(engine, trace, reference=True)
-        chunks = []
-        for lo in range(0, len(trace), chunk):
-            part = trace[lo: lo + chunk]
-            chunks.append(ArrayChunk(
-                np.array([KIND_CODES[a.kind] for a in part],
-                         dtype=np.uint8),
-                np.array([a.addr for a in part], dtype=np.int64),
-                np.array([a.size for a in part], dtype=np.int64),
-            ))
+        chunks = [_as_chunk(trace[lo: lo + chunk])
+                  for lo in range(0, len(trace), chunk)]
         stream = TraceStream(chunks, length=len(trace))
         fast = run_observed(engine, stream, reference=False)
         _assert_equivalent(ref, fast, f"array engine={engine} chunk={chunk}")
+
+
+# -- lines past 256 bytes ---------------------------------------------------
+
+from repro.core.registry import make_engine
+from repro.sim import fastpath
+from repro.sim.system import store_payload
+from repro.traces import make_workload
+
+_LONG_LINES = [512, 1024]
+_DATA_BASE = 1 << 20
+
+
+def _whole_line_stores(line_size: int, lines: int = 4):
+    """4-byte store runs covering ``lines`` whole lines (merged store
+    spans as long as the line), then the ``write-heavy`` workload."""
+    stores = [Access(AccessKind.STORE, _DATA_BASE + k * line_size + off, 4)
+              for k in range(lines) for off in range(0, line_size, 4)]
+    return stores + make_workload("write-heavy", n=600)
+
+
+def _long_line_system(engine: str, line_size: int) -> SecureSystem:
+    system = SecureSystem(
+        engine=make_engine(engine),
+        cache_config=CacheConfig(size=8 * line_size, line_size=line_size,
+                                 associativity=2),
+        mem_config=MemoryConfig(size=1 << 21),
+    )
+    system.install_image(_DATA_BASE,
+                         DRBG(b"long-lines").random_bytes(64 * 1024))
+    return system
+
+
+class TestLongLines:
+    """Merged store spans longer than 256 bytes: both compilers keep them
+    whole, and the executor still matches the scalar oracle."""
+
+    @pytest.mark.parametrize("line_size", _LONG_LINES)
+    @pytest.mark.parametrize("engine", ["aegis", "xom"])
+    def test_executor_matches_reference(self, engine, line_size):
+        trace = _whole_line_stores(line_size)
+        states = {}
+        for path in ("reference", "list", "array"):
+            system = _long_line_system(engine, line_size)
+            if path == "reference":
+                sets = replay(system, trace)
+                report = system.report(system.engine.name)
+                dirty = {line for s in sets for line, d in s.items() if d}
+            else:
+                report = system.run(trace if path == "list"
+                                    else _as_chunk(trace))
+                dirty = set(system.cache._dirty)
+            assert dirty, path
+            lines = {line: bytes(system._line_data[line]) for line in dirty}
+            states[path] = (report, system.memory.dump(0, 1 << 21), lines)
+        assert states["list"] == states["reference"]
+        assert states["array"] == states["reference"]
+
+    @pytest.mark.parametrize("size", [1, 256, 257, 512, 1024, 1025])
+    def test_store_filler_is_the_address_ramp(self, size):
+        for addr in (0, 3, 0xFF, _DATA_BASE + 3):
+            assert store_payload(addr, size) \
+                == bytes((addr + i) & 0xFF for i in range(size))
+
+    def test_array_compiler_never_calls_list_compiler(self, monkeypatch):
+        trace = _whole_line_stores(512)
+        expected = compile_trace(trace, 512).runs
+        assert max(size for run in expected for _, size in run[10]) == 512
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_compile_arrays called compile_trace")
+
+        monkeypatch.setattr(fastpath, "compile_trace", refuse)
+        assert fastpath._compile_arrays(_as_chunk(trace), 512).runs \
+            == expected

@@ -6,7 +6,7 @@ import pytest
 from repro.core import AuthenticationError, GeneralInstrumentEngine
 from repro.core.engine import MemoryPort
 from repro.sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, sequential_code
+from repro.traces import Access, AccessKind, iter_sequential_code
 from repro.crypto import DRBG
 
 KEY = b"0123456789abcdef01234567"
@@ -63,6 +63,24 @@ class TestFunctional:
         blocks = [ct[i: i + 8] for i in range(0, 256, 8)]
         assert len(set(blocks)) == len(blocks)
 
+    def test_partial_write_charges_its_read(self):
+        """A partial write returns the enclosing line's fill cycles plus
+        its write cycles, measured on a twin rig making both calls."""
+        rigs = []
+        for _ in range(2):
+            engine, port = make_engine(), make_port()
+            engine.install_image(port.memory, 0, self.IMAGE)
+            rigs.append((engine, port))
+        (engine, port), (twin, twin_port) = rigs
+        data = b"\x11\x22\x33\x44"
+        cycles = engine.write_partial(port, 0x104, data, 32)
+        line, fill_cycles = twin.fill_line(twin_port, 0x100, 32)
+        write_cycles = twin.write_line(twin_port, 0x100,
+                                       line[:4] + data + line[8:])
+        assert cycles == fill_cycles + write_cycles
+        assert port.memory.dump(0, 1024) == twin_port.memory.dump(0, 1024)
+        assert engine.read_plain(port.memory, 0x104, 4) == data
+
     def test_unaligned_image_base_rejected(self):
         engine = make_engine()
         memory = MainMemory(MemoryConfig(size=1 << 16))
@@ -95,10 +113,10 @@ class TestRandomAccessPenalty:
 
     def test_larger_regions_worse_for_random_access(self):
         from repro.analysis import measure_overhead
-        from repro.traces import random_data
+        from repro.traces import iter_random_data
 
-        trace = random_data(400, DRBG(9), base=0, working_set=8192,
-                            write_fraction=0.0)
+        trace = list(iter_random_data(400, DRBG(9), base=0,
+                                      working_set=8192, write_fraction=0.0))
         small = measure_overhead(
             lambda: make_engine(region_size=64, authenticate=False,
                                 functional=False),
@@ -167,6 +185,6 @@ class TestSystemIntegration:
         )
         image = bytes((i * 3) & 0xFF for i in range(2048))
         system.install_image(0, image)
-        for access in sequential_code(200, code_size=2048):
+        for access in iter_sequential_code(200, code_size=2048):
             system.step(access)
         assert system.cache.misses > 0

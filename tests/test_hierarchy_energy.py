@@ -16,7 +16,12 @@ from repro.sim import (
     estimate_run,
 )
 from repro.sim.system import store_payload
-from repro.traces import Access, AccessKind, make_workload, sequential_code
+from repro.traces import (
+    Access,
+    AccessKind,
+    iter_sequential_code,
+    make_workload,
+)
 
 KEY = b"0123456789abcdef"
 
@@ -36,11 +41,12 @@ def make_system(engine=None, edu_level=EDU_L2_MEMORY, **kwargs):
 class TestHierarchyBasics:
     def test_l2_filters_memory_traffic(self):
         system = make_system()
-        trace = sequential_code(2000, code_size=4096)  # fits L2, not L1
+        # Fits L2, not L1.
+        trace = list(iter_sequential_code(2000, code_size=4096))
         system.run(list(trace))
         # Second pass over the same code: L2 hits, no new memory reads.
         reads_after_warmup = system.memory.reads
-        for access in sequential_code(2000, code_size=4096):
+        for access in iter_sequential_code(2000, code_size=4096):
             system.step(access)
         assert system.memory.reads == reads_after_warmup
 
@@ -59,7 +65,7 @@ class TestHierarchyBasics:
         """The L2 pays off when the working set fits it but not L1."""
         from repro.sim import SecureSystem
 
-        trace = sequential_code(4000, code_size=4096)
+        trace = list(iter_sequential_code(4000, code_size=4096))
         single = SecureSystem(
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
             mem_config=MemoryConfig(size=1 << 20, latency=60),
@@ -203,7 +209,7 @@ class TestEnergyModel:
             cache_config=CacheConfig(size=512, line_size=32, associativity=2),
             mem_config=MemoryConfig(size=1 << 18),
         )
-        report = system.run(sequential_code(500, code_size=4096))
+        report = system.run(list(iter_sequential_code(500, code_size=4096)))
         energy = estimate_run(report, engine)
         assert energy.items["cipher"] > 0
         assert energy.total_pj > energy.items["cipher"]
@@ -211,7 +217,7 @@ class TestEnergyModel:
     def test_encryption_costs_energy(self):
         from repro.sim import SecureSystem
 
-        trace = sequential_code(800, code_size=8192)
+        trace = list(iter_sequential_code(800, code_size=8192))
 
         def run(engine):
             system = SecureSystem(

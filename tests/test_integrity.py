@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.core.engine import MemoryPort
 from repro.sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, sequential_code
+from repro.traces import Access, AccessKind, iter_sequential_code
 
 KEY = b"0123456789abcdef"
 MAC_KEY = b"integrity-mac-key"
@@ -177,7 +177,7 @@ class TestCosts:
             mem_config=MemoryConfig(size=1 << 17),
         )
         system.install_image(0, bytes(4096))
-        for access in sequential_code(300, code_size=4096):
+        for access in iter_sequential_code(300, code_size=4096):
             system.step(access)
         assert engine.verdicts.checks > 0
         assert engine.verdicts.tampers == 0

@@ -16,7 +16,7 @@ from repro.core import (
 from repro.core.engine import MemoryPort
 from repro.crypto import AddressScrambler, DRBG
 from repro.sim import Bus, MainMemory, MemoryConfig
-from repro.traces import Access, AccessKind, load_trace, save_trace
+from repro.traces import Access, AccessKind, iter_trace, save_trace
 
 KEY = b"0123456789abcdef"
 KEY24 = b"0123456789abcdef01234567"
@@ -148,4 +148,4 @@ def test_trace_io_roundtrip_property(records):
     buf = io.StringIO()
     save_trace(trace, buf)
     buf.seek(0)
-    assert load_trace(buf) == trace
+    assert list(iter_trace(buf)) == trace

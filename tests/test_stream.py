@@ -11,6 +11,8 @@ The carried-state invariants under test (see DESIGN.md):
 """
 
 import threading
+from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from repro.traces import (
     WORKLOAD_NAMES,
     TraceStream,
     chunked,
-    iter_dma_bursts,
+    dma_burst_chunks,
     iter_multi_tenant,
     iter_phased_program,
     iter_workload,
@@ -35,6 +37,8 @@ from repro.traces import (
     stream_workload,
 )
 from repro.traces.workloads import array_stream_workload
+
+from .reference_traces import iter_dma_bursts
 
 IMAGE = 32 * 1024
 
@@ -134,8 +138,9 @@ class TestIterWorkloads:
 
     def test_dma_bursts_shape(self):
         rng = DRBG(5)
-        trace = list(iter_dma_bursts(1000, rng, burst=256))
-        assert len(trace) == 1000
+        chunks = list(dma_burst_chunks(1000, rng, 333, burst=256))
+        assert [len(c) for c in chunks] == [333, 333, 333, 1]
+        trace = list(chain.from_iterable(chunks))
         assert all(a.size == 4 for a in trace)
 
     @pytest.mark.parametrize("chunk", [1, 100, 5000])
@@ -153,6 +158,53 @@ class TestIterWorkloads:
             list(iter_workload("nope", n=10))
         with pytest.raises(KeyError):
             stream_workload("nope", n=10)
+
+
+# -- the array generator against its scalar oracle ---------------------------
+
+_DMA_SEEDS = (2005, 1, 7)
+_DMA_LENGTHS = (1, 7, 4096, 10 ** 5)
+_DMA_CHUNKS = (1, 333, DEFAULT_CHUNK_SIZE)
+
+
+@lru_cache(maxsize=None)
+def _dma_oracle(seed, n):
+    """The oracle's (kind, addr, size) sequence for ``dma-burst``."""
+    rng = DRBG(seed).fork("dma-burst")
+    return [(a.kind, a.addr, a.size) for a in iter_dma_bursts(n, rng)]
+
+
+def _triples(accesses):
+    return [(a.kind, a.addr, a.size) for a in accesses]
+
+
+class TestDmaBurstOracle:
+    """``dma-burst`` is generated only as array chunks; every entry point
+    flattens to the scalar oracle's accesses, at any chunk size."""
+
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_iter_workload(self, seed, n):
+        trace = _triples(iter_workload("dma-burst", n=n, seed=seed))
+        assert trace == _dma_oracle(seed, n)
+
+    @pytest.mark.parametrize("chunk", _DMA_CHUNKS)
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_stream_workload(self, seed, n, chunk):
+        stream = stream_workload("dma-burst", n=n, seed=seed,
+                                 chunk_size=chunk)
+        trace = _triples(chain.from_iterable(stream.chunks()))
+        assert trace == _dma_oracle(seed, n)
+
+    @pytest.mark.parametrize("chunk", _DMA_CHUNKS)
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_array_stream_workload(self, seed, n, chunk):
+        stream = array_stream_workload("dma-burst", n=n, seed=seed,
+                                       chunk_size=chunk)
+        trace = _triples(chain.from_iterable(stream.chunks()))
+        assert trace == _dma_oracle(seed, n)
 
 
 # -- TraceStream semantics --------------------------------------------------

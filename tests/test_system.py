@@ -12,7 +12,12 @@ from repro.sim import (
     WritePolicy,
     run_trace,
 )
-from repro.traces import Access, AccessKind, sequential_code, write_burst
+from repro.traces import (
+    Access,
+    AccessKind,
+    iter_sequential_code,
+    iter_write_burst,
+)
 
 from .reference_model import store
 
@@ -43,13 +48,13 @@ class TestBaselineTiming:
         assert system.cycles - before == 2  # issue + hit
 
     def test_deterministic(self):
-        trace = sequential_code(500)
+        trace = list(iter_sequential_code(500))
         a = run_trace(list(trace))
         b = run_trace(list(trace))
         assert a.cycles == b.cycles
 
     def test_report_counts(self):
-        trace = sequential_code(100, step=4, code_size=1 << 16)
+        trace = list(iter_sequential_code(100, step=4, code_size=1 << 16))
         report = small_system().run(trace)
         assert report.accesses == 100
         assert report.fetches == 100
@@ -58,7 +63,7 @@ class TestBaselineTiming:
         assert report.cache_misses == 13  # ceil(100/8) with cold start
 
     def test_cpi(self):
-        report = small_system().run(sequential_code(100))
+        report = small_system().run(list(iter_sequential_code(100)))
         assert report.cpi == pytest.approx(report.cycles / 100)
 
 
@@ -122,13 +127,13 @@ class TestWritePolicies:
                 write_policy=WritePolicy.WRITE_THROUGH,
             )
         )
-        for access in write_burst(10, base=0, write_size=4):
+        for access in iter_write_burst(10, base=0, write_size=4):
             system.step(access)
         assert system.memory.writes >= 10
 
     def test_write_back_coalesces(self):
         system = small_system()
-        for access in write_burst(10, base=0, write_size=4):
+        for access in iter_write_burst(10, base=0, write_size=4):
             system.step(access)
         # All stores hit one line; no memory writes until eviction.
         assert system.memory.writes == 0
@@ -140,7 +145,7 @@ class TestWritePolicies:
                 write_policy=WritePolicy.WRITE_THROUGH,
             ),
         )
-        trace = write_burst(50, base=0, write_size=4)
+        trace = list(iter_write_burst(50, base=0, write_size=4))
         buffered = small_system(write_buffer=True, **cfg)
         stalling = small_system(write_buffer=False, **cfg)
         buffered.run(list(trace))
@@ -150,22 +155,22 @@ class TestWritePolicies:
 
 class TestOverheadHelpers:
     def test_null_engine_zero_overhead(self):
-        trace = sequential_code(200)
+        trace = list(iter_sequential_code(200))
         assert measure_overhead(NullEngine, list(trace)).overhead \
             == pytest.approx(0.0)
 
     def test_engine_overhead_positive(self):
-        trace = sequential_code(200)
+        trace = list(iter_sequential_code(200))
         result = measure_overhead(
             lambda: XomAesEngine(KEY, functional=False), list(trace))
         assert result.overhead > 0.0
 
     def test_run_trace_label(self):
-        report = run_trace(sequential_code(10), label="my-run")
+        report = run_trace(list(iter_sequential_code(10)), label="my-run")
         assert report.label == "my-run"
 
     def test_overhead_vs_self_is_zero(self):
-        report = run_trace(sequential_code(10))
+        report = run_trace(list(iter_sequential_code(10)))
         assert report.overhead_vs(report) == 0.0
 
 

@@ -20,7 +20,7 @@ from repro.attacks import (
 )
 from repro.core import BestEngine, NullEngine, XomAesEngine
 from repro.sim import CacheConfig
-from repro.traces import sequential_code, synthetic_code_image
+from repro.traces import iter_sequential_code, synthetic_code_image
 
 KEY = b"0123456789abcdef"
 
@@ -71,7 +71,7 @@ class TestTaxonomy:
 
 class TestOverheadAnalysis:
     def test_measure_overhead_null_is_zero(self):
-        trace = sequential_code(300)
+        trace = list(iter_sequential_code(300))
         result = measure_overhead(lambda: NullEngine(), trace, "seq")
         assert result.overhead == pytest.approx(0.0)
         assert "seq" in str(result)
@@ -82,8 +82,8 @@ class TestOverheadAnalysis:
             "xom": lambda: XomAesEngine(KEY, functional=False),
         }
         workloads = {
-            "seq": sequential_code(300),
-            "seq2": sequential_code(300, base=1 << 16),
+            "seq": list(iter_sequential_code(300)),
+            "seq2": list(iter_sequential_code(300, base=1 << 16)),
         }
         grid = overhead_grid(
             engines, workloads,
@@ -94,7 +94,7 @@ class TestOverheadAnalysis:
         assert ("xom", "seq") in names
 
     def test_overhead_percent(self):
-        trace = sequential_code(300)
+        trace = list(iter_sequential_code(300))
         result = measure_overhead(
             lambda: XomAesEngine(KEY, functional=False), trace,
             cache_config=CacheConfig(size=1024, line_size=32, associativity=2),

@@ -7,17 +7,17 @@ from repro.traces import (
     Access,
     AccessKind,
     WORKLOAD_NAMES,
-    branchy_code,
-    data_stream,
+    iter_branchy_code,
+    iter_data_stream,
+    iter_mixed_workload,
+    iter_pointer_chase,
+    iter_random_data,
+    iter_sequential_code,
+    iter_write_burst,
     make_workload,
-    mixed_workload,
-    pointer_chase,
-    random_data,
-    sequential_code,
     standard_suite,
     synthetic_code_image,
     trace_stats,
-    write_burst,
 )
 
 
@@ -35,24 +35,24 @@ class TestAccess:
 
 class TestGenerators:
     def test_sequential_addresses(self):
-        trace = sequential_code(10, base=100, step=4)
+        trace = list(iter_sequential_code(10, base=100, step=4))
         assert [a.addr for a in trace[:3]] == [100, 104, 108]
         assert all(a.kind is AccessKind.FETCH for a in trace)
 
     def test_sequential_wraps(self):
-        trace = sequential_code(5, step=4, code_size=8)
+        trace = list(iter_sequential_code(5, step=4, code_size=8))
         assert [a.addr for a in trace] == [0, 4, 0, 4, 0]
 
     def test_branchy_determinism(self):
-        a = branchy_code(100, DRBG(1))
-        b = branchy_code(100, DRBG(1))
+        a = list(iter_branchy_code(100, DRBG(1)))
+        b = list(iter_branchy_code(100, DRBG(1)))
         assert a == b
 
     def test_branchy_p_taken_extremes(self):
-        never = branchy_code(50, DRBG(1), p_taken=0.0)
+        never = list(iter_branchy_code(50, DRBG(1), p_taken=0.0))
         deltas = {never[i + 1].addr - never[i].addr for i in range(49)}
         assert deltas <= {4, 4 - 64 * 1024}
-        always = branchy_code(200, DRBG(1), p_taken=1.0)
+        always = list(iter_branchy_code(200, DRBG(1), p_taken=1.0))
         jumps = sum(
             1 for i in range(199)
             if always[i + 1].addr - always[i].addr != 4
@@ -60,40 +60,40 @@ class TestGenerators:
         assert jumps > 150
 
     def test_data_stream_write_fraction(self):
-        trace = data_stream(2000, DRBG(2), write_fraction=0.5)
+        trace = list(iter_data_stream(2000, DRBG(2), write_fraction=0.5))
         stats = trace_stats(trace)
         assert 0.4 < stats["write_fraction"] < 0.6
 
     def test_data_stream_read_only(self):
-        trace = data_stream(100, DRBG(2), write_fraction=0.0)
+        trace = list(iter_data_stream(100, DRBG(2), write_fraction=0.0))
         assert trace_stats(trace)["stores"] == 0
 
     def test_data_stream_validation(self):
         with pytest.raises(ValueError):
-            data_stream(10, DRBG(1), write_fraction=1.5)
+            list(iter_data_stream(10, DRBG(1), write_fraction=1.5))
         with pytest.raises(ValueError):
-            data_stream(10, DRBG(1), locality=-0.1)
+            list(iter_data_stream(10, DRBG(1), locality=-0.1))
 
     def test_random_data_is_cache_hostile(self):
-        trace = random_data(500, DRBG(3), working_set=1 << 20)
+        trace = list(iter_random_data(500, DRBG(3), working_set=1 << 20))
         addrs = {a.addr for a in trace}
         assert len(addrs) > 400  # essentially no reuse
 
     def test_pointer_chase_visits_nodes(self):
-        trace = pointer_chase(100, DRBG(4), nodes=100, node_size=32)
+        trace = list(iter_pointer_chase(100, DRBG(4), nodes=100, node_size=32))
         assert len({a.addr for a in trace}) == 100
 
     def test_write_burst(self):
-        trace = write_burst(10, base=0, write_size=4)
+        trace = list(iter_write_burst(10, base=0, write_size=4))
         assert all(a.kind is AccessKind.STORE and a.size == 4 for a in trace)
         assert trace[1].addr == 4
 
     def test_write_burst_stride(self):
-        trace = write_burst(4, base=0, write_size=2, stride=64)
+        trace = list(iter_write_burst(4, base=0, write_size=2, stride=64))
         assert [a.addr for a in trace] == [0, 64, 128, 192]
 
     def test_mixed_workload_composition(self):
-        trace = mixed_workload(2000, DRBG(5))
+        trace = list(iter_mixed_workload(2000, DRBG(5)))
         stats = trace_stats(trace)
         assert stats["fetches"] > 0 and stats["loads"] > 0
         assert stats["accesses"] == 2000
@@ -143,27 +143,27 @@ class TestGeneratorValidation:
 
     def test_negative_accesses(self):
         with pytest.raises(ValueError, match="positive access count"):
-            sequential_code(-5)
+            list(iter_sequential_code(-5))
 
     def test_step_and_code_size(self):
         with pytest.raises(ValueError):
-            sequential_code(10, step=0)
+            list(iter_sequential_code(10, step=0))
         with pytest.raises(ValueError):
-            sequential_code(10, step=64, code_size=32)
+            list(iter_sequential_code(10, step=64, code_size=32))
 
     def test_branchy_probability_range(self):
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                branchy_code(10, DRBG(1), p_taken=bad)
+                list(iter_branchy_code(10, DRBG(1), p_taken=bad))
 
     def test_working_set_bounds(self):
         with pytest.raises(ValueError):
-            data_stream(10, DRBG(1), working_set=2, size=8)
+            list(iter_data_stream(10, DRBG(1), working_set=2, size=8))
 
     def test_mixed_fetch_fraction(self):
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                mixed_workload(10, DRBG(1), fetch_fraction=bad)
+                list(iter_mixed_workload(10, DRBG(1), fetch_fraction=bad))
 
 
 class TestEventsRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import VlsiDmaEngine
 from repro.core.engine import MemoryPort
 from repro.sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
-from repro.traces import Access, AccessKind, sequential_code
+from repro.traces import Access, AccessKind, iter_sequential_code
 
 KEY = b"0123456789abcdef01234567"
 
@@ -136,7 +136,7 @@ class TestSystemLevel:
             mem_config=MemoryConfig(size=1 << 16),
         )
         system.install_image(0, bytes(4096))
-        for access in sequential_code(1000, code_size=4096):
+        for access in iter_sequential_code(1000, code_size=4096):
             system.step(access)
         # 4 pages cover the whole image: at most 4 faults.
         assert engine.page_faults == 4
