@@ -71,6 +71,11 @@ TWIN_DEF := ^[[:space:]]*def ($(TRACE_TWINS))\(
 TWIN_IMPORT_LINE := ^[[:space:]]*from[[:space:]].*[[:space:]]import[[:space:]](.*[^[:alnum:]_])?($(TRACE_TWINS))([^[:alnum:]_]|$$)
 TWIN_IMPORT_ITEM := ^[[:space:]]+($(TRACE_TWINS))([[:space:]]+as[[:space:]]+[[:alnum:]_]+)?,?[[:space:]]*$$
 
+# AES has one narrow rung, whole-batch rounds over one int
+# (crypto/kernels.py _encrypt_int/_decrypt_int): the per-block T-table
+# loops, their tables and their schedule helpers stay out of src/.
+AES_TTABLE := (^|[^[:alnum:]_])(_TE|_TD|_IMIX|_encrypt_blocks_scalar|_decrypt_blocks_scalar|_pack_words|_inv_mix_word)([^[:alnum:]_]|$$)
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -207,6 +212,15 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one form per trace generator)"
+	@matches=$$(grep -rnIE '$(AES_TTABLE)' --exclude-dir=__pycache__ \
+		src || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: AES's narrow rung is the one-int round of" >&2; \
+		echo "      crypto/kernels.py; the T-table loops stay gone:" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one narrow AES rung)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -1,10 +1,10 @@
 """Cipher-kernel microbenchmarks — the tentpole speedup, measured.
 
-Thin wrapper: the equivalence sweep and the timing bodies live in
+Thin wrapper: the equivalence sweep lives in
 :mod:`repro.crypto.bench_kernels` (shared with ``python -m
-repro.crypto.bench_kernels``).  Each bench times the batched kernel path
-on the same workload the CLI table reports, after asserting the kernels
-still match the reference ciphers bit-for-bit.
+repro.crypto.bench_kernels``).  Each bench times a 2000-block kernel call,
+after asserting the kernels still match the reference ciphers
+bit-for-bit.
 """
 
 from benchmarks.common import print_table

@@ -3,7 +3,7 @@
 numpy is a hard dependency (``pyproject.toml``), so there is a single
 production path: the batched trace executor in :mod:`repro.sim.fastpath`
 over the cipher kernels in :mod:`repro.crypto.kernels`, which pick
-T-table loops or numpy gathers per call by batch width.  The algebraic
+their narrow rung or numpy gathers per call by batch width.  The algebraic
 reference ciphers and the per-access step loop stay as oracles, driven
 from ``tests/`` (DESIGN.md §10, "One execution path").
 """

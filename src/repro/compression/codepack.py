@@ -18,41 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from .bitio import BitReader, BitWriter
+
 __all__ = ["CodePack", "CompressedImage"]
-
-
-class _BitWriter:
-    """MSB-first bit packer: values shift into one int, packed once."""
-
-    def __init__(self) -> None:
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, width: int) -> None:
-        self.acc = (self.acc << width) | (value & ((1 << width) - 1))
-        self.nbits += width
-
-    def to_bytes(self) -> bytes:
-        pad = -self.nbits % 8
-        return (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
-
-
-class _BitReader:
-    """MSB-first bit reader over one int; reading past the end raises
-    ``IndexError``."""
-
-    def __init__(self, data: bytes):
-        self.value = int.from_bytes(data, "big")
-        self.nbits = 8 * len(data)
-        self.pos = 0
-
-    def read(self, width: int) -> int:
-        end = self.pos + width
-        if end > self.nbits:
-            raise IndexError(
-                f"bit read past the end: {end} > {self.nbits} bits")
-        self.pos = end
-        return (self.value >> (self.nbits - end)) & ((1 << width) - 1)
 
 
 @dataclass
@@ -146,7 +114,7 @@ class CodePack:
     # -- per-block codec -------------------------------------------------
 
     def _encode_half(
-        self, writer: _BitWriter, half: int, index: Dict[int, int]
+        self, writer: BitWriter, half: int, index: Dict[int, int]
     ) -> None:
         idx = index.get(half)
         if idx is not None:
@@ -156,7 +124,7 @@ class CodePack:
             writer.write(0, 1)
             writer.write(half, 16)
 
-    def _decode_half(self, reader: _BitReader, table: List[int]) -> int:
+    def _decode_half(self, reader: BitReader, table: List[int]) -> int:
         if reader.read(1):
             return table[reader.read(self.index_bits)]
         return reader.read(16)
@@ -167,7 +135,7 @@ class CodePack:
         """Compress one block against prebuilt dictionary indexes."""
         if len(block) % 4 != 0:
             raise ValueError(f"block length must be a multiple of 4, got {len(block)}")
-        writer = _BitWriter()
+        writer = BitWriter()
         for i in range(0, len(block), 4):
             word = int.from_bytes(block[i: i + 4], "big")
             self._encode_half(writer, word >> 16, high_index)
@@ -184,7 +152,7 @@ class CodePack:
         """Decompress one block back to ``nbytes`` of code."""
         if nbytes % 4 != 0:
             raise ValueError(f"nbytes must be a multiple of 4, got {nbytes}")
-        reader = _BitReader(data)
+        reader = BitReader(data)
         out = bytearray()
         for _ in range(nbytes // 4):
             high = self._decode_half(reader, dict_high)

@@ -12,6 +12,8 @@ import heapq
 from collections import Counter
 from typing import Dict, List, Tuple
 
+from .bitio import BitReader, BitWriter
+
 __all__ = ["huffman_compress", "huffman_decompress", "build_code_lengths",
            "canonical_codes"]
 
@@ -55,51 +57,14 @@ def canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
     return codes
 
 
-class _BitWriter:
-    def __init__(self) -> None:
-        self._bits: List[int] = []
-
-    def write(self, code: int, length: int) -> None:
-        for i in range(length - 1, -1, -1):
-            self._bits.append((code >> i) & 1)
-
-    def getvalue(self) -> Tuple[bytes, int]:
-        """Return (payload, bit_count)."""
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            byte = 0
-            chunk = self._bits[i: i + 8]
-            for b in chunk:
-                byte = (byte << 1) | b
-            byte <<= 8 - len(chunk)
-            out.append(byte)
-        return bytes(out), len(self._bits)
-
-
-class _BitReader:
-    def __init__(self, data: bytes, bit_count: int):
-        self._data = data
-        self._bit_count = bit_count
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        if self._pos >= self._bit_count:
-            raise ValueError("bit stream exhausted")
-        byte = self._data[self._pos // 8]
-        bit = (byte >> (7 - self._pos % 8)) & 1
-        self._pos += 1
-        return bit
-
-
 def huffman_compress(data: bytes) -> bytes:
     """Compress ``data``; header = 256 code lengths + original size + bits."""
     lengths = build_code_lengths(data)
     codes = canonical_codes(lengths)
-    writer = _BitWriter()
+    writer = BitWriter()
     for byte in data:
-        code, length = codes[byte]
-        writer.write(code, length)
-    payload, bit_count = writer.getvalue()
+        writer.write(*codes[byte])
+    payload, bit_count = writer.to_bytes(), writer.nbits
     header = bytearray()
     header += len(data).to_bytes(4, "big")
     header += bit_count.to_bytes(4, "big")
@@ -121,12 +86,15 @@ def huffman_decompress(blob: bytes) -> bytes:
     codes = canonical_codes(lengths)
     # Decoding table: (length, code) -> symbol
     decode = {(length, code): sym for sym, (code, length) in codes.items()}
-    reader = _BitReader(payload, bit_count)
+    reader = BitReader(payload, bit_count)
     out = bytearray()
     code = 0
     length = 0
     while len(out) < size:
-        code = (code << 1) | reader.read_bit()
+        try:
+            code = (code << 1) | reader.read(1)
+        except IndexError:
+            raise ValueError("huffman bit stream exhausted") from None
         length += 1
         if length > _MAX_CODE_LEN:
             raise ValueError("corrupt huffman stream: code too long")

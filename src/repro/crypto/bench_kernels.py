@@ -1,20 +1,20 @@
-"""Microbenchmark + equivalence sanity for the cipher kernels.
+"""Rung crossovers + equivalence sanity for the cipher kernels.
 
 Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
 
 1. **Equivalence**: every kernel is checked bit-for-bit against its
    reference cipher on random blocks (encrypt and decrypt, every key
-   size), at the batch width asked for and at narrow widths (1, 5 and 31
-   blocks, the scalar loops), and as one CBC chain against the chain
-   built block by block from the reference cipher; also the DS5002FP
-   byte cipher's one-pass array path against its per-byte methods.  Any
-   mismatch makes the process exit non-zero, which is what ``make smoke``
-   relies on.
-2. **Timing**: per-block throughput of the reference loop vs the batched
-   kernel path, reported as a small table with the speedup factor; a
-   128-block 3DES-CBC chain (the General Instrument region shape) is timed
-   as a per-block reference chain vs one kernel call; the byte cipher is
-   timed at one cache line (32 B) and one page (8 KB).
+   size), at the batch width asked for and at widths straddling the
+   rung switch (1, 5 and 31 blocks, and one below, at and above the
+   cipher's ``NUMPY_MIN_BLOCKS_*``), and as one CBC chain against the
+   chain built block by block from the reference cipher; also the
+   DS5002FP byte cipher's one-pass array path against its per-byte
+   methods.  Any mismatch makes the process exit non-zero, which is what
+   ``make smoke`` relies on.
+2. **Crossover**: per-call time of the narrow rung against the numpy
+   rung, each forced at widths from 1 to 1024 blocks, for AES-128, DES
+   and 3DES; the measured crossover (the narrowest width from which numpy
+   is never slower) is printed beside ``NUMPY_MIN_BLOCKS_AES``/``_DES``.
 
 ``--quick`` shrinks both jobs to a CI-friendly sanity run.
 """
@@ -25,8 +25,9 @@ import argparse
 import random
 import sys
 import time
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from . import kernels
 from .aes import AES
 from .des import DES, TripleDES
 from .feistel import SmallBlockCipher
@@ -59,10 +60,12 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
             failures.append(f"{name}: encrypt mismatch")
         if kernel.decrypt_blocks(expected_ct) != data:
             failures.append(f"{name}: decrypt mismatch")
-        # Narrow widths run the scalar loops, below NUMPY_MIN_BLOCKS_*.
-        narrow = bytes(rng.randrange(256) for _ in range(size * 31))
+        # Narrow widths, and both sides of the rung switch.
+        switch = _switch(size)
+        widths = (1, 5, 31, switch - 1, switch, switch + 1)
+        narrow = bytes(rng.randrange(256) for _ in range(size * max(widths)))
         narrow_ct = ref.encrypt_blocks(narrow)
-        for width in (1, 5, 31):
+        for width in widths:
             part = width * size
             if kernel.encrypt_blocks(narrow[:part]) != narrow_ct[:part]:
                 failures.append(f"{name}: encrypt mismatch at {width} blocks")
@@ -74,6 +77,12 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
             failures.append(f"{name}: cbc chain mismatch")
     failures.extend(_check_byte_cipher(rng, blocks_per_key))
     return failures
+
+
+def _switch(block_size: int) -> int:
+    """The width (blocks) from which a kernel takes the numpy rung."""
+    return (kernels.NUMPY_MIN_BLOCKS_AES if block_size == 16
+            else kernels.NUMPY_MIN_BLOCKS_DES)
 
 
 def _check_byte_cipher(rng: random.Random, nbytes: int) -> List[str]:
@@ -106,51 +115,53 @@ def _throughput(crypt: Callable[[], object], repeats: int) -> float:
     return best
 
 
-def _row(cipher: str, blocks: int, ref_s: float, kern_s: float) -> dict:
-    return {
-        "cipher": cipher,
-        "blocks": blocks,
-        "reference_s": round(ref_s, 4),
-        "kernel_s": round(kern_s, 4),
-        "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
-    }
+#: Widths (blocks) at which the two rungs are timed against each other.
+CROSSOVER_WIDTHS = (1, 2, 3, 4, 8, 16, 32, 40, 48, 64, 128, 256, 384, 512,
+                    640, 768, 1024)
 
 
-def bench(nblocks: int, repeats: int = 3) -> List[dict]:
-    """Reference-loop vs kernel-batch timing; returns one row per cipher."""
-    rows = []
-    rng = random.Random(0xBE7C)
-    for name, key_len, make_ref, make_kernel in _CASES:
-        key = bytes(rng.randrange(256) for _ in range(key_len))
-        ref = ReferenceKernel(make_ref(key))
-        kernel = make_kernel(key)
-        data = bytes(rng.randrange(256)
-                     for _ in range(ref.block_size * nblocks))
-        rows.append(_row(
-            name, nblocks,
-            _throughput(lambda: ref.encrypt_blocks(data), repeats),
-            _throughput(lambda: kernel.encrypt_blocks(data), repeats)))
-    key = bytes(rng.randrange(256) for _ in range(24))
-    ref, kernel = ReferenceKernel(TripleDES(key)), TripleDESKernel(key)
-    data = bytes(rng.randrange(256) for _ in range(8 * 128))
-    iv = bytes(8)
-    rows.append(_row(
-        "3des-cbc", 128,
-        _throughput(lambda: ref.encrypt_blocks(data, iv), repeats),
-        _throughput(lambda: kernel.encrypt_blocks(data, iv), repeats)))
-    for nbytes in (32, 8192):
-        cipher = SmallBlockCipher(bytes(rng.randrange(256) for _ in range(16)))
-        data = bytes(rng.randrange(256) for _ in range(nbytes))
+def _rungs(name: str, key: bytes) -> Tuple[Callable, Callable]:
+    """ECB encryption of one cipher forced onto (narrow, numpy) rung."""
+    if name == "aes-128":
+        aes = AESKernel(key)
+        return (lambda data: aes._narrow(data, False),
+                lambda data: kernels._np_aes_crypt(aes, data, True))
+    des = (TripleDESKernel if name == "3des" else DESKernel)(key)
+    return (lambda data: kernels._des_crypt(data, des._enc),
+            lambda data: kernels._np_des_crypt(data, des._enc))
 
-        def byte_loop():
-            return bytes(
-                cipher.encrypt_byte(0x400 + i, b) for i, b in enumerate(data)
-            )
 
-        rows.append(_row(
-            "feistel-8", nbytes, _throughput(byte_loop, repeats),
-            _throughput(lambda: cipher.encrypt(0x400, data), repeats)))
-    return rows
+def _per_call(crypt: Callable[[bytes], bytes], data: bytes, calls: int,
+              repeats: int) -> float:
+    return _throughput(
+        lambda: [crypt(data) for _ in range(calls)], repeats) / calls
+
+
+def crossovers(widths=CROSSOVER_WIDTHS, repeats: int = 5
+               ) -> Tuple[List[dict], Dict[str, Optional[int]]]:
+    """Per-call seconds of each rung at each width, and per cipher the
+    narrowest measured width from which numpy is never slower (None if
+    numpy loses at every width)."""
+    rng = random.Random(0xC055)
+    rows, found = [], {}
+    for name, key_len, size in (("aes-128", 16, 16), ("des", 8, 8),
+                                ("3des", 24, 8)):
+        narrow, wide = _rungs(name, bytes(rng.randrange(256)
+                                          for _ in range(key_len)))
+        crossover = None
+        for width in widths:
+            data = bytes(rng.randrange(256) for _ in range(size * width))
+            calls = max(1, 64 // width)
+            row = {"cipher": name, "blocks": width,
+                   "narrow_s": _per_call(narrow, data, calls, repeats),
+                   "numpy_s": _per_call(wide, data, calls, repeats)}
+            rows.append(row)
+            if row["numpy_s"] > row["narrow_s"]:
+                crossover = None
+            elif crossover is None:
+                crossover = width
+        found[name] = crossover
+    return rows, found
 
 
 def main(argv=None) -> int:
@@ -158,15 +169,12 @@ def main(argv=None) -> int:
         prog="python -m repro.crypto.bench_kernels",
         description=__doc__.splitlines()[0],
     )
-    parser.add_argument("--blocks", type=int, default=2000,
-                        help="blocks per cipher in the timing run")
     parser.add_argument("--check-blocks", type=int, default=200,
                         help="random blocks per key in the equivalence sweep")
     parser.add_argument("--quick", action="store_true",
-                        help="CI sanity mode: small sweep, tiny timing run")
+                        help="CI sanity mode: small sweep, one timing pass")
     args = parser.parse_args(argv)
     if args.quick:
-        args.blocks = min(args.blocks, 200)
         args.check_blocks = min(args.check_blocks, 50)
 
     failures = check_equivalence(args.check_blocks)
@@ -176,15 +184,19 @@ def main(argv=None) -> int:
         return 1
     print(f"equivalence: ok ({len(_CASES)} ciphers x "
           f"{args.check_blocks} random blocks, encrypt+decrypt, also at "
-          f"1/5/31 blocks, and one CBC chain; "
+          f"1/5/31 blocks and around each rung switch, and one CBC chain; "
           f"feistel-8 array path vs per-byte)")
 
-    print(f"{'cipher':<10} {'blocks':>7} {'reference':>10} "
-          f"{'kernel':>9} {'speedup':>8}")
-    for row in bench(args.blocks):
-        print(f"{row['cipher']:<10} {row['blocks']:>7} "
-              f"{row['reference_s']:>9.4f}s {row['kernel_s']:>8.4f}s "
-              f"{row['speedup']:>7.1f}x")
+    rows, found = crossovers(repeats=1 if args.quick else 5)
+    print(f"{'cipher':<8} {'blocks':>6} {'narrow':>10} {'numpy':>10}")
+    for row in rows:
+        print(f"{row['cipher']:<8} {row['blocks']:>6} "
+              f"{row['narrow_s'] * 1e6:>8.1f}us {row['numpy_s'] * 1e6:>8.1f}us")
+    for name, switch in (("aes-128", kernels.NUMPY_MIN_BLOCKS_AES),
+                         ("des", kernels.NUMPY_MIN_BLOCKS_DES),
+                         ("3des", kernels.NUMPY_MIN_BLOCKS_DES)):
+        where = found[name] or f"none up to {CROSSOVER_WIDTHS[-1]}"
+        print(f"crossover {name}: {where} blocks (switch at {switch})")
     return 0
 
 

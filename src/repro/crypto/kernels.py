@@ -1,4 +1,4 @@
-"""Table-driven fast paths for the from-scratch block ciphers.
+"""Fast paths for the from-scratch block ciphers.
 
 The survey's hardware engines owe their throughput to precomputation: XOM's
 14-cycle AES pipeline and AEGIS's round-pipelined AES are possible because
@@ -7,11 +7,14 @@ the bit permutations into wiring.  The same tricks have exact software
 analogues, and this module applies them to the reference implementations in
 :mod:`repro.crypto.aes` and :mod:`repro.crypto.des`:
 
-* :class:`AESKernel` — the classic T-table formulation: SubBytes, ShiftRows
-  and MixColumns fuse into four 256-entry word tables, so one round is 16
-  lookups and 20 XORs instead of per-byte GF(2^8) arithmetic.  The tables
-  are *derived* from the algebraically constructed ``SBOX``/``gf_mul`` of
-  the reference module, so the existing S-box tests cover them.
+* :class:`AESKernel` — whole-batch rounds over one Python int: every block
+  of a call sits in its own 128-bit lane of one integer (SIMD within a
+  register, the software form of Sealer's all-columns-at-once AES rounds),
+  so a round is a fixed handful of C-level operations at any width —
+  SubBytes is ``bytes.translate`` over S-box tables, ShiftRows and
+  (Inv)MixColumns are masked shifts and rotations.  The tables are
+  *derived* from the algebraically constructed ``SBOX``/``gf_mul`` of the
+  reference module, so the existing S-box tests cover them.
 * :class:`DESKernel` / :class:`TripleDESKernel` — bit-packed rounds: the
   IP/FP/E permutations become per-byte scatter tables and the eight S-boxes,
   in pairs, fuse with the P permutation into four 12-bit ``SP12`` tables.
@@ -27,9 +30,10 @@ analogues, and this module applies them to the reference implementations in
   :func:`ctr_pads` producing a whole fill group's keystream in one call —
   the miss-path shape the engines in :mod:`repro.core` use;
 * **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
-  :data:`NUMPY_MIN_BLOCKS_DES` blocks or more run as numpy gathers over the
-  whole batch, narrower ones on the scalar table loops.  A CBC chain is
-  serial, so it runs on the scalar loop at any width.
+  :data:`NUMPY_MIN_BLOCKS_DES` blocks or more (512 and 40, the measured
+  crossovers) run as numpy gathers over the whole batch, narrower ones on
+  the one-int AES rounds or the DES table loop.  A CBC chain is serial, so
+  it runs one block at a time on the narrow rung at any width.
 
 Every production AES/DES/3DES object is a registry kernel; the algebraic
 ciphers only derive the tables and key schedules and serve as the oracle
@@ -37,7 +41,7 @@ ciphers only derive the tables and key schedules and serve as the oracle
 equivalent to its reference cipher; the equivalence layer in
 ``tests/test_kernels.py`` proves it on the FIPS-197 / SP 800-67 known
 answers and on random blocks, and
-``python -m repro.crypto.bench_kernels`` measures the speedup.
+``python -m repro.crypto.bench_kernels`` measures the rung crossovers.
 
 >>> from repro.crypto.aes import AES
 >>> key = bytes(range(16))
@@ -72,59 +76,105 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# AES T-tables, derived from the reference S-box and GF(2^8) arithmetic.
-# T0..T3 fuse SubBytes + MixColumns for the byte in state rows 0..3; the
-# inverse tables fuse InvSubBytes + InvMixColumns.
+# AES over one Python int, one 128-bit lane per block; AddRoundKey is one
+# XOR with the round key copied into every lane.
 # ---------------------------------------------------------------------------
 
-def _build_aes_tables() -> Tuple[List[List[int]], List[List[int]], List[int]]:
-    enc = [[0] * 256 for _ in range(4)]
-    dec = [[0] * 256 for _ in range(4)]
-    imix = [0] * 256  # InvMixColumns of a single byte, for the decrypt schedule
-    for x in range(256):
-        s = SBOX[x]
-        s2 = gf_mul(s, 2)
-        s3 = s2 ^ s
-        # MixColumns contribution of the byte landing in row 0..3.
-        enc[0][x] = (s2 << 24) | (s << 16) | (s << 8) | s3
-        enc[1][x] = (s3 << 24) | (s2 << 16) | (s << 8) | s
-        enc[2][x] = (s << 24) | (s3 << 16) | (s2 << 8) | s
-        enc[3][x] = (s << 24) | (s << 16) | (s3 << 8) | s2
-        i = INV_SBOX[x]
-        e, n = gf_mul(i, 14), gf_mul(i, 9)
-        t, l = gf_mul(i, 13), gf_mul(i, 11)
-        dec[0][x] = (e << 24) | (n << 16) | (t << 8) | l
-        dec[1][x] = (l << 24) | (e << 16) | (n << 8) | t
-        dec[2][x] = (t << 24) | (l << 16) | (e << 8) | n
-        dec[3][x] = (n << 24) | (t << 16) | (l << 8) | e
-        imix[x] = (gf_mul(x, 14) << 24) | (gf_mul(x, 9) << 16) \
-            | (gf_mul(x, 13) << 8) | gf_mul(x, 11)
-    return enc, dec, imix
+def _times(box: List[int], factor: int) -> bytes:
+    return bytes(gf_mul(s, factor) for s in box)
 
 
-(_TE, _TD, _IMIX) = _build_aes_tables()
+_SUB, _SUB2 = bytes(SBOX), _times(SBOX, 2)
+_INV_SUB = bytes(INV_SBOX)
+_INV_SUB9, _INV_SUB11, _INV_SUB13, _INV_SUB14 = (
+    _times(INV_SBOX, f) for f in (9, 11, 13, 14))
 
 
-def _pack_words(round_key: List[int]) -> List[int]:
-    """One 16-byte round key -> four big-endian column words."""
-    return [
-        (round_key[4 * c] << 24) | (round_key[4 * c + 1] << 16)
-        | (round_key[4 * c + 2] << 8) | round_key[4 * c + 3]
-        for c in range(4)
-    ]
+def _block_mask(rows, cols) -> int:
+    """One block's mask over state bytes ``r + 4c`` (FIPS 197 order, most
+    significant first) for r in ``rows``, c in ``cols``."""
+    cells = {r + 4 * c for r in rows for c in cols}
+    return int.from_bytes(
+        bytes(0xFF if i in cells else 0 for i in range(16)), "big")
 
 
-def _inv_mix_word(word: int) -> int:
-    return (
-        _IMIX[(word >> 24) & 0xFF]
-        ^ _rotr32(_IMIX[(word >> 16) & 0xFF], 8)
-        ^ _rotr32(_IMIX[(word >> 8) & 0xFF], 16)
-        ^ _rotr32(_IMIX[word & 0xFF], 24)
-    )
+#: One block's masks.  ShiftRows rotates row r left by r columns: rows 2
+#: and 3 swap their 64-bit halves, then rows 1 and 3 rotate left by one
+#: column (32 bits); InvShiftRows runs the inverse steps in reverse order.
+#: The last three select bytes of every column word, for its rotations.
+_BLOCK_MASKS = (
+    _block_mask((2, 3), (2, 3)),          # swap: low half of rows 2, 3
+    _block_mask((1, 3), (1, 2, 3)),       # ShiftRows: one column left...
+    _block_mask((1, 3), (0,)),            # ...column 0 wrapping to 3
+    _block_mask((0, 2), range(4)),        # rows that stay put
+    _block_mask((1, 3), (0, 1, 2)),       # InvShiftRows: one column right...
+    _block_mask((1, 3), (3,)),            # ...column 3 wrapping to 0
+    int.from_bytes(bytes((0, 0, 0, 0xFF)) * 4, "big"),
+    int.from_bytes(bytes((0, 0, 0xFF, 0xFF)) * 4, "big"),
+    int.from_bytes(bytes((0, 0xFF, 0xFF, 0xFF)) * 4, "big"),
+)
+
+#: Widest one-int pass (blocks).  A wider batch runs as consecutive slabs
+#: of this width, which costs the same per block, so a kernel caches lanes
+#: for at most this many widths, each at most one slab wide.
+_SLAB_BLOCKS = 32
 
 
-def _rotr32(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & 0xFFFFFFFF
+def _encrypt_int(x: int, keys: Tuple[int, ...], size: int,
+                 masks: Tuple[int, ...]) -> int:
+    """All AES encryption rounds over the ``size``-byte batch ``x``."""
+    swap, left, wrap, keep, _, _, lo1, lo2, lo3 = masks
+    frm, sub = int.from_bytes, bytes.translate
+    last = len(keys) - 1
+    x ^= keys[0]
+    for rnd in range(1, last + 1):
+        t = (x ^ (x >> 64)) & swap
+        x ^= t ^ (t << 64)
+        state = (((x & left) << 32) ^ ((x & wrap) >> 96)
+                 ^ (x & keep)).to_bytes(size, "big")
+        s = frm(sub(state, _SUB), "big")
+        if rnd == last:
+            return s ^ keys[rnd]
+        # MixColumns on every column word: 2s_r ^ 3s_r+1 ^ s_r+2 ^ s_r+3,
+        # from the words s and 2s and two byte rotations.
+        s2 = frm(sub(state, _SUB2), "big")
+        r16 = ((s & lo2) << 16) ^ ((s >> 16) & lo2)
+        y = s2 ^ s ^ r16
+        x = s2 ^ r16 ^ ((y & lo3) << 8) ^ ((y >> 24) & lo1) ^ keys[rnd]
+    return x
+
+
+def _decrypt_int(x: int, keys: Tuple[int, ...], size: int,
+                 masks: Tuple[int, ...]) -> int:
+    """All rounds of the equivalent inverse cipher over ``x``."""
+    swap, _, _, keep, right, wrap, lo1, _, lo3 = masks
+    frm, sub = int.from_bytes, bytes.translate
+    last = len(keys) - 1
+    x ^= keys[0]
+    for rnd in range(1, last + 1):
+        x = ((x & right) >> 32) ^ ((x & wrap) << 96) ^ (x & keep)
+        t = (x ^ (x >> 64)) & swap
+        state = (x ^ t ^ (t << 64)).to_bytes(size, "big")
+        if rnd == last:
+            return frm(sub(state, _INV_SUB), "big") ^ keys[rnd]
+        # InvMixColumns, 14s_r ^ 11s_r+1 ^ 13s_r+2 ^ 9s_r+3, in Horner
+        # form: three one-byte rotations of the column words.
+        y = frm(sub(state, _INV_SUB9), "big")
+        y = frm(sub(state, _INV_SUB13), "big") \
+            ^ ((y & lo3) << 8) ^ ((y >> 24) & lo1)
+        y = frm(sub(state, _INV_SUB11), "big") \
+            ^ ((y & lo3) << 8) ^ ((y >> 24) & lo1)
+        x = frm(sub(state, _INV_SUB14), "big") \
+            ^ ((y & lo3) << 8) ^ ((y >> 24) & lo1) ^ keys[rnd]
+    return x
+
+
+def _whole_blocks(data: bytes, size: int) -> int:
+    if len(data) % size:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of block size {size}"
+        )
+    return len(data) // size
 
 
 class _Kernel:
@@ -153,144 +203,97 @@ class _Kernel:
 
 
 class AESKernel(_Kernel):
-    """T-table AES, byte-identical to :class:`repro.crypto.aes.AES`.
+    """AES over one Python int (numpy T-table gathers from
+    :data:`NUMPY_MIN_BLOCKS_AES` blocks), byte-identical to
+    :class:`repro.crypto.aes.AES`.  A pickled kernel holds only the two
+    key schedules; the lanes cached per width rebuild on first use."""
 
-    Batches of :data:`NUMPY_MIN_BLOCKS_AES` blocks or more run every round
-    as vectorized table gathers over the whole batch at once; smaller
-    batches stay on the scalar loop (a numpy round
-    costs the same regardless of width, so gathers only pay for
-    themselves on wide calls).
-    """
-
+    __slots__ = ("_ek", "_dk", "_by_width", "_np_keys")
     block_size = 16
 
     def __init__(self, key: bytes):
         # The reference cipher checks the key and expands its schedule.
         ref = AES(key)
-        self._rounds = ref._rounds
-        # Encrypt keys: flat list of words, 4 per round.
-        self._ek: List[int] = []
-        for rk in ref._round_keys:
-            self._ek.extend(_pack_words(rk))
-        # Equivalent-inverse-cipher keys: reversed order, InvMixColumns
-        # applied to the interior rounds.
-        self._dk: List[int] = list(_pack_words(ref._round_keys[self._rounds]))
-        for rnd in range(self._rounds - 1, 0, -1):
-            self._dk.extend(
-                _inv_mix_word(w) for w in _pack_words(ref._round_keys[rnd])
-            )
-        self._dk.extend(_pack_words(ref._round_keys[0]))
-        # Lazily-built numpy copies of the schedules for the wide path.
-        self._ek_np = None
-        self._dk_np = None
+        rks = [bytes(rk) for rk in ref._round_keys]
+        # Equivalent-inverse-cipher keys (FIPS 197 §5.3.5): reversed order,
+        # InvMixColumns on the interior rounds.  The decrypt T-tables fuse
+        # InvSubBytes with it, so they take each key byte through S first.
+        cols = np.frombuffer(b"".join(rks[-2:0:-1]).translate(_SUB),
+                             dtype=np.uint8).reshape(-1, 4)
+        t0, t1, t2, t3 = _NPT["td"]
+        mixed = (t0[cols[:, 0]] ^ t1[cols[:, 1]] ^ t2[cols[:, 2]]
+                 ^ t3[cols[:, 3]]).astype(">u4").tobytes()
+        inner = [mixed[i: i + 16] for i in range(0, len(mixed), 16)]
+        self.__setstate__((
+            tuple(int.from_bytes(rk, "big") for rk in rks),
+            tuple(int.from_bytes(rk, "big")
+                  for rk in (rks[-1], *inner, rks[0])),
+        ))
+
+    def __getstate__(self):
+        return self._ek, self._dk
+
+    def __setstate__(self, state) -> None:
+        self._ek, self._dk = state
+        # Per direction: width -> (round keys, masks) in every lane.
+        self._by_width: Tuple[dict, dict] = ({}, {})
+        # The numpy copies of the schedules, built on the first wide call.
+        self._np_keys = None
 
     # -- batched core ----------------------------------------------------
 
     def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
         """ECB-encrypt a multiple of 16 bytes in one batched pass; with
-        ``iv``, CBC-encrypt them as one chain (scalar at any width)."""
-        if iv is None and len(data) >= NUMPY_MIN_BLOCKS_AES * 16 \
-                and len(data) % 16 == 0:
-            return _np_aes_crypt(self, data, encrypt=True)
-        return self._encrypt_blocks_scalar(data, iv)
+        ``iv``, CBC-encrypt them as one chain of one-block passes."""
+        if iv is None:
+            return self._crypt(data, decrypt=False)
+        _whole_blocks(data, 16)
+        if len(iv) != 16:
+            raise ValueError(f"IV must be 16 bytes, got {len(iv)}")
+        keys, masks = self._lanes(1, False)
+        chain = int.from_bytes(iv, "big")
+        out = bytearray(len(data))
+        for base in range(0, len(data), 16):
+            chain = _encrypt_int(
+                int.from_bytes(data[base: base + 16], "big") ^ chain,
+                keys, 16, masks)
+            out[base: base + 16] = chain.to_bytes(16, "big")
+        return bytes(out)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         """ECB-decrypt a multiple of 16 bytes in one batched pass."""
-        if len(data) >= NUMPY_MIN_BLOCKS_AES * 16 and len(data) % 16 == 0:
-            return _np_aes_crypt(self, data, encrypt=False)
-        return self._decrypt_blocks_scalar(data)
+        return self._crypt(data, decrypt=True)
 
-    def _encrypt_blocks_scalar(self, data: bytes,
-                               iv: Optional[bytes] = None) -> bytes:
-        if len(data) % 16:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 16"
-            )
-        t0, t1, t2, t3 = _TE
-        sbox = SBOX
-        ek = self._ek
-        rounds = self._rounds
-        # The CBC chain register, as four column words (zero for ECB).
-        c0 = c1 = c2 = c3 = 0
-        if iv is not None:
-            if len(iv) != 16:
-                raise ValueError(f"IV must be 16 bytes, got {len(iv)}")
-            c0, c1, c2, c3 = (int.from_bytes(iv[i: i + 4], "big")
-                              for i in (0, 4, 8, 12))
-        out = bytearray(len(data))
-        for base in range(0, len(data), 16):
-            w0 = int.from_bytes(data[base: base + 4], "big") ^ ek[0] ^ c0
-            w1 = int.from_bytes(data[base + 4: base + 8], "big") ^ ek[1] ^ c1
-            w2 = int.from_bytes(data[base + 8: base + 12], "big") ^ ek[2] ^ c2
-            w3 = int.from_bytes(data[base + 12: base + 16], "big") \
-                ^ ek[3] ^ c3
-            k = 4
-            for _ in range(rounds - 1):
-                n0 = (t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF]
-                      ^ t2[(w2 >> 8) & 0xFF] ^ t3[w3 & 0xFF] ^ ek[k])
-                n1 = (t0[w1 >> 24] ^ t1[(w2 >> 16) & 0xFF]
-                      ^ t2[(w3 >> 8) & 0xFF] ^ t3[w0 & 0xFF] ^ ek[k + 1])
-                n2 = (t0[w2 >> 24] ^ t1[(w3 >> 16) & 0xFF]
-                      ^ t2[(w0 >> 8) & 0xFF] ^ t3[w1 & 0xFF] ^ ek[k + 2])
-                n3 = (t0[w3 >> 24] ^ t1[(w0 >> 16) & 0xFF]
-                      ^ t2[(w1 >> 8) & 0xFF] ^ t3[w2 & 0xFF] ^ ek[k + 3])
-                w0, w1, w2, w3 = n0, n1, n2, n3
-                k += 4
-            # Final round: SubBytes + ShiftRows only.
-            o0 = ((sbox[w0 >> 24] << 24) | (sbox[(w1 >> 16) & 0xFF] << 16)
-                  | (sbox[(w2 >> 8) & 0xFF] << 8) | sbox[w3 & 0xFF]) ^ ek[k]
-            o1 = ((sbox[w1 >> 24] << 24) | (sbox[(w2 >> 16) & 0xFF] << 16)
-                  | (sbox[(w3 >> 8) & 0xFF] << 8) | sbox[w0 & 0xFF]) ^ ek[k + 1]
-            o2 = ((sbox[w2 >> 24] << 24) | (sbox[(w3 >> 16) & 0xFF] << 16)
-                  | (sbox[(w0 >> 8) & 0xFF] << 8) | sbox[w1 & 0xFF]) ^ ek[k + 2]
-            o3 = ((sbox[w3 >> 24] << 24) | (sbox[(w0 >> 16) & 0xFF] << 16)
-                  | (sbox[(w1 >> 8) & 0xFF] << 8) | sbox[w2 & 0xFF]) ^ ek[k + 3]
-            if iv is not None:
-                c0, c1, c2, c3 = o0, o1, o2, o3
-            out[base: base + 16] = (
-                (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
-            ).to_bytes(16, "big")
-        return bytes(out)
+    def _crypt(self, data: bytes, decrypt: bool) -> bytes:
+        blocks = _whole_blocks(data, 16)
+        if blocks >= NUMPY_MIN_BLOCKS_AES:
+            return _np_aes_crypt(self, data, encrypt=not decrypt)
+        return self._narrow(data, decrypt)
 
-    def _decrypt_blocks_scalar(self, data: bytes) -> bytes:
-        if len(data) % 16:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 16"
-            )
-        t0, t1, t2, t3 = _TD
-        inv = INV_SBOX
-        dk = self._dk
-        rounds = self._rounds
-        out = bytearray(len(data))
-        for base in range(0, len(data), 16):
-            w0 = int.from_bytes(data[base: base + 4], "big") ^ dk[0]
-            w1 = int.from_bytes(data[base + 4: base + 8], "big") ^ dk[1]
-            w2 = int.from_bytes(data[base + 8: base + 12], "big") ^ dk[2]
-            w3 = int.from_bytes(data[base + 12: base + 16], "big") ^ dk[3]
-            k = 4
-            for _ in range(rounds - 1):
-                n0 = (t0[w0 >> 24] ^ t1[(w3 >> 16) & 0xFF]
-                      ^ t2[(w2 >> 8) & 0xFF] ^ t3[w1 & 0xFF] ^ dk[k])
-                n1 = (t0[w1 >> 24] ^ t1[(w0 >> 16) & 0xFF]
-                      ^ t2[(w3 >> 8) & 0xFF] ^ t3[w2 & 0xFF] ^ dk[k + 1])
-                n2 = (t0[w2 >> 24] ^ t1[(w1 >> 16) & 0xFF]
-                      ^ t2[(w0 >> 8) & 0xFF] ^ t3[w3 & 0xFF] ^ dk[k + 2])
-                n3 = (t0[w3 >> 24] ^ t1[(w2 >> 16) & 0xFF]
-                      ^ t2[(w1 >> 8) & 0xFF] ^ t3[w0 & 0xFF] ^ dk[k + 3])
-                w0, w1, w2, w3 = n0, n1, n2, n3
-                k += 4
-            o0 = ((inv[w0 >> 24] << 24) | (inv[(w3 >> 16) & 0xFF] << 16)
-                  | (inv[(w2 >> 8) & 0xFF] << 8) | inv[w1 & 0xFF]) ^ dk[k]
-            o1 = ((inv[w1 >> 24] << 24) | (inv[(w0 >> 16) & 0xFF] << 16)
-                  | (inv[(w3 >> 8) & 0xFF] << 8) | inv[w2 & 0xFF]) ^ dk[k + 1]
-            o2 = ((inv[w2 >> 24] << 24) | (inv[(w1 >> 16) & 0xFF] << 16)
-                  | (inv[(w0 >> 8) & 0xFF] << 8) | inv[w3 & 0xFF]) ^ dk[k + 2]
-            o3 = ((inv[w3 >> 24] << 24) | (inv[(w2 >> 16) & 0xFF] << 16)
-                  | (inv[(w1 >> 8) & 0xFF] << 8) | inv[w0 & 0xFF]) ^ dk[k + 3]
-            out[base: base + 16] = (
-                (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
-            ).to_bytes(16, "big")
-        return bytes(out)
+    def _narrow(self, data: bytes, decrypt: bool) -> bytes:
+        """The one-int rung at any width (the numpy rung's oracle)."""
+        size = len(data)
+        if size > 16 * _SLAB_BLOCKS:
+            slab = 16 * _SLAB_BLOCKS
+            return b"".join(self._narrow(data[i: i + slab], decrypt)
+                            for i in range(0, size, slab))
+        keys, masks = self._lanes(size // 16, decrypt)
+        crypt = _decrypt_int if decrypt else _encrypt_int
+        return crypt(int.from_bytes(data, "big"), keys, size,
+                     masks).to_bytes(size, "big")
+
+    def _lanes(self, blocks: int, decrypt: bool):
+        """This direction's round keys and the masks, ``blocks`` lanes
+        wide: a one-block value times ``rep`` is that value in every
+        lane."""
+        cache = self._by_width[decrypt]
+        lanes = cache.get(blocks)
+        if lanes is None:
+            rep = int.from_bytes((bytes(15) + b"\x01") * blocks, "big")
+            lanes = cache[blocks] = (
+                tuple(k * rep for k in (self._dk if decrypt else self._ek)),
+                tuple(m * rep for m in _BLOCK_MASKS))
+        return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +348,8 @@ _SP12 = _sp12_tables()
 
 
 def _perm64(v: int, tabs: List[List[int]]) -> int:
+    """A 64-bit FIPS permutation through per-byte tables; with the numpy
+    tables, of a uint64 array of blocks."""
     return (
         tabs[0][(v >> 56) & 0xFF] | tabs[1][(v >> 48) & 0xFF]
         | tabs[2][(v >> 40) & 0xFF] | tabs[3][(v >> 32) & 0xFF]
@@ -353,15 +358,16 @@ def _perm64(v: int, tabs: List[List[int]]) -> int:
     )
 
 
-def _des_rounds(value: int, round_keys) -> int:
-    """16 Feistel rounds (incl. the final half swap), no IP/FP.
+def _des_rounds(value: int, round_keys, e_tab=_E_TAB, sp_tab=_SP12) -> int:
+    """16 Feistel rounds (incl. the final half swap), no IP/FP, on one
+    block or, with the numpy tables, on a uint64 array of blocks.
 
     Input and output are in post-IP bit order, so passes compose directly
     — which is how :class:`TripleDESKernel` drops the interior FP∘IP pairs
     and how a CBC chain stays in the IP domain (see :func:`_des_crypt`).
     """
-    e0, e1, e2, e3 = _E_TAB
-    sp0, sp1, sp2, sp3 = _SP12
+    e0, e1, e2, e3 = e_tab
+    sp0, sp1, sp2, sp3 = sp_tab
     left = (value >> 32) & 0xFFFFFFFF
     right = value & 0xFFFFFFFF
     for key in round_keys:
@@ -382,10 +388,7 @@ def _des_crypt(data: bytes, schedules, iv: Optional[bytes] = None) -> bytes:
     previous block's pre-FP round output: the chain register never leaves
     the IP domain, as in a hardware TDES core.
     """
-    if len(data) % 8:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of block size 8"
-        )
+    _whole_blocks(data, 8)
     chain = 0
     if iv is not None:
         if len(iv) != 8:
@@ -404,25 +407,41 @@ def _des_crypt(data: bytes, schedules, iv: Optional[bytes] = None) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# numpy array kernels: the wide half of every kernel.  The same T-table /
-# bit-packed formulations as above, with every per-block loop replaced by a
-# gather over the whole batch — the software analogue of the survey
-# engines' wide data-parallel datapaths.  An import-time equivalence check
-# (:func:`_check_array_kernels`) pins them to the scalar loops.
+# numpy array kernels: the wide half of every kernel.  AES as T-table
+# gathers and DES as the bit-packed formulation above, with every per-block
+# loop replaced by a gather over the whole batch — the software analogue of
+# the survey engines' wide data-parallel datapaths.  An import-time
+# equivalence check (:func:`_check_array_kernels`) pins them to the narrow
+# kernels.
 # ---------------------------------------------------------------------------
 
-#: Minimum batch width (blocks) for the array paths.  A numpy round costs
-#: roughly the same at any width, so narrow calls — the per-line fill /
-#: writeback shape — stay on the scalar kernels and wide calls (installs,
-#: region decrypts, pad batches) take the gathers.
-NUMPY_MIN_BLOCKS_AES = 32
-NUMPY_MIN_BLOCKS_DES = 32
+#: Minimum batch width (blocks) for the array paths: the crossovers that
+#: ``python -m repro.crypto.bench_kernels`` measures (2-core VM: AES about
+#: 2 us per block narrow against ~650 us + 1 us per block in numpy, DES
+#: and 3DES near 40 blocks).  A numpy round costs roughly the same at any
+#: width, so the per-line fill / writeback shape stays narrow and only
+#: installs and page-sized batches take the gathers.
+NUMPY_MIN_BLOCKS_AES = 512
+NUMPY_MIN_BLOCKS_DES = 40
 
 
-#: numpy mirrors of the lookup tables above.
+def _np_t_tables(column: Tuple[bytes, ...]) -> Tuple[np.ndarray, ...]:
+    """One direction's four T-tables.  ``column`` holds the byte tables of
+    the column word a row-0 byte contributes, most significant first; the
+    row-r table is that word rotated right by r bytes."""
+    word = np.zeros(256, dtype=np.uint64)
+    for table in column:
+        word = (word << 8) | np.frombuffer(table, dtype=np.uint8)
+    return tuple(
+        (((word >> (8 * r)) | (word << (32 - 8 * r))) & 0xFFFFFFFF)
+        .astype(np.uint32) for r in range(4))
+
+
+#: numpy lookup tables: AES T-tables fusing SubBytes with (Inv)MixColumns,
+#: and mirrors of the DES tables above.
 _NPT = {
-    "te": tuple(np.array(t, dtype=np.uint32) for t in _TE),
-    "td": tuple(np.array(t, dtype=np.uint32) for t in _TD),
+    "te": _np_t_tables((_SUB2, _SUB, _SUB, _times(SBOX, 3))),
+    "td": _np_t_tables((_INV_SUB14, _INV_SUB9, _INV_SUB13, _INV_SUB11)),
     "sbox": np.array(SBOX, dtype=np.uint32),
     "inv_sbox": np.array(INV_SBOX, dtype=np.uint32),
     "ip": tuple(np.array(t, dtype=np.uint64) for t in _IP_TAB),
@@ -433,45 +452,31 @@ _NPT = {
 
 
 def _np_aes_crypt(kernel: "AESKernel", data: bytes, encrypt: bool) -> bytes:
-    """All AES rounds as gathers over the whole batch at once."""
+    """All AES rounds as T-table gathers over the whole batch at once."""
+    if kernel._np_keys is None:
+        kernel._np_keys = tuple(
+            np.frombuffer(b"".join(k.to_bytes(16, "big") for k in keys),
+                          dtype=">u4").astype(np.uint32).reshape(-1, 4)
+            for keys in (kernel._ek, kernel._dk))
+    ks = kernel._np_keys[not encrypt]
     if encrypt:
         t0, t1, t2, t3 = _NPT["te"]
         last = _NPT["sbox"]
-        ks = kernel._ek_np
-        if ks is None:
-            ks = kernel._ek_np = np.array(
-                kernel._ek, dtype=np.uint32).reshape(-1, 4)
     else:
         t0, t1, t2, t3 = _NPT["td"]
         last = _NPT["inv_sbox"]
-        ks = kernel._dk_np
-        if ks is None:
-            ks = kernel._dk_np = np.array(
-                kernel._dk, dtype=np.uint32).reshape(-1, 4)
     w = np.frombuffer(data, dtype=">u4").astype(np.uint32).reshape(-1, 4)
-    k = ks[0]
-    w0 = w[:, 0] ^ k[0]
-    w1 = w[:, 1] ^ k[1]
-    w2 = w[:, 2] ^ k[2]
-    w3 = w[:, 3] ^ k[3]
-    # Encrypt rows rotate left through the columns, decrypt rows rotate
-    # right — mirror the scalar loops' index patterns exactly.
-    a, b, c = (1, 2, 3) if encrypt else (3, 2, 1)
-    cols = (w0, w1, w2, w3)
-    for rnd in range(1, kernel._rounds):
-        k = ks[rnd]
-        w0, w1, w2, w3 = (
-            t0[cols[0] >> 24] ^ t1[(cols[a] >> 16) & 0xFF]
-            ^ t2[(cols[2] >> 8) & 0xFF] ^ t3[cols[c] & 0xFF] ^ k[0],
-            t0[cols[1] >> 24] ^ t1[(cols[(1 + a) & 3] >> 16) & 0xFF]
-            ^ t2[(cols[3] >> 8) & 0xFF] ^ t3[cols[(1 + c) & 3] & 0xFF] ^ k[1],
-            t0[cols[2] >> 24] ^ t1[(cols[(2 + a) & 3] >> 16) & 0xFF]
-            ^ t2[(cols[0] >> 8) & 0xFF] ^ t3[cols[(2 + c) & 3] & 0xFF] ^ k[2],
-            t0[cols[3] >> 24] ^ t1[(cols[(3 + a) & 3] >> 16) & 0xFF]
-            ^ t2[(cols[1] >> 8) & 0xFF] ^ t3[cols[(3 + c) & 3] & 0xFF] ^ k[3],
-        )
-        cols = (w0, w1, w2, w3)
-    k = ks[kernel._rounds]
+    cols = tuple(w[:, i] ^ ks[0][i] for i in range(4))
+    # Encrypt rows rotate left through the columns (ShiftRows), decrypt
+    # rows rotate right (InvShiftRows).
+    a, c = (1, 3) if encrypt else (3, 1)
+    rounds = len(ks) - 1
+    for k in ks[1:rounds]:
+        cols = tuple(
+            t0[cols[i] >> 24] ^ t1[(cols[(i + a) & 3] >> 16) & 0xFF]
+            ^ t2[(cols[(i + 2) & 3] >> 8) & 0xFF]
+            ^ t3[cols[(i + c) & 3] & 0xFF] ^ k[i] for i in range(4))
+    k = ks[rounds]
     out = np.empty(w.shape, dtype=np.uint32)
     for i in range(4):
         out[:, i] = (
@@ -483,82 +488,38 @@ def _np_aes_crypt(kernel: "AESKernel", data: bytes, encrypt: bool) -> bytes:
     return out.astype(">u4").tobytes()
 
 
-def _np_perm64(v, tabs):
-    r = tabs[0][(v >> 56) & 0xFF] | tabs[1][(v >> 48) & 0xFF]
-    r |= tabs[2][(v >> 40) & 0xFF] | tabs[3][(v >> 32) & 0xFF]
-    r |= tabs[4][(v >> 24) & 0xFF] | tabs[5][(v >> 16) & 0xFF]
-    r |= tabs[6][(v >> 8) & 0xFF] | tabs[7][v & 0xFF]
-    return r
-
-
-def _np_des_crypt(data: bytes, chains) -> bytes:
-    """One IP, 16 gathered rounds per chain link, one FP — whole batch.
-
-    ``chains`` is a tuple of uint64 round-key arrays: one entry for DES,
-    three (the EDE composition with the interior FP∘IP pairs dropped) for
-    3DES, mirroring the scalar kernels exactly.
-    """
-    e0, e1, e2, e3 = _NPT["e"]
-    sp0, sp1, sp2, sp3 = _NPT["sp12"]
-    v = _np_perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
-                   _NPT["ip"])
-    left = v >> 32
-    right = v & 0xFFFFFFFF
-    for keys in chains:
-        for key in keys:
-            x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
-                 | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ key
-            f = (sp0[x >> 36] ^ sp1[(x >> 24) & 0xFFF]
-                 ^ sp2[(x >> 12) & 0xFFF] ^ sp3[x & 0xFFF])
-            left, right = right, left ^ f
-        # The final half swap of each 16-round pass.
-        left, right = right, left
-    return _np_perm64((left << 32) | right,
-                      _NPT["fp"]).astype(">u8").tobytes()
-
-
-def _array_kernels_match() -> bool:
-    """The array kernels reproduce the scalar kernels bit-for-bit on a
-    batch covering every byte value, for AES-128/256, DES and 3DES, both
-    directions."""
-    data = bytes((i * 37 + 11) & 0xFF for i in range(1024))
-    for key_len in (16, 32):
-        kernel = AESKernel(bytes(range(key_len)))
-        ct = kernel._encrypt_blocks_scalar(data)
-        if _np_aes_crypt(kernel, data, encrypt=True) != ct:
-            return False
-        if _np_aes_crypt(kernel, ct, encrypt=False) != data:
-            return False
-    des = DESKernel(bytes(range(8)))
-    tdes = TripleDESKernel(bytes(range(24)))
-    for kernel in (des, tdes):
-        ct = _des_crypt(data, kernel._enc)
-        enc_np, dec_np = _np_schedules(kernel)
-        if _np_des_crypt(data, enc_np) != ct:
-            return False
-        if _np_des_crypt(ct, dec_np) != data:
-            return False
-    return True
+def _np_des_crypt(data: bytes, schedules) -> bytes:
+    """:func:`_des_crypt` without a chain, as gathers over the whole batch
+    (the same permutations and rounds over the numpy tables)."""
+    v = _perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
+                _NPT["ip"])
+    for keys in schedules:
+        v = _des_rounds(v, keys, _NPT["e"], _NPT["sp12"])
+    return _perm64(v, _NPT["fp"]).astype(">u8").tobytes()
 
 
 def _check_array_kernels() -> None:
-    """Import-time equivalence check; a mismatch is one error line."""
-    if not _array_kernels_match():
+    """Import-time equivalence check: the array kernels reproduce the
+    narrow kernels bit-for-bit on a batch covering every byte value, for
+    AES-128/256, DES and 3DES, both directions; a mismatch is one error
+    line."""
+    data = bytes((i * 37 + 11) & 0xFF for i in range(1024))
+    pairs = []
+    for key_len in (16, 32):
+        kernel = AESKernel(bytes(range(key_len)))
+        ct = kernel._narrow(data, decrypt=False)
+        pairs += [(_np_aes_crypt(kernel, data, encrypt=True), ct),
+                  (_np_aes_crypt(kernel, ct, encrypt=False), data)]
+    for kernel in (DESKernel(bytes(range(8))),
+                   TripleDESKernel(bytes(range(24)))):
+        ct = _des_crypt(data, kernel._enc)
+        pairs += [(_np_des_crypt(data, kernel._enc), ct),
+                  (_np_des_crypt(ct, kernel._dec), data)]
+    if any(got != want for got, want in pairs):
         raise RuntimeError(
             f"numpy {np.__version__}: array cipher kernels disagree with "
-            "the scalar kernels; install a numpy that reproduces them"
+            "the narrow kernels; install a numpy that reproduces them"
         )
-
-
-def _np_schedules(kernel):
-    """A DES-family kernel's (encrypt, decrypt) schedules as uint64 arrays,
-    built on first wide call."""
-    if kernel._enc_np is None:
-        kernel._enc_np = tuple(np.array(k, dtype=np.uint64)
-                               for k in kernel._enc)
-        kernel._dec_np = tuple(np.array(k, dtype=np.uint64)
-                               for k in kernel._dec)
-    return kernel._enc_np, kernel._dec_np
 
 
 class DESKernel(_Kernel):
@@ -580,19 +541,18 @@ class DESKernel(_Kernel):
         self._enc = tuple(ks[::-1] if i % 2 else ks
                           for i, ks in enumerate(passes))
         self._dec = tuple(ks[::-1] for ks in reversed(self._enc))
-        self._enc_np = self._dec_np = None
 
     def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
         """ECB-encrypt a multiple of 8 bytes; with ``iv``, CBC-encrypt them
         as one chain (scalar at any width)."""
         if iv is None and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
                 and len(data) % 8 == 0:
-            return _np_des_crypt(data, _np_schedules(self)[0])
+            return _np_des_crypt(data, self._enc)
         return _des_crypt(data, self._enc, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, _np_schedules(self)[1])
+            return _np_des_crypt(data, self._dec)
         return _des_crypt(data, self._dec)
 
 
@@ -618,10 +578,7 @@ def _per_block(crypt: Callable[[bytes], bytes], size: int, data: bytes,
                iv: Optional[bytes] = None) -> bytes:
     """``crypt`` over each ``size``-byte block of ``data``; with ``iv``, as
     one CBC chain (each block XORed with the previous output first)."""
-    if len(data) % size:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of block size {size}"
-        )
+    _whole_blocks(data, size)
     if iv is None:
         return b"".join(
             crypt(data[i: i + size]) for i in range(0, len(data), size))

@@ -16,7 +16,7 @@ All generators expose ``keystream(nbytes)`` so they are interchangeable with
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = ["LFSR", "GeffeGenerator", "AlternatingStepGenerator", "MAXIMAL_TAPS"]
 
@@ -60,8 +60,24 @@ class LFSR:
         self.state = (self.state >> 1) | (feedback << (self.width - 1))
         return out
 
+    def advance(self, k: int) -> int:
+        """``k <= min(taps)`` steps at once: each feedback bit looks back
+        at least ``min(taps)`` bits, so the next k are the XOR of the
+        state's windows shifted by ``width - t``.  Returns the k output
+        bits, the first in bit 0."""
+        state = self.state
+        feedback = 0
+        for t in self.taps:
+            feedback ^= state >> (self.width - t)
+        mask = (1 << k) - 1
+        self.state = (state >> k) | ((feedback & mask) << (self.width - k))
+        return state & mask
+
     def bits(self, n: int) -> list:
-        return [self.step() for _ in range(n)]
+        """The next ``n`` output bits, ``min(taps)`` steps at a time
+        (:meth:`step` is the one-bit oracle)."""
+        return list(_bit_string(n, self.taps[-1], self.advance)
+                    .encode().translate(_DIGITS))
 
     def period(self, limit: int = 1 << 20) -> int:
         """Measure the cycle length from the current state (up to ``limit``)."""
@@ -75,14 +91,25 @@ class LFSR:
         return limit
 
 
-def _bits_to_bytes(bits: Sequence[int]) -> bytes:
-    out = bytearray()
-    for i in range(0, len(bits) - 7, 8):
-        byte = 0
-        for b in bits[i: i + 8]:
-            byte = (byte << 1) | b
-        out.append(byte)
-    return bytes(out)
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_string(n: int, step: int, advance: Callable[[int], int]) -> str:
+    """``n`` output bits as a '0'/'1' string in output order, ``step`` at
+    a time: ``advance(k)`` returns the next k bits, the first in bit 0."""
+    chunks = []
+    for done in range(0, n, step):
+        k = min(step, n - done)
+        # bin() of the word with a marker bit above it: '0b1' then k
+        # digits, last output bit first; reverse them.
+        chunks.append(bin(advance(k) | 1 << k)[3:][::-1])
+    return "".join(chunks)
+
+
+def _keystream(nbytes: int, step: int, advance: Callable[[int], int]) -> bytes:
+    """``8 * nbytes`` output bits packed MSB first."""
+    bits = _bit_string(8 * nbytes, step, advance)
+    return int(bits, 2).to_bytes(nbytes, "big") if nbytes else b""
 
 
 class GeffeGenerator:
@@ -105,8 +132,15 @@ class GeffeGenerator:
         a, b, c = self.a.step(), self.b.step(), self.c.step()
         return (a & b) ^ ((a ^ 1) & c)
 
+    def advance(self, k: int) -> int:
+        """``k`` output bits (first in bit 0), ``k`` at most every
+        register's ``min(taps)``."""
+        a, b, c = self.a.advance(k), self.b.advance(k), self.c.advance(k)
+        return (a & b) ^ (c & ~a)
+
     def keystream(self, nbytes: int) -> bytes:
-        return _bits_to_bytes([self.step() for _ in range(8 * nbytes)])
+        return _keystream(nbytes, min(lfsr.taps[-1] for lfsr in (
+            self.a, self.b, self.c)), self.advance)
 
 
 class AlternatingStepGenerator:
@@ -127,4 +161,4 @@ class AlternatingStepGenerator:
         return self._last_a ^ self._last_b
 
     def keystream(self, nbytes: int) -> bytes:
-        return _bits_to_bytes([self.step() for _ in range(8 * nbytes)])
+        return _keystream(nbytes, 1, lambda k: self.step())

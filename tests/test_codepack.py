@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import CodePack
-from repro.compression.codepack import _BitReader, _BitWriter
+from repro.compression.bitio import BitReader, BitWriter
 from repro.crypto import DRBG
 from repro.traces import synthetic_code_image
 
@@ -153,13 +153,13 @@ _FIELDS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 16)),
 
 
 class TestBitIO:
-    """The one-int bit packer and reader against the per-bit oracle,
+    """The shared bit packer and reader against the per-bit oracle,
     values wider than their field included."""
 
     @settings(max_examples=200, deadline=None)
     @given(fields=_FIELDS)
     def test_writer_matches_oracle(self, fields):
-        writer, oracle = _BitWriter(), _PerBitWriter()
+        writer, oracle = BitWriter(), _PerBitWriter()
         for value, width in fields:
             writer.write(value, width)
             oracle.write(value, width)
@@ -172,7 +172,7 @@ class TestBitIO:
         for value, width in fields:
             oracle_writer.write(value, width)
         data = oracle_writer.to_bytes()
-        reader, oracle = _BitReader(data), _PerBitReader(data)
+        reader, oracle = BitReader(data), _PerBitReader(data)
         for value, width in fields:
             got = reader.read(width)
             assert got == oracle.read(width) == value & ((1 << width) - 1)
@@ -181,3 +181,23 @@ class TestBitIO:
             oracle.read(overrun)
         with pytest.raises(IndexError):
             reader.read(overrun)
+
+    def test_long_stream_across_flushes(self):
+        """Thousands of fields: the writer moves bytes out of its int many
+        times, and the reader stops at its ``nbits`` limit."""
+        rng = DRBG(b"bitio-long")
+        fields = [(rng.randbits(20), 1 + rng.randbits(4))
+                  for _ in range(5000)]
+        writer, oracle = BitWriter(), _PerBitWriter()
+        for value, width in fields:
+            writer.write(value, width)
+            oracle.write(value, width)
+        data = writer.to_bytes()
+        assert data == oracle.to_bytes()
+        assert writer.nbits == len(oracle.bits)
+        reader = BitReader(data, writer.nbits)
+        for value, width in fields:
+            assert reader.read(width) == value & ((1 << width) - 1)
+        assert reader.pos == writer.nbits
+        with pytest.raises(IndexError):
+            reader.read(1)

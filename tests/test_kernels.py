@@ -7,13 +7,17 @@ the published known answers (FIPS 197, SP 800-67) and on 1000 random
 blocks per key size, and cover the registry/dispatch plumbing.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.crypto import AES, DES, DRBG, TripleDES
+from repro.crypto import kernels as kernels_mod
 from repro.crypto.kernels import (
     AESKernel,
     DESKernel,
+    ReferenceKernel,
     TripleDESKernel,
     aes_kernel,
     ctr_pads,
@@ -117,7 +121,7 @@ class TestRandomEquivalence:
         )
         assert kernel.encrypt_blocks(data) == expected
         assert kernel.decrypt_blocks(expected) == data
-        # Narrow widths stay on the scalar loops (below NUMPY_MIN_BLOCKS_*).
+        # Narrow widths stay on the narrow rung (below NUMPY_MIN_BLOCKS_*).
         for width in (1, 5, 31):
             part = width * size
             assert kernel.encrypt_blocks(data[:part]) == expected[:part]
@@ -142,6 +146,91 @@ class TestRandomEquivalence:
             DESKernel(bytes(8)).encrypt_blocks(b"\x00" * 12)
         with pytest.raises(ValueError):
             TripleDESKernel(bytes(7))
+
+
+# -- AES at every width: the narrow rung, the switch, numpy -----------------
+
+def _aes_widths():
+    switch = kernels_mod.NUMPY_MIN_BLOCKS_AES
+    return sorted({1, 2, 3, 5, 31, 32, 33, switch - 1, switch, switch + 1,
+                   256})
+
+
+class TestAESWidths:
+    """Each width runs whole-batch rounds over one int, slabs of them, or
+    numpy gathers; every one must give the reference bytes."""
+
+    @pytest.mark.parametrize("key,plaintext,ciphertext", AES_VECTORS[1:],
+                             ids=["C.1", "C.2", "C.3"])
+    def test_fips_197_appendix_c(self, key, plaintext, ciphertext):
+        kernel = AESKernel(bytes.fromhex(key))
+        pt, ct = bytes.fromhex(plaintext), bytes.fromhex(ciphertext)
+        for width in _aes_widths():
+            assert kernel.encrypt_blocks(pt * width) == ct * width
+            assert kernel.decrypt_blocks(ct * width) == pt * width
+
+    @pytest.mark.parametrize("key_len", (16, 24, 32))
+    def test_matches_reference_ciphers(self, key_len, reference_ciphers):
+        rng = DRBG(b"kernels-widths-%d" % key_len)
+        key, iv = rng.random_bytes(key_len), rng.random_bytes(16)
+        widths = _aes_widths()
+        data = rng.random_bytes(16 * max(widths))
+        with reference_ciphers():
+            ref = aes_kernel(key)
+            ecb, plain = ref.encrypt_blocks(data), ref.decrypt_blocks(data)
+            cbc = ref.encrypt_blocks(data, iv)
+        assert isinstance(ref, ReferenceKernel)
+        kernel = aes_kernel(key)
+        for width in widths:
+            part = 16 * width
+            assert kernel.encrypt_blocks(data[:part]) == ecb[:part]
+            assert kernel.decrypt_blocks(data[:part]) == plain[:part]
+            # The first blocks of a CBC chain are the chain of those blocks.
+            assert kernel.encrypt_blocks(data[:part], iv) == cbc[:part]
+
+    def test_empty_and_ragged_input(self):
+        kernel = AESKernel(bytes(16))
+        assert kernel.encrypt_blocks(b"") == b""
+        assert kernel.decrypt_blocks(b"") == b""
+        assert kernel.encrypt_blocks(b"", bytes(16)) == b""
+        wide = 16 * kernels_mod.NUMPY_MIN_BLOCKS_AES
+        for size in (1, 15, 17, wide - 1, wide + 1):
+            with pytest.raises(ValueError):
+                kernel.encrypt_blocks(bytes(size))
+            with pytest.raises(ValueError):
+                kernel.decrypt_blocks(bytes(size))
+            with pytest.raises(ValueError):
+                kernel.encrypt_blocks(bytes(size), bytes(16))
+        with pytest.raises(ValueError):
+            kernel.encrypt_blocks(bytes(32), bytes(8))
+
+    def test_pickled_kernel_encrypts_the_same_bytes(self):
+        kernel = AESKernel(bytes(range(32)))
+        fresh = pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL)
+        data = DRBG(b"kernels-pickle").random_bytes(16 * 600)
+        iv = bytes(range(16))
+        widths = (1, 2, 33, 600)
+        expected = [(kernel.encrypt_blocks(data[:16 * w]),
+                     kernel.decrypt_blocks(data[:16 * w]),
+                     kernel.encrypt_blocks(data[:16 * w], iv))
+                    for w in widths]
+        # Lanes and numpy schedules built by use stay out of the pickle.
+        used = pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL)
+        assert len(used) == len(fresh)
+        clone = pickle.loads(used)
+        assert clone is not kernel
+        assert [(clone.encrypt_blocks(data[:16 * w]),
+                 clone.decrypt_blocks(data[:16 * w]),
+                 clone.encrypt_blocks(data[:16 * w], iv))
+                for w in widths] == expected
+
+    def test_width_state_stays_bounded(self):
+        kernel = AESKernel(bytes(range(16)))
+        for width in (1, 40, 200, kernels_mod.NUMPY_MIN_BLOCKS_AES - 1):
+            kernel.encrypt_blocks(bytes(16 * width))
+            kernel.decrypt_blocks(bytes(16 * width))
+        assert all(max(cache) <= kernels_mod._SLAB_BLOCKS
+                   for cache in kernel._by_width)
 
 
 # -- registry / dispatch ----------------------------------------------------
@@ -204,11 +293,9 @@ class TestRegistryAndDispatch:
 
 # -- import-time equivalence check -------------------------------------------
 
-from repro.crypto import kernels as kernels_mod
-
 
 def test_equivalence_check_mismatch_raises_one_line(monkeypatch):
-    """Array kernels that disagree with the scalar loops stop the import
+    """Array kernels that disagree with the narrow kernels stop the import
     with one error line naming the numpy version — no fallback."""
     monkeypatch.setattr(kernels_mod, "_np_aes_crypt",
                         lambda kernel, data, encrypt: bytes(len(data)))
@@ -227,6 +314,14 @@ from repro.crypto.feistel import SmallBlockCipher
 
 def test_bench_equivalence_sweep_clean():
     assert bench_kernels.check_equivalence(4) == []
+
+
+def test_bench_crossovers_time_both_rungs():
+    rows, found = bench_kernels.crossovers(widths=(1, 2), repeats=1)
+    assert [(r["cipher"], r["blocks"]) for r in rows] == [
+        (name, w) for name in ("aes-128", "des", "3des") for w in (1, 2)]
+    assert all(r["narrow_s"] > 0 and r["numpy_s"] > 0 for r in rows)
+    assert set(found) == {"aes-128", "des", "3des"}
 
 
 def test_bench_equivalence_catches_byte_cipher_mismatch(monkeypatch):

@@ -398,8 +398,8 @@ class TestDecryptLines:
     @pytest.mark.parametrize("name", sorted(_BATCH_DECRYPT))
     def test_batch_matches_single_lines_across_numpy_width(self, name):
         # Group sizes straddle the width at which a kernel call switches
-        # from the scalar table loop to numpy gathers; one line alone
-        # always stays scalar.
+        # from the narrow rung to numpy gathers; one line alone always
+        # stays narrow.
         block = _BATCH_DECRYPT[name]
         threshold = (kernels.NUMPY_MIN_BLOCKS_AES if block == 16
                      else kernels.NUMPY_MIN_BLOCKS_DES)
@@ -495,8 +495,8 @@ from repro.obs import RecordingSink
 
 _PIN_LINE = 32
 _PIN_BASE = 0x400
-#: Group widths in lines; aegis's 31/32/33 block columns straddle
-#: NUMPY_MIN_BLOCKS_AES.
+#: Group widths in lines; aegis's 31/32/33 block columns straddle 32, the
+#: rung switch these pins were recorded under.
 _PIN_WIDTHS = (1, 5, 31, 32, 33)
 
 
@@ -518,12 +518,12 @@ def _bulk(engine, items):
     return engine.encrypt_lines(items)
 
 
-def _encrypt_digest(name, encrypt):
+def _encrypt_digest(name, encrypt, widths=_PIN_WIDTHS):
     """sha256 of ``encrypt(engine, group)`` run twice per pinned width on
     a fresh engine; the second pass sees the state the first advanced
     (stream versions, aegis vectors)."""
     out = []
-    for width in _PIN_WIDTHS:
+    for width in widths:
         engine = make_engine(name)
         group = _pin_items(width)
         out.append([encrypt(engine, group), encrypt(engine, group)])
@@ -567,6 +567,33 @@ def test_encrypt_pins_cover_every_line_engine():
 def test_encrypt_lines_matches_pinned_per_line(name):
     assert _encrypt_digest(name, _bulk) == _ENCRYPT_PINS[name]
     assert _encrypt_digest(name, _per_line) == _ENCRYPT_PINS[name]
+
+
+#: Wide groups, in lines: aegis's IV batch and block columns are one
+#: block per line, so 511/512/513 straddle NUMPY_MIN_BLOCKS_AES = 512;
+#: xom's are two per line, so 255/256/257 lines straddle it.  Recorded
+#: when the narrow rung was the T-table loop.
+_WIDE_PIN_WIDTHS = (255, 256, 257, 511, 512, 513)
+_WIDE_ENCRYPT_PINS = {
+    "aegis":
+        "6cfa4010f2941d7a15f6e85e7601ff89c9d550f43108cf51a9e6555c3e18d046",
+    "xom":
+        "e9024757266f5f2cda8fa3965f4454d528e1ce7aaed0941c7001e95e043dc4f4",
+}
+
+
+def test_wide_pins_straddle_the_aes_rung_switch():
+    switch = kernels.NUMPY_MIN_BLOCKS_AES
+    assert {switch - 1, switch, switch + 1} <= set(_WIDE_PIN_WIDTHS)
+    assert {2 * w for w in _WIDE_PIN_WIDTHS[:3]} \
+        == {switch - 2, switch, switch + 2}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_ENCRYPT_PINS))
+def test_encrypt_lines_matches_wide_pins(name):
+    for encrypt in (_bulk, _per_line):
+        assert _encrypt_digest(name, encrypt, _WIDE_PIN_WIDTHS) \
+            == _WIDE_ENCRYPT_PINS[name]
 
 
 #: Ragged widths and a repeated address, for aegis's per-line chains.
