@@ -76,6 +76,14 @@ TWIN_IMPORT_ITEM := ^[[:space:]]+($(TRACE_TWINS))([[:space:]]+as[[:space:]]+[[:a
 # loops, their tables and their schedule helpers stay out of src/.
 AES_TTABLE := (^|[^[:alnum:]_])(_TE|_TD|_IMIX|_encrypt_blocks_scalar|_decrypt_blocks_scalar|_pack_words|_inv_mix_word)([^[:alnum:]_]|$$)
 
+# Cache-access semantics live in one place, the executor
+# (fastpath.chunk_consumer): Cache holds state only, and the two-level
+# hierarchy runs its L1 through the executor behind an L2 port, so
+# CacheResult, a def access( in sim/cache.py and the hand-rolled L1 stay
+# out of src/.
+CACHE_ACCESS := (^|[^[:alnum:]_])(CacheResult|_l1_view|_l1_writeback|_fetch_into_l1)([^[:alnum:]_]|$$)
+CACHE_ACCESS_DEF := ^[[:space:]]+def access\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -221,6 +229,18 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one narrow AES rung)"
+	@matches=$$(grep -rnIE '$(CACHE_ACCESS)' --exclude-dir=__pycache__ \
+		src || true); \
+	defs=$$(grep -nE '$(CACHE_ACCESS_DEF)' src/repro/sim/cache.py || true); \
+	if [ -n "$$matches$$defs" ]; then \
+		echo "lint: cache-access semantics are the executor's; Cache" >&2; \
+		echo "      has no access(), and CacheResult and the" >&2; \
+		echo "      hierarchy's hand-rolled L1 stay gone:" >&2; \
+		[ -z "$$matches" ] || echo "$$matches" >&2; \
+		[ -z "$$defs" ] || echo "$$defs" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one encoding of cache-access semantics)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -5,7 +5,7 @@ from .area import GATES, AreaEstimate, combine, sram_gates
 from .bus import Bus, BusTransaction
 from .energy import DEFAULT_ENERGY, EnergyModel, EnergyReport, estimate_run
 from .hierarchy import EDU_L1_L2, EDU_L2_MEMORY, TwoLevelSystem
-from .cache import Cache, CacheConfig, CacheResult, WritePolicy
+from .cache import Cache, CacheConfig, WritePolicy
 from .memory import MainMemory, MemoryConfig
 from .pipeline import (
     AEGIS_AES_PIPE,
@@ -26,7 +26,7 @@ __all__ = [
     "Bus", "BusTransaction",
     "DEFAULT_ENERGY", "EnergyModel", "EnergyReport", "estimate_run",
     "EDU_L1_L2", "EDU_L2_MEMORY", "TwoLevelSystem",
-    "Cache", "CacheConfig", "CacheResult", "WritePolicy",
+    "Cache", "CacheConfig", "WritePolicy",
     "MainMemory", "MemoryConfig",
     "PipelinedUnit", "XOM_AES_PIPE", "AEGIS_AES_PIPE", "TDES_PIPE",
     "TDES_ITERATIVE", "DES_ITERATIVE", "AES_ITERATIVE", "KEYSTREAM_UNIT",

@@ -24,9 +24,12 @@ chunks in.  :class:`repro.sim.StreamExecutor` is pushed: each ``feed``
 compiles and sends one chunk in the caller's thread.
 :meth:`~repro.sim.system.SecureSystem.run` and
 :meth:`~repro.sim.system.SecureSystem.step` (a one-access run) both go
-through :func:`execute`.  Equivalence contract against the scalar
-one-access-at-a-time model in ``tests/reference_model.py`` (pinned by
-``tests/test_fastpath.py``):
+through :func:`execute`, and so does the L1 of a
+:class:`~repro.sim.hierarchy.TwoLevelSystem`, whose port is its L2.  This
+loop is the simulator's one encoding of cache-access semantics:
+:class:`~repro.sim.cache.Cache` only holds the state it works on.
+Equivalence contract against the scalar one-access-at-a-time model in
+``tests/reference_model.py`` (pinned by ``tests/test_fastpath.py``):
 
 * the :class:`~repro.sim.system.SimReport` is byte-identical — same
   cycles, counters, stats — for every engine;

@@ -7,25 +7,31 @@ caches hold plaintext) or between L1 and L2 (the large L2 holds ciphertext
 — tolerating on-chip probing of the L2 arrays, the class-III concern §4
 raises — at the price of crypto on every L1 miss).
 
-:class:`TwoLevelSystem` implements both, functionally: with the EDU at the
-L2-memory boundary both caches cache plaintext; with the EDU at the L1-L2
-boundary the L2 is just a staging array for ciphertext lines and every L1
-fill pays the engine.  That boundary deciphers one line in place, so it
-rejects, at construction, an engine whose fill does more (its own
-``fill_lines`` or a ``_verify_fill`` check).
+:class:`TwoLevelSystem` implements both, functionally, on the simulator's
+one executor.  Its L1 is a :class:`~repro.sim.system.SecureSystem` run
+through :func:`repro.sim.fastpath.execute`; that system's port is an
+:class:`_L2Port`, a line-granular L2 in front of external memory.  With
+the EDU at the L2-memory boundary the L1 runs :class:`NullEngine` and the
+engine fills and spills the L2; with the EDU at the L1-L2 boundary the
+engine services the L1's fills and writebacks through the port, and the
+L2 moves ciphertext to and from memory untouched.  The port holds lines
+at their own addresses, so that boundary rejects, at construction, an
+engine whose fill reads more (its own ``fill_lines`` or a ``_verify_fill``
+check).  Both levels must be write-back with write-allocate: the port
+moves whole lines only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine
-from ..obs import EventSink, current_sink
-from ..traces.trace import Access, AccessKind, Trace
-from .bus import Bus
-from .cache import Cache, CacheConfig
-from .memory import MainMemory, MemoryConfig
-from .system import SimReport, store_payload
+from ..obs import EventSink
+from ..traces.trace import Access, Trace
+from .cache import Cache, CacheConfig, WritePolicy
+from .fastpath import execute
+from .memory import MemoryConfig
+from .system import SecureSystem, SimReport
 
 __all__ = ["TwoLevelSystem", "EDU_L2_MEMORY", "EDU_L1_L2"]
 
@@ -33,8 +39,111 @@ EDU_L2_MEMORY = "l2-memory"
 EDU_L1_L2 = "l1-l2"
 
 
+class _L2Port:
+    """The L1's memory port: a line-granular L2 in front of ``below``.
+
+    :meth:`read` is an L1 fill and :meth:`write` an L1 writeback (a whole
+    line: no fill).  Both work in place on ``cache``'s LRU lists, dirty
+    set and counters and cost its hit latency; a miss evicts the LRU
+    line, spilling it through ``below`` when dirty, and a read miss fills
+    through ``below``.  Spill cycles reach the caller only without a
+    write buffer.  Reports hit/miss/eviction/writeback to ``sink``.
+    """
+
+    def __init__(self, cache: Cache, below: BusEncryptionEngine,
+                 port: MemoryPort, write_buffer: bool,
+                 sink: Optional[EventSink], clock: Callable[[], int]):
+        self.cache = cache
+        self.below = below
+        self.port = port
+        self.write_buffer = write_buffer
+        self.sink = sink
+        self.clock = clock
+        #: Content of resident lines: plaintext when the EDU is below the
+        #: L2, ciphertext when it is above.
+        self.data: Dict[int, bytes] = {}
+
+    def _note(self, kind: str, line: int) -> None:
+        size = self.cache.config.line_size
+        self.sink.note(kind, addr=line * size, size=size, cycle=self.clock())
+
+    def _lookup(self, line: int, is_write: bool) -> Tuple[bool, int]:
+        """Touch ``line``; returns (hit, cycles so far)."""
+        cache = self.cache
+        cfg = cache.config
+        lines = cache._sets[line % cfg.num_sets]
+        sink = self.sink
+        cycles = cfg.hit_latency
+        hit = line in lines
+        if hit:
+            if lines[-1] != line:
+                lines.remove(line)
+                lines.append(line)
+            cache.hits += 1
+            if sink is not None:
+                self._note("hit", line)
+        else:
+            cache.misses += 1
+            if sink is not None:
+                self._note("miss", line)
+            if len(lines) >= cfg.associativity:
+                victim = lines.pop(0)
+                cache.evictions += 1
+                if sink is not None:
+                    self._note("eviction", victim)
+                data = self.data.pop(victim, None)
+                if victim in cache._dirty:
+                    cache._dirty.discard(victim)
+                    cache.writebacks += 1
+                    if sink is not None:
+                        self._note("writeback", victim)
+                    cycles += self._spill(victim, data)
+            lines.append(line)
+        if is_write:
+            cache._dirty.add(line)
+        return hit, cycles
+
+    def _spill(self, line: int, data: Optional[bytes]) -> int:
+        size = self.cache.config.line_size
+        cycles = self.below.write_line(
+            self.port, line * size, data if data is not None else bytes(size))
+        return 0 if self.write_buffer else cycles
+
+    def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
+        """Fetch the line at ``addr`` for the L1; returns (data, cycles)."""
+        line = addr // self.cache.config.line_size
+        hit, cycles = self._lookup(line, False)
+        if hit:
+            data = self.data.get(line)
+            return (data if data is not None else bytes(nbytes)), cycles
+        data, fill_cycles = self.below.fill_line(self.port, addr, nbytes)
+        self.data[line] = data = bytes(data)
+        return data, cycles + fill_cycles
+
+    def write(self, addr: int, data: bytes) -> int:
+        """Take a whole-line L1 writeback; returns cycles."""
+        line = addr // self.cache.config.line_size
+        _, cycles = self._lookup(line, True)
+        self.data[line] = bytes(data)
+        return cycles
+
+    def flush(self) -> int:
+        """Spill every dirty line, then ``below``'s own buffer; returns
+        the cycles the caller waits for."""
+        size = self.cache.config.line_size
+        cycles = sum(self._spill(addr // size, self.data.get(addr // size))
+                     for addr in self.cache.flush())
+        self.data.clear()
+        below = self.below.flush(self.port)
+        return cycles + (0 if self.write_buffer else below)
+
+
 class TwoLevelSystem:
-    """CPU -> L1 -> L2 -> external memory, with the EDU at either boundary."""
+    """CPU -> L1 -> L2 -> external memory, with the EDU at either boundary.
+
+    ``write_buffer`` posts the L2's spills to memory; the L1's writebacks
+    into the L2 always land on the critical path.
+    """
 
     def __init__(
         self,
@@ -51,217 +160,85 @@ class TwoLevelSystem:
     ):
         if l1_config.line_size != l2_config.line_size:
             raise ValueError("L1 and L2 must share a line size in this model")
+        for level, config in (("L1", l1_config), ("L2", l2_config)):
+            if (config.write_policy is not WritePolicy.WRITE_BACK
+                    or not config.write_allocate):
+                raise ValueError(
+                    f"{level} must be write-back with write-allocate: the "
+                    f"hierarchy moves whole lines between levels")
         if edu_level not in (EDU_L2_MEMORY, EDU_L1_L2):
             raise ValueError(f"unknown edu_level {edu_level!r}")
         if edu_level == EDU_L1_L2 and engine is not None:
-            # The L1-L2 boundary applies decrypt_line/encrypt_line in
-            # place: an engine with its own fill path or fill check
-            # would silently lose it there.
+            # The L2 port holds lines at their own addresses: an engine
+            # whose fill reads anything else (pages, chains, tags) has
+            # no model there.
             base, cls = BusEncryptionEngine, type(engine)
             if (cls.fill_lines is not base.fill_lines
                     or cls._verify_fill is not base._verify_fill):
                 raise ValueError(
                     f"engine {engine.name!r} fills or verifies beyond a "
                     f"per-line decrypt, which {EDU_L1_L2} does not model")
-        if sink is None:
-            sink = current_sink()
         self.engine = engine if engine is not None else NullEngine()
-        self.engine.attach_sink(sink)
-        self.sink = sink
-        self.l1 = Cache(l1_config, sink=sink)
-        self.l1.clock = lambda: self.cycles
-        self.l2 = Cache(l2_config, sink=sink)
-        self.l2.clock = lambda: self.cycles
-        self.memory = MainMemory(mem_config, sink=sink)
-        self.bus = Bus(sink=sink)
+        at_l1 = edu_level == EDU_L1_L2
+        self._l1 = l1 = SecureSystem(
+            engine=self.engine if at_l1 else NullEngine(),
+            cache_config=l1_config, mem_config=mem_config,
+            write_buffer=False, issue_cycles=issue_cycles, sink=sink)
+        self.engine.attach_sink(l1.sink)
+        self.sink = l1.sink
+        self.memory = l1.memory
+        self.bus = l1.bus
+        self.l1 = l1.cache
+        self.l2 = Cache(l2_config)
         self.edu_level = edu_level
-        self.write_buffer = write_buffer
-        self.issue_cycles = issue_cycles
-        self.cycles = 0
-        self.port = MemoryPort(self.memory, self.bus, clock=lambda: self.cycles)
         self.line_size = l1_config.line_size
-        # Plaintext of L1-resident lines.
-        self._l1_data: Dict[int, bytearray] = {}
-        # Content of L2-resident lines: plaintext when the EDU is at the
-        # memory boundary, ciphertext when the EDU is at the L1-L2 boundary.
-        self._l2_data: Dict[int, bytes] = {}
-        self._counts = {kind: 0 for kind in AccessKind}
+        l1.port = self._l2 = _L2Port(
+            self.l2, NullEngine() if at_l1 else self.engine, l1.port,
+            write_buffer, l1.sink, lambda: l1.cycles)
+        # Plaintext of L1-resident lines, and the L2's line content.
+        self._l1_data = l1._line_data
+        self._l2_data = self._l2.data
+
+    @property
+    def cycles(self) -> int:
+        return self._l1.cycles
 
     # -- installation -----------------------------------------------------
 
     def install_image(self, base_addr: int, plaintext: bytes) -> None:
         self.engine.install_image(
-            self.memory, base_addr, plaintext, line_size=self.line_size
-        )
+            self.memory, base_addr, plaintext, line_size=self.line_size)
 
     def read_plaintext(self, addr: int, nbytes: int) -> bytes:
         """Decrypt external memory through the engine (verification helper)."""
         return self.engine.read_plain(self.memory, addr, nbytes,
                                       self.line_size)
 
-    # -- L2 <-> memory ------------------------------------------------------
-
-    def _l2_writeback(self, addr: int) -> None:
-        """Dirty L2 victim goes to external memory."""
-        line = addr // self.line_size
-        data = self._l2_data.pop(line, None)
-        if data is None:
-            data = bytes(self.line_size)
-        if self.edu_level == EDU_L2_MEMORY:
-            cycles = self.engine.write_line(self.port, addr, bytes(data))
-        else:
-            # L2 already holds ciphertext: plain store.
-            cycles = self.port.write(addr, bytes(data))
-        if not self.write_buffer:
-            self.cycles += cycles
-
-    def _l2_fill(self, addr: int) -> bytes:
-        """Fetch a line into L2 from memory; returns the L2's view of it."""
-        if self.edu_level == EDU_L2_MEMORY:
-            data, cycles = self.engine.fill_line(self.port, addr,
-                                                 self.line_size)
-        else:
-            data, cycles = self.port.read(addr, self.line_size)
-        self.cycles += cycles
-        return bytes(data)
-
-    # -- L1 <-> L2 -------------------------------------------------------------
-
-    def _l1_view(self, addr: int, l2_content: bytes) -> bytes:
-        """What the L1 stores: decrypt at the L1 boundary if the EDU is
-        there."""
-        if self.edu_level == EDU_L1_L2:
-            self.cycles += self.engine.read_extra_cycles(
-                addr, self.line_size, 0
-            )
-            self.engine.stats.lines_decrypted += 1
-            self.engine._emit("decipher", addr, self.line_size)
-            return (
-                self.engine.decrypt_line(addr, l2_content)
-                if self.engine.functional else l2_content
-            )
-        return l2_content
-
-    def _l1_writeback(self, addr: int) -> None:
-        """Dirty L1 victim goes into L2."""
-        line = addr // self.line_size
-        plaintext = self._l1_data.pop(line, None)
-        if plaintext is None:
-            plaintext = bytearray(self.line_size)
-        if self.edu_level == EDU_L1_L2:
-            self.cycles += self.engine.write_extra_cycles(addr, self.line_size)
-            self.engine.stats.lines_encrypted += 1
-            self.engine._emit("encipher", addr, self.line_size)
-            content = (
-                self.engine.encrypt_line(addr, bytes(plaintext))
-                if self.engine.functional else bytes(plaintext)
-            )
-        else:
-            content = bytes(plaintext)
-        result = self.l2.access(addr, is_write=True)
-        self.cycles += self.l2.config.hit_latency
-        if result.evicted_line is not None:
-            if result.writeback_addr is not None:
-                self._l2_writeback(result.writeback_addr)
-            else:
-                self._l2_data.pop(result.evicted_line, None)
-        if result.fill_needed:
-            # Write-allocate into L2 without the data (whole line replaced).
-            pass
-        self._l2_data[line] = content
-
-    def _fetch_into_l1(self, addr: int) -> bytes:
-        """Service an L1 fill through the L2."""
-        line = addr // self.line_size
-        result = self.l2.access(addr, is_write=False)
-        self.cycles += self.l2.config.hit_latency
-        if result.hit:
-            content = self._l2_data.get(line)
-            if content is None:
-                content = bytes(self.line_size)
-        else:
-            if result.evicted_line is not None:
-                if result.writeback_addr is not None:
-                    self._l2_writeback(result.writeback_addr)
-                else:
-                    self._l2_data.pop(result.evicted_line, None)
-            content = self._l2_fill(addr)
-            self._l2_data[line] = content
-        return self._l1_view(addr, content)
-
-    # -- main loop -----------------------------------------------------------------
+    # -- simulation -------------------------------------------------------
 
     def step(self, access: Access, data: Optional[bytes] = None) -> None:
-        self.cycles += self.issue_cycles
-        self._counts[access.kind] += 1
-        if self.sink is not None:
-            self.sink.note("access", addr=access.addr, size=access.size,
-                           cycle=self.cycles,
-                           detail=access.kind.name.lower())
-        line_size = self.line_size
-
-        result = self.l1.access(access.addr, access.is_write)
-        self.cycles += self.l1.config.hit_latency
-
-        if result.evicted_line is not None:
-            if result.writeback_addr is not None:
-                self._l1_writeback(result.writeback_addr)
-            else:
-                self._l1_data.pop(result.evicted_line, None)
-
-        if result.fill_needed:
-            plaintext = self._fetch_into_l1(result.line_addr * line_size)
-            self._l1_data[result.line_addr] = bytearray(plaintext)
-
-        if access.is_write:
-            payload = data if data is not None else store_payload(
-                access.addr, access.size)
-            if result.line_addr in self._l1_data:
-                line = self._l1_data[result.line_addr]
-                offset = access.addr - result.line_addr * line_size
-                end = min(offset + len(payload), line_size)
-                line[offset:end] = payload[: end - offset]
+        """One access: a one-access :meth:`run`; a store's explicit
+        ``data`` then replaces the trace filler in the resident line."""
+        execute(self._l1, (access,))
+        if data is not None and access.is_write:
+            offset = access.addr % self.line_size
+            end = min(offset + len(data), self.line_size)
+            self._l1_data[access.addr // self.line_size][offset:end] = \
+                data[: end - offset]
 
     def run(self, trace: Trace, label: str = "") -> SimReport:
-        for access in trace:
-            self.step(access)
+        execute(self._l1, trace)
         return self.report(label or f"{self.engine.name}@{self.edu_level}")
 
     def flush(self) -> None:
-        """Drain both cache levels, then the engine's own buffer, to
-        memory."""
-        for addr in self.l1.flush():
-            self._l1_writeback(addr)
-        self._l1_data.clear()
-        for addr in self.l2.flush():
-            self._l2_writeback(addr)
-        self._l2_data.clear()
-        cycles = self.engine.flush(self.port)
-        if not self.write_buffer:
-            self.cycles += cycles
+        """Drain the L1 into the L2, then the L2 and the engine's own
+        buffer to memory."""
+        self._l1.flush()
+        self._l1.cycles += self._l2.flush()
 
     def report(self, label: str) -> SimReport:
-        stats = self.engine.stats
-        return SimReport(
-            label=label,
-            cycles=self.cycles,
-            accesses=sum(self._counts.values()),
-            fetches=self._counts[AccessKind.FETCH],
-            loads=self._counts[AccessKind.LOAD],
-            stores=self._counts[AccessKind.STORE],
-            cache_hits=self.l1.hits,
-            cache_misses=self.l1.misses,
-            writebacks=self.l1.writebacks + self.l2.writebacks,
-            rmw_operations=stats.rmw_operations,
-            bus_transactions=self.bus.transactions,
-            bus_bytes=self.bus.bytes_transferred,
-            mem_reads=self.memory.reads,
-            mem_writes=self.memory.writes,
-            engine_extra_read_cycles=stats.extra_read_cycles,
-            engine_extra_write_cycles=stats.extra_write_cycles,
-            lines_encrypted=stats.lines_encrypted,
-            lines_decrypted=stats.lines_decrypted,
-            bytes_enciphered=self.line_size * (
-                stats.lines_encrypted + stats.lines_decrypted
-            ),
-        )
+        """The L1 run's report, with the engine's stats and both levels'
+        writebacks."""
+        report = self._l1.report(label, engine=self.engine)
+        report.writebacks += self.l2.writebacks
+        return report

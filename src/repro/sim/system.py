@@ -197,8 +197,11 @@ class SecureSystem:
         if not self.write_buffer:
             self.cycles += cycles
 
-    def report(self, label: str) -> SimReport:
-        stats = self.engine.stats
+    def report(self, label: str,
+               engine: Optional[BusEncryptionEngine] = None) -> SimReport:
+        """The run so far; the engine stats are ``engine``'s (default this
+        system's own — a hierarchy passes the EDU below its L1)."""
+        stats = (engine or self.engine).stats
         line_size = self.cache.config.line_size
         return SimReport(
             label=label,
@@ -210,7 +213,7 @@ class SecureSystem:
             cache_hits=self.cache.hits,
             cache_misses=self.cache.misses,
             writebacks=self.cache.writebacks,
-            rmw_operations=self.engine.stats.rmw_operations,
+            rmw_operations=stats.rmw_operations,
             bus_transactions=self.bus.transactions,
             bus_bytes=self.bus.bytes_transferred,
             mem_reads=self.memory.reads,

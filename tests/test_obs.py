@@ -270,7 +270,7 @@ def _run_faults(sink) -> None:
 #: Producers of one event stream each, covering every site that reports
 #: to a sink: the executor, engines, bus and memory (``engines``), the
 #: protocol channel (E01), the Kuhn attack (E05), the two-level hierarchy
-#: and ``Cache.access`` (E16), and the fault injector and campaign.
+#: and its L2 port (E16), and the fault injector and campaign.
 STREAMS = {
     "engines": _run_engines,
     "e01": lambda sink: run_experiment("e01", quick=True, trace=sink),
@@ -286,13 +286,23 @@ STREAM_DIGESTS = {
                "c15cc64f2c0218bb182aa096a3caf335"),
     "e05": (4451, "255c82cd3aa43d2bc7d1d59f2f74faba"
                   "65499cb5769a587b129d2ffa06ed2c99"),
-    "e16": (20217, "384a00464891bd8b4f02ecc973d9dacf"
-                   "ff3625671fffd45ae777064221015522"),
+    # Re-recorded when the hierarchy's L1 moved onto the executor: it
+    # now emits one ``fill`` per L1 fill and, at L1-L2, the engine's
+    # ``stall`` events (E16_KINDS pins every other kind's count).
+    "e16": (20950, "5119bdf0f1de3e6f7e41e12654847291"
+                   "f0783362bae52c5a5e44a247ea1ccdc7"),
     "engines": (17698, "7c18c44bcd1c2120fbc15f068e7f9bc0"
                        "1c3fe2db3a19588b9cb44db348587482"),
     "faults": (944, "f5f1521c2bfa68c53c57efd1fb94e5f8"
                     "a54a3b04171a7af60b875e8c3b836c5b"),
 }
+
+#: Per-kind counts of the ``e16`` stream, recorded with the hand-rolled
+#: L1; the executor-composed hierarchy adds ``fill`` and ``stall`` events
+#: and leaves every other count as it was.
+E16_KINDS = {"access": 7200, "bus-read": 1110, "decipher": 846,
+             "encipher": 29, "eviction": 750, "hit": 6177, "mem-read": 1110,
+             "miss": 1638, "writeback": 87}
 
 #: (transactions, sha256) of the bus probe's record of ``engines``.
 PROBE_DIGEST = (2174, "b23ebf990d2143bb0a0e60ce151d0e66"
@@ -321,6 +331,14 @@ class TestKeepersSeeTheFullStream:
     @pytest.mark.parametrize("name", sorted(STREAMS))
     def test_jsonl_stream(self, name):
         assert _jsonl_digest(STREAMS[name]) == STREAM_DIGESTS[name]
+
+    def test_e16_moves_only_fill_and_stall_counts(self):
+        sink = CounterSink()
+        STREAMS["e16"](sink)
+        counts = sink.summary()
+        assert {kind: n for kind, n in counts.items()
+                if kind not in ("fill", "stall")} == E16_KINDS
+        assert (counts["fill"], counts["stall"]) == (1128, 875)
 
     def test_recording_sink_keeps_the_same_stream(self):
         recorder = RecordingSink()

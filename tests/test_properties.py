@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.core.registry import engine_names, make_engine
 from repro.crypto import AES, DES, DRBG
-from repro.sim import Cache, CacheConfig, MemoryConfig, SecureSystem
+from repro.sim import CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import Access, AccessKind
 
 from .reference_model import store
@@ -119,13 +119,22 @@ def test_store_flush_consistency(engine_idx, writes):
     write_mask=st.integers(0, 2 ** 16),
 )
 def test_cache_capacity_invariant(addrs, write_mask):
-    cache = Cache(CacheConfig(size=256, line_size=32, associativity=2))
+    system = SecureSystem(
+        cache_config=CacheConfig(size=256, line_size=32, associativity=2),
+        mem_config=MemoryConfig(size=1 << 16))
+    cache = system.cache
     for i, line_idx in enumerate(addrs):
-        cache.access(line_idx * 32, is_write=bool((write_mask >> (i % 16)) & 1))
+        is_write = bool((write_mask >> (i % 16)) & 1)
+        system.step(Access(AccessKind.STORE if is_write else AccessKind.LOAD,
+                           line_idx * 32))
         occupancy = sum(len(s) for s in cache._sets)
         assert occupancy <= cache.config.size // cache.config.line_size
         for cache_set in cache._sets:
             assert len(cache_set) <= cache.config.associativity
+            assert len(set(cache_set)) == len(cache_set)
+        assert cache._dirty <= {line for s in cache._sets for line in s}
+        assert set(system._line_data) == {line for s in cache._sets
+                                          for line in s}
     assert cache.hits + cache.misses == len(addrs)
 
 
