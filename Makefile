@@ -84,6 +84,14 @@ AES_TTABLE := (^|[^[:alnum:]_])(_TE|_TD|_IMIX|_encrypt_blocks_scalar|_decrypt_bl
 CACHE_ACCESS := (^|[^[:alnum:]_])(CacheResult|_l1_view|_l1_writeback|_fetch_into_l1)([^[:alnum:]_]|$$)
 CACHE_ACCESS_DEF := ^[[:space:]]+def access\(
 
+# GI's regions and VLSI's pages are one chained-3DES body,
+# ChainedTDESEngine (core/engine.py): the 3DES kernel, the unit IV, the
+# memoized whole-unit CBC transform, install_image, read_plain and the
+# four line stubs stay out of the two engines, which plug in through the
+# _install_unit/_load_unit layout hooks.
+CHAIN_ENGINES := src/repro/core/general_instrument.py src/repro/core/vlsi_dma.py
+CHAIN_BODY := ^[[:space:]]+(def[[:space:]]+)?(install_image|read_plain|encrypt_line|decrypt_line|read_extra_cycles|write_extra_cycles|_[[:alnum:]_]*_iv|_(en|de)crypt_[[:alnum:]_]+|_chain_transform)[[:space:]]*[(=]|tdes_kernel|encrypt_block\(|_MEMO
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -131,7 +139,8 @@ lint:
 		echo "lint: engines fill through fill_lines; only" >&2; \
 		echo "      BusEncryptionEngine defines fill_line, and" >&2; \
 		echo "      spill_lines/_fill_batch stay out of src/:" >&2; \
-		echo "$$matches$$twins" >&2; \
+		[ -z "$$matches" ] || echo "$$matches" >&2; \
+		[ -z "$$twins" ] || echo "$$twins" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one engine fill path)"
@@ -143,7 +152,9 @@ lint:
 		echo "lint: watch the simulator through repro.obs sinks and" >&2; \
 		echo "      tamper through MainMemory interposers; the bus" >&2; \
 		echo "      hooks and sim/stats.py stay gone:" >&2; \
-		echo "$$matches$$defs$$stats" >&2; \
+		[ -z "$$matches" ] || echo "$$matches" >&2; \
+		[ -z "$$defs" ] || echo "$$defs" >&2; \
+		[ -z "$$stats" ] || echo "$$stats" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one way to watch the simulator)"
@@ -191,7 +202,8 @@ lint:
 		echo "lint: production ciphers come from aes_kernel/des_kernel/" >&2; \
 		echo "      tdes_kernel; only crypto/aes, des, kernels and" >&2; \
 		echo "      bench_kernels construct AES/DES/TripleDES:" >&2; \
-		echo "$$promoted$$ctors" >&2; \
+		[ -z "$$promoted" ] || echo "$$promoted" >&2; \
+		[ -z "$$ctors" ] || echo "$$ctors" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one production cipher per algorithm)"
@@ -203,7 +215,8 @@ lint:
 		echo "lint: one executor, pulled by execute or pushed by" >&2; \
 		echo "      StreamExecutor: no threading/queue in repro.sim," >&2; \
 		echo "      no CompiledTraceStream or from_accesses:" >&2; \
-		echo "$$threads$$retired" >&2; \
+		[ -z "$$threads" ] || echo "$$threads" >&2; \
+		[ -z "$$retired" ] || echo "$$retired" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one executor, pulled or pushed)"
@@ -216,7 +229,9 @@ lint:
 		echo "lint: one form per trace generator: call iter_* (wrap in" >&2; \
 		echo "      list() for a list) and iter_trace/iter_trace_bin;" >&2; \
 		echo "      iter_dma_bursts lives only under tests/:" >&2; \
-		echo "$$defs$$imports$$oracle" >&2; \
+		[ -z "$$defs" ] || echo "$$defs" >&2; \
+		[ -z "$$imports" ] || echo "$$imports" >&2; \
+		[ -z "$$oracle" ] || echo "$$oracle" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one form per trace generator)"
@@ -241,6 +256,15 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one encoding of cache-access semantics)"
+	@matches=$$(grep -nE '$(CHAIN_BODY)' $(CHAIN_ENGINES) || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: gi and vlsi share ChainedTDESEngine's 3DES kernel," >&2; \
+		echo "      unit IV, CBC transform and memo, install_image," >&2; \
+		echo "      read_plain and line stubs (core/engine.py):" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one chained-3DES body)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -312,11 +312,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
 
     if args.jsonl:
-        import json
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for event in summary.events:
-                fh.write(json.dumps(event.to_json_dict(), sort_keys=True))
-                fh.write("\n")
+        from .obs import JsonlSink, replay
+        with JsonlSink(args.jsonl) as sink:
+            replay(summary.events, sink)
         print(f"trace: {len(summary.events)} events -> {args.jsonl}")
 
     shown = summary.events[: args.limit] if args.limit else summary.events

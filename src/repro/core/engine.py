@@ -17,19 +17,21 @@ latency.  Concrete engines in this package implement each surveyed design.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..crypto.modes import xor_bytes
+from ..crypto.kernels import tdes_kernel
+from ..crypto.modes import CBC, xor_bytes
 from ..obs import EventSink
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit
 
 __all__ = ["Placement", "EngineStats", "MemoryPort", "BusEncryptionEngine",
            "NullEngine", "BlockModeEngine", "TweakedECBEngine",
-           "WrappedEngine", "LineAuthEngine", "TamperDetected",
-           "TamperVerdicts"]
+           "ChainedTDESEngine", "WrappedEngine", "LineAuthEngine",
+           "TamperDetected", "TamperVerdicts"]
 
 
 class TamperDetected(Exception):
@@ -550,6 +552,97 @@ class TweakedECBEngine(BlockModeEngine):
             b"".join(ciphertext for _, ciphertext in items))
         tweaks = self._tweaks([(addr, len(ct)) for addr, ct in items])
         return self._split_batch(xor_bytes(decrypted, tweaks), items)
+
+
+#: Memoized whole-unit CBC transforms, keyed (raw key, "enc"/"dec", unit
+#: base, bytes).  ~1 KiB per entry at the default unit size.
+_CHAIN_MEMO: "OrderedDict[tuple, bytes]" = OrderedDict()
+_CHAIN_MEMO_MAX = 512
+
+
+class ChainedTDESEngine(BusEncryptionEngine):
+    """3DES-CBC over fixed-size chain units: VLSI's pages, GI's regions.
+
+    Each ``chain_size``-byte unit is one CBC chain whose IV is the 3DES
+    image of the unit's base address, so a whole-unit transform is a pure
+    function of (key, base, bytes).  The suite re-installs the same images
+    into fresh rigs constantly, and the serial chain is the most expensive
+    cipher in the registry, so identical transforms are memoized
+    module-wide.  Lines have no transform of their own: subclasses supply
+    the fill and write datapaths, and plug their storage layout into
+    :meth:`install_image` and :meth:`read_plain` through
+    :meth:`_install_unit` and :meth:`_load_unit`.
+    """
+
+    def __init__(self, key: bytes, chain_size: int, unit: PipelinedUnit,
+                 functional: bool = True):
+        super().__init__(functional=functional)
+        self._tdes = tdes_kernel(key)
+        # Memo identity: the raw key bytes, not the kernel object — any
+        # 3DES for the key (table kernel or reference cipher) computes the
+        # same function of (key, base, bytes).
+        self._tdes_key = bytes(key)
+        self.chain_size = chain_size
+        self.unit = unit
+
+    def _chain_base(self, addr: int) -> int:
+        return addr - addr % self.chain_size
+
+    def _chain_iv(self, base: int) -> bytes:
+        return self._tdes.encrypt_block(base.to_bytes(8, "big"))
+
+    def _chain_transform(self, op: str, base: int, data: bytes) -> bytes:
+        """Whole-unit CBC ``op`` ("enc" or "dec") of the unit at ``base``."""
+        data = bytes(data)
+        key = (self._tdes_key, op, base, data)
+        cached = _CHAIN_MEMO.get(key)
+        if cached is None:
+            cbc = CBC(self._tdes, self._chain_iv(base))
+            cached = cbc.encrypt(data) if op == "enc" else cbc.decrypt(data)
+            _CHAIN_MEMO[key] = cached
+            while len(_CHAIN_MEMO) > _CHAIN_MEMO_MAX:
+                _CHAIN_MEMO.popitem(last=False)
+        else:
+            _CHAIN_MEMO.move_to_end(key)
+        return cached
+
+    def _whole_units_only(self, *args):
+        raise NotImplementedError(
+            f"{self.name} enciphers whole chain units: use install_image, "
+            f"fill_lines, write_line or read_plain")
+
+    encrypt_line = decrypt_line = _whole_units_only
+    read_extra_cycles = write_extra_cycles = _whole_units_only
+
+    def _install_unit(self, memory, base: int, ciphertext: bytes) -> None:
+        """Store one enciphered unit (layout hook of :meth:`install_image`)."""
+        memory.load_image(base, ciphertext)
+
+    def _load_unit(self, base: int, stored: bytes) -> bytes:
+        """Stored bytes of one unit -> its ciphertext in chain order."""
+        return stored
+
+    def install_image(self, memory, base_addr: int, plaintext: bytes,
+                      line_size: int = 32) -> None:
+        size = self.chain_size
+        if base_addr % size != 0:
+            raise ValueError(f"image base {base_addr:#x} must align to the "
+                             f"{size}-byte chain unit")
+        plaintext = plaintext + b"\x00" * (-len(plaintext) % size)
+        for offset in range(0, len(plaintext), size):
+            base = base_addr + offset
+            self._install_unit(memory, base, self._chain_transform(
+                "enc", base, plaintext[offset: offset + size]))
+
+    def read_plain(self, memory, addr: int, nbytes: int,
+                   line_size: int = 32) -> bytes:
+        first = self._chain_base(addr)
+        out = bytearray()
+        for base in range(first, addr + nbytes, self.chain_size):
+            stored = memory.dump(base, self.chain_size)
+            out += self._chain_transform("dec", base,
+                                         self._load_unit(base, stored))
+        return bytes(out[addr - first: addr - first + nbytes])
 
 
 class WrappedEngine(BusEncryptionEngine):

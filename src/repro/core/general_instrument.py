@@ -26,29 +26,23 @@ verified region entry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256, verify_hmac
-from ..crypto.kernels import tdes_kernel
 from ..crypto.modes import CBC
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, TDES_ITERATIVE
-from .engine import BusEncryptionEngine, MemoryPort, TamperDetected
+from .engine import (BusEncryptionEngine, ChainedTDESEngine, MemoryPort,
+                     TamperDetected)
 
 __all__ = ["GeneralInstrumentEngine", "AuthenticationError"]
-
-#: Memoized region transforms, keyed (key schedule, region base, bytes).
-#: ~1 KiB per entry at the default region size.
-_REGION_MEMO: "OrderedDict[tuple, bytes]" = OrderedDict()
-_REGION_MEMO_MAX = 512
 
 
 class AuthenticationError(TamperDetected):
     """A region's keyed-hash tag did not match its contents."""
 
 
-class GeneralInstrumentEngine(BusEncryptionEngine):
+class GeneralInstrumentEngine(ChainedTDESEngine):
     """Region-chained 3DES-CBC with HMAC authentication."""
 
     name = "general-instrument-3des-cbc"
@@ -70,18 +64,11 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                 f"region_size {region_size} must be a multiple of "
                 f"line_size {line_size}"
             )
-        super().__init__(functional=functional)
-        self._tdes = tdes_kernel(key)
-        # Memo identity for region transforms: the raw key bytes, not the
-        # kernel object — any 3DES for the key (table kernel or reference
-        # cipher) computes the same function of (key, base, bytes).
-        self._tdes_key = bytes(key)
+        super().__init__(key, region_size, unit, functional=functional)
         self._mac_key = mac_key if mac_key is not None else bytes(
             b ^ 0xA5 for b in key
         )
-        self.region_size = region_size
         self.line_size = line_size
-        self.unit = unit
         self.authenticate = authenticate
         #: The patent's second layer: ciphertext blocks are stored in a
         #: keyed permuted order within the region.  Costs the sequential
@@ -113,13 +100,10 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             return frozenset()
         return frozenset({"spoof", "splice", "replay", "glitch"})
 
-    # -- region geometry ---------------------------------------------------
-
-    def _region_base(self, addr: int) -> int:
-        return addr - addr % self.region_size
-
-    def _region_iv(self, base: int) -> bytes:
-        return self._tdes.encrypt_block(base.to_bytes(8, "big"))
+    @property
+    def region_size(self) -> int:
+        """Bytes per CBC chain: the base class's ``chain_size``."""
+        return self.chain_size
 
     # -- block reordering ---------------------------------------------------
 
@@ -151,7 +135,13 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                 logical_ct[i * 8: i * 8 + 8]
         return bytes(stored)
 
-    def _unpermute_load(self, base: int, stored: bytes) -> bytes:
+    def _install_unit(self, memory, base: int, ciphertext: bytes) -> None:
+        """Store a region in its permuted layout and record its tag."""
+        stored = self._permute_store(base, ciphertext)
+        memory.load_image(base, stored)
+        self._tags[base] = hmac_sha256(self._mac_key, stored)
+
+    def _load_unit(self, base: int, stored: bytes) -> bytes:
         """Stored layout -> logical (chained-order) ciphertext."""
         if not self.reorder:
             return stored
@@ -162,81 +152,21 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                 stored[perm[i] * 8: perm[i] * 8 + 8]
         return bytes(logical)
 
-    # -- whole-region functional transform -----------------------------------
-    #
-    # Region transforms are pure functions of (key schedule, base, bytes):
-    # the IV derives from the base alone.  The suite re-installs the same
-    # images into fresh rigs constantly (sweeps, campaigns, overhead
-    # grids), and the serial 3DES-CBC chain is the most expensive cipher
-    # in the registry, so identical transforms are memoized module-wide.
-
-    def _encrypt_region(self, base: int, plaintext: bytes) -> bytes:
-        key = (self._tdes_key, "enc", base, plaintext)
-        cached = _REGION_MEMO.get(key)
-        if cached is None:
-            cached = CBC(self._tdes, self._region_iv(base)).encrypt(plaintext)
-            _REGION_MEMO[key] = cached
-            while len(_REGION_MEMO) > _REGION_MEMO_MAX:
-                _REGION_MEMO.popitem(last=False)
-        else:
-            _REGION_MEMO.move_to_end(key)
-        return cached
-
-    def _decrypt_region(self, base: int, ciphertext: bytes) -> bytes:
-        key = (self._tdes_key, "dec", base, ciphertext)
-        cached = _REGION_MEMO.get(key)
-        if cached is None:
-            cached = CBC(self._tdes, self._region_iv(base)).decrypt(ciphertext)
-            _REGION_MEMO[key] = cached
-            while len(_REGION_MEMO) > _REGION_MEMO_MAX:
-                _REGION_MEMO.popitem(last=False)
-        else:
-            _REGION_MEMO.move_to_end(key)
-        return cached
-
-    # -- BusEncryptionEngine interface ----------------------------------------
-    #
-    # encrypt_line/decrypt_line operate in region context: the engine reads
-    # whatever prefix of the region the chain requires.  They are exercised
-    # through install_image / fill_lines / write_line / read_plain below,
-    # which carry the memory handle needed for the chained prefix.
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        raise NotImplementedError(
-            "region-chained engine: use install_image/fill_line/write_line"
-        )
-
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        raise NotImplementedError(
-            "region-chained engine: use install_image/fill_line/write_line"
-        )
-
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        raise NotImplementedError
-
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        raise NotImplementedError
-
-    # -- installation ------------------------------------------------------------
-
-    def install_image(self, memory, base_addr: int, plaintext: bytes,
-                      line_size: int = 32) -> None:
-        if base_addr % self.region_size != 0:
-            raise ValueError(
-                f"image base {base_addr:#x} must align to the region size"
-            )
-        if len(plaintext) % self.region_size != 0:
-            plaintext = plaintext + b"\x00" * (
-                self.region_size - len(plaintext) % self.region_size
-            )
-        for offset in range(0, len(plaintext), self.region_size):
-            base = base_addr + offset
-            region = plaintext[offset: offset + self.region_size]
-            stored = self._permute_store(base, self._encrypt_region(base, region))
-            memory.load_image(base, stored)
-            self._tags[base] = hmac_sha256(self._mac_key, stored)
-
     # -- fill / write ---------------------------------------------------------------
+
+    def _check_region_tag(self, base: int, stored: bytes) -> int:
+        """First touch of a region since its last write: check its keyed
+        hash over the whole stored region; returns the hash's cycles."""
+        tag = self._tags.get(base)
+        ok = (not self.functional
+              or (tag is not None
+                  and verify_hmac(self._mac_key, bytes(stored), tag)))
+        if not self.verify_line(base, self.region_size, ok):
+            raise AuthenticationError(
+                f"region at {base:#x} failed keyed-hash verification"
+            )
+        self._verified.add(base)
+        return self.hash_latency
 
     def _chain_blocks_to(self, base: int, addr: int, nbytes: int) -> int:
         """8-byte chain blocks that must be processed to reach the target."""
@@ -245,7 +175,7 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
     def _fill_line_reordered(self, port: MemoryPort, addr: int,
                              line_size: int) -> Tuple[bytes, int]:
         """Reordered layout: any fill is a whole-region burst + un-permute."""
-        base = self._region_base(addr)
+        base = self._chain_base(addr)
         stored, cycles = port.read(base, self.region_size)
         nblocks = self._chain_blocks_to(base, addr, line_size)
         extra = self.unit.drain_after_arrivals(nblocks, 1)
@@ -258,22 +188,13 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             self._emit("stall", addr, extra, "read")
 
         if self.authenticate and base not in self._verified:
-            cycles += self.hash_latency
-            tag = self._tags.get(base)
-            ok = (not self.functional
-                  or (tag is not None
-                      and verify_hmac(self._mac_key, bytes(stored), tag)))
-            if not self.verify_line(base, self.region_size, ok):
-                raise AuthenticationError(
-                    f"region at {base:#x} failed keyed-hash verification"
-                )
-            self._verified.add(base)
+            cycles += self._check_region_tag(base, stored)
 
         if self.functional:
-            logical = self._unpermute_load(base, bytes(stored))
+            logical = self._load_unit(base, bytes(stored))
             offset = addr - base
             chain_iv = (logical[offset - 8: offset] if offset > 0
-                        else self._region_iv(base))
+                        else self._chain_iv(base))
             plaintext = CBC(self._tdes, chain_iv).decrypt(
                 logical[offset: offset + line_size]
             )
@@ -288,7 +209,7 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                     for addr in addrs]
         out: List[Tuple[bytes, int]] = []
         for addr in addrs:
-            base = self._region_base(addr)
+            base = self._chain_base(addr)
             chain = self._chain_state.get(base)
             cycles = 0
 
@@ -314,7 +235,7 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                 line_ct = prefix_ct[addr - base:]
                 chain_iv = (
                     prefix_ct[addr - base - 8: addr - base]
-                    if addr > base else self._region_iv(base)
+                    if addr > base else self._chain_iv(base)
                 )
 
             self.stats.lines_decrypted += 1
@@ -337,17 +258,8 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
                 rest, rest_cycles = port.read(
                     base + already, self.region_size - already
                 )
-                cycles += rest_cycles + self.hash_latency
-                full = prefix_ct + rest
-                tag = self._tags.get(base)
-                ok = (not self.functional
-                      or (tag is not None
-                          and verify_hmac(self._mac_key, full, tag)))
-                if not self.verify_line(base, self.region_size, ok):
-                    raise AuthenticationError(
-                        f"region at {base:#x} failed keyed-hash verification"
-                    )
-                self._verified.add(base)
+                cycles += rest_cycles + self._check_region_tag(
+                    base, prefix_ct + rest)
 
             if self.functional:
                 plaintext = CBC(self._tdes, chain_iv).decrypt(
@@ -367,7 +279,7 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Rewrite a line: re-encipher the chain from the line to region end."""
-        base = self._region_base(addr)
+        base = self._chain_base(addr)
         # Re-enciphering the tail needs the plaintext of everything from the
         # written line to the region end, hence a full region fetch first.
         cycles = 0
@@ -379,13 +291,13 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         self.stats.blocks_processed += dec_blocks
 
         if self.functional:
-            logical_ct = self._unpermute_load(base, bytes(region_ct))
+            logical_ct = self._load_unit(base, bytes(region_ct))
             # CBC prefix reuse: blocks before the written line keep their
             # plaintext, so re-enciphering them reproduces the stored
             # ciphertext bit-for-bit.  Only the tail needs the cipher —
             # decrypt it, patch the line, re-chain from the same IV.
             chain_iv = (logical_ct[tail_start - 8: tail_start]
-                        if tail_start else self._region_iv(base))
+                        if tail_start else self._chain_iv(base))
             tail_plain = bytearray(
                 CBC(self._tdes, chain_iv).decrypt(logical_ct[tail_start:])
             )
@@ -442,20 +354,6 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         return self.verify_line(
             base, self.region_size, verify_hmac(self._mac_key, ciphertext, tag)
         )
-
-    def read_plain(self, memory, addr: int, nbytes: int,
-                   line_size: int = 32) -> bytes:
-        """Decrypt arbitrary installed bytes (verification helper)."""
-        out = bytearray()
-        first = self._region_base(addr)
-        last = self._region_base(addr + nbytes - 1)
-        for base in range(first, last + self.region_size, self.region_size):
-            stored = memory.dump(base, self.region_size)
-            out += self._decrypt_region(
-                base, self._unpermute_load(base, stored)
-            )
-        offset = addr - first
-        return bytes(out[offset: offset + nbytes])
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

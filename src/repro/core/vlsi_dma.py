@@ -23,11 +23,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Sequence, Tuple
 
-from ..crypto.kernels import tdes_kernel
-from ..crypto.modes import CBC
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, TDES_PIPE
-from .engine import BusEncryptionEngine, MemoryPort
+from .engine import ChainedTDESEngine, MemoryPort
 
 __all__ = ["VlsiDmaEngine"]
 
@@ -40,7 +38,7 @@ class _Page:
         self.dirty = False
 
 
-class VlsiDmaEngine(BusEncryptionEngine):
+class VlsiDmaEngine(ChainedTDESEngine):
     """Page-granular secure DMA with an on-chip page buffer."""
 
     name = "vlsi-secure-dma"
@@ -63,69 +61,17 @@ class VlsiDmaEngine(BusEncryptionEngine):
             )
         if buffer_pages < 1:
             raise ValueError(f"buffer_pages must be >= 1, got {buffer_pages}")
-        super().__init__(functional=functional)
-        self._tdes = tdes_kernel(key)
-        self.page_size = page_size
+        super().__init__(key, page_size, unit, functional=functional)
         self.buffer_pages = buffer_pages
         self.sram_latency = sram_latency
-        self.unit = unit
         self._buffer: "OrderedDict[int, _Page]" = OrderedDict()
         self.page_faults = 0
         self.page_writebacks = 0
 
-    # -- page crypto ---------------------------------------------------------
-
-    def _page_iv(self, base: int) -> bytes:
-        return self._tdes.encrypt_block(base.to_bytes(8, "big"))
-
-    def _encrypt_page(self, base: int, plaintext: bytes) -> bytes:
-        return CBC(self._tdes, self._page_iv(base)).encrypt(plaintext)
-
-    def _decrypt_page(self, base: int, ciphertext: bytes) -> bytes:
-        return CBC(self._tdes, self._page_iv(base)).decrypt(ciphertext)
-
-    def _page_base(self, addr: int) -> int:
-        return addr - addr % self.page_size
-
-    # -- generic engine interface (used for install / verification) ----------
-
-    def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
-        raise NotImplementedError("page-granular engine: use install_image")
-
-    def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
-        raise NotImplementedError("page-granular engine: use read_plain")
-
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        raise NotImplementedError
-
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
-        raise NotImplementedError
-
-    def install_image(self, memory, base_addr: int, plaintext: bytes,
-                      line_size: int = 32) -> None:
-        if base_addr % self.page_size != 0:
-            raise ValueError(
-                f"image base {base_addr:#x} must align to the page size"
-            )
-        if len(plaintext) % self.page_size != 0:
-            plaintext = plaintext + b"\x00" * (
-                self.page_size - len(plaintext) % self.page_size
-            )
-        for offset in range(0, len(plaintext), self.page_size):
-            base = base_addr + offset
-            page = plaintext[offset: offset + self.page_size]
-            memory.load_image(base, self._encrypt_page(base, page))
-
-    def read_plain(self, memory, addr: int, nbytes: int,
-                   line_size: int = 32) -> bytes:
-        """Decrypt installed bytes straight from memory (verification)."""
-        first = self._page_base(addr)
-        last = self._page_base(addr + nbytes - 1)
-        out = bytearray()
-        for base in range(first, last + self.page_size, self.page_size):
-            out += self._decrypt_page(base, memory.dump(base, self.page_size))
-        offset = addr - first
-        return bytes(out[offset: offset + nbytes])
+    @property
+    def page_size(self) -> int:
+        """Bytes per page, each one CBC chain: the base's ``chain_size``."""
+        return self.chain_size
 
     # -- page-fault machinery ----------------------------------------------
 
@@ -139,7 +85,7 @@ class VlsiDmaEngine(BusEncryptionEngine):
         enc_cycles = nblocks * self.unit.latency if self.unit.initiation_interval > 1 \
             else self.unit.time_for(nblocks)
         ciphertext = (
-            self._encrypt_page(base, bytes(page.data))
+            self._chain_transform("enc", base, page.data)
             if self.functional else bytes(page.data)
         )
         self.stats.lines_encrypted += 1
@@ -167,7 +113,7 @@ class VlsiDmaEngine(BusEncryptionEngine):
             self._emit("stall", base, extra, "read")
         cycles += mem_cycles + extra
         data = (
-            bytearray(self._decrypt_page(base, ciphertext))
+            bytearray(self._chain_transform("dec", base, ciphertext))
             if self.functional else bytearray(ciphertext)
         )
         self._buffer[base] = _Page(data)
@@ -175,7 +121,7 @@ class VlsiDmaEngine(BusEncryptionEngine):
 
     def _resident(self, port: MemoryPort, addr: int) -> Tuple[_Page, int, int]:
         """Return (page, offset, cycles), faulting the page in if needed."""
-        base = self._page_base(addr)
+        base = self._chain_base(addr)
         cycles = 0
         if base in self._buffer:
             self._buffer.move_to_end(base)

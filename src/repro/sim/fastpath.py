@@ -121,6 +121,13 @@ class CompiledTrace:
         return iter(self.accesses)
 
 
+def _crosses_line(addr: int, size: int, line_size: int) -> ValueError:
+    """The error both compilers raise for an access whose bytes leave its
+    line: the executor handles each access as one line's bytes."""
+    return ValueError(f"access at {addr:#x} of {size} bytes crosses its "
+                      f"{line_size}-byte cache line")
+
+
 def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
                   line_size: int) -> Union[CompiledTrace, TraceStream]:
     """Coalesce consecutive same-line accesses into annotated runs.
@@ -128,6 +135,7 @@ def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
     A materialized trace compiles to a :class:`CompiledTrace`; a
     :class:`~repro.traces.stream.TraceStream` passes through unchanged
     (:func:`execute` compiles it chunk by chunk, in bounded memory).
+    An access whose bytes leave its line raises :class:`ValueError`.
     """
     if isinstance(trace, TraceStream):
         return trace
@@ -149,6 +157,7 @@ def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
     while i < n:
         head = accesses[i]
         line = head.addr // line_size
+        line_end = (line + 1) * line_size
         n_fetch = n_load = n_store = total = 0
         stores: List[Tuple[int, int]] = []
         j = i
@@ -156,6 +165,8 @@ def compile_trace(trace: Union[Trace, CompiledTrace, TraceStream],
             access = accesses[j]
             if access.addr // line_size != line:
                 break
+            if access.addr + access.size > line_end:
+                raise _crosses_line(access.addr, access.size, line_size)
             kind = access.kind
             if kind is store:
                 n_store += 1
@@ -198,6 +209,14 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     kinds = chunk.kinds
     sizes = chunk.sizes
     lines = addrs // line_size
+    # Each access's end offset in its line, built in place: one scratch
+    # array where the chained expression would allocate several.
+    ends = lines * line_size
+    np.subtract(addrs, ends, out=ends)
+    ends += sizes
+    if ends.max() > line_size:
+        first = int(np.argmax(ends > line_size))
+        raise _crosses_line(int(addrs[first]), int(sizes[first]), line_size)
 
     breaks = np.flatnonzero(lines[1:] != lines[:-1]) + 1
     starts = np.concatenate((np.zeros(1, dtype=breaks.dtype), breaks))

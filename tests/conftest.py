@@ -13,7 +13,7 @@ import contextlib
 
 import pytest
 
-from repro.core import general_instrument
+from repro.core import engine
 from repro.crypto import kernels
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, TripleDES
@@ -31,17 +31,18 @@ def _reference_ciphers():
             cache[entry] = kernels.ReferenceKernel(_REFERENCE[kind](key))
         return cache[entry]
 
-    # The 3DES-CBC region memo is keyed by raw key bytes, so kernel-made
-    # entries would answer for the reference cipher: run it empty.
-    memo = dict(general_instrument._REGION_MEMO)
-    general_instrument._REGION_MEMO.clear()
+    # The chained-3DES unit memo (GI regions, VLSI pages) is keyed by raw
+    # key bytes, so kernel-made entries would answer for the reference
+    # cipher: run it empty.
+    memo = dict(engine._CHAIN_MEMO)
+    engine._CHAIN_MEMO.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_registered", registered)
         try:
             yield
         finally:
-            general_instrument._REGION_MEMO.clear()
-            general_instrument._REGION_MEMO.update(memo)
+            engine._CHAIN_MEMO.clear()
+            engine._CHAIN_MEMO.update(memo)
 
 
 @pytest.fixture(scope="session")

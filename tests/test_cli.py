@@ -169,6 +169,20 @@ class TestTrace:
         first = json.loads(lines[0])
         assert set(first) >= {"kind", "addr", "size", "cycle"}
 
+    def test_trace_jsonl_is_the_hand_written_dump(self, tmp_path, capsys):
+        """The file written through JsonlSink has the bytes of one
+        sorted-key JSON object per event, newline-terminated."""
+        from repro.api import trace_experiment
+
+        path = tmp_path / "events.jsonl"
+        assert main(["trace", "e01", "--limit", "0",
+                     "--jsonl", str(path)]) == 0
+        capsys.readouterr()
+        events = trace_experiment("e01", quick=True, max_events=10000).events
+        expected = "".join(json.dumps(event.to_json_dict(), sort_keys=True)
+                           + "\n" for event in events)
+        assert path.read_bytes() == expected.encode("utf-8")
+
 
 class TestDeprecatedFactories:
     def test_engine_factories_shim_is_gone(self):

@@ -160,3 +160,38 @@ class TestAreaOrdering:
     def test_aegis_about_300k(self):
         area = AegisEngine(KEY16).area()
         assert area.items.get("aes_pipelined") == 300_000
+
+
+def test_reference_ciphers_bypass_the_chained_3des_memo(reference_ciphers,
+                                                        monkeypatch):
+    """gi and vlsi installs memoize whole-unit CBC transforms by raw key
+    bytes.  Warmed by kernel installs outside the fixture, the memo must
+    not answer inside it: the same installs run the reference 3DES block
+    by block and land on the same bytes."""
+    from repro.core.registry import make_engine
+    from repro.crypto.des import TripleDES
+    from repro.crypto.drbg import DRBG
+    from repro.sim.memory import MainMemory
+
+    image = DRBG(b"chain-memo").random_bytes(2048)
+
+    def install(name):
+        memory = MainMemory(MemoryConfig(size=1 << 16))
+        make_engine(name).install_image(memory, 0, image)
+        return memory.dump(0, len(image))
+
+    warm = {name: install(name) for name in ("gi", "vlsi")}
+    blocks = []
+    reference_block = TripleDES.encrypt_block
+
+    def counted(self, block):
+        blocks.append(block)
+        return reference_block(self, block)
+
+    monkeypatch.setattr(TripleDES, "encrypt_block", counted)
+    for name in ("gi", "vlsi"):
+        del blocks[:]
+        with reference_ciphers():
+            assert install(name) == warm[name]
+        # Two 1 KiB units: one IV block each, then every image block.
+        assert len(blocks) == 2 + len(image) // 8, name

@@ -394,8 +394,11 @@ def _random_trace(seed: int, n: int = 140, region: int = 4096):
     for _ in range(n):
         addr = (rng.randbelow(region) if rng.random() < 0.4
                 else (addr + 4) % region)
-        out.append(Access(kinds[rng.randbelow(3)], addr,
-                          sizes[rng.randbelow(3)]))
+        kind = kinds[rng.randbelow(3)]
+        size = sizes[rng.randbelow(3)]
+        # Size-aligned, so no access leaves its line: the compilers
+        # reject one that does.
+        out.append(Access(kind, addr - addr % size, size))
     return out
 
 
@@ -522,3 +525,64 @@ class TestLongLines:
         monkeypatch.setattr(fastpath, "compile_trace", refuse)
         assert fastpath._compile_arrays(_as_chunk(trace), 512).runs \
             == expected
+
+
+# -- accesses that leave their line -------------------------------------------
+
+from repro.sim import StreamExecutor
+
+from .reference_model import REGION
+
+#: A 4-byte store whose last two bytes sit in the next 32-byte line.
+_CROSSING = Access(AccessKind.STORE, 0x3FE, 4)
+_CROSSING_ERROR = r"0x3fe of 4 bytes crosses its 32-byte cache line"
+
+
+class TestLineCrossingAccess:
+    """The executor handles each access as one line's bytes, so both
+    compilers reject an access that leaves its line instead of clipping
+    or spilling it."""
+
+    def test_write_back_store_keeps_no_clipped_tail(self):
+        system = build(None)
+        with pytest.raises(ValueError, match=_CROSSING_ERROR):
+            system.run([_CROSSING])
+        inside = Access(AccessKind.STORE, 0x3FC, 4)
+        system = build(None)
+        system.run([inside])
+        system.flush()
+        assert system.read_plaintext(0x3FC, 4) == store_payload(0x3FC, 4)
+
+    @pytest.mark.parametrize("name", [None] + engine_names(),
+                             ids=lambda n: n or "baseline")
+    def test_write_through_rejected_for_every_engine(self, name):
+        system = SecureSystem(
+            engine=make_engine(name) if name else None,
+            cache_config=CacheConfig(
+                size=1024, line_size=32, associativity=2,
+                write_policy=WritePolicy.WRITE_THROUGH,
+                write_allocate=False),
+            mem_config=MemoryConfig(size=1 << 21),
+        )
+        system.install_image(0, bytes(REGION))
+        with pytest.raises(ValueError, match=_CROSSING_ERROR):
+            system.run([Access(AccessKind.LOAD, 0x3E0, 4), _CROSSING])
+
+    def test_list_and_array_compilers_reject_it(self):
+        trace = [Access(AccessKind.LOAD, 0x3F0, 4), _CROSSING]
+        with pytest.raises(ValueError, match=_CROSSING_ERROR):
+            compile_trace(trace, LINE)
+        with pytest.raises(ValueError, match=_CROSSING_ERROR):
+            compile_trace(_as_chunk(trace), LINE)
+        # Ending exactly on the line boundary stays inside the line.
+        edge = [Access(AccessKind.STORE, 0x3FC, 4)]
+        assert compile_trace(edge, LINE).runs \
+            == compile_trace(_as_chunk(edge), LINE).runs
+
+    def test_stream_executor_feed_rejects_it_and_closes(self):
+        executor = StreamExecutor(build("xom"))
+        executor.feed([Access(AccessKind.LOAD, 0, 4)])
+        with pytest.raises(ValueError, match=_CROSSING_ERROR):
+            executor.feed([Access(AccessKind.LOAD, 4, 4), _CROSSING])
+        with pytest.raises(RuntimeError, match="already closed"):
+            executor.feed([Access(AccessKind.LOAD, 0, 4)])

@@ -754,6 +754,31 @@ class TestStreamSessions:
         assert codes[1] == "unknown-session"
         assert all(c == "bad-stream" for c in codes[2:])
 
+    def test_line_crossing_record_fails_the_session(self):
+        """A store whose bytes leave its cache line is rejected by the
+        trace compiler: the chunk gets ``stream-failed`` and the session
+        is gone."""
+        async def scenario():
+            async with serve() as server:
+                stream = await connect(server)
+                begin = await stream.request("trace_begin", {}, timeout=10)
+                sid = begin["result"]["session"]
+                crossing = await stream.request(
+                    "trace_chunk",
+                    {"session": sid, "records": [[0, 0, 4], [1, 0x3FE, 4]]},
+                    timeout=10)
+                after = await stream.request(
+                    "trace_end", {"session": sid}, timeout=10)
+                await stream.close()
+                return crossing, after
+
+        crossing, after = asyncio.run(scenario())
+        assert crossing["type"] == "error"
+        assert crossing["error"]["code"] == "stream-failed"
+        assert "0x3fe of 4 bytes crosses its 32-byte cache line" \
+            in crossing["error"]["message"]
+        assert after["error"]["code"] == "unknown-session"
+
     def test_abandoned_session_cleaned_up_on_disconnect(self):
         async def scenario():
             async with serve() as server:
