@@ -92,6 +92,15 @@ CACHE_ACCESS_DEF := ^[[:space:]]+def access\(
 CHAIN_ENGINES := src/repro/core/general_instrument.py src/repro/core/vlsi_dma.py
 CHAIN_BODY := ^[[:space:]]+(def[[:space:]]+)?(install_image|read_plain|encrypt_line|decrypt_line|read_extra_cycles|write_extra_cycles|_[[:alnum:]_]*_iv|_(en|de)crypt_[[:alnum:]_]+|_chain_transform)[[:space:]]*[(=]|tdes_kernel|encrypt_block\(|_MEMO
 
+# An experiment's tasks run through one body, runner._execute_task, and
+# its entry is built by one function, runner.experiment_entry: the runner,
+# repro.api.run_experiment (serve, cli trace) and the parametrized
+# benchmarks/bench_experiments.py all go through them, so Experiment
+# defines no run(), the API indexes no task table, and the per-experiment
+# bench wrappers stay gone.
+EXPERIMENT_RUN := ^[[:space:]]+def run\(
+API_TASKS := \.tasks\[
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -265,6 +274,19 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one chained-3DES body)"
+	@runs=$$(grep -nE '$(EXPERIMENT_RUN)' src/repro/runner/base.py || true); \
+	tasks=$$(grep -nE '$(API_TASKS)' src/repro/api.py || true); \
+	wrappers=$$(ls benchmarks/bench_e[0-9][0-9]_*.py 2>/dev/null || true); \
+	if [ -n "$$runs$$tasks$$wrappers" ]; then \
+		echo "lint: experiment tasks run through runner._execute_task" >&2; \
+		echo "      only: no Experiment.run, no task loop in" >&2; \
+		echo "      repro/api.py, no per-experiment bench wrappers:" >&2; \
+		[ -z "$$runs" ] || echo "$$runs" >&2; \
+		[ -z "$$tasks" ] || echo "$$tasks" >&2; \
+		[ -z "$$wrappers" ] || echo "$$wrappers" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one body runs an experiment's tasks)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first
@@ -283,9 +305,11 @@ lint:
 #            no silent drops, server-vs-local byte identity, clean
 #            shutdown;
 # stream     chunked-vs-materialized byte identity over an engine sample
-#            plus a two-scale bounded-memory check in forked children.
+#            plus a two-scale bounded-memory check in forked children;
+# benches    the pytest benches collect one case per registry experiment
+#            (bench_experiments.py) plus the kernel benches, nothing else.
 SMOKES := trace obs-bench faults-detect faults-silent kernels campaign \
-	serve stream
+	serve stream benches
 SMOKE_trace         := repro.cli trace e02 --limit 0 > /dev/null
 SMOKE_obs-bench     := repro.obs.bench --accesses 20000 --repeats 3
 SMOKE_faults-detect := repro.cli faults integrity-stream --kinds spoof \
@@ -295,6 +319,12 @@ SMOKE_kernels       := repro.crypto.bench_kernels --quick
 SMOKE_campaign      := repro.campaign.bench --smoke
 SMOKE_serve         := repro.serve.loadgen --smoke
 SMOKE_stream        := repro.sim.bench_stream --smoke
+SMOKE_benches       := pytest benchmarks --collect-only -q | $(PYTHON) -c \
+	"import re, sys; from repro.runner import list_experiments; \
+	got = {f: int(n) for f, n in re.findall(r'(\w+)\.py: (\d+)', \
+	sys.stdin.read())}; print('benches collected:', got); \
+	sys.exit(got.pop('bench_experiments', 0) != len(list_experiments()) \
+	or not got.pop('bench_kernels', 0) or bool(got))"
 
 define newline
 

@@ -7,8 +7,6 @@ after asserting the kernels still match the reference ciphers
 bit-for-bit.
 """
 
-from benchmarks.common import print_table
-
 _NBLOCKS = 2000
 
 
@@ -32,7 +30,7 @@ def test_aes_kernel_throughput(benchmark):
     data = _data(16)
     out = benchmark(kernel.encrypt_blocks, data)
     assert kernel.decrypt_blocks(out) == data
-    print_table(f"aes-128 kernel: {_NBLOCKS} blocks per round")
+    print(f"\naes-128 kernel: {_NBLOCKS} blocks per round\n")
 
 
 def test_tdes_kernel_throughput(benchmark):
@@ -42,4 +40,4 @@ def test_tdes_kernel_throughput(benchmark):
     data = _data(8)
     out = benchmark(kernel.encrypt_blocks, data)
     assert kernel.decrypt_blocks(out) == data
-    print_table(f"3des-ede3 kernel: {_NBLOCKS} blocks per round")
+    print(f"\n3des-ede3 kernel: {_NBLOCKS} blocks per round\n")

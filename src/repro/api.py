@@ -46,12 +46,9 @@ from .obs import (
     CounterSink,
     EventSink,
     RecordingSink,
-    TeeSink,
     TraceEvent,
     format_counter_table,
-    merge_observability,
     observability_section,
-    scope,
 )
 from .runner import stable_floats
 from .sim import CacheConfig, MemoryConfig
@@ -133,17 +130,13 @@ class ExperimentResult:
         }
 
     def to_document(self) -> Dict[str, Any]:
-        """Canonical self-contained document for this result.
+        """:meth:`to_dict` plus the experiment id and ``quick`` flag.
 
-        :meth:`to_dict` plus the experiment id and the ``quick`` flag,
-        passed through a JSON round trip and :func:`stable_floats` — the
-        exact bytes the serve layer returns for a ``run_experiment``
-        request, so server-vs-local byte-identity is one shared
-        canonicalization, not two implementations kept in sync.
+        The body the serve layer returns for a ``run_experiment`` request:
+        the bench document's (canonical) entry plus those two keys.
         """
-        doc = {"experiment": self.experiment, "quick": self.quick,
-               **self.to_dict()}
-        return stable_floats(json.loads(json.dumps(doc)))
+        return {"experiment": self.experiment, "quick": self.quick,
+                **self.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -178,39 +171,18 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one registry experiment in-process; returns a typed result.
 
-    Tasks run serially with the same derived seeds the parallel runner
-    uses, so the metrics (and the counter-derived ``observability``) are
-    byte-identical to the bench documents.  ``trace`` optionally receives
-    every simulator event the tasks emit (any :class:`repro.obs.EventSink`
-    — a probe, a recorder, a JSONL file sink).
+    Tasks run serially through the experiment runner's task body and
+    entry builder, so the result is the bench documents' entry for this
+    experiment.  ``trace`` optionally receives every simulator event the
+    tasks emit (any :class:`repro.obs.EventSink` — a probe, a recorder,
+    a JSONL file sink).
     """
-    from .runner.base import TaskContext, task_seed
     from .runner.experiments import get_experiment
+    from .runner.runner import run_entry
 
     experiment = get_experiment(experiment_id)
-    tasks: Dict[str, Dict[str, Any]] = {}
-    task_obs: Dict[str, Dict[str, Any]] = {}
-    for name in sorted(experiment.tasks):
-        ctx = TaskContext(quick=quick,
-                          seed=task_seed(experiment.id, name))
-        counter = CounterSink()
-        sink = counter if trace is None else TeeSink(counter, trace)
-        with scope(sink):
-            metrics = experiment.tasks[name](ctx)
-        tasks[name] = json.loads(json.dumps(metrics))
-        task_obs[name] = observability_section(counter)
-    return ExperimentResult(
-        experiment=experiment.id,
-        title=experiment.title,
-        section=experiment.section,
-        quick=quick,
-        checks=experiment.checks_passed(tasks),
-        tasks=tasks,
-        observability={
-            "tasks": task_obs,
-            "total": merge_observability(task_obs.values()),
-        },
-    )
+    return ExperimentResult(experiment=experiment.id, quick=quick,
+                            **run_entry(experiment, quick, trace))
 
 
 def trace_experiment(
@@ -315,9 +287,16 @@ def stream_system(engine: Optional[str], *, cache_size: int,
     a zeroed ``image_size``-byte image; ``engine=None`` is the plaintext
     baseline.  The serve layer's trace sessions build theirs here too,
     so a session fed the same accesses lands on the same metrics.
+    An engine with a ``region_lines`` default (the address scrambler)
+    gets the smallest power of two >= 4 lines covering the image unless
+    the caller passes one.
     """
     from .sim import SecureSystem
 
+    if (engine and "region_lines" in get_spec(engine).defaults
+            and "region_lines" not in engine_overrides):
+        lines = max(4, -(-image_size // 32))
+        engine_overrides["region_lines"] = 1 << (lines - 1).bit_length()
     system = SecureSystem(
         engine=make_engine(engine, functional=functional,
                            **engine_overrides) if engine else None,

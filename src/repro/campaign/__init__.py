@@ -18,7 +18,7 @@ campaign``; ``python -m repro.campaign.bench`` measures scaling.
 """
 
 from .coordinator import CampaignCoordinator, CampaignResult
-from .merge import build_document, merge_shard_documents, shard_document
+from .merge import build_document
 from .spec import CAMPAIGN_KINDS, CAMPAIGN_SCHEMA, CampaignPoint, CampaignSpec
 from .worker import execute_point
 
@@ -31,6 +31,4 @@ __all__ = [
     "CampaignSpec",
     "build_document",
     "execute_point",
-    "merge_shard_documents",
-    "shard_document",
 ]

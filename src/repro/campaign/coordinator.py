@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..runner.cache import ResultCache
 from ..runner.runner import fork_pool, to_canonical_json
-from .merge import build_document, merge_shard_documents, shard_document
+from .merge import build_document
 from .spec import CAMPAIGN_SCHEMA, CampaignSpec
 from .worker import execute_shard
 
@@ -164,10 +164,7 @@ class CampaignCoordinator:
             )
 
         wall = time.perf_counter() - start
-        metrics = build_document(
-            self.spec,
-            merge_shard_documents([shard_document(0, results.items())]),
-        )
+        metrics = build_document(self.spec, results)
         total = len(results)
         profile = {
             "workers": self.workers,

@@ -10,9 +10,12 @@ metrics document.  Determinism rules:
   would make K-worker output drift from the single-process run);
 * every float passes through :func:`repro.runner.cache.stable_floats`.
 
-Together with the workers' canonical point metrics this makes
-``merge(shards)`` byte-identical no matter how the key space was
-sharded, how many workers ran, or which shards completed first.
+Together with the workers' canonical point metrics this makes the
+document byte-identical no matter how the key space was sharded, how
+many workers ran, or which shards completed first.
+
+The coordinator hands its one name->metrics map to :func:`build_document`;
+:func:`merge_shard_documents` folds shard documents produced apart.
 """
 
 from __future__ import annotations

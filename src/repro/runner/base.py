@@ -79,15 +79,6 @@ class Experiment:
     #: from the task results (e.g. E19's ``detection_matrix``).
     publish: Optional[Callable[[Results], "Tuple[str, object]"]] = None
 
-    def run(self, ctx_base: TaskContext = TaskContext()) -> Results:
-        """Run every task serially (in-process reference path)."""
-        results: Results = {}
-        for name in sorted(self.tasks):
-            ctx = TaskContext(quick=ctx_base.quick,
-                              seed=task_seed(self.id, name))
-            results[name] = self.tasks[name](ctx)
-        return results
-
     def checks_passed(self, results: Results) -> Dict[str, object]:
         """Run :attr:`check` and report the outcome as metrics."""
         if self.check is None:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import CounterSink, observability_section, scope
+from ..obs import (CounterSink, EventSink, TeeSink, merge_observability,
+                   observability_section, scope)
 from .base import Experiment, TaskContext, task_seed
 from .cache import ResultCache, stable_floats
 
@@ -41,13 +42,15 @@ METRICS_SCHEMA = "repro-bench-metrics/3"
 _TaskSpec = Tuple[str, str, bool, bool]
 
 
-def _execute_task(spec: _TaskSpec) -> Tuple[str, str, dict, float]:
-    """Worker entry point: run one task, return its result and wall time.
+def _execute_task(spec: _TaskSpec, extra: Optional[EventSink] = None
+                  ) -> Tuple[str, str, dict, float]:
+    """Run one task (the one task body); return its result and wall time.
 
     Module-level so it pickles by reference; the experiment registry is
     re-resolved inside the worker process.  With ``observe`` set, the task
     runs under an ambient :class:`CounterSink` scope, so every simulator
-    event the task causes is aggregated into its ``observability`` block.
+    event the task causes is aggregated into its ``observability`` block;
+    an in-process ``extra`` sink is tee'd beside that counter.
     """
     exp_id, task_name, quick, observe = spec
     from .experiments import get_experiment
@@ -56,9 +59,11 @@ def _execute_task(spec: _TaskSpec) -> Tuple[str, str, dict, float]:
     ctx = TaskContext(quick=quick, seed=task_seed(exp_id, task_name))
     start = time.perf_counter()
     if observe:
-        with scope(CounterSink()) as sink:
+        counter = CounterSink()
+        sink = counter if extra is None else TeeSink(counter, extra)
+        with scope(sink):
             metrics = experiment.tasks[task_name](ctx)
-        observability = observability_section(sink)
+        observability = observability_section(counter)
     else:
         metrics = experiment.tasks[task_name](ctx)
         observability = None
@@ -70,6 +75,44 @@ def _execute_task(spec: _TaskSpec) -> Tuple[str, str, dict, float]:
     value = {"metrics": metrics, "observability": observability}
     return exp_id, task_name, stable_floats(json.loads(json.dumps(value))), \
         wall
+
+
+def experiment_entry(experiment: Experiment,
+                     values: Dict[str, dict]) -> dict:
+    """One experiment's metrics-document entry from its task values.
+
+    ``values`` maps task name to the canonical value :func:`_execute_task`
+    returns (or the cache replays); checks run on the canonical metrics.
+    """
+    tasks = {name: values[name]["metrics"] for name in sorted(values)}
+    doc = {
+        "title": experiment.title,
+        "section": experiment.section,
+        "checks": experiment.checks_passed(tasks),
+        "tasks": tasks,
+    }
+    task_obs = {
+        name: values[name]["observability"]
+        for name in sorted(values)
+        if values[name].get("observability") is not None
+    }
+    if task_obs:
+        doc["observability"] = {
+            "tasks": task_obs,
+            "total": merge_observability(task_obs.values()),
+        }
+    return doc
+
+
+def run_entry(experiment: Experiment, quick: bool,
+              extra: Optional[EventSink] = None) -> dict:
+    """Run one experiment's tasks in-process, observed, and build its
+    entry: the one an uncached serial runner writes for ``quick``."""
+    values = {
+        name: _execute_task((experiment.id, name, quick, True), extra)[2]
+        for name in sorted(experiment.tasks)
+    }
+    return experiment_entry(experiment, values)
 
 
 def to_canonical_json(document: dict) -> str:
@@ -234,38 +277,17 @@ class ExperimentRunner:
     # -- assembly ----------------------------------------------------------
 
     def _assemble(self, results, walls, cache_stats, total_wall) -> RunResult:
-        from ..obs import merge_observability
-
         experiments_doc = {}
         published: Dict[str, object] = {}
         renders: Dict[str, str] = {}
         for exp in self.experiments:
-            exp_values = results[exp.id]
-            exp_metrics = {name: value["metrics"]
-                           for name, value in exp_values.items()}
-            doc = {
-                "title": exp.title,
-                "section": exp.section,
-                "checks": exp.checks_passed(exp_metrics),
-                "tasks": {name: exp_metrics[name]
-                          for name in sorted(exp_metrics)},
-            }
-            task_obs = {
-                name: exp_values[name]["observability"]
-                for name in sorted(exp_values)
-                if exp_values[name].get("observability") is not None
-            }
-            if task_obs:
-                doc["observability"] = {
-                    "tasks": task_obs,
-                    "total": merge_observability(task_obs.values()),
-                }
+            doc = experiment_entry(exp, results[exp.id])
             experiments_doc[exp.id] = doc
             if exp.publish is not None:
-                key, value = exp.publish(exp_metrics)
+                key, value = exp.publish(doc["tasks"])
                 published[key] = json.loads(json.dumps(value))
             if self.render and exp.render is not None:
-                renders[exp.id] = exp.render(exp_metrics)
+                renders[exp.id] = exp.render(doc["tasks"])
 
         metrics = {
             "schema": METRICS_SCHEMA,

@@ -14,10 +14,11 @@ from repro.api import (
     engine_overhead,
     run_campaign,
     run_experiment,
+    run_stream,
     trace_experiment,
 )
 from repro.obs import RecordingSink
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, list_experiments
 
 
 class TestRunExperiment:
@@ -63,6 +64,23 @@ class TestRunExperiment:
             run_experiment("e99")
 
 
+@pytest.fixture(scope="module")
+def quick_runner_entries():
+    """Every experiment's entry from one uncached serial quick runner."""
+    return ExperimentRunner(quick=True, workers=1, cache_dir=None
+                            ).run().metrics["experiments"]
+
+
+@pytest.mark.parametrize("experiment_id", list_experiments())
+def test_api_document_is_the_runner_entry(quick_runner_entries,
+                                          experiment_id):
+    # The serve op returns to_document(); the bench documents commit the
+    # runner's entry.  They must be the same experiment record.
+    document = run_experiment(experiment_id, quick=True).to_document()
+    assert document == {"experiment": experiment_id, "quick": True,
+                        **quick_runner_entries[experiment_id]}
+
+
 class TestTraceExperiment:
     def test_summary_shape(self):
         summary = trace_experiment("e01", max_events=10)
@@ -96,6 +114,25 @@ class TestOneShotMeasurements:
         summary = attack_summary(memory=256)
         assert summary["fully_recovered"]
         assert summary["bytes_recovered"] == 256
+
+
+class TestAddressScrambledStream:
+    """The scrambled region covers the stream image, whatever its size."""
+
+    @pytest.mark.parametrize("image_size", [32 * 1024, 20000])
+    def test_region_covers_the_image(self, image_size):
+        doc = run_stream(engine="addr-scramble-stream", accesses=300,
+                         image_size=image_size)
+        assert doc["metrics"]["accesses"] == 300
+        # 32 KiB and 20000 bytes both round up to 1024 lines.
+        assert doc == run_stream(engine="addr-scramble-stream",
+                                 accesses=300, image_size=image_size,
+                                 region_lines=1024)
+
+    def test_an_explicit_region_wins(self):
+        with pytest.raises(ValueError, match="outside the scrambled region"):
+            run_stream(engine="addr-scramble-stream", accesses=300,
+                       region_lines=512)
 
 
 class TestRunCampaign:

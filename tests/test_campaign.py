@@ -11,10 +11,9 @@ from repro.campaign import (
     CampaignSpec,
     build_document,
     execute_point,
-    merge_shard_documents,
-    shard_document,
 )
 from repro.campaign import worker
+from repro.campaign.merge import merge_shard_documents, shard_document
 from repro.campaign.bench import scaling_grid
 from repro.core.registry import make_engine
 from repro.runner import ResultCache, stable_floats, task_seed, \

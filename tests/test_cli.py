@@ -214,6 +214,12 @@ class TestStreamCommand:
         assert "Chunk-streamed execution" in out
         assert "accesses/sec" in out
 
+    def test_address_scrambled_stream_runs(self, capsys):
+        # The scrambled region is sized to the stream's 32 KiB image.
+        assert main(["stream", "addr-scramble-stream", "mixed",
+                     "--accesses", "200"]) == 0
+        assert "addr-scramble-stream" in capsys.readouterr().out
+
     def test_stream_defaults(self):
         args = build_parser().parse_args(["stream"])
         assert args.engine is None

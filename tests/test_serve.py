@@ -702,6 +702,39 @@ class TestStreamSessions:
         assert done["result"]["accesses"] == 6000
         assert done["result"]["metrics"] == local["metrics"]
 
+    @pytest.mark.parametrize("params", [{}, {"image_size": 20000}])
+    def test_address_scrambled_session_matches_local(self, params):
+        """trace_begin sizes the scrambled region to the session's image
+        (default or not a power of two), like run_stream does."""
+        from repro.api import run_stream
+        from repro.traces import iter_workload
+
+        image_size = params.get("image_size", 32 * 1024)
+        kinds = {"fetch": 2, "load": 0, "store": 1}
+        records = [[kinds[a.kind.name.lower()], a.addr % image_size, a.size]
+                   for a in iter_workload("mixed", n=600)]
+        local = run_stream(engine="addr-scramble-stream", workload="mixed",
+                           accesses=600, image_size=image_size)
+
+        async def scenario():
+            async with serve() as server:
+                stream = await connect(server)
+                begin = await stream.request(
+                    "trace_begin",
+                    {"engine": "addr-scramble-stream", **params}, timeout=10)
+                assert begin["type"] == "response", begin
+                sid = begin["result"]["session"]
+                await stream.request(
+                    "trace_chunk", {"session": sid, "records": records},
+                    timeout=10)
+                done = await stream.request(
+                    "trace_end", {"session": sid}, timeout=10)
+                await stream.close()
+                return done
+
+        done = asyncio.run(scenario())
+        assert done["result"]["metrics"] == local["metrics"]
+
     def test_run_stream_op_matches_local(self):
         from repro.api import run_stream
 
