@@ -101,6 +101,17 @@ CHAIN_BODY := ^[[:space:]]+(def[[:space:]]+)?(install_image|read_plain|encrypt_l
 EXPERIMENT_RUN := ^[[:space:]]+def run\(
 API_TASKS := \.tasks\[
 
+# The DS5002FP is one board, attacks/kuhn.py's DallasBoard (its optional
+# address scrambler selects the enciphered address bus), under one search
+# base, CipherInstructionSearch, which holds the probe, restore, signature
+# and dump gadget of both strategies: the scrambled board twin and the
+# bus-address signature twin stay gone, attacks/ defines reset_and_step
+# once, and the uncalled Huffman coder stays out (sim/area.py's
+# huffman_decoder gate count is an area constant, not the coder).
+KUHN_RETIRED := ScrambledDallasBoard|_signature_of|huffman
+AREA_CONSTANT := ^src/repro/sim/area\.py:[0-9]+:[[:space:]]+"huffman_decoder":
+RESET_AND_STEP_DEF := ^[[:space:]]*def reset_and_step\(
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -287,6 +298,21 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one body runs an experiment's tasks)"
+	@retired=$$(grep -rniIE '$(KUHN_RETIRED)' --include='*.py' \
+		src tests examples benchmarks | grep -vE '$(AREA_CONSTANT)' \
+		|| true); \
+	defs=$$(grep -rnE '$(RESET_AND_STEP_DEF)' --include='*.py' \
+		src/repro/attacks || true); \
+	if [ -n "$$retired" ] || [ "$$(echo "$$defs" | grep -c .)" != 1 ]; then \
+		echo "lint: one DS5002FP board (DallasBoard, optional scrambler)" >&2; \
+		echo "      and one CipherInstructionSearch base: no" >&2; \
+		echo "      ScrambledDallasBoard, _signature_of or Huffman coder," >&2; \
+		echo "      and exactly one def reset_and_step( in attacks/:" >&2; \
+		[ -z "$$retired" ] || echo "$$retired" >&2; \
+		echo "$${defs:-(no def reset_and_step( found)}" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one DS5002FP board and one search base)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

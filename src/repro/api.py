@@ -384,7 +384,9 @@ def attack_summary(memory: int = 512, seed: int = 2005,
     """Run Kuhn's Cipher Instruction Search against a DS5002FP-class board.
 
     Returns a JSON-serializable summary (recovered bytes, probe runs,
-    ambiguous cells, full recovery flag).
+    ambiguous cells, full recovery flag).  Raises ``ValueError`` for a
+    ``memory`` outside [5, 0x10000]: the board addresses 16 bits and the
+    dump gadget needs five cells.
     """
     from .attacks import DallasBoard, KuhnAttack
     from .crypto import DRBG, SmallBlockCipher

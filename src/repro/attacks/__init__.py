@@ -49,7 +49,7 @@ from .kuhn import (
     block_diffusion_probe,
     brute_force_tries,
 )
-from .kuhn_scrambled import PortBasedKuhnAttack, ScrambledDallasBoard
+from .kuhn_scrambled import PortBasedKuhnAttack
 from .probe import BusProbe
 from .taxonomy import (
     ACTIVE_ATTACKS,
@@ -77,7 +77,7 @@ __all__ = [
     "KnownPlaintextDictionary",
     "AttackFailure", "AttackReport", "DallasBoard", "KuhnAttack",
     "block_diffusion_probe", "brute_force_tries",
-    "PortBasedKuhnAttack", "ScrambledDallasBoard",
+    "PortBasedKuhnAttack",
     "BusProbe",
     "ACTIVE_ATTACKS", "CLASS_CAPABILITIES", "ENGINE_RATINGS",
     "AttackerClass", "Capability", "EngineSecurityRating",

@@ -48,6 +48,15 @@ decryption function can be tabulated *by experiment*:
 Cost: ~5 x 256 probe runs plus one run per dumped byte — exactly the
 "exhaustive attack, 256 possibilities" scale the survey describes.
 
+:class:`DallasBoard` is the one board model; its optional ``scrambler``
+enciphers the address bus as the real part did.  What every strategy
+shares — probing, restoring the factory image, forging bytes through the
+D tables, the dump gadget and the dump loop — is
+:class:`CipherInstructionSearch`.  :class:`KuhnAttack` is the bus-address
+strategy above, for a clear address bus;
+:class:`repro.attacks.kuhn_scrambled.PortBasedKuhnAttack` is the
+port-based one that also breaks the scrambled board.
+
 Against the DS5240's 64-bit blocks the same experiment collapses:
 :func:`brute_force_tries` counts the 2^64 per-address search space, and
 :func:`block_diffusion_probe` shows single-byte probes garbling whole
@@ -59,12 +68,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
+from ..crypto.address_scrambler import AddressScrambler
 from ..crypto.feistel import SmallBlockCipher, TweakableFeistel
 from ..isa.mcu import INSTRUCTION_LENGTHS, MCU, Op, StepEvent
 from ..obs import EventSink, current_sink
 
-__all__ = ["DallasBoard", "KuhnAttack", "AttackFailure", "AttackReport",
-           "brute_force_tries", "block_diffusion_probe"]
+__all__ = ["DallasBoard", "CipherInstructionSearch", "KuhnAttack",
+           "AttackFailure", "AttackReport", "brute_force_tries",
+           "block_diffusion_probe"]
 
 
 class AttackFailure(Exception):
@@ -75,29 +88,56 @@ class DallasBoard:
     """The victim: encrypted firmware + MCU, exposed at board level.
 
     The attacker talks only to this class's public API; the cipher instance
-    is sealed inside the closures handed to the MCU — the key never leaves
-    the "chip".
+    and the address map are sealed inside the hooks handed to the MCU — the
+    key never leaves the "chip".  With a ``scrambler`` the part enciphers
+    its address bus as well (survey §3): logical cell ``l`` lives at
+    physical ``scrambler.scramble(l)``, enciphered under that physical
+    address, and the bus shows physical addresses only.
     """
 
     def __init__(self, cipher: SmallBlockCipher, firmware: bytes,
                  memory_size: int = 4096,
+                 scrambler: Optional[AddressScrambler] = None,
                  sink: Optional[EventSink] = None):
+        if not 1 <= memory_size <= 0x10000:
+            raise ValueError(
+                f"memory_size must be in [1, 0x10000] (16-bit operands), "
+                f"got {memory_size}"
+            )
         if len(firmware) > memory_size:
             raise ValueError("firmware larger than external memory")
+        if scrambler is not None and scrambler.size != memory_size:
+            raise ValueError(
+                f"scrambler covers {scrambler.size} addresses, "
+                f"the board has {memory_size}"
+            )
         self.sink = sink if sink is not None else current_sink()
         self.memory_size = memory_size
-        self.memory = bytearray(
-            cipher.encrypt(0, bytes(firmware).ljust(memory_size, b"\x00"))
-        )
+        # The logical -> physical map, built once.  Without a scrambler the
+        # MCU gets no translate hook, so the clear bus keeps showing the
+        # unwrapped 16-bit operand the bus-address strategy reads.
+        if scrambler is None:
+            phys = np.arange(memory_size, dtype=np.uint64)
+            translate = None
+        else:
+            table = [scrambler.scramble(a) for a in range(memory_size)]
+            phys = np.array(table, dtype=np.uint64)
+            translate = table.__getitem__
+        padded = bytes(firmware).ljust(memory_size, b"\x00")
+        image = np.empty(memory_size, dtype=np.uint8)
+        image[phys] = np.frombuffer(cipher.encrypt(phys, padded),
+                                    dtype=np.uint8)
+        self.memory = bytearray(image.tobytes())
         self._mcu = MCU(
             self.memory,
             decrypt=cipher.decrypt_byte,
             encrypt=cipher.encrypt_byte,
+            translate=translate,
         )
         self.runs = 0
         self.steps_executed = 0
 
-    # -- attacker API ------------------------------------------------------
+    # -- attacker API (physical addresses only) ------------------------------
 
     def read_raw(self, addr: int, nbytes: int = 1) -> bytes:
         """Board-level memory read (ciphertext)."""
@@ -133,23 +173,8 @@ class DallasBoard:
 
 
 # Behaviour signature: (shape, port?, data_read?, data_write?, halted?)
-# where shape is the instruction length 1-4 or "jump".
+# where shape is what the strategy reads off the bus (see ``_shape``).
 _Signature = Tuple[object, bool, bool, bool, bool]
-
-
-def _signature_of(event: StepEvent, pc: int) -> _Signature:
-    if event.halted:
-        shape: object = 1
-    else:
-        delta = event.next_pc - pc
-        shape = delta if delta in (1, 2, 3, 4) else "jump"
-    return (
-        shape,
-        event.port_write is not None,
-        event.data_read is not None,
-        event.data_write is not None,
-        event.halted,
-    )
 
 
 def _invert(table: List[int]) -> List[int]:
@@ -174,41 +199,62 @@ class AttackReport:
         return not self.ambiguous_cells
 
 
-class KuhnAttack:
-    """End-to-end Cipher Instruction Search against a :class:`DallasBoard`."""
+class CipherInstructionSearch:
+    """Kuhn's Cipher Instruction Search [6] against a :class:`DallasBoard`.
 
-    #: Safe data address the probe gadgets read when the target is irrelevant.
-    SAFE_ADDR = 0x0010
+    A strategy's :meth:`_search` fills ``phys`` (logical cell -> physical
+    address, cells 0-3 at least), ``d_tables`` (decryption tables of cells
+    1-3), ``mov0`` (E_0(MOV A,addr16)) and ``outs[3]`` (E_3(OUT)); its
+    :meth:`_decode_silent0` decodes a cell-0 byte with no visible effect.
+    This class probes, restores the factory image, forges bytes through
+    the tables, and dumps every other cell with the gadget
+    ``[MOV A,addr16; lo; hi; OUT]`` over ``phys[0..3]``.
+    """
+
+    #: The dump gadget needs cells 0-3 plus the cell OUT falls through to.
+    MIN_MEMORY = 5
 
     def __init__(self, board: DallasBoard, verbose: bool = False):
         self.board = board
         self.verbose = verbose
-        #: Factory ciphertext bytes, saved before the first injection.
-        self._factory: Dict[int, int] = {}
-        #: Phase-1 behaviour signatures of every candidate at address 0.
-        self._signatures0: Dict[int, _Signature] = {}
-        self.d1: List[int] = []
-        self.d2: List[int] = []
-        self.d3: List[int] = []
-        self.mov0 = -1   # E_0(MOV A, addr16)
-        self.out3 = -1   # E_3(OUT)
+        #: logical cell -> physical address.
+        self.phys: Dict[int, int] = {}
+        #: logical cell -> decryption table (plaintext = table[ciphertext]).
+        self.d_tables: Dict[int, List[int]] = {}
+        #: logical cell -> E_cell(OUT).
+        self.outs: Dict[int, int] = {}
+        self.mov0 = -1
         self.ambiguous_cells: Dict[int, Set[int]] = {}
+        #: Behaviour signatures of every candidate at cell 0.
+        self._signatures0: Dict[int, _Signature] = {}
+        self._inverses: Dict[int, List[int]] = {}
+        self._snapshot = b""
 
-    # -- probing ------------------------------------------------------------
+    # -- what a strategy supplies ---------------------------------------------
 
-    def _inject(self, setup: Dict[int, int]) -> None:
-        for addr, value in setup.items():
-            if addr not in self._factory:
-                self._factory[addr] = self.board.memory[addr]
-            self.board.write_raw(addr, bytes([value]))
+    def _shape(self, event: StepEvent) -> object:
+        """The instruction's shape as this strategy observes it."""
+        raise NotImplementedError
+
+    def _search(self) -> None:
+        """Fill ``phys``, ``d_tables``, ``mov0`` and ``outs[3]``."""
+        raise NotImplementedError
+
+    def _decode_silent0(self, factory0: int,
+                        shape: object) -> Tuple[int, Optional[Set[int]]]:
+        """Decode a cell-0 byte that shows no port, data or halt effect."""
+        raise NotImplementedError
+
+    # -- probing ----------------------------------------------------------------
 
     def _probe(self, setup: Dict[int, int], steps: int) -> List[StepEvent]:
-        self._inject(setup)
+        """Inject ``{physical address: ciphertext byte}`` and run from reset."""
+        for addr, value in setup.items():
+            self.board.write_raw(addr, bytes((value,)))
         return self.board.reset_and_step(steps)
 
-    def _restore_all(self) -> None:
-        for addr, value in self._factory.items():
-            self.board.write_raw(addr, bytes([value]))
+    def _restore(self) -> None:
+        self.board.write_raw(0, self._snapshot)
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -218,23 +264,182 @@ class KuhnAttack:
         if self.board.sink is not None:
             self.board.sink.note("attack-phase", detail=name)
 
-    # -- phase 1: classify address 0 -----------------------------------------
+    def _signature(self, event: StepEvent) -> _Signature:
+        return (
+            1 if event.halted else self._shape(event),
+            event.port_write is not None,
+            event.data_read is not None,
+            event.data_write is not None,
+            event.halted,
+        )
 
-    def _classify_address0(self) -> None:
-        self._log("phase 1: classifying 256 candidates at address 0")
+    def _forge(self, cell: int, plain: int) -> int:
+        """The ciphertext byte that decodes to ``plain`` at logical ``cell``;
+        each table is inverted once per run."""
+        inverse = self._inverses.get(cell)
+        if inverse is None:
+            inverse = self._inverses[cell] = _invert(self.d_tables[cell])
+        return inverse[plain]
+
+    # -- search steps both strategies take ------------------------------------
+
+    def _classify_cell0(self, background: Dict[int, int]) -> StepEvent:
+        """Run each of the 256 candidates at cell 0 for one step over
+        ``background``, keeping its signature: the unique length-3
+        instruction that reads data is ``MOV A, addr16``.  Returns its
+        event."""
+        p0 = self.phys[0]
         matches = []
         for candidate in range(256):
-            events = self._probe({0: candidate, 1: 0, 2: 0, 3: 0}, 1)
-            sig = _signature_of(events[0], 0)
+            event = self._probe({**background, p0: candidate}, 1)[0]
+            sig = self._signature(event)
             self._signatures0[candidate] = sig
-            shape, port, data_read, data_write, halted = sig
+            shape, port, data_read, data_write, _ = sig
             if shape == 3 and data_read and not data_write and not port:
-                matches.append(candidate)
+                matches.append((candidate, event))
         if len(matches) != 1:
             raise AttackFailure(
-                f"MOV A,addr16 search at 0: {len(matches)} candidates"
+                f"MOV A,addr16 search at cell 0: {len(matches)} candidates"
             )
-        self.mov0 = matches[0]
+        self.mov0, event = matches[0]
+        return event
+
+    def _find_out(self, cell: int, prefix: Dict[int, int],
+                  step_index: int) -> int:
+        """E_cell(OUT): the 1-byte port writer at logical ``cell``, which
+        ``prefix`` reaches as step ``step_index``."""
+        for candidate in range(256):
+            events = self._probe({**prefix, self.phys[cell]: candidate},
+                                 step_index + 1)
+            if len(events) <= step_index:
+                continue
+            shape, port, data_read, data_write, _ = \
+                self._signature(events[step_index])
+            if port and shape == 1 and not (data_read or data_write):
+                return candidate
+        raise AttackFailure(f"no port-writing instruction found at cell {cell}")
+
+    def _decode_cell0(self) -> Tuple[int, Optional[Set[int]]]:
+        """Decode the factory byte at cell 0 from its recorded behaviour.
+
+        Cell 0 is never an operand of a reachable instruction (execution
+        always begins there).  Returns (representative plaintext,
+        ambiguity set or None).
+        """
+        factory0 = self._snapshot[self.phys[0]]
+        shape, port, data_read, data_write, halted = \
+            self._signatures0[factory0]
+        if halted:
+            return Op.HALT, None
+        if port:
+            return Op.OUT, None
+        if data_read:
+            return (Op.MOV_A_DIR if shape == 3 else Op.MOVI_A), None
+        if data_write:
+            return (Op.MOV_DIR_A if shape == 3 else Op.MOVI_ST), None
+        if shape == 4:
+            return Op.DJNZ, None
+        return self._decode_silent0(factory0, shape)
+
+    def _dump_byte(self, target: int) -> int:
+        events = self._probe({
+            self.phys[0]: self.mov0,
+            self.phys[1]: self._forge(1, target & 0xFF),
+            self.phys[2]: self._forge(2, target >> 8),
+            self.phys[3]: self.outs[3],
+        }, 2)
+        if len(events) < 2 or events[1].port_write is None:
+            raise AttackFailure(f"dump gadget failed for target {target:#06x}")
+        return events[1].port_write
+
+    # -- entry point --------------------------------------------------------------
+
+    def run(self, dump_range: Optional[Tuple[int, int]] = None) -> AttackReport:
+        """Execute the full attack; returns the recovered plaintext image."""
+        size = self.board.memory_size
+        if size < self.MIN_MEMORY:
+            raise ValueError(
+                f"a {size}-byte board is too small: the dump gadget needs "
+                f"{self.MIN_MEMORY} cells"
+            )
+        start, end = dump_range or (0, size)
+        if start < 0 or end > size or start >= end:
+            raise ValueError(f"bad dump range [{start}, {end})")
+
+        # Snapshot the whole ciphertext image before anything executes:
+        # sweep candidates decoding to store instructions scribble on
+        # arbitrary cells, and the dump must read factory bytes.
+        self._snapshot = bytes(self.board.memory)
+        self._inverses.clear()
+        self._search()
+        self._restore()
+
+        self._phase("dump")
+        recovered = bytearray(end - start)
+        for target in range(start, end):
+            if target == 0:
+                value, ambiguity = self._decode_cell0()
+                if ambiguity:
+                    self.ambiguous_cells[0] = ambiguity
+            elif target in self.d_tables:
+                value = self.d_tables[target][
+                    self._snapshot[self.phys[target]]
+                ]
+            else:
+                value = self._dump_byte(target)
+            recovered[target - start] = value
+
+        self._restore()
+        return AttackReport(
+            plaintext=bytes(recovered),
+            ambiguous_cells=dict(self.ambiguous_cells),
+            probe_runs=self.board.runs,
+            steps_executed=self.board.steps_executed,
+            d_tables=dict(self.d_tables),
+        )
+
+
+class KuhnAttack(CipherInstructionSearch):
+    """The bus-address strategy, against a board without a scrambler:
+    operand tables are read off the data-address pins, and a jump shows
+    as a program counter that does not fall through."""
+
+    #: Safe data address the probe gadgets read when the target is irrelevant.
+    SAFE_ADDR = 0x0010
+
+    def _shape(self, event: StepEvent) -> object:
+        delta = event.next_pc - event.pc
+        return delta if delta in (1, 2, 3, 4) else "jump"
+
+    def _search(self) -> None:
+        self.phys = {cell: cell for cell in range(4)}
+
+        self._phase("classify-address0")
+        self._log("phase 1: classifying 256 candidates at address 0")
+        self._classify_cell0({1: 0, 2: 0, 3: 0})
+        self._log(f"E_0(MOV A,addr16) = {self.mov0:#04x}")
+
+        self._phase("tabulate-operands")
+        self.d_tables[1] = self._tabulate(
+            1, {0: self.mov0, 2: 0}, extract_high=False, step_index=0
+        )
+        self.d_tables[2] = self._tabulate(
+            2, {0: self.mov0, 1: 0}, extract_high=True, step_index=0
+        )
+        self._log("D_1 and D_2 tabulated from bus addresses")
+
+        self._phase("find-out")
+        prefix = {
+            0: self.mov0,
+            1: self._forge(1, self.SAFE_ADDR & 0xFF),
+            2: self._forge(2, self.SAFE_ADDR >> 8),
+        }
+        self.outs[3] = self._find_out(3, prefix, step_index=1)
+        self._log(f"E_3(OUT) = {self.outs[3]:#04x}")
+
+        self._phase("tabulate-d3")
+        self.d_tables[3] = self._tabulate_d3()
+        self._log("D_3 tabulated via forged read at address 1")
 
     # -- phase 2: operand tables off the bus ----------------------------------
 
@@ -243,9 +448,8 @@ class KuhnAttack:
         table = [0] * 256
         seen = set()
         for candidate in range(256):
-            setup = dict(fixed)
-            setup[sweep_cell] = candidate
-            events = self._probe(setup, step_index + 1)
+            events = self._probe({**fixed, sweep_cell: candidate},
+                                 step_index + 1)
             if len(events) <= step_index or events[step_index].data_read is None:
                 raise AttackFailure(
                     f"operand sweep at {sweep_cell:#x}: probe gadget broke"
@@ -260,22 +464,6 @@ class KuhnAttack:
                 f"({len(seen)} distinct values)"
             )
         return table
-
-    # -- phase 3: find the port writer ------------------------------------------
-
-    def _find_out(self, cell: int, prefix: Dict[int, int],
-                  step_index: int) -> int:
-        for candidate in range(256):
-            setup = dict(prefix)
-            setup[cell] = candidate
-            events = self._probe(setup, step_index + 1)
-            if len(events) <= step_index:
-                continue
-            ev = events[step_index]
-            if ev.port_write is not None and ev.next_pc == cell + 1 \
-                    and ev.data_read is None and ev.data_write is None:
-                return candidate
-        raise AttackFailure(f"no port-writing instruction found at {cell:#x}")
 
     # -- phase 5 helpers: the gadget's own cells ---------------------------------
 
@@ -294,35 +482,15 @@ class KuhnAttack:
         at cell 1 and a fixed low operand at cell 2; cell 3 becomes the high
         operand, and sweeping it reads D_3 off the bus.
         """
-        e1 = _invert(self.d1)
-        e2 = _invert(self.d2)
-        fall0 = self._find_fall_through0()
-        fixed = {0: fall0, 1: e1[Op.MOV_A_DIR], 2: e2[self.SAFE_ADDR & 0xFF]}
+        fixed = {
+            0: self._find_fall_through0(),
+            1: self._forge(1, Op.MOV_A_DIR),
+            2: self._forge(2, self.SAFE_ADDR & 0xFF),
+        }
         return self._tabulate(3, fixed, extract_high=True, step_index=1)
 
-    def _decode_cell0(self) -> Tuple[int, Optional[Set[int]]]:
-        """Decode the factory byte at cell 0 from its recorded behaviour.
-
-        Returns (representative plaintext, ambiguity set or None).
-        """
-        factory0 = self._factory[0]
-        sig = self._signatures0[factory0]
-        shape, port, data_read, data_write, halted = sig
-
-        if halted:
-            return Op.HALT, None
-        if port:
-            return Op.OUT, None
-        if data_read and shape == 3:
-            return Op.MOV_A_DIR, None
-        if data_write and shape == 3:
-            return Op.MOV_DIR_A, None
-        if data_read and shape == 1:
-            return Op.MOVI_A, None
-        if data_write and shape == 1:
-            return Op.MOVI_ST, None
-        if shape == 4:
-            return Op.DJNZ, None
+    def _decode_silent0(self, factory0: int,
+                        shape: object) -> Tuple[int, Optional[Set[int]]]:
         if shape == 3:
             return Op.MOV_R_IMM, None
         if shape == "jump":
@@ -335,11 +503,12 @@ class KuhnAttack:
         """Separate RET from the taken-branch family using the known tables."""
         # Re-run with known operand bytes: a branch lands at
         # D_1(op1) | D_2(op2)<<8; RET lands at 0 (zeroed stack) regardless.
-        e1, e2 = _invert(self.d1), _invert(self.d2)
         target = 0x0123 % self.board.memory_size
-        events = self._probe(
-            {0: factory0, 1: e1[target & 0xFF], 2: e2[target >> 8]}, 1
-        )
+        events = self._probe({
+            0: factory0,
+            1: self._forge(1, target & 0xFF),
+            2: self._forge(2, target >> 8),
+        }, 1)
         if events[0].next_pc == target:
             # JMP, JZ (A=0: taken) and CALL are equivalent from reset.
             ambiguous = {Op.JMP, Op.JZ, Op.CALL}
@@ -348,13 +517,14 @@ class KuhnAttack:
 
     def _decode_two_byte0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
         """Split the 2-byte class by whether the port shows the operand."""
-        e1, e2 = _invert(self.d1), _invert(self.d2)
         outputs = []
         for value in (0x05, 0x5A):
             # [factory0, operand, forged OUT at 2]: port shows A afterwards.
-            events = self._probe(
-                {0: factory0, 1: e1[value], 2: e2[Op.OUT]}, 2
-            )
+            events = self._probe({
+                0: factory0,
+                1: self._forge(1, value),
+                2: self._forge(2, Op.OUT),
+            }, 2)
             if len(events) < 2 or events[1].port_write is None:
                 raise AttackFailure("cell-0 2-byte probe lost its OUT")
             outputs.append(events[1].port_write)
@@ -368,8 +538,7 @@ class KuhnAttack:
 
     def _decode_one_byte0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
         """Split the 1-byte fall-through class via the accumulator."""
-        e1 = _invert(self.d1)
-        events = self._probe({0: factory0, 1: e1[Op.OUT]}, 2)
+        events = self._probe({0: factory0, 1: self._forge(1, Op.OUT)}, 2)
         if len(events) < 2 or events[1].port_write is None:
             raise AttackFailure("cell-0 1-byte probe lost its OUT")
         a_after = events[1].port_write
@@ -381,94 +550,6 @@ class KuhnAttack:
         # silent from reset.
         undefined = set(range(256)) - set(INSTRUCTION_LENGTHS)
         return Op.NOP, {Op.NOP, Op.PUSH_A, Op.POP_A} | undefined
-
-    # -- phase 4: the dump ----------------------------------------------------------
-
-    def _dump_byte(self, target: int) -> int:
-        e1, e2 = _invert(self.d1), _invert(self.d2)
-        setup = {
-            0: self.mov0,
-            1: e1[target & 0xFF],
-            2: e2[(target >> 8) & 0xFF],
-            3: self.out3,
-        }
-        events = self._probe(setup, 2)
-        if len(events) < 2 or events[1].port_write is None:
-            raise AttackFailure(f"dump gadget failed for target {target:#06x}")
-        return events[1].port_write
-
-    # -- entry point --------------------------------------------------------------------
-
-    def run(self, dump_range: Optional[Tuple[int, int]] = None) -> AttackReport:
-        """Execute the full attack; returns the recovered plaintext image."""
-        start, end = dump_range or (0, self.board.memory_size)
-        if start < 0 or end > self.board.memory_size or start >= end:
-            raise ValueError(f"bad dump range [{start}, {end})")
-
-        # Snapshot the whole ciphertext image before anything executes:
-        # sweep candidates decoding to store instructions scribble on
-        # arbitrary cells, and the dump must read factory bytes.
-        snapshot = bytes(self.board.memory)
-        for addr in range(4):
-            self._factory[addr] = snapshot[addr]
-
-        self._phase("classify-address0")
-        self._classify_address0()
-        self._log(f"E_0(MOV A,addr16) = {self.mov0:#04x}")
-
-        self._phase("tabulate-operands")
-        fixed = {0: self.mov0}
-        self.d1 = self._tabulate(
-            1, {**fixed, 2: 0}, extract_high=False, step_index=0
-        )
-        self.d2 = self._tabulate(
-            2, {**fixed, 1: 0}, extract_high=True, step_index=0
-        )
-        self._log("D_1 and D_2 tabulated from bus addresses")
-
-        self._phase("find-out")
-        e1, e2 = _invert(self.d1), _invert(self.d2)
-        prefix = {
-            0: self.mov0,
-            1: e1[self.SAFE_ADDR & 0xFF],
-            2: e2[self.SAFE_ADDR >> 8],
-        }
-        self.out3 = self._find_out(3, prefix, step_index=1)
-        self._log(f"E_3(OUT) = {self.out3:#04x}")
-
-        self._phase("tabulate-d3")
-        self.d3 = self._tabulate_d3()
-        self._log("D_3 tabulated via forged read at address 1")
-
-        # Undo any collateral damage from store-class probe candidates
-        # before reading factory bytes back out.
-        self.board.write_raw(0, snapshot)
-
-        self._phase("dump")
-        recovered = bytearray(end - start)
-        for target in range(start, end):
-            if target == 0:
-                value, ambiguity = self._decode_cell0()
-                if ambiguity:
-                    self.ambiguous_cells[0] = ambiguity
-            elif target == 1:
-                value = self.d1[self._factory[1]]
-            elif target == 2:
-                value = self.d2[self._factory[2]]
-            elif target == 3:
-                value = self.d3[self._factory[3]]
-            else:
-                value = self._dump_byte(target)
-            recovered[target - start] = value
-
-        self._restore_all()
-        return AttackReport(
-            plaintext=bytes(recovered),
-            ambiguous_cells=dict(self.ambiguous_cells),
-            probe_runs=self.board.runs,
-            steps_executed=self.board.steps_executed,
-            d_tables={1: self.d1, 2: self.d2, 3: self.d3},
-        )
 
 
 def brute_force_tries(block_bits: int) -> int:

@@ -2,10 +2,12 @@
 
 The real DS5002FP enciphered the *address bus* as well as the data bus
 (survey §3: "all data and addresses are in decrypted form inside the CPU
-and encrypted outside").  That kills the bus-address shortcut of
+and encrypted outside"); :class:`repro.attacks.kuhn.DallasBoard` models it
+with a ``scrambler``.  That kills the bus-address shortcut of
 :class:`repro.attacks.kuhn.KuhnAttack` (operand values can no longer be
 read off the data-address pins) — but not the attack.  Kuhn's actual
-procedure was port-based, and this module reproduces it:
+procedure was port-based, and :class:`PortBasedKuhnAttack` reproduces it
+on the shared :class:`repro.attacks.kuhn.CipherInstructionSearch` harness:
 
 * the logical->physical map is *learned from the bus*: each executed
   instruction's fetch addresses reveal where consecutive logical cells
@@ -28,107 +30,56 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..crypto.address_scrambler import AddressScrambler
-from ..crypto.feistel import SmallBlockCipher
-from ..isa.mcu import INSTRUCTION_LENGTHS, MCU, Op, StepEvent
-from .kuhn import AttackFailure, AttackReport, _invert
+from ..isa.mcu import INSTRUCTION_LENGTHS, Op, StepEvent
+from .kuhn import AttackFailure, CipherInstructionSearch
 
-__all__ = ["ScrambledDallasBoard", "PortBasedKuhnAttack"]
+__all__ = ["PortBasedKuhnAttack"]
 
 
-class ScrambledDallasBoard:
-    """DS5002FP with data *and* address encryption, exposed at board level."""
-
-    def __init__(self, cipher: SmallBlockCipher, firmware: bytes,
-                 memory_size: int = 1024,
-                 scrambler: Optional[AddressScrambler] = None):
-        if len(firmware) > memory_size:
-            raise ValueError("firmware larger than external memory")
-        self.memory_size = memory_size
-        self.scrambler = scrambler
-        self.memory = bytearray(memory_size)
-        padded = bytes(firmware).ljust(memory_size, b"\x00")
-        for logical in range(memory_size):
-            phys = scrambler.scramble(logical) if scrambler else logical
-            self.memory[phys] = cipher.encrypt_byte(phys, padded[logical])
-        self._mcu = MCU(
-            self.memory,
-            decrypt=cipher.decrypt_byte,
-            encrypt=cipher.encrypt_byte,
-            translate=scrambler.scramble if scrambler else None,
-        )
-        self.runs = 0
-        self.steps_executed = 0
-
-    # -- attacker API (physical addresses only) --------------------------
-
-    def read_raw(self, addr: int, nbytes: int = 1) -> bytes:
-        return bytes(self.memory[addr: addr + nbytes])
-
-    def write_raw(self, addr: int, data: bytes) -> None:
-        self.memory[addr: addr + len(data)] = data
-
-    def reset_and_step(self, steps: int) -> List[StepEvent]:
-        self._mcu.reset()
-        self._mcu.port_log.clear()
-        self.runs += 1
-        events = []
-        for _ in range(steps):
-            event = self._mcu.step()
-            events.append(event)
-            self.steps_executed += 1
-            if event.halted:
-                break
-        return events
-
-
-_Signature = Tuple[object, bool, bool, bool, bool]
-
-
-def _sig(event: StepEvent) -> _Signature:
-    return (
-        len(event.fetched) if not event.halted else 1,
-        event.port_write is not None,
-        event.data_read is not None,
-        event.data_write is not None,
-        event.halted,
-    )
-
-
-class PortBasedKuhnAttack:
-    """The scrambler-immune Cipher Instruction Search."""
+class PortBasedKuhnAttack(CipherInstructionSearch):
+    """The scrambler-immune strategy: the address map is learned from the
+    fetch addresses, the tables through the parallel port, and an
+    instruction's shape is the number of bytes it fetched."""
 
     def __init__(self, board, verbose: bool = False):
-        self.board = board
-        self.verbose = verbose
-        self._snapshot = bytes(board.memory)
-        #: logical cell index -> physical address (learned from the bus).
-        self.phys: Dict[int, int] = {}
-        #: logical cell -> decryption table.
-        self.d_tables: Dict[int, List[int]] = {}
-        self._injected: Set[int] = set()
-        self._signatures0: Dict[int, _Signature] = {}
-        self.ambiguous_cells: Dict[int, Set[int]] = {}
-        self.mov0 = -1
-        self._outs: Dict[int, int] = {}     # logical cell -> E_cell(OUT)
+        super().__init__(board, verbose)
         self._falls: Dict[int, int] = {}    # logical cell -> fall-through
 
-    # -- probing -----------------------------------------------------------
+    def _shape(self, event: StepEvent) -> object:
+        return len(event.fetched)
 
-    def _probe(self, setup: Dict[int, int], steps: int) -> List[StepEvent]:
-        """Inject {physical: byte} and run from reset."""
-        for addr, value in setup.items():
-            self._injected.add(addr)
-            self.board.write_raw(addr, bytes([value]))
-        return self.board.reset_and_step(steps)
+    def _search(self) -> None:
+        self._phase("classify-cell0")
+        # The factory byte at cell 0 runs once, to show where cell 0 lives.
+        self.phys[0] = self._probe({}, 1)[0].fetched[0]
+        fetched = self._classify_cell0({}).fetched
+        # MOV A,addr16's operand fetches reveal where logical 1 and 2 live.
+        self.phys[1], self.phys[2] = fetched[1], fetched[2]
+        self._log(
+            f"E_0(MOV A,addr16) = {self.mov0:#04x}; "
+            f"phys[0..2] = {[hex(self.phys[c]) for c in range(3)]}"
+        )
 
-    def _restore(self) -> None:
-        self.board.write_raw(0, self._snapshot)
-        self._injected.clear()
+        self._phase("build-runway")
+        self._falls[0] = self._find_fall(0)
+        self._falls[1] = self._find_fall(1)
+        self.outs[2] = self._find_out(2, self._runway(2), 2)
+        self._discover_next_cell(3)
+        self.outs[3] = self._find_out(3, self._runway(3), 3)
 
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[kuhn-port] {message}")
+        self._phase("tabulate-via-port")
+        loader0 = self._find_loader0()
+        self._log(f"loader at cell 0 = {loader0:#04x}")
+        self.d_tables[1] = self._tabulate_via_port(1, 0, loader0, 2)
+        self.d_tables[2] = self._tabulate_via_port(
+            2, 1, self._forge(1, Op.MOV_A_IMM), 3
+        )
+        self._discover_next_cell(4)
+        self.outs[4] = self._find_out(4, self._runway(4), 4)
+        self.d_tables[3] = self._tabulate_via_port(
+            3, 2, self._forge(2, Op.MOV_A_IMM), 4
+        )
+        self._log("D tables for cells 1-3 tabulated through the port")
 
     def _runway(self, depth: int) -> Dict[int, int]:
         """Injection map covering logical cells 0..depth-1 with known
@@ -137,51 +88,18 @@ class PortBasedKuhnAttack:
         for cell in range(depth):
             if cell in self._falls:
                 setup[self.phys[cell]] = self._falls[cell]
-            elif cell in self._outs:
-                setup[self.phys[cell]] = self._outs[cell]
+            elif cell in self.outs:
+                setup[self.phys[cell]] = self.outs[cell]
             else:
                 raise AttackFailure(f"no runway filler for cell {cell}")
         return setup
 
-    # -- phase 0/1: discover the map and classify cell 0 ---------------------
-
-    def _discover_p0(self) -> None:
-        events = self.board.reset_and_step(1)
-        self.board.runs -= 0  # counted; the factory byte executed once
-        self.phys[0] = events[0].fetched[0]
-        self._log(f"phys[0] = {self.phys[0]:#06x}")
-
-    def _classify_cell0(self) -> None:
-        p0 = self.phys[0]
-        matches = []
-        for candidate in range(256):
-            events = self._probe({p0: candidate}, 1)
-            ev = events[0]
-            self._signatures0[candidate] = _sig(ev)
-            shape, port, data_read, data_write, halted = _sig(ev)
-            if shape == 3 and data_read and not data_write and not port:
-                matches.append((candidate, list(ev.fetched)))
-        if len(matches) != 1:
-            raise AttackFailure(
-                f"MOV A,addr16 search at cell 0: {len(matches)} candidates"
-            )
-        self.mov0, fetched = matches[0]
-        # Its operand fetches reveal where logical 1 and 2 live.
-        self.phys[1], self.phys[2] = fetched[1], fetched[2]
-        self._log(
-            f"E_0(MOV A,addr16) = {self.mov0:#04x}; "
-            f"phys[1] = {self.phys[1]:#06x}, phys[2] = {self.phys[2]:#06x}"
-        )
-
-    def _discover_next_cell(self, cell: int, runway_steps: int) -> None:
+    def _discover_next_cell(self, cell: int) -> None:
         """Learn phys[cell] by running the runway and watching the fetch."""
-        if cell in self.phys:
-            return
-        setup = self._runway(cell)
-        events = self._probe(setup, runway_steps + 1)
-        if len(events) <= runway_steps:
+        events = self._probe(self._runway(cell), cell + 1)
+        if len(events) <= cell:
             raise AttackFailure(f"runway stalled before cell {cell}")
-        self.phys[cell] = events[runway_steps].fetched[0]
+        self.phys[cell] = events[cell].fetched[0]
         self._log(f"phys[{cell}] = {self.phys[cell]:#06x}")
 
     def _find_fall(self, cell: int) -> int:
@@ -200,13 +118,12 @@ class PortBasedKuhnAttack:
                 if sig[0] == 1 and not any(sig[1:])
             ]
         for candidate in candidates:
-            setup = dict(prefix)
-            setup[self.phys[cell]] = candidate
-            events = self._probe(setup, cell + 2)
+            events = self._probe({**prefix, self.phys[cell]: candidate},
+                                 cell + 2)
             if len(events) <= cell + 1:
                 continue
-            ev = events[cell]
-            shape, port, data_read, data_write, halted = _sig(ev)
+            shape, port, data_read, data_write, halted = \
+                self._signature(events[cell])
             if shape != 1 or port or data_read or data_write or halted:
                 continue
             following = events[cell + 1]
@@ -214,26 +131,10 @@ class PortBasedKuhnAttack:
                 return candidate
         raise AttackFailure(f"no fall-through at cell {cell}")
 
-    def _find_out(self, cell: int) -> int:
-        """E_cell(OUT): the port-writing 1-byte instruction."""
-        prefix = self._runway(cell)
-        for candidate in range(256):
-            setup = dict(prefix)
-            setup[self.phys[cell]] = candidate
-            events = self._probe(setup, cell + 1)
-            if len(events) <= cell:
-                continue
-            ev = events[cell]
-            shape, port, data_read, data_write, halted = _sig(ev)
-            if port and shape == 1 and not (data_read or data_write):
-                return candidate
-        raise AttackFailure(f"no port writer at cell {cell}")
-
     # -- table building through the port -------------------------------------
 
     def _find_loader0(self) -> int:
         """A 2-byte identity-class immediate instruction at cell 0."""
-        out2 = self._outs[2]
         two_byte = [
             c for c, sig in self._signatures0.items()
             if sig[0] == 2 and not any(sig[1:])
@@ -241,12 +142,11 @@ class PortBasedKuhnAttack:
         for candidate in two_byte:
             outputs = []
             for v in (0x11, 0xB7):
-                setup = {
+                events = self._probe({
                     self.phys[0]: candidate,
                     self.phys[1]: v,
-                    self.phys[2]: out2,
-                }
-                events = self._probe(setup, 2)
+                    self.phys[2]: self.outs[2],
+                }, 2)
                 if len(events) < 2 or events[1].port_write is None:
                     outputs = []
                     break
@@ -260,15 +160,14 @@ class PortBasedKuhnAttack:
         """D table for ``cell`` = the operand of a loader at ``cell - 1``."""
         prefix = self._runway(loader_cell)
         prefix[self.phys[loader_cell]] = loader_byte
-        out_setup = self.phys[out_cell]
+        out_setup = {self.phys[out_cell]: self.outs[out_cell]}
         table = [0] * 256
         seen = set()
         steps = loader_cell + 2
         for candidate in range(256):
-            setup = dict(prefix)
-            setup[self.phys[cell]] = candidate
-            setup[out_setup] = self._outs[out_cell]
-            events = self._probe(setup, steps)
+            events = self._probe(
+                {**prefix, self.phys[cell]: candidate, **out_setup}, steps
+            )
             if len(events) < steps or events[steps - 1].port_write is None:
                 raise AttackFailure(
                     f"port tabulation at cell {cell} lost its OUT"
@@ -283,57 +182,29 @@ class PortBasedKuhnAttack:
             )
         return table
 
-    # -- dumping ----------------------------------------------------------------
+    # -- cell 0 -------------------------------------------------------------------
 
-    def _dump_byte(self, target: int) -> int:
-        e1 = _invert(self.d_tables[1])
-        e2 = _invert(self.d_tables[2])
-        setup = {
-            self.phys[0]: self.mov0,
-            self.phys[1]: e1[target & 0xFF],
-            self.phys[2]: e2[(target >> 8) & 0xFF],
-            self.phys[3]: self._outs[3],
-        }
-        events = self._probe(setup, 2)
-        if len(events) < 2 or events[1].port_write is None:
-            raise AttackFailure(f"dump failed for logical {target:#06x}")
-        return events[1].port_write
-
-    def _decode_cell0(self) -> Tuple[int, Optional[Set[int]]]:
-        factory0 = self._snapshot[self.phys[0]]
-        shape, port, data_read, data_write, halted = \
-            self._signatures0[factory0]
-        if halted:
-            return Op.HALT, None
-        if port:
-            return Op.OUT, None
-        if data_read:
-            return (Op.MOV_A_DIR if shape == 3 else Op.MOVI_A), None
-        if data_write:
-            return (Op.MOV_DIR_A if shape == 3 else Op.MOVI_ST), None
-        if shape == 4:
-            return Op.DJNZ, None
+    def _decode_silent0(self, factory0: int,
+                        shape: object) -> Tuple[int, Optional[Set[int]]]:
         if shape == 3:
             # MOV_R_IMM or a branch: both fetch 3 bytes.  Separate by the
             # next fetch: the branch lands at the decoded target, which with
             # forged operands is logical 2 (phys known); MOV_R_IMM falls
             # through to logical 3.
-            e1 = _invert(self.d_tables[1])
-            e2 = _invert(self.d_tables[2])
             events = self._probe({
                 self.phys[0]: factory0,
-                self.phys[1]: e1[0x02],
-                self.phys[2]: e2[0x00],
+                self.phys[1]: self._forge(1, 0x02),
+                self.phys[2]: self._forge(2, 0x00),
             }, 2)
             if len(events) >= 2 and events[1].fetched and \
                     events[1].fetched[0] == self.phys[2]:
                 return Op.JMP, {Op.JMP, Op.JZ, Op.CALL}
             return Op.MOV_R_IMM, None
-        if shape == 1 and not any((port, data_read, data_write, halted)):
-            e1 = _invert(self.d_tables[1])
-            events = self._probe(
-                {self.phys[0]: factory0, self.phys[1]: e1[Op.OUT]}, 2
-            )
+        if shape == 1:
+            events = self._probe({
+                self.phys[0]: factory0,
+                self.phys[1]: self._forge(1, Op.OUT),
+            }, 2)
             if len(events) > 1 and events[1].fetched and \
                     events[1].fetched[0] != self.phys[1]:
                 # Control left the fall-through path: a 1-byte jumper.
@@ -346,14 +217,12 @@ class PortBasedKuhnAttack:
             undefined = set(range(256)) - set(INSTRUCTION_LENGTHS)
             return Op.NOP, {Op.NOP, Op.PUSH_A, Op.POP_A} | undefined
         if shape == 2:
-            out2 = self._outs[2]
-            e1 = _invert(self.d_tables[1])
             outputs = []
             for v in (0x21, 0x7E):
                 events = self._probe({
                     self.phys[0]: factory0,
-                    self.phys[1]: e1[v],
-                    self.phys[2]: out2,
+                    self.phys[1]: self._forge(1, v),
+                    self.phys[2]: self.outs[2],
                 }, 2)
                 outputs.append(
                     events[1].port_write if len(events) > 1 else None
@@ -364,59 +233,3 @@ class PortBasedKuhnAttack:
             return Op.ANL_A_IMM, {Op.ANL_A_IMM, Op.MOV_A_R, Op.MOV_R_A,
                                   Op.ADD_A_R, Op.SUB_A_R, Op.INC_R}
         return Op.NOP, set(range(256))
-
-    # -- entry point -----------------------------------------------------------------
-
-    def run(self, dump_range: Optional[Tuple[int, int]] = None) -> AttackReport:
-        start, end = dump_range or (0, self.board.memory_size)
-        if start < 0 or end > self.board.memory_size or start >= end:
-            raise ValueError(f"bad dump range [{start}, {end})")
-
-        self._discover_p0()
-        self._classify_cell0()
-        self._falls[0] = self._find_fall(0)
-        self._discover_next_cell(1, 1)  # already known; keeps the map honest
-        self._falls[1] = self._find_fall(1)
-        self._outs[2] = self._find_out(2)
-        self._discover_next_cell(3, 3)
-        self._outs[3] = self._find_out(3)
-
-        loader0 = self._find_loader0()
-        self._log(f"loader at cell 0 = {loader0:#04x}")
-        self.d_tables[1] = self._tabulate_via_port(1, 0, loader0, 2)
-        e1 = _invert(self.d_tables[1])
-        self.d_tables[2] = self._tabulate_via_port(
-            2, 1, e1[Op.MOV_A_IMM], 3
-        )
-        e2 = _invert(self.d_tables[2])
-        self._discover_next_cell(4, 4)
-        self._outs[4] = self._find_out(4)
-        self.d_tables[3] = self._tabulate_via_port(
-            3, 2, e2[Op.MOV_A_IMM], 4
-        )
-        self._log("D tables for cells 1-3 tabulated through the port")
-
-        # Clean collateral damage, then dump.
-        self._restore()
-        recovered = bytearray(end - start)
-        for target in range(start, end):
-            if target == 0:
-                value, ambiguity = self._decode_cell0()
-                if ambiguity:
-                    self.ambiguous_cells[0] = ambiguity
-            elif target in (1, 2, 3):
-                value = self.d_tables[target][
-                    self._snapshot[self.phys[target]]
-                ]
-            else:
-                value = self._dump_byte(target)
-            recovered[target - start] = value
-
-        self._restore()
-        return AttackReport(
-            plaintext=bytes(recovered),
-            ambiguous_cells=dict(self.ambiguous_cells),
-            probe_runs=self.board.runs,
-            steps_executed=self.board.steps_executed,
-            d_tables=dict(self.d_tables),
-        )

@@ -123,8 +123,15 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    summary = attack_summary(memory=args.memory, seed=args.seed,
-                             verbose=not args.quiet)
+    # A memory size the board or the dump gadget cannot take is an
+    # operator mistake: one line on stderr and exit 2.
+    try:
+        summary = attack_summary(memory=args.memory, seed=args.seed,
+                                 verbose=not args.quiet)
+    except ValueError as exc:
+        message = exc.args[0] if exc.args else type(exc).__name__
+        print(f"attack: {message}", file=sys.stderr)
+        return 2
     print(format_table(
         ["result", "value"],
         [

@@ -1,5 +1,5 @@
-"""Compression substrate: CodePack-style code compression, Huffman, LZ77,
-RLE and entropy estimators (survey Figure 8 / experiment E13)."""
+"""Compression substrate: CodePack-style code compression, LZ77, RLE and
+entropy estimators (survey Figure 8 / experiment E13)."""
 
 from .codepack import CodePack, CompressedImage
 from .entropy import (
@@ -9,7 +9,6 @@ from .entropy import (
     redundancy,
     shannon_entropy,
 )
-from .huffman import huffman_compress, huffman_decompress
 from .lz77 import lz77_compress, lz77_decompress
 from .rle import rle_compress, rle_decompress
 
@@ -17,7 +16,6 @@ __all__ = [
     "CodePack", "CompressedImage",
     "block_collision_rate", "byte_histogram", "chi_square_uniform",
     "redundancy", "shannon_entropy",
-    "huffman_compress", "huffman_decompress",
     "lz77_compress", "lz77_decompress",
     "rle_compress", "rle_decompress",
 ]

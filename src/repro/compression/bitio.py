@@ -1,7 +1,7 @@
-"""MSB-first bit I/O shared by the CodePack and Huffman coders.  Each call
-costs the same anywhere in a long stream: the writer moves whole bytes out
-of its int every ``_FLUSH_BITS``, the reader decodes only the bytes that
-hold the value."""
+"""MSB-first bit I/O for the CodePack coder.  Each call costs the same
+anywhere in a long stream: the writer moves whole bytes out of its int
+every ``_FLUSH_BITS``, the reader decodes only the bytes that hold the
+value."""
 
 from __future__ import annotations
 

@@ -17,7 +17,6 @@ from ...attacks import (
     DallasBoard,
     KuhnAttack,
     PortBasedKuhnAttack,
-    ScrambledDallasBoard,
     block_diffusion_probe,
     brute_force_tries,
 )
@@ -54,7 +53,7 @@ def task_scrambled_attack(ctx: TaskContext) -> dict:
     port-based variant learns the address permutation from the CPU's own
     fetch pattern."""
     firmware = _firmware(ctx)
-    board = ScrambledDallasBoard(
+    board = DallasBoard(
         SmallBlockCipher(b"ds5002fp-factory-key"), firmware,
         memory_size=len(firmware),
         scrambler=AddressScrambler(b"address-bus-key", size=len(firmware)),

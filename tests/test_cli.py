@@ -239,6 +239,10 @@ class TestDegenerateParamsExitTwo:
         ["stream", "baseline", "mixed", "--accesses", "0"],
         ["stream", "baseline", "mixed", "--chunk-size", "-1"],
         ["stream", "enigma", "mixed"],
+        ["attack", "--quiet", "--memory", "0"],
+        ["attack", "--quiet", "--memory", "3"],
+        ["attack", "--quiet", "--memory", "4"],
+        ["attack", "--quiet", "--memory", "65537"],
     ])
     def test_exit_two_one_line(self, argv, capsys):
         assert main(argv) == 2

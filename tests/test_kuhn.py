@@ -7,10 +7,16 @@ from repro.attacks import (
     AttackFailure,
     DallasBoard,
     KuhnAttack,
+    PortBasedKuhnAttack,
     block_diffusion_probe,
     brute_force_tries,
 )
-from repro.crypto import SmallBlockCipher, TweakableFeistel
+from repro.crypto import (
+    DRBG,
+    AddressScrambler,
+    SmallBlockCipher,
+    TweakableFeistel,
+)
 from repro.isa import Op, assemble, secret_table_program
 
 
@@ -149,3 +155,47 @@ class TestBoardModel:
         board.reset_and_step(3)
         board.reset_and_step(3)
         assert board.runs == 2
+
+    @pytest.mark.parametrize("size", [0, 0x10001])
+    def test_memory_size_outside_the_16_bit_space(self, size):
+        with pytest.raises(ValueError, match="memory_size"):
+            DallasBoard(SmallBlockCipher(b"k"), b"", memory_size=size)
+
+    @pytest.mark.parametrize("scrambler_size", [256, 1024])
+    def test_scrambler_must_cover_the_board(self, scrambler_size):
+        """A scrambler over another address space is one ValueError, not
+        an IndexError (1024) or a scramble() range error (256)."""
+        with pytest.raises(ValueError, match="scrambler covers"):
+            DallasBoard(SmallBlockCipher(b"k"), b"\x00" * 16,
+                        memory_size=512,
+                        scrambler=AddressScrambler(b"a", size=scrambler_size))
+
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_board_too_small_for_the_gadget(self, attack, size):
+        board = DallasBoard(SmallBlockCipher(b"k"), b"", memory_size=size)
+        with pytest.raises(ValueError, match="too small"):
+            attack(board).run()
+        assert board.runs == 0
+
+
+class TestInstall:
+    """The board installs its image in one cipher pass and one scatter;
+    the oracle is the per-byte loop ``memory[s(l)] = E(s(l), padded[l])``."""
+
+    @pytest.mark.parametrize("scrambled", [False, True],
+                             ids=["clear", "scrambled"])
+    @pytest.mark.parametrize("size", [8, 256, 512, 1024])
+    def test_matches_the_per_byte_install(self, size, scrambled):
+        cipher = SmallBlockCipher(b"install-key")
+        firmware = DRBG(b"install-%d" % size).random_bytes(size - 3)
+        scrambler = AddressScrambler(b"bus-key", size=size) \
+            if scrambled else None
+        board = DallasBoard(cipher, firmware, memory_size=size,
+                            scrambler=scrambler)
+        padded = firmware.ljust(size, b"\x00")
+        expected = bytearray(size)
+        for logical in range(size):
+            phys = scrambler.scramble(logical) if scrambled else logical
+            expected[phys] = cipher.encrypt_byte(phys, padded[logical])
+        assert board.memory == expected

@@ -1,9 +1,11 @@
-"""Address-scrambled DS5002FP and the port-based Cipher Instruction Search."""
+"""Address-scrambled DS5002FP (``DallasBoard`` with a scrambler) and the
+port-based Cipher Instruction Search."""
 
 import pytest
 
-from repro.attacks import PortBasedKuhnAttack, ScrambledDallasBoard
+from repro.attacks import DallasBoard, PortBasedKuhnAttack
 from repro.crypto import AddressScrambler, SmallBlockCipher
+from repro.obs import CounterSink
 from repro.isa import Op, assemble, secret_table_program
 
 KEY = b"factory-secret"
@@ -19,7 +21,7 @@ def victim():
 def make_board(firmware, scrambled=True, memory_size=1024):
     scrambler = AddressScrambler(ADDR_KEY, size=memory_size) if scrambled \
         else None
-    return ScrambledDallasBoard(
+    return DallasBoard(
         SmallBlockCipher(KEY), firmware, memory_size=memory_size,
         scrambler=scrambler,
     )
@@ -82,7 +84,7 @@ class TestScrambledBoard:
 
     def test_bus_shows_scrambled_fetches(self, victim):
         scrambler = AddressScrambler(ADDR_KEY, size=1024)
-        board = ScrambledDallasBoard(
+        board = DallasBoard(
             SmallBlockCipher(KEY), victim, memory_size=1024,
             scrambler=scrambler,
         )
@@ -134,3 +136,16 @@ class TestPortBasedAttack:
         before = bytes(board.memory)
         PortBasedKuhnAttack(board).run()
         assert bytes(board.memory) == before
+
+    def test_reports_to_the_sink(self, victim):
+        """Every probe run, single step and phase of the port-based
+        search reaches the board's sink."""
+        sink = CounterSink()
+        board = DallasBoard(
+            SmallBlockCipher(KEY), victim, memory_size=1024,
+            scrambler=AddressScrambler(ADDR_KEY, size=1024), sink=sink,
+        )
+        report = PortBasedKuhnAttack(board).run()
+        assert sink.get("probe-run") == report.probe_runs
+        assert sink.get("mcu-step") == report.steps_executed
+        assert sink.get("attack-phase") == 4

@@ -31,6 +31,8 @@ from repro.api import run_experiment
 from repro.attacks import BusProbe
 from repro.core.registry import engine_names, make_engine
 from repro.faults.campaign import run_campaign
+from repro.runner.base import TaskContext
+from repro.runner.experiments.e05 import task_kuhn_attack
 from repro.sim import CacheConfig, MemoryConfig, SecureSystem
 from repro.traces import make_workload
 
@@ -261,6 +263,11 @@ def _run_engines(sink) -> None:
         build(name, sink=sink).run(trace)
 
 
+def _run_kuhn_attack(sink) -> None:
+    with scope(sink):
+        task_kuhn_attack(TaskContext(quick=True))
+
+
 def _run_faults(sink) -> None:
     for label, kind in (("integrity-stream", "spoof"), ("stream", "glitch"),
                         ("integrity-stream-unversioned", "replay")):
@@ -269,12 +276,14 @@ def _run_faults(sink) -> None:
 
 #: Producers of one event stream each, covering every site that reports
 #: to a sink: the executor, engines, bus and memory (``engines``), the
-#: protocol channel (E01), the Kuhn attack (E05), the two-level hierarchy
-#: and its L2 port (E16), and the fault injector and campaign.
+#: protocol channel (E01), both Kuhn attacks (E05) and the bus-address one
+#: alone, the two-level hierarchy and its L2 port (E16), and the fault
+#: injector and campaign.
 STREAMS = {
     "engines": _run_engines,
     "e01": lambda sink: run_experiment("e01", quick=True, trace=sink),
     "e05": lambda sink: run_experiment("e05", quick=True, trace=sink),
+    "e05-kuhn-attack": _run_kuhn_attack,
     "e16": lambda sink: run_experiment("e16", quick=True, trace=sink),
     "faults": _run_faults,
 }
@@ -284,8 +293,16 @@ STREAMS = {
 STREAM_DIGESTS = {
     "e01": (4, "13561e517464ec5d8cef50a16688b0f2"
                "c15cc64f2c0218bb182aa096a3caf335"),
-    "e05": (4451, "255c82cd3aa43d2bc7d1d59f2f74faba"
-                  "65499cb5769a587b129d2ffa06ed2c99"),
+    # Re-recorded when the port-based (scrambled) attack moved onto the
+    # one DallasBoard, whose probe runs report to the sink: the stream
+    # gains its 1945 ``probe-run``, 5218 ``mcu-step`` and 4
+    # ``attack-phase`` events after the unchanged bus-address attack's.
+    "e05": (11618, "e7f9e9f5ccc03eac715ee5b936af1510"
+                   "e2f2da33929c7e775ca0b9ff5b950690"),
+    # The bus-address attack alone: the whole ``e05`` stream before the
+    # scrambled attack reported to the sink.
+    "e05-kuhn-attack": (4451, "255c82cd3aa43d2bc7d1d59f2f74faba"
+                              "65499cb5769a587b129d2ffa06ed2c99"),
     # Re-recorded when the hierarchy's L1 moved onto the executor: it
     # now emits one ``fill`` per L1 fill and, at L1-L2, the engine's
     # ``stall`` events (E16_KINDS pins every other kind's count).
