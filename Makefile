@@ -20,9 +20,16 @@ RUNNER_DEEP := ^[[:space:]]*(from repro\.runner\.[[:alnum:]_.]+ import|import re
 
 # Engines have one fill path, BusEncryptionEngine.fill_lines: the base
 # class (core/engine.py) is the only definer of fill_line, a one-line
-# fill_lines, and the retired per-line twins stay gone from src/.
+# fill_lines, and the retired per-line twin stays gone from src/.
 FILL_LINE_DEF := ^[[:space:]]+def fill_line\(
-FILL_TWINS := spill_lines|_fill_batch
+FILL_TWINS := _fill_batch
+
+# Engines have one write path, BusEncryptionEngine.spill_lines: the base
+# class is the only definer of write_line, a one-line spill_lines, and the
+# simulator spills through spill_lines, never write_line.
+WRITE_LINE_DEF := ^[[:space:]]+def write_line\(
+WRITE_LINE_HOME := ^src/repro/core/engine\.py:
+WRITE_LINE_CALL := \.write_line\(
 
 # The simulator is watched through repro.obs sinks and tampered with
 # through MainMemory interposers: the bus keeps no probe or interposer
@@ -42,10 +49,11 @@ ENCRYPT_FALLBACK := super\(\)\.encrypt_lines\(
 
 # Wrapped engines delegate to their inner engine in one place: only
 # WrappedEngine.__init__ (core/engine.py) sets self.inner, and integrity
-# and merkle verify through the base fill loop's _verify_fill hook and the
-# shared LineAuthEngine.write_line, defining neither body themselves.
+# and merkle verify through the base fill loop's _verify_fill hook and
+# write through the shared LineAuthEngine.spill_lines, defining no fill
+# or write body themselves.
 INNER_SET := self\.inner *=[^=]
-AUTH_BODIES := ^[[:space:]]+def (fill_lines|write_line)\(
+AUTH_BODIES := ^[[:space:]]+def (fill_lines|write_line|spill_lines)\(
 
 # AES, DES and 3DES each have one production form, the registry kernel
 # (aes_kernel/des_kernel/tdes_kernel): nothing promotes an algebraic cipher
@@ -158,12 +166,29 @@ lint:
 	if [ -n "$$matches$$twins" ] || [ "$$count" != 1 ]; then \
 		echo "lint: engines fill through fill_lines; only" >&2; \
 		echo "      BusEncryptionEngine defines fill_line, and" >&2; \
-		echo "      spill_lines/_fill_batch stay out of src/:" >&2; \
+		echo "      _fill_batch stays out of src/:" >&2; \
 		[ -z "$$matches" ] || echo "$$matches" >&2; \
 		[ -z "$$twins" ] || echo "$$twins" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one engine fill path)"
+	@defs=$$(grep -rnE '$(WRITE_LINE_DEF)' --include='*.py' src/repro \
+		|| true); \
+	others=$$(echo "$$defs" | grep -vE '$(WRITE_LINE_HOME)' | grep . \
+		|| true); \
+	base=$$(echo "$$defs" | grep -cE '$(WRITE_LINE_HOME)'); \
+	calls=$$(grep -rnE '$(WRITE_LINE_CALL)' --include='*.py' \
+		src/repro/sim || true); \
+	if [ -n "$$others$$calls" ] || [ "$$base" != 1 ]; then \
+		echo "lint: engines write through spill_lines; only" >&2; \
+		echo "      BusEncryptionEngine defines write_line, and" >&2; \
+		echo "      repro.sim calls no .write_line(:" >&2; \
+		[ "$$base" = 1 ] || echo "core/engine.py defines write_line $$base times" >&2; \
+		[ -z "$$others" ] || echo "$$others" >&2; \
+		[ -z "$$calls" ] || echo "$$calls" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one engine write path)"
 	@matches=$$(grep -rnIE '$(OBS_HOOKS)' --exclude-dir=__pycache__ \
 		src tests examples benchmarks || true); \
 	defs=$$(grep -nE '$(BUS_INTERPOSER_DEF)' src/repro/sim/bus.py || true); \
@@ -207,7 +232,8 @@ lint:
 			|| [ "$$owner" != WrappedEngine.__init__ ] \
 			|| [ -n "$$bodies" ]; then \
 		echo "lint: only WrappedEngine.__init__ sets self.inner, and" >&2; \
-		echo "      integrity/merkle define no fill_lines/write_line" >&2; \
+		echo "      integrity/merkle define no fill_lines/write_line/" >&2; \
+		echo "      spill_lines" >&2; \
 		echo "      (they supply _verify_fill/_update_auth hooks):" >&2; \
 		echo "$$sets" >&2; \
 		[ -z "$$bodies" ] || echo "$$bodies" >&2; \

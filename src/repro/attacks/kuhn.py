@@ -500,19 +500,28 @@ class KuhnAttack(CipherInstructionSearch):
         return self._decode_one_byte0(factory0)
 
     def _decode_jump0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
-        """Separate RET from the taken-branch family using the known tables."""
-        # Re-run with known operand bytes: a branch lands at
-        # D_1(op1) | D_2(op2)<<8; RET lands at 0 (zeroed stack) regardless.
-        target = 0x0123 % self.board.memory_size
+        """Separate RET, DJNZ and the taken-branch family using the known
+        tables."""
+        # Re-run with known operand bytes.  JMP, JZ and CALL land at
+        # D_1(op1) | D_2(op2)<<8.  DJNZ takes its register from cell 1 and
+        # its target from cells 2-3; from reset the register is 0, so the
+        # decrement leaves 0xFF and it always branches, to D_2(op2) |
+        # D_3(op3)<<8 — which the forged high byte puts above every
+        # address the first target can be.  RET lands at 0 (zeroed stack),
+        # so the first target must not be 0.
+        target = 0x0123 % self.board.memory_size or 1
         events = self._probe({
             0: factory0,
             1: self._forge(1, target & 0xFF),
             2: self._forge(2, target >> 8),
+            3: self._forge(3, 0x80),
         }, 1)
         if events[0].next_pc == target:
             # JMP, JZ (A=0: taken) and CALL are equivalent from reset.
             ambiguous = {Op.JMP, Op.JZ, Op.CALL}
             return Op.JMP, ambiguous
+        if events[0].next_pc == 0x8000 | target >> 8:
+            return Op.DJNZ, None
         return Op.RET, None
 
     def _decode_two_byte0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:

@@ -129,12 +129,12 @@ class AddressScrambledEngine(WrappedEngine):
         ]))
         return plain[addr - start: addr - start + nbytes]
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        phys = self.physical(addr)
-        self.stats.lines_encrypted += 1
-        return self.translate_latency + self.inner.write_line(
-            port, phys, plaintext
-        )
+    def spill_lines(self, port: MemoryPort,
+                    items: Sequence[Tuple[int, bytes]]) -> List[int]:
+        spilled = self.inner.spill_lines(
+            port, [(self.physical(addr), line) for addr, line in items])
+        self.stats.lines_encrypted += len(spilled)
+        return [cycles + self.translate_latency for cycles in spilled]
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:

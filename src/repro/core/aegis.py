@@ -47,6 +47,11 @@ class AegisEngine(BlockModeEngine):
     #: Confidentiality layer only; AEGIS's integrity story is the hash
     #: tree modelled separately (see "merkle-stream").
     detects = frozenset()
+    #: Each line is its own CBC chain and its timing a function of its
+    #: width; the one shared state, the vector counter, advances only on
+    #: spills, which keep their order among themselves.  So spills may
+    #: wait behind fills of other lines.
+    line_independent = True
 
     def __init__(
         self,

@@ -180,13 +180,15 @@ class CompressedEncryptionEngine(WrappedEngine):
             )
         return bytes(out[addr - start: addr - start + nbytes])
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        if addr in self._lat:
-            raise ValueError(
-                f"write to compressed (read-only) code line {addr:#x}"
-            )
-        self.stats.lines_encrypted += 1
-        return self.inner.write_line(port, addr, plaintext)
+    def spill_lines(self, port: MemoryPort,
+                    items: Sequence[Tuple[int, bytes]]) -> List[int]:
+        for addr, _ in items:
+            if addr in self._lat:
+                raise ValueError(
+                    f"write to compressed (read-only) code line {addr:#x}"
+                )
+        self.stats.lines_encrypted += len(items)
+        return self.inner.spill_lines(port, items)
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:

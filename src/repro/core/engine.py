@@ -130,7 +130,7 @@ class BusEncryptionEngine(ABC):
     Concrete engines define the functional transform — one of
     ``encrypt_line``/``encrypt_lines`` and one of
     ``decrypt_line``/``decrypt_lines``, each pair's default being the
-    other — and the added latency.  ``fill_lines`` / ``write_line`` /
+    other — and the added latency.  ``fill_lines`` / ``spill_lines`` /
     ``write_partial`` are the entry points the system calls; the defaults
     implement the common pattern (fetch ciphertext, decrypt; encrypt,
     store; read-modify-write) and can be overridden for engines with
@@ -154,6 +154,14 @@ class BusEncryptionEngine(ABC):
     #: property where the answer depends on configuration, e.g. the
     #: shield's ``versioned`` flag).
     detects: FrozenSet[str] = frozenset()
+    #: True when a line's transform and cycles do not depend on traffic
+    #: to other lines (no shared chains, buffers, trees or prediction
+    #: windows): the executor may then hold a dirty victim's spill back
+    #: behind fills of *other* lines and send it with later spills as one
+    #: :meth:`spill_lines` group.  Each line's own reads and writes keep
+    #: their order either way.  A wrapper is judged by its own attribute,
+    #: not its inner engine's.
+    line_independent: bool = False
 
     def __init__(self, functional: bool = True):
         #: When False, the functional transform is skipped (timing-only runs).
@@ -208,7 +216,7 @@ class BusEncryptionEngine(ABC):
         per item, in item order, so one group call and the same items as
         one-line calls give the same bytes and leave the same state.  No
         port traffic, stats or events: :meth:`install_image`,
-        :meth:`write_line` and :meth:`write_partial` account those.  Each
+        :meth:`spill_lines` and :meth:`write_partial` account those.  Each
         engine defines exactly one of :meth:`encrypt_line` and
         :meth:`encrypt_lines`; the default of either is the other.
         """
@@ -346,10 +354,29 @@ class BusEncryptionEngine(ABC):
         ]))
         return plain[addr - start: addr - start + nbytes]
 
+    # -- spills ------------------------------------------------------------
+    #
+    # ``spill_lines`` is the one write path, the dual of ``fill_lines``:
+    # the executor hands it a dirty victim, or a whole queue of them for a
+    # ``line_independent`` engine, and the end-of-run barrier hands it
+    # every dirty line at once.  ``write_line`` is a one-line group.
+
+    def spill_lines(self, port: MemoryPort,
+                    items: Sequence[Tuple[int, bytes]]) -> List[int]:
+        """Service a group of full-line writebacks of ``(addr, plaintext)``
+        items; returns each one's cycles, in order.
+
+        A functional engine enciphers the group in one
+        :meth:`encrypt_lines` call; then each line, in order, pays
+        :meth:`write_extra_cycles`, the stats, the ``encipher``/``stall``
+        events and its bus write.
+        """
+        self.stats.lines_encrypted += len(items)
+        return self._store(port, items)
+
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        """Service a full-line writeback; returns total cycles."""
-        self.stats.lines_encrypted += 1
-        return self._store(port, addr, plaintext)
+        """Service one full-line writeback: a one-line :meth:`spill_lines`."""
+        return self.spill_lines(port, ((addr, plaintext),))[0]
 
     def flush(self, port: MemoryPort) -> int:
         """Write back whatever the engine itself still buffers (the
@@ -357,19 +384,24 @@ class BusEncryptionEngine(ABC):
         an engine with an on-chip write buffer has anything to do."""
         return 0
 
-    def _store(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        """Encrypt and store ``plaintext`` at ``addr``, stats and events
-        included; returns cycles.  The body of :meth:`write_line` and of an
-        aligned :meth:`write_partial`."""
-        extra = self.write_extra_cycles(addr, len(plaintext))
-        self.stats.extra_write_cycles += extra
-        if self.sink is not None:
-            self._emit("encipher", addr, len(plaintext))
-            if extra:
-                self._emit("stall", addr, extra, "write")
-        ciphertext = self.encrypt_line(addr, plaintext) if self.functional \
-            else plaintext
-        return extra + port.write(addr, ciphertext)
+    def _store(self, port: MemoryPort, items: Sequence[Tuple[int, bytes]]
+               ) -> List[int]:
+        """Encrypt and store ``(addr, plaintext)`` items, stats and events
+        included; returns each one's cycles.  The body of
+        :meth:`spill_lines` and of an aligned :meth:`write_partial`."""
+        ciphertexts = self.encrypt_lines(items) if self.functional \
+            else [plaintext for _, plaintext in items]
+        stats = self.stats
+        out = []
+        for (addr, plaintext), ciphertext in zip(items, ciphertexts):
+            extra = self.write_extra_cycles(addr, len(plaintext))
+            stats.extra_write_cycles += extra
+            if self.sink is not None:
+                self._emit("encipher", addr, len(plaintext))
+                if extra:
+                    self._emit("stall", addr, extra, "write")
+            out.append(extra + port.write(addr, ciphertext))
+        return out
 
     @staticmethod
     def _split_batch(data: bytes, items: Sequence[Tuple[int, bytes]]
@@ -392,7 +424,7 @@ class BusEncryptionEngine(ABC):
         """
         gran = self.min_write_bytes
         if len(data) >= gran and addr % gran == 0 and len(data) % gran == 0:
-            return self._store(port, addr, data)
+            return self._store(port, ((addr, data),))[0]
         return self._rmw(port, addr, data, gran)
 
     def _rmw(self, port: MemoryPort, addr: int, data: bytes,
@@ -436,7 +468,7 @@ class BusEncryptionEngine(ABC):
         For engines whose verdict covers a whole line (a tag, a tree
         leaf): the enclosing line comes in through the engine's own
         :meth:`fill_line`, verification included, is patched, and goes
-        back out through :meth:`write_line`.
+        back out as a one-line :meth:`spill_lines`.
         """
         start = addr - addr % line_size
         self.stats.rmw_operations += 1
@@ -609,7 +641,7 @@ class ChainedTDESEngine(BusEncryptionEngine):
     def _whole_units_only(self, *args):
         raise NotImplementedError(
             f"{self.name} enciphers whole chain units: use install_image, "
-            f"fill_lines, write_line or read_plain")
+            f"fill_lines, spill_lines or read_plain")
 
     encrypt_line = decrypt_line = _whole_units_only
     read_extra_cycles = write_extra_cycles = _whole_units_only
@@ -687,9 +719,10 @@ class LineAuthEngine(WrappedEngine):
     """A wrapper whose integrity state covers whole lines (a MAC tag, a
     hash-tree leaf).
 
-    Fills check each line through :meth:`_verify_fill`.  A writeback
-    enciphers and stores the line, then updates its state through
-    :meth:`_update_auth`; a narrower write is a :meth:`_line_rmw`.
+    Fills check each line through :meth:`_verify_fill`.  A spill group
+    is enciphered in one call; then each line is stored and its state
+    updated through :meth:`_update_auth`; a narrower write is a
+    :meth:`_line_rmw`.
     """
 
     @abstractmethod
@@ -698,18 +731,22 @@ class LineAuthEngine(WrappedEngine):
         """Update the stored line's integrity state; returns (cycles,
         the part of them counted as write stall)."""
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        extra = self.write_extra_cycles(addr, len(plaintext))
-        ciphertext = self.encrypt_line(addr, plaintext) if self.functional \
-            else bytes(plaintext)
-        cycles = extra + port.write(addr, ciphertext)
-        auth_cycles, auth_stall = self._update_auth(port, addr, ciphertext)
-        self.stats.lines_encrypted += 1
-        self.stats.extra_write_cycles += extra + auth_stall
-        # Unlike _store, the events follow the port writes.
-        self._emit("encipher", addr, len(plaintext))
-        if extra + auth_stall:
-            self._emit("stall", addr, extra + auth_stall, "write")
-        return cycles + auth_cycles
+    def spill_lines(self, port, items):
+        ciphertexts = self.encrypt_lines(items) if self.functional \
+            else [bytes(plaintext) for _, plaintext in items]
+        out = []
+        for (addr, plaintext), ciphertext in zip(items, ciphertexts):
+            extra = self.write_extra_cycles(addr, len(plaintext))
+            cycles = extra + port.write(addr, ciphertext)
+            auth_cycles, auth_stall = self._update_auth(port, addr,
+                                                        ciphertext)
+            self.stats.lines_encrypted += 1
+            self.stats.extra_write_cycles += extra + auth_stall
+            # Unlike _store, the events follow the port writes.
+            self._emit("encipher", addr, len(plaintext))
+            if extra + auth_stall:
+                self._emit("stall", addr, extra + auth_stall, "write")
+            out.append(cycles + auth_cycles)
+        return out
 
     write_partial = BusEncryptionEngine._line_rmw

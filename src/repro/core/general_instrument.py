@@ -277,67 +277,76 @@ class GeneralInstrumentEngine(ChainedTDESEngine):
             out.append((plaintext, cycles))
         return out
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        """Rewrite a line: re-encipher the chain from the line to region end."""
-        base = self._chain_base(addr)
-        # Re-enciphering the tail needs the plaintext of everything from the
-        # written line to the region end, hence a full region fetch first.
-        cycles = 0
-        tail_start = addr - base
-        region_ct, read_cycles = port.read(base, self.region_size)
-        cycles += read_cycles
-        dec_blocks = self.region_size // 8
-        cycles += self.unit.drain_after_arrivals(dec_blocks, 1)
-        self.stats.blocks_processed += dec_blocks
+    def spill_lines(self, port: MemoryPort,
+                    items: Sequence[Tuple[int, bytes]]) -> List[int]:
+        """Rewrite each line in turn: re-encipher the chain from the line
+        to its region's end."""
+        out: List[int] = []
+        for addr, plaintext in items:
+            base = self._chain_base(addr)
+            # Re-enciphering the tail needs the plaintext of everything
+            # from the written line to the region end, hence a full region
+            # fetch first.
+            cycles = 0
+            tail_start = addr - base
+            region_ct, read_cycles = port.read(base, self.region_size)
+            cycles += read_cycles
+            dec_blocks = self.region_size // 8
+            cycles += self.unit.drain_after_arrivals(dec_blocks, 1)
+            self.stats.blocks_processed += dec_blocks
 
-        if self.functional:
-            logical_ct = self._load_unit(base, bytes(region_ct))
-            # CBC prefix reuse: blocks before the written line keep their
-            # plaintext, so re-enciphering them reproduces the stored
-            # ciphertext bit-for-bit.  Only the tail needs the cipher —
-            # decrypt it, patch the line, re-chain from the same IV.
-            chain_iv = (logical_ct[tail_start - 8: tail_start]
-                        if tail_start else self._chain_iv(base))
-            tail_plain = bytearray(
-                CBC(self._tdes, chain_iv).decrypt(logical_ct[tail_start:])
-            )
-            tail_plain[: len(plaintext)] = plaintext
-            new_logical = logical_ct[:tail_start] + CBC(
-                self._tdes, chain_iv
-            ).encrypt(bytes(tail_plain))
-            new_stored = self._permute_store(base, new_logical)
-        else:
-            region_plain = bytearray(region_ct)
-            region_plain[tail_start: tail_start + len(plaintext)] = plaintext
-            new_logical = bytes(region_plain)
-            new_stored = new_logical
-
-        enc_blocks = (self.region_size - tail_start) // 8
-        # CBC encryption is inherently serial: latency per block.
-        enc_cycles = enc_blocks * self.unit.latency
-        cycles += enc_cycles
-        self.stats.lines_encrypted += 1
-        self.stats.extra_write_cycles += enc_cycles
-        self._emit("encipher", addr, len(plaintext), "re-chain")
-        if enc_cycles:
-            self._emit("stall", addr, enc_cycles, "write")
-        if self.reorder:
-            # The re-enciphered tail scatters across the region: the whole
-            # stored region crosses the bus again.
-            cycles += port.write(base, new_stored)
-        else:
-            # Only the modified tail actually crosses the bus again.
-            cycles += port.write(base + tail_start, new_stored[tail_start:])
             if self.functional:
-                # Keep the untouched prefix consistent in the store.
-                port.memory.load_image(base, new_stored[:tail_start])
-        if self.functional:
-            self._tags[base] = hmac_sha256(self._mac_key, new_stored)
-        self._verified.discard(base)
-        self._chain_state.pop(base, None)
-        if self.authenticate:
-            cycles += self.hash_latency
-        return cycles
+                logical_ct = self._load_unit(base, bytes(region_ct))
+                # CBC prefix reuse: blocks before the written line keep
+                # their plaintext, so re-enciphering them reproduces the
+                # stored ciphertext bit-for-bit.  Only the tail needs the
+                # cipher — decrypt it, patch the line, re-chain from the
+                # same IV.
+                chain_iv = (logical_ct[tail_start - 8: tail_start]
+                            if tail_start else self._chain_iv(base))
+                tail_plain = bytearray(
+                    CBC(self._tdes, chain_iv).decrypt(logical_ct[tail_start:])
+                )
+                tail_plain[: len(plaintext)] = plaintext
+                new_logical = logical_ct[:tail_start] + CBC(
+                    self._tdes, chain_iv
+                ).encrypt(bytes(tail_plain))
+                new_stored = self._permute_store(base, new_logical)
+            else:
+                region_plain = bytearray(region_ct)
+                region_plain[tail_start: tail_start + len(plaintext)] = \
+                    plaintext
+                new_logical = bytes(region_plain)
+                new_stored = new_logical
+
+            enc_blocks = (self.region_size - tail_start) // 8
+            # CBC encryption is inherently serial: latency per block.
+            enc_cycles = enc_blocks * self.unit.latency
+            cycles += enc_cycles
+            self.stats.lines_encrypted += 1
+            self.stats.extra_write_cycles += enc_cycles
+            self._emit("encipher", addr, len(plaintext), "re-chain")
+            if enc_cycles:
+                self._emit("stall", addr, enc_cycles, "write")
+            if self.reorder:
+                # The re-enciphered tail scatters across the region: the
+                # whole stored region crosses the bus again.
+                cycles += port.write(base, new_stored)
+            else:
+                # Only the modified tail actually crosses the bus again.
+                cycles += port.write(base + tail_start,
+                                     new_stored[tail_start:])
+                if self.functional:
+                    # Keep the untouched prefix consistent in the store.
+                    port.memory.load_image(base, new_stored[:tail_start])
+            if self.functional:
+                self._tags[base] = hmac_sha256(self._mac_key, new_stored)
+            self._verified.discard(base)
+            self._chain_state.pop(base, None)
+            if self.authenticate:
+                cycles += self.hash_latency
+            out.append(cycles)
+        return out
 
     # Any write re-chains the tail: a partial write is a read-verify-
     # modify-write of the enclosing line, charged for both halves.

@@ -140,11 +140,15 @@ class VlsiDmaEngine(ChainedTDESEngine):
                         cycles + self.sram_latency))
         return out
 
-    def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
-        page, offset, cycles = self._resident(port, addr)
-        page.data[offset: offset + len(plaintext)] = plaintext
-        page.dirty = True
-        return cycles + self.sram_latency
+    def spill_lines(self, port: MemoryPort,
+                    items: Sequence[Tuple[int, bytes]]) -> List[int]:
+        out: List[int] = []
+        for addr, plaintext in items:
+            page, offset, cycles = self._resident(port, addr)
+            page.data[offset: offset + len(plaintext)] = plaintext
+            page.dirty = True
+            out.append(cycles + self.sram_latency)
+        return out
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:

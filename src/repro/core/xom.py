@@ -34,6 +34,9 @@ class XomAesEngine(BlockModeEngine):
     #: Confidentiality only in this model (published XOM adds MACs — that
     #: composition is the registry's "integrity-xom").
     detects = frozenset()
+    #: The address mask and the pipeline timing are functions of the line
+    #: alone, so spills may wait behind fills of other lines.
+    line_independent = True
 
     def __init__(
         self,

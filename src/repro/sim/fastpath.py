@@ -13,10 +13,15 @@ happens on the *miss* stream.  This module executes a trace in batches:
 * :func:`chunk_consumer`, the executor body, is a generator sent one
   compiled chunk at a time.  It resolves the hit stream in bulk,
   working in place on the cache's own per-set line lists and dirty set,
-  and defers load/fetch miss fills into groups that reach the engine
-  through the bulk
-  :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines` interface —
-  one batched kernel call per group for the ported engines.
+  and defers miss fills into groups that reach the engine through the
+  bulk :meth:`~repro.core.engine.BusEncryptionEngine.fill_lines`
+  interface — one batched kernel call per group for the ported engines.
+  A store to a line whose fill is deferred (its own miss, or a later
+  hit) queues its span on the line, patched in when the fill lands.
+  Dirty victims leave through
+  :meth:`~repro.core.engine.BusEncryptionEngine.spill_lines`; for an
+  engine whose ``line_independent`` is True they queue, and a flush
+  sends the whole queue as one group ahead of the pending fills.
 
 The consumer has two drivers and no other caller.  :func:`execute`
 pulls: it compiles the trace (or each chunk of a stream) and sends the
@@ -31,18 +36,27 @@ loop is the simulator's one encoding of cache-access semantics:
 Equivalence contract against the scalar one-access-at-a-time model in
 ``tests/reference_model.py`` (pinned by ``tests/test_fastpath.py``):
 
-* the :class:`~repro.sim.system.SimReport` is byte-identical — same
-  cycles, counters, stats — for every engine;
-* the bus transaction stream (op, addr, data) is identical in content
-  *and order*: deferred fills are flushed before any engine write so the
+* the :class:`~repro.sim.system.SimReport` and memory are
+  byte-identical — same cycles, counters, stats — for every engine;
+* the bus transaction stream (op, addr, data) is identical in content.
+  Its order is exact for every engine that is not ``line_independent``:
+  deferred fills are flushed before any engine write, so the
   engine-call order, and therefore every engine's internal state
-  evolution, matches the scalar schedule exactly;
+  evolution, matches the scalar schedule exactly.  For a
+  ``line_independent`` engine over a plain memory port, per-line order
+  (each line's own reads and writes) and per-op order (the read
+  sequence, the write sequence) are exact; only a spill and a fill of
+  *different* lines may change places.  The queues flush together,
+  spills first: when either reaches :data:`FLUSH_THRESHOLD`, when a
+  victim's own fill is still deferred, before any ``write_partial`` and
+  at the end of the run;
 * with a sink attached, aggregate totals (:class:`repro.obs.CounterSink`
   counts and byte sums) are identical.  Bulk-resolved hit runs report
   through :meth:`repro.obs.EventSink.emit_bulk`, so batches of `access`
   and `hit` events may arrive grouped by kind rather than interleaved,
-  and deferred fills carry later cycle stamps than their scalar twins —
-  event *interleaving and stamps* are the one relaxation.
+  and deferred fills and queued spills carry later cycle stamps than
+  their scalar twins — event *interleaving and stamps* are the
+  relaxation.
 
 The loop builds :class:`~repro.obs.TraceEvent` objects only for a sink
 whose ``keeps_events`` is True.  A count-only sink (``CounterSink``,
@@ -64,11 +78,11 @@ from __future__ import annotations
 
 from contextlib import closing, suppress
 from functools import partial
-from typing import Generator, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Generator, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.engine import Placement
+from ..core.engine import MemoryPort, Placement
 from ..obs import TraceEvent
 from ..traces.arrays import KIND_BY_CODE, KIND_CODES, ArrayChunk
 from ..traces.stream import TraceStream
@@ -79,8 +93,9 @@ from .system import store_payload
 __all__ = ["CompiledTrace", "compile_trace", "execute", "chunk_consumer",
            "FLUSH_THRESHOLD"]
 
-#: Deferred fills are handed to ``fill_lines`` in groups of at most this
-#: many lines (they also flush early whenever ordering requires it).
+#: Deferred fills are handed to ``fill_lines``, and queued spills to
+#: ``spill_lines``, in groups of at most this many lines (they also flush
+#: early whenever ordering requires it).
 FLUSH_THRESHOLD = 16
 
 #: One coalesced same-line run: ``(start, count, line, n_fetch, n_load,
@@ -324,9 +339,10 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
 
     Prime it with ``next``, then ``send`` it each :class:`CompiledTrace`
     (compiled for the system's line size) in trace order; ``None`` ends
-    the run — it flushes the deferred fills and returns (``send`` raises
-    ``StopIteration``).  The counters are written back to the system in
-    a ``finally``, so an engine error raised out of ``send``, or a
+    the run — it flushes the queued spills and deferred fills and
+    returns (``send`` raises ``StopIteration``).  The counters are written
+    back to the system in a ``finally``, so an engine error raised out
+    of ``send``, or a
     ``close()`` mid-run, still leaves the post-run state behind.
     :func:`execute` pulls chunks into it; :class:`repro.sim.StreamExecutor`
     pushes them.
@@ -378,16 +394,44 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
 
     pending: List[int] = []     # line numbers with deferred fills, in order
     pending_set = set()
+    # Store spans of pending lines, patched in when the line's fill lands.
+    patches: Dict[int, List[Tuple[int, int]]] = {}
+    # Queued dirty-victim writebacks, in order.  Only an engine whose
+    # lines are independent lets a spill wait behind fills of other lines,
+    # and only over a plain memory port: a hierarchy's L2 port is itself
+    # a cache whose state follows the order of its traffic.
+    spills: List[Tuple[int, bytes]] = []
+    queue_spills = engine.line_independent and isinstance(port, MemoryPort)
 
-    def flush_fills() -> None:
+    def patch(buf: bytearray, base_addr: int, spans) -> None:
+        for saddr, ssize in spans:
+            payload = store_payload(saddr, ssize)
+            offset = saddr - base_addr
+            end = min(offset + len(payload), line_size)
+            buf[offset:end] = payload[: end - offset]
+
+    def flush() -> None:
+        """Send the queued spills as one group, then the deferred fills as
+        one group, patching each filled line with its queued stores."""
         nonlocal cycles, n_fills
         system.cycles = cycles
+        if spills:
+            spilled = engine.spill_lines(port, spills)
+            spills.clear()
+            if not write_buffer:
+                cycles += sum(spilled)
+                system.cycles = cycles
+        if not pending:
+            return
         addrs = [line * line_size for line in pending]
         filled = engine.fill_lines(port, addrs, line_size)
         for line, addr, (plaintext, fill_cycles) in zip(pending, addrs,
                                                         filled):
             cycles += fill_cycles
-            line_data[line] = bytearray(plaintext)
+            line_data[line] = buf = bytearray(plaintext)
+            spans = patches.pop(line, None)
+            if spans is not None:
+                patch(buf, addr, spans)
             if keeper is not None:
                 keeper.note("fill", addr=addr, size=line_size, cycle=cycles)
         n_fills += len(addrs)
@@ -460,45 +504,50 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
                 through = is_write and not write_back
                 cycles += hit_latency
 
-                # External traffic, in scalar engine-call order: every
-                # older deferred fill strictly precedes this access's
-                # victim writeback, which precedes its own fill.
+                # External traffic.  A victim's fill lands before its
+                # writeback leaves.  A queued spill waits for the next
+                # flush, which sends it ahead of the pending fills; any
+                # other spill first flushes them, so the engine sees the
+                # scalar call order.
                 if victim is not None:
-                    if pending and (wb_addr is not None
-                                    or victim in pending_set):
-                        flush_fills()
+                    if victim in pending_set:
+                        flush()
                     victim_data = line_data.pop(victim, None)
                     if wb_addr is not None:
-                        if victim_data is None:
-                            victim_data = bytearray(line_size)
-                        system.cycles = cycles
-                        wb_cycles = engine.write_line(
-                            port, wb_addr, bytes(victim_data)
-                        )
-                        if not write_buffer:
-                            cycles += wb_cycles
+                        victim_bytes = bytes(victim_data) \
+                            if victim_data is not None else bytes(line_size)
+                        if queue_spills:
+                            spills.append((wb_addr, victim_bytes))
+                            if len(spills) >= FLUSH_THRESHOLD:
+                                flush()
+                        else:
+                            if pending:
+                                flush()
+                            system.cycles = cycles
+                            wb_cycles = engine.spill_lines(
+                                port, ((wb_addr, victim_bytes),))[0]
+                            if not write_buffer:
+                                cycles += wb_cycles
                 pending.append(line)
                 pending_set.add(line)
-                if is_write or len(pending) >= FLUSH_THRESHOLD:
-                    # Stores patch the line below, so their fill cannot
-                    # be deferred.
-                    flush_fills()
+                if len(pending) >= FLUSH_THRESHOLD:
+                    flush()
 
         if is_write:
-            payload = store_payload(addr, size)
+            if through and (pending or spills):
+                flush()
             if line in pending_set:
-                flush_fills()
-            buf = line_data.get(line)
-            if buf is not None:
-                offset = addr - line * line_size
-                end = min(offset + len(payload), line_size)
-                buf[offset:end] = payload[: end - offset]
+                # A store miss, or a store to a line whose fill is still
+                # deferred: the span patches the line when it lands.
+                patches.setdefault(line, []).append((addr, size))
+            else:
+                buf = line_data.get(line)
+                if buf is not None:
+                    patch(buf, line * line_size, ((addr, size),))
             if through:
-                if pending:
-                    flush_fills()
                 system.cycles = cycles
                 write_cycles = engine.write_partial(
-                    port, addr, payload, line_size
+                    port, addr, store_payload(addr, size), line_size
                 )
                 if not write_buffer:
                     cycles += write_cycles
@@ -584,23 +633,19 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
                 cycles += tail * step_cycles
 
                 if tail_stores:
-                    if line in pending_set:
-                        flush_fills()
                     dirty.add(line)
-                    buf = line_data.get(line)
-                    if buf is not None:
-                        base_addr = line * line_size
-                        # The head store's bytes may reappear inside the
-                        # first merged span; repatching them is a no-op
-                        # (the filler is a pure function of the address).
-                        for saddr, ssize in stores:
-                            payload = store_payload(saddr, ssize)
-                            offset = saddr - base_addr
-                            end = min(offset + len(payload), line_size)
-                            buf[offset:end] = payload[: end - offset]
+                    # The head store's bytes may reappear inside the
+                    # first merged span; repatching them is a no-op (the
+                    # filler is a pure function of the address).
+                    if line in pending_set:
+                        patches.setdefault(line, []).extend(stores)
+                    else:
+                        buf = line_data.get(line)
+                        if buf is not None:
+                            patch(buf, line * line_size, stores)
 
-        if pending:
-            flush_fills()
+        if pending or spills:
+            flush()
     finally:
         # Write the local counters back so flushes and reports observe
         # exactly the post-run state — even when an engine raised (e.g.

@@ -23,7 +23,7 @@ moves whole lines only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine
 from ..obs import EventSink
@@ -97,17 +97,20 @@ class _L2Port:
                     cache.writebacks += 1
                     if sink is not None:
                         self._note("writeback", victim)
-                    cycles += self._spill(victim, data)
+                    cycles += self._spill([(victim, data)])
             lines.append(line)
         if is_write:
             cache._dirty.add(line)
         return hit, cycles
 
-    def _spill(self, line: int, data: Optional[bytes]) -> int:
+    def _spill(self, items: List[Tuple[int, Optional[bytes]]]) -> int:
+        """Spill ``(line, data)`` items as one group; returns the cycles
+        the caller waits for."""
         size = self.cache.config.line_size
-        cycles = self.below.write_line(
-            self.port, line * size, data if data is not None else bytes(size))
-        return 0 if self.write_buffer else cycles
+        cycles = self.below.spill_lines(self.port, [
+            (line * size, data if data is not None else bytes(size))
+            for line, data in items])
+        return 0 if self.write_buffer else sum(cycles)
 
     def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
         """Fetch the line at ``addr`` for the L1; returns (data, cycles)."""
@@ -128,11 +131,12 @@ class _L2Port:
         return cycles
 
     def flush(self) -> int:
-        """Spill every dirty line, then ``below``'s own buffer; returns
-        the cycles the caller waits for."""
+        """Spill every dirty line as one group, then ``below``'s own
+        buffer; returns the cycles the caller waits for."""
         size = self.cache.config.line_size
-        cycles = sum(self._spill(addr // size, self.data.get(addr // size))
-                     for addr in self.cache.flush())
+        dirty = [(addr // size, self.data.get(addr // size))
+                 for addr in self.cache.flush()]
+        cycles = self._spill(dirty) if dirty else 0
         self.data.clear()
         below = self.below.flush(self.port)
         return cycles + (0 if self.write_buffer else below)

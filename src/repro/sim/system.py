@@ -182,14 +182,16 @@ class SecureSystem:
         return self.report(label or self.engine.name)
 
     def flush(self) -> None:
-        """Write back all dirty lines, then the engine's own buffer
-        (end-of-run barrier)."""
+        """Write back all dirty lines as one spill group, in the cache's
+        flush order, then the engine's own buffer (end-of-run barrier)."""
         line_size = self.cache.config.line_size
+        items = []
         for addr in self.cache.flush():
             data = self._line_data.get(addr // line_size)
-            cycles = self.engine.write_line(
-                self.port, addr,
-                bytes(data) if data is not None else bytes(line_size))
+            items.append(
+                (addr, bytes(data) if data is not None else bytes(line_size)))
+        if items:
+            cycles = sum(self.engine.spill_lines(self.port, items))
             if not self.write_buffer:
                 self.cycles += cycles
         self._line_data.clear()

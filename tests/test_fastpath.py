@@ -13,7 +13,7 @@ import pytest
 
 from repro.attacks import BusProbe
 from repro.core.engine import TamperDetected
-from repro.core.registry import engine_names
+from repro.core.registry import engine_names, make_engine
 from repro.obs import (
     CounterSink,
     EventSink,
@@ -26,18 +26,21 @@ from repro.obs import (
 from repro.sim.cache import CacheConfig, WritePolicy
 from repro.sim.fastpath import CompiledTrace, compile_trace
 from repro.sim.memory import MemoryConfig
-from repro.sim.system import SecureSystem
+from repro.sim.system import SecureSystem, store_payload
+from repro.traces import make_workload
 from repro.traces.stream import TraceStream, chunked
 from repro.traces.trace import Access, AccessKind
 
 from .reference_model import (
     build,
     bus_log,
+    bus_view,
     differential,
     make_bench_trace,
     record_bus,
     replay,
     run_observed,
+    view_problems,
 )
 
 LINE = 32
@@ -111,8 +114,101 @@ class TestStepIsOneAccessRun:
                 report = system.report(system.engine.name)
             else:
                 report = system.run(trace)
-            outcomes.append((report, transactions))
+            outcomes.append((report, bus_view(
+                transactions, system.engine.line_independent, LINE),
+                system.memory.dump(0, system.memory.config.size)))
         assert outcomes[0] == outcomes[1]
+
+
+def _spy(engine):
+    """Log every fill and spill group ``engine`` serves, as ("fill" or
+    "spill", [line addresses]) in call order."""
+    calls = []
+    fill, spill = engine.fill_lines, engine.spill_lines
+
+    def fill_lines(port, addrs, line_size):
+        calls.append(("fill", list(addrs)))
+        return fill(port, addrs, line_size)
+
+    def spill_lines(port, items):
+        calls.append(("spill", [addr for addr, _ in items]))
+        return spill(port, items)
+
+    engine.fill_lines, engine.spill_lines = fill_lines, spill_lines
+    return calls
+
+
+#: Lines 0, 16 and 32 share set 0 of the :func:`build` cache (2-way,
+#: 16 sets of 32-byte lines).
+_SET_STRIDE = 16 * LINE
+
+
+class TestBatchedWriteSide:
+    """Store-miss fills defer with their patches, and a line-independent
+    engine's spills queue behind fills: the orderings the queues must keep."""
+
+    ENGINES = [None, "stream", "xom", "aegis"]
+
+    def _both(self, name, trace):
+        """(reference, executor) systems after ``trace``, and the
+        executor's group log."""
+        reference = build(name)
+        replay(reference, trace)
+        fast = build(name)
+        calls = _spy(fast.engine)
+        fast.run(trace)
+        return reference, fast, calls
+
+    def _assert_same_state(self, reference, fast):
+        assert fast.report("x") == reference.report("x")
+        size = fast.memory.config.size
+        assert fast.memory.dump(0, size) == reference.memory.dump(0, size)
+        assert fast._line_data == reference._line_data
+
+    @pytest.mark.parametrize("name", ENGINES, ids=lambda n: n or "baseline")
+    def test_store_miss_evicted_before_its_fill_lands(self, name):
+        """The store's patch must reach the spill of its line."""
+        trace = [Access(AccessKind.STORE, 4, 4),
+                 Access(AccessKind.LOAD, _SET_STRIDE, 4),
+                 Access(AccessKind.LOAD, 2 * _SET_STRIDE, 4)]
+        reference, fast, calls = self._both(name, trace)
+        self._assert_same_state(reference, fast)
+        # Line 0 was still pending when line 32 evicted it, so its fill
+        # landed first, then it spilled with the store's bytes.
+        assert calls[0] == ("fill", [0, _SET_STRIDE])
+        assert ("spill", [0]) in calls
+        assert fast.read_plaintext(4, 4) == store_payload(4, 4)
+
+    @pytest.mark.parametrize("name", ENGINES, ids=lambda n: n or "baseline")
+    def test_fill_of_a_line_with_a_queued_spill(self, name):
+        """A line refilled after it spilled reads the spilled bytes."""
+        trace = [Access(AccessKind.STORE, 4, 4),
+                 Access(AccessKind.LOAD, _SET_STRIDE, 4),
+                 Access(AccessKind.LOAD, 2 * _SET_STRIDE, 4),
+                 Access(AccessKind.LOAD, 0, 4)]
+        reference, fast, calls = self._both(name, trace)
+        self._assert_same_state(reference, fast)
+        assert fast._line_data[0][4:8] == store_payload(4, 4)
+        if fast.engine.line_independent:
+            # The spill of line 0 waited for the end of the run, and went
+            # out just ahead of the fill group that reads it back.
+            assert calls[-2:] == [("spill", [0]),
+                                  ("fill", [2 * _SET_STRIDE, 0])]
+
+    def test_write_heavy_fill_groups_are_wide(self):
+        """On a write-heavy stream, aegis fills arrive in groups averaging
+        more than 8 lines: a store miss no longer flushes its group."""
+        system = SecureSystem(
+            engine=make_engine("aegis"),
+            cache_config=CacheConfig(size=4096, line_size=32,
+                                     associativity=2),
+            mem_config=MemoryConfig(size=1 << 21))
+        system.install_image(0, bytes(32 * 1024))
+        calls = _spy(system.engine)
+        system.run([Access(a.kind, a.addr % (32 * 1024), a.size)
+                    for a in make_workload("write-heavy", n=2000)])
+        groups = [len(addrs) for op, addrs in calls if op == "fill"]
+        assert sum(groups) / len(groups) > 8
 
 
 class TestCacheCorners:
@@ -411,12 +507,13 @@ def _as_chunk(trace) -> ArrayChunk:
 
 
 def _assert_equivalent(ref, fast, context: str) -> None:
-    ref_report, ref_sink, ref_bus = ref
-    fast_report, fast_sink, fast_bus = fast
+    ref_report, ref_sink, ref_bus, ref_memory = ref
+    fast_report, fast_sink, fast_bus, fast_memory = fast
     assert fast_report == ref_report, context
     assert fast_sink.summary() == ref_sink.summary(), context
     assert fast_sink.bytes_summary() == ref_sink.bytes_summary(), context
-    assert fast_bus == ref_bus, context
+    assert view_problems(ref_bus, fast_bus) == [], context
+    assert fast_memory == ref_memory, context
 
 
 class TestReferenceOracleDifferential:

@@ -116,6 +116,30 @@ class TestAttackMechanics:
         if report.ambiguous_cells:
             assert Op.JMP in report.ambiguous_cells[0]
 
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    def test_djnz_start_is_not_ret(self, attack):
+        """From reset DJNZ decrements R0 to 0xFF and branches: its pc
+        does not fall through, like RET's, but it lands on its operand
+        target, not on 0."""
+        firmware = assemble("DJNZ R0, 0x10\n .org 0x10\n MOV A, #1\n OUT\n"
+                            " HALT", size=128)
+        board = DallasBoard(SmallBlockCipher(b"kz"), firmware, memory_size=128)
+        report = attack(board).run()
+        assert report.plaintext[0] == Op.DJNZ
+        assert report.fully_determined
+        assert report.plaintext == firmware
+
+    @pytest.mark.parametrize("size", [96, 97])
+    def test_ret_start_on_any_board_size(self, size):
+        """The jump probe's target is 0x123 mod the board size; on a
+        97-cell board that is 0, where RET lands too."""
+        firmware = assemble("RET\n MOV A, #1\n OUT\n HALT", size=size)
+        board = DallasBoard(SmallBlockCipher(b"ky"), firmware,
+                            memory_size=size)
+        report = KuhnAttack(board).run()
+        assert report.plaintext[0] == Op.RET
+        assert report.fully_determined
+
 
 class TestDS5240Resistance:
     def test_search_space_explodes(self):

@@ -306,10 +306,16 @@ STREAM_DIGESTS = {
     # Re-recorded when the hierarchy's L1 moved onto the executor: it
     # now emits one ``fill`` per L1 fill and, at L1-L2, the engine's
     # ``stall`` events (E16_KINDS pins every other kind's count).
-    "e16": (20950, "5119bdf0f1de3e6f7e41e12654847291"
-                   "f0783362bae52c5a5e44a247ea1ccdc7"),
-    "engines": (17698, "7c18c44bcd1c2120fbc15f068e7f9bc0"
-                       "1c3fe2db3a19588b9cb44db348587482"),
+    # Re-recorded again when store-miss fills started to defer with their
+    # patches and the end-of-run barrier became one spill group: only
+    # cycle stamps and the interleaving moved (STREAM_CONTENT).
+    "e16": (20950, "52144a9e419029f01c0204eb4befcd1a"
+                   "7647f6b330212fabe8b3ca3b507cab02"),
+    # Re-recorded when store-miss fills started to defer with their
+    # patches and aegis/xom spills to queue behind fills: only cycle
+    # stamps and the interleaving moved (ENGINES_KINDS, STREAM_CONTENT).
+    "engines": (17698, "97835a6f1c68b8b120f4ade8a862b09d"
+                       "c4879e12c112071ce769e053faca37f5"),
     "faults": (944, "f5f1521c2bfa68c53c57efd1fb94e5f8"
                     "a54a3b04171a7af60b875e8c3b836c5b"),
 }
@@ -321,9 +327,36 @@ E16_KINDS = {"access": 7200, "bus-read": 1110, "decipher": 846,
              "encipher": 29, "eviction": 750, "hit": 6177, "mem-read": 1110,
              "miss": 1638, "writeback": 87}
 
+#: Per-kind counts of the ``engines`` stream, recorded before the write
+#: side was batched: deferring store-miss fills and queueing spills moves
+#: events, never adds or drops one.
+ENGINES_KINDS = {"access": 4500, "bus-read": 1640, "bus-write": 534,
+                 "decipher": 907, "encipher": 261, "eviction": 529,
+                 "fill": 993, "hit": 3507, "integrity-check": 198,
+                 "mem-read": 1640, "mem-write": 534, "miss": 993,
+                 "stall": 1168, "writeback": 294}
+
+#: (events, sha256 of the sorted events with their cycle stamps zeroed) of
+#: two streams, recorded before the write side was batched: the same
+#: events with the same fields, whatever their order and stamps.
+STREAM_CONTENT = {
+    "e16": (20950, "87f373d668f3828294732117e9791ed0"
+                   "77883465b8b87968c9d48c0d540b37ef"),
+    "engines": (17698, "1ceba07a32fe0551e4795939597e5011"
+                       "27c8b3f65ec258840f37204a8cfd3336"),
+}
+
 #: (transactions, sha256) of the bus probe's record of ``engines``.
-PROBE_DIGEST = (2174, "b23ebf990d2143bb0a0e60ce151d0e66"
-                      "edf6e6e5ad773ab03b8fb6a5f243e979")
+#: Re-recorded when aegis/xom spills started to queue behind fills of
+#: other lines, which moves transfers and their cycle stamps only
+#: (PROBE_CONTENT).
+PROBE_DIGEST = (2174, "00aed9568b31cce5f53e05d37f603c9c"
+                      "022b685bfa4e7b341224b7dbfcc27525")
+
+#: (reads, writes, sha256 of the sorted (op, addr, data) transfers) of
+#: the same record, recorded before the write side was batched.
+PROBE_CONTENT = (1640, 534, "76fc91bec4976e8a43c9f1f6580672b9"
+                            "0e72731636abd64ed925f7635ce6fb08")
 
 
 def _jsonl_digest(run):
@@ -367,6 +400,30 @@ class TestKeepersSeeTheFullStream:
 
     def test_bus_probe_sees_the_same_transactions(self):
         assert _probe_digest(_run_engines) == PROBE_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CONTENT))
+    def test_batching_moves_events_only(self, name):
+        recorder = RecordingSink()
+        STREAMS[name](recorder)
+        lines = sorted(repr(event._replace(cycle=0))
+                       for event in recorder.events)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == STREAM_CONTENT[name]
+
+    def test_engines_kinds_hold(self):
+        sink = CounterSink()
+        _run_engines(sink)
+        assert sink.summary() == ENGINES_KINDS
+
+    def test_bus_probe_content_holds(self):
+        probe = BusProbe()
+        _run_engines(probe)
+        transfers = bus_log(probe)
+        text = "".join(f"{op} {addr} {data.hex()}\n"
+                       for op, addr, data in sorted(transfers))
+        assert (sum(op == "read" for op, _, _ in transfers),
+                sum(op == "write" for op, _, _ in transfers),
+                hashlib.sha256(text.encode()).hexdigest()) == PROBE_CONTENT
 
 
 class TestScope:
