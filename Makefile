@@ -120,6 +120,18 @@ KUHN_RETIRED := ScrambledDallasBoard|_signature_of|huffman
 AREA_CONSTANT := ^src/repro/sim/area\.py:[0-9]+:[[:space:]]+"huffman_decoder":
 RESET_AND_STEP_DEF := ^[[:space:]]*def reset_and_step\(
 
+# An overhead is priced in one place, analysis.price_engines: one
+# plaintext baseline per trace and geometry.  The campaign, the engine
+# package and the experiments run no baseline of their own (no
+# engine=None, no engine-less SecureSystem/TwoLevelSystem), call no
+# overhead_vs( and define no _baseline memo.  E16 (a TwoLevelSystem,
+# already one baseline) and E18's scrambling probe (each secured run
+# carries its own BusProbe, which must not see a baseline's bus) keep
+# their own.  Hits print as file:function:line.
+PRICE_BODY := engine=None|overhead_vs\(|def _baseline([^[:alnum:]_]|$$)|(SecureSystem|TwoLevelSystem)\((cache_config|l1_config|mem_config|\))
+PRICE_DIRS := src/repro/campaign src/repro/core src/repro/runner/experiments
+PRICE_EXEMPT := ^src/repro/runner/experiments/(e16\.py|e18\.py:task_scrambling_probe):
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -339,6 +351,20 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one DS5002FP board and one search base)"
+	@matches=$$(find $(PRICE_DIRS) -name '*.py' | sort | xargs awk \
+		'FNR == 1 {f = ""} /^def /{split($$2, d, "("); f = d[1]} \
+		/$(PRICE_BODY)/ {print FILENAME ":" f ":" FNR ": " $$0}' \
+		| grep -vE '$(PRICE_EXEMPT)' || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: price overheads through analysis.price_engines" >&2; \
+		echo "      (one baseline per trace and geometry): no" >&2; \
+		echo "      engine=None or engine-less system baseline, no" >&2; \
+		echo "      overhead_vs( and no def _baseline outside e16.py" >&2; \
+		echo "      and E18's scrambling probe:" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (one pricing body)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -1,15 +1,16 @@
 """Performance-overhead accounting across engines and workloads.
 
 The survey's recurring metric is "performance overhead of the encryption
-engine" — cycles with the EDU over cycles without, minus one.  This module
-runs engine x workload grids and produces the comparison structures the
-benches print.
+engine" — cycles with the EDU over cycles without, minus one.  The
+"without" does not depend on the engine, so :func:`price_engines`, the
+one pricing body, runs it once per trace and geometry for any number of
+engines; every other overhead in the package is priced through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.engine import BusEncryptionEngine
 from ..sim.cache import CacheConfig
@@ -17,8 +18,8 @@ from ..sim.memory import MemoryConfig
 from ..sim.system import SimReport, require_replayable, run_trace
 from ..traces.trace import Trace
 
-__all__ = ["OverheadResult", "measure_overhead", "overhead_grid",
-           "EngineFactory"]
+__all__ = ["OverheadResult", "price_engines", "measure_overhead",
+           "overhead_grid", "EngineFactory"]
 
 #: A zero-argument callable producing a fresh engine (engines keep state —
 #: pad caches, IV tables — so each run needs its own instance).
@@ -51,6 +52,46 @@ class OverheadResult:
         )
 
 
+def price_engines(
+    factories: Iterable[EngineFactory],
+    trace: Trace,
+    workload: str = "",
+    *,
+    image: Optional[bytes] = None,
+    image_base: int = 0,
+    cache_config: Optional[CacheConfig] = None,
+    mem_config: Optional[MemoryConfig] = None,
+    **system_kwargs,
+) -> Iterator[OverheadResult]:
+    """Price each factory's engine against one plaintext baseline.
+
+    The trace is compiled once and every run replays it.  Results come
+    lazily, one per factory and in order; the first secured run comes
+    before the baseline, which then serves every later engine.  A one-shot
+    trace stream is rejected here, before any run.
+    """
+    from ..sim.fastpath import compile_trace
+
+    require_replayable(trace, "price_engines()")
+    cache_config = cache_config or CacheConfig()
+    kwargs = dict(image=image, image_base=image_base,
+                  cache_config=cache_config,
+                  mem_config=mem_config or MemoryConfig(), **system_kwargs)
+    return _priced(factories, compile_trace(trace, cache_config.line_size),
+                   workload, kwargs)
+
+
+def _priced(factories, compiled, workload: str,
+            kwargs: dict) -> Iterator[OverheadResult]:
+    baseline = None
+    for factory in factories:
+        secured = run_trace(compiled, engine=factory(), **kwargs)
+        if baseline is None:
+            baseline = run_trace(compiled, engine=None, **kwargs)
+        yield OverheadResult(engine_name=secured.label, workload=workload,
+                             baseline=baseline, secured=secured)
+
+
 def measure_overhead(
     engine_factory: EngineFactory,
     trace: Trace,
@@ -62,25 +103,12 @@ def measure_overhead(
     **system_kwargs,
 ) -> OverheadResult:
     """Run one engine and the baseline on the same trace."""
-    from ..sim.fastpath import compile_trace
-
-    require_replayable(trace, "measure_overhead()")
-    cache_config = cache_config or CacheConfig()
-    mem_config = mem_config or MemoryConfig()
-    # Compile once: both runs (and, through overhead_grid, every engine on
-    # this workload) replay the same coalesced access runs.
-    compiled = compile_trace(trace, cache_config.line_size)
-    kwargs = dict(image=image, image_base=image_base,
-                  cache_config=cache_config, mem_config=mem_config,
-                  **system_kwargs)
-    secured = run_trace(compiled, engine=engine_factory(), **kwargs)
-    baseline = run_trace(compiled, engine=None, **kwargs)
-    return OverheadResult(
-        engine_name=secured.label,
-        workload=workload,
-        baseline=baseline,
-        secured=secured,
+    [result] = price_engines(
+        [engine_factory], trace, workload, image=image,
+        image_base=image_base, cache_config=cache_config,
+        mem_config=mem_config, **system_kwargs,
     )
+    return result
 
 
 def overhead_grid(
@@ -88,19 +116,12 @@ def overhead_grid(
     workloads: Dict[str, Trace],
     **kwargs,
 ) -> List[OverheadResult]:
-    """Every engine on every workload; the E14 survey-table data."""
-    from ..sim.fastpath import compile_trace
-
-    line_size = (kwargs.get("cache_config") or CacheConfig()).line_size
+    """Every engine on every workload, one baseline per workload; the E14
+    survey-table data."""
     results = []
     for workload_name, trace in workloads.items():
-        # One compilation serves the whole engine column (compile_trace
-        # passes an already-compiled trace through unchanged).
-        trace = compile_trace(trace, line_size)
-        for engine_name, factory in engines.items():
-            result = measure_overhead(
-                factory, trace, workload=workload_name, **kwargs
-            )
+        for engine_name, result in zip(engines, price_engines(
+                engines.values(), trace, workload_name, **kwargs)):
             result.engine_name = engine_name
             results.append(result)
     return results

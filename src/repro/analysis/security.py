@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..attacks.ecb_analysis import analyze_ciphertext, ecb_distinguisher
 from ..core.engine import BusEncryptionEngine
 from ..crypto.modes import xor_bytes
 
@@ -45,6 +44,10 @@ def score_engine_ciphertext(
     addresses and at the same address twice (rewrite) and checks whether the
     ciphertexts coincide — the determinism leak of ECB-style engines.
     """
+    # Imported here: a campaign worker pricing overheads through
+    # repro.analysis should not load the whole attack package.
+    from ..attacks.ecb_analysis import analyze_ciphertext, ecb_distinguisher
+
     if len(image) % line_size != 0:
         image = image + b"\x00" * (line_size - len(image) % line_size)
     ciphertext = bytearray()

@@ -11,6 +11,7 @@ re-exported here so callers don't have to know the package layout::
     summary = repro.trace_experiment("e02")     # same, with the event trace
     sweep = repro.run_campaign(spec)            # sharded design-space sweep
     repro.engine_overhead("stream", "mixed")    # measure one engine
+    repro.engine_overheads(["stream", "xom"])   # several, one baseline
     repro.attack_summary(memory=512)            # break the weak one
     repro.fault_campaign("integrity-stream")    # active-attack campaigns
 
@@ -31,9 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .analysis import OverheadResult, measure_overhead
+from .analysis import OverheadResult, price_engines
 from .campaign import CampaignResult, CampaignSpec
 from .core.registry import (
     ENGINE_SPECS,
@@ -73,7 +75,8 @@ __all__ = [
     # design-space campaigns
     "CampaignSpec", "CampaignResult", "run_campaign",
     # one-shot measurements
-    "engine_overhead", "attack_summary", "fault_campaign",
+    "engine_overhead", "engine_overheads", "attack_summary",
+    "fault_campaign",
     # streaming execution
     "run_stream", "stream_system", "stream_workload",
     "STREAM_WORKLOAD_NAMES",
@@ -258,6 +261,25 @@ def engine_overhead(
     for real MCU traces.  ``functional=False`` (default) runs timing-only,
     which is what the survey's overhead numbers mean.
     """
+    [result] = engine_overheads(
+        [engine], workload, accesses, cache_size, mem_latency, image_size,
+        functional, **engine_overrides,
+    )
+    return result
+
+
+def engine_overheads(
+    engines: Sequence[str],
+    workload: str = "mixed",
+    accesses: int = 4000,
+    cache_size: int = 4096,
+    mem_latency: int = 40,
+    image_size: int = 32 * 1024,
+    functional: bool = False,
+    **engine_overrides: Any,
+) -> Iterator[OverheadResult]:
+    """:func:`engine_overhead` for several engines, lazily and in order:
+    one trace and one plaintext baseline price them all."""
     if workload.startswith("mcu-"):
         trace = mcu_workload(workload[4:], repeat=5)
     else:
@@ -265,11 +287,12 @@ def engine_overhead(
             type(a)(a.kind, a.addr % image_size, a.size)
             for a in make_workload(workload, n=accesses)
         ]
-    return measure_overhead(
-        lambda: make_engine(engine, functional=functional,
-                            **engine_overrides),
+    return price_engines(
+        [lambda name=name: make_engine(name, functional=functional,
+                                       **engine_overrides)
+         for name in engines],
         trace,
-        workload=workload,
+        workload,
         image=bytes(image_size),
         cache_config=CacheConfig(size=cache_size, line_size=32,
                                  associativity=2),

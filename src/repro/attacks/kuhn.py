@@ -341,6 +341,25 @@ class CipherInstructionSearch:
             return Op.DJNZ, None
         return self._decode_silent0(factory0, shape)
 
+    def _decode_fall3(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
+        """Split ``MOV R,#imm`` from JNZ, which falls through as silently
+        from reset (A=0): forged operands make ``MOV R,#imm`` set R1 = 1,
+        so a forged ``MOVI A`` at cell 3 reads logical 1, not 0."""
+        events = self._probe({
+            self.phys[0]: factory0,
+            self.phys[1]: self._forge(1, 1),
+            self.phys[2]: self._forge(2, 1),
+            self.phys[3]: self._forge(3, Op.MOVI_A),
+        }, 2)
+        if events[0].next_pc != 3:
+            # A branch: phase 1's background operands decoded to target 3.
+            return Op.JMP, {Op.JMP, Op.JZ, Op.CALL}
+        if len(events) < 2 or events[1].data_read is None:
+            raise AttackFailure("cell-0 register probe lost its MOVI A")
+        if events[1].data_read == self.phys[1]:
+            return Op.MOV_R_IMM, None
+        return Op.JNZ, None
+
     def _dump_byte(self, target: int) -> int:
         events = self._probe({
             self.phys[0]: self.mov0,
@@ -492,7 +511,7 @@ class KuhnAttack(CipherInstructionSearch):
     def _decode_silent0(self, factory0: int,
                         shape: object) -> Tuple[int, Optional[Set[int]]]:
         if shape == 3:
-            return Op.MOV_R_IMM, None
+            return self._decode_fall3(factory0)
         if shape == "jump":
             return self._decode_jump0(factory0)
         if shape == 2:

@@ -187,9 +187,9 @@ class PortBasedKuhnAttack(CipherInstructionSearch):
     def _decode_silent0(self, factory0: int,
                         shape: object) -> Tuple[int, Optional[Set[int]]]:
         if shape == 3:
-            # MOV_R_IMM or a branch: both fetch 3 bytes.  Separate by the
-            # next fetch: the branch lands at the decoded target, which with
-            # forged operands is logical 2 (phys known); MOV_R_IMM falls
+            # MOV_R_IMM, JNZ or a taken branch: all fetch 3 bytes.  The
+            # branch lands at the decoded target, which with forged
+            # operands is logical 2 (phys known); the other two fall
             # through to logical 3.
             events = self._probe({
                 self.phys[0]: factory0,
@@ -199,7 +199,7 @@ class PortBasedKuhnAttack(CipherInstructionSearch):
             if len(events) >= 2 and events[1].fetched and \
                     events[1].fetched[0] == self.phys[2]:
                 return Op.JMP, {Op.JMP, Op.JZ, Op.CALL}
-            return Op.MOV_R_IMM, None
+            return self._decode_fall3(factory0)
         if shape == 1:
             events = self._probe({
                 self.phys[0]: factory0,

@@ -11,19 +11,19 @@ most the points in flight.
 
 Per-process memoization: workload traces are built and compiled once per
 ``(workload, accesses, seed, line_size)`` and reused across every design
-point that shares them — the same compile-once discipline
-``overhead_grid`` applies within one experiment, extended across a
-shard.  The plaintext baseline an overhead point is priced against does
-not depend on the engine, so a shard runs its overhead points grouped by
-baseline key (the params minus ``engine``) and each group runs its
-baseline once; only the current group's baseline is kept.
+point that shares them.  The plaintext baseline an overhead point is
+priced against does not depend on the engine, so a shard runs its points
+grouped by baseline key (the params minus ``engine``), and each overhead
+group is one lazy :func:`repro.analysis.price_engines` iteration: one
+baseline per group, and each point still lands (and is published) before
+the next one of its group runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..runner.cache import ResultCache, stable_floats
 
@@ -74,42 +74,29 @@ def _trace(params: Dict[str, object]):
     )
 
 
-@lru_cache(maxsize=1)
-def _baseline(key: Tuple):
-    """The plaintext-baseline report for one :func:`_baseline_key`.
-
-    Holds only the most recent key: :func:`execute_shard` runs a shard's
-    overhead points grouped by key, so each group pays for one baseline
-    run and the memo never outgrows the group in hand.
-    """
-    from ..sim.system import run_trace
-
-    params = dict(key)
-    return run_trace(_trace(params), engine=None, **_system_config(params))
-
-
-def _overhead_point(params: Dict[str, object]) -> Dict[str, object]:
+def _overhead_points(group: List[Dict[str, object]]) -> Iterator[dict]:
+    """Price one baseline-key group of overhead points, lazily."""
+    from ..analysis import price_engines
     from ..core.registry import make_engine
-    from ..sim.system import run_trace
 
-    secured = run_trace(
-        _trace(params),
-        engine=make_engine(str(params["engine"]), functional=False),
-        **_system_config(params),
-    )
-    baseline = _baseline(_baseline_key(params))
-    return {
-        "accesses": secured.accesses,
-        "cycles": secured.cycles,
-        "baseline_cycles": baseline.cycles,
-        "overhead": round(secured.overhead_vs(baseline), 6),
-        "miss_rate": round(baseline.miss_rate, 6),
-        "cache_hits": secured.cache_hits,
-        "cache_misses": secured.cache_misses,
-        "bus_transactions": secured.bus_transactions,
-        "bus_bytes": secured.bus_bytes,
-        "bytes_enciphered": secured.bytes_enciphered,
-    }
+    params = group[0]
+    for result in price_engines(
+            [lambda p=p: make_engine(str(p["engine"]), functional=False)
+             for p in group],
+            _trace(params), **_system_config(params)):
+        secured, baseline = result.secured, result.baseline
+        yield {
+            "accesses": secured.accesses,
+            "cycles": secured.cycles,
+            "baseline_cycles": baseline.cycles,
+            "overhead": round(result.overhead, 6),
+            "miss_rate": round(baseline.miss_rate, 6),
+            "cache_hits": secured.cache_hits,
+            "cache_misses": secured.cache_misses,
+            "bus_transactions": secured.bus_transactions,
+            "bus_bytes": secured.bus_bytes,
+            "bytes_enciphered": secured.bytes_enciphered,
+        }
 
 
 def _faults_point(params: Dict[str, object]) -> Dict[str, object]:
@@ -134,14 +121,16 @@ def _faults_point(params: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+#: Point kind -> a runner of one group of points sharing a baseline key,
+#: yielding each point's metrics in order as it completes.
 _POINT_FAMILIES = {
-    "overhead": _overhead_point,
-    "faults": _faults_point,
+    "overhead": _overhead_points,
+    "faults": lambda group: map(_faults_point, group),
 }
 
 
-def execute_point(kind: str, params: Dict[str, object]) -> Dict[str, object]:
-    """Run one design point; returns canonical JSON-ready metrics.
+def _execute_group(kind: str, group: List[Dict[str, object]]):
+    """Each point's canonical JSON-ready metrics, lazily and in order.
 
     The metrics pass through :func:`stable_floats` *before* they are
     returned or cached, so a freshly-executed point and its cache replay
@@ -155,18 +144,24 @@ def execute_point(kind: str, params: Dict[str, object]) -> Dict[str, object]:
             f"unknown campaign point kind {kind!r}; "
             f"known: {', '.join(sorted(_POINT_FAMILIES))}"
         ) from None
-    return stable_floats(family(params))
+    return map(stable_floats, family(group))
+
+
+def execute_point(kind: str, params: Dict[str, object]) -> Dict[str, object]:
+    """Run one design point (a one-point group); returns its metrics."""
+    [metrics] = _execute_group(kind, [params])
+    return metrics
 
 
 def _grouped(items: List[Tuple[str, str, dict, str]]):
-    """A shard's points, each moved up beside the first point sharing its
-    :func:`_baseline_key` (a stable group-by: points keep their order
-    within a group).  Faults points never share a key, so they keep grid
-    order."""
+    """A shard's points in groups sharing a :func:`_baseline_key`, in
+    order of each group's first point (a stable group-by: points keep
+    their order within a group).  Faults points never share a key, so
+    they keep grid order."""
     groups: Dict[Tuple, List] = {}
     for item in items:
-        groups.setdefault(_baseline_key(item[2]), []).append(item)
-    return [item for group in groups.values() for item in group]
+        groups.setdefault((item[1], _baseline_key(item[2])), []).append(item)
+    return groups.values()
 
 
 def execute_shard(payload: ShardPayload,
@@ -184,11 +179,13 @@ def execute_shard(payload: ShardPayload,
     shard_id, items, cache_dir = payload
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     completed = []
-    for name, kind, params, key in _grouped(items):
-        metrics = execute_point(kind, params)
-        if cache is not None:
-            cache.put(key, {"metrics": metrics})
-        completed.append((name, metrics))
-        if progress is not None:
-            progress(f"{name}  [done]")
+    for group in _grouped(items):
+        kind = group[0][1]
+        points = _execute_group(kind, [params for _, _, params, _ in group])
+        for (name, _, _, key), metrics in zip(group, points):
+            if cache is not None:
+                cache.put(key, {"metrics": metrics})
+            completed.append((name, metrics))
+            if progress is not None:
+                progress(f"{name}  [done]")
     return shard_id, completed

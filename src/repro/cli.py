@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Optional
 
 from .analysis import format_gates, format_percent, format_table
-from .api import attack_summary, engine_overhead, trace_experiment
+from .api import (attack_summary, engine_overhead, engine_overheads,
+                  trace_experiment)
 from .attacks import rate_engine
 from .core import run_distribution
 from .core.registry import engine_names, list_engines, make_engine
@@ -100,14 +101,15 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
+    names = engine_names(survey_only=True)
+    try:
+        results = engine_overheads(names, "mixed", accesses=args.accesses)
+    except ValueError as exc:
+        message = exc.args[0] if exc.args else type(exc).__name__
+        print(f"survey: {message}", file=sys.stderr)
+        return 2
     rows = []
-    for name in engine_names(survey_only=True):
-        try:
-            result = engine_overhead(name, "mixed", accesses=args.accesses)
-        except ValueError as exc:
-            message = exc.args[0] if exc.args else type(exc).__name__
-            print(f"survey: {message}", file=sys.stderr)
-            return 2
+    for name, result in zip(names, results):
         engine = make_engine(name)
         rating = rate_engine(engine.name)
         rows.append([

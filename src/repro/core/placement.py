@@ -14,8 +14,9 @@ the cache* (Figure 7b) so that even the cache holds ciphertext:
   controller."
 
 :class:`CpuCacheStreamEngine` models both variants (stored keystream /
-generated keystream); :func:`compare_placements` runs the three designs on
-one workload and returns the table E12 prints.
+generated keystream); :func:`compare_placements` prices the three designs
+against one plaintext baseline on one workload and returns the table E12
+prints.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .engine import BusEncryptionEngine, Placement
 from .stream_engine import StreamCipherEngine
 
 # NOTE: repro.sim.system imports this package (for the engine interface), so
-# the system composer is imported lazily inside compare_placements.
+# the pricing function is imported lazily inside compare_placements.
 
 __all__ = ["CpuCacheStreamEngine", "PlacementComparison", "compare_placements"]
 
@@ -115,24 +116,15 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
 
 @dataclass
 class PlacementComparison:
-    """Reports from the three design points E12 compares."""
+    """The three design points E12 compares, by label: the stream EDU
+    between cache and memory (7a), and the EDU at the CPU with a stored
+    or generated keystream (7b), each priced against one baseline."""
 
-    baseline: "SimReport"
-    cache_memory: "SimReport"     # stream EDU between cache and memory (7a)
-    cpu_cache_stored: "SimReport"  # EDU at CPU with on-chip keystream (7b)
-    cpu_cache_generated: "SimReport"  # EDU at CPU, pad generated on demand
+    results: Dict[str, "OverheadResult"]
     areas: Dict[str, int]
 
     def overheads(self) -> Dict[str, float]:
-        return {
-            "cache-memory (7a)": self.cache_memory.overhead_vs(self.baseline),
-            "cpu-cache stored pad (7b)": self.cpu_cache_stored.overhead_vs(
-                self.baseline
-            ),
-            "cpu-cache generated pad (7b)": self.cpu_cache_generated.overhead_vs(
-                self.baseline
-            ),
-        }
+        return {label: r.overhead for label, r in self.results.items()}
 
 
 def compare_placements(
@@ -147,45 +139,28 @@ def compare_placements(
     ``functional=False`` by default: placement is a pure timing question and
     timing-only runs keep the sweep fast.
     """
-    from ..sim.fastpath import compile_trace
-    from ..sim.system import SecureSystem
+    from ..analysis.overhead import price_engines
 
     cache_config = cache_config or CacheConfig()
-    mem_config = mem_config or MemoryConfig()
-    # All four design points replay the same compiled runs.
-    compiled = compile_trace(trace, cache_config.line_size)
-
-    def run(engine):
-        system = SecureSystem(
-            engine=engine, cache_config=cache_config, mem_config=mem_config
-        )
-        return system.run(compiled)
-
-    baseline = run(None)
-    edu_7a = StreamCipherEngine(
-        key, line_size=cache_config.line_size,
-        unit=XOM_AES_PIPE, functional=functional,
+    engines = {
+        "cache-memory (7a)": StreamCipherEngine(
+            key, line_size=cache_config.line_size,
+            unit=XOM_AES_PIPE, functional=functional,
+        ),
+        "cpu-cache stored pad (7b)": CpuCacheStreamEngine(
+            key, cache_size=cache_config.size,
+            keystream_on_chip=True, functional=functional,
+        ),
+        "cpu-cache generated pad (7b)": CpuCacheStreamEngine(
+            key, cache_size=cache_config.size,
+            keystream_on_chip=False, unit=XOM_AES_PIPE, functional=functional,
+        ),
+    }
+    results = price_engines(
+        [lambda e=engine: e for engine in engines.values()], trace,
+        cache_config=cache_config, mem_config=mem_config,
     )
-    cache_memory = run(edu_7a)
-    stored = CpuCacheStreamEngine(
-        key, cache_size=cache_config.size,
-        keystream_on_chip=True, functional=functional,
-    )
-    cpu_cache_stored = run(stored)
-    generated = CpuCacheStreamEngine(
-        key, cache_size=cache_config.size,
-        keystream_on_chip=False, unit=XOM_AES_PIPE, functional=functional,
-    )
-    cpu_cache_generated = run(generated)
-
     return PlacementComparison(
-        baseline=baseline,
-        cache_memory=cache_memory,
-        cpu_cache_stored=cpu_cache_stored,
-        cpu_cache_generated=cpu_cache_generated,
-        areas={
-            "cache-memory (7a)": edu_7a.area().total,
-            "cpu-cache stored pad (7b)": stored.area().total,
-            "cpu-cache generated pad (7b)": generated.area().total,
-        },
+        results=dict(zip(engines, results)),
+        areas={label: e.area().total for label, e in engines.items()},
     )

@@ -7,16 +7,16 @@ the ported benches shared by copy-paste before the registry existed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List
+from typing import Any, Iterable, List, Tuple, Union
 
-from ...analysis import OverheadResult, measure_overhead
+from ...analysis import OverheadResult, price_engines
 from ...core.registry import DEFAULT_KEYS, make_engine
 from ...sim import CacheConfig, MemoryConfig
 from ...traces.trace import Access
 
 __all__ = [
     "KEY16", "KEY24", "CACHE", "MEM", "N_ACCESSES",
-    "clamp", "engine_factory", "measure", "overhead_metrics",
+    "clamp", "price", "overhead_metrics",
 ]
 
 KEY16 = DEFAULT_KEYS[16]
@@ -35,19 +35,19 @@ def clamp(trace: Iterable[Access], size: int) -> List[Access]:
     return [type(a)(a.kind, a.addr % size, a.size) for a in trace]
 
 
-def engine_factory(name: str, **params: Any) -> Callable[[], Any]:
-    """A fresh-engine factory for ``measure_overhead`` (timing-only)."""
-    return lambda: make_engine(name, functional=False, **params)
-
-
-def measure(name: str, trace, *, engine_params: dict = None,
-            **kwargs: Any) -> OverheadResult:
-    """``measure_overhead`` against the registry, with standard configs."""
+def price(trace, *engines: Union[str, Tuple[str, dict]],
+          **kwargs: Any) -> List[OverheadResult]:
+    """Registry engines (timing-only) against one plaintext baseline, with
+    the standard configs; each engine is a name or a ``(name, params)``
+    pair, and the results come in the same order."""
     kwargs.setdefault("cache_config", CACHE)
     kwargs.setdefault("mem_config", MEM)
-    return measure_overhead(
-        engine_factory(name, **(engine_params or {})), trace, **kwargs
-    )
+    specs = [(e, {}) if isinstance(e, str) else e for e in engines]
+    return list(price_engines(
+        [lambda n=n, p=p: make_engine(n, functional=False, **p)
+         for n, p in specs],
+        trace, **kwargs,
+    ))
 
 
 def overhead_metrics(result: OverheadResult) -> dict:

@@ -14,7 +14,7 @@ from ...analysis import ascii_plot, format_percent, format_table
 from ...sim import MemoryConfig
 from ...traces import make_workload
 from ..base import Experiment, TaskContext
-from .common import CACHE, N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 
 def task_latency_sweep(ctx: TaskContext) -> dict:
@@ -23,10 +23,8 @@ def task_latency_sweep(ctx: TaskContext) -> dict:
     rows = []
     for latency in latencies:
         mem = MemoryConfig(size=1 << 21, latency=latency)
-        stream = measure("stream", trace,
-                         engine_params={"pad_ahead_depth": 2},
-                         mem_config=mem)
-        block = measure("xom", trace, mem_config=mem)
+        stream, block = price(trace, ("stream", {"pad_ahead_depth": 2}),
+                              "xom", mem_config=mem)
         rows.append({
             "latency": latency,
             "stream": overhead_metrics(stream),
@@ -41,16 +39,12 @@ def task_pad_ahead(ctx: TaskContext) -> dict:
     depths = (0, 1, 8) if ctx.quick else (0, 1, 2, 4, 8)
     fast_mem = MemoryConfig(size=1 << 21, latency=5)
     trace = make_workload("sequential", n=ctx.n(N_ACCESSES))
-    rows = []
-    for depth in depths:
-        result = measure(
-            "stream", trace,
-            engine_params={"pad_ahead_depth": depth,
-                           "pad_cache_lines": max(2, 2 * depth)},
-            mem_config=fast_mem,
-        )
-        rows.append({"depth": depth, **overhead_metrics(result)})
-    return {"rows": rows}
+    results = price(trace, *(
+        ("stream", {"pad_ahead_depth": depth,
+                    "pad_cache_lines": max(2, 2 * depth)})
+        for depth in depths), mem_config=fast_mem)
+    return {"rows": [{"depth": depth, **overhead_metrics(result)}
+                     for depth, result in zip(depths, results)]}
 
 
 def render(results: dict) -> str:

@@ -18,7 +18,7 @@ from ...crypto import CBC, ECB, tdes_kernel
 from ...sim import CacheConfig
 from ...traces import make_workload, synthetic_code_image
 from ..base import Experiment, TaskContext
-from .common import KEY24, N_ACCESSES, clamp, measure, overhead_metrics
+from .common import KEY24, N_ACCESSES, clamp, overhead_metrics, price
 
 
 def task_ecb_leak(ctx: TaskContext) -> dict:
@@ -46,9 +46,8 @@ def task_cbc_random_access(ctx: TaskContext) -> dict:
     rows = []
     for name in ("sequential", "branchy"):
         trace = clamp(make_workload(name, n=ctx.n(N_ACCESSES)), 16 * 1024)
-        result = measure(
-            "gi", trace,
-            engine_params={"region_size": 4096, "authenticate": False},
+        [result] = price(
+            trace, ("gi", {"region_size": 4096, "authenticate": False}),
             image=image, cache_config=cache,
         )
         rows.append({"workload": name, **overhead_metrics(result)})

@@ -18,7 +18,7 @@ from ...analysis import format_table
 from ...sim import CacheConfig, MemoryConfig, WritePolicy
 from ...traces import iter_write_burst
 from ..base import Experiment, TaskContext
-from .common import measure, overhead_metrics
+from .common import overhead_metrics, price
 
 N_STORES = 300
 WT_CACHE = CacheConfig(
@@ -36,8 +36,8 @@ def _sweep(ctx: TaskContext, engine_name: str) -> dict:
     for size in sizes:
         trace = list(iter_write_burst(n_stores, base=0, write_size=size,
                                       stride=64))
-        result = measure(
-            engine_name, trace,
+        [result] = price(
+            trace, engine_name,
             cache_config=WT_CACHE, mem_config=MEM, write_buffer=False,
         )
         rows.append({
@@ -64,7 +64,7 @@ def task_write_back_absorbs(ctx: TaskContext) -> dict:
     """With write-allocate + write-back, the line fetch doubles as the
     'read the block' step and the penalty folds into normal miss traffic."""
     trace = list(iter_write_burst(N_STORES, base=0, write_size=4, stride=64))
-    result = measure("ds5240", trace, cache_config=WB_CACHE, mem_config=MEM)
+    [result] = price(trace, "ds5240", cache_config=WB_CACHE, mem_config=MEM)
     return overhead_metrics(result)
 
 

@@ -22,17 +22,17 @@ from ...analysis import (
 from ...core.registry import make_engine
 from ...traces import make_workload, synthetic_code_image
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 
 def task_best_vs_aes(ctx: TaskContext) -> dict:
     image = synthetic_code_image(size=ctx.n(32 * 1024, quick=8 * 1024))
     trace = make_workload("mixed", n=ctx.n(N_ACCESSES))
+    names = ("best", "xom")
     rows = []
-    for name in ("best", "xom"):
+    for name, perf in zip(names, price(trace, *names)):
         engine = make_engine(name)  # functional: scored on real ciphertext
         score = score_engine_ciphertext(engine, image)
-        perf = measure(name, trace)
         rows.append({
             "engine": name,
             "area": engine.area().total,

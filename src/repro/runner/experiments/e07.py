@@ -11,17 +11,13 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from ...analysis import (
-    ascii_plot,
-    format_percent,
-    format_table,
-    measure_overhead,
-)
+from ...analysis import (ascii_plot, format_percent, format_table,
+                         price_engines)
 from ...core.registry import make_engine
 from ...sim import CacheConfig, MemoryConfig
 from ...traces import make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 CACHE = CacheConfig(size=1024, line_size=32, associativity=2)
 MEM = MemoryConfig(size=1 << 21, latency=40)
@@ -32,23 +28,19 @@ def _sweep_page_size(ctx: TaskContext, workload: str) -> dict:
     page_sizes = (256, 1024, 4096) if ctx.quick \
         else (256, 512, 1024, 2048, 4096)
     trace = make_workload(workload, n=ctx.n(N_ACCESSES))
-    rows = []
-    for page_size in page_sizes:
-        engine = make_engine(
-            "vlsi", functional=False, page_size=page_size,
-            buffer_pages=max(1, BUFFER_BYTES // page_size),
-        )
-        result = measure_overhead(
-            lambda e=engine: e, trace, workload=workload,
-            cache_config=CACHE, mem_config=MEM,
-        )
-        rows.append({
-            "page_size": page_size,
-            "faults": engine.page_faults,
-            "writebacks": engine.page_writebacks,
-            **overhead_metrics(result),
-        })
-    return {"rows": rows}
+    engines = [make_engine("vlsi", functional=False, page_size=page_size,
+                           buffer_pages=max(1, BUFFER_BYTES // page_size))
+               for page_size in page_sizes]
+    results = price_engines(
+        [lambda e=engine: e for engine in engines], trace, workload,
+        cache_config=CACHE, mem_config=MEM,
+    )
+    return {"rows": [{
+        "page_size": page_size,
+        "faults": engine.page_faults,
+        "writebacks": engine.page_writebacks,
+        **overhead_metrics(result),
+    } for page_size, engine, result in zip(page_sizes, engines, results)]}
 
 
 def task_sequential(ctx: TaskContext) -> dict:
@@ -63,11 +55,8 @@ def task_locality(ctx: TaskContext) -> dict:
     """With strong locality the page buffer behaves like an L2: most
     accesses never reach the bus at all."""
     trace = make_workload("sequential", n=ctx.n(N_ACCESSES))
-    engine = make_engine("vlsi", functional=False, page_size=2048,
-                         buffer_pages=4)
-    result = measure_overhead(
-        lambda: engine, trace, cache_config=CACHE, mem_config=MEM,
-    )
+    [result] = price(trace, ("vlsi", {"page_size": 2048, "buffer_pages": 4}),
+                     cache_config=CACHE, mem_config=MEM)
     return overhead_metrics(result)
 
 

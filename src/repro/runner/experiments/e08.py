@@ -20,7 +20,7 @@ from ...core.registry import make_engine
 from ...sim import Bus, CacheConfig, MainMemory, MemoryConfig
 from ...traces import make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, clamp, measure, overhead_metrics
+from .common import N_ACCESSES, clamp, overhead_metrics, price
 
 CACHE = CacheConfig(size=1024, line_size=32, associativity=2)
 MEM = MemoryConfig(size=1 << 21, latency=40)
@@ -34,15 +34,12 @@ def _sweep_region_size(ctx: TaskContext, workload: str) -> dict:
     image_size = 8 * 1024 if ctx.quick else IMAGE_SIZE
     trace = clamp(make_workload(workload, n=ctx.n(N_ACCESSES, quick=800)),
                   image_size)
-    rows = []
-    for region in region_sizes:
-        result = measure(
-            "gi", trace,
-            engine_params={"region_size": region, "authenticate": False},
-            image=bytes(image_size), cache_config=CACHE, mem_config=MEM,
-        )
-        rows.append({"region": region, **overhead_metrics(result)})
-    return {"rows": rows}
+    results = price(trace, *(
+        ("gi", {"region_size": region, "authenticate": False})
+        for region in region_sizes),
+        image=bytes(image_size), cache_config=CACHE, mem_config=MEM)
+    return {"rows": [{"region": region, **overhead_metrics(result)}
+                     for region, result in zip(region_sizes, results)]}
 
 
 def task_sequential(ctx: TaskContext) -> dict:

@@ -17,7 +17,7 @@ from ...crypto import DRBG
 from ...sim import CacheConfig, MemoryConfig, WritePolicy
 from ...traces import iter_branchy_code, make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 
 def task_branchiness(ctx: TaskContext) -> dict:
@@ -26,7 +26,7 @@ def task_branchiness(ctx: TaskContext) -> dict:
     for p in p_takens:
         trace = list(iter_branchy_code(N_ACCESSES, DRBG(100), p_taken=p,
                                        code_size=1 << 18))
-        result = measure("gilmont", trace)
+        [result] = price(trace, "gilmont")
         rows.append({"p_taken": p, **overhead_metrics(result)})
     return {"rows": rows}
 
@@ -35,12 +35,10 @@ def task_depth(ctx: TaskContext) -> dict:
     depths = (0, 4) if ctx.quick else (0, 1, 2, 4)
     trace = list(iter_branchy_code(N_ACCESSES, DRBG(101), p_taken=0.1,
                                    code_size=1 << 18))
-    rows = []
-    for depth in depths:
-        result = measure("gilmont", trace,
-                         engine_params={"prediction_depth": depth})
-        rows.append({"depth": depth, **overhead_metrics(result)})
-    return {"rows": rows}
+    results = price(trace, *(("gilmont", {"prediction_depth": depth})
+                             for depth in depths))
+    return {"rows": [{"depth": depth, **overhead_metrics(result)}
+                     for depth, result in zip(depths, results)]}
 
 
 def task_write_blind_spot(ctx: TaskContext) -> dict:
@@ -50,8 +48,8 @@ def task_write_blind_spot(ctx: TaskContext) -> dict:
         size=4096, line_size=32, associativity=2,
         write_policy=WritePolicy.WRITE_THROUGH, write_allocate=False,
     )
-    result = measure(
-        "gilmont", trace, cache_config=wt_cache,
+    [result] = price(
+        trace, "gilmont", cache_config=wt_cache,
         mem_config=MemoryConfig(size=1 << 21, latency=40),
         write_buffer=False,
     )

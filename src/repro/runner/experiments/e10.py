@@ -16,7 +16,7 @@ from ...analysis import format_percent, format_table
 from ...sim import XOM_AES_PIPE, PipelinedUnit
 from ...traces import WORKLOAD_NAMES, iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 
 def task_microbench(ctx: TaskContext) -> dict:
@@ -47,7 +47,7 @@ def task_system(ctx: TaskContext) -> dict:
     )
     rows = []
     for name, trace in workloads.items():
-        result = measure("xom", trace, workload=name)
+        [result] = price(trace, "xom", workload=name)
         rows.append({"workload": name, **overhead_metrics(result)})
     return {"rows": rows}
 
@@ -56,8 +56,7 @@ def task_iterative_vs_pipelined(ctx: TaskContext) -> dict:
     """Ablation: the same AES algorithm without pipelining."""
     trace = make_workload("branchy", n=ctx.n(N_ACCESSES))
     iterative = PipelinedUnit("aes-iter", latency=11, initiation_interval=11)
-    pipe = measure("xom", trace)
-    iter_ = measure("xom", trace, engine_params={"unit": iterative})
+    pipe, iter_ = price(trace, "xom", ("xom", {"unit": iterative}))
     return {
         "pipelined": overhead_metrics(pipe),
         "iterative": overhead_metrics(iter_),

@@ -25,7 +25,7 @@ from ...core.registry import make_engine
 from ...crypto import DRBG
 from ...traces import WORKLOAD_NAMES, iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, clamp, measure, overhead_metrics
+from .common import N_ACCESSES, clamp, overhead_metrics, price
 
 
 def task_overheads(ctx: TaskContext) -> dict:
@@ -43,7 +43,7 @@ def task_overheads(ctx: TaskContext) -> dict:
     )
     rows = []
     for name, trace in workloads.items():
-        result = measure("aegis", trace, workload=name)
+        [result] = price(trace, "aegis", workload=name)
         rows.append({"workload": name, **overhead_metrics(result)})
     return {"rows": rows}
 
@@ -51,10 +51,10 @@ def task_overheads(ctx: TaskContext) -> dict:
 def task_random_access(ctx: TaskContext) -> dict:
     trace = clamp(make_workload("data-random", n=ctx.n(N_ACCESSES)),
                   32 * 1024)
-    aegis = measure("aegis", trace)
-    chained = measure(
-        "gi", trace,
-        engine_params={"region_size": 4096, "authenticate": False},
+    # Two baselines: the chained engine runs over an installed image.
+    [aegis] = price(trace, "aegis")
+    [chained] = price(
+        trace, ("gi", {"region_size": 4096, "authenticate": False}),
         image=bytes(32 * 1024),
     )
     return {

@@ -19,7 +19,7 @@ from ...crypto import CTR, aes_kernel
 from ...sim import CacheConfig, MemoryConfig
 from ...traces import iter_sequential_code, synthetic_code_image
 from ..base import Experiment, TaskContext
-from .common import KEY16, N_ACCESSES, measure, overhead_metrics
+from .common import KEY16, N_ACCESSES, overhead_metrics, price
 
 CACHE = CacheConfig(size=1024, line_size=32, associativity=2)
 IMAGE_SIZE = 32 * 1024
@@ -60,7 +60,7 @@ def task_memory_sweep(ctx: TaskContext) -> dict:
     for label, latency, width, cpb in MEMORY_TYPES:
         mem = MemoryConfig(size=1 << 20, latency=latency, bus_width=width,
                            cycles_per_beat=cpb)
-        result = measure("compress", trace, image=image,
+        [result] = price(trace, "compress", image=image,
                          cache_config=CACHE, mem_config=mem)
         rows.append({"memory": label, **overhead_metrics(result)})
     return {"rows": rows}

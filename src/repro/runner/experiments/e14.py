@@ -15,7 +15,7 @@ from ...attacks import rate_engine
 from ...core.registry import engine_names, get_spec, make_engine
 from ...traces import iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, clamp, measure, overhead_metrics
+from .common import N_ACCESSES, clamp, overhead_metrics, price
 
 IMAGE_SIZE = 32 * 1024
 
@@ -53,21 +53,19 @@ def task_table(ctx: TaskContext) -> dict:
     }
     names = [name for name in engine_names(survey_only=True)
              if not ctx.quick or name in CHECKED_ENGINES]
+    # One baseline per workload prices the whole engine column.
+    overheads = {wname: price(trace, *names, image=bytes(image_size))
+                 for wname, trace in workloads.items()}
     rows = []
-    for name in names:
-        overheads = {}
-        for wname, trace in workloads.items():
-            overheads[wname] = overhead_metrics(measure(
-                name, trace, image=bytes(image_size),
-            ))
+    for i, name in enumerate(names):
         engine = make_engine(name)
         rating = rate_engine(engine.name)
         granularity = RANDOM_ACCESS_GRANULARITY[name]
         rows.append({
             "engine": name,
             "summary": get_spec(name).summary,
-            "code": overheads["code"],
-            "mixed": overheads["mixed"],
+            "code": overhead_metrics(overheads["code"][i]),
+            "mixed": overhead_metrics(overheads["mixed"][i]),
             "area": engine.area().total,
             "granularity": granularity,
             "random_access": granularity in RANDOM_ACCESS_OK,

@@ -28,10 +28,10 @@ from ...core import TamperDetected
 from ...core.engine import MemoryPort
 from ...core.registry import make_engine
 from ...crypto.lfsr import GeffeGenerator
-from ...sim import Bus, CacheConfig, MainMemory, MemoryConfig, SecureSystem
+from ...sim import Bus, CacheConfig, MainMemory, MemoryConfig
 from ...traces import iter_sequential_code, make_workload
 from ..base import Experiment, TaskContext
-from .common import MEM, N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 TAG_BASE = 1 << 20
 
@@ -40,8 +40,7 @@ def task_overhead(ctx: TaskContext) -> dict:
     rows = []
     for name in ("sequential", "mixed", "write-heavy"):
         trace = make_workload(name, n=ctx.n(N_ACCESSES))
-        bare = measure("xom", trace)
-        shielded = measure("integrity-xom", trace)
+        bare, shielded = price(trace, "xom", "integrity-xom")
         rows.append({
             "workload": name,
             "bare": overhead_metrics(bare),
@@ -92,37 +91,21 @@ def task_merkle_vs_versions(ctx: TaskContext) -> dict:
     trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=region))
     cache = CacheConfig(size=2048, line_size=32, associativity=2)
     n_lines = region // 32
-    rows = []
-
-    def run(engine, label, onchip_bytes, mem_overhead):
-        system = SecureSystem(engine=engine, cache_config=cache,
-                              mem_config=MEM)
-        system.install_image(0, bytes(region))
-        report = system.run(list(trace))
-        baseline = SecureSystem(cache_config=cache, mem_config=MEM)
-        baseline.install_image(0, bytes(region))
-        base_report = baseline.run(list(trace))
-        rows.append({
-            "design": label,
-            "overhead": round(report.overhead_vs(base_report), 6),
-            "onchip_bytes": onchip_bytes,
-            "mem_overhead": mem_overhead,
-        })
-
-    run(
-        make_engine("integrity-stream", functional=False, versioned=True,
-                    tracked_lines=n_lines),
-        "MAC tags + on-chip version table",
-        onchip_bytes=4 * n_lines,
-        mem_overhead=8 / 32,
+    results = price(
+        trace,
+        ("integrity-stream", {"versioned": True, "tracked_lines": n_lines}),
+        ("merkle-stream", {"node_cache_size": 64}),
+        image=bytes(region), cache_config=cache,
     )
-    run(
-        make_engine("merkle-stream", functional=False, node_cache_size=64),
-        "Merkle tree (root on chip)",
-        onchip_bytes=16 + 64 * 16,
-        mem_overhead=1.0,
-    )
-    return {"rows": rows}
+    designs = (("MAC tags + on-chip version table", 4 * n_lines, 8 / 32),
+               ("Merkle tree (root on chip)", 16 + 64 * 16, 1.0))
+    return {"rows": [{
+        "design": label,
+        "overhead": round(result.overhead, 6),
+        "onchip_bytes": onchip_bytes,
+        "mem_overhead": mem_overhead,
+    } for (label, onchip_bytes, mem_overhead), result
+        in zip(designs, results)]}
 
 
 def task_keystream(ctx: TaskContext) -> dict:

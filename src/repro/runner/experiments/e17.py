@@ -16,7 +16,7 @@ from ...crypto.lfsr import AlternatingStepGenerator, GeffeGenerator
 from ...sim import CacheConfig, MemoryConfig
 from ...traces import MCU_KERNELS, mcu_workload
 from ..base import Experiment, TaskContext
-from .common import KEY16, measure
+from .common import KEY16, price
 
 CACHE = CacheConfig(size=512, line_size=32, associativity=2)
 MEM = MemoryConfig(size=1 << 16, latency=40)
@@ -28,13 +28,11 @@ def task_kernel_grid(ctx: TaskContext) -> dict:
     rows = []
     for kernel in MCU_KERNELS:
         trace = mcu_workload(kernel, repeat=1 if ctx.quick else 3)
-        row = {"kernel": kernel}
-        for name in ENGINE_NAMES:
-            row[name] = round(measure(
-                name, trace, workload=kernel,
-                cache_config=CACHE, mem_config=MEM,
-            ).overhead, 6)
-        rows.append(row)
+        results = price(trace, *ENGINE_NAMES, workload=kernel,
+                        cache_config=CACHE, mem_config=MEM)
+        rows.append({"kernel": kernel, **{
+            name: round(result.overhead, 6)
+            for name, result in zip(ENGINE_NAMES, results)}})
     return {"rows": rows}
 
 

@@ -21,7 +21,7 @@ from ...obs import TeeSink, current_sink
 from ...sim import CacheConfig, MemoryConfig, SecureSystem
 from ...traces import iter_sequential_code
 from ..base import Experiment, TaskContext
-from .common import N_ACCESSES, measure, overhead_metrics
+from .common import N_ACCESSES, overhead_metrics, price
 
 CACHE = CacheConfig(size=1024, line_size=32, associativity=2)
 MEM = MemoryConfig(size=1 << 21, latency=40)
@@ -60,17 +60,13 @@ def task_scrambling_probe(ctx: TaskContext) -> dict:
 
 def task_gi_reordering(ctx: TaskContext) -> dict:
     trace = list(iter_sequential_code(ctx.n(N_ACCESSES), code_size=IMAGE_SIZE))
-    rows = []
-    for label, reorder in (("chained layout", False),
-                           ("chained + reordered", True)):
-        result = measure(
-            "gi", trace,
-            engine_params={"region_size": 512, "authenticate": False,
-                           "reorder": reorder},
-            image=bytes(IMAGE_SIZE), cache_config=CACHE, mem_config=MEM,
-        )
-        rows.append({"design": label, **overhead_metrics(result)})
-    return {"rows": rows}
+    designs = (("chained layout", False), ("chained + reordered", True))
+    results = price(trace, *(
+        ("gi", {"region_size": 512, "authenticate": False,
+                "reorder": reorder}) for _, reorder in designs),
+        image=bytes(IMAGE_SIZE), cache_config=CACHE, mem_config=MEM)
+    return {"rows": [{"design": label, **overhead_metrics(result)}
+                     for (label, _), result in zip(designs, results)]}
 
 
 def render(results: dict) -> str:

@@ -248,13 +248,13 @@ def run_trace(
 def require_replayable(trace, caller: str) -> None:
     """Reject a one-shot trace stream before ``caller`` replays it.
 
-    Overhead measurements run the trace twice (secured, then baseline).
+    Pricing runs the trace once per engine and once for the baseline.
     A one-shot :class:`~repro.traces.stream.TraceStream` (or its compiled
     form) raises ``TypeError`` here, up front, instead of failing or
     feeding the second run nothing after the first has been paid for.
     """
     if not getattr(trace, "replayable", True):
         raise TypeError(
-            f"{caller} replays the trace twice; build the stream from a "
+            f"{caller} replays the trace; build the stream from a "
             "factory (e.g. repro.traces.stream_workload) so it can replay"
         )

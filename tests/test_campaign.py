@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.analysis import measure_overhead
 from repro.campaign import (
     CampaignCoordinator,
     CampaignSpec,
@@ -18,7 +17,7 @@ from repro.campaign.bench import scaling_grid
 from repro.core.registry import make_engine
 from repro.runner import ResultCache, stable_floats, task_seed, \
     to_canonical_json
-from repro.sim import CacheConfig, MemoryConfig
+from repro.sim import CacheConfig, MemoryConfig, run_trace
 from repro.traces import make_workload
 
 SMALL = CampaignSpec(
@@ -236,23 +235,26 @@ SHARED_BASELINE = CampaignSpec(
 
 
 def _measured(params):
-    """One overhead point priced the reference way: ``measure_overhead``
-    runs the secured system and its own baseline side by side."""
-    result = measure_overhead(
-        lambda: make_engine(params["engine"], functional=False),
-        make_workload(params["workload"], n=params["accesses"],
-                      seed=params["seed"]),
+    """One overhead point priced the reference way, without the pricing
+    function: two direct ``run_trace`` calls, the secured system and its
+    own plaintext baseline."""
+    trace = make_workload(params["workload"], n=params["accesses"],
+                          seed=params["seed"])
+    system = dict(
         cache_config=CacheConfig(size=params["cache_size"],
                                  line_size=params["line_size"],
                                  associativity=params["associativity"]),
         mem_config=MemoryConfig(latency=params["latency"]),
     )
-    secured, baseline = result.secured, result.baseline
+    secured = run_trace(
+        trace, engine=make_engine(params["engine"], functional=False),
+        **system)
+    baseline = run_trace(trace, engine=None, **system)
     return stable_floats({
         "accesses": secured.accesses,
         "cycles": secured.cycles,
         "baseline_cycles": baseline.cycles,
-        "overhead": round(result.overhead, 6),
+        "overhead": round(secured.overhead_vs(baseline), 6),
         "miss_rate": round(baseline.miss_rate, 6),
         "cache_hits": secured.cache_hits,
         "cache_misses": secured.cache_misses,
@@ -266,12 +268,12 @@ def _measured(params):
 def baseline_runs(monkeypatch):
     """Record every plaintext-baseline system run by its configuration
     (the compiled trace object stands for workload, accesses, seed and
-    line size: the worker compiles each once)."""
-    import repro.sim.system as system
+    line size: the worker compiles each once).  The baseline runs in the
+    pricing function, ``repro.analysis.overhead.price_engines``."""
+    import repro.analysis.overhead as overhead
 
-    worker._baseline.cache_clear()
     keys = []
-    run_trace = system.run_trace
+    run_trace = overhead.run_trace
 
     def spy(trace, engine=None, **kwargs):
         if engine is None:
@@ -280,9 +282,8 @@ def baseline_runs(monkeypatch):
                          memory.latency, id(trace)))
         return run_trace(trace, engine=engine, **kwargs)
 
-    monkeypatch.setattr(system, "run_trace", spy)
-    yield keys
-    worker._baseline.cache_clear()
+    monkeypatch.setattr(overhead, "run_trace", spy)
+    return keys
 
 
 class TestSharedBaseline:
@@ -315,18 +316,46 @@ class TestSharedBaseline:
         assert result.executed == spec.size == 1296
         assert len(baseline_runs) == len(set(baseline_runs)) == 144
 
-    def test_execute_point_alone_matches_the_shard(self, tmp_path):
+    def test_execute_point_alone_matches_the_shard(self, tmp_path,
+                                                   baseline_runs):
         result = CampaignCoordinator(SHARED_BASELINE, workers=1,
                                      cache_dir=tmp_path / "c").run()
-        # Reversed grid order: nearly every call misses the one-group
-        # memo, and the first one finds the shard's last group in it.
-        for point in reversed(SHARED_BASELINE.points()):
+        del baseline_runs[:]
+        # A lone point is a one-point group: it runs its own baseline.
+        points = SHARED_BASELINE.points()
+        for point in reversed(points):
             assert execute_point(point.kind, dict(point.params)) == \
                 result.points[point.name]
-        worker._baseline.cache_clear()
-        point = SHARED_BASELINE.points()[0]
-        assert execute_point(point.kind, dict(point.params)) == \
-            result.points[point.name]
+        assert len(baseline_runs) == len(points)
+
+    def test_shard_publishes_each_point_before_the_next_runs(
+            self, tmp_path, monkeypatch):
+        """A group is one lazy pricing iteration, yet each point reaches
+        the cache before the next secured run of its group starts, so an
+        interrupted shard keeps every point it finished."""
+        import repro.analysis.overhead as overhead
+
+        spec = CampaignSpec(engines=("stream", "xom", "aegis", "best"),
+                            workloads=("mixed",), accesses=(256,),
+                            cache_sizes=(1024,), latencies=(20,))
+        items = [(p.name, p.kind, dict(p.params), f"point-{i}")
+                 for i, p in enumerate(spec.points())]
+        assert len({worker._baseline_key(params)
+                    for _, _, params, _ in items}) == 1
+        cache = ResultCache(tmp_path)
+        published = []
+        run_trace = overhead.run_trace
+
+        def spy(trace, engine=None, **kwargs):
+            if engine is not None:
+                published.append(sum(cache.get(key) is not None
+                                     for *_, key in items))
+            return run_trace(trace, engine=engine, **kwargs)
+
+        monkeypatch.setattr(overhead, "run_trace", spy)
+        worker.execute_shard((0, items, str(tmp_path)))
+        assert published == [0, 1, 2, 3]
+        assert all(cache.get(key) is not None for *_, key in items)
 
 
 class TestFaultsCampaign:

@@ -87,6 +87,46 @@ class TestCommands:
             assert make_engine(name).name in out
 
 
+class TestSurvey:
+    def test_one_baseline_same_table_as_pricing_each_engine_alone(
+            self, capsys, monkeypatch):
+        """``survey`` builds the mixed trace once and runs one baseline;
+        its stdout is byte for byte the table of each engine priced alone
+        through ``engine_overhead``."""
+        import repro.analysis.overhead as overhead
+        from repro.analysis import format_gates, format_percent, \
+            format_table
+        from repro.api import engine_overhead
+        from repro.attacks import rate_engine
+
+        baselines = []
+        run_trace = overhead.run_trace
+
+        def spy(trace, engine=None, **kwargs):
+            if engine is None:
+                baselines.append(trace)
+            return run_trace(trace, engine=engine, **kwargs)
+
+        monkeypatch.setattr(overhead, "run_trace", spy)
+        assert main(["survey", "--accesses", "300"]) == 0
+        out = capsys.readouterr().out
+        assert len(baselines) == 1
+        monkeypatch.undo()
+        rows = []
+        for name in engine_names(survey_only=True):
+            result = engine_overhead(name, "mixed", accesses=300)
+            engine = make_engine(name)
+            rows.append([
+                name, format_percent(result.overhead),
+                format_gates(engine.area().total),
+                rate_engine(engine.name).highest_class_withstood or "none",
+            ])
+        assert out == format_table(
+            ["engine", "mixed overhead", "area", "withstands class"],
+            rows, title="The survey, measured (mixed workload)",
+        ) + "\n"
+
+
 class TestBench:
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["bench", "--experiments", "e99", "--no-cache"]) == 2

@@ -129,6 +129,35 @@ class TestAttackMechanics:
         assert report.fully_determined
         assert report.plaintext == firmware
 
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    @pytest.mark.parametrize("source", [
+        "JNZ 0x10\n MOV A, #2\n OUT\n .org 0x10\n MOV A, #1\n OUT\n HALT",
+        "MOV R1, #5\n MOV A, #2\n OUT\n HALT",
+    ], ids=["jnz", "mov-r-imm"])
+    def test_jnz_start_is_not_mov_r_imm(self, attack, source):
+        """From reset A=0, so JNZ falls through its three bytes with no
+        visible effect, as MOV R,#imm does; the attack must tell the two
+        apart by the register MOV R,#imm writes."""
+        firmware = assemble(source, size=128)
+        board = DallasBoard(SmallBlockCipher(b"kq"), firmware, memory_size=128)
+        report = attack(board).run()
+        assert report.fully_determined
+        assert report.plaintext == firmware
+
+    def test_jump_that_looks_like_a_fall_through(self):
+        """Under this key the phase-1 background operands (ciphertext 0 at
+        cells 1 and 2) decode to target 3, so a JMP at cell 0 moves the pc
+        by three like MOV R,#imm and JNZ; the register probe sees it
+        branch instead."""
+        firmware = assemble("JMP 0x10\n .org 0x10\n MOV A, #1\n OUT\n HALT",
+                            size=128)
+        cipher = SmallBlockCipher(b"k162608")
+        assert (cipher.decrypt_byte(1, 0), cipher.decrypt_byte(2, 0)) == (3, 0)
+        report = KuhnAttack(DallasBoard(cipher, firmware,
+                                        memory_size=128)).run()
+        assert report.ambiguous_cells[0] == {Op.JMP, Op.JZ, Op.CALL}
+        assert report.plaintext[1:] == firmware[1:]
+
     @pytest.mark.parametrize("size", [96, 97])
     def test_ret_start_on_any_board_size(self, size):
         """The jump probe's target is 0x123 mod the board size; on a

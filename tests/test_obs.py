@@ -297,12 +297,16 @@ STREAM_DIGESTS = {
     # one DallasBoard, whose probe runs report to the sink: the stream
     # gains its 1945 ``probe-run``, 5218 ``mcu-step`` and 4
     # ``attack-phase`` events after the unchanged bus-address attack's.
-    "e05": (11618, "e7f9e9f5ccc03eac715ee5b936af1510"
-                   "e2f2da33929c7e775ca0b9ff5b950690"),
+    # Re-recorded when cell 0's silent 3-byte class split MOV R,#imm from
+    # JNZ: each attack decodes E05's ``MOV R0,#imm`` with one more probe
+    # run (one ``probe-run`` and two ``mcu-step`` events, inserted where
+    # the dump decodes cell 0); every other event is unchanged.
+    "e05": (11624, "c41f956e66a70801a34e852fd63d0168"
+                   "3f32f78713ed093d9fa32f30335bed7d"),
     # The bus-address attack alone: the whole ``e05`` stream before the
-    # scrambled attack reported to the sink.
-    "e05-kuhn-attack": (4451, "255c82cd3aa43d2bc7d1d59f2f74faba"
-                              "65499cb5769a587b129d2ffa06ed2c99"),
+    # scrambled attack reported to the sink (plus the register probe).
+    "e05-kuhn-attack": (4454, "286fe37c8ddc75eb34d28a94576b0e50"
+                              "fd893cc8d02e346e6fae4077cc00bbde"),
     # Re-recorded when the hierarchy's L1 moved onto the executor: it
     # now emits one ``fill`` per L1 fill and, at L1-L2, the engine's
     # ``stall`` events (E16_KINDS pins every other kind's count).

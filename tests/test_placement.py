@@ -67,8 +67,7 @@ class TestComparison:
         assert stored - generated == sram_gates(4096)
 
     def test_baseline_is_fastest(self, comparison):
-        assert comparison.baseline.cycles <= min(
-            comparison.cache_memory.cycles,
-            comparison.cpu_cache_stored.cycles,
-            comparison.cpu_cache_generated.cycles,
-        )
+        results = list(comparison.results.values())
+        # One plaintext baseline prices all three designs.
+        assert len({id(r.baseline) for r in results}) == 1
+        assert all(r.baseline.cycles <= r.secured.cycles for r in results)

@@ -243,7 +243,7 @@ class TestTraceStream:
         stream = TraceStream(iter([bounded_trace("mixed", 50)]))
         trace = compile_trace(stream, 32) if compiled else stream
         with pytest.raises(TypeError,
-                           match=r"measure_overhead\(\) replays"):
+                           match=r"price_engines\(\) replays"):
             overhead_grid({"xom": factory}, {"mixed": trace})
         # Rejected before the secured run: the stream is still unread.
         assert not built
@@ -264,7 +264,7 @@ class TestTraceStream:
         stream = TraceStream(iter([bounded_trace("mixed", 50)]))
         trace = compile_trace(stream, 32) if compiled else stream
         with pytest.raises(TypeError,
-                           match=r"measure_overhead\(\) replays"):
+                           match=r"price_engines\(\) replays"):
             measure_overhead(factory, trace)
         assert not built
         assert len(list(stream)) == 50
