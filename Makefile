@@ -132,6 +132,17 @@ PRICE_BODY := engine=None|overhead_vs\(|def _baseline([^[:alnum:]_]|$$)|(SecureS
 PRICE_DIRS := src/repro/campaign src/repro/core src/repro/runner/experiments
 PRICE_EXEMPT := ^src/repro/runner/experiments/(e16\.py|e18\.py:task_scrambling_probe):
 
+# Port traffic moves in groups: MainMemory's and the Bus's read, write
+# and transfer calls, group forms and one-line forms alike, are made only
+# by MemoryPort (core/engine.py), and the base fill and store bodies move
+# their lines through port.read_lines/port.write_lines, never one
+# port.read(/port.write( per line (the retired per-line _fetch_line is
+# checked too).  Hits print as file:class:line or file:class.method:line.
+PORT_LAYER_CALL := (bus|memory)\.(transfer|transfer_lines|read|write|read_lines|write_lines)\(
+PORT_LAYER_HOME := ^src/repro/core/engine\.py:MemoryPort:
+PORT_LINE_CALL := port\.(read|write)\(
+GROUP_BODIES := :BusEncryptionEngine\.(fill_lines|_fetch_line|_store):
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -365,6 +376,24 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (one pricing body)"
+	@calls=$$(find src/repro -name '*.py' | sort | xargs awk \
+		'FNR == 1 {c = ""} /^class /{split($$2, d, "[(:]"); c = d[1]} \
+		/$(PORT_LAYER_CALL)/ {print FILENAME ":" c ":" FNR ": " $$0}' \
+		| grep -vE '$(PORT_LAYER_HOME)' || true); \
+	lines=$$(awk '/^class /{split($$2, d, "[(:]"); c = d[1]; f = c} \
+		/^    def /{split($$2, d, "("); f = c "." d[1]} \
+		/$(PORT_LINE_CALL)/ {print FILENAME ":" f ":" FNR ": " $$0}' \
+		src/repro/core/engine.py | grep -E '$(GROUP_BODIES)' || true); \
+	if [ -n "$$calls$$lines" ]; then \
+		echo "lint: port traffic moves in groups: only MemoryPort calls" >&2; \
+		echo "      the memory and bus (group or one-line forms), and" >&2; \
+		echo "      the base fill_lines/_store make no per-line" >&2; \
+		echo "      port.read(/port.write( call:" >&2; \
+		[ -z "$$calls" ] || echo "$$calls" >&2; \
+		[ -z "$$lines" ] || echo "$$lines" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (port traffic moves in groups)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -337,8 +337,6 @@ class CipherInstructionSearch:
             return (Op.MOV_A_DIR if shape == 3 else Op.MOVI_A), None
         if data_write:
             return (Op.MOV_DIR_A if shape == 3 else Op.MOVI_ST), None
-        if shape == 4:
-            return Op.DJNZ, None
         return self._decode_silent0(factory0, shape)
 
     def _decode_fall3(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
@@ -514,9 +512,28 @@ class KuhnAttack(CipherInstructionSearch):
             return self._decode_fall3(factory0)
         if shape == "jump":
             return self._decode_jump0(factory0)
+        if shape == 4:
+            # DJNZ is the one 4-byte instruction, and from reset it always
+            # branches: next_pc 4 is a branch whose phase-1 target was 4.
+            return self._decode_landed0(factory0, shape)
         if shape == 2:
             return self._decode_two_byte0(factory0)
         return self._decode_one_byte0(factory0)
+
+    def _decode_landed0(self, factory0: int, shape: int
+                        ) -> Tuple[int, Optional[Set[int]]]:
+        """Decode a branch at cell 0 whose phase-1 target (from the zero
+        background's operands) was ``shape``, so that it looked like a
+        ``shape``-byte fall-through.  The forged operands of
+        :meth:`_decode_jump0` move any branch's target; RET, which lands
+        at 0, never looks like a fall-through, so its verdict here means
+        the instruction was no branch after all."""
+        op, ambiguity = self._decode_jump0(factory0)
+        if op == Op.RET:
+            raise AttackFailure(
+                f"cell-0 {shape}-byte probe lost its OUT" if shape < 4
+                else "cell-0 4-byte fall-through is not DJNZ")
+        return op, ambiguity
 
     def _decode_jump0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
         """Separate RET, DJNZ and the taken-branch family using the known
@@ -554,7 +571,8 @@ class KuhnAttack(CipherInstructionSearch):
                 2: self._forge(2, Op.OUT),
             }, 2)
             if len(events) < 2 or events[1].port_write is None:
-                raise AttackFailure("cell-0 2-byte probe lost its OUT")
+                # Not a 2-byte instruction: a branch that landed on 2.
+                return self._decode_landed0(factory0, 2)
             outputs.append(events[1].port_write)
         if outputs == [0x05, 0x5A]:
             # A = imm with A=0 entry: MOV/ADD/ORL/XRL are indistinguishable.
@@ -568,7 +586,8 @@ class KuhnAttack(CipherInstructionSearch):
         """Split the 1-byte fall-through class via the accumulator."""
         events = self._probe({0: factory0, 1: self._forge(1, Op.OUT)}, 2)
         if len(events) < 2 or events[1].port_write is None:
-            raise AttackFailure("cell-0 1-byte probe lost its OUT")
+            # Not a 1-byte instruction: a branch that landed on 1.
+            return self._decode_landed0(factory0, 1)
         a_after = events[1].port_write
         if a_after == 1:
             return Op.INC_A, None

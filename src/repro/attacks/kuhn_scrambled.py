@@ -186,6 +186,8 @@ class PortBasedKuhnAttack(CipherInstructionSearch):
 
     def _decode_silent0(self, factory0: int,
                         shape: object) -> Tuple[int, Optional[Set[int]]]:
+        if shape == 4:
+            return Op.DJNZ, None
         if shape == 3:
             # MOV_R_IMM, JNZ or a taken branch: all fetch 3 bytes.  The
             # branch lands at the decoded target, which with forged

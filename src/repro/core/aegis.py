@@ -154,19 +154,16 @@ class AegisEngine(BlockModeEngine):
 
     # -- timing ---------------------------------------------------------------
 
-    def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
+    def _read_cost(self, nbytes: int) -> int:
         # One pipeline pass to produce the IV, then the CBC decryption drain
         # (block i needs only ciphertext, so blocks pipeline behind the bus
         # beats); the processor waits for the whole line regardless.
-        base = super().read_extra_cycles(addr, nbytes, mem_cycles)
-        return self.unit.latency + base
+        return self.unit.latency + super()._read_cost(nbytes)
 
-    def write_extra_cycles(self, addr: int, nbytes: int) -> int:
+    def _write_cost(self, nbytes: int) -> int:
         # IV generation, then a *serial* CBC encryption chain: block i cannot
         # be issued before block i-1's ciphertext exists.
-        nblocks = self._nblocks(nbytes)
-        self.stats.blocks_processed += nblocks
-        return self.unit.latency + nblocks * self.unit.latency
+        return self.unit.latency + self._nblocks(nbytes) * self.unit.latency
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

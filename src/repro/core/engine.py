@@ -20,11 +20,13 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..crypto.kernels import tdes_kernel
 from ..crypto.modes import CBC, xor_bytes
-from ..obs import EventSink
+from ..obs import EventSink, no_events
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit
 
@@ -32,6 +34,12 @@ __all__ = ["Placement", "EngineStats", "MemoryPort", "BusEncryptionEngine",
            "NullEngine", "BlockModeEngine", "TweakedECBEngine",
            "ChainedTDESEngine", "WrappedEngine", "LineAuthEngine",
            "TamperDetected", "TamperVerdicts"]
+
+
+def _tally(sink: EventSink, kind: str, count: int, nbytes: int) -> None:
+    """Hand a group's ``count`` events of one kind to a count-only sink."""
+    if count:
+        sink.emit_bulk(kind, count, nbytes, no_events)
 
 
 class TamperDetected(Exception):
@@ -95,8 +103,18 @@ class MemoryPort:
 
     Bundles the functional memory, the observable bus and the timing
     configuration; every engine transfer goes through here, one memory
-    access and one bus transfer each, so that the bus events carry exactly
-    the bytes that cross the chip boundary.
+    access and one bus transfer per line, so that the bus events carry
+    exactly the bytes that cross the chip boundary.
+
+    A group of lines is one :meth:`read_lines` or :meth:`write_lines`
+    call: the bus's group form (:meth:`Bus.transfer_lines`) over the
+    memory's (:meth:`MainMemory.read_lines`/``write_lines``), stamped with
+    one cycle.  Both are lazy, one line per ``next``: the memory checks
+    the group's range, prices its lines once per line size, and each
+    layer updates its counters and tallies a count-only sink once per
+    group, while each line still crosses every interposer, and reaches a
+    sink that keeps events, before the caller's work on it and before the
+    next line moves.  :meth:`read` and :meth:`write` are one-line groups.
     """
 
     def __init__(self, memory, bus, clock=None):
@@ -105,23 +123,39 @@ class MemoryPort:
         self._clock = clock  # callable returning current cycle, for events
 
     def _cycle(self) -> int:
-        return self._clock() if self._clock else 0
+        clock = self._clock
+        return clock() if clock else 0
+
+    def read_lines(self, addrs: Sequence[int], nbytes: int
+                   ) -> Iterator[Tuple[int, bytes, int]]:
+        """Read ``nbytes`` at each of ``addrs``, in order; yields each
+        line's (addr, data, cycles) once it has crossed the bus.
+
+        The engine receives the bytes :meth:`MainMemory.read_lines`
+        returned, so a memory interposer tampers with exactly what the
+        chip decrypts.  A caller that stops early closes the generator,
+        which leaves the counters holding the lines read so far.
+        """
+        return self.bus.transfer_lines(
+            "read", self.memory.read_lines(addrs, nbytes), self._cycle())
+
+    def write_lines(self, items: Sequence[Tuple[int, bytes]]
+                    ) -> Iterator[Tuple[int, bytes, int]]:
+        """Write ``(addr, data)`` items, in order; yields each one's
+        (addr, data, cycles) once it has crossed the bus."""
+        return self.bus.transfer_lines(
+            "write", self.memory.write_lines(items), self._cycle())
 
     def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
-        """Read ``nbytes``; returns (data, cycles).
-
-        The engine receives the bytes :meth:`MainMemory.read` returned, so
-        a memory interposer tampers with exactly what the chip decrypts.
-        """
-        data = self.memory.read(addr, nbytes)
-        self.bus.transfer("read", addr, data, self._cycle())
-        return data, self.memory.config.read_cycles(nbytes)
+        """Read ``nbytes``; returns (data, cycles): a one-line
+        :meth:`read_lines`."""
+        [(_, data, cycles)] = self.read_lines((addr,), nbytes)
+        return data, cycles
 
     def write(self, addr: int, data: bytes) -> int:
-        """Write ``data``; returns cycles."""
-        self.memory.write(addr, data)
-        self.bus.transfer("write", addr, data, self._cycle())
-        return self.memory.config.write_cycles(len(data))
+        """Write ``data``; returns cycles: a one-line :meth:`write_lines`."""
+        [(_, _, cycles)] = self.write_lines(((addr, data),))
+        return cycles
 
 
 class BusEncryptionEngine(ABC):
@@ -248,6 +282,23 @@ class BusEncryptionEngine(ABC):
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
         """Cycles added to a full-line write beyond the raw memory store."""
 
+    def read_extra_cycles_for(self, nbytes: int
+                              ) -> Callable[[int, int, int], int]:
+        """The group form of :meth:`read_extra_cycles`: the per-line cost,
+        called like it, of the ``nbytes``-byte lines of one fill group.
+
+        Resolved once per group.  By default it is
+        :meth:`read_extra_cycles` itself, line by line; an engine whose
+        line cost depends only on the line's size prices the group once.
+        """
+        return self.read_extra_cycles
+
+    def write_extra_cycles_for(self, nbytes: int
+                               ) -> Callable[[int, int], int]:
+        """The group form of :meth:`write_extra_cycles`, as
+        :meth:`read_extra_cycles_for` is of the read side."""
+        return self.write_extra_cycles
+
     def per_access_cycles(self) -> int:
         """Cycles added to *every* CPU access (CPU-cache placement only)."""
         return 0
@@ -273,7 +324,8 @@ class BusEncryptionEngine(ABC):
     #
     # ``fill_lines`` is the one fill path.  The batched trace executor
     # (repro.sim.fastpath) hands it whole groups of deferred misses;
-    # ``fill_line`` is a one-line group.  The byte transform behind it is
+    # ``fill_line`` is a one-line group.  The group is one port
+    # ``read_lines`` call, and the byte transform behind it is
     # ``decrypt_lines``, called once per group, so an engine whose lines
     # carry no state between them batches its cipher work across the group
     # by defining ``decrypt_lines`` alone.  An engine that authenticates
@@ -287,11 +339,49 @@ class BusEncryptionEngine(ABC):
                    line_size: int) -> List[Tuple[bytes, int]]:
         """Service a group of cache-line fills; one (plaintext, cycles) each.
 
-        Every line is fetched in order (:meth:`_fetch_line`), then a
-        functional engine deciphers the group in one :meth:`decrypt_lines`
-        call.  A timing-only engine never runs the cipher.
+        The lines come in through one :meth:`MemoryPort.read_lines` call.
+        Each, in order and before the next is read, passes
+        :meth:`_verify_fill`, pays its read extra
+        (:meth:`read_extra_cycles_for`) and reports its ``decipher`` and
+        ``stall`` events to a sink that keeps events.  The stats and a
+        count-only sink's tallies are updated once per group, for the
+        lines done when a line raises.  Then a functional engine
+        deciphers the group in one :meth:`decrypt_lines` call; a
+        timing-only engine never runs the cipher.
         """
-        fetched = [self._fetch_line(port, addr, line_size) for addr in addrs]
+        line_extra = self.read_extra_cycles_for(line_size)
+        verify = None if type(self)._verify_fill \
+            is BusEncryptionEngine._verify_fill else self._verify_fill
+        sink = self.sink if self._cipher_events else None
+        keeper = sink if sink is not None and sink.keeps_events else None
+        fetched: List[Tuple[bytes, int]] = []
+        append = fetched.append
+        stalls = stall_cycles = 0
+        lines = port.read_lines(addrs, line_size)
+        try:
+            for addr, ciphertext, mem_cycles in lines:
+                extra = 0 if verify is None else verify(
+                    port, addr, line_size, ciphertext, mem_cycles)
+                extra += line_extra(addr, line_size, mem_cycles)
+                append((ciphertext, mem_cycles + extra))
+                if extra:
+                    stalls += 1
+                    stall_cycles += extra
+                if keeper is not None:
+                    keeper.note("decipher", addr=addr, size=line_size)
+                    if extra:
+                        keeper.note("stall", addr=addr, size=extra,
+                                    detail="read")
+        except BaseException:
+            lines.close()
+            raise
+        finally:
+            done = len(fetched)
+            self.stats.lines_decrypted += done
+            self.stats.extra_read_cycles += stall_cycles
+            if sink is not None and keeper is None:
+                _tally(sink, "decipher", done, done * line_size)
+                _tally(sink, "stall", stalls, stall_cycles)
         if not self.functional or not fetched:
             return fetched
         plaintexts = self.decrypt_lines([
@@ -305,34 +395,12 @@ class BusEncryptionEngine(ABC):
         """Service one cache-line fill: a one-line :meth:`fill_lines`."""
         return self.fill_lines(port, (addr,), line_size)[0]
 
-    def _fetch_line(self, port: MemoryPort, addr: int, line_size: int
-                    ) -> Tuple[bytes, int]:
-        """One line of :meth:`fill_lines` up to its decrypt.
-
-        The bus read, :meth:`_verify_fill`, :meth:`read_extra_cycles`, the
-        stats and the ``decipher``/``stall`` events; returns (ciphertext,
-        total cycles).
-        """
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        verify = self._verify_fill(port, addr, line_size, ciphertext,
-                                   mem_cycles)
-        extra = verify + self.read_extra_cycles(addr, line_size, mem_cycles)
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += extra
-        # Miss-path hot loop: guard inline so the disabled path costs one
-        # is-None test, not a method call per fill.
-        if self.sink is not None:
-            self._emit("decipher", addr, line_size)
-            if extra:
-                self._emit("stall", addr, extra, "read")
-        return ciphertext, mem_cycles + extra
-
     def _verify_fill(self, port: MemoryPort, addr: int, line_size: int,
                      ciphertext: bytes, mem_cycles: int) -> int:
         """Authenticate one fetched line before it is deciphered; returns
         the cycles the check adds to the fill, counted as read stall.
 
-        Runs between the bus read and :meth:`read_extra_cycles`.  A line
+        Runs between the line's bus read and its read extra.  A line
         that fails records its verdict through :meth:`verify_line` and
         raises a :class:`TamperDetected`, so no line of its group reaches
         :meth:`decrypt_lines`.  No check by default.
@@ -388,19 +456,52 @@ class BusEncryptionEngine(ABC):
                ) -> List[int]:
         """Encrypt and store ``(addr, plaintext)`` items, stats and events
         included; returns each one's cycles.  The body of
-        :meth:`spill_lines` and of an aligned :meth:`write_partial`."""
-        ciphertexts = self.encrypt_lines(items) if self.functional \
-            else [plaintext for _, plaintext in items]
-        stats = self.stats
-        out = []
-        for (addr, plaintext), ciphertext in zip(items, ciphertexts):
-            extra = self.write_extra_cycles(addr, len(plaintext))
-            stats.extra_write_cycles += extra
-            if self.sink is not None:
-                self._emit("encipher", addr, len(plaintext))
+        :meth:`spill_lines` and of an aligned :meth:`write_partial`.
+
+        The group is one :meth:`MemoryPort.write_lines` call.  Each line,
+        in order, pays its write extra (:meth:`write_extra_cycles_for`)
+        and reports its ``encipher`` and ``stall`` events to a sink that
+        keeps events before it is stored; the stats and a count-only
+        sink's tallies are updated once per group.
+        """
+        stored = [(addr, ciphertext) for (addr, _), ciphertext
+                  in zip(items, self.encrypt_lines(items))] \
+            if self.functional else items
+        sink = self.sink if self._cipher_events else None
+        keeper = sink if sink is not None and sink.keeps_events else None
+        out: List[int] = []
+        done = nbytes = stalls = stall_cycles = 0
+        size = line_extra = None
+        writes = port.write_lines(stored)
+        write, append = writes.__next__, out.append
+        try:
+            for addr, plaintext in items:
+                if len(plaintext) != size:
+                    size = len(plaintext)
+                    line_extra = self.write_extra_cycles_for(size)
+                extra = line_extra(addr, size)
+                done += 1
+                nbytes += size
                 if extra:
-                    self._emit("stall", addr, extra, "write")
-            out.append(extra + port.write(addr, ciphertext))
+                    stalls += 1
+                    stall_cycles += extra
+                if keeper is not None:
+                    keeper.note("encipher", addr=addr, size=size)
+                    if extra:
+                        keeper.note("stall", addr=addr, size=extra,
+                                    detail="write")
+                append(extra + write()[2])
+            # Run the port's generator to its end, so its layers count
+            # the group.
+            next(writes, None)
+        except BaseException:
+            writes.close()
+            raise
+        finally:
+            self.stats.extra_write_cycles += stall_cycles
+            if sink is not None and keeper is None:
+                _tally(sink, "encipher", done, nbytes)
+                _tally(sink, "stall", stalls, stall_cycles)
         return out
 
     @staticmethod
@@ -537,18 +638,57 @@ class BlockModeEngine(BusEncryptionEngine):
         beats_per_block = -(-self.cipher_block // self.bus_width)
         return max(1, beats_per_block * self.cycles_per_beat)
 
+    def _read_cost(self, nbytes: int) -> int:
+        """Cycles a fill of ``nbytes`` adds: a function of the size alone.
+
+        A block can be issued to the decipher pipeline once its bus beats
+        have arrived; the fill's critical path therefore extends past the
+        last beat by the pipeline drain time.
+        """
+        return self.unit.drain_after_arrivals(self._nblocks(nbytes),
+                                              self._arrival_interval())
+
+    def _write_cost(self, nbytes: int) -> int:
+        """Cycles a write of ``nbytes`` adds: a function of the size alone."""
+        return self.unit.time_for(self._nblocks(nbytes))
+
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
-        nblocks = self._nblocks(nbytes)
-        self.stats.blocks_processed += nblocks
-        # A block can be issued to the decipher pipeline once its bus beats
-        # have arrived; the fill's critical path therefore extends past the
-        # last beat by the pipeline drain time.
-        return self.unit.drain_after_arrivals(nblocks, self._arrival_interval())
+        self.stats.blocks_processed += self._nblocks(nbytes)
+        return self._read_cost(nbytes)
 
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
+        self.stats.blocks_processed += self._nblocks(nbytes)
+        return self._write_cost(nbytes)
+
+    # A line's cost is a function of its size, so a group prices its size
+    # once and each line only counts its blocks.  An engine (or instance)
+    # that overrides the per-line method keeps it, line by line.
+
+    def read_extra_cycles_for(self, nbytes: int):
+        return self._sized_cost("read_extra_cycles", nbytes)
+
+    def write_extra_cycles_for(self, nbytes: int):
+        return self._sized_cost("write_extra_cycles", nbytes)
+
+    def _sized_cost(self, name: str, nbytes: int):
+        """The per-line ``name`` for ``nbytes``-byte lines: priced once for
+        the group, each line only counting its blocks.  Where the engine's
+        class or the instance itself overrides the per-line method, that
+        method, line by line."""
+        own = self.__dict__.get(name)
+        if own is not None:
+            return own
+        if getattr(type(self), name) is not getattr(BlockModeEngine, name):
+            return getattr(self, name)
+        stats = self.stats
         nblocks = self._nblocks(nbytes)
-        self.stats.blocks_processed += nblocks
-        return self.unit.time_for(nblocks)
+        extra = (self._read_cost if name == "read_extra_cycles"
+                 else self._write_cost)(nbytes)
+
+        def line_cost(addr: int, size: int, mem_cycles: int = 0) -> int:
+            stats.blocks_processed += nblocks
+            return extra
+        return line_cost
 
 
 class TweakedECBEngine(BlockModeEngine):

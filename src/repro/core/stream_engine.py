@@ -158,14 +158,18 @@ class StreamCipherEngine(BusEncryptionEngine):
 
     # -- system hooks ----------------------------------------------------------
 
-    def _fetch_line(self, port: MemoryPort, addr: int, line_size: int
-                    ) -> Tuple[bytes, int]:
-        fetched = super()._fetch_line(port, addr, line_size)
-        # Pad-ahead: precompute keystream for the next sequential lines
-        # before the group's next line looks up the pad cache.
-        for i in range(1, self.pad_ahead_depth + 1):
-            self._cache_pad(addr + i * line_size)
-        return fetched
+    def read_extra_cycles_for(self, nbytes: int):
+        # Per line, because the pad-ahead moves the pad cache between the
+        # lines of a group: each line's lookup, then keystream for the
+        # next sequential lines before the group's next line looks up.
+        read_extra = self.read_extra_cycles
+
+        def line_cost(addr: int, size: int, mem_cycles: int) -> int:
+            extra = read_extra(addr, size, mem_cycles)
+            for i in range(1, self.pad_ahead_depth + 1):
+                self._cache_pad(addr + i * size)
+            return extra
+        return line_cost
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:

@@ -48,6 +48,7 @@ from .sinks import (
     RingBufferSink,
     TallySink,
     TeeSink,
+    no_events,
     replay,
 )
 from .summary import (
@@ -60,7 +61,7 @@ __all__ = [
     "TraceEvent", "EVENT_KINDS", "BUS_KINDS", "CACHE_KINDS", "CIPHER_KINDS",
     "FAULT_KINDS",
     "EventSink", "NullSink", "TallySink", "CounterSink", "RingBufferSink",
-    "RecordingSink", "JsonlSink", "TeeSink", "replay",
+    "RecordingSink", "JsonlSink", "TeeSink", "replay", "no_events",
     "scope", "current_sink",
     "observability_section", "merge_observability", "format_counter_table",
 ]

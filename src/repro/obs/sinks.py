@@ -30,7 +30,7 @@ from .events import TraceEvent
 
 __all__ = [
     "EventSink", "NullSink", "TallySink", "CounterSink", "RingBufferSink",
-    "RecordingSink", "JsonlSink", "TeeSink", "replay",
+    "RecordingSink", "JsonlSink", "TeeSink", "replay", "no_events",
 ]
 
 
@@ -47,7 +47,9 @@ class EventSink:
     #: Whether this sink needs the events themselves.  When False, the
     #: batched executor (:mod:`repro.sim.fastpath`) keeps per-kind tallies
     #: of its per-access events and hands them over through
-    #: :meth:`emit_bulk` at the end of a run.
+    #: :meth:`emit_bulk` at the end of a run, and the port layers (engine
+    #: fill and store, memory, bus) hand over one tally per kind per
+    #: group of lines.
     keeps_events = True
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - abstract
@@ -70,9 +72,11 @@ class EventSink:
         The batched fast path (:mod:`repro.sim.fastpath`) reports whole
         runs of cache hits to an event-keeping sink through this hook,
         and hands a count-only sink one tally per per-access kind at the
-        end of a run.  ``events`` is a zero-argument callable producing
-        the individual events; it may be invoked more than once (e.g.
-        under a :class:`TeeSink` fanning out to two event-keeping sinks).
+        end of a run; the port layers hand a count-only sink one tally
+        per kind per fill or spill group.  ``events`` is a zero-argument
+        callable producing the individual events; it may be invoked more
+        than once (e.g. under a :class:`TeeSink` fanning out to two
+        event-keeping sinks).
 
         Contract: for any sink, ``emit_bulk(kind, n, total, events)``
         must leave the same *aggregate* state (counts, byte totals) as
@@ -94,6 +98,16 @@ class EventSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def no_events() -> Iterable[TraceEvent]:
+    """The ``events`` argument of a tally handed to a count-only sink.
+
+    There are no events behind a tally, so a sink whose ``keeps_events``
+    is False must never call it (see :meth:`EventSink.emit_bulk`).
+    """
+    raise RuntimeError("a sink whose keeps_events is False asked for the "
+                       "events behind a tally")
 
 
 class NullSink(EventSink):

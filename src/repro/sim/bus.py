@@ -9,16 +9,26 @@ carrying exactly the bytes that cross the chip boundary: ciphertext when
 an engine is present, plaintext when not.  A probe is a sink over those
 events (:class:`repro.attacks.probe.BusProbe`); an attacker driving the
 wires is a :class:`~repro.sim.memory.MainMemory` interposer.
+
+Transfers come in groups (:meth:`Bus.transfer_lines`, one line per
+``next``): a group shares one cycle stamp and pays its counter update
+and, for a count-only sink, its ``bus-read``/``bus-write`` tally once,
+while a sink that keeps events still gets one event per transfer, in
+order.  Only :class:`repro.core.engine.MemoryPort` drives the bus
+(``make lint``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
-from ..obs import EventSink
+from ..obs import EventSink, no_events
 
 __all__ = ["BusTransaction", "Bus"]
+
+#: The event kind of each bus op.
+_KINDS = {"read": "bus-read", "write": "bus-write"}
 
 
 @dataclass(frozen=True)
@@ -32,25 +42,62 @@ class BusTransaction:
 
 
 class Bus:
-    """External bus: counts traffic and emits one event per transfer."""
+    """External bus: counts traffic and announces every transfer.
+
+    :meth:`transfer_lines` carries a group of transfers, one line per
+    ``next``; :meth:`transfer` is a one-line group.
+    """
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.transactions = 0
         self.bytes_transferred = 0
         self.sink = sink
 
-    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> None:
-        """Announce a transfer of ``data`` at ``addr``."""
-        if op not in ("read", "write"):
+    def transfer_lines(self, op: str, items: Iterable[Tuple],
+                       cycle: int) -> Iterator[Tuple]:
+        """Announce a transfer of each item's data at its address (an
+        item is ``(addr, data, ...)``), lazily: each item is yielded,
+        unchanged, once it has crossed, so the caller's work on one line
+        comes before the next line's transfer.
+
+        The group shares one cycle stamp and pays one counter update and,
+        for a count-only sink, one ``bus-<op>`` tally, when the generator
+        finishes or is closed; closing it closes ``items``.  A sink that
+        keeps events gets one event per transfer, in order.
+        """
+        kind = _KINDS.get(op)
+        if kind is None:
             raise ValueError(f"unknown bus op {op!r}")
-        self.transactions += 1
-        self.bytes_transferred += len(data)
-        if self.sink is not None:
-            # The event carries the payload itself (a reference, not a
-            # copy): sinks standing in for board-level probes see exactly
-            # the bytes that crossed the chip boundary.
-            self.sink.note(f"bus-{op}", addr=addr, size=len(data),
-                           cycle=cycle, data=data)
+        sink = self.sink
+        keeper = sink if sink is not None and sink.keeps_events else None
+        count = nbytes = 0
+        try:
+            for item in items:
+                count += 1
+                nbytes += len(item[1])
+                if keeper is not None:
+                    # The event carries the payload itself (a reference,
+                    # not a copy): sinks standing in for board-level
+                    # probes see exactly the bytes that crossed the chip
+                    # boundary.
+                    keeper.note(kind, addr=item[0], size=len(item[1]),
+                                cycle=cycle, data=item[1])
+                yield item
+        except GeneratorExit:
+            close = getattr(items, "close", None)
+            if close is not None:
+                close()
+            raise
+        finally:
+            self.transactions += count
+            self.bytes_transferred += nbytes
+            if count and sink is not None and keeper is None:
+                sink.emit_bulk(kind, count, nbytes, no_events)
+
+    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> None:
+        """Announce one transfer of ``data`` at ``addr``: a one-line
+        :meth:`transfer_lines`."""
+        [_] = self.transfer_lines(op, ((addr, data),), cycle)
 
     def reset_stats(self) -> None:
         self.transactions = 0

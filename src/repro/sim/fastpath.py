@@ -83,7 +83,7 @@ from typing import Dict, Generator, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.engine import MemoryPort, Placement
-from ..obs import TraceEvent
+from ..obs import TraceEvent, no_events
 from ..traces.arrays import KIND_BY_CODE, KIND_CODES, ArrayChunk
 from ..traces.stream import TraceStream
 from ..traces.trace import Access, AccessKind, Trace
@@ -291,11 +291,6 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     return CompiledTrace(chunk, line_size, runs)
 
 
-def _no_events() -> Iterator[TraceEvent]:
-    raise RuntimeError("a sink whose keeps_events is False asked the "
-                       "executor for the events behind a tally")
-
-
 def _compiled_chunks(trace, line_size: int) -> Iterator[CompiledTrace]:
     """Yield compiled chunks for any accepted trace shape.
 
@@ -404,11 +399,12 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
     queue_spills = engine.line_independent and isinstance(port, MemoryPort)
 
     def patch(buf: bytearray, base_addr: int, spans) -> None:
+        # The filler is a ramp, so a span cut at the line's end is the
+        # filler of the shorter span.
         for saddr, ssize in spans:
-            payload = store_payload(saddr, ssize)
             offset = saddr - base_addr
-            end = min(offset + len(payload), line_size)
-            buf[offset:end] = payload[: end - offset]
+            end = min(offset + ssize, line_size)
+            buf[offset:end] = store_payload(saddr, end - offset)
 
     def flush() -> None:
         """Send the queued spills as one group, then the deferred fills as
@@ -661,7 +657,7 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
         if sink is not None and keeper is None:
             n_accesses = cnt_fetch + cnt_load + cnt_store
             if n_accesses:
-                sink.emit_bulk("access", n_accesses, acc_bytes, _no_events)
+                sink.emit_bulk("access", n_accesses, acc_bytes, no_events)
             for kind, count in (("hit", hits - hits0),
                                 ("miss", misses - misses0),
                                 ("eviction", evictions - evictions0),
@@ -669,4 +665,4 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
                                 ("fill", n_fills)):
                 if count:
                     sink.emit_bulk(kind, count, count * line_size,
-                                   _no_events)
+                                   no_events)

@@ -23,7 +23,9 @@ moves whole lines only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..core.engine import BusEncryptionEngine, MemoryPort, NullEngine
 from ..obs import EventSink
@@ -42,12 +44,15 @@ EDU_L1_L2 = "l1-l2"
 class _L2Port:
     """The L1's memory port: a line-granular L2 in front of ``below``.
 
-    :meth:`read` is an L1 fill and :meth:`write` an L1 writeback (a whole
-    line: no fill).  Both work in place on ``cache``'s LRU lists, dirty
-    set and counters and cost its hit latency; a miss evicts the LRU
-    line, spilling it through ``below`` when dirty, and a read miss fills
-    through ``below``.  Spill cycles reach the caller only without a
-    write buffer.  Reports hit/miss/eviction/writeback to ``sink``.
+    :meth:`read_lines` takes a group of L1 fills and :meth:`write_lines`
+    a group of L1 writebacks (whole lines: no fill), in the L1's order;
+    :meth:`read` and :meth:`write` are one-line groups.  Both work in
+    place on ``cache``'s LRU lists, dirty set and counters and cost its
+    hit latency; a miss evicts the LRU line, spilling it through
+    ``below`` when dirty, and a read miss fills through ``below``.  Spill
+    cycles reach the caller only without a write buffer.  Reports
+    hit/miss/eviction/writeback to ``sink``, stamped with the group's
+    cycle.
     """
 
     def __init__(self, cache: Cache, below: BusEncryptionEngine,
@@ -63,11 +68,12 @@ class _L2Port:
         #: L2, ciphertext when it is above.
         self.data: Dict[int, bytes] = {}
 
-    def _note(self, kind: str, line: int) -> None:
+    def _note(self, kind: str, line: int, cycle: int) -> None:
         size = self.cache.config.line_size
-        self.sink.note(kind, addr=line * size, size=size, cycle=self.clock())
+        self.sink.note(kind, addr=line * size, size=size, cycle=cycle)
 
-    def _lookup(self, line: int, is_write: bool) -> Tuple[bool, int]:
+    def _lookup(self, line: int, is_write: bool, cycle: int
+                ) -> Tuple[bool, int]:
         """Touch ``line``; returns (hit, cycles so far)."""
         cache = self.cache
         cfg = cache.config
@@ -81,22 +87,22 @@ class _L2Port:
                 lines.append(line)
             cache.hits += 1
             if sink is not None:
-                self._note("hit", line)
+                self._note("hit", line, cycle)
         else:
             cache.misses += 1
             if sink is not None:
-                self._note("miss", line)
+                self._note("miss", line, cycle)
             if len(lines) >= cfg.associativity:
                 victim = lines.pop(0)
                 cache.evictions += 1
                 if sink is not None:
-                    self._note("eviction", victim)
+                    self._note("eviction", victim, cycle)
                 data = self.data.pop(victim, None)
                 if victim in cache._dirty:
                     cache._dirty.discard(victim)
                     cache.writebacks += 1
                     if sink is not None:
-                        self._note("writeback", victim)
+                        self._note("writeback", victim, cycle)
                     cycles += self._spill([(victim, data)])
             lines.append(line)
         if is_write:
@@ -112,22 +118,46 @@ class _L2Port:
             for line, data in items])
         return 0 if self.write_buffer else sum(cycles)
 
+    def read_lines(self, addrs: Sequence[int], nbytes: int
+                   ) -> Iterator[Tuple[int, bytes, int]]:
+        """Fetch each line at ``addrs`` for the L1, in order; yields each
+        one's (addr, data, cycles) before the next is looked up.  The group
+        shares one cycle stamp; the L2's state follows its traffic line by
+        line."""
+        size = self.cache.config.line_size
+        cycle = self.clock()
+        for addr in addrs:
+            line = addr // size
+            hit, cycles = self._lookup(line, False, cycle)
+            if hit:
+                data = self.data.get(line)
+                yield addr, (data if data is not None
+                             else bytes(nbytes)), cycles
+                continue
+            data, fill_cycles = self.below.fill_line(self.port, addr, nbytes)
+            self.data[line] = data = bytes(data)
+            yield addr, data, cycles + fill_cycles
+
+    def write_lines(self, items: Sequence[Tuple[int, bytes]]
+                    ) -> Iterator[Tuple[int, bytes, int]]:
+        """Take whole-line L1 writebacks of ``(addr, data)`` items, in
+        order; yields each one's (addr, data, cycles)."""
+        size = self.cache.config.line_size
+        cycle = self.clock()
+        for addr, data in items:
+            line = addr // size
+            _, cycles = self._lookup(line, True, cycle)
+            self.data[line] = bytes(data)
+            yield addr, data, cycles
+
     def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
-        """Fetch the line at ``addr`` for the L1; returns (data, cycles)."""
-        line = addr // self.cache.config.line_size
-        hit, cycles = self._lookup(line, False)
-        if hit:
-            data = self.data.get(line)
-            return (data if data is not None else bytes(nbytes)), cycles
-        data, fill_cycles = self.below.fill_line(self.port, addr, nbytes)
-        self.data[line] = data = bytes(data)
-        return data, cycles + fill_cycles
+        """Fetch one line: a one-line :meth:`read_lines`."""
+        [(_, data, cycles)] = self.read_lines((addr,), nbytes)
+        return data, cycles
 
     def write(self, addr: int, data: bytes) -> int:
-        """Take a whole-line L1 writeback; returns cycles."""
-        line = addr // self.cache.config.line_size
-        _, cycles = self._lookup(line, True)
-        self.data[line] = bytes(data)
+        """Take one writeback: a one-line :meth:`write_lines`."""
+        [(_, _, cycles)] = self.write_lines(((addr, data),))
         return cycles
 
     def flush(self) -> int:

@@ -11,15 +11,22 @@ The storage is an anonymous mapping that the kernel zero-fills page by
 page on first touch, so a memory costs neither construction time nor RSS
 for the pages a run never reads or writes: a design point that touches a
 handful of lines of a 4 MiB memory pays for those pages only.
+
+Accesses come in groups: :meth:`MainMemory.read_lines` and
+:meth:`MainMemory.write_lines` move one line per ``next`` and pay the
+range check, the counter updates and a count-only sink's tally once per
+group, while each line keeps its own slice, interposer pass and (for a
+sink that keeps events) event.  ``read``/``write`` are one-line groups.
+Only :class:`repro.core.engine.MemoryPort` calls them (``make lint``).
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..obs import EventSink
+from ..obs import EventSink, no_events
 
 #: An interposer rewrites the bytes of one access: ``fn(op, addr, data)``
 #: returns the bytes the access proceeds with (``op`` is "read"/"write").
@@ -76,9 +83,12 @@ class MainMemory:
     (:class:`repro.faults.FaultInjector` is the canonical one).  A read's
     substitute goes to the engine and leaves the array untouched, so a
     wire glitch is transient, which is how real bus glitching differs
-    from rewriting the memory array.  The bulk helpers
-    ``load_image``/``dump`` bypass interposers — they are the offline
-    install path and the attacker's own probe, not bus traffic.
+    from rewriting the memory array.  An interposer sees the lines of a
+    group one at a time, in order, each before the next is read or
+    written, so a rewrite it makes on one line's access is seen by the
+    later lines.  The bulk helpers ``load_image``/``dump`` bypass
+    interposers — they are the offline install path and the attacker's
+    own probe, not bus traffic.
     """
 
     def __init__(self, config: MemoryConfig = MemoryConfig(),
@@ -101,10 +111,13 @@ class MainMemory:
 
     def _check_range(self, addr: int, nbytes: int) -> None:
         if addr < 0 or addr + nbytes > self.config.size:
-            raise IndexError(
-                f"access [{addr}, {addr + nbytes}) outside memory of "
-                f"{self.config.size} bytes"
-            )
+            raise self._outside(addr, nbytes)
+
+    def _outside(self, addr: int, nbytes: int) -> IndexError:
+        return IndexError(
+            f"access [{addr}, {addr + nbytes}) outside memory of "
+            f"{self.config.size} bytes"
+        )
 
     def _interpose(self, op: str, addr: int, data: bytes) -> bytes:
         nbytes = len(data)
@@ -117,28 +130,108 @@ class MainMemory:
             )
         return data
 
+    def read_lines(self, addrs: Sequence[int], nbytes: int
+                   ) -> Iterator[Tuple[int, bytes, int]]:
+        """Functional reads of ``nbytes`` at each of ``addrs``, one
+        ``(addr, data, cycles)`` per ``next``, in order; ``cycles`` is the
+        config's read time, priced once for the group.
+
+        The group pays one range check, one counter update and, for a
+        count-only sink, one ``mem-read`` tally, when the generator
+        finishes or is closed.  Each line still gets its own slice, its
+        own pass through every interposer and, for a sink that keeps
+        events, its own ``mem-read`` event, before the next line is read:
+        an interposer that rewrites memory is seen by the lines after it.
+        A line outside the memory raises ``IndexError`` when it is
+        reached; the counters hold the lines read before it.
+        """
+        # The group's range check: one pass before any line moves.
+        bad = None
+        limit = self.config.size - nbytes
+        for index, addr in enumerate(addrs):
+            if addr < 0 or addr > limit:
+                bad = index
+                break
+        cycles = self.config.read_cycles(nbytes)
+        sink = self.sink
+        keeper = sink if sink is not None and sink.keeps_events else None
+        data = self._data
+        interposers = self._interposers
+        done = 0
+        try:
+            for addr in addrs if bad is None else addrs[:bad]:
+                done += 1
+                if keeper is not None:
+                    keeper.note("mem-read", addr=addr, size=nbytes)
+                line = data[addr: addr + nbytes]
+                if interposers:
+                    line = self._interpose("read", addr, line)
+                yield addr, line, cycles
+            if bad is not None:
+                raise self._outside(addrs[bad], nbytes)
+        finally:
+            self.reads += done
+            self.bytes_read += done * nbytes
+            if done and sink is not None and keeper is None:
+                sink.emit_bulk("mem-read", done, done * nbytes, no_events)
+
+    def write_lines(self, items: Sequence[Tuple[int, bytes]]
+                    ) -> Iterator[Tuple[int, bytes, int]]:
+        """Functional writes of ``(addr, data)`` items, one per ``next``,
+        in order; yields ``(addr, data, cycles)`` once the data is stored,
+        ``cycles`` being the config's write time for its length.
+
+        The dual of :meth:`read_lines`: one range check, counter update
+        and count-only tally per group, the timing priced once per line
+        length; each line its own interposer pass, ``mem-write`` event
+        (for a keeper) and store.
+        """
+        # The group's range check: one pass before any line moves.
+        bad = None
+        limit = self.config.size
+        for index, (addr, line) in enumerate(items):
+            if addr < 0 or addr + len(line) > limit:
+                bad = index
+                break
+        sink = self.sink
+        keeper = sink if sink is not None and sink.keeps_events else None
+        data = self._data
+        interposers = self._interposers
+        write_cycles = self.config.write_cycles
+        done = nbytes = 0
+        priced = cycles = None
+        try:
+            for addr, line in items if bad is None else items[:bad]:
+                done += 1
+                size = len(line)
+                nbytes += size
+                if size != priced:
+                    priced, cycles = size, write_cycles(size)
+                if keeper is not None:
+                    keeper.note("mem-write", addr=addr, size=size)
+                if interposers:
+                    data[addr: addr + size] = self._interpose(
+                        "write", addr, line)
+                else:
+                    data[addr: addr + size] = line
+                yield addr, line, cycles
+            if bad is not None:
+                addr, line = items[bad]
+                raise self._outside(addr, len(line))
+        finally:
+            self.writes += done
+            self.bytes_written += nbytes
+            if done and sink is not None and keeper is None:
+                sink.emit_bulk("mem-write", done, nbytes, no_events)
+
     def read(self, addr: int, nbytes: int) -> bytes:
-        """Functional read (no timing; timing comes from the config)."""
-        self._check_range(addr, nbytes)
-        self.reads += 1
-        self.bytes_read += nbytes
-        if self.sink is not None:
-            self.sink.note("mem-read", addr=addr, size=nbytes)
-        data = self._data[addr: addr + nbytes]
-        if self._interposers:
-            data = self._interpose("read", addr, data)
-        return data
+        """One functional read: a one-line :meth:`read_lines`."""
+        [(_, line, _)] = self.read_lines((addr,), nbytes)
+        return line
 
     def write(self, addr: int, data: bytes) -> None:
-        """Functional write."""
-        self._check_range(addr, len(data))
-        self.writes += 1
-        self.bytes_written += len(data)
-        if self.sink is not None:
-            self.sink.note("mem-write", addr=addr, size=len(data))
-        if self._interposers:
-            data = self._interpose("write", addr, data)
-        self._data[addr: addr + len(data)] = data
+        """One functional write: a one-line :meth:`write_lines`."""
+        [_] = self.write_lines(((addr, data),))
 
     def load_image(self, addr: int, image: bytes) -> None:
         """Bulk install without touching the access counters (offline load)."""

@@ -102,9 +102,16 @@ class ReferenceTwoLevel:
         self.l1_data: Dict[int, bytearray] = {}
         self.l2_data: Dict[int, bytes] = {}
         self.counts = {kind: 0 for kind in AccessKind}
-        #: What an engine at the L1-L2 boundary reads and writes: the L2.
-        self.l2_port = SimpleNamespace(read=self._l2_read,
-                                       write=self._l2_write)
+        #: What an engine at the L1-L2 boundary reads and writes: the L2,
+        #: one line at a time (a group call is a lazy loop of one-line
+        #: calls).
+        self.l2_port = SimpleNamespace(
+            read=self._l2_read, write=self._l2_write,
+            read_lines=lambda addrs, nbytes: (
+                (addr,) + self._l2_read(addr, nbytes) for addr in addrs),
+            write_lines=lambda items: (
+                (addr, data, self._l2_write(addr, data))
+                for addr, data in items))
 
     def _emit(self, kind: str, addr: int, size: int = 0, **kw) -> None:
         if self.sink is not None:

@@ -250,7 +250,7 @@ class TestL1L2Accounting:
     def test_stream_fill_runs_its_own_fill_path(self):
         """The modelling change of the executor-composed hierarchy, seen
         on the stream engine: at L1-L2 its fill is its own
-        ``_fetch_line``, so the pad overlaps the L2 access (``mem_cycles``
+        ``fill_lines``, so the pad overlaps the L2 access (``mem_cycles``
         is the L2's cycles, as it is memory's at L2-memory) and the
         pad-ahead runs.  Undoing both reproduces the hand-rolled L1's
         cycle count."""

@@ -158,6 +158,26 @@ class TestAttackMechanics:
         assert report.ambiguous_cells[0] == {Op.JMP, Op.JZ, Op.CALL}
         assert report.plaintext[1:] == firmware[1:]
 
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    @pytest.mark.parametrize("key, target", [
+        (b"k78859", 1), (b"k25592", 2), (b"k24316", 4),
+    ])
+    def test_jump_that_lands_on_a_short_fall_through(self, attack, key,
+                                                     target):
+        """Under these keys the phase-1 background operands decode to
+        target 1, 2 or 4, so a JMP at cell 0 moves the pc like a 1- or
+        2-byte instruction or like DJNZ (the one 4-byte instruction); the
+        jump probe's forged operands move the target and see it branch."""
+        firmware = assemble("JMP 0x10\n .org 0x10\n MOV A, #1\n OUT\n HALT",
+                            size=128)
+        cipher = SmallBlockCipher(key)
+        assert (cipher.decrypt_byte(1, 0), cipher.decrypt_byte(2, 0)) == \
+            (target, 0)
+        report = attack(DallasBoard(cipher, firmware, memory_size=128)).run()
+        assert report.plaintext[0] == Op.JMP
+        assert report.ambiguous_cells[0] == {Op.JMP, Op.JZ, Op.CALL}
+        assert report.plaintext == firmware
+
     @pytest.mark.parametrize("size", [96, 97])
     def test_ret_start_on_any_board_size(self, size):
         """The jump probe's target is 0x123 mod the board size; on a

@@ -228,7 +228,7 @@ import inspect
 import repro.core
 from repro.attacks import BusProbe
 from repro.core import CpuCacheStreamEngine
-from repro.core.engine import BusEncryptionEngine, MemoryPort
+from repro.core.engine import BlockModeEngine, BusEncryptionEngine, MemoryPort
 from repro.crypto import kernels
 from repro.obs import CounterSink
 from repro.sim import MainMemory
@@ -256,11 +256,13 @@ _FILL_FACTORIES = {
 
 def _on_base_path(engine) -> bool:
     """True when the engine fills through the base class's own loop with
-    no per-line verdict (:func:`reference_fill` models no
-    ``_verify_fill``)."""
+    no per-line verdict and each line priced by its ``read_extra_cycles``
+    (:func:`reference_fill` models no ``_verify_fill`` and no pad-ahead)."""
     cls = type(engine)
     return (cls.fill_lines is BusEncryptionEngine.fill_lines
-            and cls._fetch_line is BusEncryptionEngine._fetch_line
+            and cls.read_extra_cycles_for in (
+                BusEncryptionEngine.read_extra_cycles_for,
+                BlockModeEngine.read_extra_cycles_for)
             and cls._verify_fill is BusEncryptionEngine._verify_fill)
 
 
