@@ -132,13 +132,14 @@ PRICE_BODY := engine=None|overhead_vs\(|def _baseline([^[:alnum:]_]|$$)|(SecureS
 PRICE_DIRS := src/repro/campaign src/repro/core src/repro/runner/experiments
 PRICE_EXEMPT := ^src/repro/runner/experiments/(e16\.py|e18\.py:task_scrambling_probe):
 
-# Port traffic moves in groups: MainMemory's and the Bus's read, write
-# and transfer calls, group forms and one-line forms alike, are made only
-# by MemoryPort (core/engine.py), and the base fill and store bodies move
-# their lines through port.read_lines/port.write_lines, never one
-# port.read(/port.write( per line (the retired per-line _fetch_line is
-# checked too).  Hits print as file:class:line or file:class.method:line.
-PORT_LAYER_CALL := (bus|memory)\.(transfer|transfer_lines|read|write|read_lines|write_lines)\(
+# Port traffic moves in groups: MainMemory's and the Bus's read, write,
+# transfer and tally are called (or bound) only by MemoryPort
+# (core/engine.py), which tallies a count-only sink once per group, and
+# the base fill and store bodies move their lines through
+# port.read_lines/port.write_lines, never one port.read(/port.write( per
+# line (the retired per-line _fetch_line is checked too).  Hits print as
+# file:class:line or file:class.method:line.
+PORT_LAYER_CALL := (bus|memory)\.(transfer|tally|read|write)([^[:alnum:]_]|$$)
 PORT_LAYER_HOME := ^src/repro/core/engine\.py:MemoryPort:
 PORT_LINE_CALL := port\.(read|write)\(
 GROUP_BODIES := :BusEncryptionEngine\.(fill_lines|_fetch_line|_store):
@@ -386,7 +387,7 @@ lint:
 		src/repro/core/engine.py | grep -E '$(GROUP_BODIES)' || true); \
 	if [ -n "$$calls$$lines" ]; then \
 		echo "lint: port traffic moves in groups: only MemoryPort calls" >&2; \
-		echo "      the memory and bus (group or one-line forms), and" >&2; \
+		echo "      the memory's and bus's read/write/transfer/tally, and" >&2; \
 		echo "      the base fill_lines/_store make no per-line" >&2; \
 		echo "      port.read(/port.write( call:" >&2; \
 		[ -z "$$calls" ] || echo "$$calls" >&2; \

@@ -107,14 +107,13 @@ class MemoryPort:
     exactly the bytes that cross the chip boundary.
 
     A group of lines is one :meth:`read_lines` or :meth:`write_lines`
-    call: the bus's group form (:meth:`Bus.transfer_lines`) over the
-    memory's (:meth:`MainMemory.read_lines`/``write_lines``), stamped with
-    one cycle.  Both are lazy, one line per ``next``: the memory checks
-    the group's range, prices its lines once per line size, and each
-    layer updates its counters and tallies a count-only sink once per
-    group, while each line still crosses every interposer, and reaches a
-    sink that keeps events, before the caller's work on it and before the
-    next line moves.  :meth:`read` and :meth:`write` are one-line groups.
+    call, lazy, one line per ``next``: each line is one
+    :meth:`MainMemory.read`/``write`` and one :meth:`Bus.transfer`, so it
+    crosses every interposer, and reaches a sink that keeps events,
+    before the caller's work on it and before the next line moves.  The
+    group is stamped with one cycle, its timing is priced once per line
+    size, and each layer hands a count-only sink one tally for it
+    (``tally``).  :meth:`read` and :meth:`write` are one-line groups.
     """
 
     def __init__(self, memory, bus, clock=None):
@@ -123,28 +122,64 @@ class MemoryPort:
         self._clock = clock  # callable returning current cycle, for events
 
     def _cycle(self) -> int:
-        clock = self._clock
-        return clock() if clock else 0
+        return self._clock() if self._clock else 0
 
     def read_lines(self, addrs: Sequence[int], nbytes: int
                    ) -> Iterator[Tuple[int, bytes, int]]:
         """Read ``nbytes`` at each of ``addrs``, in order; yields each
         line's (addr, data, cycles) once it has crossed the bus.
 
-        The engine receives the bytes :meth:`MainMemory.read_lines`
-        returned, so a memory interposer tampers with exactly what the
-        chip decrypts.  A caller that stops early closes the generator,
-        which leaves the counters holding the lines read so far.
+        The engine receives the bytes :meth:`MainMemory.read` returned, so
+        a memory interposer tampers with exactly what the chip decrypts.
+        A caller that stops early closes the generator, which tallies the
+        lines read so far; a line outside memory raises when it is
+        reached.  The one place a tally and the counters part: an
+        interposer that raises leaves its line in the memory's counters
+        (counted before the interposers run, as a one-line read did) but
+        out of the count-only ``mem-read`` tally.
         """
-        return self.bus.transfer_lines(
-            "read", self.memory.read_lines(addrs, nbytes), self._cycle())
+        memory, bus = self.memory, self.bus
+        read, transfer = memory.read, bus.transfer
+        cycles = memory.config.read_cycles(nbytes)
+        cycle = self._cycle()
+        done = 0
+        try:
+            for addr in addrs:
+                data = read(addr, nbytes)
+                transfer("read", addr, data, cycle)
+                done += 1
+                yield addr, data, cycles
+        finally:
+            if memory.sink is not None:
+                memory.tally("read", done, done * nbytes)
+            if bus.sink is not None:
+                bus.tally("read", done, done * nbytes)
 
     def write_lines(self, items: Sequence[Tuple[int, bytes]]
                     ) -> Iterator[Tuple[int, bytes, int]]:
         """Write ``(addr, data)`` items, in order; yields each one's
         (addr, data, cycles) once it has crossed the bus."""
-        return self.bus.transfer_lines(
-            "write", self.memory.write_lines(items), self._cycle())
+        memory, bus = self.memory, self.bus
+        write, transfer = memory.write, bus.transfer
+        write_cycles = memory.config.write_cycles
+        cycle = self._cycle()
+        done = moved = 0
+        priced = cycles = None
+        try:
+            for addr, data in items:
+                write(addr, data)
+                transfer("write", addr, data, cycle)
+                size = len(data)
+                done += 1
+                moved += size
+                if size != priced:
+                    priced, cycles = size, write_cycles(size)
+                yield addr, data, cycles
+        finally:
+            if memory.sink is not None:
+                memory.tally("write", done, moved)
+            if bus.sink is not None:
+                bus.tally("write", done, moved)
 
     def read(self, addr: int, nbytes: int) -> Tuple[bytes, int]:
         """Read ``nbytes``; returns (data, cycles): a one-line
@@ -629,6 +664,10 @@ class BlockModeEngine(BusEncryptionEngine):
         self.min_write_bytes = cipher_block
         self.bus_width = bus_width
         self.cycles_per_beat = cycles_per_beat
+        #: Per-line costs by line size (see :meth:`_sized_cost`); the
+        #: timing parameters above are fixed once the engine is built.
+        self._read_costs: dict = {}
+        self._write_costs: dict = {}
 
     def _nblocks(self, nbytes: int) -> int:
         return -(-nbytes // self.cipher_block)
@@ -660,34 +699,39 @@ class BlockModeEngine(BusEncryptionEngine):
         self.stats.blocks_processed += self._nblocks(nbytes)
         return self._write_cost(nbytes)
 
-    # A line's cost is a function of its size, so a group prices its size
-    # once and each line only counts its blocks.  An engine (or instance)
-    # that overrides the per-line method keeps it, line by line.
+    # A line's cost is a function of its size, so it is priced once per
+    # engine and size, and each line only counts its blocks.  Where the
+    # engine's class or the instance itself overrides the per-line method,
+    # that method prices each line.
 
     def read_extra_cycles_for(self, nbytes: int):
-        return self._sized_cost("read_extra_cycles", nbytes)
+        per_line = self.read_extra_cycles
+        if getattr(per_line, "__func__", None) is not \
+                BlockModeEngine.read_extra_cycles:
+            return per_line
+        return self._sized_cost(self._read_costs, self._read_cost, nbytes)
 
     def write_extra_cycles_for(self, nbytes: int):
-        return self._sized_cost("write_extra_cycles", nbytes)
+        per_line = self.write_extra_cycles
+        if getattr(per_line, "__func__", None) is not \
+                BlockModeEngine.write_extra_cycles:
+            return per_line
+        return self._sized_cost(self._write_costs, self._write_cost, nbytes)
 
-    def _sized_cost(self, name: str, nbytes: int):
-        """The per-line ``name`` for ``nbytes``-byte lines: priced once for
-        the group, each line only counting its blocks.  Where the engine's
-        class or the instance itself overrides the per-line method, that
-        method, line by line."""
-        own = self.__dict__.get(name)
-        if own is not None:
-            return own
-        if getattr(type(self), name) is not getattr(BlockModeEngine, name):
-            return getattr(self, name)
-        stats = self.stats
-        nblocks = self._nblocks(nbytes)
-        extra = (self._read_cost if name == "read_extra_cycles"
-                 else self._write_cost)(nbytes)
+    def _sized_cost(self, memo: dict, cost: Callable[[int], int],
+                    nbytes: int):
+        """The per-line cost of ``nbytes``-byte lines, kept in ``memo``:
+        returns ``cost(nbytes)`` and counts each line's blocks."""
+        line_cost = memo.get(nbytes)
+        if line_cost is None:
+            stats = self.stats
+            nblocks = self._nblocks(nbytes)
+            extra = cost(nbytes)
 
-        def line_cost(addr: int, size: int, mem_cycles: int = 0) -> int:
-            stats.blocks_processed += nblocks
-            return extra
+            def line_cost(addr: int, size: int, mem_cycles: int = 0) -> int:
+                stats.blocks_processed += nblocks
+                return extra
+            memo[nbytes] = line_cost
         return line_cost
 
 

@@ -10,10 +10,10 @@ an engine is present, plaintext when not.  A probe is a sink over those
 events (:class:`repro.attacks.probe.BusProbe`); an attacker driving the
 wires is a :class:`~repro.sim.memory.MainMemory` interposer.
 
-Transfers come in groups (:meth:`Bus.transfer_lines`, one line per
-``next``): a group shares one cycle stamp and pays its counter update
-and, for a count-only sink, its ``bus-read``/``bus-write`` tally once,
-while a sink that keeps events still gets one event per transfer, in
+Transfers come in groups, a fill or spill group of lines: the group
+shares one cycle stamp, and a count-only sink gets one
+``bus-read``/``bus-write`` tally per group (:meth:`Bus.tally`), while a
+sink that keeps events still gets one event per :meth:`Bus.transfer`, in
 order.  Only :class:`repro.core.engine.MemoryPort` drives the bus
 (``make lint``).
 """
@@ -21,7 +21,7 @@ order.  Only :class:`repro.core.engine.MemoryPort` drives the bus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Optional
 
 from ..obs import EventSink, no_events
 
@@ -44,8 +44,8 @@ class BusTransaction:
 class Bus:
     """External bus: counts traffic and announces every transfer.
 
-    :meth:`transfer_lines` carries a group of transfers, one line per
-    ``next``; :meth:`transfer` is a one-line group.
+    :meth:`transfer` is one transfer; :meth:`tally` hands a count-only
+    sink a group's transfers at once.
     """
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
@@ -53,51 +53,30 @@ class Bus:
         self.bytes_transferred = 0
         self.sink = sink
 
-    def transfer_lines(self, op: str, items: Iterable[Tuple],
-                       cycle: int) -> Iterator[Tuple]:
-        """Announce a transfer of each item's data at its address (an
-        item is ``(addr, data, ...)``), lazily: each item is yielded,
-        unchanged, once it has crossed, so the caller's work on one line
-        comes before the next line's transfer.
-
-        The group shares one cycle stamp and pays one counter update and,
-        for a count-only sink, one ``bus-<op>`` tally, when the generator
-        finishes or is closed; closing it closes ``items``.  A sink that
-        keeps events gets one event per transfer, in order.
-        """
+    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> None:
+        """Announce a transfer of ``data`` at ``addr``: counted, and a
+        ``bus-<op>`` event to a sink that keeps events.  A count-only
+        sink gets no call here: :meth:`tally` hands it a group's
+        transfers."""
         kind = _KINDS.get(op)
         if kind is None:
             raise ValueError(f"unknown bus op {op!r}")
+        self.transactions += 1
+        self.bytes_transferred += len(data)
         sink = self.sink
-        keeper = sink if sink is not None and sink.keeps_events else None
-        count = nbytes = 0
-        try:
-            for item in items:
-                count += 1
-                nbytes += len(item[1])
-                if keeper is not None:
-                    # The event carries the payload itself (a reference,
-                    # not a copy): sinks standing in for board-level
-                    # probes see exactly the bytes that crossed the chip
-                    # boundary.
-                    keeper.note(kind, addr=item[0], size=len(item[1]),
-                                cycle=cycle, data=item[1])
-                yield item
-        except GeneratorExit:
-            close = getattr(items, "close", None)
-            if close is not None:
-                close()
-            raise
-        finally:
-            self.transactions += count
-            self.bytes_transferred += nbytes
-            if count and sink is not None and keeper is None:
-                sink.emit_bulk(kind, count, nbytes, no_events)
+        if sink is not None and sink.keeps_events:
+            # The event carries the payload itself (a reference, not a
+            # copy): sinks standing in for board-level probes see exactly
+            # the bytes that crossed the chip boundary.
+            sink.note(kind, addr=addr, size=len(data), cycle=cycle,
+                      data=data)
 
-    def transfer(self, op: str, addr: int, data: bytes, cycle: int) -> None:
-        """Announce one transfer of ``data`` at ``addr``: a one-line
-        :meth:`transfer_lines`."""
-        [_] = self.transfer_lines(op, ((addr, data),), cycle)
+    def tally(self, op: str, count: int, nbytes: int) -> None:
+        """Hand a count-only sink the ``bus-<op>`` tally of ``count``
+        transfers moving ``nbytes``: a group's, once per group."""
+        sink = self.sink
+        if count and sink is not None and not sink.keeps_events:
+            sink.emit_bulk(_KINDS[op], count, nbytes, no_events)
 
     def reset_stats(self) -> None:
         self.transactions = 0

@@ -399,12 +399,11 @@ def chunk_consumer(system) -> Generator[None, Optional[CompiledTrace], None]:
     queue_spills = engine.line_independent and isinstance(port, MemoryPort)
 
     def patch(buf: bytearray, base_addr: int, spans) -> None:
-        # The filler is a ramp, so a span cut at the line's end is the
-        # filler of the shorter span.
         for saddr, ssize in spans:
+            payload = store_payload(saddr, ssize)
             offset = saddr - base_addr
-            end = min(offset + ssize, line_size)
-            buf[offset:end] = store_payload(saddr, end - offset)
+            end = min(offset + len(payload), line_size)
+            buf[offset:end] = payload[: end - offset]
 
     def flush() -> None:
         """Send the queued spills as one group, then the deferred fills as

@@ -12,25 +12,29 @@ page on first touch, so a memory costs neither construction time nor RSS
 for the pages a run never reads or writes: a design point that touches a
 handful of lines of a 4 MiB memory pays for those pages only.
 
-Accesses come in groups: :meth:`MainMemory.read_lines` and
-:meth:`MainMemory.write_lines` move one line per ``next`` and pay the
-range check, the counter updates and a count-only sink's tally once per
-group, while each line keeps its own slice, interposer pass and (for a
-sink that keeps events) event.  ``read``/``write`` are one-line groups.
-Only :class:`repro.core.engine.MemoryPort` calls them (``make lint``).
+Each access is one :meth:`MainMemory.read` or :meth:`MainMemory.write`
+call, with its own range check, counter update, slice, interposer pass
+and, for a sink that keeps events, event.  Accesses come in groups, a
+fill or spill group of lines: a count-only sink gets one tally per group
+(:meth:`MainMemory.tally`), and the group's timing is priced once, by
+:class:`repro.core.engine.MemoryPort`, the only caller of all three
+(``make lint``).
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from ..obs import EventSink, no_events
 
 #: An interposer rewrites the bytes of one access: ``fn(op, addr, data)``
 #: returns the bytes the access proceeds with (``op`` is "read"/"write").
 Interposer = Callable[[str, int, bytes], bytes]
+
+#: The event kind of each memory op.
+_KINDS = {"read": "mem-read", "write": "mem-write"}
 
 __all__ = ["MemoryConfig", "MainMemory", "Interposer"]
 
@@ -130,108 +134,46 @@ class MainMemory:
             )
         return data
 
-    def read_lines(self, addrs: Sequence[int], nbytes: int
-                   ) -> Iterator[Tuple[int, bytes, int]]:
-        """Functional reads of ``nbytes`` at each of ``addrs``, one
-        ``(addr, data, cycles)`` per ``next``, in order; ``cycles`` is the
-        config's read time, priced once for the group.
-
-        The group pays one range check, one counter update and, for a
-        count-only sink, one ``mem-read`` tally, when the generator
-        finishes or is closed.  Each line still gets its own slice, its
-        own pass through every interposer and, for a sink that keeps
-        events, its own ``mem-read`` event, before the next line is read:
-        an interposer that rewrites memory is seen by the lines after it.
-        A line outside the memory raises ``IndexError`` when it is
-        reached; the counters hold the lines read before it.
-        """
-        # The group's range check: one pass before any line moves.
-        bad = None
-        limit = self.config.size - nbytes
-        for index, addr in enumerate(addrs):
-            if addr < 0 or addr > limit:
-                bad = index
-                break
-        cycles = self.config.read_cycles(nbytes)
-        sink = self.sink
-        keeper = sink if sink is not None and sink.keeps_events else None
-        data = self._data
-        interposers = self._interposers
-        done = 0
-        try:
-            for addr in addrs if bad is None else addrs[:bad]:
-                done += 1
-                if keeper is not None:
-                    keeper.note("mem-read", addr=addr, size=nbytes)
-                line = data[addr: addr + nbytes]
-                if interposers:
-                    line = self._interpose("read", addr, line)
-                yield addr, line, cycles
-            if bad is not None:
-                raise self._outside(addrs[bad], nbytes)
-        finally:
-            self.reads += done
-            self.bytes_read += done * nbytes
-            if done and sink is not None and keeper is None:
-                sink.emit_bulk("mem-read", done, done * nbytes, no_events)
-
-    def write_lines(self, items: Sequence[Tuple[int, bytes]]
-                    ) -> Iterator[Tuple[int, bytes, int]]:
-        """Functional writes of ``(addr, data)`` items, one per ``next``,
-        in order; yields ``(addr, data, cycles)`` once the data is stored,
-        ``cycles`` being the config's write time for its length.
-
-        The dual of :meth:`read_lines`: one range check, counter update
-        and count-only tally per group, the timing priced once per line
-        length; each line its own interposer pass, ``mem-write`` event
-        (for a keeper) and store.
-        """
-        # The group's range check: one pass before any line moves.
-        bad = None
-        limit = self.config.size
-        for index, (addr, line) in enumerate(items):
-            if addr < 0 or addr + len(line) > limit:
-                bad = index
-                break
-        sink = self.sink
-        keeper = sink if sink is not None and sink.keeps_events else None
-        data = self._data
-        interposers = self._interposers
-        write_cycles = self.config.write_cycles
-        done = nbytes = 0
-        priced = cycles = None
-        try:
-            for addr, line in items if bad is None else items[:bad]:
-                done += 1
-                size = len(line)
-                nbytes += size
-                if size != priced:
-                    priced, cycles = size, write_cycles(size)
-                if keeper is not None:
-                    keeper.note("mem-write", addr=addr, size=size)
-                if interposers:
-                    data[addr: addr + size] = self._interpose(
-                        "write", addr, line)
-                else:
-                    data[addr: addr + size] = line
-                yield addr, line, cycles
-            if bad is not None:
-                addr, line = items[bad]
-                raise self._outside(addr, len(line))
-        finally:
-            self.writes += done
-            self.bytes_written += nbytes
-            if done and sink is not None and keeper is None:
-                sink.emit_bulk("mem-write", done, nbytes, no_events)
-
     def read(self, addr: int, nbytes: int) -> bytes:
-        """One functional read: a one-line :meth:`read_lines`."""
-        [(_, line, _)] = self.read_lines((addr,), nbytes)
-        return line
+        """One functional read (no timing; timing comes from the config).
+
+        Counted, announced to a sink that keeps events as a ``mem-read``
+        event, then passed through every interposer.  A count-only sink
+        gets no call here: :meth:`tally` hands it a group's reads at once.
+        """
+        if addr < 0 or addr + nbytes > self.config.size:
+            raise self._outside(addr, nbytes)
+        self.reads += 1
+        self.bytes_read += nbytes
+        sink = self.sink
+        if sink is not None and sink.keeps_events:
+            sink.note("mem-read", addr=addr, size=nbytes)
+        data = self._data[addr: addr + nbytes]
+        if self._interposers:
+            data = self._interpose("read", addr, data)
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
-        """One functional write: a one-line :meth:`write_lines`."""
-        [_] = self.write_lines(((addr, data),))
+        """One functional write: the dual of :meth:`read`."""
+        nbytes = len(data)
+        if addr < 0 or addr + nbytes > self.config.size:
+            raise self._outside(addr, nbytes)
+        self.writes += 1
+        self.bytes_written += nbytes
+        sink = self.sink
+        if sink is not None and sink.keeps_events:
+            sink.note("mem-write", addr=addr, size=nbytes)
+        if self._interposers:
+            data = self._interpose("write", addr, data)
+        self._data[addr: addr + nbytes] = data
+
+    def tally(self, op: str, count: int, nbytes: int) -> None:
+        """Hand a count-only sink the ``mem-<op>`` tally of ``count``
+        accesses moving ``nbytes``: a group's, once per group.  A sink
+        that keeps events already got each access's event."""
+        sink = self.sink
+        if count and sink is not None and not sink.keeps_events:
+            sink.emit_bulk(_KINDS[op], count, nbytes, no_events)
 
     def load_image(self, addr: int, image: bytes) -> None:
         """Bulk install without touching the access counters (offline load)."""

@@ -1,10 +1,10 @@
 """Per-line reference port: the oracle for the port layers' group calls.
 
-:class:`ReferencePort` services every line on its own, the way the port,
-the memory and the bus did before they gained group forms: each line pays
-its own range check, counter updates, cycle stamp and timing arithmetic,
-and reports each of its events through ``sink.note`` (so a count-only
-sink sees one ``note`` per event, not one tally per group).  Its group
+:class:`ReferencePort` services every line on its own, the way the port
+did before it gained group forms: each line pays its own cycle stamp and
+timing arithmetic, and reports each of its memory and bus events through
+``sink.note`` (so a count-only sink sees one ``note`` per event, not one
+tally per group).  Its group
 calls are lazy loops of one-line calls, so a caller's per-line work
 (a ``_verify_fill`` that reads tags, a keeper's events) interleaves with
 the lines exactly as it did.

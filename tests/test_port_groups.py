@@ -1,8 +1,8 @@
 """Group-level port traffic against the per-line reference port.
 
 A fill or spill group crosses :class:`~repro.core.engine.MemoryPort` as
-one ``read_lines``/``write_lines`` call: one range check, counter update,
-cycle stamp and count-only tally per layer.  The ordering contract is
+one ``read_lines``/``write_lines`` call: one cycle stamp and timing price
+per group, and one count-only tally per layer.  The ordering contract is
 that nothing else can tell: interposers see every line, in the same
 order and interleaved the same way with an engine's own reads (tags,
 tree nodes); a sink that keeps events sees the same stream, event by
