@@ -293,12 +293,14 @@ lint:
 	@defs=$$(grep -rnIE '$(TWIN_DEF)' --include='*.py' src || true); \
 	imports=$$(grep -rnIE -e '$(TWIN_IMPORT_LINE)' -e '$(TWIN_IMPORT_ITEM)' \
 		--include='*.py' src examples benchmarks || true); \
-	oracle=$$(grep -rnIw iter_dma_bursts --include='*.py' \
-		--exclude-dir=tests --exclude-dir=__pycache__ . || true); \
+	oracle=$$(grep -rnIw -e iter_dma_bursts -e iter_data_accesses \
+		--include='*.py' --exclude-dir=tests --exclude-dir=__pycache__ \
+		. || true); \
 	if [ -n "$$defs$$imports$$oracle" ]; then \
 		echo "lint: one form per trace generator: call iter_* (wrap in" >&2; \
 		echo "      list() for a list) and iter_trace/iter_trace_bin;" >&2; \
-		echo "      iter_dma_bursts lives only under tests/:" >&2; \
+		echo "      the scalar oracles iter_dma_bursts and" >&2; \
+		echo "      iter_data_accesses live only under tests/:" >&2; \
 		[ -z "$$defs" ] || echo "$$defs" >&2; \
 		[ -z "$$imports" ] || echo "$$imports" >&2; \
 		[ -z "$$oracle" ] || echo "$$oracle" >&2; \

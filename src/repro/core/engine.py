@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import (
-    Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..crypto.kernels import tdes_kernel
@@ -800,12 +800,18 @@ class ChainedTDESEngine(BusEncryptionEngine):
         self._tdes_key = bytes(key)
         self.chain_size = chain_size
         self.unit = unit
+        self._ivs: Dict[int, bytes] = {}
 
     def _chain_base(self, addr: int) -> int:
         return addr - addr % self.chain_size
 
     def _chain_iv(self, base: int) -> bytes:
-        return self._tdes.encrypt_block(base.to_bytes(8, "big"))
+        """The unit's IV, the 3DES image of its base (memoized per base)."""
+        iv = self._ivs.get(base)
+        if iv is None:
+            iv = self._ivs[base] = self._tdes.encrypt_block(
+                base.to_bytes(8, "big"))
+        return iv
 
     def _chain_transform(self, op: str, base: int, data: bytes) -> bytes:
         """Whole-unit CBC ``op`` ("enc" or "dec") of the unit at ``base``."""

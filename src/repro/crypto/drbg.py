@@ -31,6 +31,8 @@ class DRBG:
 
     def random_bytes(self, n: int) -> bytes:
         """Return ``n`` pseudo-random bytes."""
+        if n < 0:
+            raise ValueError(f"byte count must be >= 0, got {n}")
         while len(self._pool) < n:
             block = sha256(self._key + self._counter.to_bytes(8, "big"))
             self._counter += 1
@@ -40,9 +42,39 @@ class DRBG:
 
     def randbits(self, bits: int) -> int:
         """Return a uniform integer of at most ``bits`` bits."""
+        if bits < 0:
+            raise ValueError(f"bits must be >= 0, got {bits}")
         nbytes = (bits + 7) // 8
         value = int.from_bytes(self.random_bytes(nbytes), "big")
         return value >> (8 * nbytes - bits)
+
+    def peek(self, n: int) -> bytes:
+        """Return the next ``n`` bytes of the stream without consuming them.
+
+        ``peek(n)`` equals what ``random_bytes(n)`` would return; the
+        counter blocks it needs are hashed in one pass, so a bulk reader
+        (an array workload generator) can parse a whole slab of draws
+        and then :meth:`advance` past exactly the bytes it used.
+        """
+        if n < 0:
+            raise ValueError(f"byte count must be >= 0, got {n}")
+        short = n - len(self._pool)
+        if short > 0:
+            key, counter = self._key, self._counter
+            blocks = (short + 31) // 32
+            self._pool += b"".join(
+                sha256(key + c.to_bytes(8, "big"))
+                for c in range(counter, counter + blocks))
+            self._counter = counter + blocks
+        return self._pool[:n]
+
+    def advance(self, k: int) -> None:
+        """Consume ``k`` bytes of the stream (as ``random_bytes(k)`` would)."""
+        if k < 0:
+            raise ValueError(f"byte count must be >= 0, got {k}")
+        if k > len(self._pool):
+            self.peek(k)
+        self._pool = self._pool[k:]
 
     def randbelow(self, n: int) -> int:
         """Return a uniform integer in [0, n) by rejection sampling."""

@@ -232,13 +232,18 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     if ends.max() > line_size:
         first = int(np.argmax(ends > line_size))
         raise _crosses_line(int(addrs[first]), int(sizes[first]), line_size)
+    # Scratch arrays are dropped as soon as they are spent: a chunk's
+    # temporaries, not its runs, would otherwise set the peak memory.
+    del ends
 
     breaks = np.flatnonzero(lines[1:] != lines[:-1]) + 1
     starts = np.concatenate((np.zeros(1, dtype=breaks.dtype), breaks))
+    del breaks
     bounds = np.concatenate((starts, np.asarray([n], dtype=starts.dtype)))
     counts_l = np.diff(bounds).tolist()
     starts_l = starts.tolist()
     lines_l = lines[starts].tolist()
+    del lines
 
     # Per-run kind counts and byte totals via prefix sums cut at the
     # run boundaries (cumsum of a bool mask counts its True entries).
@@ -252,43 +257,49 @@ def _compile_arrays(chunk: ArrayChunk, line_size: int) -> CompiledTrace:
     nf_l = (fetch_cum[bounds[1:]] - fetch_cum[bounds[:-1]]).tolist()
     nl_l = [c - s - f for c, s, f in zip(counts_l, ns_l, nf_l)]
     tot_l = (size_cum[bounds[1:]] - size_cum[bounds[:-1]]).tolist()
+    del store_cum, fetch_cum, fetch_mask, size_cum, bounds
 
     by_code = KIND_BY_CODE
     head_kinds = [by_code[c] for c in kinds[starts].tolist()]
     ha_l = addrs[starts].tolist()
     hs_l = sizes[starts].tolist()
 
-    store_idx = np.flatnonzero(store_mask)
-    if store_idx.size:
-        # Merge contiguous stores into spans (same rule as the list
-        # compiler), then slice the spans per run.
-        sa = addrs[store_idx]
-        ss = sizes[store_idx]
-        store_run = np.searchsorted(starts, store_idx, side="right") - 1
-        new_group = np.ones(len(store_idx), dtype=bool)
-        new_group[1:] = ((sa[1:] != sa[:-1] + ss[:-1])
-                         | (store_run[1:] != store_run[:-1]))
-        g_start = np.flatnonzero(new_group)
-        g_bounds = np.concatenate(
-            (g_start, np.asarray([len(store_idx)], dtype=g_start.dtype)))
-        ss_cum = np.concatenate((zero, np.cumsum(ss)))
-        g_size_l = (ss_cum[g_bounds[1:]] - ss_cum[g_bounds[:-1]]).tolist()
-        g_addr = sa[g_start].tolist()
-        g_run = store_run[g_start]
-        run_ids = np.arange(len(starts), dtype=g_run.dtype)
-        glo_l = np.searchsorted(g_run, run_ids).tolist()
-        ghi_l = np.searchsorted(g_run, run_ids, side="right").tolist()
-        pairs_l = [
-            () if lo == hi
-            else ((g_addr[lo], g_size_l[lo]),) if hi == lo + 1
-            else tuple(zip(g_addr[lo:hi], g_size_l[lo:hi]))
-            for lo, hi in zip(glo_l, ghi_l)
-        ]
-    else:
-        pairs_l = [()] * len(starts_l)
+    pairs_l = _store_spans(addrs, sizes, store_mask, starts)
+    del store_mask, starts
     runs = list(zip(starts_l, counts_l, lines_l, nf_l, nl_l, ns_l, tot_l,
                     head_kinds, ha_l, hs_l, pairs_l))
     return CompiledTrace(chunk, line_size, runs)
+
+
+def _store_spans(addrs, sizes, store_mask, starts) -> List[Tuple]:
+    """Each run's store spans for :func:`_compile_arrays`: contiguous
+    stores merged into spans (the list compiler's rule), then sliced per
+    run.  Its scratch arrays die on return, before the runs are built."""
+    store_idx = np.flatnonzero(store_mask)
+    if not store_idx.size:
+        return [()] * len(starts)
+    sa = addrs[store_idx]
+    ss = sizes[store_idx]
+    store_run = np.searchsorted(starts, store_idx, side="right") - 1
+    new_group = np.ones(len(store_idx), dtype=bool)
+    new_group[1:] = ((sa[1:] != sa[:-1] + ss[:-1])
+                     | (store_run[1:] != store_run[:-1]))
+    g_start = np.flatnonzero(new_group)
+    g_bounds = np.concatenate(
+        (g_start, np.asarray([len(store_idx)], dtype=g_start.dtype)))
+    ss_cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(ss)))
+    g_size_l = (ss_cum[g_bounds[1:]] - ss_cum[g_bounds[:-1]]).tolist()
+    g_addr = sa[g_start].tolist()
+    g_run = store_run[g_start]
+    run_ids = np.arange(len(starts), dtype=g_run.dtype)
+    glo_l = np.searchsorted(g_run, run_ids).tolist()
+    ghi_l = np.searchsorted(g_run, run_ids, side="right").tolist()
+    return [
+        () if lo == hi
+        else ((g_addr[lo], g_size_l[lo]),) if hi == lo + 1
+        else tuple(zip(g_addr[lo:hi], g_size_l[lo:hi]))
+        for lo, hi in zip(glo_l, ghi_l)
+    ]
 
 
 def _compiled_chunks(trace, line_size: int) -> Iterator[CompiledTrace]:

@@ -2,6 +2,7 @@
 lazy form each) and the named workload suite the experiments share."""
 
 from .generator import (
+    data_stream_chunks,
     dma_burst_chunks,
     iter_branchy_code,
     iter_data_stream,
@@ -42,7 +43,7 @@ __all__ = [
     "iter_branchy_code", "iter_data_stream", "iter_mixed_workload",
     "iter_pointer_chase", "iter_random_data", "iter_sequential_code",
     "iter_write_burst", "iter_phased_program", "iter_multi_tenant",
-    "dma_burst_chunks",
+    "data_stream_chunks", "dma_burst_chunks",
     "Access", "AccessKind", "Trace", "trace_stats",
     "TraceStream", "chunked", "DEFAULT_CHUNK_SIZE",
     "TraceFormatError", "save_trace", "iter_trace",

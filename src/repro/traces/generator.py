@@ -14,15 +14,22 @@ writes ``list(iter_<name>(...))``.
 The ``iter_phased_program`` / ``iter_multi_tenant`` generators and
 :func:`dma_burst_chunks` model long-horizon behaviours (phase changes,
 tenant interleaving, DMA burst trains) that only show up at lengths a
-list cannot hold.  ``dma_burst_chunks`` yields
-:class:`~repro.traces.arrays.ArrayChunk` slabs instead of ``Access``
-records; its scalar oracle lives in the tests.
+list cannot hold.
+
+Two generators yield :class:`~repro.traces.arrays.ArrayChunk` slabs
+instead of ``Access`` records: :func:`dma_burst_chunks` and
+:func:`data_stream_chunks`, which reads the DRBG byte stream in bulk
+rather than one call per draw.  ``iter_data_stream`` and
+``iter_random_data`` flatten the latter's chunks.  The scalar oracles of
+both live in the tests.
 
 All generators are deterministic given a :class:`repro.crypto.DRBG` seed.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Iterator, Optional
 
 from ..crypto.drbg import DRBG
@@ -38,6 +45,7 @@ __all__ = [
     "iter_mixed_workload",
     "iter_phased_program",
     "iter_multi_tenant",
+    "data_stream_chunks",
     "dma_burst_chunks",
 ]
 
@@ -113,27 +121,14 @@ def iter_data_stream(
 
     With probability ``locality`` the next access lands near the previous
     one (same or next line); otherwise it jumps uniformly in the set.
+    Flattens the array chunks of :func:`data_stream_chunks`, one slab's
+    worth at a time, so a consumer that takes only a prefix (each tenant
+    of :func:`iter_multi_tenant`) generates little past it.
     """
-    _check_count(n)
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
-    if not 0.0 <= locality <= 1.0:
-        raise ValueError(f"locality must be in [0, 1], got {locality}")
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    if working_set < size:
-        raise ValueError(
-            f"working_set must be at least size ({size}), got {working_set}"
-        )
-    addr = base
-    span = working_set // size
-    for _ in range(n):
-        kind = AccessKind.STORE if rng.random() < write_fraction else AccessKind.LOAD
-        yield Access(kind, addr, size)
-        if rng.random() < locality:
-            addr = base + ((addr - base) + size) % working_set
-        else:
-            addr = base + rng.randbelow(span) * size
+    return chain.from_iterable(data_stream_chunks(
+        n, rng, _SLAB_ACCESSES, base=base, working_set=working_set,
+        write_fraction=write_fraction, size=size, locality=locality,
+    ))
 
 
 def iter_random_data(
@@ -357,7 +352,7 @@ def dma_burst_chunks(
     """
     import numpy as np
 
-    from .arrays import KIND_CODES, ArrayChunk
+    from .arrays import KIND_CODES
 
     _check_count(n)
     if chunk_size <= 0:
@@ -377,34 +372,195 @@ def dma_burst_chunks(
     load_code = KIND_CODES[AccessKind.LOAD]
     store_code = KIND_CODES[AccessKind.STORE]
 
-    addr_parts = []
+    def bursts():
+        emitted = 0
+        while emitted < n:
+            # Three draws per burst, always in this order.
+            length = min(1 + rng.randbelow(burst), n - emitted)
+            offset = rng.randbelow(span) * size
+            code = load_code if rng.random() < read_fraction else store_code
+            addrs = (offset + ramp[:length]) % region + base
+            if addr_mod is not None:
+                addrs = addrs % addr_mod
+            yield np.full(length, code, dtype=np.uint8), addrs
+            emitted += length
+
+    yield from _cut_chunks(bursts(), chunk_size, size)
+
+
+def _cut_chunks(parts, chunk_size: int, size: int):
+    """Re-cut a stream of ``(kind codes, addresses)`` array parts into
+    :class:`~repro.traces.arrays.ArrayChunk` slabs of exactly
+    ``chunk_size`` accesses of ``size`` bytes (the last may be shorter)."""
+    import numpy as np
+
+    from .arrays import ArrayChunk
+
     kind_parts = []
+    addr_parts = []
     held = 0
-    emitted = 0
-    while emitted < n:
-        # Three draws per burst, always in this order.
-        length = min(1 + rng.randbelow(burst), n - emitted)
-        offset = rng.randbelow(span) * size
-        code = load_code if rng.random() < read_fraction else store_code
-        addrs = (offset + ramp[:length]) % region + base
-        if addr_mod is not None:
-            addrs = addrs % addr_mod
+    for kinds, addrs in parts:
+        kind_parts.append(kinds)
         addr_parts.append(addrs)
-        kind_parts.append(np.full(length, code, dtype=np.uint8))
-        held += length
-        emitted += length
-        if held >= chunk_size or emitted >= n:
-            all_addrs = np.concatenate(addr_parts)
+        held += len(addrs)
+        if held >= chunk_size:
             all_kinds = np.concatenate(kind_parts)
+            all_addrs = np.concatenate(addr_parts)
             cut = 0
-            while held - cut >= chunk_size or (emitted >= n and cut < held):
-                take = min(chunk_size, held - cut)
-                yield ArrayChunk(
-                    all_kinds[cut: cut + take],
-                    all_addrs[cut: cut + take],
-                    np.full(take, size, dtype=np.int64),
-                )
-                cut += take
-            addr_parts = [all_addrs[cut:]]
+            while held - cut >= chunk_size:
+                yield ArrayChunk(all_kinds[cut: cut + chunk_size],
+                                 all_addrs[cut: cut + chunk_size],
+                                 np.full(chunk_size, size, dtype=np.int64))
+                cut += chunk_size
             kind_parts = [all_kinds[cut:]]
+            addr_parts = [all_addrs[cut:]]
             held -= cut
+    if held:
+        yield ArrayChunk(np.concatenate(kind_parts),
+                         np.concatenate(addr_parts),
+                         np.full(held, size, dtype=np.int64))
+
+
+#: Accesses parsed per peeked slab in :func:`data_stream_chunks`.  Its
+#: per-offset tables are a few arrays as long as the slab's bytes, so
+#: this bounds their memory whatever the chunk size.
+_SLAB_ACCESSES = 2048
+
+
+def data_stream_chunks(
+    n: int,
+    rng: DRBG,
+    chunk_size: int,
+    *,
+    base: int,
+    working_set: int,
+    write_fraction: float,
+    size: int,
+    locality: float,
+    addr_mod: Optional[int] = None,
+):
+    """:func:`iter_data_stream`'s accesses as array chunks.
+
+    Each access draws, in this order: its kind (``rng.random() <
+    write_fraction``, 7 bytes), the next address's locality (7 bytes)
+    and, on a jump, ``rng.randbelow(working_set // size)`` (rejection
+    steps of ``ceil(bits / 8)`` bytes).  Instead of one DRBG call per
+    draw, the generator peeks a slab of the byte stream and parses every
+    byte offset of it at once into a next-offset table: where an access
+    that starts there would leave the next one.  Walking that table from
+    offset 0 gives the accesses' draw offsets; their kinds, jumps and
+    addresses are then array expressions, and the DRBG advances by
+    exactly the bytes the per-draw loop would have consumed (so a drained
+    generator leaves the DRBG where the scalar loop leaves it).
+
+    Yields :class:`~repro.traces.arrays.ArrayChunk` slabs of exactly
+    ``chunk_size`` accesses (the last may be shorter); ``addr_mod``, when
+    given, folds every address by ``addr % addr_mod``.
+    """
+    import numpy as np
+
+    from .arrays import KIND_CODES
+
+    _check_count(n)
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
+    if not 0.0 <= locality <= 1.0:
+        raise ValueError(f"locality must be in [0, 1], got {locality}")
+    if size <= 0:
+        raise ValueError(f"size must be positive, got {size}")
+    if working_set < size:
+        raise ValueError(
+            f"working_set must be at least size ({size}), got {working_set}"
+        )
+    span = working_set // size
+    bits = span.bit_length()
+    width = (bits + 7) // 8
+    # ``rng.random() < p`` compares a 53-bit draw d as d / 2**53 < p,
+    # which is exactly d < ceil(p * 2**53).
+    store_below = np.uint64(math.ceil(write_fraction * 2.0 ** 53))
+    local_below = np.uint64(math.ceil(locality * 2.0 ** 53))
+    # Expected bytes per access: two 7-byte draws and, on a jump, the
+    # rejection loop's 2**bits / span tries of ``width`` bytes.
+    per_access = 14 + (1 - locality) * width * (1 << bits) / span
+    draw_shift = np.uint64(64 - 53)
+    try_shift = np.uint64(64 - bits)
+    store_code = KIND_CODES[AccessKind.STORE]
+    load_code = KIND_CODES[AccessKind.LOAD]
+    offset = 0          # the next access's address, relative to base
+    grow = 1            # slab enlargement after a slab held no access
+
+    def parse(take: int):
+        """Up to ``take`` accesses from one peeked slab, as kind codes and
+        (folded) addresses; advances the DRBG past them.  ``None`` when
+        the slab held no whole access."""
+        nonlocal offset, grow
+        slab = rng.peek(int(take * per_access * 1.05 * grow) + 64)
+        end = len(slab)
+        # Every draw is at most 8 bytes, so the draw at offset q is the
+        # top bits of the big-endian word there: 53 for random(),
+        # ``bits`` for one randbelow try.
+        words = np.ndarray((end - 7,), dtype=">u8", buffer=slab,
+                           strides=(1,)).astype(np.uint64)
+        index = np.arange(len(words), dtype=np.int32)
+        # next_ok[q]: the first accepted try at q, q + width, ... (past
+        # ``end`` when that chain leaves the slab).
+        next_ok = np.where((words >> try_shift) < span, index, 2 * end)
+        for r in range(width):
+            next_ok[r::width] = np.minimum.accumulate(
+                next_ok[r::width][::-1])[::-1]
+        local = (words >> draw_shift) < local_below
+        # nxt[p]: where the access whose kind draw sits at p leaves the
+        # next one; -1 where the slab cannot tell.
+        nxt = np.full(end + 8, -1, dtype=np.int32)
+        limit = len(words) - 14     # offsets whose first two draws fit
+        if limit > 0:
+            ahead = np.where(local[7:7 + limit], index[14:],
+                             next_ok[14:] + width)
+            ahead[ahead > end] = -1
+            nxt[:limit] = ahead
+        view = memoryview(nxt)
+        starts = []
+        append = starts.append
+        p = 0
+        for _ in range(take):
+            q = view[p]
+            if q < 0:
+                break
+            append(p)
+            p = q
+        m = len(starts)
+        if m == 0:
+            grow *= 2
+            return None
+        rng.advance(p)
+        at = np.asarray(starts, dtype=np.int64)
+        kinds = np.where((words[at] >> draw_shift) < store_below,
+                         store_code, load_code).astype(np.uint8)
+        # Walk the addresses: a jump resets the offset to its target, a
+        # local step adds ``size`` (mod working_set) to the last one.
+        jumps = ~local[at + 7]
+        steps = np.arange(m + 1)
+        restart = np.where(np.concatenate(([True], jumps)), steps, 0)
+        np.maximum.accumulate(restart, out=restart)
+        origin = np.empty(m + 1, dtype=np.int64)
+        origin[0] = offset
+        targets = words[next_ok[at[jumps] + 14]] >> try_shift
+        origin[1:][jumps] = targets.astype(np.int64) * size
+        offsets = (origin[restart] + (steps - restart) * size) % working_set
+        offset = int(offsets[m])
+        addrs = offsets[:m] + base
+        if addr_mod is not None:
+            addrs %= addr_mod
+        return kinds, addrs
+
+    def slabs():
+        parsed = 0
+        while parsed < n:
+            part = parse(min(n - parsed, _SLAB_ACCESSES))
+            if part is not None:
+                parsed += len(part[0])
+                yield part
+
+    yield from _cut_chunks(slabs(), chunk_size, size)

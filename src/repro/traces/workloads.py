@@ -10,7 +10,7 @@ actual programs rather than statistical mimics.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..crypto.drbg import DRBG
 from . import generator
@@ -46,9 +46,33 @@ LONG_HORIZON_NAMES = (
 STREAM_WORKLOAD_NAMES = WORKLOAD_NAMES + LONG_HORIZON_NAMES
 
 #: Workloads generated as array chunks (:func:`array_stream_workload`):
-#: generators cheap enough per DRBG draw that, at 10^8 accesses, the
-#: per-access ``Access`` construction *is* the cost worth deleting.
-ARRAY_STREAM_NAMES = ("dma-burst",)
+#: their generators parse the DRBG byte stream in bulk, so no ``Access``
+#: is built between the DRBG and the array executor.  The other names
+#: still generate one ``Access`` at a time.
+ARRAY_STREAM_NAMES = ("data-local", "data-random", "write-heavy",
+                      "dma-burst")
+
+#: Parameters of the named data-stream workloads
+#: (:func:`~repro.traces.generator.data_stream_chunks`).
+_DATA_STREAMS = {
+    "data-local": dict(base=1 << 20, working_set=128 * 1024,
+                       write_fraction=0.25, size=4, locality=0.9),
+    "data-random": dict(base=1 << 20, working_set=1 << 20,
+                        write_fraction=0.2, size=4, locality=0.0),
+    "write-heavy": dict(base=1 << 20, working_set=256 * 1024,
+                        write_fraction=0.6, size=4, locality=0.7),
+}
+
+
+def _array_chunks(name: str, n: int, rng: DRBG, chunk_size: int,
+                  addr_mod: Optional[int] = None):
+    """The array chunks of one of :data:`ARRAY_STREAM_NAMES`."""
+    if name == "dma-burst":
+        return generator.dma_burst_chunks(n, rng, chunk_size,
+                                          addr_mod=addr_mod)
+    return generator.data_stream_chunks(n, rng, chunk_size,
+                                        addr_mod=addr_mod,
+                                        **_DATA_STREAMS[name])
 
 
 def iter_workload(name: str, n: int = 20000, seed: int = 2005
@@ -57,28 +81,18 @@ def iter_workload(name: str, n: int = 20000, seed: int = 2005
 
     ``make_workload(name, n, seed) == list(iter_workload(name, n, seed))``
     for every name in ``WORKLOAD_NAMES``.  The long-horizon names
-    (``LONG_HORIZON_NAMES``) are additionally available here;
-    ``dma-burst`` flattens the array chunks of
-    :func:`~repro.traces.generator.dma_burst_chunks`.
+    (``LONG_HORIZON_NAMES``) are additionally available here; the
+    :data:`ARRAY_STREAM_NAMES` flatten their array chunks.
     """
     rng = DRBG(seed).fork(name)
+    if name in ARRAY_STREAM_NAMES:
+        return chain.from_iterable(
+            _array_chunks(name, n, rng, DEFAULT_CHUNK_SIZE))
     if name == "sequential":
         return generator.iter_sequential_code(n, code_size=256 * 1024)
     if name == "branchy":
         return generator.iter_branchy_code(
             n, rng, p_taken=0.25, code_size=256 * 1024
-        )
-    if name == "data-local":
-        return generator.iter_data_stream(
-            n, rng, write_fraction=0.25, locality=0.9, working_set=128 * 1024
-        )
-    if name == "data-random":
-        return generator.iter_random_data(
-            n, rng, working_set=1 << 20, write_fraction=0.2
-        )
-    if name == "write-heavy":
-        return generator.iter_data_stream(
-            n, rng, write_fraction=0.6, locality=0.7, working_set=256 * 1024
         )
     if name == "mixed":
         return generator.iter_mixed_workload(n, rng)
@@ -86,9 +100,6 @@ def iter_workload(name: str, n: int = 20000, seed: int = 2005
         return generator.iter_phased_program(n, rng)
     if name == "multi-tenant":
         return generator.iter_multi_tenant(n, rng)
-    if name == "dma-burst":
-        return chain.from_iterable(
-            generator.dma_burst_chunks(n, rng, DEFAULT_CHUNK_SIZE))
     raise KeyError(
         f"unknown workload {name!r}; choose from {STREAM_WORKLOAD_NAMES}"
     )
@@ -143,9 +154,8 @@ def array_stream_workload(name: str, n: int = 20000, seed: int = 2005,
             f"{ARRAY_STREAM_NAMES} (or use stream_workload)"
         )
     return TraceStream(
-        lambda: generator.dma_burst_chunks(
-            n, DRBG(seed).fork(name), chunk_size, addr_mod=addr_mod
-        ),
+        lambda: _array_chunks(name, n, DRBG(seed).fork(name), chunk_size,
+                              addr_mod),
         length=n,
     )
 

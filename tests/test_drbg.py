@@ -1,9 +1,34 @@
 """Deterministic RNG: reproducibility, ranges, derived streams."""
 
+import random
+
 import pytest
 
 from repro.crypto import DRBG
+from repro.crypto.sha256 import sha256
 from repro.compression import shannon_entropy
+
+
+class PerBlockStream:
+    """The DRBG's byte stream, one counter block appended at a time (the
+    body ``random_bytes`` has always had): the reference for the bulk
+    ``peek``/``advance`` reads."""
+
+    def __init__(self, seed: int):
+        self.key = sha256(b"repro-drbg" + seed.to_bytes(16, "big"))
+        self.counter = 0
+        self.pool = b""
+
+    def peek(self, n: int) -> bytes:
+        while len(self.pool) < n:
+            self.pool += sha256(self.key + self.counter.to_bytes(8, "big"))
+            self.counter += 1
+        return self.pool[:n]
+
+    def take(self, n: int) -> bytes:
+        out = self.peek(n)
+        self.pool = self.pool[n:]
+        return out
 
 
 class TestDeterminism:
@@ -89,6 +114,56 @@ class TestCollections:
         rng.shuffle(shuffled)
         assert sorted(shuffled) == items
         assert shuffled != items  # astronomically unlikely to be identity
+
+
+class TestBulkReads:
+    def test_peek_then_advance_is_random_bytes(self):
+        rng, twin = DRBG(3), DRBG(3)
+        assert rng.peek(70) == rng.peek(70) == twin.random_bytes(70)
+        rng.advance(70)
+        assert rng.random_bytes(9) == twin.random_bytes(9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2005])
+    def test_random_ops_match_the_per_block_stream(self, seed):
+        """Draw sizes 0-100 cross 32-byte block boundaries in every
+        phase; per-draw methods, peek and advance interleave freely."""
+        ops = random.Random(seed)
+        rng, ref = DRBG(seed), PerBlockStream(seed)
+        for _ in range(600):
+            n = ops.randrange(101)
+            op = ops.randrange(4)
+            if op == 0:
+                assert rng.random_bytes(n) == ref.take(n)
+            elif op == 1:
+                assert rng.peek(n) == ref.peek(n)
+            elif op == 2:
+                rng.advance(n)
+                ref.take(n)
+            else:
+                bits = ops.randrange(1, 65)
+                nbytes = (bits + 7) // 8
+                expected = (int.from_bytes(ref.take(nbytes), "big")
+                            >> (8 * nbytes - bits))
+                assert rng.randbits(bits) == expected
+        assert rng.random_bytes(64) == ref.take(64)
+
+    def test_negative_counts_rejected(self):
+        """A negative count used to slice the pool from the wrong end:
+        after 5 bytes, random_bytes(-3) returned 24 bytes."""
+        rng, twin = DRBG(1), DRBG(1)
+        rng.random_bytes(5)
+        twin.random_bytes(5)
+        for name in ("random_bytes", "randbits", "peek", "advance"):
+            with pytest.raises(ValueError, match="got -3"):
+                getattr(rng, name)(-3)
+        assert rng.random_bytes(40) == twin.random_bytes(40)
+
+    def test_zero_counts(self):
+        rng = DRBG(1)
+        assert rng.random_bytes(0) == rng.peek(0) == b""
+        assert rng.randbits(0) == 0
+        rng.advance(0)
+        assert rng.random_bytes(8) == DRBG(1).random_bytes(8)
 
 
 class TestQuality:

@@ -10,6 +10,7 @@ The carried-state invariants under test (see DESIGN.md):
   10^8-access stream is replayable without being storable.
 """
 
+import hashlib
 import threading
 from functools import lru_cache
 from itertools import chain
@@ -29,6 +30,7 @@ from repro.traces import (
     WORKLOAD_NAMES,
     TraceStream,
     chunked,
+    data_stream_chunks,
     dma_burst_chunks,
     iter_multi_tenant,
     iter_phased_program,
@@ -38,7 +40,7 @@ from repro.traces import (
 )
 from repro.traces.workloads import array_stream_workload
 
-from .reference_traces import iter_dma_bursts
+from .reference_traces import iter_data_accesses, iter_dma_bursts
 
 IMAGE = 32 * 1024
 
@@ -205,6 +207,115 @@ class TestDmaBurstOracle:
                                        chunk_size=chunk)
         trace = _triples(chain.from_iterable(stream.chunks()))
         assert trace == _dma_oracle(seed, n)
+
+
+#: The named data-stream workloads, spelled out independently of
+#: ``repro.traces.workloads`` so the oracle also checks that table.
+_DATA_STREAMS = {
+    "data-local": dict(working_set=128 * 1024, write_fraction=0.25,
+                       locality=0.9),
+    "data-random": dict(working_set=1 << 20, write_fraction=0.2,
+                        locality=0.0),
+    "write-heavy": dict(working_set=256 * 1024, write_fraction=0.6,
+                        locality=0.7),
+}
+
+#: sha256 of the (kind, addr, size) lines of the workloads that consume a
+#: data stream, recorded when the data stream was still generated one
+#: ``Access`` at a time.
+_CONSUMER_DIGESTS = {
+    ("mixed", 2005):
+        "c391388a2e2569a905bcc7077ea3c0b0bea163494bddfaab1e0a06f73c3d825e",
+    ("mixed", 1):
+        "ec64149a87d3e6b8f99bd769de74ad510ade4afbc839693569c7b8bcb7607513",
+    ("mixed", 7):
+        "2de2a18a0b016ee3d46f0c6e46a994aa9b38ff6728f16b36bee9f357e34be719",
+    ("phased", 2005):
+        "5598abe1c19e93775dcb20a4871ae1c9d48d8b7d96d6033cb98b7b5731ae1791",
+    ("phased", 1):
+        "d4c9afda47090b1c89589e91b1dea10aeeeb68daa3fa7383f062ea1728cc4ac3",
+    ("phased", 7):
+        "775c30f70400e007c76f7e969d3aa0d0db6018547456a2d712d938278b96e28d",
+    ("multi-tenant", 2005):
+        "426941ef621bf2f979be19039167aec6e8bfdb5a28286d54291677f715b9fa1d",
+    ("multi-tenant", 1):
+        "4bff968e5d27ce681ef2a24198e383c528fc2806f10d7bb5fd022959c0b7a45a",
+    ("multi-tenant", 7):
+        "c24e185e194c5b36e82e927fee2b5e08d8a95ae5f70b98f22daef8d2539c12b2",
+}
+
+
+@lru_cache(maxsize=None)
+def _data_oracle(name, seed, n):
+    """The oracle's (kind, addr, size) sequence for a data-stream
+    workload, and the next 16 bytes of its drained DRBG."""
+    rng = DRBG(seed).fork(name)
+    trace = _triples(iter_data_accesses(n, rng, **_DATA_STREAMS[name]))
+    return trace, rng.random_bytes(16)
+
+
+def _consumer_digest(name, seed):
+    if name == "phased":
+        accesses = iter_phased_program(20000, DRBG(seed), phase_len=1000)
+    else:
+        accesses = iter_workload(name, n=20000 if name == "mixed" else 5000,
+                                 seed=seed)
+    digest = hashlib.sha256()
+    for a in accesses:
+        digest.update(f"{a.kind.name} {a.addr} {a.size}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_DATA_STREAMS))
+class TestDataStreamOracle:
+    """``data-local``, ``data-random`` and ``write-heavy`` are generated
+    only as array chunks over a bulk DRBG read; every entry point
+    flattens to the per-draw oracle's accesses, at any chunk size."""
+
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_iter_workload(self, name, seed, n):
+        trace = _triples(iter_workload(name, n=n, seed=seed))
+        assert trace == _data_oracle(name, seed, n)[0]
+
+    @pytest.mark.parametrize("chunk", _DMA_CHUNKS)
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_stream_workload(self, name, seed, n, chunk):
+        stream = stream_workload(name, n=n, seed=seed, chunk_size=chunk)
+        trace = _triples(chain.from_iterable(stream.chunks()))
+        assert trace == _data_oracle(name, seed, n)[0]
+
+    @pytest.mark.parametrize("chunk", _DMA_CHUNKS)
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_array_stream_workload(self, name, seed, n, chunk):
+        stream = array_stream_workload(name, n=n, seed=seed,
+                                       chunk_size=chunk, addr_mod=IMAGE)
+        chunks = list(stream.chunks())
+        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= chunk
+        folded = [(kind, addr % IMAGE, size)
+                  for kind, addr, size in _data_oracle(name, seed, n)[0]]
+        assert _triples(chain.from_iterable(chunks)) == folded
+
+    @pytest.mark.parametrize("n", _DMA_LENGTHS)
+    @pytest.mark.parametrize("seed", _DMA_SEEDS)
+    def test_drained_drbg_matches(self, name, seed, n):
+        """A drained generator has consumed exactly the oracle's bytes."""
+        rng = DRBG(seed).fork(name)
+        for _ in data_stream_chunks(n, rng, 333, base=1 << 20, size=4,
+                                    **_DATA_STREAMS[name]):
+            pass
+        assert rng.random_bytes(16) == _data_oracle(name, seed, n)[1]
+
+
+@pytest.mark.parametrize("seed", _DMA_SEEDS)
+@pytest.mark.parametrize("name", ["mixed", "phased", "multi-tenant"])
+def test_data_stream_consumers_unchanged(name, seed):
+    """Workloads built over ``iter_data_stream`` give their recorded
+    accesses."""
+    assert _consumer_digest(name, seed) == _CONSUMER_DIGESTS[(name, seed)]
 
 
 # -- TraceStream semantics --------------------------------------------------
