@@ -144,6 +144,11 @@ PORT_LAYER_HOME := ^src/repro/core/engine\.py:MemoryPort:
 PORT_LINE_CALL := port\.(read|write)\(
 GROUP_BODIES := :BusEncryptionEngine\.(fill_lines|_fetch_line|_store):
 
+# A fault rig copies the pages its memory has touched
+# (MainMemory.touched_pages), never the whole array: nothing under
+# src/repro/faults dumps from address 0 or sizes a copy by config.size.
+WHOLE_MEMORY := dump\(0[[:space:]]*,|config\.size
+
 .PHONY: install test check lint smoke bench bench-quick bench-gate bench-pytest kernels-bench campaign-bench serve-bench stream-bench examples attack survey clean
 
 install:
@@ -397,6 +402,16 @@ lint:
 		exit 1; \
 	fi; \
 	echo "lint: ok (port traffic moves in groups)"
+	@matches=$$(grep -rnIE '$(WHOLE_MEMORY)' --include='*.py' \
+		src/repro/faults || true); \
+	if [ -n "$$matches" ]; then \
+		echo "lint: fault rigs copy the touched pages" >&2; \
+		echo "      (MainMemory.touched_pages), never the whole memory:" >&2; \
+		echo "      no dump(0, ...) or config.size under src/repro/faults:" >&2; \
+		echo "$$matches" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (fault rigs copy touched pages)"
 
 # Smoke runs: SMOKE_<name> is the `$(PYTHON) -m` command line of one run.
 # `make smoke` runs them in the order of SMOKES and stops at the first

@@ -776,6 +776,20 @@ _CHAIN_MEMO: "OrderedDict[tuple, bytes]" = OrderedDict()
 _CHAIN_MEMO_MAX = 512
 
 
+def _memo_get(key: tuple) -> Optional[bytes]:
+    cached = _CHAIN_MEMO.get(key)
+    if cached is not None:
+        _CHAIN_MEMO.move_to_end(key)
+    return cached
+
+
+def _memo_put(key: tuple, value: bytes) -> bytes:
+    _CHAIN_MEMO[key] = value
+    while len(_CHAIN_MEMO) > _CHAIN_MEMO_MAX:
+        _CHAIN_MEMO.popitem(last=False)
+    return value
+
+
 class ChainedTDESEngine(BusEncryptionEngine):
     """3DES-CBC over fixed-size chain units: VLSI's pages, GI's regions.
 
@@ -784,8 +798,10 @@ class ChainedTDESEngine(BusEncryptionEngine):
     function of (key, base, bytes).  The suite re-installs the same images
     into fresh rigs constantly, and the serial chain is the most expensive
     cipher in the registry, so identical transforms are memoized
-    module-wide.  Lines have no transform of their own: subclasses supply
-    the fill and write datapaths, and plug their storage layout into
+    module-wide; an install enciphers its memo misses in one
+    ``encrypt_units`` call, which runs many units' chains in lockstep.
+    Lines have no transform of their own: subclasses supply the fill and
+    write datapaths, and plug their storage layout into
     :meth:`install_image` and :meth:`read_plain` through
     :meth:`_install_unit` and :meth:`_load_unit`.
     """
@@ -815,18 +831,32 @@ class ChainedTDESEngine(BusEncryptionEngine):
 
     def _chain_transform(self, op: str, base: int, data: bytes) -> bytes:
         """Whole-unit CBC ``op`` ("enc" or "dec") of the unit at ``base``."""
+        if op == "enc":
+            return self._encrypt_units([(base, data)])[0]
         data = bytes(data)
         key = (self._tdes_key, op, base, data)
-        cached = _CHAIN_MEMO.get(key)
+        cached = _memo_get(key)
         if cached is None:
             cbc = CBC(self._tdes, self._chain_iv(base))
-            cached = cbc.encrypt(data) if op == "enc" else cbc.decrypt(data)
-            _CHAIN_MEMO[key] = cached
-            while len(_CHAIN_MEMO) > _CHAIN_MEMO_MAX:
-                _CHAIN_MEMO.popitem(last=False)
-        else:
-            _CHAIN_MEMO.move_to_end(key)
+            cached = _memo_put(key, cbc.decrypt(data))
         return cached
+
+    def _encrypt_units(self, units: Sequence[Tuple[int, bytes]]
+                       ) -> List[bytes]:
+        """Whole-unit CBC encryption of ``(base, plaintext)`` units: memo
+        hits from the memo, every miss in one ``encrypt_units`` call."""
+        keys = [(self._tdes_key, "enc", base, bytes(data))
+                for base, data in units]
+        out = [_memo_get(key) for key in keys]
+        misses = [i for i, ct in enumerate(out) if ct is None]
+        if misses:
+            size = self.chain_size
+            cts = self._tdes.encrypt_units(
+                b"".join(self._chain_iv(keys[i][2]) for i in misses),
+                b"".join(keys[i][3] for i in misses), size)
+            for n, i in enumerate(misses):
+                out[i] = _memo_put(keys[i], cts[n * size: (n + 1) * size])
+        return out
 
     def _whole_units_only(self, *args):
         raise NotImplementedError(
@@ -851,10 +881,10 @@ class ChainedTDESEngine(BusEncryptionEngine):
             raise ValueError(f"image base {base_addr:#x} must align to the "
                              f"{size}-byte chain unit")
         plaintext = plaintext + b"\x00" * (-len(plaintext) % size)
-        for offset in range(0, len(plaintext), size):
-            base = base_addr + offset
-            self._install_unit(memory, base, self._chain_transform(
-                "enc", base, plaintext[offset: offset + size]))
+        units = [(base_addr + offset, plaintext[offset: offset + size])
+                 for offset in range(0, len(plaintext), size)]
+        for (base, _), ciphertext in zip(units, self._encrypt_units(units)):
+            self._install_unit(memory, base, ciphertext)
 
     def read_plain(self, memory, addr: int, nbytes: int,
                    line_size: int = 32) -> bytes:

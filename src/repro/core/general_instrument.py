@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256, verify_hmac
-from ..crypto.modes import CBC
+from ..crypto.modes import CBC, xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, TDES_ITERATIVE
 from .engine import (BusEncryptionEngine, ChainedTDESEngine, MemoryPort,
@@ -207,7 +207,13 @@ class GeneralInstrumentEngine(ChainedTDESEngine):
         if self.reorder:
             return [self._fill_line_reordered(port, addr, line_size)
                     for addr in addrs]
-        out: List[Tuple[bytes, int]] = []
+        # Each line's ciphertext, and the blocks each of its blocks chains
+        # from (its chain IV, then its own blocks but the last): CBC
+        # decryption has no chain dependency, so the whole group
+        # deciphers in one call after the loop.
+        cts: List[bytes] = []
+        prevs: List[bytes] = []
+        line_cycles: List[int] = []
         for addr in addrs:
             base = self._chain_base(addr)
             chain = self._chain_state.get(base)
@@ -261,21 +267,23 @@ class GeneralInstrumentEngine(ChainedTDESEngine):
                 cycles += rest_cycles + self._check_region_tag(
                     base, prefix_ct + rest)
 
-            if self.functional:
-                plaintext = CBC(self._tdes, chain_iv).decrypt(
-                    line_ct[:line_size])
-            else:
-                plaintext = bytes(line_ct[:line_size])
+            line_ct = bytes(line_ct)
+            cts.append(line_ct)
+            prevs.append(chain_iv + line_ct[:-8])
+            line_cycles.append(cycles)
 
             # Advance the chain register past this line (unless at region end).
             next_addr = addr + line_size
             if next_addr < base + self.region_size:
-                self._chain_state[base] = (
-                    next_addr, bytes(line_ct[line_size - 8: line_size]))
+                self._chain_state[base] = (next_addr, line_ct[-8:])
             else:
                 self._chain_state.pop(base, None)
-            out.append((plaintext, cycles))
-        return out
+        if self.functional and cts:
+            plain = xor_bytes(self._tdes.decrypt_blocks(b"".join(cts)),
+                              b"".join(prevs))
+            cts = [plain[i: i + line_size]
+                   for i in range(0, len(plain), line_size)]
+        return list(zip(cts, line_cycles))
 
     def spill_lines(self, port: MemoryPort,
                     items: Sequence[Tuple[int, bytes]]) -> List[int]:

@@ -71,8 +71,10 @@ class StreamCipherEngine(BusEncryptionEngine):
         self.pad_cache_lines = pad_cache_lines
         self.pad_ahead_depth = pad_ahead_depth
         self.reuse_pad_on_partial_write = reuse_pad_on_partial_write
-        # Pad cache: line address -> precomputed pad bytes (LRU).
-        self._pad_cache: "OrderedDict[int, bytes]" = OrderedDict()
+        # Pad cache: the line addresses whose pads sit on chip (LRU).  Only
+        # membership is modelled: it sets a fill's timing, and a fill's
+        # bytes come from decrypt_lines' own keystream call either way.
+        self._pad_cache: "OrderedDict[int, None]" = OrderedDict()
         # Per-line write version, mixed into the keystream tweak.
         self._versions: Dict[int, int] = {}
 
@@ -99,8 +101,7 @@ class StreamCipherEngine(BusEncryptionEngine):
         if line_addr in self._pad_cache:
             self._pad_cache.move_to_end(line_addr)
             return
-        pad = self._pad(line_addr, self.line_size) if self.functional else b""
-        self._pad_cache[line_addr] = pad
+        self._pad_cache[line_addr] = None
         while len(self._pad_cache) > self.pad_cache_lines:
             self._pad_cache.popitem(last=False)
 

@@ -7,14 +7,18 @@ Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
    size), at the batch width asked for and at widths straddling the
    rung switch (1, 5 and 31 blocks, and one below, at and above the
    cipher's ``NUMPY_MIN_BLOCKS_*``), and as one CBC chain against the
-   chain built block by block from the reference cipher; also the
-   DS5002FP byte cipher's one-pass array path against its per-byte
-   methods.  Any mismatch makes the process exit non-zero, which is what
-   ``make smoke`` relies on.
+   chain built block by block from the reference cipher; every DES-family
+   kernel's ``encrypt_units`` against per-unit reference chains, on both
+   sides of its switch and forced into lockstep; also the DS5002FP byte
+   cipher's one-pass array path against its per-byte methods.  Any
+   mismatch makes the process exit non-zero, which is what ``make smoke``
+   relies on.
 2. **Crossover**: per-call time of the narrow rung against the numpy
    rung, each forced at widths from 1 to 1024 blocks, for AES-128, DES
    and 3DES; the measured crossover (the narrowest width from which numpy
    is never slower) is printed beside ``NUMPY_MIN_BLOCKS_AES``/``_DES``.
+   Likewise for 3DES ``encrypt_units``: serial chains against lockstep,
+   from 1 to 64 units.
 
 ``--quick`` shrinks both jobs to a CI-friendly sanity run.
 """
@@ -79,6 +83,38 @@ def check_equivalence(blocks_per_key: int, seed: int = 0x5EED) -> List[str]:
     return failures
 
 
+def _unit_counts() -> Tuple[int, ...]:
+    """Unit counts the units check runs: one and two chains, both sides
+    of the lockstep switch, and many."""
+    switch = kernels.NUMPY_MIN_BLOCKS_DES
+    return tuple(sorted({1, 2, switch - 1, switch, switch + 1, 17, 64}))
+
+
+def check_units(rng: random.Random, unit: int = 16) -> List[str]:
+    """Each DES-family kernel's ``encrypt_units`` (and its lockstep body,
+    forced at every count) against one reference CBC chain per unit."""
+    failures = []
+    for name, key_len, make_ref, make_kernel in _CASES:
+        if make_ref is AES:
+            continue
+        key = bytes(rng.randrange(256) for _ in range(key_len))
+        ref = ReferenceKernel(make_ref(key))
+        kernel = make_kernel(key)
+        for count in _unit_counts():
+            ivs = bytes(rng.randrange(256) for _ in range(8 * count))
+            data = bytes(rng.randrange(256) for _ in range(unit * count))
+            expected = b"".join(
+                ref.encrypt_blocks(data[i * unit: (i + 1) * unit],
+                                   ivs[8 * i: 8 * i + 8])
+                for i in range(count))
+            if kernel.encrypt_units(ivs, data, unit) != expected:
+                failures.append(f"{name}: units mismatch at {count} units")
+            if kernels._np_des_units(kernel, ivs, data, unit) != expected:
+                failures.append(
+                    f"{name}: lockstep units mismatch at {count} units")
+    return failures
+
+
 def _switch(block_size: int) -> int:
     """The width (blocks) from which a kernel takes the numpy rung."""
     return (kernels.NUMPY_MIN_BLOCKS_AES if block_size == 16
@@ -116,7 +152,8 @@ def _throughput(crypt: Callable[[], object], repeats: int) -> float:
 
 
 #: Widths (blocks) at which the two rungs are timed against each other.
-CROSSOVER_WIDTHS = (1, 2, 3, 4, 8, 16, 32, 40, 48, 64, 128, 256, 384, 512,
+CROSSOVER_WIDTHS = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 32, 40, 64, 128, 256,
+                    384, 512,
                     640, 768, 1024)
 
 
@@ -128,7 +165,7 @@ def _rungs(name: str, key: bytes) -> Tuple[Callable, Callable]:
                 lambda data: kernels._np_aes_crypt(aes, data, True))
     des = (TripleDESKernel if name == "3des" else DESKernel)(key)
     return (lambda data: kernels._des_crypt(data, des._enc),
-            lambda data: kernels._np_des_crypt(data, des._enc))
+            lambda data: kernels._np_des_crypt(des, data))
 
 
 def _per_call(crypt: Callable[[bytes], bytes], data: bytes, calls: int,
@@ -164,6 +201,34 @@ def crossovers(widths=CROSSOVER_WIDTHS, repeats: int = 5
     return rows, found
 
 
+#: Unit counts at which serial and lockstep chains are timed.
+UNIT_COUNTS = (1, 2, 4, 8, 10, 12, 16, 32, 64)
+
+
+def unit_crossover(counts=UNIT_COUNTS, unit: int = 256, repeats: int = 5
+                   ) -> Tuple[List[dict], Optional[int]]:
+    """Per-call seconds of 3DES ``encrypt_units`` as serial chains and in
+    lockstep, at each unit count, and the fewest measured units from
+    which lockstep is never slower (None if it always loses)."""
+    rng = random.Random(0xC4A1)
+    kernel = TripleDESKernel(bytes(rng.randrange(256) for _ in range(24)))
+    rows, crossover = [], None
+    for count in counts:
+        ivs = bytes(rng.randrange(256) for _ in range(8 * count))
+        data = bytes(rng.randrange(256) for _ in range(unit * count))
+        row = {"units": count,
+               "serial_s": _throughput(lambda: kernels._unit_chains(
+                   kernel, ivs, data, unit), repeats),
+               "lockstep_s": _throughput(lambda: kernels._np_des_units(
+                   kernel, ivs, data, unit), repeats)}
+        rows.append(row)
+        if row["lockstep_s"] > row["serial_s"]:
+            crossover = None
+        elif crossover is None:
+            crossover = count
+    return rows, crossover
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.crypto.bench_kernels",
@@ -177,7 +242,8 @@ def main(argv=None) -> int:
     if args.quick:
         args.check_blocks = min(args.check_blocks, 50)
 
-    failures = check_equivalence(args.check_blocks)
+    failures = (check_equivalence(args.check_blocks)
+                + check_units(random.Random(0x0717)))
     if failures:
         for failure in failures:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
@@ -185,6 +251,7 @@ def main(argv=None) -> int:
     print(f"equivalence: ok ({len(_CASES)} ciphers x "
           f"{args.check_blocks} random blocks, encrypt+decrypt, also at "
           f"1/5/31 blocks and around each rung switch, and one CBC chain; "
+          f"DES-family encrypt_units at {list(_unit_counts())} units; "
           f"feistel-8 array path vs per-byte)")
 
     rows, found = crossovers(repeats=1 if args.quick else 5)
@@ -197,6 +264,16 @@ def main(argv=None) -> int:
                          ("3des", kernels.NUMPY_MIN_BLOCKS_DES)):
         where = found[name] or f"none up to {CROSSOVER_WIDTHS[-1]}"
         print(f"crossover {name}: {where} blocks (switch at {switch})")
+
+    unit_rows, unit_found = unit_crossover(
+        unit=64 if args.quick else 256, repeats=1 if args.quick else 5)
+    print(f"{'units':>6} {'serial':>10} {'lockstep':>10}")
+    for row in unit_rows:
+        print(f"{row['units']:>6} {row['serial_s'] * 1e3:>8.2f}ms "
+              f"{row['lockstep_s'] * 1e3:>8.2f}ms")
+    where = unit_found or f"none up to {UNIT_COUNTS[-1]}"
+    print(f"crossover 3des units: {where} units "
+          f"(switch at {kernels.NUMPY_MIN_BLOCKS_DES})")
     return 0
 
 

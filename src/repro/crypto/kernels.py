@@ -19,7 +19,9 @@ analogues, and this module applies them to the reference implementations in
   IP/FP/E permutations become per-byte scatter tables and the eight S-boxes,
   in pairs, fuse with the P permutation into four 12-bit ``SP12`` tables.
   3DES additionally skips the interior FP∘IP pairs, which cancel
-  algebraically.
+  algebraically.  The wide rung runs a round as one gather over all eight
+  S-box+P tables, and :meth:`DESKernel.encrypt_units` runs many CBC chains
+  in lockstep, one wide step per block column.
 * a **key-schedule registry** (:func:`aes_kernel`, :func:`des_kernel`,
   :func:`tdes_kernel`) memoizing kernels by raw key bytes, so campaign
   scripts that rebuild engines dozens of times reuse one expanded schedule;
@@ -30,10 +32,12 @@ analogues, and this module applies them to the reference implementations in
   :func:`ctr_pads` producing a whole fill group's keystream in one call —
   the miss-path shape the engines in :mod:`repro.core` use;
 * **width selection** — batches of :data:`NUMPY_MIN_BLOCKS_AES` /
-  :data:`NUMPY_MIN_BLOCKS_DES` blocks or more (512 and 40, the measured
-  crossovers) run as numpy gathers over the whole batch, narrower ones on
-  the one-int AES rounds or the DES table loop.  A CBC chain is serial, so
-  it runs one block at a time on the narrow rung at any width.
+  :data:`NUMPY_MIN_BLOCKS_DES` blocks or more (the measured crossovers)
+  run as numpy gathers over the whole batch, narrower ones on the one-int
+  AES rounds or the DES table loop.  A CBC chain is serial, so it runs one
+  block at a time on the narrow rung at any width; ``encrypt_units`` over
+  :data:`NUMPY_MIN_BLOCKS_DES` or more independent DES-family chains is
+  the one chained call that takes the numpy rung.
 
 Every production AES/DES/3DES object is a registry kernel; the algebraic
 ciphers only derive the tables and key schedules and serve as the oracle
@@ -201,6 +205,34 @@ class _Kernel:
     def decrypt_block(self, block: bytes) -> bytes:
         return self.decrypt_blocks(self._one(block))
 
+    def encrypt_units(self, ivs: bytes, data: bytes, unit: int) -> bytes:
+        """CBC-encrypt independent chains: ``data`` is k ``unit``-byte
+        units and ``ivs`` their k IVs.  Here one chain after another; a
+        DES-family kernel runs many at once."""
+        return _unit_chains(self, ivs, data, unit)
+
+
+def _unit_count(ivs: bytes, data: bytes, unit: int, size: int) -> int:
+    """How many ``unit``-byte chains ``data`` holds, one IV each."""
+    if unit <= 0 or unit % size:
+        raise ValueError(
+            f"unit must be a positive multiple of {size} bytes, got {unit}")
+    count = _whole_blocks(ivs, size)
+    if len(data) != count * unit:
+        raise ValueError(f"{count} IVs need {count * unit} bytes of "
+                         f"{unit}-byte units, got {len(data)}")
+    return count
+
+
+def _unit_chains(kernel, ivs: bytes, data: bytes, unit: int) -> bytes:
+    """Each unit of ``data`` as its own CBC chain, one kernel call each."""
+    size = kernel.block_size
+    count = _unit_count(ivs, data, unit, size)
+    return b"".join(
+        kernel.encrypt_blocks(data[i * unit: (i + 1) * unit],
+                              ivs[i * size: (i + 1) * size])
+        for i in range(count))
+
 
 class AESKernel(_Kernel):
     """AES over one Python int (numpy T-table gathers from
@@ -320,15 +352,10 @@ _IP_TAB = _scatter_tables(_IP, 64)
 _FP_TAB = _scatter_tables(_FP, 64)
 _E_TAB = _scatter_tables(_E, 32)
 
-def _sp12_tables() -> List[List[int]]:
-    """S-box pairs fused with P: ``_SP12[j][w]`` is the P-permuted output of
-    S-boxes 2j and 2j+1 on the 12-bit window ``w`` of E(R) xor K.
-
-    One lookup per S-box pair makes a round 4 lookups instead of 8.  A
-    table's 4096 entries take at most 16 x 16 distinct values; equal
-    values share one ``int`` object, which keeps the tables small.
-    """
-    sp6 = []  # sp6[i][chunk]: S-box i on a 6-bit chunk, placed, then P
+def _sp6_tables() -> List[List[int]]:
+    """S-boxes fused with P: ``_SP6[i][w]`` is S-box i's output on the
+    6-bit window ``w`` of E(R) xor K, put in place, then P-permuted."""
+    sp6 = []
     for i in range(8):
         tab = []
         for chunk in range(64):
@@ -336,6 +363,17 @@ def _sp12_tables() -> List[List[int]]:
             col = (chunk >> 1) & 0xF
             tab.append(_permute(_SBOXES[i][row][col] << (28 - 4 * i), 32, _P))
         sp6.append(tab)
+    return sp6
+
+
+def _sp12_tables(sp6: List[List[int]]) -> List[List[int]]:
+    """S-box pairs fused with P: ``_SP12[j][w]`` is the P-permuted output of
+    S-boxes 2j and 2j+1 on the 12-bit window ``w`` of E(R) xor K.
+
+    One lookup per S-box pair makes a round 4 lookups instead of 8.  A
+    table's 4096 entries take at most 16 x 16 distinct values; equal
+    values share one ``int`` object, which keeps the tables small.
+    """
     fused = []
     for j in range(4):
         shared: dict = {}
@@ -344,12 +382,12 @@ def _sp12_tables() -> List[List[int]]:
     return fused
 
 
-_SP12 = _sp12_tables()
+_SP6 = _sp6_tables()
+_SP12 = _sp12_tables(_SP6)
 
 
 def _perm64(v: int, tabs: List[List[int]]) -> int:
-    """A 64-bit FIPS permutation through per-byte tables; with the numpy
-    tables, of a uint64 array of blocks."""
+    """A 64-bit FIPS permutation of one block through per-byte tables."""
     return (
         tabs[0][(v >> 56) & 0xFF] | tabs[1][(v >> 48) & 0xFF]
         | tabs[2][(v >> 40) & 0xFF] | tabs[3][(v >> 32) & 0xFF]
@@ -360,7 +398,7 @@ def _perm64(v: int, tabs: List[List[int]]) -> int:
 
 def _des_rounds(value: int, round_keys, e_tab=_E_TAB, sp_tab=_SP12) -> int:
     """16 Feistel rounds (incl. the final half swap), no IP/FP, on one
-    block or, with the numpy tables, on a uint64 array of blocks.
+    block (the tables are defaults only to make them fast locals).
 
     Input and output are in post-IP bit order, so passes compose directly
     — which is how :class:`TripleDESKernel` drops the interior FP∘IP pairs
@@ -408,21 +446,25 @@ def _des_crypt(data: bytes, schedules, iv: Optional[bytes] = None) -> bytes:
 
 # ---------------------------------------------------------------------------
 # numpy array kernels: the wide half of every kernel.  AES as T-table
-# gathers and DES as the bit-packed formulation above, with every per-block
-# loop replaced by a gather over the whole batch — the software analogue of
-# the survey engines' wide data-parallel datapaths.  An import-time
-# equivalence check (:func:`_check_array_kernels`) pins them to the narrow
-# kernels.
+# gathers, DES as one gather per round over stacked S-box+P tables — every
+# per-block loop replaced by a gather over the whole batch, the software
+# analogue of the survey engines' wide data-parallel datapaths.  An
+# import-time equivalence check (:func:`_check_array_kernels`) pins them to
+# the narrow kernels.
 # ---------------------------------------------------------------------------
 
-#: Minimum batch width (blocks) for the array paths: the crossovers that
-#: ``python -m repro.crypto.bench_kernels`` measures (2-core VM: AES about
-#: 2 us per block narrow against ~650 us + 1 us per block in numpy, DES
-#: and 3DES near 40 blocks).  A numpy round costs roughly the same at any
-#: width, so the per-line fill / writeback shape stays narrow and only
-#: installs and page-sized batches take the gathers.
+#: Minimum batch width (blocks) for the array paths, and for DES-family
+#: CBC chains run in lockstep (:meth:`DESKernel.encrypt_units`): the
+#: crossovers that ``python -m repro.crypto.bench_kernels`` measures
+#: (2-core VM: AES about 2 us per block narrow against ~650 us + 1 us per
+#: block in numpy; a numpy 3DES call about 0.25 ms + 1.5 us per block
+#: against ~30 us per block narrow, DES a third of both, so DES and 3DES
+#: cross near 10 blocks and k chains in lockstep beat k serial chains from
+#: about 10 chains).  A numpy round costs roughly the same at any width,
+#: so the per-line fill / writeback shape stays narrow and only installs,
+#: fill groups and page-sized batches take the gathers.
 NUMPY_MIN_BLOCKS_AES = 512
-NUMPY_MIN_BLOCKS_DES = 40
+NUMPY_MIN_BLOCKS_DES = 10
 
 
 def _np_t_tables(column: Tuple[bytes, ...]) -> Tuple[np.ndarray, ...]:
@@ -444,11 +486,20 @@ _NPT = {
     "td": _np_t_tables((_INV_SUB14, _INV_SUB9, _INV_SUB13, _INV_SUB11)),
     "sbox": np.array(SBOX, dtype=np.uint32),
     "inv_sbox": np.array(INV_SBOX, dtype=np.uint32),
-    "ip": tuple(np.array(t, dtype=np.uint64) for t in _IP_TAB),
-    "fp": tuple(np.array(t, dtype=np.uint64) for t in _FP_TAB),
-    "e": tuple(np.array(t, dtype=np.uint64) for t in _E_TAB),
-    "sp12": tuple(np.array(t, dtype=np.uint64) for t in _SP12),
+    # DES, over int64 lanes: IP and FP as the 8 per-byte tables stacked
+    # (entry 256*i + b is byte i's share), S-boxes+P as _SP6 stacked
+    # (entry 64*i + w).
+    "ip": np.array(_IP_TAB, dtype=np.uint64).view(np.int64).ravel(),
+    "fp": np.array(_FP_TAB, dtype=np.uint64).view(np.int64).ravel(),
+    "sp": np.array(_SP6, dtype=np.int64).ravel(),
 }
+
+#: Where S-box i's 6-bit window of E(R) sits in ``R * 0x100000001`` (R
+#: doubled into 64 bits): E's wrap-around bits 32 and 1 are neighbours
+#: there, so every window is one shift and mask.
+_WINDOW_SHIFTS = np.array([27, 23, 19, 15, 11, 7, 3, 31],
+                          dtype=np.int64)[:, None]
+_BYTE_ROWS = 256 * np.arange(8, dtype=np.int64)
 
 
 def _np_aes_crypt(kernel: "AESKernel", data: bytes, encrypt: bool) -> bytes:
@@ -488,14 +539,70 @@ def _np_aes_crypt(kernel: "AESKernel", data: bytes, encrypt: bool) -> bytes:
     return out.astype(">u4").tobytes()
 
 
-def _np_des_crypt(data: bytes, schedules) -> bytes:
-    """:func:`_des_crypt` without a chain, as gathers over the whole batch
-    (the same permutations and rounds over the numpy tables)."""
-    v = _perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
-                _NPT["ip"])
-    for keys in schedules:
-        v = _des_rounds(v, keys, _NPT["e"], _NPT["sp12"])
-    return _perm64(v, _NPT["fp"]).astype(">u8").tobytes()
+def _np_permute(octets: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """A 64-bit FIPS permutation of ``(n, 8)`` big-endian block bytes: one
+    gather over the stacked per-byte tables and one OR-reduce."""
+    return np.bitwise_or.reduce(table[octets + _BYTE_ROWS], axis=1)
+
+
+def _np_blocks(data: bytes) -> np.ndarray:
+    """IP of every 8-byte block of ``data``, as int64 lanes."""
+    return _np_permute(np.frombuffer(data, dtype=np.uint8).reshape(-1, 8),
+                       _NPT["ip"])
+
+
+def _np_bytes(v: np.ndarray) -> bytes:
+    """FP of every IP-domain lane of ``v``, as block bytes."""
+    octets = v.astype(">i8").view(np.uint8).reshape(-1, 8)
+    return _np_permute(octets, _NPT["fp"]).astype(">i8").tobytes()
+
+
+def _np_folded_keys(schedules) -> np.ndarray:
+    """Per pass and round, S-box i's 6 subkey bits ORed with its table row
+    offset ``64*i``: one XOR then both keys a window and selects its
+    table.  Shape (passes, 16, 8, 1)."""
+    return np.array(
+        [[[((key >> (42 - 6 * i)) & 63) | (64 * i) for i in range(8)]
+          for key in keys] for keys in schedules],
+        dtype=np.int64)[..., None]
+
+
+def _np_des_rounds(v: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """:func:`_des_rounds` for every schedule, over int64 lanes in the IP
+    domain.  A round is one gather: the 8 windows of the doubled R, XORed
+    with the folded keys, index the stacked tables at once, and one
+    XOR-reduce gives f(R, K)."""
+    sp = _NPT["sp"]
+    left = (v >> 32) & 0xFFFFFFFF
+    right = v & 0xFFFFFFFF
+    for rounds in folded:
+        for keys in rounds:
+            windows = ((right * 0x100000001) >> _WINDOW_SHIFTS) & 63
+            left, right = right, left ^ np.bitwise_xor.reduce(
+                sp[windows ^ keys], axis=0)
+        left, right = right, left
+    return (left << 32) | right
+
+
+def _np_des_crypt(kernel: "DESKernel", data: bytes,
+                  decrypt: bool = False) -> bytes:
+    """:func:`_des_crypt` without a chain, over the whole batch at once."""
+    return _np_bytes(_np_des_rounds(_np_blocks(data),
+                                    kernel._np_schedule(decrypt)))
+
+
+def _np_des_units(kernel: "DESKernel", ivs: bytes, data: bytes,
+                  unit: int) -> bytes:
+    """k CBC chains in lockstep: column j holds block j of every unit,
+    and each column is one k-wide pass whose chain register never leaves
+    the IP domain (see :func:`_des_crypt`)."""
+    chain = _np_blocks(ivs)
+    columns = _np_blocks(data).reshape(len(chain), unit // 8).T
+    folded = kernel._np_schedule(False)
+    out = np.empty_like(columns)
+    for j, column in enumerate(columns):
+        out[j] = chain = _np_des_rounds(column ^ chain, folded)
+    return _np_bytes(out.T.ravel())
 
 
 def _check_array_kernels() -> None:
@@ -513,8 +620,11 @@ def _check_array_kernels() -> None:
     for kernel in (DESKernel(bytes(range(8))),
                    TripleDESKernel(bytes(range(24)))):
         ct = _des_crypt(data, kernel._enc)
-        pairs += [(_np_des_crypt(data, kernel._enc), ct),
-                  (_np_des_crypt(ct, kernel._dec), data)]
+        ivs, units = data[:16], data[16:64]
+        pairs += [(_np_des_crypt(kernel, data), ct),
+                  (_np_des_crypt(kernel, ct, decrypt=True), data),
+                  (_np_des_units(kernel, ivs, units, 24),
+                   _unit_chains(kernel, ivs, units, 24))]
     if any(got != want for got, want in pairs):
         raise RuntimeError(
             f"numpy {np.__version__}: array cipher kernels disagree with "
@@ -523,7 +633,9 @@ def _check_array_kernels() -> None:
 
 
 class DESKernel(_Kernel):
-    """Bit-packed DES, byte-identical to :class:`repro.crypto.des.DES`."""
+    """Bit-packed DES, byte-identical to :class:`repro.crypto.des.DES`.
+    A pickled kernel holds only the round keys; the numpy copies of the
+    schedules rebuild on first wide use."""
 
     block_size = 8
 
@@ -538,22 +650,43 @@ class DESKernel(_Kernel):
         other direction."""
         passes = [tuple(_key_schedule(int.from_bytes(key, "big")))
                   for key in keys]
-        self._enc = tuple(ks[::-1] if i % 2 else ks
-                          for i, ks in enumerate(passes))
-        self._dec = tuple(ks[::-1] for ks in reversed(self._enc))
+        enc = tuple(ks[::-1] if i % 2 else ks for i, ks in enumerate(passes))
+        self.__setstate__((enc, tuple(ks[::-1] for ks in reversed(enc))))
+
+    def __getstate__(self):
+        return self._enc, self._dec
+
+    def __setstate__(self, state) -> None:
+        self._enc, self._dec = state
+        self._np_keys = None
+
+    def _np_schedule(self, decrypt: bool) -> np.ndarray:
+        """One direction's folded keys (:func:`_np_folded_keys`)."""
+        if self._np_keys is None:
+            self._np_keys = (_np_folded_keys(self._enc),
+                             _np_folded_keys(self._dec))
+        return self._np_keys[decrypt]
 
     def encrypt_blocks(self, data: bytes, iv: Optional[bytes] = None) -> bytes:
         """ECB-encrypt a multiple of 8 bytes; with ``iv``, CBC-encrypt them
         as one chain (scalar at any width)."""
         if iv is None and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
                 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._enc)
+            return _np_des_crypt(self, data)
         return _des_crypt(data, self._enc, iv)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         if len(data) >= NUMPY_MIN_BLOCKS_DES * 8 and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._dec)
+            return _np_des_crypt(self, data, decrypt=True)
         return _des_crypt(data, self._dec)
+
+    def encrypt_units(self, ivs: bytes, data: bytes, unit: int) -> bytes:
+        """CBC-encrypt k independent ``unit``-byte chains; from
+        :data:`NUMPY_MIN_BLOCKS_DES` chains on, all of them in lockstep."""
+        count = _unit_count(ivs, data, unit, 8)
+        if count < NUMPY_MIN_BLOCKS_DES:
+            return _unit_chains(self, ivs, data, unit)
+        return _np_des_units(self, ivs, data, unit)
 
 
 class TripleDESKernel(DESKernel):

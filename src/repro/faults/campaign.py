@@ -23,7 +23,6 @@ campaign seed, so the matrix is reproducible across runs and workers.
 
 from __future__ import annotations
 
-import mmap
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -92,7 +91,7 @@ class _Pristine:
     """One (label, seed)'s post-install state, shared by its campaigns."""
 
     engine: bytes                      # the pickled engine
-    pages: List[Tuple[int, bytes]]     # the memory's non-zero pages
+    pages: List[Tuple[int, bytes]]     # the memory's touched pages
     #: Recon's (target, donor) windows, filled on first use: they depend
     #: only on the engine's geometry, so every kind run on this
     #: (label, seed) shares them.
@@ -103,7 +102,7 @@ class _Pristine:
 #: proper use the same rig, so the expensive part — building the engine
 #: and offline-encrypting the 256-line image (Merkle tree, tag regions,
 #: per-line IVs...) — runs once per (label, seed) instead of once per
-#: use.  A clone writes back only the 2-4 pages the install filled: the
+#: use.  A clone writes back only the 2-4 pages the install touched: the
 #: rest of a fresh memory reads as zeros and costs nothing untouched.
 _PRISTINE_CACHE: "OrderedDict[Tuple[str, int], _Pristine]" = OrderedDict()
 _PRISTINE_CACHE_MAX = 8
@@ -182,17 +181,6 @@ def _build_engine(label: str) -> BusEncryptionEngine:
     return make_engine(name, **overrides)
 
 
-def _nonzero_pages(memory: MainMemory) -> List[Tuple[int, bytes]]:
-    """The memory's pages that hold a non-zero byte, as (address, bytes)."""
-    zero = bytes(mmap.PAGESIZE)
-    pages = []
-    for addr in range(0, MEM_SIZE, mmap.PAGESIZE):
-        page = memory.dump(addr, mmap.PAGESIZE)
-        if page != zero:
-            pages.append((addr, page))
-    return pages
-
-
 def _pristine(label: str, image: bytes, seed: int) -> _Pristine:
     """The cached post-install state of (label, seed), built on a miss."""
     key = (label, seed)
@@ -204,7 +192,7 @@ def _pristine(label: str, image: bytes, seed: int) -> _Pristine:
         # A pickled snapshot clones several times faster than deepcopy
         # (the schedule-heavy engines dominate campaign setup).
         cached = _Pristine(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL),
-                           _nonzero_pages(memory))
+                           memory.touched_pages())
         _PRISTINE_CACHE[key] = cached
         while len(_PRISTINE_CACHE) > _PRISTINE_CACHE_MAX:
             _PRISTINE_CACHE.popitem(last=False)

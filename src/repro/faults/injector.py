@@ -9,7 +9,9 @@ its :class:`~repro.faults.plan.FaultPlan`\\ s when their triggers fire:
 * ``spoof``/``splice`` rewrite the stored bytes (board-level memory
   modification — persistent until overwritten);
 * ``replay`` rolls the entire memory array back to a snapshot the
-  attacker recorded earlier (:meth:`FaultInjector.snapshot`);
+  attacker recorded earlier (:meth:`FaultInjector.snapshot`): every page
+  touched since the memory was made gets its snapshot bytes back, or
+  zeros if it was untouched when the snapshot was taken;
 * ``glitch`` flips bits only in the data *returned* to the chip — a
   transient wire fault the stored copy never sees.
 
@@ -85,7 +87,7 @@ class FaultInjector:
         self._armed = False
         self._fired: set = set()
         self._eligible_reads: Dict[int, int] = {}
-        self._snapshot: Optional[bytes] = None
+        self._snapshot: Optional[Dict[int, bytes]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -112,13 +114,14 @@ class FaultInjector:
         self._armed = False
 
     def snapshot(self) -> None:
-        """Record the entire memory array (the attacker's board dump).
+        """Record the memory array (the attacker's board dump): its touched
+        pages, since every other page reads as zeros.
 
         ``replay`` plans roll back to the most recent snapshot when they
         fire.  Call it at a quiescent script point so the recorded state
         is self-consistent (data *and* tags/tree nodes).
         """
-        self._snapshot = self.memory.dump(0, self.memory.config.size)
+        self._snapshot = dict(self.memory.touched_pages())
 
     @property
     def injected(self) -> int:
@@ -173,7 +176,9 @@ class FaultInjector:
                 raise RuntimeError(
                     "replay plan fired before any snapshot() was recorded"
                 )
-            self.memory.load_image(0, self._snapshot)
+            for page_addr, page in self.memory.touched_pages():
+                self.memory.load_image(page_addr, self._snapshot.get(
+                    page_addr, bytes(len(page))))
             return self.memory.dump(addr, len(data))
         # glitch: transient — flip bits only in the returned beats that
         # overlap the plan window; memory keeps the clean bytes.

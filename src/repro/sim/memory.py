@@ -10,7 +10,11 @@ vs decompression latency).
 The storage is an anonymous mapping that the kernel zero-fills page by
 page on first touch, so a memory costs neither construction time nor RSS
 for the pages a run never reads or writes: a design point that touches a
-handful of lines of a 4 MiB memory pays for those pages only.
+handful of lines of a 4 MiB memory pays for those pages only.  The memory
+also keeps the set of :data:`PAGE_SIZE` pages that a write or an install
+has touched (:meth:`MainMemory.touched_pages`), so whoever copies its state
+— a fault rig's clone, the attacker's snapshot — copies those pages and
+knows every other page reads as zeros.
 
 Each access is one :meth:`MainMemory.read` or :meth:`MainMemory.write`
 call, with its own range check, counter update, slice, interposer pass
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..obs import EventSink, no_events
 
@@ -36,7 +40,11 @@ Interposer = Callable[[str, int, bytes], bytes]
 #: The event kind of each memory op.
 _KINDS = {"read": "mem-read", "write": "mem-write"}
 
-__all__ = ["MemoryConfig", "MainMemory", "Interposer"]
+#: Granularity (bytes) of the touched-page record.
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
+
+__all__ = ["MemoryConfig", "MainMemory", "Interposer", "PAGE_SIZE"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,10 @@ class MainMemory:
         self.bytes_written = 0
         self.sink = sink
         self._interposers: List[Interposer] = []
+        #: One byte per page, set once a write or load_image touches it
+        #: (a few hundred bytes, where a set of page numbers grows to tens
+        #: of kilobytes on a scattered workload).
+        self._touched = bytearray(-(-config.size >> PAGE_SHIFT))
 
     def attach_interposer(self, interposer: Interposer) -> None:
         """Attach an active interposer to every subsequent read/write."""
@@ -156,7 +168,8 @@ class MainMemory:
     def write(self, addr: int, data: bytes) -> None:
         """One functional write: the dual of :meth:`read`."""
         nbytes = len(data)
-        if addr < 0 or addr + nbytes > self.config.size:
+        end = addr + nbytes
+        if addr < 0 or end > self.config.size:
             raise self._outside(addr, nbytes)
         self.writes += 1
         self.bytes_written += nbytes
@@ -165,7 +178,14 @@ class MainMemory:
             sink.note("mem-write", addr=addr, size=nbytes)
         if self._interposers:
             data = self._interpose("write", addr, data)
-        self._data[addr: addr + nbytes] = data
+        self._data[addr: end] = data
+        # One byte store for a write inside one page (12 is PAGE_SHIFT,
+        # inlined on this hot path).
+        page = addr >> 12
+        if (end - 1) >> 12 == page:
+            self._touched[page] = 1
+        else:
+            self._touch(addr, nbytes)
 
     def tally(self, op: str, count: int, nbytes: int) -> None:
         """Hand a count-only sink the ``mem-<op>`` tally of ``count``
@@ -179,6 +199,22 @@ class MainMemory:
         """Bulk install without touching the access counters (offline load)."""
         self._check_range(addr, len(image))
         self._data[addr: addr + len(image)] = image
+        self._touch(addr, len(image))
+
+    def _touch(self, addr: int, nbytes: int) -> None:
+        first = addr >> PAGE_SHIFT
+        pages = ((addr + nbytes - 1) >> PAGE_SHIFT) + 1 - first
+        self._touched[first: first + pages] = b"\x01" * pages
+
+    def touched_pages(self) -> List[Tuple[int, bytes]]:
+        """``(address, bytes)`` of every page a write or ``load_image`` has
+        touched, in address order: the whole state, since every other page
+        reads as zeros."""
+        size = self.config.size
+        return [(addr, self.dump(addr, min(PAGE_SIZE, size - addr)))
+                for addr in (page << PAGE_SHIFT
+                             for page, touched in enumerate(self._touched)
+                             if touched)]
 
     def dump(self, addr: int, nbytes: int) -> bytes:
         """Bulk inspect without touching counters (the attacker's probe)."""

@@ -23,7 +23,7 @@ from repro.faults import (
 )
 from repro.faults import campaign as campaign_mod
 from repro.obs import CounterSink
-from repro.sim.memory import MainMemory, MemoryConfig
+from repro.sim.memory import PAGE_SIZE, MainMemory, MemoryConfig
 
 #: Labels whose ``detects`` claim covers every fault kind — the engines the
 #: survey credits with real integrity (plus the ablation that adds it).
@@ -155,6 +155,25 @@ class TestFaultInjector:
             memory.write(0, b"\xff" * 32)
             assert memory.read(0, 32) == b"\x00" * 32  # rolled back
         assert memory.dump(0, 32) == b"\x00" * 32
+
+    def test_replay_rolls_back_every_touched_page(self):
+        """The snapshot keeps only the pages touched so far; a page first
+        written after it reads as zeros again after the replay."""
+        size = 16 * PAGE_SIZE
+        memory = MainMemory(MemoryConfig(size=size))
+        memory.load_image(0, b"\x11" * (2 * PAGE_SIZE))
+        memory.write(5 * PAGE_SIZE, b"\x22" * 32)
+        before = memory.dump(0, size)
+        plan = FaultPlan("replay", 0, size=32, nth_read=1)
+        with FaultInjector(memory, [plan], sink=None) as injector:
+            injector.snapshot()
+            assert sorted(injector._snapshot) == [0, PAGE_SIZE, 5 * PAGE_SIZE]
+            memory.write(0, b"\xff" * 32)
+            memory.write(9 * PAGE_SIZE + 64, b"\xee" * 32)
+            memory.write(12 * PAGE_SIZE - 16, b"\xdd" * 32)
+            assert memory.read(0, 32) == b"\x11" * 32     # rolled back
+        assert memory.dump(0, size) == before
+        assert memory.dump(9 * PAGE_SIZE + 64, 32) == bytes(32)
 
     def test_replay_without_snapshot_is_an_error(self):
         memory = _memory()

@@ -188,3 +188,46 @@ class TestSystemIntegration:
         for access in iter_sequential_code(200, code_size=2048):
             system.step(access)
         assert system.cache.misses > 0
+
+
+class TestGroupedFills:
+    """A fill group deciphers in one call after its loop; everything the
+    loop observes must match the same lines filled one at a time."""
+
+    IMAGE = DRBG(b"gi-grouped-fills").random_bytes(1024)
+    #: Region 0 walks on, region 1 jumps in mid-chain and walks, region 0
+    #: continues, a jump to region 3's last line ends its chain, region 2
+    #: starts one, and a refill of a line already read restarts region 0.
+    ADDRS = (0, 32, 64, 288, 320, 96, 992, 128, 512, 544, 32)
+
+    def _rig(self, authenticate):
+        engine = make_engine(authenticate=authenticate)
+        port = make_port()
+        engine.install_image(port.memory, 0, self.IMAGE)
+        return engine, port
+
+    @pytest.mark.parametrize("authenticate", (False, True))
+    def test_group_equals_per_line_fills(self, authenticate):
+        grouped, port = self._rig(authenticate)
+        got = grouped.fill_lines(port, self.ADDRS, 32)
+        single, port = self._rig(authenticate)
+        want = [single.fill_line(port, addr, 32) for addr in self.ADDRS]
+        assert got == want
+        assert [line for line, _ in got] == [
+            self.IMAGE[addr: addr + 32] for addr in self.ADDRS]
+        assert vars(grouped.stats) == vars(single.stats)
+        assert (grouped.chain_hits, grouped.chain_restarts) \
+            == (single.chain_hits, single.chain_restarts) == (6, 5)
+        assert grouped._chain_state == single._chain_state
+        assert grouped._verified == single._verified
+        assert (grouped.verdicts.checks, grouped.verdicts.tampers) \
+            == (single.verdicts.checks, single.verdicts.tampers)
+
+    def test_timing_only_group_returns_the_stored_bytes(self):
+        engine = make_engine(functional=False)
+        port = make_port()
+        engine.install_image(port.memory, 0, self.IMAGE)
+        got = engine.fill_lines(port, self.ADDRS, 32)
+        assert [line for line, _ in got] == [
+            port.memory.dump(addr, 32) for addr in self.ADDRS]
+        assert engine.fill_lines(port, [], 32) == []

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import AES, DES, DRBG, TripleDES
+from repro.crypto.modes import CBC
 from repro.crypto import kernels as kernels_mod
 from repro.crypto.kernels import (
     AESKernel,
@@ -231,6 +232,94 @@ class TestAESWidths:
             kernel.decrypt_blocks(bytes(16 * width))
         assert all(max(cache) <= kernels_mod._SLAB_BLOCKS
                    for cache in kernel._by_width)
+
+
+# -- DES and 3DES at every width, and chains in lockstep ---------------------
+
+#: Both sides of the numpy switch at 10 blocks, and of the old one at 40.
+DES_WIDTHS = (1, 5, 9, 10, 11, 19, 20, 21, 39, 40, 41, 256)
+
+#: (name, key length, registry constructor, kernel class).
+DES_CASES = [
+    ("des", 8, des_kernel, DESKernel),
+    ("3des-ede2", 16, tdes_kernel, TripleDESKernel),
+    ("3des-ede3", 24, tdes_kernel, TripleDESKernel),
+]
+
+
+class TestDESWidths:
+    """Each width runs the scalar table loop or the one-gather numpy
+    round; both must give the reference bytes, in both directions."""
+
+    @pytest.mark.parametrize("name,key_len,registry,kernel_cls", DES_CASES,
+                             ids=[case[0] for case in DES_CASES])
+    def test_matches_scalar_and_reference(self, name, key_len, registry,
+                                          kernel_cls, reference_ciphers):
+        rng = DRBG(b"kernels-des-widths-" + name.encode())
+        key = rng.random_bytes(key_len)
+        data = rng.random_bytes(8 * max(DES_WIDTHS))
+        with reference_ciphers():
+            ref = registry(key)
+            ecb, plain = ref.encrypt_blocks(data), ref.decrypt_blocks(data)
+        assert isinstance(ref, ReferenceKernel)
+        kernel = kernel_cls(key)
+        for width in DES_WIDTHS:
+            part = data[:8 * width]
+            want_ct, want_pt = ecb[:8 * width], plain[:8 * width]
+            assert kernel.encrypt_blocks(part) == want_ct
+            assert kernel.decrypt_blocks(part) == want_pt
+            assert kernels_mod._des_crypt(part, kernel._enc) == want_ct
+            assert kernels_mod._des_crypt(part, kernel._dec) == want_pt
+            # The numpy rung forced at every width, the narrow ones too.
+            assert kernels_mod._np_des_crypt(kernel, part) == want_ct
+            assert kernels_mod._np_des_crypt(kernel, part,
+                                             decrypt=True) == want_pt
+
+    @pytest.mark.parametrize("count", (1, 2, 17, 64))
+    @pytest.mark.parametrize("name,key_len,registry,kernel_cls", DES_CASES,
+                             ids=[case[0] for case in DES_CASES])
+    def test_units_match_per_unit_cbc(self, name, key_len, registry,
+                                      kernel_cls, count, reference_ciphers):
+        rng = DRBG(b"kernels-des-units-%s-%d" % (name.encode(), count))
+        key, unit = rng.random_bytes(key_len), 32
+        ivs = rng.random_bytes(8 * count)
+        data = rng.random_bytes(unit * count)
+        with reference_ciphers():
+            ref = registry(key)
+            expected = b"".join(
+                CBC(ref, ivs[8 * i: 8 * i + 8]).encrypt(
+                    data[unit * i: unit * (i + 1)]) for i in range(count))
+            # The reference adapter runs one chain after another.
+            assert ref.encrypt_units(ivs, data, unit) == expected
+        kernel = kernel_cls(key)
+        assert kernel.encrypt_units(ivs, data, unit) == expected
+        # Lockstep forced at every count, below the switch too.
+        assert kernels_mod._np_des_units(kernel, ivs, data, unit) \
+            == expected
+
+    def test_units_reject_ragged_input(self):
+        kernel = TripleDESKernel(bytes(range(24)))
+        for ivs, data, unit in ((bytes(8), bytes(12), 12),
+                                (bytes(8), bytes(16), 0),
+                                (bytes(12), bytes(16), 16),
+                                (bytes(16), bytes(16), 16),
+                                (bytes(8 * 12), bytes(16 * 11), 16)):
+            with pytest.raises(ValueError):
+                kernel.encrypt_units(ivs, data, unit)
+        assert kernel.encrypt_units(b"", b"", 16) == b""
+
+    def test_pickled_kernel_leaves_out_the_folded_keys(self):
+        kernel = TripleDESKernel(bytes(range(24)))
+        fresh = pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL)
+        data = DRBG(b"kernels-des-pickle").random_bytes(8 * 64)
+        expected = (kernel.encrypt_blocks(data), kernel.decrypt_blocks(data))
+        assert kernel._np_keys is not None
+        used = pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL)
+        assert len(used) == len(fresh)
+        clone = pickle.loads(used)
+        assert clone._np_keys is None
+        assert (clone.encrypt_blocks(data),
+                clone.decrypt_blocks(data)) == expected
 
 
 # -- registry / dispatch ----------------------------------------------------

@@ -16,6 +16,7 @@ from repro.sim import (
     combine,
     sram_gates,
 )
+from repro.sim.memory import PAGE_SIZE
 
 
 class TestMemoryConfig:
@@ -71,6 +72,19 @@ class TestMainMemory:
         mem.load_image(0, b"firmware")
         assert mem.dump(0, 8) == b"firmware"
         assert mem.reads == 0 and mem.writes == 0
+
+    def test_touched_pages_record_writes_and_installs(self):
+        mem = MainMemory(MemoryConfig(size=5 * PAGE_SIZE + 100))
+        assert mem.touched_pages() == []
+        mem.read(3 * PAGE_SIZE, 8)                  # reads touch nothing
+        mem.write(PAGE_SIZE + 8, b"ab")
+        mem.write(2 * PAGE_SIZE - 2, b"wxyz")       # straddles pages 1, 2
+        mem.load_image(5 * PAGE_SIZE, b"tail")      # the short last page
+        pages = mem.touched_pages()
+        assert [addr for addr, _ in pages] == [
+            PAGE_SIZE, 2 * PAGE_SIZE, 5 * PAGE_SIZE]
+        assert [len(page) for _, page in pages] == [PAGE_SIZE, PAGE_SIZE, 100]
+        assert all(mem.dump(addr, len(page)) == page for addr, page in pages)
 
     def test_default_memory_zero_at_both_ends(self):
         mem = MainMemory()

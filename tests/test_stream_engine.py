@@ -129,3 +129,68 @@ class TestUnalignedPads:
         engine = StreamCipherEngine(KEY, line_size=32)
         whole = engine._pad(0, 32)
         assert engine._pad(5, 10) == whole[5:15]
+
+
+class _CountingKernel:
+    """Forwards to an AES kernel, counting its calls and blocks."""
+
+    block_size = 16
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0
+        self.blocks = 0
+
+    def encrypt_blocks(self, data, iv=None):
+        self.calls += 1
+        self.blocks += len(data) // 16
+        return self.kernel.encrypt_blocks(data, iv)
+
+
+class _PadStoringEngine(StreamCipherEngine):
+    """The pad cache as it was: pad-ahead enciphers and keeps each pad."""
+
+    def _cache_pad(self, line_addr):
+        if line_addr in self._pad_cache:
+            self._pad_cache.move_to_end(line_addr)
+            return
+        self._pad_cache[line_addr] = self._pad(line_addr, self.line_size)
+        while len(self._pad_cache) > self.pad_cache_lines:
+            self._pad_cache.popitem(last=False)
+
+
+class TestPadAheadIsTimingOnly:
+    """The pad cache only decides a fill's timing: a fill deciphers with
+    its own keystream call, so pad-ahead computes no keystream."""
+
+    #: Fill groups, with a rewrite of line 96 between the second and third.
+    GROUPS = ([0, 32], [64, 256, 288], [96, 128, 0], [512, 544, 320, 96])
+
+    def _run(self, engine_cls):
+        engine = engine_cls(KEY, line_size=32, pad_cache_lines=4,
+                            pad_ahead_depth=2)
+        port = make_port()
+        engine.install_image(port.memory, 0, bytes(range(256)) * 4)
+        spy = engine._aes = _CountingKernel(engine._aes)
+        fills = []
+        for i, addrs in enumerate(self.GROUPS):
+            if i == 2:
+                engine.write_line(port, 96, b"\x5a" * 32)
+            fills.append(engine.fill_lines(port, addrs, 32))
+        return engine, spy, fills
+
+    def test_pad_ahead_makes_no_cipher_call(self):
+        engine, spy, fills = self._run(StreamCipherEngine)
+        lines = sum(len(addrs) for addrs in self.GROUPS)
+        # One keystream call per fill group and one for the rewrite, each
+        # two AES blocks per 32-byte line.
+        assert spy.calls == len(self.GROUPS) + 1
+        assert spy.blocks == 2 * (lines + 1)
+        oracle, oracle_spy, oracle_fills = self._run(_PadStoringEngine)
+        assert oracle_spy.calls > spy.calls
+        assert fills == oracle_fills
+        assert (engine.stats.pad_hits, engine.stats.pad_misses) \
+            == (oracle.stats.pad_hits, oracle.stats.pad_misses)
+        assert engine.stats.pad_hits and engine.stats.pad_misses
+        assert vars(engine.stats) == vars(oracle.stats)
+        assert list(engine._pad_cache) == list(oracle._pad_cache)
