@@ -17,7 +17,7 @@ from repro.crypto import (
     SmallBlockCipher,
     TweakableFeistel,
 )
-from repro.isa import Op, assemble, secret_table_program
+from repro.isa import INSTRUCTION_LENGTHS, Op, assemble, secret_table_program
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,49 @@ class TestAttackMechanics:
         report = KuhnAttack(board).run()
         assert report.plaintext[0] == Op.RET
         assert report.fully_determined
+
+
+class TestCell0Sweep:
+    """Every opcode of the public ISA as the factory byte at cell 0, under
+    both strategies: cell 0 must come back as the exact byte or as an
+    ambiguity set that holds it, and every other cell exactly.  The keys
+    include three whose phase-1 background operands (ciphertext 0 at cells
+    1 and 2) decode to branch targets 3, 1 and 4, where a branch moves the
+    pc like a fall-through; 97 and 291 cells are the board sizes on which
+    the jump probe's forged target 0x123 wraps to 0 or 1."""
+
+    KEYS = (b"sweep-0", b"k162608", b"k78859", b"k24316")
+    BOARDS = ((128, KEYS, (False, True)),
+              (97, KEYS[:2], (True,)), (291, KEYS[:2], (False,)))
+
+    @staticmethod
+    def firmware(opcode, size, key, random_operands):
+        """``opcode`` at cell 0, then operands 0x10 0x00 0x00 or random
+        ones, then zeros."""
+        operands = DRBG(b"sweep-" + key).random_bytes(3) \
+            if random_operands else b"\x10\x00\x00"
+        return bytes((opcode,)) + operands + bytes(size - 4)
+
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    @pytest.mark.parametrize("opcode", sorted(INSTRUCTION_LENGTHS),
+                             ids="{:#04x}".format)
+    def test_cell0_decodes_to_the_opcode(self, attack, opcode):
+        for size, keys, operand_kinds in self.BOARDS:
+            for key in keys:
+                for random_operands in operand_kinds:
+                    firmware = self.firmware(opcode, size, key,
+                                             random_operands)
+                    board = DallasBoard(SmallBlockCipher(key), firmware,
+                                        memory_size=size)
+                    report = attack(board).run()
+                    case = (size, key, random_operands)
+                    assert report.plaintext[1:] == firmware[1:], case
+                    ambiguity = report.ambiguous_cells.get(0)
+                    if ambiguity is None:
+                        assert report.plaintext[0] == opcode, case
+                    else:
+                        assert opcode in ambiguity, case
+                        assert report.plaintext[0] in ambiguity, case
 
 
 class TestDS5240Resistance:
