@@ -115,8 +115,12 @@ API_TASKS := \.tasks\[
 # and dump gadget of both strategies: the scrambled board twin and the
 # bus-address signature twin stay gone, attacks/ defines reset_and_step
 # once, and the uncalled Huffman coder stays out (sim/area.py's
-# huffman_decoder gate count is an area constant, not the coder).
-KUHN_RETIRED := ScrambledDallasBoard|_signature_of|huffman
+# huffman_decoder gate count is an area constant, not the coder).  Cell 0
+# is decoded by simulating the public ISA (CipherInstructionSearch._decode0),
+# so the per-shape cell-0 decoders stay gone, and the attacker never reads
+# the plaintext opcode a StepEvent carries: no .opcode in attacks/.
+KUHN_RETIRED := ScrambledDallasBoard|_signature_of|huffman|_decode_(cell0|fall3|silent0|landed0|jump0|two_byte0|one_byte0)
+STEP_OPCODE := \.opcode([^[:alnum:]_]|$$)
 AREA_CONSTANT := ^src/repro/sim/area\.py:[0-9]+:[[:space:]]+"huffman_decoder":
 RESET_AND_STEP_DEF := ^[[:space:]]*def reset_and_step\(
 
@@ -363,13 +367,24 @@ lint:
 	if [ -n "$$retired" ] || [ "$$(echo "$$defs" | grep -c .)" != 1 ]; then \
 		echo "lint: one DS5002FP board (DallasBoard, optional scrambler)" >&2; \
 		echo "      and one CipherInstructionSearch base: no" >&2; \
-		echo "      ScrambledDallasBoard, _signature_of or Huffman coder," >&2; \
+		echo "      ScrambledDallasBoard, _signature_of, Huffman coder or" >&2; \
+		echo "      per-shape _decode_* cell-0 decoder," >&2; \
 		echo "      and exactly one def reset_and_step( in attacks/:" >&2; \
 		[ -z "$$retired" ] || echo "$$retired" >&2; \
 		echo "$${defs:-(no def reset_and_step( found)}" >&2; \
 		exit 1; \
 	fi; \
 	echo "lint: ok (one DS5002FP board and one search base)"
+	@reads=$$(grep -rnE '$(STEP_OPCODE)' --include='*.py' \
+		src/repro/attacks || true); \
+	if [ -n "$$reads" ]; then \
+		echo "lint: the Kuhn attacker sees the bus and the port, never" >&2; \
+		echo "      the plaintext opcode of a StepEvent: no .opcode in" >&2; \
+		echo "      src/repro/attacks:" >&2; \
+		echo "$$reads" >&2; \
+		exit 1; \
+	fi; \
+	echo "lint: ok (the attacker reads no StepEvent opcode)"
 	@matches=$$(find $(PRICE_DIRS) -name '*.py' | sort | xargs awk \
 		'FNR == 1 {f = ""} /^def /{split($$2, d, "("); f = d[1]} \
 		/$(PRICE_BODY)/ {print FILENAME ":" f ":" FNR ": " $$0}' \

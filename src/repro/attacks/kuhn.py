@@ -40,13 +40,19 @@ decryption function can be tabulated *by experiment*:
    second read instruction *at address 1* (possible since D_1/D_2 are
    known) whose operand cell is 3.  Cell 0 cannot appear as an operand of
    any reachable instruction (execution always begins there), so it is
-   decoded from its recorded phase-1 behaviour signature; a handful of
-   opcode pairs are behaviourally identical from reset (e.g. ``MOV A,#x``
-   vs ``XRL A,#x`` with A=0) and are reported as an explicit ambiguity set
-   — the same residual uncertainty the physical attack has.
+   decoded by simulating the public ISA: each of the 256 candidate
+   plaintexts runs on a key-less :class:`repro.isa.mcu.MCU` over the known
+   plaintexts of cells 1-3, and survives while it shows what the board
+   showed (its phase-1 signature, then the strategy's ``PLAN`` probes).
+   Opcodes behaviourally identical from reset (e.g. ``MOV A,#x`` vs
+   ``XRL A,#x`` with A=0) survive together and are reported as an
+   explicit ambiguity set — the same residual uncertainty the physical
+   attack has.
 
-Cost: ~5 x 256 probe runs plus one run per dumped byte — exactly the
-"exhaustive attack, 256 possibilities" scale the survey describes.
+Cost: ~5 x 256 probe runs, at most four more for cell 0 (a ``PLAN`` probe
+runs only when the survivors disagree on it), and one run per dumped
+byte — exactly the "exhaustive attack, 256 possibilities" scale the
+survey describes.
 
 :class:`DallasBoard` is the one board model; its optional ``scrambler``
 enciphers the address bus as the real part did.  What every strategy
@@ -72,7 +78,7 @@ import numpy as np
 
 from ..crypto.address_scrambler import AddressScrambler
 from ..crypto.feistel import SmallBlockCipher, TweakableFeistel
-from ..isa.mcu import INSTRUCTION_LENGTHS, MCU, Op, StepEvent
+from ..isa.mcu import MCU, Op, StepEvent
 from ..obs import EventSink, current_sink
 
 __all__ = ["DallasBoard", "CipherInstructionSearch", "KuhnAttack",
@@ -176,6 +182,9 @@ class DallasBoard:
 # where shape is what the strategy reads off the bus (see ``_shape``).
 _Signature = Tuple[object, bool, bool, bool, bool]
 
+# The gadget's cells, whose plaintexts the cell-0 decoder knows.
+_GADGET = range(4)
+
 
 def _invert(table: List[int]) -> List[int]:
     inverse = [0] * 256
@@ -205,7 +214,7 @@ class CipherInstructionSearch:
     A strategy's :meth:`_search` fills ``phys`` (logical cell -> physical
     address, cells 0-3 at least), ``d_tables`` (decryption tables of cells
     1-3), ``mov0`` (E_0(MOV A,addr16)) and ``outs[3]`` (E_3(OUT)); its
-    :meth:`_decode_silent0` decodes a cell-0 byte with no visible effect.
+    ``PLAN`` lists the probes that decode cell 0 (:meth:`_decode0`).
     This class probes, restores the factory image, forges bytes through
     the tables, and dumps every other cell with the gadget
     ``[MOV A,addr16; lo; hi; OUT]`` over ``phys[0..3]``.
@@ -213,6 +222,10 @@ class CipherInstructionSearch:
 
     #: The dump gadget needs cells 0-3 plus the cell OUT falls through to.
     MIN_MEMORY = 5
+
+    #: The cell-0 probes, in order: forged plaintexts ``{cell: byte}`` at
+    #: cells 1-3 and the number of steps to run.
+    PLAN: Tuple[Tuple[Dict[int, int], int], ...] = ()
 
     def __init__(self, board: DallasBoard, verbose: bool = False):
         self.board = board
@@ -225,8 +238,10 @@ class CipherInstructionSearch:
         self.outs: Dict[int, int] = {}
         self.mov0 = -1
         self.ambiguous_cells: Dict[int, Set[int]] = {}
-        #: Behaviour signatures of every candidate at cell 0.
+        #: Behaviour signatures of every candidate at cell 0, and the
+        #: {physical address: ciphertext} background they ran over.
         self._signatures0: Dict[int, _Signature] = {}
+        self._background0: Dict[int, int] = {}
         self._inverses: Dict[int, List[int]] = {}
         self._snapshot = b""
 
@@ -238,11 +253,6 @@ class CipherInstructionSearch:
 
     def _search(self) -> None:
         """Fill ``phys``, ``d_tables``, ``mov0`` and ``outs[3]``."""
-        raise NotImplementedError
-
-    def _decode_silent0(self, factory0: int,
-                        shape: object) -> Tuple[int, Optional[Set[int]]]:
-        """Decode a cell-0 byte that shows no port, data or halt effect."""
         raise NotImplementedError
 
     # -- probing ----------------------------------------------------------------
@@ -289,6 +299,7 @@ class CipherInstructionSearch:
         instruction that reads data is ``MOV A, addr16``.  Returns its
         event."""
         p0 = self.phys[0]
+        self._background0 = dict(background)
         matches = []
         for candidate in range(256):
             event = self._probe({**background, p0: candidate}, 1)[0]
@@ -319,44 +330,83 @@ class CipherInstructionSearch:
                 return candidate
         raise AttackFailure(f"no port-writing instruction found at cell {cell}")
 
-    def _decode_cell0(self) -> Tuple[int, Optional[Set[int]]]:
-        """Decode the factory byte at cell 0 from its recorded behaviour.
+    def _simulate(self, opcode: int, cells: Dict[int, int],
+                  steps: int) -> List[StepEvent]:
+        """Run plaintext ``opcode`` at cell 0 on the public ISA, cells 1-3
+        holding what the ciphertexts ``cells`` decode to: no cipher, no
+        key.  The other cells hold zeros, which :meth:`_observe` never
+        shows."""
+        memory = bytearray(self.board.memory_size)
+        memory[0] = opcode
+        for cell, byte in cells.items():
+            memory[cell] = self.d_tables[cell][byte]
+        return MCU(memory).run(steps)
+
+    def _observe(self, events: List[StepEvent],
+                 cells: Dict[int, int]) -> tuple:
+        """What the attacker sees of a run, ``cells`` mapping each address
+        (mod the board size) to its logical cell, None off the known map:
+        per step the signature, port value, fetched cells and data cells.
+        A step that fetches outside the gadget cells 0-3, whose contents
+        the attacker does not know, shows only that it left them and to
+        where; one that reads data from outside them ends the view, as
+        what follows depends on the value read."""
+        size = self.board.memory_size
+        seen = []
+        for event in events:
+            fetched = tuple(cells.get(a % size) for a in event.fetched)
+            outside = [c for c in fetched if c not in _GADGET]
+            if outside:
+                seen.append(("left", outside[0]))
+                break
+            read, write = (None if a is None else cells.get(a % size)
+                           for a in (event.data_read, event.data_write))
+            seen.append((self._signature(event), event.port_write, fetched,
+                         read, write))
+            if event.data_read is not None and read not in _GADGET:
+                break
+        return tuple(seen)
+
+    def _decode0(self) -> Tuple[int, Optional[Set[int]]]:
+        """Decode the factory byte at cell 0 by simulating the candidates.
 
         Cell 0 is never an operand of a reachable instruction (execution
-        always begins there).  Returns (representative plaintext,
-        ambiguity set or None).
+        always begins there).  Each of the 256 candidate plaintexts
+        survives while its simulated observables equal the board's: first
+        the phase-1 signature, then each ``PLAN`` probe on which the
+        survivors disagree (the others are not run).  Returns the lowest
+        survivor and, when several remain, all of them as the ambiguity
+        set.
         """
-        factory0 = self._snapshot[self.phys[0]]
-        shape, port, data_read, data_write, halted = \
-            self._signatures0[factory0]
-        if halted:
-            return Op.HALT, None
-        if port:
-            return Op.OUT, None
-        if data_read:
-            return (Op.MOV_A_DIR if shape == 3 else Op.MOVI_A), None
-        if data_write:
-            return (Op.MOV_DIR_A if shape == 3 else Op.MOVI_ST), None
-        return self._decode_silent0(factory0, shape)
-
-    def _decode_fall3(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
-        """Split ``MOV R,#imm`` from JNZ, which falls through as silently
-        from reset (A=0): forged operands make ``MOV R,#imm`` set R1 = 1,
-        so a forged ``MOVI A`` at cell 3 reads logical 1, not 0."""
-        events = self._probe({
-            self.phys[0]: factory0,
-            self.phys[1]: self._forge(1, 1),
-            self.phys[2]: self._forge(2, 1),
-            self.phys[3]: self._forge(3, Op.MOVI_A),
-        }, 2)
-        if events[0].next_pc != 3:
-            # A branch: phase 1's background operands decoded to target 3.
-            return Op.JMP, {Op.JMP, Op.JZ, Op.CALL}
-        if len(events) < 2 or events[1].data_read is None:
-            raise AttackFailure("cell-0 register probe lost its MOVI A")
-        if events[1].data_read == self.phys[1]:
-            return Op.MOV_R_IMM, None
-        return Op.JNZ, None
+        p0 = self.phys[0]
+        factory0 = self._snapshot[p0]
+        on_board = {p: c for c, p in self.phys.items()}
+        simulated = {c: c for c in self.phys}
+        phase1 = {c: self._background0.get(self.phys[c],
+                                           self._snapshot[self.phys[c]])
+                  for c in (1, 2, 3)}
+        signature = self._signatures0[factory0]
+        survivors = [
+            op for op in range(256)
+            if self._signature(self._simulate(op, phase1, 1)[0]) == signature
+        ]
+        for forged, steps in self.PLAN:
+            setup = {p0: factory0}
+            setup.update((self.phys[c], self._forge(c, plain))
+                         for c, plain in forged.items())
+            cells = {c: setup.get(self.phys[c],
+                                  self.board.read_raw(self.phys[c])[0])
+                     for c in (1, 2, 3)}
+            predicted = {
+                op: self._observe(self._simulate(op, cells, steps), simulated)
+                for op in survivors
+            }
+            if len(set(predicted.values())) > 1:
+                seen = self._observe(self._probe(setup, steps), on_board)
+                survivors = [op for op in survivors if predicted[op] == seen]
+        if not survivors:
+            raise AttackFailure("no instruction behaves like cell 0")
+        return survivors[0], set(survivors) if len(survivors) > 1 else None
 
     def _dump_byte(self, target: int) -> int:
         events = self._probe({
@@ -395,7 +445,7 @@ class CipherInstructionSearch:
         recovered = bytearray(end - start)
         for target in range(start, end):
             if target == 0:
-                value, ambiguity = self._decode_cell0()
+                value, ambiguity = self._decode0()
                 if ambiguity:
                     self.ambiguous_cells[0] = ambiguity
             elif target in self.d_tables:
@@ -423,6 +473,13 @@ class KuhnAttack(CipherInstructionSearch):
 
     #: Safe data address the probe gadgets read when the target is irrelevant.
     SAFE_ADDR = 0x0010
+
+    #: The register probe (MOV R,#imm sets R1 = 1, so a MOVI A at cell 3
+    #: reads cell 1; a branch lands on 0x101), the two-byte probe (A = imm
+    #: shows on the port) and the one-byte probe (A shows on the port).
+    PLAN = (({1: 1, 2: 1, 3: Op.MOVI_A}, 2),
+            ({1: 0x05, 2: Op.OUT}, 2),
+            ({1: Op.OUT}, 2))
 
     def _shape(self, event: StepEvent) -> object:
         delta = event.next_pc - event.pc
@@ -505,98 +562,6 @@ class KuhnAttack(CipherInstructionSearch):
             2: self._forge(2, self.SAFE_ADDR & 0xFF),
         }
         return self._tabulate(3, fixed, extract_high=True, step_index=1)
-
-    def _decode_silent0(self, factory0: int,
-                        shape: object) -> Tuple[int, Optional[Set[int]]]:
-        if shape == 3:
-            return self._decode_fall3(factory0)
-        if shape == "jump":
-            return self._decode_jump0(factory0)
-        if shape == 4:
-            # DJNZ is the one 4-byte instruction, and from reset it always
-            # branches: next_pc 4 is a branch whose phase-1 target was 4.
-            return self._decode_landed0(factory0, shape)
-        if shape == 2:
-            return self._decode_two_byte0(factory0)
-        return self._decode_one_byte0(factory0)
-
-    def _decode_landed0(self, factory0: int, shape: int
-                        ) -> Tuple[int, Optional[Set[int]]]:
-        """Decode a branch at cell 0 whose phase-1 target (from the zero
-        background's operands) was ``shape``, so that it looked like a
-        ``shape``-byte fall-through.  The forged operands of
-        :meth:`_decode_jump0` move any branch's target; RET, which lands
-        at 0, never looks like a fall-through, so its verdict here means
-        the instruction was no branch after all."""
-        op, ambiguity = self._decode_jump0(factory0)
-        if op == Op.RET:
-            raise AttackFailure(
-                f"cell-0 {shape}-byte probe lost its OUT" if shape < 4
-                else "cell-0 4-byte fall-through is not DJNZ")
-        return op, ambiguity
-
-    def _decode_jump0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
-        """Separate RET, DJNZ and the taken-branch family using the known
-        tables."""
-        # Re-run with known operand bytes.  JMP, JZ and CALL land at
-        # D_1(op1) | D_2(op2)<<8.  DJNZ takes its register from cell 1 and
-        # its target from cells 2-3; from reset the register is 0, so the
-        # decrement leaves 0xFF and it always branches, to D_2(op2) |
-        # D_3(op3)<<8 — which the forged high byte puts above every
-        # address the first target can be.  RET lands at 0 (zeroed stack),
-        # so the first target must not be 0.
-        target = 0x0123 % self.board.memory_size or 1
-        events = self._probe({
-            0: factory0,
-            1: self._forge(1, target & 0xFF),
-            2: self._forge(2, target >> 8),
-            3: self._forge(3, 0x80),
-        }, 1)
-        if events[0].next_pc == target:
-            # JMP, JZ (A=0: taken) and CALL are equivalent from reset.
-            ambiguous = {Op.JMP, Op.JZ, Op.CALL}
-            return Op.JMP, ambiguous
-        if events[0].next_pc == 0x8000 | target >> 8:
-            return Op.DJNZ, None
-        return Op.RET, None
-
-    def _decode_two_byte0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
-        """Split the 2-byte class by whether the port shows the operand."""
-        outputs = []
-        for value in (0x05, 0x5A):
-            # [factory0, operand, forged OUT at 2]: port shows A afterwards.
-            events = self._probe({
-                0: factory0,
-                1: self._forge(1, value),
-                2: self._forge(2, Op.OUT),
-            }, 2)
-            if len(events) < 2 or events[1].port_write is None:
-                # Not a 2-byte instruction: a branch that landed on 2.
-                return self._decode_landed0(factory0, 2)
-            outputs.append(events[1].port_write)
-        if outputs == [0x05, 0x5A]:
-            # A = imm with A=0 entry: MOV/ADD/ORL/XRL are indistinguishable.
-            return Op.MOV_A_IMM, {Op.MOV_A_IMM, Op.ADD_A_IMM,
-                                  Op.ORL_A_IMM, Op.XRL_A_IMM}
-        # A stays 0: register-file ops and AND-with-zero collapse together.
-        return Op.ANL_A_IMM, {Op.ANL_A_IMM, Op.MOV_A_R, Op.MOV_R_A,
-                              Op.ADD_A_R, Op.SUB_A_R, Op.INC_R}
-
-    def _decode_one_byte0(self, factory0: int) -> Tuple[int, Optional[Set[int]]]:
-        """Split the 1-byte fall-through class via the accumulator."""
-        events = self._probe({0: factory0, 1: self._forge(1, Op.OUT)}, 2)
-        if len(events) < 2 or events[1].port_write is None:
-            # Not a 1-byte instruction: a branch that landed on 1.
-            return self._decode_landed0(factory0, 1)
-        a_after = events[1].port_write
-        if a_after == 1:
-            return Op.INC_A, None
-        if a_after == 0xFF:
-            return Op.DEC_A, None
-        # NOP, PUSH A, POP A and undefined opcodes are architecturally
-        # silent from reset.
-        undefined = set(range(256)) - set(INSTRUCTION_LENGTHS)
-        return Op.NOP, {Op.NOP, Op.PUSH_A, Op.POP_A} | undefined
 
 
 def brute_force_tries(block_bits: int) -> int:

@@ -28,9 +28,9 @@ a small constant only — the security of the scheme still collapses with the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
-from ..isa.mcu import INSTRUCTION_LENGTHS, Op, StepEvent
+from ..isa.mcu import Op, StepEvent
 from .kuhn import AttackFailure, CipherInstructionSearch
 
 __all__ = ["PortBasedKuhnAttack"]
@@ -40,6 +40,15 @@ class PortBasedKuhnAttack(CipherInstructionSearch):
     """The scrambler-immune strategy: the address map is learned from the
     fetch addresses, the tables through the parallel port, and an
     instruction's shape is the number of bytes it fetched."""
+
+    #: The branch probe (a branch lands on cell 2), the register probe
+    #: (MOV R,#imm sets R1 = 1, so a MOVI A at cell 3 reads cell 1), the
+    #: one-byte probe (A shows on the port) and the two-byte probe
+    #: (A = imm shows on the port).
+    PLAN = (({1: 0x02, 2: 0x00}, 2),
+            ({1: 1, 2: 1, 3: Op.MOVI_A}, 2),
+            ({1: Op.OUT}, 2),
+            ({1: 0x21, 2: Op.OUT}, 2))
 
     def __init__(self, board, verbose: bool = False):
         super().__init__(board, verbose)
@@ -181,57 +190,3 @@ class PortBasedKuhnAttack(CipherInstructionSearch):
                 f"({len(seen)} values)"
             )
         return table
-
-    # -- cell 0 -------------------------------------------------------------------
-
-    def _decode_silent0(self, factory0: int,
-                        shape: object) -> Tuple[int, Optional[Set[int]]]:
-        if shape == 4:
-            return Op.DJNZ, None
-        if shape == 3:
-            # MOV_R_IMM, JNZ or a taken branch: all fetch 3 bytes.  The
-            # branch lands at the decoded target, which with forged
-            # operands is logical 2 (phys known); the other two fall
-            # through to logical 3.
-            events = self._probe({
-                self.phys[0]: factory0,
-                self.phys[1]: self._forge(1, 0x02),
-                self.phys[2]: self._forge(2, 0x00),
-            }, 2)
-            if len(events) >= 2 and events[1].fetched and \
-                    events[1].fetched[0] == self.phys[2]:
-                return Op.JMP, {Op.JMP, Op.JZ, Op.CALL}
-            return self._decode_fall3(factory0)
-        if shape == 1:
-            events = self._probe({
-                self.phys[0]: factory0,
-                self.phys[1]: self._forge(1, Op.OUT),
-            }, 2)
-            if len(events) > 1 and events[1].fetched and \
-                    events[1].fetched[0] != self.phys[1]:
-                # Control left the fall-through path: a 1-byte jumper.
-                return Op.RET, None
-            a_after = events[1].port_write if len(events) > 1 else None
-            if a_after == 1:
-                return Op.INC_A, None
-            if a_after == 0xFF:
-                return Op.DEC_A, None
-            undefined = set(range(256)) - set(INSTRUCTION_LENGTHS)
-            return Op.NOP, {Op.NOP, Op.PUSH_A, Op.POP_A} | undefined
-        if shape == 2:
-            outputs = []
-            for v in (0x21, 0x7E):
-                events = self._probe({
-                    self.phys[0]: factory0,
-                    self.phys[1]: self._forge(1, v),
-                    self.phys[2]: self.outs[2],
-                }, 2)
-                outputs.append(
-                    events[1].port_write if len(events) > 1 else None
-                )
-            if outputs == [0x21, 0x7E]:
-                return Op.MOV_A_IMM, {Op.MOV_A_IMM, Op.ADD_A_IMM,
-                                      Op.ORL_A_IMM, Op.XRL_A_IMM}
-            return Op.ANL_A_IMM, {Op.ANL_A_IMM, Op.MOV_A_R, Op.MOV_R_A,
-                                  Op.ADD_A_R, Op.SUB_A_R, Op.INC_R}
-        return Op.NOP, set(range(256))

@@ -178,6 +178,20 @@ class TestAttackMechanics:
         assert report.ambiguous_cells[0] == {Op.JMP, Op.JZ, Op.CALL}
         assert report.plaintext == firmware
 
+    @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
+    def test_jump_that_lands_on_an_out(self, attack):
+        """Under b"k78859" the one-byte probe (a forged OUT at cell 1, the
+        factory 0x00 at cell 2) sends a JMP at cell 0 to cell 4.  An OUT
+        there writes the port, as the forged OUT after a one-byte
+        instruction would; the jump must still decode as a branch."""
+        firmware = assemble("JMP 0x10\n NOP\n OUT\n .org 0x10\n MOV A, #1\n"
+                            " OUT\n HALT", size=128)
+        cipher = SmallBlockCipher(b"k78859")
+        assert (cipher.decrypt_byte(1, 0), cipher.decrypt_byte(2, 0)) == (1, 0)
+        report = attack(DallasBoard(cipher, firmware, memory_size=128)).run()
+        assert report.ambiguous_cells[0] == {Op.JMP, Op.JZ, Op.CALL}
+        assert report.plaintext == firmware
+
     @pytest.mark.parametrize("size", [96, 97])
     def test_ret_start_on_any_board_size(self, size):
         """The jump probe's target is 0x123 mod the board size; on a
@@ -204,26 +218,32 @@ class TestCell0Sweep:
               (97, KEYS[:2], (True,)), (291, KEYS[:2], (False,)))
 
     @staticmethod
-    def firmware(opcode, size, key, random_operands):
-        """``opcode`` at cell 0, then operands 0x10 0x00 0x00 or random
-        ones, then zeros."""
-        operands = DRBG(b"sweep-" + key).random_bytes(3) \
-            if random_operands else b"\x10\x00\x00"
-        return bytes((opcode,)) + operands + bytes(size - 4)
+    def firmware(opcode, size, key, random_image):
+        """``opcode`` at cell 0, then either operands 0x10 0x00 0x00 and
+        zeros or random bytes throughout.  Under b"k78859" the random
+        image holds an OUT at cell 4, where a branch lands in the one-byte
+        probe and writes the port as a fall-through would."""
+        if random_image:
+            image = bytearray(DRBG(b"sweep-" + key).random_bytes(size))
+        else:
+            image = bytearray(size)
+            image[1] = 0x10
+        image[0] = opcode
+        return bytes(image)
 
     @pytest.mark.parametrize("attack", [KuhnAttack, PortBasedKuhnAttack])
     @pytest.mark.parametrize("opcode", sorted(INSTRUCTION_LENGTHS),
                              ids="{:#04x}".format)
     def test_cell0_decodes_to_the_opcode(self, attack, opcode):
-        for size, keys, operand_kinds in self.BOARDS:
+        for size, keys, images in self.BOARDS:
             for key in keys:
-                for random_operands in operand_kinds:
+                for random_image in images:
                     firmware = self.firmware(opcode, size, key,
-                                             random_operands)
+                                             random_image)
                     board = DallasBoard(SmallBlockCipher(key), firmware,
                                         memory_size=size)
                     report = attack(board).run()
-                    case = (size, key, random_operands)
+                    case = (size, key, random_image)
                     assert report.plaintext[1:] == firmware[1:], case
                     ambiguity = report.ambiguous_cells.get(0)
                     if ambiguity is None:
