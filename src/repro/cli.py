@@ -492,6 +492,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+def seed_type(text: str) -> int:
+    """The argparse type of every ``--seed``: an int the DRBG accepts."""
+    try:
+        seed = int(text)
+        DRBG(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: {exc}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -519,12 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run the Kuhn attack demo")
     p.add_argument("--memory", type=int, default=512)
-    p.add_argument("--seed", type=int, default=2005)
+    p.add_argument("--seed", type=seed_type, default=2005)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("protocol", help="run the Figure-1 key exchange")
     p.add_argument("--size", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=2005)
+    p.add_argument("--seed", type=seed_type, default=2005)
     p.add_argument("--key-bits", type=int, default=512)
 
     sub.add_parser("area", help="gate-count estimates for all engines")
@@ -565,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("spoof", "splice", "replay", "glitch"),
                    help="fault classes to run (default: all four + "
                         "baseline)")
-    p.add_argument("--seed", type=int, default=2005)
+    p.add_argument("--seed", type=seed_type, default=2005)
     p.add_argument("--full", action="store_true",
                    help="full-size campaign sweeps (default: quick)")
 
@@ -587,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-sizes", nargs="*", type=int, metavar="BYTES")
     p.add_argument("--associativities", nargs="*", type=int, metavar="WAYS")
     p.add_argument("--latencies", nargs="*", type=int, metavar="CYCLES")
-    p.add_argument("--seeds", nargs="*", type=int, metavar="SEED")
+    p.add_argument("--seeds", nargs="*", type=seed_type, metavar="SEED")
     p.add_argument("--fault-kinds", nargs="*", metavar="KIND",
                    choices=("spoof", "splice", "replay", "glitch"),
                    help="fault classes for --kind faults")
@@ -644,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=65536,
                    help="accesses per executed chunk (0 = materialize "
                         "the whole trace; metrics are identical)")
-    p.add_argument("--seed", type=int, default=2005)
+    p.add_argument("--seed", type=seed_type, default=2005)
 
     p = sub.add_parser(
         "trace",

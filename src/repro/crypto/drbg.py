@@ -22,6 +22,9 @@ class DRBG:
 
     def __init__(self, seed) -> None:
         if isinstance(seed, int):
+            if not 0 <= seed < 1 << 128:
+                raise ValueError(
+                    f"an int seed must be in [0, 2**128), got {seed}")
             seed = seed.to_bytes(16, "big", signed=False)
         elif isinstance(seed, str):
             seed = seed.encode()

@@ -23,6 +23,7 @@ moves whole lines only.
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -226,9 +227,11 @@ class TwoLevelSystem:
         self.l2 = Cache(l2_config)
         self.edu_level = edu_level
         self.line_size = l1_config.line_size
+        # The port holds its L1 system weakly, as SecureSystem's own does.
+        l1_ref = weakref.ref(l1)
         l1.port = self._l2 = _L2Port(
             self.l2, NullEngine() if at_l1 else self.engine, l1.port,
-            write_buffer, l1.sink, lambda: l1.cycles)
+            write_buffer, l1.sink, lambda: l1_ref().cycles)
         # Plaintext of L1-resident lines, and the L2's line content.
         self._l1_data = l1._line_data
         self._l2_data = self._l2.data

@@ -10,6 +10,7 @@ path, and stores follow the configured write policy.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -142,7 +143,12 @@ class SecureSystem:
         self.cycles = 0
         self.write_buffer = write_buffer
         self.issue_cycles = issue_cycles
-        self.port = MemoryPort(self.memory, self.bus, clock=lambda: self.cycles)
+        # The port reads the clock through a weak reference: a closure over
+        # self would make a cycle that keeps a finished run's memory alive
+        # until the cyclic GC runs.
+        system = weakref.ref(self)
+        self.port = MemoryPort(self.memory, self.bus,
+                               clock=lambda: system().cycles)
         # Plaintext contents of resident lines, keyed by line address.
         self._line_data: Dict[int, bytearray] = {}
         self._counts = {kind: 0 for kind in AccessKind}

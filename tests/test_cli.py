@@ -290,6 +290,31 @@ class TestDegenerateParamsExitTwo:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"{argv[0]}: ")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128), "x"],
+                             ids=["negative", "2**128", "not-an-int"])
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--quiet", "--memory", "64"],
+        ["protocol", "--size", "64"],
+        ["faults", "xom"],
+        ["stream", "baseline", "mixed", "--accesses", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_seed_is_a_usage_error(self, argv, seed, capsys):
+        """A seed the DRBG cannot take (negative, 2**128 or more, not an
+        int) is argparse's usage line and exit 2, not a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", seed])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert f"error: argument --seed: invalid seed '{seed}'" in err
+
+    def test_bad_campaign_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--seeds", "1", "-1", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "argument --seeds: invalid seed '-1'" in \
+            capsys.readouterr().err
+
     def test_unknown_engine_still_exits_two(self, capsys):
         assert main(["overhead", "enigma"]) == 2
         assert "unknown engine" in capsys.readouterr().err

@@ -43,6 +43,14 @@ class TestDeterminism:
             rng = DRBG(seed)
             assert len(rng.random_bytes(8)) == 8
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_int_seed_outside_128_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            DRBG(seed)
+
+    def test_int_seed_bounds_accepted(self):
+        assert DRBG(0).random_bytes(4) != DRBG(2 ** 128 - 1).random_bytes(4)
+
     def test_fork_independence(self):
         root = DRBG(42)
         a = root.fork("a").random_bytes(32)

@@ -1,14 +1,20 @@
 """Full-system simulator: timing accounting, functional data path,
 write-policy behaviour and the report structure."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis import measure_overhead
 from repro.core import NullEngine, StreamCipherEngine, XomAesEngine
 from repro.sim import (
+    EDU_L1_L2,
+    EDU_L2_MEMORY,
     CacheConfig,
     MemoryConfig,
     SecureSystem,
+    TwoLevelSystem,
     WritePolicy,
     run_trace,
 )
@@ -19,7 +25,7 @@ from repro.traces import (
     iter_write_burst,
 )
 
-from .reference_model import store
+from .reference_model import build, make_bench_trace, store
 
 KEY = b"0123456789abcdef"
 
@@ -859,3 +865,35 @@ def test_flush_drains_the_engine_buffer(name, system_cls):
     system.step(Access(AccessKind.STORE, addr, 4))
     system.flush()
     assert system.read_plaintext(addr, 4) == store_payload(addr, 4)
+
+
+class TestNoReferenceCycle:
+    """A finished run's system, and the memory it holds, go as soon as the
+    last reference does: nothing in a system refers back to it strongly,
+    so freeing one never waits for the cyclic GC."""
+
+    @staticmethod
+    def _freed_without_gc(make_system, trace):
+        gc.collect()
+        gc.disable()
+        try:
+            system = make_system()
+            system.run(trace)
+            refs = [weakref.ref(system), weakref.ref(system.memory)]
+            del system
+            return [ref() is None for ref in refs]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", [None] + engine_names())
+    def test_secure_system(self, name):
+        trace = make_bench_trace(300, fetch_only=name == "compress")
+        freed = self._freed_without_gc(lambda: build(name), trace)
+        assert freed == [True, True]
+
+    @pytest.mark.parametrize("edu_level", [EDU_L2_MEMORY, EDU_L1_L2])
+    def test_two_level_system(self, edu_level):
+        freed = self._freed_without_gc(
+            lambda: TwoLevelSystem(XomAesEngine(KEY), edu_level=edu_level),
+            make_bench_trace(300))
+        assert freed == [True, True]
