@@ -211,7 +211,8 @@ class TestCell0Sweep:
     include three whose phase-1 background operands (ciphertext 0 at cells
     1 and 2) decode to branch targets 3, 1 and 4, where a branch moves the
     pc like a fall-through; 97 and 291 cells are the board sizes on which
-    the jump probe's forged target 0x123 wraps to 0 or 1."""
+    a forged jump target of 0x123 wraps to 0 or 1, where RET was once
+    misread."""
 
     KEYS = (b"sweep-0", b"k162608", b"k78859", b"k24316")
     BOARDS = ((128, KEYS, (False, True)),
